@@ -12,7 +12,8 @@
 #include "core/generator.h"
 #include "models/trained.h"
 #include "nn/executor.h"
-#include "sim/simulator.h"
+#include "sim/functional_sim.h"
+#include "sim/perf_model.h"
 
 int main() {
   using namespace db;

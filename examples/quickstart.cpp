@@ -11,7 +11,7 @@
 
 #include "core/generator.h"
 #include "nn/executor.h"
-#include "sim/simulator.h"
+#include "sim/host_runtime.h"
 
 int main() {
   using namespace db;
@@ -72,10 +72,10 @@ frequency_mhz: 100
       Network::Build(ParseNetworkDef(model_script));
   Rng rng(1);
   const WeightStore weights = WeightStore::CreateRandom(net, rng);
-  AcceleratorSimulator sim(net, design, weights, "zynq-7020");
+  HostRuntime host(net, design, weights, "zynq-7020");
 
   Tensor input(Shape{4, 1, 1}, {0.25f, -0.5f, 0.75f, 0.1f});
-  const SimulationResult result = sim.Invoke(input);
+  const HostInvocation result = host.Infer(input);
   std::printf("accelerator output : [%f, %f]\n", result.output[0],
               result.output[1]);
 
@@ -83,8 +83,7 @@ frequency_mhz: 100
   const Tensor ref = reference.ForwardOutput(input);
   std::printf("float reference    : [%f, %f]\n", ref[0], ref[1]);
   std::printf("runtime: %lld cycles = %.2f us;  energy: %.3f uJ\n",
-              static_cast<long long>(result.perf.total_cycles),
-              result.perf.TotalSeconds() * 1e6,
-              result.energy.total_joules * 1e6);
+              static_cast<long long>(result.cycles), result.seconds * 1e6,
+              result.joules * 1e6);
   return 0;
 }

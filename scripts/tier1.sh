@@ -33,6 +33,15 @@ build/tools/deepburning profile Alexnet --json > "${PROFILE_TMP}/b.json"
 cmp "${PROFILE_TMP}/a.json" "${PROFILE_TMP}/b.json"
 scripts/lint.sh --metrics-only
 
+echo "== tier-1: Release (-O3) build + differential suite =="
+# Every build type must compile warning-clean under -Werror: -O3 turns
+# on diagnostics (-Wrestrict, -Wstringop-*) the RelWithDebInfo build
+# never sees.  The cross-path differential suite then checks that the
+# -O3 datapath stays bit-identical across its execution paths.
+cmake --preset release
+cmake --build --preset release -j "${JOBS}"
+ctest --preset release -j "${JOBS}" -L differential
+
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \

@@ -8,9 +8,9 @@
 namespace db::analysis {
 
 std::vector<std::string> BreakableRules() {
-  return {kRuleAguBounds,      kRuleMemLayout, kRuleSchedHazard,
-          kRuleFoldCoverage,   kRuleBufferCapacity, kRuleConnPorts,
-          kRuleLutDomain,      kRuleResBudget};
+  return {kRuleAguBounds,     kRuleMemLayout,      kRuleMemCapacity,
+          kRuleSchedHazard,   kRuleFoldCoverage,   kRuleBufferCapacity,
+          kRuleConnPorts,     kRuleLutDomain,      kRuleResBudget};
 }
 
 void BreakRule(AcceleratorDesign& design, const std::string& rule) {
@@ -35,6 +35,11 @@ void BreakRule(AcceleratorDesign& design, const std::string& rule) {
     else
       regions[0].bytes += 1;  // single region: break the alignment instead
     design.memory_map = MemoryMap::FromRegions(std::move(regions));
+    return;
+  }
+  if (rule == kRuleMemCapacity) {
+    // A board one byte too small for the map.
+    design.config.dram_bytes = design.memory_map.total_bytes() - 1;
     return;
   }
   if (rule == kRuleSchedHazard) {

@@ -265,6 +265,21 @@ void CheckMemLayout(const Network& net, const AcceleratorDesign& design,
 }
 
 // ---------------------------------------------------------------------
+// Rule 2b: mem.capacity
+// ---------------------------------------------------------------------
+void CheckMemCapacity(const AcceleratorDesign& design,
+                      AnalysisReport& report) {
+  // The whole map is allocated up front as the DRAM image, so an
+  // oversized one is rejected here, not discovered as a failed
+  // multi-gigabyte allocation (or overflowed cycle counts) later.
+  const std::int64_t total = design.memory_map.total_bytes();
+  if (total > design.config.dram_bytes)
+    report.Add(Severity::kError, kRuleMemCapacity, "memory_map",
+               "memory map needs " + I64(total) + " bytes but the board "
+               "DRAM holds " + I64(design.config.dram_bytes));
+}
+
+// ---------------------------------------------------------------------
 // Rule 3: sched.hazard
 // ---------------------------------------------------------------------
 void CheckSchedHazards(const Network& net, const AcceleratorDesign& design,
@@ -823,6 +838,9 @@ AnalysisReport VerifyDesign(const Network& net,
           const VerifyOptions&, AnalysisReport& r) {
          CheckMemLayout(n, d, r);
        }},
+      {kRuleMemCapacity,
+       [](const Network&, const AcceleratorDesign& d, const VerifyOptions&,
+          AnalysisReport& r) { CheckMemCapacity(d, r); }},
       {kRuleSchedHazard,
        [](const Network& n, const AcceleratorDesign& d,
           const VerifyOptions&, AnalysisReport& r) {

@@ -18,6 +18,7 @@
 //   mem.layout       memory-map regions are non-empty, port-aligned,
 //                    non-overlapping, uniquely named, and consistent
 //                    with the recorded total size
+//   mem.capacity     the whole memory map fits the board DRAM
 //   sched.hazard     no step reads a producer blob before the steps
 //                    that write it completed; no block is producer and
 //                    consumer of the same slot; pattern triggers arm
@@ -49,6 +50,7 @@ namespace db::analysis {
 // Stable rule identifiers (also the `analysis.rule.<id>` metric names).
 inline constexpr char kRuleAguBounds[] = "agu.bounds";
 inline constexpr char kRuleMemLayout[] = "mem.layout";
+inline constexpr char kRuleMemCapacity[] = "mem.capacity";
 inline constexpr char kRuleSchedHazard[] = "sched.hazard";
 inline constexpr char kRuleFoldCoverage[] = "fold.coverage";
 inline constexpr char kRuleBufferCapacity[] = "buffer.capacity";

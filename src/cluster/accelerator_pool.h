@@ -1,8 +1,9 @@
 // AcceleratorPool: N replicated instances of one generated design.
 //
 // Each replica owns a private DRAM MemoryImage (copied from the image
-// provisioned once), the SystemContext decoded from those bytes, and
-// its own simulated-cycle clock — the software model of a board (or a
+// provisioned once), the SystemContext that reads its weights in place
+// from those bytes (so a weight flip reaches the next service unless
+// the serving layer scrubs it first), and its own simulated-cycle clock — the software model of a board (or a
 // fleet) provisioned with N copies of the same accelerator.  The pool
 // also owns one execution lane per replica: a FIFO work deque drained
 // by a dedicated thread, so the wall-clock cost of simulating replicas
@@ -38,12 +39,13 @@ namespace db::cluster {
 /// One replica's full state: the simulated accelerator instance plus
 /// the deterministic bookkeeping the serving layer accumulates on it.
 struct Replica {
+  // Moving the image moves its byte buffer, which the context views.
   explicit Replica(SystemReplica system)
       : image(std::move(system.image)),
         context(std::move(system.context)) {}
 
   MemoryImage image;                       // private DRAM bytes
-  std::unique_ptr<SystemContext> context;  // decoded from `image`
+  std::unique_ptr<SystemContext> context;  // reads `image` in place
 
   // Serving bookkeeping, owned by the replica's lane thread.
   bool warm = false;            // weights resident after the first image
@@ -71,8 +73,8 @@ std::int64_t BusyInWindow(
 
 class AcceleratorPool {
  public:
-  /// Stamp out `replicas` copies of the provisioned image, decode one
-  /// SystemContext per replica, and start one lane thread per replica.
+  /// Stamp out `replicas` copies of the provisioned image, build one
+  /// SystemContext on each copy, and start one lane thread per replica.
   AcceleratorPool(const Network& net, const AcceleratorDesign& design,
                   const MemoryImage& provisioned, int replicas);
 

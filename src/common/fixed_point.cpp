@@ -24,17 +24,6 @@ double FixedFormat::resolution() const {
   return std::ldexp(1.0, -frac_bits_);
 }
 
-std::int64_t FixedFormat::Quantize(double value) const {
-  if (std::isnan(value)) return 0;
-  const double scaled = std::ldexp(value, frac_bits_);
-  // Round-half-away-from-zero, matching a hardware rounder.
-  const double rounded = scaled >= 0 ? std::floor(scaled + 0.5)
-                                     : std::ceil(scaled - 0.5);
-  if (rounded >= static_cast<double>(raw_max_)) return raw_max_;
-  if (rounded <= static_cast<double>(raw_min_)) return raw_min_;
-  return static_cast<std::int64_t>(rounded);
-}
-
 double FixedFormat::Dequantize(std::int64_t raw) const {
   return std::ldexp(static_cast<double>(raw), -frac_bits_);
 }
@@ -66,7 +55,13 @@ std::int64_t FixedFormat::Mul(std::int64_t a, std::int64_t b) const {
 }
 
 std::string FixedFormat::ToString() const {
-  return "Q" + std::to_string(int_bits()) + "." + std::to_string(frac_bits_);
+  // Appended piecewise: GCC 12 at -O3 flags the chained operator+
+  // temporaries with a false-positive -Wrestrict.
+  std::string name = "Q";
+  name += std::to_string(int_bits());
+  name += '.';
+  name += std::to_string(frac_bits_);
+  return name;
 }
 
 std::vector<std::int64_t> QuantizeVector(const FixedFormat& fmt,

@@ -7,6 +7,8 @@
 // than a template parameter; raw values travel as int64_t.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +37,19 @@ class FixedFormat {
 
   /// Convert a real number to the nearest representable raw value,
   /// saturating at the format bounds (the hardware saturates, not wraps).
-  std::int64_t Quantize(double value) const;
+  /// Round-half-away-from-zero; NaN maps to 0.  Branch-free and inline:
+  /// image provisioning runs it once per weight.  Scaling by 2^f is
+  /// exact (as ldexp), and truncating s + copysign(0.5, s) equals
+  /// floor(s + 0.5) / ceil(s - 0.5) on each side of zero.
+  std::int64_t Quantize(double value) const {
+    const double s =
+        value * static_cast<double>(std::int64_t{1} << frac_bits_);
+    const double r =
+        std::min(std::max(s + std::copysign(0.5, s),
+                          static_cast<double>(raw_min_)),
+                 static_cast<double>(raw_max_));
+    return static_cast<std::int64_t>(std::isnan(s) ? 0.0 : r);
+  }
 
   /// Convert a raw value back to a real number.
   double Dequantize(std::int64_t raw) const;

@@ -18,6 +18,8 @@ struct AcceleratorConfig {
   FixedFormat format{16, 8};
   double frequency_mhz = 100.0;
   double dram_bandwidth_gbs = 2.0;
+  /// Board DRAM capacity (bytes) the memory map must fit in.
+  std::int64_t dram_bytes = std::int64_t{2} << 30;
 
   // Synergy-neuron MAC lanes, split by multiplier implementation.
   int dsp_lanes = 0;

@@ -145,6 +145,7 @@ void Ser(A& a, AcceleratorConfig& c) {
   Ser(a, c.format);
   Ser(a, c.frequency_mhz);
   Ser(a, c.dram_bandwidth_gbs);
+  Ser(a, c.dram_bytes);
   Ser(a, c.dsp_lanes);
   Ser(a, c.lut_lanes);
   Ser(a, c.pooling_lanes);

@@ -26,7 +26,7 @@ namespace db {
 /// Bumped whenever the encoding (or any serialised struct) changes;
 /// DeserializeDesign rejects other versions so stale cache entries are
 /// regenerated rather than misdecoded.
-inline constexpr std::uint32_t kDesignSerdeVersion = 2;
+inline constexpr std::uint32_t kDesignSerdeVersion = 3;
 
 /// Encode the full design (header + every artifact) as a byte string.
 std::string SerializeDesign(const AcceleratorDesign& design);

@@ -198,6 +198,7 @@ AcceleratorConfig SizeDatapath(const Network& net,
   config.dram_bandwidth_gbs =
       std::min(constraint.dram_bandwidth_gbs,
                DeviceCatalog(constraint.device).dram_bandwidth_gbs);
+  config.dram_bytes = DeviceCatalog(constraint.device).dram_bytes;
   config.budget = ResolveBudget(constraint);
   config.approx_lut_entries = constraint.approx_lut_entries;
   config.approx_lut_interpolate = constraint.approx_lut_interpolate;

@@ -1,15 +1,68 @@
 #include "core/memory_image.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <utility>
 
 #include "common/error.h"
 #include "core/data_layout.h"
 
 namespace db {
+namespace {
 
-MemoryImage::MemoryImage(std::int64_t bytes) {
+std::uint8_t* AllocateBytes(std::int64_t bytes, bool zeroed) {
   DB_CHECK_MSG(bytes >= 0, "negative image size");
-  bytes_.assign(static_cast<std::size_t>(bytes), 0);
+  // calloc/malloc(0) may return null; a 1-byte block keeps data() valid.
+  const auto n = static_cast<std::size_t>(std::max<std::int64_t>(bytes, 1));
+  void* p = zeroed ? std::calloc(n, 1) : std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<std::uint8_t*>(p);
+}
+
+/// Quantise `n` values into consecutive little-endian elements of
+/// kBytes each (the low bytes of the raw int64).
+template <int kBytes>
+void PackRaw(std::uint8_t* dst, const float* values, std::size_t n,
+             const FixedFormat& fmt) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t raw = fmt.Quantize(values[i]);
+    std::memcpy(dst + i * kBytes, &raw, kBytes);
+  }
+}
+
+}  // namespace
+
+void MemoryImage::Free::operator()(std::uint8_t* p) const { std::free(p); }
+
+MemoryImage::MemoryImage(std::int64_t bytes)
+    : bytes_(AllocateBytes(bytes, /*zeroed=*/true)), size_(bytes) {}
+
+MemoryImage::MemoryImage(const MemoryImage& other)
+    : bytes_(AllocateBytes(other.size_, /*zeroed=*/false)),
+      size_(other.size_) {
+  std::memcpy(data(), other.data(), static_cast<std::size_t>(size_));
+}
+
+MemoryImage& MemoryImage::operator=(const MemoryImage& other) {
+  if (this == &other) return *this;
+  if (size_ != other.size_) {
+    bytes_.reset(AllocateBytes(other.size_, /*zeroed=*/false));
+    size_ = other.size_;
+  }
+  std::memcpy(data(), other.data(), static_cast<std::size_t>(size_));
+  return *this;
+}
+
+MemoryImage::MemoryImage(MemoryImage&& other) noexcept
+    : bytes_(std::move(other.bytes_)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MemoryImage& MemoryImage::operator=(MemoryImage&& other) noexcept {
+  bytes_ = std::move(other.bytes_);
+  size_ = std::exchange(other.size_, 0);
+  return *this;
 }
 
 void MemoryImage::WriteElem(std::int64_t addr, std::int64_t raw,
@@ -50,8 +103,8 @@ void MemoryImage::CopyRange(const MemoryImage& src, std::int64_t base,
   DB_CHECK_MSG(base >= 0 && base + bytes <= size() &&
                    base + bytes <= src.size(),
                "copy range out of bounds");
-  std::copy(src.bytes_.begin() + base, src.bytes_.begin() + base + bytes,
-            bytes_.begin() + base);
+  std::memcpy(data() + base, src.data() + base,
+              static_cast<std::size_t>(bytes));
 }
 
 std::vector<std::int64_t> BlobTileOrder(const Network& net,
@@ -75,33 +128,68 @@ std::vector<std::int64_t> BlobTileOrder(const Network& net,
   return identity;
 }
 
-MemoryImage BuildMemoryImage(const Network& net,
-                             const AcceleratorDesign& design,
-                             const WeightStore& weights,
-                             const std::map<std::string, Tensor>& inputs) {
-  const FixedFormat& fmt = design.config.format;
-  const int elem_bytes = static_cast<int>(design.config.ElementBytes());
-  MemoryImage image(design.memory_map.total_bytes());
+WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
+                                      const AcceleratorDesign& design) {
+  const std::int64_t elem_bytes = design.config.ElementBytes();
+  const MemoryRegion& region = design.memory_map.Weights(layer.name());
+  WeightRegionLayout layout;
+  layout.counts = ParamCountsFor(layer);
+  layout.weights_addr = region.base;
+  layout.bias_addr = layout.weights_addr + layout.counts.weights * elem_bytes;
+  layout.recurrent_addr = layout.bias_addr + layout.counts.bias * elem_bytes;
+  // Anything beyond the MemoryMap's port-alignment padding is trailing
+  // garbage.  Mirrors the mem.layout weight-sizing verifier rule.
+  const std::int64_t align =
+      std::max<std::int64_t>(design.config.memory_port_elems * elem_bytes, 1);
+  const std::int64_t leftover =
+      region.end() -
+      (layout.recurrent_addr + layout.counts.recurrent * elem_bytes);
+  if (leftover < 0)
+    DB_THROW("weight region '" << layer.name() << "' is "
+             << -leftover << " bytes short of its parameters");
+  if (leftover >= align)
+    DB_THROW("weight region '" << layer.name()
+             << "' not fully consumed: " << leftover
+             << " trailing bytes exceed one alignment beat (" << align
+             << ")");
+  return layout;
+}
 
-  // Weights: natural order — weight matrix, then bias, then recurrent.
+void WriteWeights(MemoryImage& image, const Network& net,
+                  const AcceleratorDesign& design,
+                  const WeightStore& weights) {
+  const FixedFormat& fmt = design.config.format;
+  const std::int64_t elem_bytes = design.config.ElementBytes();
   for (const IrLayer* layer : net.ComputeLayers()) {
     if (!design.memory_map.HasWeights(layer->name())) continue;
     const MemoryRegion& region =
         design.memory_map.Weights(layer->name());
     const LayerParams& params = weights.at(layer->name());
-    std::int64_t addr = region.base;
-    auto emit = [&](const Tensor& t) {
-      for (std::int64_t i = 0; i < t.size(); ++i) {
-        DB_CHECK_MSG(addr + elem_bytes <= region.end(),
-                     "weights overflow their region");
-        image.WriteElem(addr, fmt.Quantize(t[i]), elem_bytes);
-        addr += elem_bytes;
+    DB_CHECK_MSG(region.base >= 0 && region.end() <= image.size() &&
+                     params.TotalCount() * elem_bytes <= region.bytes,
+                 "weights overflow their region");
+    std::uint8_t* dst = image.data() + region.base;
+    for (const Tensor* t : {&params.weights, &params.bias,
+                            &params.recurrent}) {
+      const float* src = t->storage().data();
+      const std::size_t n = static_cast<std::size_t>(t->size());
+      switch (elem_bytes) {
+        case 1: PackRaw<1>(dst, src, n, fmt); break;
+        case 2: PackRaw<2>(dst, src, n, fmt); break;
+        case 3: PackRaw<3>(dst, src, n, fmt); break;
+        default: PackRaw<4>(dst, src, n, fmt); break;
       }
-    };
-    emit(params.weights);
-    emit(params.bias);
-    emit(params.recurrent);
+      dst += n * static_cast<std::size_t>(elem_bytes);
+    }
   }
+}
+
+MemoryImage BuildMemoryImage(const Network& net,
+                             const AcceleratorDesign& design,
+                             const WeightStore& weights,
+                             const std::map<std::string, Tensor>& inputs) {
+  MemoryImage image(design.memory_map.total_bytes());
+  WriteWeights(image, net, design, weights);
 
   // Input blobs, permuted into the consumer's tile order.
   for (int id : net.input_ids()) {

@@ -9,10 +9,16 @@
 // tests close the loop by walking the main AGU's load patterns over the
 // image and checking that the fetched stream is exactly the data the
 // datapath expects.
+//
+// The image is also the weight store: the functional simulator reads
+// its parameters in place from the weight regions (see functional_sim.h),
+// so a bit flipped here reaches the datapath on the next invocation.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,14 +27,29 @@
 
 namespace db {
 
+// Elements are stored little-endian, and typed views read them with
+// native loads.
+static_assert(std::endian::native == std::endian::little,
+              "the DRAM image is little-endian by contract");
+
 /// A byte-addressable DRAM image.
+///
+/// The bytes live in one malloc'd block, which implicitly creates the
+/// int16/int32 objects the simulator's typed weight views read (C++20
+/// implicit object creation), so those loads are well-defined.  Moving
+/// an image moves the block: views into it stay valid.  Copy-assigning
+/// an image of the same size copies into the existing block, so views
+/// survive that too.
 class MemoryImage {
  public:
+  /// A zero-filled image of `bytes` bytes.
   explicit MemoryImage(std::int64_t bytes);
+  MemoryImage(const MemoryImage& other);
+  MemoryImage& operator=(const MemoryImage& other);
+  MemoryImage(MemoryImage&& other) noexcept;
+  MemoryImage& operator=(MemoryImage&& other) noexcept;
 
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(bytes_.size());
-  }
+  std::int64_t size() const { return size_; }
 
   /// Write / read one little-endian fixed-point element of `elem_bytes`
   /// at a byte address.  Bounds-checked.
@@ -44,11 +65,40 @@ class MemoryImage {
   void CopyRange(const MemoryImage& src, std::int64_t base,
                  std::int64_t bytes);
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  const std::uint8_t* data() const { return bytes_.get(); }
+  std::uint8_t* data() { return bytes_.get(); }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  struct Free {
+    void operator()(std::uint8_t* p) const;
+  };
+  std::unique_ptr<std::uint8_t[], Free> bytes_;
+  std::int64_t size_ = 0;
 };
+
+/// Where one layer's parameters sit in the image: the byte addresses of
+/// its weight matrix, bias and recurrent matrix, stored back to back
+/// from the base of its weight region.
+struct WeightRegionLayout {
+  ParamCounts counts;
+  std::int64_t weights_addr = 0;
+  std::int64_t bias_addr = 0;
+  std::int64_t recurrent_addr = 0;
+};
+
+/// Lay out `layer`'s parameters in its weight region.  Throws db::Error
+/// when the region is too small for them, or holds more than one
+/// port-alignment beat of trailing bytes (an oversized or mis-assembled
+/// image whose tail would otherwise be silently ignored).
+WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
+                                      const AcceleratorDesign& design);
+
+/// Quantise every weight tensor into its layer's weight region (weight
+/// matrix, then bias, then recurrent, row-major).  Each region is
+/// bounds-checked once and written in bulk.
+void WriteWeights(MemoryImage& image, const Network& net,
+                  const AcceleratorDesign& design,
+                  const WeightStore& weights);
 
 /// Build the full image for one invocation: all weights plus the given
 /// input blobs (keyed by input-layer name).  Weights serialise in their

@@ -71,7 +71,7 @@ bool FaultInjector::HasWeightFlips(int worker) const {
 std::uint64_t WeightChecksum(const MemoryImage& image,
                              const MemoryMap& map) {
   std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
-  const std::vector<std::uint8_t>& bytes = image.bytes();
+  const std::uint8_t* bytes = image.data();
   for (const MemoryRegion& region : map.regions()) {
     if (!StartsWith(region.name, "weights:")) continue;
     DB_CHECK_MSG(region.end() <= image.size(),

@@ -9,24 +9,30 @@ namespace db {
 namespace {
 
 // Capacities from the Xilinx 7-series datasheets (logic cells reported as
-// 6-input LUTs; BRAM as total bytes).  Static watts approximate the board
-// idle draw of the full evaluation board (PS + DDR + fabric idle): ZC706-class for the Z-7045, Zedboard-class for the Z-7020.
+// 6-input LUTs; BRAM as total bytes).  DRAM is the board DDR3: the 2 GB
+// the paper's Zynq systems store weights and inputs in, and the 1 GB
+// SODIMM of the VC707.  Static watts approximate the board idle draw of
+// the full evaluation board (PS + DDR + fabric idle): ZC706-class for the
+// Z-7045, Zedboard-class for the Z-7020.
 const std::array<DeviceInfo, 3> kDevices = {{
     {"zynq-7045",
      {/*dsp=*/900, /*lut=*/218600, /*ff=*/437200,
       /*bram_bytes=*/2448 * 1024},
      /*static_watts=*/4.0,
-     /*dram_bandwidth_gbs=*/8.5},  // 4 AXI HP ports aggregated
+     /*dram_bandwidth_gbs=*/8.5,  // 4 AXI HP ports aggregated
+     /*dram_bytes=*/std::int64_t{2} << 30},
     {"zynq-7020",
      {/*dsp=*/220, /*lut=*/53200, /*ff=*/106400,
       /*bram_bytes=*/560 * 1024},
      /*static_watts=*/1.2,
-     /*dram_bandwidth_gbs=*/4.2},
+     /*dram_bandwidth_gbs=*/4.2,
+     /*dram_bytes=*/std::int64_t{2} << 30},
     {"virtex7-vc707",
      {/*dsp=*/2800, /*lut=*/303600, /*ff=*/607200,
       /*bram_bytes=*/4680 * 1024},
      /*static_watts=*/3.0,
-     /*dram_bandwidth_gbs=*/12.8},
+     /*dram_bandwidth_gbs=*/12.8,
+     /*dram_bytes=*/std::int64_t{1} << 30},
 }};
 
 }  // namespace

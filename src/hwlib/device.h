@@ -6,6 +6,7 @@
 // resource and power models.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,9 @@ struct DeviceInfo {
   double static_watts = 0.0;   // device + board static power
   /// Aggregate DDR bandwidth at the AXI ports, gigabytes per second.
   double dram_bandwidth_gbs = 0.0;
+  /// On-board DDR3 capacity in bytes: the ceiling on a design's memory
+  /// map (weights plus every blob).
+  std::int64_t dram_bytes = 0;
 };
 
 /// Look up a device by (case-insensitive) name: "zynq-7045", "zynq-7020",

@@ -77,6 +77,15 @@ double FanSum(const IrLayer& layer) {
 
 }  // namespace
 
+ParamCounts ParamCountsFor(const IrLayer& layer) {
+  const ParamShapes shapes = ShapesFor(layer);
+  const auto count = [](const Shape& s) {
+    return s.rank() > 0 ? s.NumElements() : 0;
+  };
+  return {count(shapes.weights), count(shapes.bias),
+          count(shapes.recurrent)};
+}
+
 WeightStore WeightStore::CreateFor(const Network& net) {
   WeightStore store;
   for (const IrLayer* layer : net.ComputeLayers()) {

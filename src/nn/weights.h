@@ -31,6 +31,17 @@ struct LayerParams {
   }
 };
 
+/// Element counts of one layer's parameter tensors, in the shapes
+/// documented on LayerParams; all zero for a layer without parameters.
+struct ParamCounts {
+  std::int64_t weights = 0;
+  std::int64_t bias = 0;
+  std::int64_t recurrent = 0;
+
+  std::int64_t Total() const { return weights + bias + recurrent; }
+};
+ParamCounts ParamCountsFor(const IrLayer& layer);
+
 /// All trainable parameters of a network, keyed by layer name.
 class WeightStore {
  public:

@@ -40,8 +40,13 @@ std::string ArgsJson(const Span& span) {
   std::string out = ",\"args\":{";
   for (std::size_t i = 0; i < span.args.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + EscapeJson(span.args[i].first) + "\":\"" +
-           EscapeJson(span.args[i].second) + "\"";
+    // Appended piecewise: GCC 12 at -O3 flags a literal + string&&
+    // chain here with a false-positive -Wrestrict.
+    out += '"';
+    out += EscapeJson(span.args[i].first);
+    out += "\":\"";
+    out += EscapeJson(span.args[i].second);
+    out += '"';
   }
   out += "}";
   return out;

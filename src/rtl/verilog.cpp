@@ -261,9 +261,15 @@ std::string RenderExpr(const VExpr& expr) {
       }
       return out + "}";
     }
-    case VExprKind::kRepeat:
-      return "{" + std::to_string(expr.value) + "{" +
-             RenderExpr(expr.args[0]) + "}}";
+    case VExprKind::kRepeat: {
+      // Appended piecewise (here and for kParen): GCC 12 at -O3 flags a
+      // literal + string&& chain with a false-positive -Wrestrict.
+      std::string out = "{";
+      out += std::to_string(expr.value);
+      out += '{';
+      out += RenderExpr(expr.args[0]);
+      return out + "}}";
+    }
     case VExprKind::kUnary:
       return expr.text + RenderExpr(expr.args[0]);
     case VExprKind::kBinary:
@@ -275,8 +281,11 @@ std::string RenderExpr(const VExpr& expr) {
     case VExprKind::kTernary:
       return RenderExpr(expr.args[0]) + " ? " + RenderExpr(expr.args[1]) +
              " : " + RenderExpr(expr.args[2]);
-    case VExprKind::kParen:
-      return "(" + RenderExpr(expr.args[0]) + ")";
+    case VExprKind::kParen: {
+      std::string out = "(";
+      out += RenderExpr(expr.args[0]);
+      return out + ")";
+    }
     case VExprKind::kSigned:
       return "$signed(" + RenderExpr(expr.args[0]) + ")";
   }

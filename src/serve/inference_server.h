@@ -17,8 +17,8 @@
 //     ▼
 //   replica lanes: the pool holds N replicas of the generated design,
 //     each with a private DRAM MemoryImage (copied from the image built
-//     once at start-up) and its own SystemContext decoded from those
-//     bytes; weights stay resident across images after the replica's
+//     once at start-up) and its own SystemContext reading its weights
+//     in place from those bytes; weights stay resident across images after the replica's
 //     first (cold) invocation.  Before each request service the lane
 //     fires any injected faults bound to that invocation on that
 //     replica, charges stalls, expires requests past their deadline,
@@ -180,8 +180,8 @@ struct ServeOptions {
 class InferenceServer {
  public:
   /// Serialises the weights into a DRAM image once; the accelerator
-  /// pool stamps out one private copy (and one decoded SystemContext)
-  /// per replica.  Lane threads start immediately.
+  /// pool stamps out one private copy (and one SystemContext reading
+  /// it) per replica.  Lane threads start immediately.
   InferenceServer(const Network& net, const AcceleratorDesign& design,
                   const WeightStore& weights, ServeOptions options = {});
 

@@ -12,15 +12,6 @@
 namespace db {
 namespace {
 
-std::vector<std::int32_t> QuantizeToI32(const FixedFormat& fmt,
-                                        const std::vector<float>& values) {
-  std::vector<std::int32_t> raw(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    raw[i] = static_cast<std::int32_t>(
-        fmt.Quantize(static_cast<double>(values[i])));
-  return raw;
-}
-
 /// Deepest accumulation fan-in (number of summed terms, bias included)
 /// across the network — the bound that decides whether int64
 /// accumulation can ever overflow for this design's format.
@@ -75,21 +66,22 @@ struct NarrowMath {
   using Acc = std::int64_t;
   const sim::KernelOps& ops;
 
-  static Acc Bias(std::int32_t b, int f) {
-    return static_cast<Acc>(b) << f;
-  }
   void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
               std::size_t n) const {
     ops.mac_row(acc, in, w, n);
   }
-  Acc Dot(const std::int32_t* a, const std::int32_t* b,
-          std::size_t n) const {
-    return ops.dot(a, b, n);
+  template <typename W>
+  Acc Dot(const W* w, const std::int32_t* x, std::size_t n) const {
+    if constexpr (sizeof(W) == 2) return ops.dot_w16(w, x, n);
+    else return ops.dot(w, x, n);
   }
-  Acc DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
-              const std::int32_t* b, std::ptrdiff_t b_stride,
-              std::size_t rows, std::size_t n) const {
-    return ops.dot_rows(a, a_stride, b, b_stride, rows, n);
+  template <typename W>
+  Acc DotRows(const W* w, std::ptrdiff_t w_stride, const std::int32_t* x,
+              std::ptrdiff_t x_stride, std::size_t rows,
+              std::size_t n) const {
+    if constexpr (sizeof(W) == 2)
+      return ops.dot_rows_w16(w, w_stride, x, x_stride, rows, n);
+    else return ops.dot_rows(w, w_stride, x, x_stride, rows, n);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -102,22 +94,20 @@ struct NarrowMath {
 struct WideMath {
   using Acc = __int128;
 
-  static Acc Bias(std::int32_t b, int f) {
-    return static_cast<Acc>(b) << f;
-  }
   void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
               std::size_t n) const {
     const std::int64_t w64 = w;
     for (std::size_t i = 0; i < n; ++i) acc[i] += Acc{w64 * in[i]};
   }
-  Acc Dot(const std::int32_t* a, const std::int32_t* b,
-          std::size_t n) const {
+  template <typename W>
+  Acc Dot(const W* a, const std::int32_t* b, std::size_t n) const {
     Acc sum = 0;
     for (std::size_t i = 0; i < n; ++i)
       sum += Acc{static_cast<std::int64_t>(a[i]) * b[i]};
     return sum;
   }
-  Acc DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
+  template <typename W>
+  Acc DotRows(const W* a, std::ptrdiff_t a_stride,
               const std::int32_t* b, std::ptrdiff_t b_stride,
               std::size_t rows, std::size_t n) const {
     Acc sum = 0;
@@ -146,16 +136,51 @@ FunctionalSimulator::FunctionalSimulator(const Network& net,
                                          const WeightStore& weights)
     : net_(net),
       design_(design),
-      weights_(weights),
-      fmt_(design.config.format) {
-  for (const auto& [name, params] : weights.all()) {
-    RawParams raw;
-    raw.weights = QuantizeToI32(fmt_, params.weights.storage());
-    raw.bias = QuantizeToI32(fmt_, params.bias.storage());
-    raw.recurrent = QuantizeToI32(fmt_, params.recurrent.storage());
-    raw_params_.emplace(name, std::move(raw));
+      fmt_(design.config.format),
+      owned_image_(design.memory_map.total_bytes()) {
+  WriteWeights(owned_image_, net, design, weights);
+  Bind(owned_image_);
+}
+
+FunctionalSimulator::FunctionalSimulator(const Network& net,
+                                         const AcceleratorDesign& design,
+                                         const MemoryImage& image)
+    : net_(net), design_(design), fmt_(design.config.format) {
+  Bind(image);
+}
+
+void FunctionalSimulator::Bind(const MemoryImage& image) {
+  // Word offsets of every layer's parameters.  2- and 4-byte elements
+  // are viewed in place (region bases are port-aligned, so every word
+  // is naturally aligned); 1- and 3-byte ones are widened here.
+  const std::int64_t elem_bytes = design_.config.ElementBytes();
+  const bool in_place = elem_bytes == 2 || elem_bytes == 4;
+  w16_ = elem_bytes == 2;
+  DB_CHECK_MSG(image.size() >= design_.memory_map.total_bytes(),
+               "image smaller than the design's memory map");
+  slots_.assign(net_.layers().size(), {-1, -1, -1});
+  for (const IrLayer* layer : net_.ComputeLayers()) {
+    if (ParamCountsFor(*layer).Total() == 0) continue;
+    const WeightRegionLayout layout = LayoutWeightRegion(*layer, design_);
+    DB_CHECK_MSG(layout.weights_addr % elem_bytes == 0,
+                 "weight region misaligned for its element size");
+    const auto bind = [&](std::int64_t addr, std::int64_t count) {
+      if (count == 0) return std::int64_t{-1};
+      if (in_place) return addr / elem_bytes;
+      const auto offset = static_cast<std::int64_t>(widened_.size());
+      for (std::int64_t i = 0; i < count; ++i)
+        widened_.push_back(static_cast<std::int32_t>(image.ReadElem(
+            addr + i * elem_bytes, static_cast<int>(elem_bytes))));
+      return offset;
+    };
+    slots_[static_cast<std::size_t>(layer->id)] = {
+        bind(layout.weights_addr, layout.counts.weights),
+        bind(layout.bias_addr, layout.counts.bias),
+        bind(layout.recurrent_addr, layout.counts.recurrent)};
   }
-  for (const ApproxLutSpec& spec : design.lut_specs)
+  words_ = in_place ? static_cast<const void*>(image.data())
+                    : static_cast<const void*>(widened_.data());
+  for (const ApproxLutSpec& spec : design_.lut_specs)
     luts_.push_back(ApproxLut::Generate(spec));
   // |sum of T products| <= T * 2^(2*(total_bits-1)), so int64
   // accumulation is safe iff 2*(tb-1) + ceil_log2(T) stays within 62
@@ -170,6 +195,18 @@ FunctionalSimulator::FunctionalSimulator(const Network& net,
   (void)sim::ActiveKernels();
 }
 
+template <typename W>
+FunctionalSimulator::Params<W> FunctionalSimulator::ParamsOf(
+    const IrLayer& layer) const {
+  const auto& [weights, bias, recurrent] =
+      slots_[static_cast<std::size_t>(layer.id)];
+  DB_CHECK_MSG(weights >= 0, "layer has no parameters bound");
+  const auto at = [&](std::int64_t offset) {
+    return offset < 0 ? nullptr : static_cast<const W*>(words_) + offset;
+  };
+  return {at(weights), at(bias), at(recurrent)};
+}
+
 const ApproxLut& FunctionalSimulator::LutFor(LutFunction fn) const {
   for (const ApproxLut& lut : luts_)
     if (lut.spec().function == fn) return lut;
@@ -180,13 +217,12 @@ const ApproxLut& FunctionalSimulator::LutFor(LutFunction fn) const {
 // MAC layers (templated over the accumulation policy)
 // ---------------------------------------------------------------------
 
-template <typename Math>
-void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
-                                  const RawTensor& in0,
+template <typename Math, typename W>
+void FunctionalSimulator::RunConv(const Math& math, const Params<W>& params,
+                                  const IrLayer& layer, const RawTensor& in0,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
   const ConvolutionParams& p = *layer.def.conv;
-  const RawParams& rp = raw_params_.at(layer.name());
   const int f = fmt_.frac_bits();
   const std::int64_t in_h = in0.shape.height;
   const std::int64_t in_w = in0.shape.width;
@@ -198,12 +234,8 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
   Acc* acc_row = arena_.Alloc<Acc>(static_cast<std::size_t>(out_w));
   for (std::int64_t oc = 0; oc < out.shape.channels; ++oc) {
     const std::int64_t ic_base = (oc / group_out) * group_in;
-    const Acc bias =
-        rp.bias.empty()
-            ? Acc{0}
-            : Math::Bias(rp.bias[static_cast<std::size_t>(oc)], f);
-    const std::int32_t* w_oc =
-        rp.weights.data() + oc * group_in * k * k;
+    const Acc bias = params.template Bias<Acc>(oc, f);
+    const W* w_oc = params.weights + oc * group_in * k * k;
     for (std::int64_t y = 0; y < out_h; ++y) {
       for (std::int64_t x = 0; x < out_w; ++x) acc_row[x] = bias;
       if (p.stride == 1) {
@@ -216,7 +248,7 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
             if (iy < 0 || iy >= in_h) continue;
             const std::int32_t* in_row =
                 in0.raw + (ic * in_h + iy) * in_w;
-            const std::int32_t* w_row = w_oc + (g * k + ky) * k;
+            const W* w_row = w_oc + (g * k + ky) * k;
             for (std::int64_t kx = 0; kx < k; ++kx) {
               const std::int64_t x_lo =
                   std::max<std::int64_t>(0, p.pad - kx);
@@ -266,23 +298,20 @@ void FunctionalSimulator::RunConv(const Math& math, const IrLayer& layer,
   }
 }
 
-template <typename Math>
+template <typename Math, typename W>
 void FunctionalSimulator::RunInnerProduct(const Math& math,
+                                          const Params<W>& params,
                                           const IrLayer& layer,
                                           const RawTensor& in0,
                                           RawTensor& out) const {
   using Acc = typename Math::Acc;
   const InnerProductParams& p = *layer.def.fc;
-  const RawParams& rp = raw_params_.at(layer.name());
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(p.num_output));
   for (std::int64_t o = 0; o < p.num_output; ++o) {
-    const Acc bias =
-        rp.bias.empty()
-            ? Acc{0}
-            : Math::Bias(rp.bias[static_cast<std::size_t>(o)], f);
-    acc[o] = bias + math.Dot(rp.weights.data() + o * in_n, in0.raw,
+    const Acc bias = params.template Bias<Acc>(o, f);
+    acc[o] = bias + math.Dot(params.weights + o * in_n, in0.raw,
                              static_cast<std::size_t>(in_n));
   }
   math.Writeback(out.raw, acc, static_cast<std::size_t>(p.num_output),
@@ -324,14 +353,14 @@ void FunctionalSimulator::RunLrn(const Math& math, const IrLayer& layer,
   }
 }
 
-template <typename Math>
+template <typename Math, typename W>
 void FunctionalSimulator::RunRecurrent(const Math& math,
+                                       const Params<W>& params,
                                        const IrLayer& layer,
                                        const RawTensor& in0,
                                        RawTensor& out) const {
   using Acc = typename Math::Acc;
   const RecurrentParams& p = *layer.def.recurrent;
-  const RawParams& rp = raw_params_.at(layer.name());
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::size_t n_out = static_cast<std::size_t>(p.num_output);
@@ -344,13 +373,10 @@ void FunctionalSimulator::RunRecurrent(const Math& math,
     act = &LutFor(LutFunction::kSigmoid);
   for (std::int64_t t = 0; t < p.time_steps; ++t) {
     for (std::int64_t o = 0; o < p.num_output; ++o) {
-      Acc acc =
-          rp.bias.empty()
-              ? Acc{0}
-              : Math::Bias(rp.bias[static_cast<std::size_t>(o)], f);
-      acc += math.Dot(rp.weights.data() + o * in_n, in0.raw,
+      Acc acc = params.template Bias<Acc>(o, f);
+      acc += math.Dot(params.weights + o * in_n, in0.raw,
                       static_cast<std::size_t>(in_n));
-      acc += math.Dot(rp.recurrent.data() + o * p.num_output, h, n_out);
+      acc += math.Dot(params.recurrent + o * p.num_output, h, n_out);
       std::int32_t v = 0;
       math.Writeback(&v, &acc, 1, fmt_);
       if (act != nullptr)
@@ -362,13 +388,12 @@ void FunctionalSimulator::RunRecurrent(const Math& math,
   std::memcpy(out.raw, h, n_out * sizeof(std::int32_t));
 }
 
-template <typename Math>
-void FunctionalSimulator::RunLstm(const Math& math, const IrLayer& layer,
-                                  const RawTensor& in0,
+template <typename Math, typename W>
+void FunctionalSimulator::RunLstm(const Math& math, const Params<W>& params,
+                                  const IrLayer& layer, const RawTensor& in0,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
   const LstmParams& p = *layer.def.lstm;
-  const RawParams& rp = raw_params_.at(layer.name());
   const int f = fmt_.frac_bits();
   const std::int64_t in_n = in0.shape.NumElements();
   const std::int64_t h = p.num_output;
@@ -380,13 +405,10 @@ void FunctionalSimulator::RunLstm(const Math& math, const IrLayer& layer,
   std::int32_t* gates = arena_.AllocZeroed<std::int32_t>(4 * n_h);
   for (std::int64_t t = 0; t < p.time_steps; ++t) {
     for (std::int64_t g = 0; g < 4 * h; ++g) {
-      Acc acc =
-          rp.bias.empty()
-              ? Acc{0}
-              : Math::Bias(rp.bias[static_cast<std::size_t>(g)], f);
-      acc += math.Dot(rp.weights.data() + g * in_n, in0.raw,
+      Acc acc = params.template Bias<Acc>(g, f);
+      acc += math.Dot(params.weights + g * in_n, in0.raw,
                       static_cast<std::size_t>(in_n));
-      acc += math.Dot(rp.recurrent.data() + g * h, hidden, n_h);
+      acc += math.Dot(params.recurrent + g * h, hidden, n_h);
       math.Writeback(&gates[static_cast<std::size_t>(g)], &acc, 1, fmt_);
     }
     // The elementwise gate combination is a chain of saturating Mul/Add
@@ -475,6 +497,43 @@ void FunctionalSimulator::RunPooling(const IrLayer& layer,
 // Dispatch
 // ---------------------------------------------------------------------
 
+template <typename W>
+void FunctionalSimulator::RunMacLayer(const IrLayer& layer,
+                                      const RawTensor& in0,
+                                      RawTensor& out) const {
+  const Params<W> params = ParamsOf<W>(layer);
+  const auto run = [&](const auto& math) {
+    switch (layer.kind()) {
+      case LayerKind::kConvolution:
+        return RunConv(math, params, layer, in0, out);
+      case LayerKind::kInnerProduct:
+        return RunInnerProduct(math, params, layer, in0, out);
+      case LayerKind::kRecurrent:
+        return RunRecurrent(math, params, layer, in0, out);
+      case LayerKind::kLstm:
+        return RunLstm(math, params, layer, in0, out);
+      default:
+        break;
+    }
+    // CMAC: the per-output sum over active cells is a chain of
+    // SATURATING adds in cell order — order-sensitive, kept scalar.
+    DB_CHECK(layer.kind() == LayerKind::kAssociative);
+    const AssociativeParams& p = *layer.def.associative;
+    std::vector<float> x;
+    x.reserve(in0.n);
+    for (std::size_t i = 0; i < in0.n; ++i)
+      x.push_back(static_cast<float>(fmt_.Dequantize(in0.raw[i])));
+    const std::vector<std::int64_t> cells = CmacActiveCells(x, p);
+    for (std::int64_t o = 0; o < p.num_output; ++o) {
+      std::int64_t acc = 0;
+      for (std::int64_t cell : cells)
+        acc = fmt_.Add(acc, params.weights[o * p.num_cells + cell]);
+      out.raw[static_cast<std::size_t>(o)] = static_cast<std::int32_t>(acc);
+    }
+  };
+  narrow_ ? run(NarrowMath{sim::ActiveKernels()}) : run(WideMath{});
+}
+
 void FunctionalSimulator::RunLayer(const IrLayer& layer,
                                    const RawTensor* const* ins,
                                    std::size_t num_ins,
@@ -490,12 +549,12 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
 
   switch (layer.kind()) {
     case LayerKind::kConvolution:
-      narrow_ ? RunConv(narrow, layer, in0, out)
-              : RunConv(wide, layer, in0, out);
-      break;
     case LayerKind::kInnerProduct:
-      narrow_ ? RunInnerProduct(narrow, layer, in0, out)
-              : RunInnerProduct(wide, layer, in0, out);
+    case LayerKind::kRecurrent:
+    case LayerKind::kLstm:
+    case LayerKind::kAssociative:
+      w16_ ? RunMacLayer<std::int16_t>(layer, in0, out)
+           : RunMacLayer<std::int32_t>(layer, in0, out);
       break;
     case LayerKind::kPooling:
       RunPooling(layer, in0, out);
@@ -542,34 +601,6 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       // Inference: inverted dropout is identity.
       std::memcpy(out.raw, in0.raw, in0.n * sizeof(std::int32_t));
       break;
-    case LayerKind::kRecurrent:
-      narrow_ ? RunRecurrent(narrow, layer, in0, out)
-              : RunRecurrent(wide, layer, in0, out);
-      break;
-    case LayerKind::kLstm:
-      narrow_ ? RunLstm(narrow, layer, in0, out)
-              : RunLstm(wide, layer, in0, out);
-      break;
-    case LayerKind::kAssociative: {
-      // CMAC: the per-output sum over active cells is a chain of
-      // SATURATING adds in cell order — order-sensitive, kept scalar.
-      const AssociativeParams& p = *layer.def.associative;
-      const RawParams& rp = raw_params_.at(layer.name());
-      std::vector<float> x;
-      x.reserve(in0.n);
-      for (std::size_t i = 0; i < in0.n; ++i)
-        x.push_back(static_cast<float>(fmt_.Dequantize(in0.raw[i])));
-      const std::vector<std::int64_t> cells = CmacActiveCells(x, p);
-      for (std::int64_t o = 0; o < p.num_output; ++o) {
-        std::int64_t acc = 0;
-        for (std::int64_t cell : cells)
-          acc = fmt_.Add(acc, rp.weights[static_cast<std::size_t>(
-                                  o * p.num_cells + cell)]);
-        out.raw[static_cast<std::size_t>(o)] =
-            static_cast<std::int32_t>(acc);
-      }
-      break;
-    }
     case LayerKind::kConcat: {
       std::size_t pos = 0;
       for (std::size_t i = 0; i < num_ins; ++i) {

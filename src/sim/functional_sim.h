@@ -8,6 +8,14 @@
 // average pooling.  Fig. 10 compares this simulator's outputs against
 // the float reference executor.
 //
+// Weights: the simulator reads its parameters in place from a DRAM
+// MemoryImage, the way the accelerator reads DDR3 (paper §4.1) — there
+// is no decoded copy.  2-byte formats (every zoo design) read through an
+// int16 view of the image and 4-byte formats through an int32 view, so
+// a bit flipped in a weight region reaches the next Run().  1- and
+// 3-byte formats have no native word; their parameters are widened
+// once, at construction, into an int32 buffer.
+//
 // Hot-path layout: layer state is structure-of-arrays — int32 raw
 // activations in a per-simulator arena, int64 accumulators — and the
 // dense MAC/activation sweeps run on the sim/kernels.h backend (AVX2
@@ -22,10 +30,13 @@
 // construction.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/generator.h"
+#include "core/memory_image.h"
 #include "nn/weights.h"
 #include "sim/kernels.h"
 
@@ -34,8 +45,15 @@ namespace db {
 /// Functional simulator bound to one generated design.
 class FunctionalSimulator {
  public:
-  /// Quantises the weights once at construction (the ARM host's
-  /// preprocessing step in the paper's flow).
+  /// Reads the parameters in place from the weight regions of `image`,
+  /// which must outlive the simulator and keep its byte buffer (moving
+  /// the MemoryImage is fine; see memory_image.h).
+  FunctionalSimulator(const Network& net, const AcceleratorDesign& design,
+                      const MemoryImage& image);
+
+  /// Quantises `weights` into an image the simulator owns (the ARM
+  /// host's preprocessing step in the paper's flow), then reads it
+  /// exactly as above.
   FunctionalSimulator(const Network& net, const AcceleratorDesign& design,
                       const WeightStore& weights);
 
@@ -57,11 +75,6 @@ class FunctionalSimulator {
   /// The Approx LUT generated for `fn` (throws if the design has none).
   const ApproxLut& LutFor(LutFunction fn) const;
 
-  /// True when this design's accumulations run on the int64 SoA kernel
-  /// backend; false means the format is wide enough to need the
-  /// __int128 scalar fallback (exposed for tests/benches).
-  bool uses_kernel_backend() const { return narrow_; }
-
  private:
   /// One layer's raw activations: an arena-backed int32 span.
   struct RawTensor {
@@ -70,8 +83,32 @@ class FunctionalSimulator {
     std::size_t n = 0;
   };
 
+  /// One layer's parameters as typed views into the parameter words
+  /// (bias/recurrent null when the layer has none).
+  template <typename W>
+  struct Params {
+    const W* weights = nullptr;
+    const W* bias = nullptr;
+    const W* recurrent = nullptr;
+
+    /// Bias `i` aligned to the accumulator's 2f fractional bits.
+    template <typename Acc>
+    Acc Bias(std::int64_t i, int f) const {
+      return bias == nullptr ? Acc{0} : static_cast<Acc>(bias[i]) << f;
+    }
+  };
+
+  /// Both constructors' tail: parameter views, LUTs, accumulation path.
+  void Bind(const MemoryImage& image);
+  template <typename W>
+  Params<W> ParamsOf(const IrLayer& layer) const;
+
   void RunLayer(const IrLayer& layer, const RawTensor* const* ins,
                 std::size_t num_ins, RawTensor& out) const;
+  /// The parameterised layers, on weight words of type W.
+  template <typename W>
+  void RunMacLayer(const IrLayer& layer, const RawTensor& in0,
+                   RawTensor& out) const;
   /// Execute all layers; returns the arena-backed per-layer tensors,
   /// indexed by layer id.  `inputs` keys input-layer names.
   const RawTensor* RunGraph(
@@ -79,35 +116,40 @@ class FunctionalSimulator {
   RawTensor QuantizeInput(const Tensor& t, const BlobShape& shape) const;
   Tensor Dequantize(const RawTensor& t) const;
 
-  template <typename Math>
-  void RunConv(const Math& math, const IrLayer& layer,
-               const RawTensor& in0, RawTensor& out) const;
-  template <typename Math>
-  void RunInnerProduct(const Math& math, const IrLayer& layer,
-                       const RawTensor& in0, RawTensor& out) const;
+  template <typename Math, typename W>
+  void RunConv(const Math& math, const Params<W>& params,
+               const IrLayer& layer, const RawTensor& in0,
+               RawTensor& out) const;
+  template <typename Math, typename W>
+  void RunInnerProduct(const Math& math, const Params<W>& params,
+                       const IrLayer& layer, const RawTensor& in0,
+                       RawTensor& out) const;
   template <typename Math>
   void RunLrn(const Math& math, const IrLayer& layer, const RawTensor& in0,
               RawTensor& out) const;
-  template <typename Math>
-  void RunRecurrent(const Math& math, const IrLayer& layer,
-                    const RawTensor& in0, RawTensor& out) const;
-  template <typename Math>
-  void RunLstm(const Math& math, const IrLayer& layer, const RawTensor& in0,
+  template <typename Math, typename W>
+  void RunRecurrent(const Math& math, const Params<W>& params,
+                    const IrLayer& layer, const RawTensor& in0,
+                    RawTensor& out) const;
+  template <typename Math, typename W>
+  void RunLstm(const Math& math, const Params<W>& params,
+               const IrLayer& layer, const RawTensor& in0,
                RawTensor& out) const;
   void RunPooling(const IrLayer& layer, const RawTensor& in0,
                   RawTensor& out) const;
 
   const Network& net_;
   const AcceleratorDesign& design_;
-  const WeightStore& weights_;
   FixedFormat fmt_;
-  // Quantised parameters per layer, stored raw (SoA int32).
-  struct RawParams {
-    std::vector<std::int32_t> weights;
-    std::vector<std::int32_t> bias;
-    std::vector<std::int32_t> recurrent;
-  };
-  std::map<std::string, RawParams> raw_params_;
+  MemoryImage owned_image_{0};  // built by the WeightStore constructor
+  /// The parameter words — int16 when w16_, else int32 — in the image
+  /// itself or, for 1- and 3-byte formats, in widened_.
+  const void* words_ = nullptr;
+  bool w16_ = false;
+  std::vector<std::int32_t> widened_;
+  /// Per layer id: word offsets of the weight matrix, bias and
+  /// recurrent matrix (-1 when absent).
+  std::vector<std::array<std::int64_t, 3>> slots_;
   std::vector<ApproxLut> luts_;
   /// int64 accumulation provably never overflows for this design
   /// (format width x deepest fan-in) — the kernel fast path.

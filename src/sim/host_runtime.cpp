@@ -19,10 +19,10 @@ HostRuntime::HostRuntime(const Network& net,
                          const AcceleratorDesign& design,
                          const WeightStore& weights,
                          std::string device_name)
-    : net_(net),
-      design_(design),
+    : design_(design),
       device_(DeviceCatalog(device_name)),
-      image_(BuildHostImage(net, design, weights)) {}
+      image_(BuildHostImage(net, design, weights)),
+      context_(net, design, image_) {}
 
 HostInvocation HostRuntime::MakeInvocation(const SystemRunResult& run) {
   HostInvocation inv;
@@ -40,7 +40,7 @@ HostInvocation HostRuntime::MakeInvocation(const SystemRunResult& run) {
 }
 
 HostInvocation HostRuntime::Infer(const Tensor& input) {
-  return MakeInvocation(RunSystem(net_, design_, image_, input));
+  return MakeInvocation(context_.Run(image_, input));
 }
 
 std::vector<HostInvocation> HostRuntime::InferBatch(
@@ -57,7 +57,7 @@ std::vector<HostInvocation> HostRuntime::InferBatch(
   steady.weights_resident = true;
   for (std::size_t i = 1; i < inputs.size(); ++i)
     results.push_back(
-        MakeInvocation(RunSystem(net_, design_, image_, inputs[i], steady)));
+        MakeInvocation(context_.Run(image_, inputs[i], steady)));
   return results;
 }
 

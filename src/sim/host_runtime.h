@@ -42,7 +42,8 @@ MemoryImage BuildHostImage(const Network& net,
 class HostRuntime {
  public:
   /// Builds the DRAM image (weights serialised once, the way the board
-  /// is provisioned at start-up).
+  /// is provisioned at start-up) and the one SystemContext every
+  /// invocation runs through.
   HostRuntime(const Network& net, const AcceleratorDesign& design,
               const WeightStore& weights,
               std::string device_name = "zynq-7045");
@@ -57,16 +58,17 @@ class HostRuntime {
 
   const HostStats& stats() const { return stats_; }
 
-  /// Direct access to the DRAM image (fault-injection experiments).
+  /// Direct access to the DRAM image (fault-injection experiments): a
+  /// weight corruption written here shows in the next invocation.
   MemoryImage& image() { return image_; }
 
  private:
   HostInvocation MakeInvocation(const SystemRunResult& run);
 
-  const Network& net_;
   const AcceleratorDesign& design_;
   const DeviceInfo& device_;
   MemoryImage image_;
+  const SystemContext context_;  // reads image_'s weight regions
   HostStats stats_;
 };
 

@@ -21,24 +21,22 @@ void ScalarMacRow(std::int64_t* acc, const std::int32_t* in,
   for (std::size_t i = 0; i < n; ++i) acc[i] += w64 * in[i];
 }
 
-std::int64_t ScalarDot(const std::int32_t* a, const std::int32_t* b,
-                       std::size_t n) {
+template <typename W>
+std::int64_t ScalarDot(const W* a, const std::int32_t* b, std::size_t n) {
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i)
     sum += static_cast<std::int64_t>(a[i]) * b[i];
   return sum;
 }
 
-std::int64_t ScalarDotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
+template <typename W>
+std::int64_t ScalarDotRows(const W* a, std::ptrdiff_t a_stride,
                            const std::int32_t* b, std::ptrdiff_t b_stride,
                            std::size_t rows, std::size_t n) {
   std::int64_t sum = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int32_t* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
-    const std::int32_t* pb = b + static_cast<std::ptrdiff_t>(r) * b_stride;
-    for (std::size_t i = 0; i < n; ++i)
-      sum += static_cast<std::int64_t>(pa[i]) * pb[i];
-  }
+  for (std::size_t r = 0; r < rows; ++r)
+    sum += ScalarDot(a + static_cast<std::ptrdiff_t>(r) * a_stride,
+                     b + static_cast<std::ptrdiff_t>(r) * b_stride, n);
   return sum;
 }
 
@@ -66,8 +64,10 @@ std::int32_t ScalarMaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",        ScalarMacRow, ScalarDot, ScalarDotRows,
-    ScalarWriteback, ScalarRelu,   ScalarMaxValue,
+    "scalar",        ScalarMacRow, ScalarDot<std::int32_t>,
+    ScalarDotRows<std::int32_t>, ScalarDot<std::int16_t>,
+    ScalarDotRows<std::int16_t>, ScalarWriteback, ScalarRelu,
+    ScalarMaxValue,
 };
 
 }  // namespace

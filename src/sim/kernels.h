@@ -1,10 +1,11 @@
 // SoA fixed-point kernel layer for the simulator hot path.
 //
 // The functional simulator executes the folded datapath as dense MAC /
-// activation sweeps over structure-of-arrays state: raw operands are
-// int32 (every FixedFormat raw value fits — total_bits <= 32) and
-// accumulators are int64.  This header is the contract between the
-// simulator and the two interchangeable kernel backends:
+// activation sweeps over structure-of-arrays state: raw activations are
+// int32 (every FixedFormat raw value fits — total_bits <= 32), weights
+// are int32 or, for 2-byte formats, int16 read in place from the DRAM
+// image, and accumulators are int64.  This header is the contract
+// between the simulator and the two interchangeable kernel backends:
 //
 //   * scalar  — portable reference, always available
 //   * avx2    — 4/8-lane vectorised variants, compiled into the build on
@@ -78,6 +79,16 @@ struct KernelOps {
   std::int64_t (*dot_rows)(const std::int32_t* a, std::ptrdiff_t a_stride,
                            const std::int32_t* b, std::ptrdiff_t b_stride,
                            std::size_t rows, std::size_t n);
+
+  /// dot / dot_rows with int16 weights `w` against int32 activations
+  /// `x` — 2-byte formats, whose weights the simulator views in place.
+  std::int64_t (*dot_w16)(const std::int16_t* w, const std::int32_t* x,
+                          std::size_t n);
+  std::int64_t (*dot_rows_w16)(const std::int16_t* w,
+                               std::ptrdiff_t w_stride,
+                               const std::int32_t* x,
+                               std::ptrdiff_t x_stride, std::size_t rows,
+                               std::size_t n);
 
   /// out[i] = clamp(RoundShiftHalfAway(acc[i], frac_bits), raw_min,
   /// raw_max) — the accumulator writeback stage of the synergy-neuron

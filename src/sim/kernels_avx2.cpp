@@ -4,8 +4,8 @@
 //
 // Bit-identity with the scalar backend is structural: every op is either
 // elementwise (writeback, relu, max) or an exact int64 accumulation
-// (mac_row, dot) whose summation order cannot matter because the
-// simulator guarantees no-overflow before routing work here.
+// (mac_row, dot, int16-weight dot) whose summation order cannot matter
+// because the simulator guarantees no-overflow before routing work here.
 #include "sim/kernels.h"
 
 #if defined(DB_HAVE_AVX2_KERNELS)
@@ -51,62 +51,51 @@ void Avx2MacRow(std::int64_t* acc, const std::int32_t* in, std::int32_t w,
   for (; i < n; ++i) acc[i] += w64 * in[i];
 }
 
-std::int64_t Avx2Dot(const std::int32_t* a, const std::int32_t* b,
-                     std::size_t n) {
-  // Two independent accumulators break the add dependency chain (the
-  // int64 sum is exact, so regrouping cannot change the result).
-  __m256i sum_even = _mm256_setzero_si256();
-  __m256i sum_odd = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // Even 32-bit elements live in the low half of each 64-bit lane;
-    // shifting right by 32 exposes the odd elements there.
-    sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
-    sum_odd = _mm256_add_epi64(
-        sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
-                                  _mm256_srli_epi64(vb, 32)));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                     _mm256_add_epi64(sum_even, sum_odd));
-  std::int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) total += static_cast<std::int64_t>(a[i]) * b[i];
-  return total;
+/// Eight weights widened to int32 lanes: a plain load for int32, a
+/// sign-extending one for the int16 words of a 2-byte image.
+__m256i Load8(const std::int32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+__m256i Load8(const std::int16_t* p) {
+  return _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-std::int64_t Avx2DotRows(const std::int32_t* a, std::ptrdiff_t a_stride,
+template <typename W>
+std::int64_t Avx2DotRows(const W* a, std::ptrdiff_t a_stride,
                          const std::int32_t* b, std::ptrdiff_t b_stride,
                          std::size_t rows, std::size_t n) {
-  // Vector accumulators persist across rows; the int64 sums are exact,
-  // so accumulation order is immaterial.
+  // Two independent accumulators break the add dependency chain, and
+  // persist across rows; the int64 sums are exact, so accumulation order
+  // is immaterial.
   __m256i sum_even = _mm256_setzero_si256();
   __m256i sum_odd = _mm256_setzero_si256();
   std::int64_t tail = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::int32_t* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
+    const W* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
     const std::int32_t* pb = b + static_cast<std::ptrdiff_t>(r) * b_stride;
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
-      const __m256i va =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa + i));
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + i));
+      const __m256i va = Load8(pa + i);
+      const __m256i vb = Load8(pb + i);
+      // Even 32-bit elements live in the low half of each 64-bit lane;
+      // shifting right by 32 exposes the odd elements there.
       sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
       sum_odd = _mm256_add_epi64(
           sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
                                     _mm256_srli_epi64(vb, 32)));
     }
-    for (; i < n; ++i)
-      tail += static_cast<std::int64_t>(pa[i]) * pb[i];
+    for (; i < n; ++i) tail += static_cast<std::int64_t>(pa[i]) * pb[i];
   }
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
                      _mm256_add_epi64(sum_even, sum_odd));
   return lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
+}
+
+template <typename W>
+std::int64_t Avx2Dot(const W* a, const std::int32_t* b, std::size_t n) {
+  return Avx2DotRows(a, 0, b, 0, 1, n);
 }
 
 void Avx2Writeback(std::int32_t* out, const std::int64_t* acc,
@@ -182,8 +171,10 @@ std::int32_t Avx2MaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",        Avx2MacRow, Avx2Dot, Avx2DotRows,
-    Avx2Writeback, Avx2Relu,   Avx2MaxValue,
+    "avx2",        Avx2MacRow, Avx2Dot<std::int32_t>,
+    Avx2DotRows<std::int32_t>, Avx2Dot<std::int16_t>,
+    Avx2DotRows<std::int16_t>, Avx2Writeback, Avx2Relu,
+    Avx2MaxValue,
 };
 
 }  // namespace

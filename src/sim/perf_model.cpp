@@ -21,17 +21,23 @@ struct LayerTraffic {
   std::int64_t passes = 1;        // input re-streams (buffer overflow)
 };
 
+/// A non-negative double count as int64, saturating at INT64_MAX (an
+/// absurd design must not wrap into a plausible cycle count).
+std::int64_t SatCycles(double v) {
+  return v >= 0x1p63 ? INT64_MAX : static_cast<std::int64_t>(v);
+}
+
 LayerTraffic ComputeTraffic(const IrLayer& layer, const TileSpec& layout,
                             const AcceleratorConfig& config,
                             bool weights_resident) {
   LayerTraffic t;
   const std::int64_t elem = config.ElementBytes();
   const LayerStats stats = ComputeLayerStats(layer);
-  const std::int64_t input_bytes = stats.input_elems * elem;
-  std::int64_t weight_bytes = stats.weight_count * elem;
+  const std::int64_t input_bytes = SatMul(stats.input_elems, elem);
+  std::int64_t weight_bytes = SatMul(stats.weight_count, elem);
   if (weights_resident && weight_bytes <= config.weight_buffer_bytes)
     weight_bytes = 0;  // already on chip from the previous image
-  t.store_bytes = stats.output_elems * elem;
+  t.store_bytes = SatMul(stats.output_elems, elem);
 
   // If the layer's input working set exceeds the data buffer, the tiles
   // cannot all stay resident and the input streams again from DRAM for
@@ -50,8 +56,8 @@ LayerTraffic ComputeTraffic(const IrLayer& layer, const TileSpec& layout,
           std::max(layout.utilization, 1e-6) *
           static_cast<double>(passes) +
       static_cast<double>(weight_bytes);
-  t.fetch_bytes = static_cast<std::int64_t>(fetched);
-  t.useful_bytes = input_bytes * passes + weight_bytes;
+  t.fetch_bytes = SatCycles(fetched);
+  t.useful_bytes = SatAdd(SatMul(input_bytes, passes), weight_bytes);
   return t;
 }
 
@@ -67,7 +73,7 @@ std::int64_t OverlapCycles(
   while (i < a.size() && j < b.size()) {
     const std::int64_t lo = std::max(a[i].first, b[j].first);
     const std::int64_t hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) total += hi - lo;
+    if (hi > lo) total = SatAdd(total, hi - lo);
     if (a[i].second < b[j].second)
       ++i;
     else
@@ -132,21 +138,22 @@ PerfResult SimulatePerformance(const Network& net,
     lt.layer_id = layer->id;
     lt.name = layer->name();
     lt.segments = fold.segments;
-    lt.dram_bytes = traffic.fetch_bytes + traffic.store_bytes;
+    lt.dram_bytes = SatAdd(traffic.fetch_bytes, traffic.store_bytes);
     lt.refetch_passes = traffic.passes;
 
     const std::int64_t layer_start = now;
     const std::int64_t segs = std::max<std::int64_t>(fold.segments, 1);
+    // Cycle arithmetic saturates at INT64_MAX: an oversized design
+    // reports "never finishes" instead of wrapping.
     const std::int64_t fetch_per_seg =
-        static_cast<std::int64_t>(
-            static_cast<double>(traffic.fetch_bytes) /
-            static_cast<double>(segs) / bytes_per_cycle) +
-        options.dram_burst_latency;
-    const std::int64_t store_per_seg = static_cast<std::int64_t>(
-        static_cast<double>(traffic.store_bytes) /
-        static_cast<double>(segs) / bytes_per_cycle);
+        SatAdd(SatCycles(static_cast<double>(traffic.fetch_bytes) /
+                         static_cast<double>(segs) / bytes_per_cycle),
+               options.dram_burst_latency);
+    const std::int64_t store_per_seg =
+        SatCycles(static_cast<double>(traffic.store_bytes) /
+                  static_cast<double>(segs) / bytes_per_cycle);
     const std::int64_t compute_per_seg =
-        fold.unit_work + options.segment_overhead_cycles;
+        SatAdd(fold.unit_work, options.segment_overhead_cycles);
 
     // Two on-chip buffer slots: segment i's fetch may start once segment
     // i-2's compute released its slot.  Output results drain through a
@@ -169,12 +176,12 @@ PerfResult SimulatePerformance(const Network& net,
       if (s >= 2)
         fetch_start = std::max(fetch_start,
                                compute_end[static_cast<std::size_t>(s - 2)]);
-      const std::int64_t fetch_end = fetch_start + fetch_per_seg;
+      const std::int64_t fetch_end = SatAdd(fetch_start, fetch_per_seg);
       dram_free = fetch_end;
 
       const std::int64_t compute_start =
           std::max(fetch_end, datapath_free);
-      const std::int64_t c_end = compute_start + compute_per_seg;
+      const std::int64_t c_end = SatAdd(compute_start, compute_per_seg);
       compute_end[static_cast<std::size_t>(s)] = c_end;
       datapath_free = c_end;
       last_compute_end = c_end;
@@ -188,19 +195,21 @@ PerfResult SimulatePerformance(const Network& net,
                                          layer->id, compute_start, c_end});
       }
 
-      lt.compute_cycles += compute_per_seg;
-      lt.memory_cycles += fetch_per_seg + store_per_seg;
+      lt.compute_cycles = SatAdd(lt.compute_cycles, compute_per_seg);
+      lt.memory_cycles = SatAdd(lt.memory_cycles,
+                                SatAdd(fetch_per_seg, store_per_seg));
     }
     // Write-back drain of all segments' outputs.
     const std::int64_t drain_start = std::max(dram_free, last_compute_end);
-    const std::int64_t drain_end = drain_start + store_per_seg * segs;
+    const std::int64_t drain_end =
+        SatAdd(drain_start, SatMul(store_per_seg, segs));
     if (options.trace != nullptr && drain_end > drain_start)
       options.trace->events.push_back({TraceEvent::Resource::kDram,
                                        layer->id, drain_start, drain_end});
     dram_free = drain_end;
     if (drain_end > drain_start) dram_iv.emplace_back(drain_start, drain_end);
-    now = std::max(last_compute_end, drain_end) +
-          options.layer_overhead_cycles;
+    now = SatAdd(std::max(last_compute_end, drain_end),
+                 options.layer_overhead_cycles);
     datapath_free = now;
     lt.total_cycles = now - layer_start;
 
@@ -211,13 +220,15 @@ PerfResult SimulatePerformance(const Network& net,
     // waits where both resources idled — is control/stall.  The three
     // buckets partition total_cycles by construction.
     std::int64_t dram_busy = 0;
-    for (const auto& [lo, hi] : dram_iv) dram_busy += hi - lo;
+    for (const auto& [lo, hi] : dram_iv)
+      dram_busy = SatAdd(dram_busy, hi - lo);
     lt.dram_transfer_cycles = dram_busy - OverlapCycles(dram_iv, compute_iv);
-    lt.datapath_mac_cycles = fold.unit_work * segs;
+    lt.datapath_mac_cycles = SatMul(fold.unit_work, segs);
     lt.control_stall_cycles =
         lt.total_cycles - lt.dram_transfer_cycles - lt.datapath_mac_cycles;
 
-    result.total_dram_bytes += lt.dram_bytes;
+    result.total_dram_bytes =
+        SatAdd(result.total_dram_bytes, lt.dram_bytes);
     result.layers.push_back(std::move(lt));
   }
   result.total_cycles = now;
@@ -309,8 +320,8 @@ BatchResult SimulateBatch(const Network& net,
   const PerfResult warm = SimulatePerformance(net, design, steady);
   result.steady_image_cycles = warm.total_cycles;
 
-  result.total_cycles =
-      cold.total_cycles + (images - 1) * warm.total_cycles;
+  result.total_cycles = SatAdd(cold.total_cycles,
+                               SatMul(images - 1, warm.total_cycles));
   return result;
 }
 

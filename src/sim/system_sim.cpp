@@ -11,38 +11,16 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
   WeightStore store = WeightStore::CreateFor(net);
   for (const IrLayer* layer : net.ComputeLayers()) {
     if (!store.Has(layer->name())) continue;
-    DB_CHECK_MSG(design.memory_map.HasWeights(layer->name()),
-                 "parameterised layer missing a weight region");
-    const MemoryRegion& region =
-        design.memory_map.Weights(layer->name());
+    const WeightRegionLayout layout = LayoutWeightRegion(*layer, design);
     LayerParams& params = store.at(layer->name());
-    std::int64_t addr = region.base;
-    auto decode = [&](Tensor& t) {
-      for (std::int64_t i = 0; i < t.size(); ++i) {
-        DB_CHECK_MSG(addr + elem_bytes <= region.end(),
-                     "weight region underflows its tensors");
+    const auto decode = [&](Tensor& t, std::int64_t addr) {
+      for (std::int64_t i = 0; i < t.size(); ++i, addr += elem_bytes)
         t[i] = static_cast<float>(
             fmt.Dequantize(image.ReadElem(addr, elem_bytes)));
-        addr += elem_bytes;
-      }
     };
-    decode(params.weights);
-    decode(params.bias);
-    decode(params.recurrent);
-    // The region must be fully consumed: anything left beyond the
-    // MemoryMap's port-alignment padding is trailing garbage the
-    // decoder would silently ignore (an oversized or mis-assembled
-    // image).  Mirrors the mem.layout weight-sizing verifier rule.
-    const std::int64_t align = std::max<std::int64_t>(
-        static_cast<std::int64_t>(design.config.memory_port_elems) *
-            elem_bytes,
-        1);
-    const std::int64_t leftover = region.end() - addr;
-    if (leftover < 0 || leftover >= align)
-      DB_THROW("weight region '" << layer->name()
-               << "' not fully consumed: " << leftover
-               << " trailing bytes exceed one alignment beat (" << align
-               << ")");
+    decode(params.weights, layout.weights_addr);
+    decode(params.bias, layout.bias_addr);
+    decode(params.recurrent, layout.recurrent_addr);
   }
   return store;
 }
@@ -50,10 +28,8 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 SystemContext::SystemContext(const Network& net,
                              const AcceleratorDesign& design,
                              const MemoryImage& image)
-    : net_(net),
-      design_(design),
-      weights_(DecodeWeights(image, net, design)),
-      sim_(net, design, weights_) {
+    : net_(net), design_(design), image_bytes_(image.data()),
+      sim_(net, design, image) {
   // Precompute the input/output blob regions and tile permutations:
   // they depend only on (net, design), and rebuilding them per request
   // dominated the serve hot path for small models.
@@ -67,6 +43,9 @@ SystemContext::SystemContext(const Network& net,
 
 SystemRunResult SystemContext::Run(MemoryImage& image, const Tensor& input,
                                    const PerfOptions& perf_options) const {
+  DB_CHECK_MSG(image.data() == image_bytes_,
+               "SystemContext::Run was handed an image other than the "
+               "one whose weights it reads");
   // Host writes the input blob into DRAM in the compiler's tile order.
   StoreBlob(image, design_, *in_region_, in_order_, input);
 
@@ -91,8 +70,10 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
   replicas.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     SystemReplica replica{provisioned, nullptr};
-    // Each context decodes from its replica's own bytes: the weight
-    // snapshot never aliases a sibling's image.
+    // Each context reads its replica's own bytes, never a sibling's.
+    // Moving the replica below (and later into cluster::Replica) moves
+    // the image's byte buffer with it, so the context's views stay
+    // valid.
     replica.context =
         std::make_unique<SystemContext>(net, design, replica.image);
     replicas.push_back(std::move(replica));
@@ -104,8 +85,6 @@ SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,
                           MemoryImage& image, const Tensor& input,
                           const PerfOptions& perf_options) {
-  // The accelerator's view of the weights comes from the image bytes;
-  // re-decoding here keeps corruption of weight regions visible.
   const SystemContext context(net, design, image);
   return context.Run(image, input, perf_options);
 }

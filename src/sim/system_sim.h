@@ -3,9 +3,10 @@
 // preprocessed weights and inputs into DDR3; the accelerator reads and
 // writes DRAM through the AXI switches; the host reads the result back).
 //
-// The weights the datapath uses are *decoded from the image bytes*, not
-// taken from the WeightStore — so a corrupted image region corrupts the
-// run, exactly as on hardware.
+// The datapath reads its weights in place from the image bytes (see
+// functional_sim.h), not from a WeightStore or a decoded copy — so a
+// corrupted weight region corrupts the very next run, exactly as on
+// hardware, until it is scrubbed.
 #pragma once
 
 #include <memory>
@@ -27,14 +28,15 @@ struct SystemRunResult {
   StatusCode status = StatusCode::kOk;
 };
 
-/// Decode a WeightStore from the image's weight regions (the inverse of
-/// BuildMemoryImage's weight serialisation).  Exposed for tests.
+/// Decode a float WeightStore from the image's weight regions (the
+/// inverse of BuildMemoryImage's weight serialisation).  The datapath
+/// never uses it; it serves tests and probes that want float weights.
 WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
                           const AcceleratorDesign& design);
 
-/// The steady-state half of RunSystem: weights decoded and the I/O blob
-/// tile orders computed once at construction, so each Run() is just the
-/// simulation plus two cached-order blob copies.
+/// The steady-state half of RunSystem: the weight views into `image` and
+/// the I/O blob tile orders are set up once at construction, so each
+/// Run() is just the simulation plus two cached-order blob copies.
 ///
 /// Threading: Run() is marked const but is NOT safe to call concurrently
 /// on the same instance — the wrapped FunctionalSimulator owns a mutable
@@ -43,26 +45,27 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 /// thread; anything that wants parallel invocations holds one context
 /// per thread (ReplicateSystem stamps these out).
 ///
-/// The weights are snapshotted from `image` at construction; a caller
-/// that mutates weight regions afterwards (fault injection) must build a
-/// fresh context, which is exactly what the RunSystem wrapper does.
+/// The context views the weight regions of `image` in place: it must be
+/// handed that same image (same byte buffer) on every Run(), and a
+/// mutation of the weight regions (fault injection, scrubbing) shows in
+/// the next Run().  The image may be moved, or copy-assigned from an
+/// image of the same size, without invalidating the context.
 class SystemContext {
  public:
   SystemContext(const Network& net, const AcceleratorDesign& design,
                 const MemoryImage& image);
 
   /// One invocation: write the input blob into `image`, run the
-  /// bit-accurate functional simulation with the snapshotted weights,
-  /// store the output blob back, and read it out as the host would.
+  /// bit-accurate functional simulation on the image's weights, store
+  /// the output blob back, and read it out as the host would.  `image`
+  /// must be the image this context was built on.
   SystemRunResult Run(MemoryImage& image, const Tensor& input,
                       const PerfOptions& perf_options = {}) const;
-
-  const WeightStore& weights() const { return weights_; }
 
  private:
   const Network& net_;
   const AcceleratorDesign& design_;
-  WeightStore weights_;       // decoded snapshot (owned; sim_ refers to it)
+  const std::uint8_t* image_bytes_;  // the buffer sim_ reads weights from
   FunctionalSimulator sim_;
   // Cached per-invocation hot path: the input/output blob regions and
   // their tile permutations never change for a given (net, design).
@@ -73,10 +76,11 @@ class SystemContext {
 };
 
 /// One replicated accelerator instance: a private copy of the
-/// provisioned DRAM image plus the SystemContext decoded from it.  The
+/// provisioned DRAM image plus the SystemContext that reads it.  The
 /// cluster's AcceleratorPool owns one of these per replica, so one
 /// replica's image corruption (fault injection) can never perturb a
-/// sibling — each context snapshotted its weights from its own bytes.
+/// sibling — each context reads only its own bytes.  The context's
+/// views follow the image's buffer, which moves with the struct.
 struct SystemReplica {
   MemoryImage image;
   std::unique_ptr<SystemContext> context;
@@ -90,11 +94,10 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const MemoryImage& provisioned,
                                            int count);
 
-/// One full invocation against the image: decode weights, run the
-/// bit-accurate functional simulation, store the output blob back into
-/// the image, and read it out as the host would.  Decodes the weights on
-/// every call so image corruption is always visible; steady-state
-/// callers (the inference server) hold a SystemContext instead.
+/// One-shot invocation against the image: build a SystemContext on it,
+/// run once, store the output blob back into the image, and read it out
+/// as the host would.  Steady-state callers (HostRuntime, the inference
+/// server) hold a SystemContext instead.
 SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,
                           MemoryImage& image, const Tensor& input,

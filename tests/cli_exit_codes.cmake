@@ -30,6 +30,21 @@ expect_exit(2 serve --zoo MNIST --breaker=failures=0)    # db::Error
 expect_exit(2 serve --zoo MNIST --hedge-after-cycles -1) # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
+# A memory map larger than the board DRAM is a user-facing error: a
+# 3x4Mx4M input into one INNER_PRODUCT needs ~1 PB against the Zynq's
+# 2 GB, and the generator's mem.capacity check rejects it (exit 2)
+# before the image or the perf model ever sees it.
+set(huge_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_huge")
+file(MAKE_DIRECTORY "${huge_dir}")
+file(WRITE "${huge_dir}/huge.prototxt"
+  "name: \"huge\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 3\ninput_dim: 4000000\ninput_dim: 4000000\n"
+  "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" top: \"fc\" "
+  "inner_product_param { num_output: 10 } }\n")
+expect_exit(2 --model "${huge_dir}/huge.prototxt" --out "${huge_dir}/out"
+  --simulate)
+file(REMOVE_RECURSE "${huge_dir}")
+
 # The cluster-resilience flags fail fast (before any generation work)
 # with byte-stable error text: two identical invocations emit identical
 # stderr bytes.
@@ -63,7 +78,7 @@ expect_exit(0 verify --zoo MNIST)
 expect_exit(2 verify --zoo no-such-model)                # db::Error
 expect_exit(2 verify --self-test-break bogus.rule --zoo MNIST)
 foreach(rule
-    agu.bounds mem.layout sched.hazard fold.coverage
+    agu.bounds mem.layout mem.capacity sched.hazard fold.coverage
     buffer.capacity conn.ports lut.domain res.budget)
   expect_exit(2 verify --zoo Cifar --self-test-break ${rule})
 endforeach()

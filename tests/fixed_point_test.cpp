@@ -1,10 +1,14 @@
 // Tests for the runtime Q-format fixed-point arithmetic.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
 #include "common/fixed_point.h"
+#include "common/rng.h"
 
 namespace db {
 namespace {
@@ -177,6 +181,68 @@ TEST_P(FixedFormatSweep, MulCommutes) {
   const std::int64_t a = fmt.Quantize(1.7);
   const std::int64_t b = fmt.Quantize(-0.3);
   EXPECT_EQ(fmt.Mul(a, b), fmt.Mul(b, a));
+}
+
+// The ldexp/floor/ceil quantiser that FixedFormat::Quantize replaced,
+// kept verbatim as the reference the inline branch-free one must match.
+std::int64_t ReferenceQuantize(const FixedFormat& fmt, double value) {
+  if (std::isnan(value)) return 0;
+  const double scaled = std::ldexp(value, fmt.frac_bits());
+  const double rounded = scaled >= 0 ? std::floor(scaled + 0.5)
+                                     : std::ceil(scaled - 0.5);
+  if (rounded >= static_cast<double>(fmt.raw_max())) return fmt.raw_max();
+  if (rounded <= static_cast<double>(fmt.raw_min())) return fmt.raw_min();
+  return static_cast<std::int64_t>(rounded);
+}
+
+TEST(FixedFormat, QuantizeMatchesReferenceForEveryWidth) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(20160605);
+  for (int total = 2; total <= 32; ++total) {
+    for (int frac : {0, total / 2, total - 1}) {
+      const FixedFormat fmt(total, frac);
+      const double lsb = fmt.resolution();
+      std::vector<double> probes = {
+          std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0,
+          -0.0, std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::max(),
+          -std::numeric_limits<double>::max()};
+      // +-0.5 LSB ties around zero, a few raw steps and both bounds.
+      for (std::int64_t raw : {std::int64_t{0}, std::int64_t{1},
+                               std::int64_t{-1}, std::int64_t{2},
+                               fmt.raw_max(), fmt.raw_max() - 1,
+                               fmt.raw_min(), fmt.raw_min() + 1}) {
+        const double centre = fmt.Dequantize(raw);
+        for (double tie : {centre + lsb / 2, centre - lsb / 2})
+          probes.insert(probes.end(),
+                        {tie, std::nextafter(tie, kInf),
+                         std::nextafter(tie, -kInf)});
+      }
+      // One ulp either side of the saturation bounds (as real values).
+      for (double bound : {fmt.value_max(), fmt.value_min()})
+        probes.insert(probes.end(), {bound, std::nextafter(bound, kInf),
+                                     std::nextafter(bound, -kInf)});
+      // Seeded random floats: in range, beyond range, and raw bit
+      // patterns (every exponent, subnormals included).
+      for (int i = 0; i < 2000; ++i) {
+        probes.push_back(rng.Uniform(2 * fmt.value_min(),
+                                     2 * fmt.value_max()));
+        probes.push_back(static_cast<float>(
+            rng.Uniform(fmt.value_min(), fmt.value_max())));
+        probes.push_back(std::bit_cast<float>(
+            static_cast<std::uint32_t>(rng.Next())));
+      }
+      for (double v : probes)
+        ASSERT_EQ(fmt.Quantize(v), ReferenceQuantize(fmt, v))
+            << fmt.ToString() << " value " << v;
+    }
+  }
+}
+
+TEST(FixedFormat, ToStringNamesIntegerAndFractionBits) {
+  EXPECT_EQ(FixedFormat(16, 8).ToString(), "Q7.8");
+  EXPECT_EQ(FixedFormat(32, 0).ToString(), "Q31.0");
+  EXPECT_EQ(FixedFormat(2, 1).ToString(), "Q0.1");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,7 +6,7 @@
 #include "core/generator.h"
 #include "models/trained.h"
 #include "nn/executor.h"
-#include "sim/simulator.h"
+#include "sim/host_runtime.h"
 
 namespace db {
 namespace {
@@ -83,12 +83,11 @@ TEST(Integration, SimulatorFacadeProducesAllAspects) {
       TrainZooAnn(ZooModel::kAnn2Kmeans, 3, 200, 20);
   const AcceleratorDesign design =
       GenerateAccelerator(model.net, DbConstraint());
-  AcceleratorSimulator sim(model.net, design, model.weights);
-  const SimulationResult result =
-      sim.Invoke(model.test_set.front().input);
+  HostRuntime host(model.net, design, model.weights);
+  const HostInvocation result = host.Infer(model.test_set.front().input);
   EXPECT_EQ(result.output.size(), 2);
-  EXPECT_GT(result.perf.total_cycles, 0);
-  EXPECT_GT(result.energy.total_joules, 0.0);
+  EXPECT_GT(result.cycles, 0);
+  EXPECT_GT(result.joules, 0.0);
 }
 
 TEST(Integration, FidelityScoringForRandomWeightModel) {

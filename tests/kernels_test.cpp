@@ -112,6 +112,44 @@ TEST(Kernels, DotAndDotRowsMatchBruteForce) {
   }
 }
 
+TEST(Kernels, Int16WeightDotsMatchBruteForceAtVectorBoundaries) {
+  Rng rng(9);
+  // Lengths around every 8-lane block boundary, with the int16 extremes
+  // against wide int32 activations (the sign extension of the weight
+  // load is what differs from the int32 kernels).
+  for (const std::size_t n :
+       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u, 25u, 64u, 67u}) {
+    const std::size_t len = 3 * n + 8;
+    std::vector<std::int16_t> w(len);
+    for (auto& x : w)
+      x = static_cast<std::int16_t>(rng.UniformInt(1 << 16) - (1 << 15));
+    if (n > 0) {
+      w[0] = std::numeric_limits<std::int16_t>::min();
+      w[n - 1] = std::numeric_limits<std::int16_t>::max();
+    }
+    const std::vector<std::int32_t> x =
+        RandomI32(rng, len, -(1 << 30), (1 << 30) - 1);
+    std::int64_t want = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      want += static_cast<std::int64_t>(w[i]) * x[i];
+    std::int64_t want_rows = 0;
+    for (std::size_t r = 0; r < 3; ++r)
+      for (std::size_t i = 0; i < n; ++i)
+        want_rows += static_cast<std::int64_t>(w[r * (n + 2) + i]) *
+                     x[r * (n + 1) + i];
+    for (const KernelOps* ops : Backends()) {
+      EXPECT_EQ(ops->dot_w16(w.data(), x.data(), n), want)
+          << ops->name << " n=" << n;
+      EXPECT_EQ(
+          ops->dot_rows_w16(w.data(), static_cast<std::ptrdiff_t>(n + 2),
+                            x.data(), static_cast<std::ptrdiff_t>(n + 1), 3,
+                            n),
+          want_rows)
+          << ops->name << " n=" << n;
+    }
+  }
+}
+
 TEST(Kernels, WritebackSaturatesAndRoundsTiesAwayFromZero) {
   // A 16-bit format with 8 fractional bits: raw range [-32768, 32767].
   constexpr int kFrac = 8;

@@ -4,9 +4,11 @@
 #include <algorithm>
 
 #include "core/generator.h"
+#include "frontend/network_def.h"
 #include "graph/layer_stats.h"
 #include "models/zoo.h"
 #include "sim/perf_model.h"
+#include "sim/trace.h"
 
 namespace db {
 namespace {
@@ -161,6 +163,35 @@ TEST(PerfModel, UnfoldedOverBufferLayerPaysRefetchTraffic) {
       unfolded_layer_grew = true;
   }
   EXPECT_TRUE(unfolded_layer_grew);
+}
+
+// A 3x4Mx4M input into one INNER_PRODUCT needs a petabyte-scale memory
+// map.  The verifier rejects it (mem.capacity); compiled without the
+// verifier, the perf model must saturate instead of wrapping its cycle
+// sums into garbage (a wrapped fetch once produced trace spans ending
+// before they start).
+TEST(PerfModel, OversizedDesignKeepsCycleCountsOrdered) {
+  const Network net = Network::Build(ParseNetworkDef(
+      "name: \"huge\"\ninput: \"data\"\ninput_dim: 1\ninput_dim: 3\n"
+      "input_dim: 4000000\ninput_dim: 4000000\n"
+      "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
+      "top: \"fc\" inner_product_param { num_output: 10 } }\n"));
+  const AcceleratorDesign design =
+      CompileForConfig(net, SizeDatapath(net, DbConstraint()));
+  PerfTrace trace;
+  PerfOptions options;
+  options.trace = &trace;
+  const PerfResult perf = SimulatePerformance(net, design, options);
+  EXPECT_GT(perf.total_cycles, 0);
+  for (const LayerTiming& lt : perf.layers) {
+    EXPECT_GT(lt.total_cycles, 0) << lt.name;
+    EXPECT_GE(lt.memory_cycles, 0) << lt.name;
+  }
+  ASSERT_FALSE(trace.events.empty());
+  for (const TraceEvent& e : trace.events) {
+    EXPECT_GE(e.end, e.start);
+    EXPECT_LE(e.end, perf.total_cycles);
+  }
 }
 
 TEST(PerfModel, DeterministicAcrossRuns) {

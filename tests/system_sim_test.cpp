@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "core/generator.h"
+#include "fault/fault_injector.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
 #include "sim/system_sim.h"
@@ -80,6 +81,48 @@ TEST(SystemSim, CorruptedWeightRegionChangesOutput) {
   const Tensor corrupted =
       RunSystem(fx.net, fx.design, image, input).output;
   EXPECT_GT(MaxAbsDiff(clean, corrupted), 0.01);
+}
+
+// The context reads its weights in place from the image, so a bit flip
+// in a weight region reaches the very next run of the SAME context, and
+// scrubbing the region from the provisioned image restores the clean
+// output bit for bit.
+TEST(SystemSim, WeightFlipReachesLiveContextAndScrubRestoresIt) {
+  const Fixture fx;
+  const MemoryImage provisioned = BuildMemoryImage(
+      fx.net, fx.design, fx.weights,
+      {{"data", Tensor(Shape{1, 12, 12})}});
+  MemoryImage image = provisioned;
+  const SystemContext context(fx.net, fx.design, image);
+  Rng rng(7);
+  Tensor input(Shape{1, 12, 12});
+  input.FillUniform(rng, 0.0f, 1.0f);
+  const Tensor clean = context.Run(image, input).output;
+
+  // The top bit of the first weight of conv1 (little-endian, so byte 1
+  // of the 2-byte word is the high byte): the sign flips and the weight
+  // jumps by half the format's range.
+  const MemoryRegion& region = fx.design.memory_map.Weights("conv1");
+  image.FlipBit(region.base + 1, 7);
+  const Tensor flipped = context.Run(image, input).output;
+  EXPECT_NE(flipped.storage(), clean.storage());
+
+  fault::ScrubWeights(image, provisioned, fx.design.memory_map);
+  EXPECT_EQ(context.Run(image, input).output.storage(), clean.storage());
+}
+
+TEST(SystemSim, RunRejectsAnImageOtherThanTheOneItViews) {
+  const Fixture fx;
+  MemoryImage image = BuildMemoryImage(
+      fx.net, fx.design, fx.weights,
+      {{"data", Tensor(Shape{1, 12, 12})}});
+  MemoryImage other = image;
+  const SystemContext context(fx.net, fx.design, image);
+  const Tensor input(Shape{1, 12, 12});
+  EXPECT_THROW(context.Run(other, input), std::logic_error);
+  // Moving the image keeps the buffer the context views.
+  MemoryImage moved = std::move(image);
+  EXPECT_NO_THROW(context.Run(moved, input));
 }
 
 // Regression: DecodeWeights used to check only per-element underflow,
