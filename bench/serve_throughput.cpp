@@ -1,13 +1,13 @@
-// Serving-throughput sweep: the concurrent batched inference server
-// (src/serve) over worker count x batch size, for a small on-chip-
-// resident model (MNIST) and a DRAM-bound ImageNet model (Alexnet).
+// Serving-throughput sweep: the batched inference server (src/serve)
+// over replica count x batch size, for a small on-chip-resident model
+// (MNIST) and a DRAM-bound ImageNet model (Alexnet).
 //
-// All numbers are simulated time: each worker context is one accelerator
+// All numbers are simulated time: each replica is one accelerator
 // instance on the fabric, so "2 workers" models a board provisioned with
-// two copies of the generated design sharing the DRAM image bytes.
-// Steady-state throughput should scale with worker count until the
-// request stream can no longer keep the workers busy; a batch is placed
-// on one worker, so over-batching serialises the stream.
+// two copies of the generated design, each with its own DRAM image.
+// Steady-state throughput should scale with replica count until the
+// request stream can no longer keep the replicas busy; a batch is placed
+// on one replica, so over-batching serialises the stream.
 // The fault-campaign section then serves the same MNIST stream under a
 // seeded src/fault plan (weight-region bit flips, transient invocation
 // failures, worker stalls) and checks the resilience contract: every
@@ -15,12 +15,15 @@
 // bit-identical to the fault-free run, with only cycles lost to
 // recovery.
 // The replica-scaling section drives the same request stream through
-// cluster::AcceleratorPool sizes 1/2/4 under each ShardRouter policy and
+// pools of 1/2/4 replicas under each ShardRouter policy and
 // checks the cluster determinism contract: every kOk output is
 // bit-identical regardless of replica count or routing, because every
 // replica starts from the same provisioned DRAM bytes.  The design
 // itself comes from a content-addressed DesignCache, so all
 // configurations reuse one NN-Gen invocation.
+// The last line is the planner alone: PlanServe over a million MNIST
+// arrivals with no datapath, in planned requests per wall second.
+#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "serve/inference_server.h"
+#include "sim/host_runtime.h"
 
 namespace {
 
@@ -75,7 +79,7 @@ int main() {
       for (std::int64_t batch : {1, 4, 16}) {
         obs::MetricsRegistry metrics;
         serve::ServeOptions options;
-        options.workers = workers;
+        options.replicas = workers;
         options.max_batch_size = batch;
         options.metrics = &metrics;
         serve::InferenceServer server(net, design, weights, options);
@@ -130,7 +134,7 @@ int main() {
     };
     auto serve = [&](const fault::FaultPlan& plan) {
       serve::ServeOptions options;
-      options.workers = 2;
+      options.replicas = 2;
       options.max_batch_size = 4;
       options.faults = plan;
       serve::InferenceServer server(net, design, weights, options);
@@ -174,7 +178,7 @@ int main() {
     if (identical != ok) return 1;
   }
 
-  // --- Replica scaling: AcceleratorPool size x ShardRouter policy ---
+  // --- Replica scaling: replica count x ShardRouter policy ---
   {
     constexpr int kScaleRequests = 32;
     const NetworkDef def =
@@ -399,6 +403,39 @@ int main() {
         within ? "" : "  ** BOUND EXCEEDED **",
         hedged_identical ? "" : "  ** OUTPUT MISMATCH **");
     if (!within || !hedged_identical) return 1;
+  }
+
+  // --- Planning alone: the simulated-time pass with no datapath ---
+  {
+    constexpr int kPlanRequests = 1000000;
+    const Network net = BuildZooModel(ZooModel::kMnist);
+    const AcceleratorDesign design =
+        GenerateAccelerator(net, DbConstraint());
+    Rng rng(2016);
+    const MemoryImage image =
+        BuildHostImage(net, design, WeightStore::CreateRandom(net, rng));
+    const SystemContext context(net, design, image);
+    const serve::PlanCosts costs =
+        serve::MakePlanCosts(design, context, "zynq-7045");
+    // Arrivals at 0.9 of two replicas' steady capacity.
+    std::vector<serve::RequestArrival> arrivals(kPlanRequests);
+    for (int i = 0; i < kPlanRequests; ++i)
+      arrivals[static_cast<std::size_t>(i)].arrival_cycle =
+          static_cast<std::int64_t>(i) * costs.steady.cycles * 10 / 18;
+    serve::ServeOptions options;
+    options.replicas = 2;
+    options.max_batch_size = 4;
+    const auto start = std::chrono::steady_clock::now();
+    const serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    std::printf(
+        "\n=== Planning alone: PlanServe over %d MNIST arrivals, 2 "
+        "replicas, batch <= 4 (host wall time) ===\n"
+        "  %lld batches planned in %.3f s: %.0f planned requests/s\n",
+        kPlanRequests, static_cast<long long>(plan.batches), seconds,
+        kPlanRequests / seconds);
   }
   return 0;
 }

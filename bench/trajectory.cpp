@@ -117,7 +117,7 @@ ServeRow BenchServe(ZooModel model) {
 
   obs::MetricsRegistry metrics;
   serve::ServeOptions options;
-  options.workers = 2;
+  options.replicas = 2;
   options.max_batch_size = 4;
   options.metrics = &metrics;
   serve::InferenceServer server(net, design, weights, options);
@@ -136,7 +136,7 @@ ServeRow BenchServe(ZooModel model) {
 
   ServeRow row;
   row.model = ZooModelName(model);
-  row.workers = options.workers;
+  row.workers = options.replicas;
   row.max_batch_size = options.max_batch_size;
   row.requests = kRequests;
   row.batches = stats.batches;

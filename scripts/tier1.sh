@@ -2,7 +2,7 @@
 # Tier-1 verification: the default build + full test suite, followed by
 # sanitized configurations — ASan+UBSan over the inference server and its
 # substrate, then TSan over the concurrency-labelled suites (server
-# workers, metrics sinks, the logger).
+# executor threads, metrics sinks, the logger).
 #
 # Usage: scripts/tier1.sh [jobs]
 #
@@ -48,7 +48,7 @@ cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
            host_runtime_test system_sim_test obs_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|RequestQueue|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
 
 echo "== tier-1: UBSan on the static verifier and RTL lint =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

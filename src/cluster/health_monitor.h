@@ -1,12 +1,13 @@
-// Replica health tracking and failure isolation for the accelerator
-// pool — the cluster-resilience substrate the serving dispatcher drives.
+// Replica health tracking and failure isolation for the replicated
+// accelerators — the cluster-resilience substrate the serving planner
+// drives.
 //
 // ReplicaHealthMonitor runs a per-replica state machine
 //
 //   kHealthy -> kSuspect -> kDown -> kRecovering -> kHealthy
 //
 // in *simulated time*: crashes and hang windows reported by the
-// dispatcher are converted into transitions quantised onto a simulated
+// planner are converted into transitions quantised onto a simulated
 // heartbeat grid (a hang is observed as missed heartbeats; recovery is
 // observed at the first heartbeat after the window), and consecutive
 // dispatch failures escalate kHealthy -> kSuspect -> kDown like a
@@ -24,8 +25,7 @@
 // (failure cycle, cooldown) pairs, so queries are pure.
 //
 // Threading contract: both classes are single-writer (the serving
-// dispatcher thread); they may be read by anyone after the dispatcher
-// joins.
+// planner, which runs on one thread).
 #pragma once
 
 #include <cstdint>
@@ -196,7 +196,7 @@ class CircuitBreaker {
   explicit CircuitBreaker(int replicas, BreakerOptions options = {});
 
   /// True when a dispatch to `replica` may proceed at `cycle` (closed
-  /// or half-open; in the server's single-dispatcher flow exactly one
+  /// or half-open; in the server's single-threaded planner exactly one
   /// trial is in flight while half-open).  Always true when disabled.
   bool Allows(int replica, std::int64_t cycle) const;
 

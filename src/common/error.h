@@ -17,8 +17,8 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Operation attempted on a component whose intake has closed: pushing
-/// into a closed RequestQueue, submitting to a drained InferenceServer.
+/// Operation attempted on a component whose intake has closed, e.g.
+/// submitting to a drained InferenceServer.
 /// A distinct type so callers can tell "the system is shutting down"
 /// (retry elsewhere / stop producing) apart from a bad request.
 class ShutdownError : public Error {

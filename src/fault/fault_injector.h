@@ -1,13 +1,11 @@
-// FaultInjector: hands a FaultPlan's events to the serving workers, and
-// the integrity primitives (weight-region checksum, scrub-and-reload)
-// the workers use to survive them.
+// FaultInjector: hands a FaultPlan's events to the serving planner, one
+// slice per replica, and the integrity primitives (weight-region
+// checksum, scrub-and-reload) the replicas use to survive them.
 //
-// Threading model: the plan is partitioned per worker once, at
-// construction; afterwards every worker thread reads only its own
-// immutable slice (ForWorker), so no locking is needed on the hot path.
-// Each worker keeps its own cursor into its slice and fires every event
-// whose `invocation` coordinate has been reached — the firing order is
-// a pure function of the plan and the (deterministic) schedule.
+// The plan is partitioned per replica once, at construction.  The
+// planner keeps one cursor per slice and fires every event whose
+// `invocation` coordinate has been reached, so the firing order is a
+// pure function of the plan and the (deterministic) schedule.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +45,7 @@ class FaultInjector {
   /// Replica `r`'s cluster-level events (kCrash / kHang / kSlow /
   /// kRouteFail), sorted by invocation.  The `invocation` coordinate of
   /// a cluster event counts *scheduled* services on the replica — the
-  /// dispatcher's view — not lane-side attempts; the dispatcher fires
+  /// dispatch-side view — not attempted services; the planner fires
   /// each event at the dispatch whose invocation window reaches it.
   const std::vector<FaultEvent>& ClusterForReplica(int replica) const;
 

@@ -22,29 +22,30 @@ Batch Batcher::CloseOpen(std::int64_t ready_cycle) {
   return batch;
 }
 
-std::optional<Batch> Batcher::Add(PendingRequest request) {
-  DB_CHECK_MSG(request.arrival_cycle >= last_arrival_,
-               "request arrival cycles must be non-decreasing");
-  last_arrival_ = request.arrival_cycle;
+std::optional<Batch> Batcher::Expire(std::int64_t arrival) {
+  if (open_.empty() ||
+      arrival <= open_first_arrival_ + policy_.linger_cycles)
+    return std::nullopt;
+  return CloseOpen(open_first_arrival_ + policy_.linger_cycles);
+}
 
-  std::optional<Batch> closed;
-  if (!open_.empty() &&
-      request.arrival_cycle >
-          open_.front().arrival_cycle + policy_.linger_cycles) {
-    // The linger timer of the open batch expired before this arrival.
-    closed = CloseOpen(open_.front().arrival_cycle + policy_.linger_cycles);
-  }
-  open_.push_back(std::move(request));
+std::optional<Batch> Batcher::Add(std::int64_t id, std::int64_t arrival) {
+  DB_CHECK_MSG(arrival >= last_arrival_,
+               "request arrival cycles must be non-decreasing");
+  last_arrival_ = arrival;
+  std::optional<Batch> closed = Expire(arrival);
+  if (open_.empty()) open_first_arrival_ = arrival;
+  open_.push_back(id);
   if (static_cast<std::int64_t>(open_.size()) == policy_.max_batch_size) {
     DB_CHECK(!closed.has_value());  // max_batch_size >= 1 ⇒ at most one
-    closed = CloseOpen(open_.back().arrival_cycle);
+    closed = CloseOpen(arrival);
   }
   return closed;
 }
 
 std::optional<Batch> Batcher::Flush() {
   if (open_.empty()) return std::nullopt;
-  return CloseOpen(open_.back().arrival_cycle);
+  return CloseOpen(last_arrival_);
 }
 
 }  // namespace db::serve

@@ -11,37 +11,22 @@
 //     falls outside the window closes the batch, which dispatches when
 //     the linger timer expires (first arrival + linger).
 //
-// Because batch composition depends only on the submission order and the
-// arrival cycles — never on thread timing — the same request stream
-// always produces the same batches, which is what makes the whole server
-// reproducible.
+// Batch composition depends only on the submission order and the
+// arrival cycles, so the same request stream always produces the same
+// batches, which is what makes the whole server reproducible.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "tensor/tensor.h"
-
 namespace db::serve {
-
-/// One queued inference request.
-struct PendingRequest {
-  std::int64_t id = 0;             // dense submission index
-  std::int64_t arrival_cycle = 0;  // simulated arrival time
-  /// Absolute simulated cycle by which service must have *started*;
-  /// 0 means no deadline.  A request whose service would begin after
-  /// its deadline completes with StatusCode::kDeadlineExceeded instead
-  /// of occupying a datapath slot.
-  std::int64_t deadline_cycle = 0;
-  Tensor input;
-};
 
 /// A closed batch, ready for dispatch.
 struct Batch {
   std::int64_t id = 0;  // dense batch index, in close order
   std::int64_t ready_cycle = 0;  // earliest cycle the batch may dispatch
-  std::vector<PendingRequest> requests;
+  std::vector<std::int64_t> requests;  // request ids, in arrival order
 };
 
 struct BatchPolicy {
@@ -53,10 +38,14 @@ class Batcher {
  public:
   explicit Batcher(BatchPolicy policy);
 
-  /// Feed the next request (arrival cycles must be non-decreasing).
-  /// Returns the batch that `request` closed, if any; `request` itself
-  /// then opens the next batch.
-  std::optional<Batch> Add(PendingRequest request);
+  /// Close the open batch if its linger timer expired before `arrival`.
+  std::optional<Batch> Expire(std::int64_t arrival);
+
+  /// Feed request `id` (arrival cycles must be non-decreasing).  Returns
+  /// the batch this closed, if any: the open batch whose linger expired
+  /// before `arrival` (then `id` opens the next one), or the batch `id`
+  /// filled.
+  std::optional<Batch> Add(std::int64_t id, std::int64_t arrival);
 
   /// Close the open partial batch (end of the request stream).  The
   /// flush is an explicit end-of-intake signal, so the batch dispatches
@@ -67,9 +56,10 @@ class Batcher {
   Batch CloseOpen(std::int64_t ready_cycle);
 
   BatchPolicy policy_;
-  std::vector<PendingRequest> open_;
-  std::int64_t next_batch_id_ = 0;
+  std::vector<std::int64_t> open_;
+  std::int64_t open_first_arrival_ = 0;
   std::int64_t last_arrival_ = 0;
+  std::int64_t next_batch_id_ = 0;
 };
 
 }  // namespace db::serve

@@ -1,7 +1,9 @@
 #include "serve/inference_server.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -13,765 +15,173 @@ namespace db::serve {
 
 namespace {
 
-/// Pool size: `replicas` when set, else the historical `workers` knob.
-/// Validated here because the pool and injector consume it in the
-/// constructor's initialiser list.
-int ResolveReplicaCount(const ServeOptions& options) {
-  DB_CHECK_MSG(options.workers >= 1, "server needs at least one worker");
-  DB_CHECK_MSG(options.replicas >= 0,
-               "replicas must be >= 0 (0 = use workers)");
-  return options.replicas > 0 ? options.replicas : options.workers;
+/// Cycles of `intervals` (sorted, disjoint) falling inside the window
+/// [begin, end) — the per-replica busy share a time-series sample reads.
+std::int64_t BusyInWindow(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& intervals,
+    std::int64_t begin, std::int64_t end) {
+  std::int64_t busy = 0;
+  for (const auto& [lo, hi] : intervals) {
+    if (lo >= end) break;  // sorted: nothing later can overlap
+    busy += std::max<std::int64_t>(
+        0, std::min(hi, end) - std::max(lo, begin));
+  }
+  return busy;
+}
+
+/// Replay replica `r`'s op list on its own image and context.
+void Replay(ServePlan& plan, std::size_t r, SystemReplica& replica,
+            std::span<const Tensor> inputs, const MemoryImage& provisioned,
+            const MemoryMap& map, std::uint64_t reference) {
+  for (const ReplicaOp& op : plan.replicas[r].ops) {
+    switch (op.kind) {
+      case ReplicaOp::Kind::kFlip:
+        replica.image.FlipBit(op.arg, op.bit);
+        break;
+      case ReplicaOp::Kind::kVerify: {
+        const bool mismatch =
+            fault::WeightChecksum(replica.image, map) != reference;
+        DB_CHECK_MSG(mismatch == op.scrub,
+                     "weight checksum disagrees with the planned scrub");
+        if (!mismatch) break;
+        fault::ScrubWeights(replica.image, provisioned, map);
+        DB_CHECK_MSG(fault::WeightChecksum(replica.image, map) == reference,
+                     "scrub failed to restore the weight regions");
+        break;
+      }
+      case ReplicaOp::Kind::kRun: {
+        const auto id = static_cast<std::size_t>(op.arg);
+        plan.requests[id].output =
+            replica.context->Run(replica.image, inputs[id], op.warm).output;
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace
 
-std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
-                                std::int64_t cap) {
-  if (base <= 0) return 0;
-  if (attempt < 0) attempt = 0;
-  // `base << attempt` overflows exactly when base > cap >> attempt (or
-  // the shift itself would exceed the int64 width); both saturate to the
-  // cap instead of wrapping.
-  if (attempt >= 63 || base > (cap >> attempt)) return cap;
-  return std::min(cap, base << attempt);
+PlanCosts MakePlanCosts(const AcceleratorDesign& design,
+                        const SystemContext& context,
+                        const std::string& device_name) {
+  const DeviceInfo& device = DeviceCatalog(device_name);
+  const auto cost = [&](bool warm) {
+    const PerfResult& perf = context.perf(warm);
+    return InvocationCost{
+        perf.total_cycles, perf.total_dram_bytes,
+        EstimateEnergy(design.resources.total, perf, device).total_joules};
+  };
+  PlanCosts costs;
+  costs.cold = cost(false);
+  costs.steady = cost(true);
+  // One scrub-and-reload moves the weight bytes over the DRAM port.
+  const std::int64_t port_bytes =
+      design.config.ElementBytes() * design.config.memory_port_elems;
+  costs.scrub_cycles = std::max<std::int64_t>(
+      CeilDiv(fault::WeightRegionBytes(design.memory_map),
+              std::max<std::int64_t>(port_bytes, 1)),
+      1);
+  for (const MemoryRegion& region : design.memory_map.regions())
+    if (StartsWith(region.name, "weights:"))
+      costs.weight_regions.emplace_back(region.base, region.end());
+  return costs;
+}
+
+void ExecutePlan(ServePlan& plan, std::span<SystemReplica> replicas,
+                 std::span<const Tensor> inputs,
+                 const MemoryImage& provisioned, const MemoryMap& map) {
+  DB_CHECK(replicas.size() == plan.replicas.size());
+  bool verifies = false;
+  for (const ReplicaPlan& replica : plan.replicas)
+    for (const ReplicaOp& op : replica.ops)
+      verifies = verifies || op.kind == ReplicaOp::Kind::kVerify;
+  const std::uint64_t reference =
+      verifies ? fault::WeightChecksum(provisioned, map) : 0;
+
+  // Replica 0 replays on the calling thread, every other replica with
+  // work on its own; a failure is rethrown here once all have joined.
+  std::vector<std::exception_ptr> errors(replicas.size());
+  const auto replay = [&](std::size_t r) {
+    try {
+      Replay(plan, r, replicas[r], inputs, provisioned, map, reference);
+    } catch (...) {
+      errors[r] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t r = 1; r < replicas.size(); ++r)
+    if (!plan.replicas[r].ops.empty()) threads.emplace_back(replay, r);
+  replay(0);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 InferenceServer::InferenceServer(const Network& net,
                                  const AcceleratorDesign& design,
                                  const WeightStore& weights,
                                  ServeOptions options)
-    : net_(net),
-      design_(design),
-      device_(DeviceCatalog(options.device_name)),
+    : design_(design),
       options_(std::move(options)),
-      replica_count_(ResolveReplicaCount(options_)),
-      provisioned_(BuildHostImage(net, design, weights)),
-      injector_(options_.faults, replica_count_),
-      queue_(options_.queue_capacity),
-      pool_(net, design, provisioned_, replica_count_),
-      batcher_(BatchPolicy{options_.max_batch_size,
-                           options_.linger_cycles}),
-      router_(options_.router, replica_count_, options_.affinity_hash),
-      monitor_(replica_count_, options_.health),
-      breaker_(replica_count_, options_.breaker) {
-  DB_CHECK_MSG(options_.max_retries >= 0, "max_retries must be >= 0");
-  DB_CHECK_MSG(options_.retry_backoff_cycles >= 1,
-               "retry_backoff_cycles must be >= 1");
-  DB_CHECK_MSG(options_.max_retry_backoff_cycles >=
-                   options_.retry_backoff_cycles,
-               "max_retry_backoff_cycles must be >= retry_backoff_cycles");
-  DB_CHECK_MSG(options_.hedge_after_cycles >= 0,
-               "hedge_after_cycles must be >= 0");
-  DB_CHECK_MSG(options_.deadline_cycles >= 0,
-               "deadline_cycles must be >= 0");
-
-  // The scheduler charges every invocation its deterministic cycle cost,
-  // so batch placement never depends on thread timing.  Traces are a
-  // per-run artifact, not a serving concern: workers always simulate
-  // untraced.  These planning presimulations also publish no metrics —
-  // only actual request service does.
-  PerfOptions cold = options_.perf;
-  cold.trace = nullptr;
-  cold.metrics = nullptr;
-  cold.weights_resident = false;
-  cold_cycles_ = SimulatePerformance(net_, design_, cold).total_cycles;
-  PerfOptions steady = cold;
-  steady.weights_resident = true;
-  steady_cycles_ = SimulatePerformance(net_, design_, steady).total_cycles;
-
-  // Integrity reference for the scrub engine: the provisioned image's
-  // weight-region checksum, and the deterministic cycle charge of one
-  // scrub-and-reload (weight bytes over the DRAM port width).
-  weight_checksum_ = fault::WeightChecksum(provisioned_, design_.memory_map);
-  const std::int64_t port_bytes =
-      design_.config.ElementBytes() * design_.config.memory_port_elems;
-  scrub_cycles_ = std::max<std::int64_t>(
-      CeilDiv(fault::WeightRegionBytes(design_.memory_map),
-              std::max<std::int64_t>(port_bytes, 1)),
-      1);
-
-  // The health monitor charges the same scrub-and-reload cost the lanes
-  // do, so a readmitted replica turns kHealthy exactly when its lane's
-  // scrub pass finishes in simulated time.
-  monitor_.set_readmit_scrub_cycles(scrub_cycles_);
-
-  // The DRAM image was built exactly once (provisioned_); the pool
-  // stamped out one private copy per replica and started the lanes.
-  replica_free_cycle_.assign(static_cast<std::size_t>(replica_count_), 0);
-  replica_scheduled_warm_.assign(static_cast<std::size_t>(replica_count_),
-                                 false);
-  scheduled_invocations_.assign(static_cast<std::size_t>(replica_count_),
-                                0);
-  cluster_cursor_.assign(static_cast<std::size_t>(replica_count_), 0);
-  slow_.assign(static_cast<std::size_t>(replica_count_), SlowState{});
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  state_.store(ServerState::kServing);
-}
-
-InferenceServer::~InferenceServer() {
-  try {
-    Drain();
-  } catch (...) {
-    // Destructor must not throw; Drain only throws on internal
-    // invariant violations, which tests surface through explicit calls.
-  }
-}
-
-void InferenceServer::CompleteWithoutService(std::int64_t id,
-                                             StatusCode status,
-                                             std::int64_t finish_cycle) {
-  std::lock_guard<std::mutex> lock(results_mu_);
-  ServedRequest& record = results_[static_cast<std::size_t>(id)];
-  DB_CHECK_MSG(record.status == StatusCode::kOk,
-               "request completed twice");
-  record.status = status;
-  record.finish_cycle = finish_cycle;
-  ++completed_;
+      provisioned_(BuildHostImage(net, design, weights)) {
+  DB_CHECK_MSG(options_.replicas >= 1, "server needs at least one replica");
+  replicas_ = ReplicateSystem(net, design, provisioned_, options_.replicas);
+  costs_ = MakePlanCosts(design, *replicas_.front().context,
+                         options_.device_name);
 }
 
 std::int64_t InferenceServer::Submit(Tensor input,
                                      std::int64_t arrival_cycle,
                                      std::int64_t deadline_cycle) {
-  std::lock_guard<std::mutex> lock(submit_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const ServerState state = state_.load();
   if (state != ServerState::kServing)
     throw ShutdownError(
         StrFormat("InferenceServer cannot accept requests: intake is "
                   "closed (state: %s)",
                   ServerStateName(state)));
-  DB_CHECK_MSG(arrival_cycle >= last_arrival_,
+  DB_CHECK_MSG(arrival_cycle >= (arrivals_.empty()
+                                     ? 0
+                                     : arrivals_.back().arrival_cycle),
                "arrival cycles must be non-decreasing");
   DB_CHECK_MSG(deadline_cycle == 0 || deadline_cycle >= arrival_cycle,
                "deadline precedes arrival");
-  last_arrival_ = arrival_cycle;
-  if (deadline_cycle == 0 && options_.deadline_cycles > 0)
-    deadline_cycle = arrival_cycle + options_.deadline_cycles;
-  const std::int64_t id = next_request_id_++;
-  {
-    std::lock_guard<std::mutex> rlock(results_mu_);
-    results_.resize(static_cast<std::size_t>(id) + 1);
-    results_[static_cast<std::size_t>(id)].id = id;
-    results_[static_cast<std::size_t>(id)].arrival_cycle = arrival_cycle;
-    results_[static_cast<std::size_t>(id)].deadline_cycle = deadline_cycle;
-  }
-
-  // Simulated-time admission: mirror the batcher's linger/size closure
-  // rules over the admitted stream, so "the queue is full" — and which
-  // request pays for it — is a pure function of the arrival cycles.
-  if (shadow_open_count_ > 0 &&
-      arrival_cycle > shadow_first_arrival_ + options_.linger_cycles) {
-    // The open batch's linger expired before this arrival: it closes
-    // and dispatches, emptying the simulated queue.
-    shadow_open_count_ = 0;
-    shadow_live_.clear();
-  }
-  if (shadow_live_.size() >= options_.queue_capacity) {
-    switch (options_.admission) {
-      case AdmissionPolicy::kBlock:
-        break;  // the wall-clock Push below provides the back-pressure
-      case AdmissionPolicy::kReject:
-        // Never pushed: the dispatcher and batcher don't see it.
-        CompleteWithoutService(id, StatusCode::kRejected, arrival_cycle);
-        return id;
-      case AdmissionPolicy::kShedOldest: {
-        // Evict the oldest queued request; it stays in the pipeline as
-        // a tombstone (the worker skips completed records) so batch
-        // composition keeps mirroring the shadow state.
-        const std::int64_t victim = shadow_live_.front();
-        shadow_live_.pop_front();
-        CompleteWithoutService(victim, StatusCode::kShed, arrival_cycle);
-        break;
-      }
-    }
-  }
-  if (shadow_open_count_ == 0) shadow_first_arrival_ = arrival_cycle;
-  ++shadow_open_count_;
-  shadow_live_.push_back(id);
-  if (shadow_open_count_ == options_.max_batch_size) {
-    shadow_open_count_ = 0;  // the batch closes by size and dispatches
-    shadow_live_.clear();
-  }
-
-  PendingRequest request;
-  request.id = id;
-  request.arrival_cycle = arrival_cycle;
-  request.deadline_cycle = deadline_cycle;
-  request.input = std::move(input);
-  // Holding submit_mu_ across the (possibly blocking) push keeps the
-  // queue in request-id order, which the batcher's determinism needs.
-  try {
-    queue_.Push(std::move(request));
-  } catch (const ShutdownError&) {
-    // Drain raced this Submit while it was blocked on a full queue: the
-    // request was registered but never admitted.  Complete it as
-    // rejected so Drain's completion accounting stays exact, then let
-    // the caller see the shutdown.
-    CompleteWithoutService(id, StatusCode::kRejected, arrival_cycle);
-    throw;
-  }
-  return id;
-}
-
-void InferenceServer::DispatchBatch(Batch batch) {
-  const std::int64_t ready = batch.ready_cycle;
-  ScheduleOnCluster(std::move(batch), ready);
-}
-
-InferenceServer::BatchPlan InferenceServer::PlanBatch(
-    int r, const Batch& batch, std::int64_t ready) const {
-  // The schedule is the fault-free plan plus the replica's *known*
-  // cluster state (slow factor): shed tombstones and injected datapath
-  // delays surface in the replica's own timeline, never here, so
-  // placement stays a pure function of the arrival stream and the
-  // seeded fault plan.
-  BatchPlan plan;
-  plan.start = std::max(
-      ready, replica_free_cycle_[static_cast<std::size_t>(r)]);
-  std::int64_t duration = 0;
-  std::int64_t slow_left = slow_[static_cast<std::size_t>(r)].services;
-  const std::int64_t factor = slow_[static_cast<std::size_t>(r)].factor;
-  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    const bool warm =
-        replica_scheduled_warm_[static_cast<std::size_t>(r)] || i > 0;
-    const std::int64_t base = warm ? steady_cycles_ : cold_cycles_;
-    std::int64_t penalty = 0;
-    if (slow_left > 0) {
-      penalty = base * (factor - 1);
-      --slow_left;
-    }
-    plan.penalties.push_back(penalty);
-    duration += base + penalty;
-  }
-  plan.finish = plan.start + duration;
-  return plan;
-}
-
-bool InferenceServer::FireClusterEvents(int r, std::int64_t size,
-                                        std::int64_t ready,
-                                        CrashSplit* crash) {
-  const std::vector<fault::FaultEvent>& events =
-      injector_.ClusterForReplica(r);
-  const std::int64_t scheduled =
-      scheduled_invocations_[static_cast<std::size_t>(r)];
-  std::size_t& cursor = cluster_cursor_[static_cast<std::size_t>(r)];
-  while (cursor < events.size() &&
-         events[cursor].invocation < scheduled + size) {
-    const fault::FaultEvent& event = events[cursor];
-    switch (event.kind) {
-      case fault::FaultKind::kRouteFail: {
-        // Transient routing failure: this dispatch attempt never reaches
-        // the replica; the caller re-routes to another one.
-        ++cursor;
-        ++route_failures_;
-        monitor_.ReportFailure(r, ready);
-        breaker_.RecordFailure(r, ready);
-        LogClusterEvent("route_fail", r, ready, ready);
-        return false;
-      }
-      case fault::FaultKind::kHang: {
-        // The replica stalls for a fixed window before accepting work;
-        // missed heartbeats drive the kSuspect/kDown escalation.
-        ++cursor;
-        const std::int64_t begin = std::max(
-            ready, replica_free_cycle_[static_cast<std::size_t>(r)]);
-        const std::int64_t end = begin + event.stall_cycles;
-        replica_free_cycle_[static_cast<std::size_t>(r)] = end;
-        monitor_.ReportUnresponsive(r, begin, end);
-        ++hangs_;
-        LogClusterEvent("hang", r, begin, end,
-                        {{"cycles", std::to_string(event.stall_cycles)}});
-        break;
-      }
-      case fault::FaultKind::kSlow: {
-        // Degraded replica: the next `slow_services` invocations on it
-        // cost `slow_factor` times the planned charge.
-        ++cursor;
-        slow_[static_cast<std::size_t>(r)] =
-            SlowState{event.slow_factor, event.slow_services};
-        ++slow_faults_;
-        LogClusterEvent(
-            "slow", r, ready, ready,
-            {{"factor", std::to_string(event.slow_factor)},
-             {"services", std::to_string(event.slow_services)}});
-        break;
-      }
-      case fault::FaultKind::kCrash: {
-        // The replica dies partway through the window; the caller splits
-        // the batch at the crash coordinate and re-dispatches the rest.
-        ++cursor;
-        crash->crashed = true;
-        crash->event_invocation = std::max(event.invocation, scheduled);
-        crash->down_cycles = event.down_cycles;
-        return true;
-      }
-      default:
-        DB_CHECK_MSG(false,
-                     "datapath fault routed to the cluster partition");
-    }
-  }
-  return true;
-}
-
-void InferenceServer::CommitBatch(int r, Batch batch, BatchPlan plan) {
-  replica_free_cycle_[static_cast<std::size_t>(r)] = plan.finish;
-  replica_scheduled_warm_[static_cast<std::size_t>(r)] = true;
-  scheduled_invocations_[static_cast<std::size_t>(r)] +=
-      static_cast<std::int64_t>(batch.requests.size());
-  SlowState& slow = slow_[static_cast<std::size_t>(r)];
-  slow.services = std::max<std::int64_t>(
-      0,
-      slow.services - static_cast<std::int64_t>(batch.requests.size()));
-  ++batches_dispatched_;
-  // A committed dispatch is the monitor/breaker success signal: the
-  // replica accepted work at the planned start.
-  breaker_.RecordSuccess(r, plan.start);
-  monitor_.ReportSuccess(r, plan.start);
-
-  // shared_ptr keeps the closure copyable for std::function; the lane
-  // executes it exactly once.
-  auto scheduled = std::make_shared<ScheduledBatch>(ScheduledBatch{
-      std::move(batch), r, plan.start, std::move(plan.penalties)});
-  pool_.Post(r, [this, r, scheduled] { ServeBatch(r, *scheduled); });
-}
-
-void InferenceServer::PostReadmitScrub(int r,
-                                       std::int64_t readmit_cycle) {
-  pool_.Post(r, [this, r, readmit_cycle] {
-    cluster::Replica& rep = pool_.replica(r);
-    const std::int64_t begin = std::max(rep.local_cycle, readmit_cycle);
-    // Readmission re-verifies the weight regions against the provisioned
-    // image (a crashed card reboots from unknown DRAM) and reloads on
-    // mismatch; the charge is the same deterministic scrub cost either
-    // way.
-    if (fault::WeightChecksum(rep.image, design_.memory_map) !=
-        weight_checksum_) {
-      fault::ScrubWeights(rep.image, provisioned_, design_.memory_map);
-      DB_CHECK_MSG(fault::WeightChecksum(rep.image, design_.memory_map) ==
-                       weight_checksum_,
-                   "readmit scrub failed to restore the weight regions");
-    }
-    ++rep.scrubs;
-    fault::FaultRecord record;
-    record.kind = fault::FaultKind::kCrash;
-    record.recovery = true;  // the scrub-and-readmit window
-    record.worker = r;
-    record.invocation = rep.invocations;
-    record.start_cycle = begin;
-    record.end_cycle = begin + scrub_cycles_;
-    record.detail = scrub_cycles_;
-    rep.fault_records.push_back(record);
-    rep.busy_intervals.emplace_back(begin, begin + scrub_cycles_);
-    rep.local_cycle = begin + scrub_cycles_;
-    rep.warm = false;  // the reboot lost weight residency
-  });
-}
-
-void InferenceServer::PostHedgeCancel(int r, std::int64_t start,
-                                      std::int64_t cancel) {
-  pool_.Post(r, [this, r, start, cancel] {
-    cluster::Replica& rep = pool_.replica(r);
-    // The cancelled copy occupied the lane from its planned start until
-    // the winner completed, but never ran the datapath — outputs stay
-    // bit-identical to the unhedged run and warm state is untouched.
-    const std::int64_t begin = std::max(rep.local_cycle, start);
-    const std::int64_t end = std::max(cancel, begin);
-    if (begin < end) rep.busy_intervals.emplace_back(begin, end);
-    rep.local_cycle = end;
-  });
-}
-
-void InferenceServer::LogClusterEvent(
-    const char* name, int replica, std::int64_t start, std::int64_t end,
-    std::vector<std::pair<std::string, std::string>> args) {
-  ClusterEpisode episode;
-  episode.name = name;
-  episode.replica = replica;
-  episode.start = start;
-  episode.end = end;
-  episode.args = std::move(args);
-  cluster_log_.push_back(std::move(episode));
-}
-
-void InferenceServer::ScheduleOnCluster(Batch batch, std::int64_t ready) {
-  monitor_.AdvanceTo(ready);
-  const std::int64_t size =
-      static_cast<std::int64_t>(batch.requests.size());
-
-  // Health-masked routing with deterministic re-route on transient
-  // failures: every attempt excludes replicas already tried for this
-  // batch.  Liveness over purity — with the whole pool non-routable the
-  // batch still lands somewhere (the readmitting replica's free cycle
-  // already carries its down time).
-  std::vector<bool> attempted(static_cast<std::size_t>(replica_count_),
-                              false);
-  int r = -1;
-  for (;;) {
-    std::vector<bool> routable(static_cast<std::size_t>(replica_count_));
-    bool any = false;
-    for (int i = 0; i < replica_count_; ++i) {
-      routable[static_cast<std::size_t>(i)] =
-          !attempted[static_cast<std::size_t>(i)] && monitor_.Routable(i) &&
-          breaker_.Allows(i, ready);
-      any = any || routable[static_cast<std::size_t>(i)];
-    }
-    if (!any) {
-      for (int i = 0; i < replica_count_; ++i)
-        routable[static_cast<std::size_t>(i)] =
-            !attempted[static_cast<std::size_t>(i)];
-      any = std::find(routable.begin(), routable.end(), true) !=
-            routable.end();
-    }
-    if (!any) routable.assign(static_cast<std::size_t>(replica_count_),
-                              true);
-    r = router_.Route(replica_free_cycle_, routable);
-    CrashSplit crash;
-    if (!FireClusterEvents(r, size, ready, &crash)) {
-      attempted[static_cast<std::size_t>(r)] = true;
-      continue;
-    }
-    if (!crash.crashed) break;
-
-    // Crash inside the dispatch window: the prefix before the crash
-    // coordinate was served by the dying replica; the remainder is
-    // re-dispatched to a survivor at the crash cycle under a fresh batch
-    // id from the reserved re-dispatch range (dispatcher batch ids stay
-    // below 1 << 20 for any realistic workload; DB_CHECKed in Drain via
-    // completion accounting).
-    const std::int64_t prefix =
-        crash.event_invocation -
-        scheduled_invocations_[static_cast<std::size_t>(r)];
-    DB_CHECK(prefix >= 0 && prefix < size);
-    Batch served;
-    served.id = batch.id;
-    served.ready_cycle = batch.ready_cycle;
-    Batch rest;
-    rest.id = (std::int64_t{1} << 20) + redispatch_batches_++;
-    rest.ready_cycle = batch.ready_cycle;
-    for (std::int64_t i = 0; i < size; ++i) {
-      if (i < prefix)
-        served.requests.push_back(std::move(
-            batch.requests[static_cast<std::size_t>(i)]));
-      else
-        rest.requests.push_back(std::move(
-            batch.requests[static_cast<std::size_t>(i)]));
-    }
-    std::int64_t crash_cycle = std::max(
-        ready, replica_free_cycle_[static_cast<std::size_t>(r)]);
-    if (prefix > 0) {
-      const BatchPlan plan = PlanBatch(r, served, ready);
-      crash_cycle = plan.finish;
-      CommitBatch(r, std::move(served), plan);
-    }
-    ++crashes_;
-    monitor_.ReportCrash(r, crash_cycle, crash.down_cycles);
-    breaker_.RecordFailure(r, crash_cycle);
-    const std::int64_t readmit = crash_cycle + crash.down_cycles;
-    // The replica is gone until `readmit`, then pays the scrub pass
-    // before its datapath frees; a reboot loses weight residency.
-    replica_free_cycle_[static_cast<std::size_t>(r)] =
-        readmit + scrub_cycles_;
-    replica_scheduled_warm_[static_cast<std::size_t>(r)] = false;
-    slow_[static_cast<std::size_t>(r)] = SlowState{};
-    LogClusterEvent("crash", r, crash_cycle, readmit + scrub_cycles_,
-                    {{"down", std::to_string(crash.down_cycles)},
-                     {"redispatched",
-                      std::to_string(rest.requests.size())}});
-    PostReadmitScrub(r, readmit);
-    ++readmissions_;
-    redispatched_ += static_cast<std::int64_t>(rest.requests.size());
-    ScheduleOnCluster(std::move(rest), std::max(ready, crash_cycle));
-    return;
-  }
-
-  BatchPlan primary = PlanBatch(r, batch, ready);
-  if (options_.hedge_after_cycles > 0 &&
-      primary.finish - ready > options_.hedge_after_cycles) {
-    // Hedge: plan a duplicate on the best other healthy replica issued
-    // once the latency threshold elapses; keep whichever copy's plan
-    // finishes first.  Decided analytically at dispatch — both copies'
-    // windows are pure schedule arithmetic, and the loser's lane only
-    // charges occupancy (PostHedgeCancel), so outputs and cycle numbers
-    // stay deterministic.
-    const std::int64_t issue = ready + options_.hedge_after_cycles;
-    int best = -1;
-    BatchPlan alternate;
-    for (int i = 0; i < replica_count_; ++i) {
-      if (i == r || !monitor_.Routable(i) || !breaker_.Allows(i, issue))
-        continue;
-      BatchPlan candidate = PlanBatch(i, batch, issue);
-      if (best < 0 || candidate.finish < alternate.finish) {
-        best = i;
-        alternate = std::move(candidate);
-      }
-    }
-    if (best >= 0) {
-      ++hedge_count_;
-      if (alternate.finish < primary.finish) {
-        ++hedge_wins_;
-        // Cancel the primary at the winner's completion; its lane
-        // charges [start, cancel) but never serves the requests.
-        const std::int64_t cancel = alternate.finish;
-        if (primary.start < cancel) {
-          replica_free_cycle_[static_cast<std::size_t>(r)] = cancel;
-          PostHedgeCancel(r, primary.start, cancel);
-        }
-        LogClusterEvent("hedge", best, issue, alternate.finish,
-                        {{"primary", std::to_string(r)},
-                         {"won", "1"}});
-        CommitBatch(best, std::move(batch), std::move(alternate));
-        return;
-      }
-      // The primary still wins: the hedge copy occupies the alternate
-      // until the primary completes, then cancels.
-      const std::int64_t cancel = primary.finish;
-      if (alternate.start < cancel) {
-        replica_free_cycle_[static_cast<std::size_t>(best)] = cancel;
-        PostHedgeCancel(best, alternate.start, cancel);
-      }
-      LogClusterEvent("hedge", best, issue, cancel,
-                      {{"primary", std::to_string(r)}, {"won", "0"}});
-    }
-  }
-  CommitBatch(r, std::move(batch), std::move(primary));
-}
-
-void InferenceServer::DispatcherLoop() {
-  while (std::optional<PendingRequest> request = queue_.Pop()) {
-    if (std::optional<Batch> closed = batcher_.Add(*std::move(request)))
-      DispatchBatch(*std::move(closed));
-  }
-  // Intake closed and drained: flush the partial batch, then stop the
-  // lanes once their deques empty out.
-  if (std::optional<Batch> closed = batcher_.Flush())
-    DispatchBatch(*std::move(closed));
-  pool_.Close();
-}
-
-void InferenceServer::ServeBatch(int index, ScheduledBatch& scheduled) {
-  cluster::Replica& rep = pool_.replica(index);
-  const std::vector<fault::FaultEvent>& events =
-      injector_.ForWorker(index);
-  // Weight-region integrity checks only run on replicas whose plan
-  // slice can actually corrupt weights; the fault-free fast path is
-  // untouched.
-  const bool integrity_checks = injector_.HasWeightFlips(index);
-
-  // Fault recovery may have pushed this replica past the scheduler's
-  // optimistic start; service never begins before the datapath frees.
-  std::int64_t cycle = std::max(scheduled.start_cycle, rep.local_cycle);
-  const std::int64_t batch_start = cycle;
-  ++rep.batches;
-  for (std::size_t slot = 0; slot < scheduled.batch.requests.size();
-       ++slot) {
-    PendingRequest& request = scheduled.batch.requests[slot];
-    // Slow-replica surcharge the dispatcher planned for this slot; the
-    // lane mirrors it so reported latencies show the degradation.
-    const std::int64_t penalty =
-        slot < scheduled.penalties.size() ? scheduled.penalties[slot] : 0;
-    {
-      // Shed tombstone: the request was evicted at admission after
-      // its batch membership was fixed; skip without touching it.
-      std::lock_guard<std::mutex> lock(results_mu_);
-      if (results_[static_cast<std::size_t>(request.id)].status !=
-          StatusCode::kOk)
-        continue;
-    }
-
-    // 1. Fire every injected fault bound to this invocation.
-    std::int64_t stall = 0;
-    int failures = 0;
-    while (rep.fault_cursor < events.size() &&
-           events[rep.fault_cursor].invocation <= rep.invocations) {
-      const fault::FaultEvent& event = events[rep.fault_cursor++];
-      fault::FaultRecord record;
-      record.kind = event.kind;
-      record.worker = index;
-      record.invocation = rep.invocations;
-      record.request_id = request.id;
-      record.start_cycle = cycle;
-      record.end_cycle = cycle;
-      switch (event.kind) {
-        case fault::FaultKind::kBitFlip:
-          rep.image.FlipBit(event.addr, event.bit);
-          record.detail = event.addr;
-          break;
-        case fault::FaultKind::kTransient:
-          ++failures;
-          record.detail = failures;
-          break;
-        case fault::FaultKind::kStall:
-          record.end_cycle = cycle + event.stall_cycles;
-          record.detail = event.stall_cycles;
-          stall += event.stall_cycles;
-          break;
-        default:
-          // Cluster faults live in the injector's replica partition and
-          // fire on the dispatcher; they never reach a lane.
-          DB_CHECK_MSG(false, "cluster fault routed to a worker lane");
-      }
-      rep.fault_records.push_back(record);
-    }
-    ++rep.invocations;
-    std::int64_t recovery = stall;
-    if (stall > 0) rep.busy_intervals.emplace_back(cycle, cycle + stall);
-    cycle += stall;
-
-    // 2. Deadline: an expired request completes without occupying
-    // the datapath slot.
-    if (request.deadline_cycle > 0 && cycle > request.deadline_cycle) {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      ServedRequest& record =
-          results_[static_cast<std::size_t>(request.id)];
-      record.batch_id = scheduled.batch.id;
-      record.worker = index;
-      record.status = StatusCode::kDeadlineExceeded;
-      record.finish_cycle = cycle;
-      record.recovery_cycles = recovery;
-      ++completed_;
-      continue;
-    }
-
-    // 3. Weight-region integrity: scrub-and-reload from the
-    // provisioned image on checksum mismatch, charged in cycles.
-    if (integrity_checks &&
-        fault::WeightChecksum(rep.image, design_.memory_map) !=
-            weight_checksum_) {
-      fault::ScrubWeights(rep.image, provisioned_, design_.memory_map);
-      DB_CHECK_MSG(fault::WeightChecksum(rep.image, design_.memory_map) ==
-                       weight_checksum_,
-                   "scrub failed to restore the weight regions");
-      fault::FaultRecord record;
-      record.kind = fault::FaultKind::kBitFlip;
-      record.recovery = true;  // a scrub window
-      record.worker = index;
-      record.invocation = rep.invocations - 1;
-      record.request_id = request.id;
-      record.start_cycle = cycle;
-      record.end_cycle = cycle + scrub_cycles_;
-      record.detail = scrub_cycles_;
-      rep.fault_records.push_back(record);
-      ++rep.scrubs;
-      rep.busy_intervals.emplace_back(cycle, cycle + scrub_cycles_);
-      cycle += scrub_cycles_;
-      recovery += scrub_cycles_;
-    }
-
-    // 4. Transient failures: bounded retries with exponential
-    // backoff; each failed attempt occupied the datapath.
-    // Replica lanes never trace (the interval stream is
-    // ordering-sensitive) but do publish the commutative "sim.*"
-    // counters when the caller supplied perf.metrics.
-    PerfOptions perf = options_.perf;
-    perf.trace = nullptr;
-    perf.weights_resident = rep.warm;
-    const std::int64_t charged =
-        rep.warm ? steady_cycles_ : cold_cycles_;
-    int retries = 0;
-    while (failures > 0 && retries < options_.max_retries) {
-      const std::int64_t backoff =
-          RetryBackoffCycles(options_.retry_backoff_cycles, retries,
-                             options_.max_retry_backoff_cycles);
-      fault::FaultRecord record;
-      record.kind = fault::FaultKind::kTransient;
-      record.recovery = true;  // a failed attempt + its backoff
-      record.worker = index;
-      record.invocation = rep.invocations - 1;
-      record.request_id = request.id;
-      record.start_cycle = cycle;
-      record.end_cycle = cycle + charged + backoff;
-      record.detail = backoff;
-      rep.fault_records.push_back(record);
-      rep.busy_intervals.emplace_back(cycle, cycle + charged + backoff);
-      cycle += charged + backoff;
-      recovery += charged + backoff;
-      --failures;
-      ++retries;
-    }
-    if (failures > 0) {
-      // Retries exhausted: fail the request, never the server.
-      std::lock_guard<std::mutex> lock(results_mu_);
-      ServedRequest& record =
-          results_[static_cast<std::size_t>(request.id)];
-      record.batch_id = scheduled.batch.id;
-      record.worker = index;
-      record.status = StatusCode::kFaulted;
-      record.finish_cycle = cycle;
-      record.retries = retries;
-      record.recovery_cycles = recovery;
-      ++completed_;
-      continue;
-    }
-
-    const SystemRunResult run =
-        rep.context->Run(rep.image, request.input, perf);
-    rep.warm = true;
-    DB_CHECK_MSG(run.perf.total_cycles == charged,
-                 "scheduler and execution disagree on invocation cost");
-    const std::int64_t finish = cycle + run.perf.total_cycles + penalty;
-    const double joules =
-        EstimateEnergy(design_.resources.total, run.perf, device_)
-            .total_joules;
-    {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      ServedRequest& record =
-          results_[static_cast<std::size_t>(request.id)];
-      record.batch_id = scheduled.batch.id;
-      record.worker = index;
-      record.start_cycle = batch_start;
-      record.finish_cycle = finish;
-      record.service_cycles = run.perf.total_cycles + penalty;
-      record.dram_bytes = run.perf.total_dram_bytes;
-      record.joules = joules;
-      record.status = run.status;
-      record.retries = retries;
-      record.recovery_cycles = recovery;
-      record.output = run.output;
-      ++completed_;
-    }
-    rep.busy_cycles += run.perf.total_cycles + penalty;
-    rep.busy_intervals.emplace_back(cycle, finish);
-    ++rep.requests;
-    cycle = finish;
-  }
-  rep.local_cycle = cycle;
+  arrivals_.push_back({arrival_cycle, deadline_cycle});
+  inputs_.push_back(std::move(input));
+  return static_cast<std::int64_t>(arrivals_.size()) - 1;
 }
 
 const std::vector<ServedRequest>& InferenceServer::Drain() {
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    ServerState expected = ServerState::kServing;
-    state_.compare_exchange_strong(expected, ServerState::kDraining);
-  }
-  queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.Close();  // idempotent; DispatcherLoop already closed the lanes
-  pool_.Join();
-  // Apply any health transitions still pending past the last dispatch so
-  // the published transition log covers every scheduled recovery.
-  monitor_.Flush();
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    DB_CHECK_MSG(completed_ ==
-                     static_cast<std::int64_t>(results_.size()),
-                 "drained server left requests incomplete");
-    if (!drained_) {
-      PublishObservability();
-      if (options_.timeseries != nullptr) PublishTimeSeries();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!plan_) {
+    state_.store(ServerState::kDraining);
+    ServePlan plan = PlanServe(arrivals_, options_, costs_);
+    ExecutePlan(plan, replicas_, inputs_, provisioned_, design_.memory_map);
+    std::vector<Tensor>().swap(inputs_);  // every input has been served
+    plan_.emplace(std::move(plan));
+    if (options_.sim_metrics != nullptr) {
+      const SystemContext& context = *replicas_.front().context;
+      for (const ReplicaPlan& replica : plan_->replicas)
+        for (const ReplicaOp& op : replica.ops)
+          if (op.kind == ReplicaOp::Kind::kRun)
+            PublishPerfMetrics(context.perf(op.warm), *options_.sim_metrics);
     }
-    drained_ = true;
+    PublishObservability();
+    if (options_.timeseries != nullptr) PublishTimeSeries();
+    state_.store(ServerState::kStopped);
   }
-  state_.store(ServerState::kStopped);
-  return results_;
+  return plan_->requests;
 }
 
-void InferenceServer::PublishObservability() {
-  // Called once, after every worker joined: the records are final and
-  // this thread is the only publisher, so span emission order — and the
-  // exported trace bytes — are a pure function of the schedule.
+void InferenceServer::PublishObservability() const {
+  // Span emission order — and so the exported trace bytes — is a pure
+  // function of the plan.
+  const ServePlan& plan = *plan_;
+  const int replicas = options_.replicas;
   if (options_.tracer != nullptr) {
     obs::Tracer& tracer = *options_.tracer;
     std::map<std::int64_t, std::vector<const ServedRequest*>> batches;
-    for (const ServedRequest& r : results_) {
+    for (const ServedRequest& r : plan.requests) {
       if (r.status != StatusCode::kOk) {
         // Shed / rejected / expired / faulted: one async queue span
         // covering arrival to disposition, tagged with the status.
@@ -833,10 +243,10 @@ void InferenceServer::PublishObservability() {
     }
 
     // Fault injections and recovery windows, per replica in index order
-    // (each replica's log is in its own deterministic service order).
-    for (int w = 0; w < pool_.size(); ++w) {
+    // (each replica's log is in its own timeline order).
+    for (int w = 0; w < replicas; ++w) {
       for (const fault::FaultRecord& record :
-           pool_.replica(w).fault_records) {
+           plan.replicas[static_cast<std::size_t>(w)].fault_records) {
         obs::Span span;
         span.track = StrFormat("serve/worker %d", w);
         span.category = "fault";
@@ -860,11 +270,10 @@ void InferenceServer::PublishObservability() {
       }
     }
 
-    // The cluster track: dispatcher-side resilience episodes (crashes,
-    // hangs, slow windows, route failures, hedges) in dispatch order,
-    // then the health monitor's transition log.  Both are deterministic
-    // dispatcher state, so the emitted bytes are stable run to run.
-    for (const ClusterEpisode& episode : cluster_log_) {
+    // The cluster track: resilience episodes (crashes, hangs, slow
+    // windows, route failures, hedges) in dispatch order, then the health
+    // monitor's transition log.
+    for (const ClusterEpisode& episode : plan.cluster_log) {
       obs::Span span;
       span.track = "cluster";
       span.category = "cluster";
@@ -876,7 +285,8 @@ void InferenceServer::PublishObservability() {
       for (const auto& arg : episode.args) span.args.push_back(arg);
       tracer.Record(std::move(span));
     }
-    for (const cluster::HealthTransition& t : monitor_.transitions()) {
+    for (const cluster::HealthTransition& t :
+         plan.monitor.transitions()) {
       obs::Span span;
       span.track = "cluster";
       span.category = "health";
@@ -904,7 +314,7 @@ void InferenceServer::PublishObservability() {
     std::vector<std::pair<std::int64_t, int>> depth_events;
     std::int64_t shed = 0, rejected = 0, expired = 0, faulted = 0;
     std::int64_t completed = 0, retries = 0, recovery_cycles = 0;
-    for (const ServedRequest& r : results_) {
+    for (const ServedRequest& r : plan.requests) {
       m.AddCounter("serve.requests");
       retries += r.retries;
       recovery_cycles += r.recovery_cycles;
@@ -963,11 +373,11 @@ void InferenceServer::PublishObservability() {
       peak = std::max(peak, depth += delta);
     m.SetGauge("serve.queue_depth_peak", static_cast<double>(peak));
     m.SetGauge("serve.makespan_cycles", static_cast<double>(makespan));
-    m.SetGauge("serve.replicas", static_cast<double>(pool_.size()));
+    m.SetGauge("serve.replicas", static_cast<double>(replicas));
     m.SetGauge("serve.router",
                static_cast<double>(static_cast<int>(options_.router)));
-    for (int w = 0; w < pool_.size(); ++w) {
-      const cluster::Replica& rep = pool_.replica(w);
+    for (int w = 0; w < replicas; ++w) {
+      const ReplicaPlan& rep = plan.replicas[static_cast<std::size_t>(w)];
       const std::int64_t busy = rep.busy_cycles;
       // Metric names keep the historical "worker" spelling so dashboards
       // survive the replica refactor.
@@ -985,8 +395,7 @@ void InferenceServer::PublishObservability() {
 
     // fault.*: injections by kind, recovery actions and their cost.
     std::int64_t flips = 0, transients = 0, stalls = 0, scrubs = 0;
-    for (int w = 0; w < pool_.size(); ++w) {
-      const cluster::Replica& rep = pool_.replica(w);
+    for (const ReplicaPlan& rep : plan.replicas) {
       scrubs += rep.scrubs;
       for (const fault::FaultRecord& record : rep.fault_records) {
         if (record.recovery) continue;
@@ -995,9 +404,9 @@ void InferenceServer::PublishObservability() {
           case fault::FaultKind::kTransient: ++transients; break;
           case fault::FaultKind::kStall: ++stalls; break;
           default:
-            // Cluster faults fire on the dispatcher; a lane only ever
-            // records them as recovery windows (skipped above).
-            DB_CHECK_MSG(false, "cluster fault in a lane fault record");
+            // Cluster faults fire at dispatch; a replica's record only
+            // holds them as recovery windows (skipped above).
+            DB_CHECK_MSG(false, "cluster fault in a replica fault record");
         }
       }
     }
@@ -1010,27 +419,30 @@ void InferenceServer::PublishObservability() {
     // cluster.health.*: fleet-resilience accounting — always published
     // (zeros under a fault-free run) so dashboards and the determinism
     // tests see a stable metric set.
-    m.AddCounter("cluster.health.crashes", crashes_);
-    m.AddCounter("cluster.health.hangs", hangs_);
-    m.AddCounter("cluster.health.slow_replicas", slow_faults_);
-    m.AddCounter("cluster.health.route_failures", route_failures_);
-    m.AddCounter("cluster.health.redispatched_requests", redispatched_);
-    m.AddCounter("cluster.health.readmissions", readmissions_);
+    m.AddCounter("cluster.health.crashes", plan.crashes);
+    m.AddCounter("cluster.health.hangs", plan.hangs);
+    m.AddCounter("cluster.health.slow_replicas", plan.slow_faults);
+    m.AddCounter("cluster.health.route_failures", plan.route_failures);
+    m.AddCounter("cluster.health.redispatched_requests",
+                 plan.redispatched);
+    m.AddCounter("cluster.health.readmissions", plan.readmissions);
     m.AddCounter("cluster.health.transitions",
-                 static_cast<std::int64_t>(monitor_.transitions().size()));
-    m.AddCounter("cluster.health.breaker_opens", breaker_.opens());
-    m.AddCounter("cluster.health.hedges", hedge_count_);
-    m.AddCounter("cluster.health.hedge_wins", hedge_wins_);
+                 static_cast<std::int64_t>(
+                     plan.monitor.transitions().size()));
+    m.AddCounter("cluster.health.breaker_opens", plan.breaker.opens());
+    m.AddCounter("cluster.health.hedges", plan.hedges);
+    m.AddCounter("cluster.health.hedge_wins", plan.hedge_wins);
   }
 }
 
-void InferenceServer::PublishTimeSeries() {
-  // Sampled purely from the final records and the replicas' busy
-  // intervals — simulated-cycle state, never thread timing — so two
+void InferenceServer::PublishTimeSeries() const {
+  // Sampled purely from the plan's records and busy intervals, so two
   // runs of the same workload export byte-identical series.
+  const ServePlan& plan = *plan_;
+  const int replicas = options_.replicas;
   obs::TimeSeriesRecorder& ts = *options_.timeseries;
   std::int64_t makespan = 0;
-  for (const ServedRequest& r : results_)
+  for (const ServedRequest& r : plan.requests)
     makespan =
         std::max(makespan, std::max(r.finish_cycle, r.arrival_cycle));
   std::int64_t interval = options_.timeseries_interval_cycles;
@@ -1046,7 +458,7 @@ void InferenceServer::PublishTimeSeries() {
   std::vector<std::pair<std::int64_t, int>> depth_events;
   std::vector<std::pair<std::int64_t, int>> inflight_events;
   std::vector<std::int64_t> shed_cycles;  // disposition cycles, non-kOk
-  for (const ServedRequest& r : results_) {
+  for (const ServedRequest& r : plan.requests) {
     switch (r.status) {
       case StatusCode::kRejected:
         shed_cycles.push_back(r.finish_cycle);  // never entered the queue
@@ -1082,50 +494,51 @@ void InferenceServer::PublishTimeSeries() {
     ts.Append("load.queue_depth", t, static_cast<double>(depth));
     ts.Append("load.in_flight", t, static_cast<double>(in_flight));
     ts.Append("load.sheds", t, static_cast<double>(si));
-    for (int w = 0; w < pool_.size(); ++w)
+    for (int w = 0; w < replicas; ++w)
       ts.Append(StrFormat("load.replica%d.busy", w), t,
                 t == 0 ? 0.0
-                       : static_cast<double>(cluster::BusyInWindow(
-                             pool_.replica(w).busy_intervals,
+                       : static_cast<double>(BusyInWindow(
+                             plan.replicas[static_cast<std::size_t>(w)]
+                                 .busy_intervals,
                              t - interval, t)) /
                              static_cast<double>(interval));
     // Health column per replica: the monitor's replayed state at the
     // sample boundary (healthy=0, suspect=1, down=2, recovering=3).
-    for (int w = 0; w < pool_.size(); ++w)
+    for (int w = 0; w < replicas; ++w)
       ts.Append(StrFormat("load.replica%d.health", w), t,
                 static_cast<double>(cluster::ReplicaHealthCode(
-                    monitor_.StateAt(w, t))));
+                    plan.monitor.StateAt(w, t))));
     if (t >= last) break;
   }
 }
 
 ServerStats InferenceServer::Stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  DB_CHECK_MSG(plan_.has_value(), "Stats() requires a drained server");
+  const ServePlan& plan = *plan_;
   std::vector<std::int64_t> busy;
-  busy.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int w = 0; w < pool_.size(); ++w)
-    busy.push_back(pool_.replica(w).busy_cycles);
-  std::lock_guard<std::mutex> lock(results_mu_);
-  DB_CHECK_MSG(drained_, "Stats() requires a drained server");
+  for (const ReplicaPlan& replica : plan.replicas)
+    busy.push_back(replica.busy_cycles);
   ServerStats stats =
-      ComputeServerStats(results_, batches_dispatched_,
+      ComputeServerStats(plan.requests, plan.batches,
                          design_.config.frequency_mhz, std::move(busy));
-  for (int w = 0; w < pool_.size(); ++w)
-    for (const fault::FaultRecord& record : pool_.replica(w).fault_records)
+  for (const ReplicaPlan& replica : plan.replicas)
+    for (const fault::FaultRecord& record : replica.fault_records)
       if (!record.recovery) ++stats.faults_injected;
-  // Cluster events fire on the dispatcher, not in lane records.
-  stats.faults_injected += crashes_ + hangs_ + slow_faults_ +
-                           route_failures_;
-  stats.crashes = crashes_;
-  stats.hangs = hangs_;
-  stats.slow_faults = slow_faults_;
-  stats.route_failures = route_failures_;
-  stats.redispatched = redispatched_;
-  stats.readmissions = readmissions_;
-  stats.breaker_opens = breaker_.opens();
-  stats.hedges = hedge_count_;
-  stats.hedge_wins = hedge_wins_;
+  // Cluster events fire at dispatch, not in the replicas' records.
+  stats.faults_injected += plan.crashes + plan.hangs + plan.slow_faults +
+                           plan.route_failures;
+  stats.crashes = plan.crashes;
+  stats.hangs = plan.hangs;
+  stats.slow_faults = plan.slow_faults;
+  stats.route_failures = plan.route_failures;
+  stats.redispatched = plan.redispatched;
+  stats.readmissions = plan.readmissions;
+  stats.breaker_opens = plan.breaker.opens();
+  stats.hedges = plan.hedges;
+  stats.hedge_wins = plan.hedge_wins;
   stats.health_transitions =
-      static_cast<std::int64_t>(monitor_.transitions().size());
+      static_cast<std::int64_t>(plan.monitor.transitions().size());
   return stats;
 }
 

@@ -71,8 +71,8 @@ struct ServerStats {
   std::int64_t recovery_cycles = 0;     // stall + scrub + backoff cycles
 
   /// Cluster-resilience accounting, filled by InferenceServer::Stats()
-  /// from dispatcher-side state (ComputeServerStats leaves them zero —
-  /// the records alone cannot see cluster events).
+  /// from the plan (ComputeServerStats leaves them zero — the records
+  /// alone cannot see cluster events).
   std::int64_t crashes = 0;             // replica crash events fired
   std::int64_t hangs = 0;               // replica hang windows fired
   std::int64_t slow_faults = 0;         // slow-replica windows fired

@@ -26,7 +26,7 @@
 // Threading contract: a FunctionalSimulator owns one scratch arena, so
 // concurrent Run() calls on the SAME instance are not supported.  Every
 // serving replica owns a private SystemContext (and therefore a private
-// simulator) driven by one lane thread, which satisfies this by
+// simulator) driven by one executor thread, which satisfies this by
 // construction.
 #pragma once
 

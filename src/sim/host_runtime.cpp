@@ -53,11 +53,9 @@ std::vector<HostInvocation> HostRuntime::InferBatch(
   results.push_back(Infer(inputs.front()));
 
   // Remaining images reuse buffered weights where they fit.
-  PerfOptions steady;
-  steady.weights_resident = true;
   for (std::size_t i = 1; i < inputs.size(); ++i)
-    results.push_back(
-        MakeInvocation(context_.Run(image_, inputs[i], steady)));
+    results.push_back(MakeInvocation(
+        context_.Run(image_, inputs[i], /*warm=*/true)));
   return results;
 }
 

@@ -148,7 +148,7 @@ const KernelOps& Avx2Kernels();
 /// stable footprint run after run; growth coalesces into a single block
 /// on the next Reset().  Allocations are 64-byte aligned (cache line /
 /// full YMM beat).  Not thread-safe: an arena belongs to exactly one
-/// simulator, which belongs to exactly one replica lane.
+/// simulator, which one thread at a time drives.
 class SimArena {
  public:
   SimArena() = default;

@@ -103,6 +103,28 @@ std::string PerfResult::ToString() const {
   return os.str();
 }
 
+void PublishPerfMetrics(const PerfResult& result,
+                        obs::MetricsRegistry& metrics) {
+  // Commutative kinds only (counters + histograms), so the totals do not
+  // depend on the order invocations are published in.
+  metrics.AddCounter("sim.invocations");
+  metrics.AddCounter("sim.total_cycles", result.total_cycles);
+  metrics.AddCounter("sim.dram_bytes", result.total_dram_bytes);
+  for (const LayerTiming& lt : result.layers) {
+    metrics.AddCounter("sim.datapath_cycles", lt.compute_cycles);
+    metrics.AddCounter("sim.memory_cycles", lt.memory_cycles);
+    metrics.AddCounter("sim.fold_segments", lt.segments);
+    metrics.AddCounter("sim.refetch_passes", lt.refetch_passes);
+    metrics.AddCounter("sim.dram_transfer_cycles",
+                       lt.dram_transfer_cycles);
+    metrics.AddCounter("sim.datapath_mac_cycles", lt.datapath_mac_cycles);
+    metrics.AddCounter("sim.control_stall_cycles",
+                       lt.control_stall_cycles);
+    metrics.Observe("sim.layer_cycles",
+                    static_cast<double>(lt.total_cycles));
+  }
+}
+
 PerfResult SimulatePerformance(const Network& net,
                                const AcceleratorDesign& design,
                                const PerfOptions& options) {
@@ -233,25 +255,7 @@ PerfResult SimulatePerformance(const Network& net,
   }
   result.total_cycles = now;
   if (options.trace != nullptr) options.trace->total_cycles = now;
-  if (options.metrics != nullptr) {
-    // Commutative kinds only (counters + histograms): concurrent server
-    // workers publishing into one registry must stay deterministic.
-    obs::MetricsRegistry& m = *options.metrics;
-    m.AddCounter("sim.invocations");
-    m.AddCounter("sim.total_cycles", result.total_cycles);
-    m.AddCounter("sim.dram_bytes", result.total_dram_bytes);
-    for (const LayerTiming& lt : result.layers) {
-      m.AddCounter("sim.datapath_cycles", lt.compute_cycles);
-      m.AddCounter("sim.memory_cycles", lt.memory_cycles);
-      m.AddCounter("sim.fold_segments", lt.segments);
-      m.AddCounter("sim.refetch_passes", lt.refetch_passes);
-      m.AddCounter("sim.dram_transfer_cycles", lt.dram_transfer_cycles);
-      m.AddCounter("sim.datapath_mac_cycles", lt.datapath_mac_cycles);
-      m.AddCounter("sim.control_stall_cycles", lt.control_stall_cycles);
-      m.Observe("sim.layer_cycles",
-                static_cast<double>(lt.total_cycles));
-    }
-  }
+  if (options.metrics != nullptr) PublishPerfMetrics(result, *options.metrics);
   return result;
 }
 

@@ -40,11 +40,8 @@ struct PerfOptions {
   /// When set, the simulator records every DRAM / datapath busy interval
   /// here (see sim/trace.h for VCD export).
   PerfTrace* trace = nullptr;
-  /// When set, the simulator publishes per-invocation counters and
-  /// histograms here ("sim.*": DRAM bytes, busy cycles, refetch passes,
-  /// fold segments, per-layer cycles).  Only commutative metric kinds
-  /// are published, so concurrent server workers sharing one registry
-  /// still produce run-to-run identical totals.
+  /// When set, the simulator publishes this invocation's "sim.*"
+  /// metrics here (see PublishPerfMetrics).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -87,6 +84,13 @@ struct PerfResult {
   double TotalMs() const { return TotalSeconds() * 1e3; }
   std::string ToString() const;
 };
+
+/// Publish one invocation's "sim.*" counters and histograms (DRAM
+/// bytes, busy cycles, refetch passes, fold segments, per-layer cycles)
+/// into `metrics`.  SimulatePerformance calls it when options.metrics is
+/// set; the inference server calls it once per served invocation.
+void PublishPerfMetrics(const PerfResult& result,
+                        obs::MetricsRegistry& metrics);
 
 /// Simulate one forward propagation of `net` on `design`.
 PerfResult SimulatePerformance(const Network& net,

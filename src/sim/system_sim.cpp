@@ -29,7 +29,10 @@ SystemContext::SystemContext(const Network& net,
                              const AcceleratorDesign& design,
                              const MemoryImage& image)
     : net_(net), design_(design), image_bytes_(image.data()),
-      sim_(net, design, image) {
+      sim_(net, design, image),
+      cold_perf_(SimulatePerformance(net, design)),
+      warm_perf_(SimulatePerformance(
+          net, design, PerfOptions{.weights_resident = true})) {
   // Precompute the input/output blob regions and tile permutations:
   // they depend only on (net, design), and rebuilding them per request
   // dominated the serve hot path for small models.
@@ -42,7 +45,7 @@ SystemContext::SystemContext(const Network& net,
 }
 
 SystemRunResult SystemContext::Run(MemoryImage& image, const Tensor& input,
-                                   const PerfOptions& perf_options) const {
+                                   bool warm) const {
   DB_CHECK_MSG(image.data() == image_bytes_,
                "SystemContext::Run was handed an image other than the "
                "one whose weights it reads");
@@ -56,7 +59,7 @@ SystemRunResult SystemContext::Run(MemoryImage& image, const Tensor& input,
   StoreBlob(image, design_, *out_region_, out_order_, raw_out);
   result.output = ExtractBlob(image, design_, *out_region_, out_order_,
                               net_.OutputLayer().output_shape);
-  result.perf = SimulatePerformance(net_, design_, perf_options);
+  result.perf = perf(warm);
   result.status = StatusCode::kOk;
   return result;
 }
@@ -71,9 +74,8 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
   for (int i = 0; i < count; ++i) {
     SystemReplica replica{provisioned, nullptr};
     // Each context reads its replica's own bytes, never a sibling's.
-    // Moving the replica below (and later into cluster::Replica) moves
-    // the image's byte buffer with it, so the context's views stay
-    // valid.
+    // Moving the replica moves the image's byte buffer with it, so the
+    // context's views stay valid.
     replica.context =
         std::make_unique<SystemContext>(net, design, replica.image);
     replicas.push_back(std::move(replica));
@@ -83,10 +85,9 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
 
 SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,
-                          MemoryImage& image, const Tensor& input,
-                          const PerfOptions& perf_options) {
+                          MemoryImage& image, const Tensor& input) {
   const SystemContext context(net, design, image);
-  return context.Run(image, input, perf_options);
+  return context.Run(image, input);
 }
 
 }  // namespace db

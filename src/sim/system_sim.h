@@ -38,12 +38,17 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 /// the I/O blob tile orders are set up once at construction, so each
 /// Run() is just the simulation plus two cached-order blob copies.
 ///
+/// Cycle costs depend only on (net, design) and on whether the weights
+/// are already resident, never on input values, so the context simulates
+/// the cold and the warm invocation timing once, at construction, and
+/// every Run() returns one of the two cached results.
+///
 /// Threading: Run() is marked const but is NOT safe to call concurrently
 /// on the same instance — the wrapped FunctionalSimulator owns a mutable
 /// scratch arena (see functional_sim.h).  The serving stack honours this
-/// by giving every replica its own SystemContext driven by a single lane
-/// thread; anything that wants parallel invocations holds one context
-/// per thread (ReplicateSystem stamps these out).
+/// by giving every replica its own SystemContext driven by a single
+/// executor thread; anything that wants parallel invocations holds one
+/// context per thread (ReplicateSystem stamps these out).
 ///
 /// The context views the weight regions of `image` in place: it must be
 /// handed that same image (same byte buffer) on every Run(), and a
@@ -58,15 +63,23 @@ class SystemContext {
   /// One invocation: write the input blob into `image`, run the
   /// bit-accurate functional simulation on the image's weights, store
   /// the output blob back, and read it out as the host would.  `image`
-  /// must be the image this context was built on.
+  /// must be the image this context was built on.  `warm` selects the
+  /// steady-state timing (weights resident from an earlier image).
   SystemRunResult Run(MemoryImage& image, const Tensor& input,
-                      const PerfOptions& perf_options = {}) const;
+                      bool warm = false) const;
+
+  /// The cached timing of a cold or a warm invocation.
+  const PerfResult& perf(bool warm) const {
+    return warm ? warm_perf_ : cold_perf_;
+  }
 
  private:
   const Network& net_;
   const AcceleratorDesign& design_;
   const std::uint8_t* image_bytes_;  // the buffer sim_ reads weights from
   FunctionalSimulator sim_;
+  PerfResult cold_perf_;
+  PerfResult warm_perf_;
   // Cached per-invocation hot path: the input/output blob regions and
   // their tile permutations never change for a given (net, design).
   const MemoryRegion* in_region_ = nullptr;
@@ -77,10 +90,10 @@ class SystemContext {
 
 /// One replicated accelerator instance: a private copy of the
 /// provisioned DRAM image plus the SystemContext that reads it.  The
-/// cluster's AcceleratorPool owns one of these per replica, so one
-/// replica's image corruption (fault injection) can never perturb a
-/// sibling — each context reads only its own bytes.  The context's
-/// views follow the image's buffer, which moves with the struct.
+/// inference server holds one of these per replica, so one replica's
+/// image corruption (fault injection) can never perturb a sibling —
+/// each context reads only its own bytes.  The context's views follow
+/// the image's buffer, which moves with the struct.
 struct SystemReplica {
   MemoryImage image;
   std::unique_ptr<SystemContext> context;
@@ -100,7 +113,6 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
 /// server) hold a SystemContext instead.
 SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,
-                          MemoryImage& image, const Tensor& input,
-                          const PerfOptions& perf_options = {});
+                          MemoryImage& image, const Tensor& input);
 
 }  // namespace db

@@ -1,16 +1,15 @@
-// Tests for src/cluster: the ShardRouter policies, the replicated
-// AcceleratorPool, the content-addressed DesignCache and the binary
-// design codec it persists through (core/design_serde).
+// Tests for src/cluster and replication: the ShardRouter policies,
+// ReplicateSystem's private replica images, the content-addressed
+// DesignCache and the binary design codec it persists through
+// (core/design_serde).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "cluster/accelerator_pool.h"
 #include "cluster/design_cache.h"
 #include "cluster/shard_router.h"
 #include "common/error.h"
@@ -73,7 +72,7 @@ TEST(ShardRouter, RejectsMismatchedFreeCycleVector) {
                std::logic_error);
 }
 
-// ------------------------------------------------------- pool + replicas
+// ------------------------------------------------------------ replicas
 
 struct GeneratedFixture {
   GeneratedFixture()
@@ -101,71 +100,42 @@ Tensor FixtureInput(const Network& net, std::uint64_t seed) {
   return t;
 }
 
-TEST(AcceleratorPool, ReplicasProduceBitIdenticalOutputs) {
+TEST(ReplicateSystem, ReplicasProduceBitIdenticalOutputs) {
   GeneratedFixture& fx = Fixture();
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
   const MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, weights);
-  cluster::AcceleratorPool pool(fx.net, fx.design, provisioned, 3);
-  ASSERT_EQ(pool.size(), 3);
+  std::vector<SystemReplica> replicas =
+      ReplicateSystem(fx.net, fx.design, provisioned, 3);
+  ASSERT_EQ(replicas.size(), 3u);
 
   const Tensor input = FixtureInput(fx.net, 42);
-  std::vector<Tensor> outputs(3);
-  for (int r = 0; r < 3; ++r)
-    pool.Post(r, [&pool, &outputs, &input, r] {
-      cluster::Replica& rep = pool.replica(r);
-      outputs[static_cast<std::size_t>(r)] =
-          rep.context->Run(rep.image, input).output;
-    });
-  pool.Close();
-  pool.Join();
+  std::vector<Tensor> outputs;
+  for (SystemReplica& replica : replicas)
+    outputs.push_back(replica.context->Run(replica.image, input).output);
   ASSERT_GT(outputs[0].size(), 0);
   EXPECT_EQ(outputs[0].storage(), outputs[1].storage());
   EXPECT_EQ(outputs[0].storage(), outputs[2].storage());
 }
 
-TEST(AcceleratorPool, LanesPreserveFifoOrderPerReplica) {
+TEST(ReplicateSystem, FaultOnOneReplicaDoesNotPerturbSiblings) {
   GeneratedFixture& fx = Fixture();
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
   const MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, weights);
-  cluster::AcceleratorPool pool(fx.net, fx.design, provisioned, 2);
-
-  std::vector<int> lane0, lane1;
-  for (int i = 0; i < 16; ++i) {
-    pool.Post(0, [&lane0, i] { lane0.push_back(i); });
-    pool.Post(1, [&lane1, i] { lane1.push_back(i); });
-  }
-  pool.Close();
-  pool.Join();
-  ASSERT_EQ(lane0.size(), 16u);
-  ASSERT_EQ(lane1.size(), 16u);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(lane0[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(lane1[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(AcceleratorPool, FaultOnOneReplicaDoesNotPerturbSiblings) {
-  GeneratedFixture& fx = Fixture();
-  Rng rng(2016);
-  const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
-  const MemoryImage provisioned =
-      BuildHostImage(fx.net, fx.design, weights);
-  cluster::AcceleratorPool pool(fx.net, fx.design, provisioned, 2);
-  pool.Close();
-  pool.Join();
+  std::vector<SystemReplica> replicas =
+      ReplicateSystem(fx.net, fx.design, provisioned, 2);
   // Corrupt replica 0's private image; replica 1's bytes must be
   // untouched (private copies, never shared).
-  pool.replica(0).image.FlipBit(0, 3);
+  replicas[0].image.FlipBit(0, 3);
   const auto same_bytes = [](const MemoryImage& a, const MemoryImage& b) {
     return a.size() == b.size() &&
            std::equal(a.data(), a.data() + a.size(), b.data());
   };
-  EXPECT_FALSE(same_bytes(pool.replica(0).image, pool.replica(1).image));
-  EXPECT_TRUE(same_bytes(pool.replica(1).image, provisioned));
+  EXPECT_FALSE(same_bytes(replicas[0].image, replicas[1].image));
+  EXPECT_TRUE(same_bytes(replicas[1].image, provisioned));
 }
 
 // ----------------------------------------------------------- design key

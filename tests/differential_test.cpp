@@ -336,7 +336,7 @@ TEST(Differential, SimdAndScalarAgreeUnderFaultCampaign) {
 
   auto serve = [&]() {
     serve::ServeOptions options;
-    options.workers = 2;
+    options.replicas = 2;
     options.max_batch_size = 4;
     options.faults = plan;
     serve::InferenceServer server(net, design, weights, options);

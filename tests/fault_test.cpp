@@ -172,6 +172,94 @@ TEST(FaultInjector, BlobFlipsDoNotAffectWeightChecksum) {
   EXPECT_EQ(fault::WeightChecksum(image, fx.design.memory_map), reference);
 }
 
+// The planner predicts each integrity check from the weight bits it has
+// toggled; the executor computes the real checksum at the same point
+// and must agree.  A bit flipped twice is restored, and a flip in a
+// blob region never reaches the weights, so neither plans a scrub; a
+// single weight flip does.
+TEST(ScrubPlan, DoubleFlipAndBlobFlipPlanNoScrub) {
+  const Fixture fx(ZooModel::kMnist);
+  const MemoryImage provisioned =
+      BuildHostImage(fx.net, fx.design, fx.weights);
+  std::int64_t weight_addr = -1, blob_addr = -1;
+  for (const MemoryRegion& r : fx.design.memory_map.regions()) {
+    if (StartsWith(r.name, "weights:")) weight_addr = r.base;
+    if (StartsWith(r.name, "blob:")) blob_addr = r.base;
+  }
+  ASSERT_GE(weight_addr, 0);
+  ASSERT_GE(blob_addr, 0);
+
+  FaultPlan faults;
+  // Invocation 0: the same weight bit twice.  Invocation 1: a blob bit,
+  // marked as a weight flip so the replica keeps checking.
+  // Invocation 2: one weight bit.
+  faults.events.push_back(
+      FaultEvent{FaultKind::kBitFlip, 0, 0, weight_addr, 5, true, 0});
+  faults.events.push_back(
+      FaultEvent{FaultKind::kBitFlip, 0, 0, weight_addr, 5, true, 0});
+  faults.events.push_back(
+      FaultEvent{FaultKind::kBitFlip, 0, 1, blob_addr, 2, true, 0});
+  faults.events.push_back(
+      FaultEvent{FaultKind::kBitFlip, 0, 2, weight_addr, 1, true, 0});
+  ServeOptions options;
+  options.replicas = 1;
+  options.max_batch_size = 1;
+  options.faults = faults;
+
+  std::vector<SystemReplica> replicas =
+      ReplicateSystem(fx.net, fx.design, provisioned, 1);
+  const serve::PlanCosts costs = serve::MakePlanCosts(
+      fx.design, *replicas.front().context, options.device_name);
+  const std::vector<serve::RequestArrival> arrivals(3);
+  serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+
+  std::vector<bool> predicted;
+  for (const serve::ReplicaOp& op : plan.replicas[0].ops)
+    if (op.kind == serve::ReplicaOp::Kind::kVerify)
+      predicted.push_back(op.scrub);
+  EXPECT_EQ(predicted, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(plan.replicas[0].scrubs, 1);
+
+  // The executor's checksum agrees at every check (a disagreement
+  // throws), and every output matches the unfaulted image.
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 3; ++i)
+    inputs.push_back(fx.RandomInput(300 + static_cast<std::uint64_t>(i)));
+  serve::ExecutePlan(plan, replicas, inputs, provisioned,
+                     fx.design.memory_map);
+  MemoryImage clean = provisioned;
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(plan.requests[static_cast<std::size_t>(i)].output.storage(),
+              RunSystem(fx.net, fx.design, clean,
+                        inputs[static_cast<std::size_t>(i)])
+                  .output.storage())
+        << "request " << i;
+}
+
+TEST(ScrubPlan, ExecutorRejectsAMispredictedScrub) {
+  const Fixture fx(ZooModel::kMnist);
+  const MemoryImage provisioned =
+      BuildHostImage(fx.net, fx.design, fx.weights);
+  FaultPlan faults;
+  faults.events.push_back(
+      FaultEvent{FaultKind::kBitFlip, 0, 0, 0, 0, true, 0});
+  ServeOptions options;
+  options.replicas = 1;
+  options.faults = faults;
+  std::vector<SystemReplica> replicas =
+      ReplicateSystem(fx.net, fx.design, provisioned, 1);
+  const serve::PlanCosts costs = serve::MakePlanCosts(
+      fx.design, *replicas.front().context, options.device_name);
+  const std::vector<serve::RequestArrival> arrivals(1);
+  serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+  for (serve::ReplicaOp& op : plan.replicas[0].ops)
+    if (op.kind == serve::ReplicaOp::Kind::kVerify) op.scrub = !op.scrub;
+  const std::vector<Tensor> inputs{fx.RandomInput(1)};
+  EXPECT_THROW(serve::ExecutePlan(plan, replicas, inputs, provisioned,
+                                  fx.design.memory_map),
+               std::logic_error);
+}
+
 // ISSUE 3 acceptance: a seeded campaign of >= 100 weight-region bit
 // flips plus transient failures and stalls, against an MNIST-class
 // served workload, completes with every non-shed, non-expired request's
@@ -201,7 +289,7 @@ TEST(FaultCampaign, SurvivesBitFlipsTransientsAndStalls) {
   auto serve = [&](const FaultPlan& faults) {
     obs::MetricsRegistry metrics;
     ServeOptions options;
-    options.workers = 2;
+    options.replicas = 2;
     options.max_batch_size = 4;
     options.faults = faults;
     options.metrics = &metrics;

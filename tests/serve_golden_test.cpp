@@ -130,7 +130,7 @@ TEST_P(ServeGolden, DigestsArePinned) {
   options.tracer = &tracer;
   options.metrics = &metrics;
   options.timeseries = &timeseries;
-  if (s.sim_metrics) options.perf.metrics = &metrics;
+  if (s.sim_metrics) options.sim_metrics = &metrics;
   s.configure(options, fx.design);
 
   InferenceServer server(fx.net, fx.design, fx.weights, options);

@@ -202,8 +202,7 @@ struct ServeCliOptions {
   std::string breaker;    // circuit-breaker spec, "failures=N,cooldown=M"
   std::string design_cache;  // content-addressed generator cache dir
   int requests = 64;
-  int workers = 2;
-  int replicas = 0;  // 0 = use --workers
+  int replicas = 2;
   std::int64_t batch = 4;
   std::int64_t linger = 0;
   std::int64_t arrival_gap = 0;
@@ -243,9 +242,8 @@ void PrintServeUsage() {
       "  --model        Caffe-compatible network script instead of --zoo\n"
       "  --constraint   designer resource constraint script\n"
       "  --requests     number of requests to submit (default 64)\n"
-      "  --replicas     accelerator replicas in the pool, each with a\n"
-      "                 private DRAM image (default: --workers)\n"
-      "  --workers      legacy spelling of --replicas (default 2)\n"
+      "  --replicas     accelerator replicas, each with a private DRAM\n"
+      "                 image (default 2)\n"
       "  --router       batch routing policy: least-loaded (default),\n"
       "                 round-robin, hash-affinity\n"
       "  --design-cache content-addressed cache directory for generator\n"
@@ -254,9 +252,10 @@ void PrintServeUsage() {
       "  --linger       cycles a partial batch waits to fill (default 0)\n"
       "  --arrival-gap  cycles between request arrivals (default 0: all "
       "at once)\n"
-      "  --queue-capacity  bounded request-queue depth (default 64)\n"
+      "  --queue-capacity  waiting requests at which --admission acts\n"
+      "                 (default 64; no effect under block)\n"
       "  --admission    full-queue policy, evaluated in simulated time:\n"
-      "                 block (back-pressure, default), reject "
+      "                 block (admit everything, default), reject "
       "(kRejected),\n"
       "                 shed-oldest (evict the oldest queued request)\n"
       "  --deadline-cycles  relative deadline: service must start within\n"
@@ -419,8 +418,6 @@ int RunServe(int argc, char** argv) {
       opts.constraint_path = next();
     } else if (arg == "--requests") {
       opts.requests = std::stoi(next());
-    } else if (arg == "--workers") {
-      opts.workers = std::stoi(next());
     } else if (arg == "--replicas") {
       opts.replicas = std::stoi(next());
       if (opts.replicas < 1)
@@ -460,7 +457,6 @@ int RunServe(int argc, char** argv) {
     return opts.help ? 0 : 2;
   }
   if (opts.requests < 1) throw Error("--requests must be at least 1");
-  if (opts.workers < 1) throw Error("--workers must be at least 1");
   if (opts.batch < 1) throw Error("--batch must be at least 1");
   if (opts.linger < 0) throw Error("--linger must be non-negative");
   if (opts.arrival_gap < 0)
@@ -485,7 +481,6 @@ int RunServe(int argc, char** argv) {
   fault::FaultCampaignSpec campaign;
   if (!opts.faults.empty())
     campaign = fault::ParseFaultCampaign(opts.faults);
-  const int replicas = opts.replicas > 0 ? opts.replicas : opts.workers;
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
@@ -519,7 +514,6 @@ int RunServe(int argc, char** argv) {
   obs::TimeSeriesRecorder timeseries;
   serve::ServeOptions server_opts;
   if (!opts.timeseries_out.empty()) server_opts.timeseries = &timeseries;
-  server_opts.workers = opts.workers;
   server_opts.replicas = opts.replicas;
   server_opts.router = router;
   server_opts.affinity_hash = key.hash;
@@ -532,11 +526,11 @@ int RunServe(int argc, char** argv) {
   server_opts.device_name = constraint.device;
   server_opts.tracer = &tracer;
   server_opts.metrics = &metrics;
-  server_opts.perf.metrics = &metrics;
+  server_opts.sim_metrics = &metrics;
   server_opts.admission = admission;
   if (!opts.faults.empty()) {
     fault::FaultCampaignSpec sized = campaign;
-    sized.workers = replicas;
+    sized.workers = opts.replicas;
     server_opts.faults =
         fault::FaultPlan::Generate(sized, design.memory_map);
   }
@@ -545,7 +539,7 @@ int RunServe(int argc, char** argv) {
   std::printf(
       "serving '%s': %d requests, %d replicas (%s router), batch <= %lld, "
       "linger %lld cycles, arrivals every %lld cycles\n",
-      net.name().c_str(), opts.requests, replicas,
+      net.name().c_str(), opts.requests, opts.replicas,
       cluster::RouterPolicyName(router).c_str(),
       static_cast<long long>(opts.batch),
       static_cast<long long>(opts.linger),
@@ -577,9 +571,7 @@ int RunServe(int argc, char** argv) {
   if (!opts.profile_out.empty()) {
     // The steady-state invocation is what every warm request pays, so
     // its attribution is the serving-relevant bottleneck picture.
-    PerfOptions steady = server_opts.perf;
-    steady.trace = nullptr;
-    steady.metrics = nullptr;
+    PerfOptions steady;
     steady.weights_resident = true;
     const PerfResult perf = SimulatePerformance(net, design, steady);
     WriteFile(opts.profile_out,
