@@ -10,8 +10,10 @@
 #include <iostream>
 
 #include "core/generator.h"
+#include "hwlib/device.h"
 #include "nn/executor.h"
 #include "sim/host_runtime.h"
+#include "sim/power_model.h"
 
 int main() {
   using namespace db;
@@ -72,10 +74,14 @@ frequency_mhz: 100
       Network::Build(ParseNetworkDef(model_script));
   Rng rng(1);
   const WeightStore weights = WeightStore::CreateRandom(net, rng);
-  HostRuntime host(net, design, weights, "zynq-7020");
+  MemoryImage image = BuildHostImage(net, design, weights);
+  const SystemContext context(net, design, image);
 
   Tensor input(Shape{4, 1, 1}, {0.25f, -0.5f, 0.75f, 0.1f});
-  const HostInvocation result = host.Infer(input);
+  const SystemRunResult result = context.Run(image, input);
+  const double joules = EstimateEnergy(design.resources.total, result.perf,
+                                       DeviceCatalog("zynq-7020"))
+                            .total_joules;
   std::printf("accelerator output : [%f, %f]\n", result.output[0],
               result.output[1]);
 
@@ -83,7 +89,7 @@ frequency_mhz: 100
   const Tensor ref = reference.ForwardOutput(input);
   std::printf("float reference    : [%f, %f]\n", ref[0], ref[1]);
   std::printf("runtime: %lld cycles = %.2f us;  energy: %.3f uJ\n",
-              static_cast<long long>(result.cycles), result.seconds * 1e6,
-              result.joules * 1e6);
+              static_cast<long long>(result.perf.total_cycles),
+              result.perf.TotalSeconds() * 1e6, joules * 1e6);
   return 0;
 }

@@ -46,19 +46,20 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
-           host_runtime_test system_sim_test obs_test
+           system_sim_test obs_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|HostRuntime|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
 
-echo "== tier-1: UBSan on the static verifier and RTL lint =="
+echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap
 # scans, fold partitions) is exactly where signed overflow and bad shifts
 # would hide; pure UBSan runs it at near-native speed, including the
-# seeded mutation sweep.
+# seeded mutation sweep and the rtl.decl / per-block RTL checker cases.
 cmake --preset ubsan
-cmake --build --preset ubsan -j "${JOBS}" --target analysis_test rtl_test
+cmake --build --preset ubsan -j "${JOBS}" \
+  --target analysis_test rtl_test rtl_analysis_test
 ctest --preset ubsan -j "${JOBS}" \
-  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint'
+  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|RtlDecl|EmitsLintCleanModule'
 
 echo "== tier-1: UBSan on the RTL analysis suite (ctest -L rtl) =="
 # The elaborator's bit-range bookkeeping and the width-inference

@@ -1,6 +1,7 @@
 #include "analysis/rtl_verifier.h"
 
 #include <algorithm>
+#include <cctype>
 #include <functional>
 #include <map>
 #include <set>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/logging.h"
 #include "rtl/netlist.h"
 
 namespace db::analysis {
@@ -37,6 +39,7 @@ void CheckDrive(const Netlist& netlist, AnalysisReport& report) {
 
   for (const NetInfo& net : netlist.nets) {
     if (net.is_memory) continue;  // ROM images are loaded externally
+    if (net.width < 1) continue;  // rtl.decl reports the declaration
 
     // A primary input is driven by the outside world only.
     if (net.is_primary_input) {
@@ -92,18 +95,6 @@ void CheckDrive(const Netlist& netlist, AnalysisReport& report) {
 // -------------------------------------------------------------------
 // rtl.width
 // -------------------------------------------------------------------
-
-/// Effective width of an instance's formal port, honouring a literal
-/// parameter override of the port's width parameter.
-int BoundWidth(const VModule& target, const VInstance& inst,
-               const VPort& formal) {
-  if (formal.width_param.empty()) return formal.width;
-  for (const VBinding& b : inst.params)
-    if (b.formal == formal.width_param &&
-        b.actual.kind == VExprKind::kLit)
-      return static_cast<int>(b.actual.value);
-  return ResolvedPortWidth(target, formal);
-}
 
 /// Structural checks on one expression tree: reversed or out-of-range
 /// selects, unsized literals inside concatenations.
@@ -205,7 +196,7 @@ void CheckWidths(const VDesign& design, AnalysisReport& report) {
             m.name + "/" + inst.instance_name + "." + b.formal;
         CheckExpr(m, b.actual, where, report);
         const int wa = InferWidth(m, b.actual);
-        const int wf = BoundWidth(*def, inst, *formal);
+        const int wf = BoundPortWidth(*def, inst, *formal);
         if (wa > 0 && wf > 0 && wa != wf)
           report.Add(Severity::kError, kRuleRtlWidth, where,
                      "binding " + RenderExpr(b.actual) + " (" +
@@ -380,6 +371,127 @@ void CheckDead(const Netlist& netlist, AnalysisReport& report) {
   }
 }
 
+// -------------------------------------------------------------------
+// rtl.decl
+// -------------------------------------------------------------------
+
+bool IsLegalIdentifier(const std::string& name) {
+  if (name.empty()) return false;
+  if (!std::isalpha(static_cast<unsigned char>(name.front())) &&
+      name.front() != '_')
+    return false;
+  for (char c : name)
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+        c != '$')
+      return false;
+  return true;
+}
+
+void DeclError(const std::string& where, const std::string& message,
+               AnalysisReport& report) {
+  report.Add(Severity::kError, kRuleRtlDecl, where, message);
+}
+
+/// Every identifier an expression references must be legal; an empty
+/// one is how a missing operand shows.
+void CheckIds(const VExpr& expr, const std::string& where,
+              AnalysisReport& report) {
+  if (expr.kind == VExprKind::kId && !IsLegalIdentifier(expr.text))
+    DeclError(where, "reference '" + expr.text +
+                         "' is not a legal identifier", report);
+  for (const VExpr& arg : expr.args) CheckIds(arg, where, report);
+}
+
+void CheckStmtIds(const VStmt& stmt, const std::string& where,
+                  AnalysisReport& report) {
+  if (stmt.kind == VStmtKind::kAssign) {
+    CheckIds(stmt.lhs, where, report);
+    CheckIds(stmt.rhs, where, report);
+    return;
+  }
+  if (stmt.kind == VStmtKind::kIf) CheckIds(stmt.cond, where, report);
+  for (const VStmt& s : stmt.then_stmts) CheckStmtIds(s, where, report);
+  for (const VStmt& s : stmt.else_stmts) CheckStmtIds(s, where, report);
+}
+
+void CheckModuleDecls(const VModule& m, AnalysisReport& report) {
+  if (!IsLegalIdentifier(m.name))
+    DeclError(m.name, "module name is not a legal identifier", report);
+
+  // Ports, nets and parameters share one namespace.
+  std::set<std::string> names;
+  auto declare = [&](const std::string& kind, const std::string& name,
+                     int width) {
+    const std::string where = m.name + "/" + name;
+    if (!IsLegalIdentifier(name))
+      DeclError(where, kind + " name is not a legal identifier", report);
+    if (!names.insert(name).second)
+      DeclError(where, "duplicate name", report);
+    if (width < 1)
+      DeclError(where, kind + " has non-positive width " +
+                           std::to_string(width), report);
+  };
+  for (const VPort& p : m.ports) {
+    declare("port", p.name, p.width);
+    if (!p.width_param.empty() && m.FindParam(p.width_param) == nullptr)
+      DeclError(m.name + "/" + p.name, "width parameter '" +
+                    p.width_param + "' is not defined", report);
+  }
+  for (const VNet& n : m.nets) {
+    declare("net", n.name, n.width);
+    if (n.depth > 0 && !n.is_reg)
+      DeclError(m.name + "/" + n.name, "memory must be a reg", report);
+  }
+  for (const VParam& p : m.params) declare("parameter", p.name, 1);
+
+  // A continuous assign drives a wire: never a reg, never an input.
+  for (std::size_t i = 0; i < m.assigns.size(); ++i) {
+    const VAssign& a = m.assigns[i];
+    const std::string where = m.name + "/assign[" + std::to_string(i) + "]";
+    CheckIds(a.lhs, where, report);
+    CheckIds(a.rhs, where, report);
+    const std::string base = LvalueBase(a.lhs);
+    const VNet* net = m.FindNet(base);
+    const VPort* port = m.FindPort(base);
+    if ((net != nullptr && net->is_reg) || (port != nullptr && port->is_reg))
+      DeclError(where, "assign drives reg '" + base + "'", report);
+    if (port != nullptr && port->dir == PortDir::kInput)
+      DeclError(where, "assign drives input port '" + base + "'", report);
+  }
+  for (std::size_t j = 0; j < m.always_blocks.size(); ++j)
+    for (const VStmt& s : m.always_blocks[j].body)
+      CheckStmtIds(s, m.name + "/always[" + std::to_string(j) + "]",
+                   report);
+
+  std::set<std::string> instance_names;
+  for (const VInstance& inst : m.instances) {
+    const std::string where = m.name + "/" + inst.instance_name;
+    if (!IsLegalIdentifier(inst.instance_name))
+      DeclError(where, "instance name is not a legal identifier", report);
+    if (!instance_names.insert(inst.instance_name).second)
+      DeclError(where, "duplicate instance name", report);
+    for (const VBinding& b : inst.params)
+      CheckIds(b.actual, where + "#" + b.formal, report);
+    std::set<std::string> bound;
+    for (const VBinding& b : inst.ports) {
+      CheckIds(b.actual, where + "." + b.formal, report);
+      if (!bound.insert(b.formal).second)
+        DeclError(where + "." + b.formal, "port is bound twice", report);
+    }
+  }
+}
+
+/// Declaration legality of every module in the design, reachable from
+/// the top or not.
+void CheckDecls(const VDesign& design, AnalysisReport& report) {
+  std::set<std::string> module_names;
+  for (const VModule& m : design.modules) {
+    if (!module_names.insert(m.name).second)
+      DeclError(m.name, "duplicate module definition", report);
+    CheckModuleDecls(m, report);
+  }
+}
+
 }  // namespace
 
 AnalysisReport VerifyRtl(const VDesign& design) {
@@ -390,13 +502,27 @@ AnalysisReport VerifyRtl(const VDesign& design) {
   CheckCombLoops(netlist, report);
   CheckClocks(design, report);
   CheckDead(netlist, report);
+  CheckDecls(design, report);
   return report;
 }
 
-void VerifyRtlOrThrow(const VDesign& design) {
+void VerifyRtlOrThrow(const VDesign& design,
+                      obs::MetricsRegistry* metrics) {
   const AnalysisReport report = VerifyRtl(design);
+  if (metrics != nullptr) {
+    metrics->AddCounter("analysis.rtl.designs_verified");
+    if (report.WarningCount() > 0)
+      metrics->AddCounter("analysis.rtl.warnings", report.WarningCount());
+  }
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.severity != Severity::kWarning) continue;
+    if (metrics != nullptr) metrics->AddCounter("analysis.rtl.rule." + d.rule);
+    DB_LOG(kWarn) << "rtl-verify[" << d.rule << "] " << d.location << ": "
+                  << d.message;
+  }
   if (!report.ok())
-    DB_THROW("RTL verification failed:\n" + report.ToText());
+    DB_THROW("RTL verification failed for '" << design.top << "':\n"
+             << report.ToText());
 }
 
 }  // namespace db::analysis

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/logging.h"
 #include "common/math_util.h"
 #include "common/strings.h"
 #include "core/approx_lut.h"
@@ -882,11 +883,23 @@ AnalysisReport VerifyDesign(const Network& net,
 
 void VerifyDesignOrThrow(const Network& net,
                          const AcceleratorDesign& design,
+                         obs::MetricsRegistry* metrics,
                          const VerifyOptions& options) {
   const AnalysisReport report = VerifyDesign(net, design, options);
-  if (report.ok()) return;
-  throw Error("design verification failed for '" +
-              design.config.network_name + "':\n" + report.ToText());
+  if (metrics != nullptr) {
+    metrics->AddCounter("analysis.designs_verified");
+    if (report.WarningCount() > 0)
+      metrics->AddCounter("analysis.warnings", report.WarningCount());
+  }
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.severity != Severity::kWarning) continue;
+    if (metrics != nullptr) metrics->AddCounter("analysis.rule." + d.rule);
+    DB_LOG(kWarn) << "verify[" << d.rule << "] " << d.location << ": "
+                  << d.message;
+  }
+  if (!report.ok())
+    DB_THROW("design verification failed for '" << net.name() << "':\n"
+             << report.ToText());
 }
 
 }  // namespace db::analysis

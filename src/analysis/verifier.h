@@ -74,9 +74,13 @@ AnalysisReport VerifyDesign(const Network& net,
                             const VerifyOptions& options = {});
 
 /// Gate form: throws db::Error carrying the report text when VerifyDesign
-/// finds any error-severity diagnostic.  Warnings pass.
+/// finds any error-severity diagnostic.  Warnings pass, each logged.
+/// With `metrics`, counts `analysis.designs_verified`,
+/// `analysis.warnings` and per-rule `analysis.rule.<id>` warning
+/// counters.
 void VerifyDesignOrThrow(const Network& net,
                          const AcceleratorDesign& design,
+                         obs::MetricsRegistry* metrics = nullptr,
                          const VerifyOptions& options = {});
 
 }  // namespace db::analysis

@@ -13,7 +13,6 @@
 #include "core/rtl_builder.h"
 #include "graph/layer_stats.h"
 #include "hwlib/device.h"
-#include "rtl/lint.h"
 
 namespace db {
 namespace {
@@ -448,58 +447,6 @@ AcceleratorDesign CompileForConfig(const Network& net,
   return design;
 }
 
-namespace {
-
-/// The generator's post-pass gate: run the static verifier, publish
-/// warning counts, and refuse to return an illegal design.
-void VerifyGate(const Network& net, const AcceleratorDesign& design,
-                obs::MetricsRegistry* metrics) {
-  const analysis::AnalysisReport report = analysis::VerifyDesign(net, design);
-  if (metrics != nullptr) {
-    metrics->AddCounter("analysis.designs_verified");
-    if (report.WarningCount() > 0)
-      metrics->AddCounter("analysis.warnings", report.WarningCount());
-    for (const analysis::Diagnostic& d : report.diagnostics())
-      if (d.severity == analysis::Severity::kWarning)
-        metrics->AddCounter("analysis.rule." + d.rule);
-  }
-  for (const analysis::Diagnostic& d : report.diagnostics()) {
-    if (d.severity == analysis::Severity::kWarning) {
-      DB_LOG(kWarn) << "verify[" << d.rule << "] " << d.location << ": "
-                    << d.message;
-    }
-  }
-  if (!report.ok())
-    DB_THROW("design verification failed for '" << net.name() << "':\n"
-             << report.ToText());
-}
-
-/// The RTL counterpart: elaborate the emitted design and run the rtl.*
-/// netlist passes before the hardware can leave the generator.
-void RtlVerifyGate(const Network& net, const AcceleratorDesign& design,
-                   obs::MetricsRegistry* metrics) {
-  const analysis::AnalysisReport report = analysis::VerifyRtl(design.rtl);
-  if (metrics != nullptr) {
-    metrics->AddCounter("analysis.rtl.designs_verified");
-    if (report.WarningCount() > 0)
-      metrics->AddCounter("analysis.rtl.warnings", report.WarningCount());
-    for (const analysis::Diagnostic& d : report.diagnostics())
-      if (d.severity == analysis::Severity::kWarning)
-        metrics->AddCounter("analysis.rtl.rule." + d.rule);
-  }
-  for (const analysis::Diagnostic& d : report.diagnostics()) {
-    if (d.severity == analysis::Severity::kWarning) {
-      DB_LOG(kWarn) << "rtl-verify[" << d.rule << "] " << d.location
-                    << ": " << d.message;
-    }
-  }
-  if (!report.ok())
-    DB_THROW("RTL verification failed for '" << net.name() << "':\n"
-             << report.ToText());
-}
-
-}  // namespace
-
 AcceleratorDesign GenerateAccelerator(const Network& net,
                                       const DesignConstraint& constraint,
                                       obs::Tracer* tracer,
@@ -569,9 +516,10 @@ AcceleratorDesign GenerateAccelerator(const Network& net,
   }
   phase("rtl emit", 0,
         [&] { design.rtl = BuildRtl(design.config, design.blocks); });
-  phase("lint", 0, [&] { CheckDesignOrThrow(design.rtl); });
-  phase("rtl verify", 0, [&] { RtlVerifyGate(net, design, metrics); });
-  phase("verify", 0, [&] { VerifyGate(net, design, metrics); });
+  phase("rtl verify", 0,
+        [&] { analysis::VerifyRtlOrThrow(design.rtl, metrics); });
+  phase("verify", 0,
+        [&] { analysis::VerifyDesignOrThrow(net, design, metrics); });
 
   DB_LOG(kInfo) << "generated accelerator for '" << net.name() << "': "
                 << design.config.TotalLanes() << " lanes, "
@@ -726,7 +674,6 @@ SharedAccelerator GenerateSharedAccelerator(
              << proto.config.budget.ToString() << " (uses "
              << proto.resources.total.ToString() << ")");
   proto.rtl = BuildRtl(proto.config, proto.blocks);
-  CheckDesignOrThrow(proto.rtl);
   analysis::VerifyRtlOrThrow(proto.rtl);
 
   // Propagate the common hardware artifacts to every model's view.

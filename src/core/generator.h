@@ -54,13 +54,15 @@ struct AcceleratorDesign {
 ///
 /// With a tracer, every compilation phase (sizing → folding → data
 /// layout → memory map → agu program → schedule → buffer plan →
-/// connections → blocks → rtl emit → lint → verify) is recorded as one
-/// span on the "toolchain" track, one ordinal tick per phase (the
+/// connections → blocks → rtl emit → rtl verify → verify) is recorded as
+/// one span on the "toolchain" track, one ordinal tick per phase (the
 /// toolchain has no simulated clock); refit attempts annotate their
 /// spans.  The timeline continues from the track's prior end, so a
 /// caller's own parse/constraint spans slot in before these.
 ///
-/// The final verify phase runs the static design verifier
+/// The rtl verify phase is the RTL gate (analysis::VerifyRtlOrThrow,
+/// counted on `metrics` under `analysis.rtl.*`).  The final verify phase
+/// runs the static design verifier
 /// (analysis/verifier.h) as a gate: error diagnostics throw db::Error
 /// carrying the report; warnings pass and are counted on `metrics` as
 /// `analysis.warnings` plus per-rule `analysis.rule.<id>` counters.

@@ -11,7 +11,7 @@
 
 namespace db {
 
-/// Emit the complete design.  The result passes rtl/lint's CheckDesign.
+/// Emit the complete design.  The result passes analysis::VerifyRtl.
 VDesign BuildRtl(const AcceleratorConfig& config,
                  const std::vector<BlockInstance>& blocks);
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "analysis/rtl_verifier.h"
 #include "analysis/verifier.h"
 #include "common/error.h"
 #include "common/hash.h"
@@ -14,7 +15,6 @@
 #include "core/rtl_builder.h"
 #include "graph/layer_stats.h"
 #include "hwlib/device.h"
-#include "rtl/lint.h"
 #include "sim/perf_model.h"
 #include "sim/power_model.h"
 
@@ -356,7 +356,7 @@ AcceleratorDesign CompileWinner(const Network& net,
   AcceleratorDesign design =
       CompileForConfig(net, CandidateConfig(net, base, spec));
   design.rtl = BuildRtl(design.config, design.blocks);
-  CheckDesignOrThrow(design.rtl);
+  analysis::VerifyRtlOrThrow(design.rtl);
   analysis::VerifyDesignOrThrow(net, design);
   return design;
 }

@@ -125,8 +125,8 @@ TuneResult Explore(const Network& net, const DesignConstraint& constraint,
                    const TuneOptions& options = {});
 
 /// Compile the winning candidate into a deployable design: the same
-/// construction EvaluateCandidate used, plus RTL emission, lint and the
-/// static-verifier gate (throws db::Error on any of them failing — a
+/// construction EvaluateCandidate used, plus RTL emission and the rtl.*
+/// and static-verifier gates (throws db::Error on either failing — a
 /// frontier member must verify clean, so this is a cross-check, not a
 /// filter).
 AcceleratorDesign CompileWinner(const Network& net,

@@ -134,18 +134,6 @@ bool LvalueRange(const VModule& module, const VExpr& lhs, NetRef& out) {
   }
 }
 
-/// Effective width of an instance's formal port, honouring a literal
-/// parameter override of the port's width parameter.
-int BoundPortWidth(const VModule& target, const VInstance& inst,
-                   const VPort& formal) {
-  if (formal.width_param.empty()) return formal.width;
-  for (const VBinding& b : inst.params)
-    if (b.formal == formal.width_param &&
-        b.actual.kind == VExprKind::kLit)
-      return static_cast<int>(b.actual.value);
-  return ResolvedPortWidth(target, formal);
-}
-
 class Elaborator {
  public:
   explicit Elaborator(const VDesign& design) : design_(design) {}
@@ -411,6 +399,16 @@ int Netlist::Find(const std::string& path) const {
 
 Netlist Elaborate(const VDesign& design) {
   return Elaborator(design).Run();
+}
+
+int BoundPortWidth(const VModule& target, const VInstance& inst,
+                   const VPort& formal) {
+  if (formal.width_param.empty()) return formal.width;
+  for (const VBinding& b : inst.params)
+    if (b.formal == formal.width_param &&
+        b.actual.kind == VExprKind::kLit)
+      return static_cast<int>(b.actual.value);
+  return ResolvedPortWidth(target, formal);
 }
 
 int InferWidth(const VModule& module, const VExpr& expr) {

@@ -82,6 +82,12 @@ struct Netlist {
 /// problems become ElabIssues and the affected references are skipped.
 Netlist Elaborate(const VDesign& design);
 
+/// Effective width of `inst`'s formal port `formal` of module `target`:
+/// a literal instance override of the port's width parameter wins over
+/// the target module's parameter default.
+int BoundPortWidth(const VModule& target, const VInstance& inst,
+                   const VPort& formal);
+
 /// Bottom-up width of `expr` against the names declared in `module`,
 /// following Verilog-2001 self-determined width rules (binary arithmetic
 /// and bitwise take the max operand width, shifts take the left operand,

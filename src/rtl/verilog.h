@@ -2,10 +2,10 @@
 //
 // NN-Gen's output is synthesisable Verilog-2001; this AST covers exactly
 // the constructs the block emitters need.  Expressions and statements
-// are typed trees (VExpr / VStmt) rather than raw strings, so the lint
-// pass (rtl/lint.h), the netlist elaborator (rtl/netlist.h) and the
-// rtl.* analysis rules (analysis/rtl_verifier.h) check structure instead
-// of re-parsing emitted text.  Rendering is byte-stable: the same tree
+// are typed trees (VExpr / VStmt) rather than raw strings, so the
+// netlist elaborator (rtl/netlist.h) and the rtl.* analysis rules
+// (analysis/rtl_verifier.h) check structure instead of re-parsing
+// emitted text.  Rendering is byte-stable: the same tree
 // always prints the same bytes, and the printer preserves the exact
 // formatting idioms of the historical string emitters (inline vs block
 // if-branches, compact multiplies inside part-selects) so golden RTL

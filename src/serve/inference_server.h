@@ -35,8 +35,8 @@
 // and every reported cycle — is a pure function of the arrival stream,
 // the design and the seeded fault plan.  Every replica starts from the
 // same provisioned bytes, so outputs of kOk requests are bit-identical to
-// sequential HostRuntime::InferBatch for any replica count; the executor
-// threads only overlap the wall-clock cost of producing them.
+// sequential SystemContext::Run calls for any replica count; the
+// executor threads only overlap the wall-clock cost of producing them.
 //
 // Lifecycle: kServing (after the constructor) → kDraining (inside the
 // first Drain) → kStopped.  Submit outside kServing throws

@@ -22,9 +22,9 @@ namespace db {
 struct SystemRunResult {
   Tensor output;          // host-visible result, read back from the image
   PerfResult perf;        // accelerator timing for the invocation
-  /// Per-invocation disposition, propagated to HostInvocation and the
-  /// server's ServedRequest records so failures cross thread boundaries
-  /// as values, never as exceptions (see common/error.h).
+  /// Per-invocation disposition, propagated to the server's
+  /// ServedRequest records so failures cross thread boundaries as
+  /// values, never as exceptions (see common/error.h).
   StatusCode status = StatusCode::kOk;
 };
 
@@ -109,7 +109,7 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
 
 /// One-shot invocation against the image: build a SystemContext on it,
 /// run once, store the output blob back into the image, and read it out
-/// as the host would.  Steady-state callers (HostRuntime, the inference
+/// as the host would.  Steady-state callers (applications, the inference
 /// server) hold a SystemContext instead.
 SystemRunResult RunSystem(const Network& net,
                           const AcceleratorDesign& design,

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/rtl_verifier.h"
 #include "cluster/design_cache.h"
 #include "cluster/shard_router.h"
 #include "common/error.h"
@@ -310,6 +311,46 @@ TEST(DesignCache, DiskPersistenceSurvivesANewCacheInstance) {
   EXPECT_EQ(EmitVerilog(loaded->rtl), EmitVerilog(fx.design.rtl));
 
   // A corrupt entry degrades to a miss, never a wrong design.
+  std::filesystem::remove_all(dir);
+}
+
+// Regression: the load path's RTL check accepted a zero or negative
+// port width, so such an entry was served.  It is now rejected and the
+// generator builds the design again.
+TEST(DesignCache, NonPositiveRtlWidthEntryIsRejectedOnLoad) {
+  GeneratedFixture& fx = Fixture();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_width_test";
+  const DesignKey key = MakeDesignKey(fx.def, fx.constraint);
+  for (int width : {0, -5}) {
+    std::filesystem::remove_all(dir);
+    obs::MetricsRegistry metrics;
+    DesignCache::Options options;
+    options.directory = dir.string();
+    options.metrics = &metrics;
+
+    AcceleratorDesign broken = fx.design;
+    int edited = 0;
+    for (VModule& m : broken.rtl.modules)
+      for (VPort& p : m.ports)
+        if (m.name == broken.rtl.top && p.name == "axi_araddr") {
+          p.width = width;
+          ++edited;
+        }
+    ASSERT_EQ(edited, 1);
+    DesignCache(options).Insert(key, broken);
+
+    obs::Tracer tracer;
+    DesignCache cold(options);
+    const auto design =
+        cold.GetOrGenerate(key, fx.net, fx.constraint, &tracer);
+    EXPECT_EQ(metrics.CounterValue("cluster.cache.verify_reject"), 1)
+        << "width " << width;
+    EXPECT_EQ(cold.stats().disk_hits, 0);
+    EXPECT_GT(tracer.TrackEnd("toolchain"), 0);  // the generator ran
+    ASSERT_NE(design, nullptr);
+    EXPECT_TRUE(analysis::VerifyRtl(design->rtl).ok());
+  }
   std::filesystem::remove_all(dir);
 }
 

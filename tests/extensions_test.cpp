@@ -3,6 +3,7 @@
 // inception (multi-producer) flow.
 #include <gtest/gtest.h>
 
+#include "analysis/rtl_verifier.h"
 #include "baseline/accuracy.h"
 #include "common/error.h"
 #include "core/generator.h"
@@ -10,7 +11,6 @@
 #include "models/trained.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
-#include "rtl/lint.h"
 #include "rtl/testbench.h"
 #include "sim/functional_sim.h"
 #include "sim/perf_model.h"
@@ -193,7 +193,7 @@ TEST(Inception, BuildsAndGenerates) {
 
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
-  EXPECT_TRUE(LintDesign(design.rtl).empty());
+  EXPECT_TRUE(analysis::VerifyRtl(design.rtl).ok());
   EXPECT_TRUE(design.config.has_connection_box);  // concat wiring
 }
 

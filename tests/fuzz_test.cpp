@@ -1,15 +1,15 @@
 // Property-based fuzzing: random feed-forward networks must survive the
-// whole pipeline — build, generate within budget, lint-clean RTL,
+// whole pipeline — build, generate within budget, verified RTL,
 // schedule/fold invariants, and fixed-point execution that tracks the
 // float reference.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "analysis/rtl_verifier.h"
 #include "core/generator.h"
 #include "nn/executor.h"
 #include "models/zoo.h"
-#include "rtl/lint.h"
 #include "sim/functional_sim.h"
 #include "sim/perf_model.h"
 
@@ -103,11 +103,11 @@ TEST_P(RandomNetworkSweep, FullPipelineInvariants) {
   const Network net = Network::Build(ParseNetworkDef(script));
   ASSERT_FALSE(net.ComputeLayers().empty());
 
-  // 2. Generates within budget with lint-clean RTL.
+  // 2. Generates within budget with RTL that verifies clean.
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
   EXPECT_TRUE(design.config.budget.Fits(design.resources.total));
-  EXPECT_TRUE(LintDesign(design.rtl).empty());
+  EXPECT_TRUE(analysis::VerifyRtl(design.rtl).ok());
 
   // 3. Fold/schedule invariants.
   EXPECT_EQ(design.schedule.TotalSteps(),

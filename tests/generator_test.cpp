@@ -2,10 +2,10 @@
 // enforcement, RTL integrity.
 #include <gtest/gtest.h>
 
+#include "analysis/rtl_verifier.h"
 #include "common/error.h"
 #include "core/generator.h"
 #include "models/zoo.h"
-#include "rtl/lint.h"
 
 namespace db {
 namespace {
@@ -32,7 +32,7 @@ TEST_P(GeneratorSweep, GeneratesWithinBudgetAndLintClean) {
   EXPECT_TRUE(design.config.budget.Fits(design.resources.total))
       << "uses " << design.resources.total.ToString() << " of "
       << design.config.budget.ToString();
-  EXPECT_TRUE(LintDesign(design.rtl).empty());
+  EXPECT_TRUE(analysis::VerifyRtl(design.rtl).ok());
   EXPECT_GT(design.config.TotalLanes() + design.config.pooling_lanes +
                 design.config.activation_lanes,
             0);

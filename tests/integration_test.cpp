@@ -4,9 +4,11 @@
 
 #include "baseline/accuracy.h"
 #include "core/generator.h"
+#include "hwlib/device.h"
 #include "models/trained.h"
 #include "nn/executor.h"
 #include "sim/host_runtime.h"
+#include "sim/power_model.h"
 
 namespace db {
 namespace {
@@ -83,11 +85,16 @@ TEST(Integration, SimulatorFacadeProducesAllAspects) {
       TrainZooAnn(ZooModel::kAnn2Kmeans, 3, 200, 20);
   const AcceleratorDesign design =
       GenerateAccelerator(model.net, DbConstraint());
-  HostRuntime host(model.net, design, model.weights);
-  const HostInvocation result = host.Infer(model.test_set.front().input);
+  MemoryImage image = BuildHostImage(model.net, design, model.weights);
+  const SystemContext context(model.net, design, image);
+  const SystemRunResult result =
+      context.Run(image, model.test_set.front().input);
   EXPECT_EQ(result.output.size(), 2);
-  EXPECT_GT(result.cycles, 0);
-  EXPECT_GT(result.joules, 0.0);
+  EXPECT_GT(result.perf.total_cycles, 0);
+  EXPECT_GT(EstimateEnergy(design.resources.total, result.perf,
+                           DeviceCatalog("zynq-7045"))
+                .total_joules,
+            0.0);
 }
 
 TEST(Integration, FidelityScoringForRandomWeightModel) {

@@ -663,7 +663,7 @@ TEST(GeneratorTrace, ToolchainPhasesAreContiguous) {
   GenerateAccelerator(net, DbConstraint(), &tracer);
   const auto spans = tracer.Sorted();
   ASSERT_FALSE(spans.empty());
-  bool saw_size = false, saw_emit = false, saw_lint = false;
+  bool saw_size = false, saw_emit = false, saw_rtl_verify = false;
   std::int64_t cursor = 0;
   for (const Span& s : spans) {
     EXPECT_EQ(s.track, "toolchain");
@@ -672,11 +672,11 @@ TEST(GeneratorTrace, ToolchainPhasesAreContiguous) {
     cursor = s.end;
     saw_size |= s.name == "size datapath";
     saw_emit |= s.name == "rtl emit";
-    saw_lint |= s.name == "lint";
+    saw_rtl_verify |= s.name == "rtl verify";
   }
   EXPECT_TRUE(saw_size);
   EXPECT_TRUE(saw_emit);
-  EXPECT_TRUE(saw_lint);
+  EXPECT_TRUE(saw_rtl_verify);
   // The trace export of a generator run is itself byte-stable.
   Tracer again;
   GenerateAccelerator(net, DbConstraint(), &again);

@@ -2,11 +2,11 @@
 // the shared multi-network accelerator.
 #include <gtest/gtest.h>
 
+#include "analysis/rtl_verifier.h"
 #include "common/error.h"
 #include "core/generator.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
-#include "rtl/lint.h"
 #include "sim/functional_sim.h"
 #include "sim/perf_model.h"
 
@@ -154,7 +154,7 @@ TEST(SharedAccelerator, OneDatapathServesTwoModels) {
             shared.designs[1].resources.total.lut);
   EXPECT_EQ(EmitVerilog(shared.designs[0].rtl),
             EmitVerilog(shared.designs[1].rtl));
-  EXPECT_TRUE(LintDesign(shared.designs[0].rtl).empty());
+  EXPECT_TRUE(analysis::VerifyRtl(shared.designs[0].rtl).ok());
   EXPECT_TRUE(shared.config.budget.Fits(
       shared.designs[0].resources.total));
 

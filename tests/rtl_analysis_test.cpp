@@ -1,9 +1,10 @@
 // Tests for the elaborated-netlist RTL analysis suite: the elaborator
-// (rtl/netlist.h), the five rtl.* rule passes (analysis/rtl_verifier.h)
+// (rtl/netlist.h), the rtl.* rule passes (analysis/rtl_verifier.h)
 // and the seeded mutation library (analysis/rtl_mutations.h) proving
 // each rule trips on exactly its own breakage class.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "analysis/rtl_mutations.h"
@@ -183,6 +184,102 @@ TEST(RtlVerify, NonBlockingInCombBlockIsAnError) {
   const AnalysisReport report = VerifyRtl(design);
   EXPECT_TRUE(report.HasRule(analysis::kRuleRtlClock));
   EXPECT_FALSE(report.ok());
+}
+
+// ---------------------------------------------------------------------
+// rtl.decl
+// ---------------------------------------------------------------------
+
+VModule& ModuleNamed(VDesign& design, const std::string& name) {
+  for (VModule& m : design.modules)
+    if (m.name == name) return m;
+  throw Error("no module '" + name + "'");
+}
+
+/// Error diagnostics under rtl.decl at `location`.
+int DeclErrorsAt(const AnalysisReport& report, const std::string& location) {
+  int n = 0;
+  for (const Diagnostic& d : report.diagnostics())
+    if (d.severity == Severity::kError &&
+        d.rule == analysis::kRuleRtlDecl && d.location == location)
+      ++n;
+  return n;
+}
+
+// Regression: VerifyRtl accepted a zero or negative port or net width,
+// so a design-cache entry carrying one was served.
+TEST(RtlDecl, NonPositiveWidthsAreErrors) {
+  for (int width : {0, -5}) {
+    VDesign rtl = MnistDesign().rtl;
+    VModule& top = ModuleNamed(rtl, rtl.top);
+    bool found = false;
+    for (VPort& p : top.ports)
+      if (p.name == "axi_araddr") {
+        p.width = width;
+        found = true;
+      }
+    ASSERT_TRUE(found);
+    ASSERT_FALSE(top.nets.empty());
+    top.nets.front().width = width;
+
+    const AnalysisReport report = VerifyRtl(rtl);
+    EXPECT_EQ(DeclErrorsAt(report, top.name + "/axi_araddr"), 1)
+        << "width " << width;
+    EXPECT_EQ(DeclErrorsAt(report, top.name + "/" + top.nets.front().name),
+              1)
+        << "width " << width;
+    EXPECT_THROW(VerifyRtlOrThrow(rtl), Error) << "width " << width;
+  }
+}
+
+TEST(RtlDecl, EachDeclarationErrorIsCaught) {
+  const struct {
+    const char* what;
+    std::function<void(VDesign&)> breakage;
+    std::string location;
+  } cases[] = {
+      {"undefined width parameter",
+       [](VDesign& d) { ModuleNamed(d, "leaf").ports[0].width_param = "W"; },
+       "leaf/in"},
+      {"memory declared as a wire",
+       [](VDesign& d) {
+         ModuleNamed(d, "leaf").nets.push_back({"rom", 4, false, 16});
+       },
+       "leaf/rom"},
+      {"assign driving an input port",
+       [](VDesign& d) {
+         ModuleNamed(d, "top").assigns.push_back({VId("a"), VLit(4, 0)});
+       },
+       "top/assign[0]"},
+      {"port bound twice",
+       [](VDesign& d) {
+         VInstance& inst = ModuleNamed(d, "top").instances[0];
+         inst.ports.push_back(inst.ports[0]);
+       },
+       "top/u0.in"},
+      {"duplicate instance name",
+       [](VDesign& d) {
+         VModule& top = ModuleNamed(d, "top");
+         top.instances.push_back(top.instances[0]);
+       },
+       "top/u0"},
+      {"duplicate module definition",
+       [](VDesign& d) { d.modules.push_back(ModuleNamed(d, "leaf")); },
+       "leaf"},
+      {"illegal name in a module unreachable from the top",
+       [](VDesign& d) {
+         VModule orphan;
+         orphan.name = "orphan";
+         orphan.nets.push_back({"bad-name", 1, false, 0});
+         d.modules.push_back(orphan);
+       },
+       "orphan/bad-name"},
+  };
+  for (const auto& c : cases) {
+    VDesign design = TwoLevelDesign();
+    c.breakage(design);
+    EXPECT_GE(DeclErrorsAt(VerifyRtl(design), c.location), 1) << c.what;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,16 +1,44 @@
-// Tests for the Verilog AST, per-block emitters and the structural lint.
+// Tests for the Verilog AST, the per-block emitters, and the
+// declaration- and binding-level checks of the RTL verifier (the Lint
+// suite: each case asserts the rtl.* rule that catches it).
 #include <gtest/gtest.h>
 
+#include "analysis/rtl_verifier.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "core/generator.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "rtl/block_emitters.h"
-#include "rtl/lint.h"
 #include "rtl/verilog.h"
 
 namespace db {
 namespace {
+
+using analysis::AnalysisReport;
+using analysis::Diagnostic;
+using analysis::Severity;
+using analysis::VerifyRtl;
+
+/// A design whose top is the single module `m`.
+VDesign SingleModule(const VModule& m) {
+  VDesign design;
+  design.modules.push_back(m);
+  design.top = m.name;
+  return design;
+}
+
+/// Number of error diagnostics under `rule` whose message contains
+/// `text`.
+int Errors(const AnalysisReport& report, const std::string& rule,
+           const std::string& text = "") {
+  int n = 0;
+  for (const Diagnostic& d : report.diagnostics())
+    if (d.severity == Severity::kError && d.rule == rule &&
+        d.message.find(text) != std::string::npos)
+      ++n;
+  return n;
+}
 
 std::vector<BlockConfig> AllBlockConfigs() {
   std::vector<BlockConfig> configs;
@@ -50,10 +78,11 @@ class BlockEmitterSweep
 
 TEST_P(BlockEmitterSweep, EmitsLintCleanModule) {
   const VModule module = EmitBlockModule(GetParam());
-  const auto issues = LintModule(module);
-  EXPECT_TRUE(issues.empty()) << module.name << ": "
-                              << (issues.empty() ? ""
-                                                 : issues.front().message);
+  const AnalysisReport report = VerifyRtl(SingleModule(module));
+  EXPECT_EQ(report.ErrorCount(), 0) << module.name << ":\n"
+                                    << report.ToText();
+  EXPECT_EQ(report.WarningCount(), 0) << module.name << ":\n"
+                                      << report.ToText();
 }
 
 TEST_P(BlockEmitterSweep, ModuleNameDeterministicAndLegal) {
@@ -113,9 +142,9 @@ TEST(Lint, CatchesDuplicateNames) {
   m.name = "dup";
   m.ports.push_back({"x", PortDir::kInput, 1, false});
   m.nets.push_back({"x", 1, false, 0});
-  const auto issues = LintModule(m);
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.front().message.find("duplicate"), std::string::npos);
+  EXPECT_EQ(Errors(VerifyRtl(SingleModule(m)), analysis::kRuleRtlDecl,
+                   "duplicate name"),
+            1);
 }
 
 TEST(Lint, CatchesUndrivenOutput) {
@@ -123,18 +152,18 @@ TEST(Lint, CatchesUndrivenOutput) {
   m.name = "undriven";
   m.ports.push_back({"clk", PortDir::kInput, 1, false});
   m.ports.push_back({"y", PortDir::kOutput, 4, false});
-  const auto issues = LintModule(m);
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.front().message.find("never driven"),
-            std::string::npos);
+  EXPECT_EQ(Errors(VerifyRtl(SingleModule(m)), analysis::kRuleRtlDrive,
+                   "never driven"),
+            1);
 }
 
 TEST(Lint, CatchesAssignToUndeclared) {
   VModule m;
   m.name = "bad";
   m.assigns.push_back({VId("ghost"), VLit(1, 1, 'b')});
-  const auto issues = LintModule(m);
-  EXPECT_FALSE(issues.empty());
+  EXPECT_EQ(Errors(VerifyRtl(SingleModule(m)), analysis::kRuleRtlDrive,
+                   "undeclared net 'ghost'"),
+            1);
 }
 
 TEST(Lint, CatchesAssignToReg) {
@@ -142,10 +171,9 @@ TEST(Lint, CatchesAssignToReg) {
   m.name = "bad2";
   m.nets.push_back({"r", 4, true, 0});
   m.assigns.push_back({VId("r"), VLit(4, 1)});
-  bool found = false;
-  for (const auto& i : LintModule(m))
-    if (i.message.find("must be a wire") != std::string::npos) found = true;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(Errors(VerifyRtl(SingleModule(m)), analysis::kRuleRtlDecl,
+                   "assign drives reg 'r'"),
+            1);
 }
 
 TEST(Lint, CatchesDoubleDriver) {
@@ -154,20 +182,26 @@ TEST(Lint, CatchesDoubleDriver) {
   m.nets.push_back({"w", 1, false, 0});
   m.assigns.push_back({VId("w"), VLit(1, 0, 'b')});
   m.assigns.push_back({VId("w"), VLit(1, 1, 'b')});
-  bool found = false;
-  for (const auto& i : LintModule(m))
-    if (i.message.find("multiple drivers") != std::string::npos)
-      found = true;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(Errors(VerifyRtl(SingleModule(m)), analysis::kRuleRtlDrive,
+                   "multiple drivers"),
+            1);
 }
 
 TEST(Lint, CatchesIllegalIdentifier) {
   VModule m;
   m.name = "9bad";
-  EXPECT_FALSE(LintModule(m).empty());
+  m.nets.push_back({"w", 1, false, 0});
+  m.assigns.push_back({VId("w"), VId("")});  // a missing operand
+  const AnalysisReport report = VerifyRtl(SingleModule(m));
+  EXPECT_EQ(Errors(report, analysis::kRuleRtlDecl,
+                   "module name is not a legal identifier"),
+            1);
+  EXPECT_EQ(Errors(report, analysis::kRuleRtlDecl,
+                   "reference '' is not a legal identifier"),
+            1);
 }
 
-TEST(LintDesign, CatchesUndefinedInstanceModule) {
+TEST(Lint, CatchesUndefinedInstanceModule) {
   VDesign design;
   VModule top;
   top.name = "top";
@@ -177,18 +211,18 @@ TEST(LintDesign, CatchesUndefinedInstanceModule) {
   top.instances.push_back(inst);
   design.modules.push_back(top);
   design.top = "top";
-  bool found = false;
-  for (const auto& i : LintDesign(design))
-    if (i.message.find("undefined module") != std::string::npos)
-      found = true;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(Errors(VerifyRtl(design), analysis::kRuleRtlDrive,
+                   "undefined module"),
+            1);
 }
 
-TEST(LintDesign, CatchesUnboundAndUnknownPorts) {
+TEST(Lint, CatchesUnboundAndUnknownPorts) {
   VDesign design;
   VModule child;
   child.name = "child";
   child.ports.push_back({"a", PortDir::kInput, 1, false});
+  child.ports.push_back({"y", PortDir::kOutput, 1, false});
+  child.assigns.push_back({VId("y"), VId("a")});  // the child reads 'a'
   design.modules.push_back(child);
 
   VModule top;
@@ -201,16 +235,17 @@ TEST(LintDesign, CatchesUnboundAndUnknownPorts) {
   design.modules.push_back(top);
   design.top = "top";
 
-  int unknown = 0, unbound = 0;
-  for (const auto& i : LintDesign(design)) {
-    if (i.message.find("unknown port") != std::string::npos) ++unknown;
-    if (i.message.find("unbound") != std::string::npos) ++unbound;
-  }
-  EXPECT_EQ(unknown, 1);
+  const AnalysisReport report = VerifyRtl(design);
+  EXPECT_EQ(Errors(report, analysis::kRuleRtlDrive, "unknown port"), 1);
+  int unbound = 0;
+  for (const Diagnostic& d : report.diagnostics())
+    if (d.rule == analysis::kRuleRtlDrive && d.location == "u0/a" &&
+        d.message.find("never driven") != std::string::npos)
+      ++unbound;
   EXPECT_EQ(unbound, 1);
 }
 
-TEST(LintDesign, CatchesPortWidthMismatch) {
+TEST(Lint, CatchesPortWidthMismatch) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -234,13 +269,10 @@ TEST(LintDesign, CatchesPortWidthMismatch) {
   design.modules.push_back(top);
   design.top = "top";
 
-  int width_issues = 0;
-  for (const auto& i : LintDesign(design))
-    if (i.message.find("width") != std::string::npos) ++width_issues;
-  EXPECT_EQ(width_issues, 2);
+  EXPECT_EQ(Errors(VerifyRtl(design), analysis::kRuleRtlWidth), 2);
 }
 
-TEST(LintDesign, AcceptsMatchingPortWidths) {
+TEST(Lint, AcceptsMatchingPortWidths) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -258,29 +290,27 @@ TEST(LintDesign, AcceptsMatchingPortWidths) {
   design.modules.push_back(top);
   design.top = "top";
 
-  for (const auto& i : LintDesign(design))
-    EXPECT_EQ(i.message.find("width"), std::string::npos) << i.message;
+  EXPECT_FALSE(VerifyRtl(design).HasRule(analysis::kRuleRtlWidth));
 }
 
-TEST(LintDesign, CatchesMissingTop) {
+TEST(Lint, CatchesMissingTop) {
   VDesign design;
   VModule m;
   m.name = "only";
   design.modules.push_back(m);
   design.top = "nonexistent";
-  bool found = false;
-  for (const auto& i : LintDesign(design))
-    if (i.message.find("top module") != std::string::npos) found = true;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(Errors(VerifyRtl(design), analysis::kRuleRtlDrive,
+                   "top module 'nonexistent' is not defined"),
+            1);
 }
 
-TEST(LintDesign, CheckOrThrowAggregates) {
-  VDesign design;
+TEST(Lint, GateThrowsAndCountsTheDesign) {
   VModule m;
   m.name = "1bad";
-  design.modules.push_back(m);
-  design.top = "1bad";
-  EXPECT_THROW(CheckDesignOrThrow(design), Error);
+  obs::MetricsRegistry metrics;
+  EXPECT_THROW(analysis::VerifyRtlOrThrow(SingleModule(m), &metrics),
+               Error);
+  EXPECT_EQ(metrics.CounterValue("analysis.rtl.designs_verified"), 1);
 }
 
 TEST(Emitters, InvalidConfigRejected) {
@@ -324,10 +354,10 @@ TEST(Verilog, RenderStmtIfChain) {
   EXPECT_EQ(lines, expect);
 }
 
-// Regression (typed-AST lint): an output named with a prefix of another
-// written name must still be reported undriven.  The old string-based
-// lint searched the always text for the substring "out" and was fooled
-// by "out_valid <= ...".
+// Regression (typed-AST drive analysis): an output named with a prefix
+// of another written name must still be reported undriven.  A
+// string-based check that searched the always text for the substring
+// "out" was fooled by "out_valid <= ...".
 TEST(Lint, OutputNamePrefixDoesNotMaskUndriven) {
   VModule m;
   m.name = "sub";
@@ -338,17 +368,18 @@ TEST(Lint, OutputNamePrefixDoesNotMaskUndriven) {
   a.sensitivity = "posedge clk";
   a.body = {VNonBlocking(VId("out_valid"), VLit(1, 1, 'b'))};
   m.always_blocks.push_back(a);
-  bool undriven_out = false;
-  for (const auto& i : LintModule(m))
-    if (i.message.find("'out'") != std::string::npos &&
-        i.message.find("never driven") != std::string::npos)
-      undriven_out = true;
-  EXPECT_TRUE(undriven_out);
+  const AnalysisReport report = VerifyRtl(SingleModule(m));
+  int undriven_out = 0;
+  for (const Diagnostic& d : report.diagnostics())
+    if (d.rule == analysis::kRuleRtlDrive && d.location == "out" &&
+        d.message.find("never driven") != std::string::npos)
+      ++undriven_out;
+  EXPECT_EQ(undriven_out, 1);
 }
 
 // Regression (parameter-width bindings): a port whose range comes from a
 // parameter checks against the *instance's* override, not the default.
-TEST(LintDesign, ParamWidthPortResolvesThroughOverride) {
+TEST(Lint, ParamWidthPortResolvesThroughOverride) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -377,13 +408,13 @@ TEST(LintDesign, ParamWidthPortResolvesThroughOverride) {
   design.modules.push_back(top);
   design.top = "top";
 
-  int width_issues = 0;
-  for (const auto& i : LintDesign(design))
-    if (i.message.find("width") != std::string::npos) {
-      ++width_issues;
-      EXPECT_NE(i.message.find("u_bad"), std::string::npos) << i.message;
+  const AnalysisReport report = VerifyRtl(design);
+  EXPECT_EQ(Errors(report, analysis::kRuleRtlWidth), 1);
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.rule == analysis::kRuleRtlWidth) {
+      EXPECT_EQ(d.location, "top/u_bad.data") << d.message;
     }
-  EXPECT_EQ(width_issues, 1);
+  }
 }
 
 // Golden RTL digests: the emitted Verilog for every zoo model is pinned

@@ -130,13 +130,15 @@ TEST(PlanServe, PlansWithoutAReplicaOrADatapath) {
   EXPECT_EQ(plan.replicas[1].busy_cycles, 100 + 60);
 }
 
-TEST(InferenceServer, MatchesSequentialHostRuntimeBitExactly) {
+TEST(InferenceServer, MatchesSequentialSystemContextBitExactly) {
   Fixture fx;
   const auto inputs = fx.Inputs(6);
 
-  HostRuntime host(fx.net, fx.design, fx.weights);
-  std::vector<Tensor> seq_inputs(inputs.begin(), inputs.end());
-  const auto sequential = host.InferBatch(seq_inputs);
+  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
+  const SystemContext context(fx.net, fx.design, image);
+  std::vector<Tensor> sequential;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    sequential.push_back(context.Run(image, inputs[i], /*warm=*/i > 0).output);
 
   for (int workers : {2, 3}) {
     ServeOptions options;
@@ -147,7 +149,7 @@ TEST(InferenceServer, MatchesSequentialHostRuntimeBitExactly) {
     const auto& served = server.Drain();
     ASSERT_EQ(served.size(), inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i)
-      EXPECT_EQ(MaxAbsDiff(served[i].output, sequential[i].output), 0.0)
+      EXPECT_EQ(MaxAbsDiff(served[i].output, sequential[i]), 0.0)
           << "workers=" << workers << " request " << i;
   }
 }
@@ -443,13 +445,15 @@ TEST(InferenceServer, ShedOldestIsDeterministicInSimulatedTime) {
   EXPECT_EQ(stats.shed, 4);
   EXPECT_EQ(stats.completed, 4);
 
-  HostRuntime host(fx.net, fx.design, fx.weights);
-  for (const std::int64_t id : ok_ids)
-    EXPECT_EQ(MaxAbsDiff(served[static_cast<std::size_t>(id)].output,
-                         host.Infer(inputs[static_cast<std::size_t>(id)])
-                             .output),
-              0.0)
+  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
+  const SystemContext context(fx.net, fx.design, image);
+  for (const std::int64_t id : ok_ids) {
+    const auto i = static_cast<std::size_t>(id);
+    EXPECT_EQ(
+        MaxAbsDiff(served[i].output, context.Run(image, inputs[i]).output),
+        0.0)
         << "request " << id;
+  }
 
   // Same arrival stream, same shed set: the decision is simulated-time.
   const auto [served2, stats2] = run();

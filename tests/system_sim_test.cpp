@@ -1,12 +1,15 @@
-// Tests for the system-level (DRAM-image-driven) simulation and the
-// execution trace / VCD export.
+// Tests for the system-level (DRAM-image-driven) simulation, the
+// SystemContext invocation API, and the execution trace / VCD export.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "core/generator.h"
 #include "fault/fault_injector.h"
+#include "hwlib/device.h"
 #include "models/zoo.h"
 #include "nn/executor.h"
+#include "sim/host_runtime.h"
+#include "sim/power_model.h"
 #include "sim/system_sim.h"
 #include "sim/trace.h"
 
@@ -24,6 +27,14 @@ struct Fixture {
         weights(WeightStore::CreateFor(net)) {
     Rng rng(23);
     weights = WeightStore::CreateRandom(net, rng);
+  }
+
+  Tensor RandomInput(std::uint64_t seed) const {
+    const BlobShape& s = net.layer(net.input_ids().front()).output_shape;
+    Tensor t(Shape{s.channels, s.height, s.width});
+    Rng rng(seed);
+    t.FillUniform(rng, 0.0f, 1.0f);
+    return t;
   }
 };
 
@@ -158,6 +169,52 @@ TEST(SystemSim, PaddedWeightRegionWithinOneBeatStillDecodes) {
       fx.net, fx.design, fx.weights,
       {{"data", Tensor(Shape{1, 12, 12})}});
   EXPECT_NO_THROW(DecodeWeights(image, fx.net, fx.design));
+}
+
+// The one invocation API: the provisioned host image plus a
+// SystemContext on it, with energy from the power model.
+TEST(SystemContext, RunMatchesFunctionalSimulation) {
+  const Fixture fx;
+  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
+  const SystemContext context(fx.net, fx.design, image);
+  const Tensor input = fx.RandomInput(7);
+  const SystemRunResult run = context.Run(image, input);
+
+  FunctionalSimulator direct(fx.net, fx.design, fx.weights);
+  EXPECT_LT(MaxAbsDiff(run.output, direct.Run(input)),
+            2 * fx.design.config.format.resolution());
+  EXPECT_GT(run.perf.total_cycles, 0);
+  EXPECT_GT(run.perf.TotalSeconds(), 0.0);
+  EXPECT_GT(EstimateEnergy(fx.design.resources.total, run.perf,
+                           DeviceCatalog("zynq-7045"))
+                .total_joules,
+            0.0);
+}
+
+TEST(SystemContext, WarmRunsAreCheaperThanCold) {
+  const Fixture fx(ZooModel::kCifar);  // weights fit the on-chip buffer
+  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
+  const SystemContext context(fx.net, fx.design, image);
+  const SystemRunResult cold = context.Run(image, fx.RandomInput(10));
+  for (std::uint64_t seed = 11; seed < 14; ++seed) {
+    const SystemRunResult warm =
+        context.Run(image, fx.RandomInput(seed), /*warm=*/true);
+    EXPECT_LT(warm.perf.total_cycles, cold.perf.total_cycles);
+  }
+}
+
+TEST(SystemContext, BatchOutputsMatchSingleInference) {
+  const Fixture fx(ZooModel::kAnn1Jpeg);
+  MemoryImage batch_image = BuildHostImage(fx.net, fx.design, fx.weights);
+  MemoryImage single_image = batch_image;
+  const SystemContext batch(fx.net, fx.design, batch_image);
+  const SystemContext single(fx.net, fx.design, single_image);
+  for (int i = 0; i < 3; ++i) {
+    const Tensor input = fx.RandomInput(50 + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(batch.Run(batch_image, input, /*warm=*/i > 0).output.storage(),
+              single.Run(single_image, input).output.storage())
+        << "input " << i;
+  }
 }
 
 TEST(Trace, RecordsBusyIntervals) {

@@ -847,8 +847,8 @@ int RunTune(int argc, char** argv) {
 
   const dse::TuneResult result = dse::Explore(net, constraint, tune);
   if (!design_cache.empty()) {
-    // Compile the winner into a deployable design (RTL + lint + the
-    // verifier gate) and persist it with both report renderings.
+    // Compile the winner into a deployable design (RTL + the rtl.* and
+    // design verifier gates) and persist it with both report renderings.
     const AcceleratorConfig base = SizeDatapath(net, constraint);
     cache.Insert(key,
                  dse::CompileWinner(net, constraint, base,
