@@ -59,7 +59,7 @@ cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" \
   --target analysis_test rtl_test rtl_analysis_test
 ctest --preset ubsan -j "${JOBS}" \
-  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|RtlDecl|EmitsLintCleanModule'
+  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule'
 
 echo "== tier-1: UBSan on the RTL analysis suite (ctest -L rtl) =="
 # The elaborator's bit-range bookkeeping and the width-inference

@@ -201,7 +201,7 @@ TEST(Lint, CatchesIllegalIdentifier) {
             1);
 }
 
-TEST(Lint, CatchesUndefinedInstanceModule) {
+TEST(LintDesign, CatchesUndefinedInstanceModule) {
   VDesign design;
   VModule top;
   top.name = "top";
@@ -216,7 +216,7 @@ TEST(Lint, CatchesUndefinedInstanceModule) {
             1);
 }
 
-TEST(Lint, CatchesUnboundAndUnknownPorts) {
+TEST(LintDesign, CatchesUnboundAndUnknownPorts) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -245,7 +245,7 @@ TEST(Lint, CatchesUnboundAndUnknownPorts) {
   EXPECT_EQ(unbound, 1);
 }
 
-TEST(Lint, CatchesPortWidthMismatch) {
+TEST(LintDesign, CatchesPortWidthMismatch) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -272,7 +272,7 @@ TEST(Lint, CatchesPortWidthMismatch) {
   EXPECT_EQ(Errors(VerifyRtl(design), analysis::kRuleRtlWidth), 2);
 }
 
-TEST(Lint, AcceptsMatchingPortWidths) {
+TEST(LintDesign, AcceptsMatchingPortWidths) {
   VDesign design;
   VModule child;
   child.name = "child";
@@ -293,7 +293,7 @@ TEST(Lint, AcceptsMatchingPortWidths) {
   EXPECT_FALSE(VerifyRtl(design).HasRule(analysis::kRuleRtlWidth));
 }
 
-TEST(Lint, CatchesMissingTop) {
+TEST(LintDesign, CatchesMissingTop) {
   VDesign design;
   VModule m;
   m.name = "only";
@@ -304,7 +304,7 @@ TEST(Lint, CatchesMissingTop) {
             1);
 }
 
-TEST(Lint, GateThrowsAndCountsTheDesign) {
+TEST(LintDesign, CheckOrThrowAggregates) {
   VModule m;
   m.name = "1bad";
   obs::MetricsRegistry metrics;
@@ -379,7 +379,7 @@ TEST(Lint, OutputNamePrefixDoesNotMaskUndriven) {
 
 // Regression (parameter-width bindings): a port whose range comes from a
 // parameter checks against the *instance's* override, not the default.
-TEST(Lint, ParamWidthPortResolvesThroughOverride) {
+TEST(LintDesign, ParamWidthPortResolvesThroughOverride) {
   VDesign design;
   VModule child;
   child.name = "child";

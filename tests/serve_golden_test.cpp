@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,6 +80,10 @@ struct Scenario {
   const char* timeseries;
   const char* stats;
 };
+
+// Without a printer gtest shows a Scenario as its raw bytes, pointers
+// included, so the registered test names would change with every run.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.name; }
 
 std::uint64_t Mix(std::uint64_t hash, const void* bytes, std::size_t n) {
   return Fnv1a64(std::string_view(static_cast<const char*>(bytes), n), hash);
