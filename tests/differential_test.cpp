@@ -28,7 +28,9 @@
 #include <vector>
 
 #include "cluster/design_cache.h"
+#include "common/hash.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/design_serde.h"
 #include "core/generator.h"
 #include "dse/explorer.h"
@@ -304,6 +306,59 @@ TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
     const Tensor simd_out =
         FunctionalSimulator(net, design, weights).Run(input);
     EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+  }
+}
+
+/// Committed FNV-1a digests of every zoo model's functional output, at
+/// every layer (RunAll, in layer order: name, then the float bytes of
+/// the dequantised activation), for fixed weight and input seeds.  Both
+/// backends must reproduce them, so a kernel or loop-nest change that
+/// moves any activation of any model fails here across commits, not
+/// only between two backends of one binary.
+TEST(Differential, ZooOutputsArePinned) {
+  struct Pin {
+    ZooModel model;
+    const char* digest;
+  };
+  const Pin kPins[] = {
+      {ZooModel::kAnn0Fft, "e4aa4fd5d566e6ce"},
+      {ZooModel::kAnn1Jpeg, "592e4e733e385d29"},
+      {ZooModel::kAnn2Kmeans, "e300614dcf92d705"},
+      {ZooModel::kHopfield, "1f395c3b12670f28"},
+      {ZooModel::kCmac, "d2ff6d8294638daa"},
+      {ZooModel::kMnist, "97a1b73d61ac0c2b"},
+      {ZooModel::kAlexnet, "ce769a3d24232da6"},
+      {ZooModel::kNin, "daf5e3e7ceb28809"},
+      {ZooModel::kCifar, "ce5da59c26cd1032"},
+  };
+  ASSERT_EQ(std::size(kPins), AllZooModels().size());
+  BackendGuard guard;
+  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
+  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(ZooModelName(pin.model));
+    const Network net = BuildZooModel(pin.model);
+    const AcceleratorDesign design =
+        GenerateAccelerator(net, DbConstraint());
+    Rng rng(2016);
+    const WeightStore weights = WeightStore::CreateRandom(net, rng);
+    const Tensor input = RandomInput(net, 4242);
+    for (const sim::KernelBackend backend : backends) {
+      SCOPED_TRACE(sim::KernelBackendName(backend));
+      sim::SetKernelBackend(backend);
+      const std::map<std::string, Tensor> acts =
+          FunctionalSimulator(net, design, weights).RunAll(input);
+      std::uint64_t h = kFnvOffsetBasis;
+      for (const IrLayer& layer : net.layers()) {
+        const std::vector<float>& v = acts.at(layer.name()).storage();
+        h = Fnv1a64(layer.name(), h);
+        h = Fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                     v.size() * sizeof(float)),
+                    h);
+      }
+      EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(h)),
+                pin.digest);
+    }
   }
 }
 
