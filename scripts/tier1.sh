@@ -43,12 +43,17 @@ cmake --build --preset release -j "${JOBS}"
 ctest --preset release -j "${JOBS}" -L differential
 
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
+# Also the conv kernels: Kernels.ConvTileMatchesBruteForce runs every
+# backend's tile on exact-size buffers, so a load past the tile's
+# declared extent is an ASan error, and FunctionalSim's exact-reference
+# conv sweep runs the phase layout over strided, padded and grouped
+# shapes.
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
-           system_sim_test obs_test
+           system_sim_test obs_test kernels_test functional_sim_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim'
 
 echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

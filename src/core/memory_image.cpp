@@ -78,16 +78,7 @@ std::int64_t MemoryImage::ReadElem(std::int64_t addr,
                                    int elem_bytes) const {
   DB_CHECK_MSG(addr >= 0 && addr + elem_bytes <= size(),
                "image read out of bounds");
-  std::uint64_t value = 0;
-  for (int b = 0; b < elem_bytes; ++b)
-    value |= static_cast<std::uint64_t>(
-                 bytes_[static_cast<std::size_t>(addr + b)])
-             << (8 * b);
-  // Sign-extend from the element's top bit.
-  const int bits = 8 * elem_bytes;
-  const std::uint64_t sign_bit = std::uint64_t{1} << (bits - 1);
-  if (value & sign_bit) value |= ~((sign_bit << 1) - 1);
-  return static_cast<std::int64_t>(value);
+  return LoadElem(bytes_.get() + addr, elem_bytes);
 }
 
 void MemoryImage::FlipBit(std::int64_t addr, int bit) {

@@ -32,6 +32,16 @@ namespace db {
 static_assert(std::endian::native == std::endian::little,
               "the DRAM image is little-endian by contract");
 
+/// The little-endian element of `elem_bytes` (1 to 8) at `p`,
+/// sign-extended from its top bit.
+inline std::int64_t LoadElem(const std::uint8_t* p, int elem_bytes) {
+  std::uint64_t value = 0;
+  for (int b = 0; b < elem_bytes; ++b)
+    value |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+  const int shift = 64 - 8 * elem_bytes;
+  return static_cast<std::int64_t>(value << shift) >> shift;
+}
+
 /// A byte-addressable DRAM image.
 ///
 /// The bytes live in one malloc'd block, which implicitly creates the

@@ -66,22 +66,14 @@ struct NarrowMath {
   using Acc = std::int64_t;
   const sim::KernelOps& ops;
 
-  void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
-              std::size_t n) const {
-    ops.mac_row(acc, in, w, n);
-  }
   template <typename W>
   Acc Dot(const W* w, const std::int32_t* x, std::size_t n) const {
     if constexpr (sizeof(W) == 2) return ops.dot_w16(w, x, n);
     else return ops.dot(w, x, n);
   }
-  template <typename W>
-  Acc DotRows(const W* w, std::ptrdiff_t w_stride, const std::int32_t* x,
-              std::ptrdiff_t x_stride, std::size_t rows,
-              std::size_t n) const {
-    if constexpr (sizeof(W) == 2)
-      return ops.dot_rows_w16(w, w_stride, x, x_stride, rows, n);
-    else return ops.dot_rows(w, w_stride, x, x_stride, rows, n);
+  void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
+                const std::int64_t* off, std::size_t taps) const {
+    ops.conv_tile(acc, w, in, off, taps);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -94,11 +86,6 @@ struct NarrowMath {
 struct WideMath {
   using Acc = __int128;
 
-  void MacRow(Acc* acc, const std::int32_t* in, std::int32_t w,
-              std::size_t n) const {
-    const std::int64_t w64 = w;
-    for (std::size_t i = 0; i < n; ++i) acc[i] += Acc{w64 * in[i]};
-  }
   template <typename W>
   Acc Dot(const W* a, const std::int32_t* b, std::size_t n) const {
     Acc sum = 0;
@@ -106,15 +93,9 @@ struct WideMath {
       sum += Acc{static_cast<std::int64_t>(a[i]) * b[i]};
     return sum;
   }
-  template <typename W>
-  Acc DotRows(const W* a, std::ptrdiff_t a_stride,
-              const std::int32_t* b, std::ptrdiff_t b_stride,
-              std::size_t rows, std::size_t n) const {
-    Acc sum = 0;
-    for (std::size_t r = 0; r < rows; ++r)
-      sum += Dot(a + static_cast<std::ptrdiff_t>(r) * a_stride,
-                 b + static_cast<std::ptrdiff_t>(r) * b_stride, n);
-    return sum;
+  void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
+                const std::int64_t* off, std::size_t taps) const {
+    sim::ConvTileReference(acc, w, in, off, taps);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -150,36 +131,26 @@ FunctionalSimulator::FunctionalSimulator(const Network& net,
 }
 
 void FunctionalSimulator::Bind(const MemoryImage& image) {
-  // Word offsets of every layer's parameters.  2- and 4-byte elements
-  // are viewed in place (region bases are port-aligned, so every word
-  // is naturally aligned); 1- and 3-byte ones are widened here.
-  const std::int64_t elem_bytes = design_.config.ElementBytes();
-  const bool in_place = elem_bytes == 2 || elem_bytes == 4;
-  w16_ = elem_bytes == 2;
+  // Element indices of every layer's parameters (region bases are
+  // port-aligned, so every element is naturally aligned).
+  elem_bytes_ = static_cast<int>(design_.config.ElementBytes());
   DB_CHECK_MSG(image.size() >= design_.memory_map.total_bytes(),
                "image smaller than the design's memory map");
-  slots_.assign(net_.layers().size(), {-1, -1, -1});
+  bytes_ = image.data();
+  slots_.assign(net_.layers().size(), {});
   for (const IrLayer* layer : net_.ComputeLayers()) {
     if (ParamCountsFor(*layer).Total() == 0) continue;
     const WeightRegionLayout layout = LayoutWeightRegion(*layer, design_);
-    DB_CHECK_MSG(layout.weights_addr % elem_bytes == 0,
+    DB_CHECK_MSG(layout.weights_addr % elem_bytes_ == 0,
                  "weight region misaligned for its element size");
-    const auto bind = [&](std::int64_t addr, std::int64_t count) {
-      if (count == 0) return std::int64_t{-1};
-      if (in_place) return addr / elem_bytes;
-      const auto offset = static_cast<std::int64_t>(widened_.size());
-      for (std::int64_t i = 0; i < count; ++i)
-        widened_.push_back(static_cast<std::int32_t>(image.ReadElem(
-            addr + i * elem_bytes, static_cast<int>(elem_bytes))));
-      return offset;
+    const auto slot = [&](std::int64_t addr, std::int64_t count) {
+      return Slot{addr / elem_bytes_, count};
     };
     slots_[static_cast<std::size_t>(layer->id)] = {
-        bind(layout.weights_addr, layout.counts.weights),
-        bind(layout.bias_addr, layout.counts.bias),
-        bind(layout.recurrent_addr, layout.counts.recurrent)};
+        slot(layout.weights_addr, layout.counts.weights),
+        slot(layout.bias_addr, layout.counts.bias),
+        slot(layout.recurrent_addr, layout.counts.recurrent)};
   }
-  words_ = in_place ? static_cast<const void*>(image.data())
-                    : static_cast<const void*>(widened_.data());
   for (const ApproxLutSpec& spec : design_.lut_specs)
     luts_.push_back(ApproxLut::Generate(spec));
   // |sum of T products| <= T * 2^(2*(total_bits-1)), so int64
@@ -198,13 +169,23 @@ void FunctionalSimulator::Bind(const MemoryImage& image) {
 template <typename W>
 FunctionalSimulator::Params<W> FunctionalSimulator::ParamsOf(
     const IrLayer& layer) const {
-  const auto& [weights, bias, recurrent] =
+  const std::array<Slot, 3>& slots =
       slots_[static_cast<std::size_t>(layer.id)];
-  DB_CHECK_MSG(weights >= 0, "layer has no parameters bound");
-  const auto at = [&](std::int64_t offset) {
-    return offset < 0 ? nullptr : static_cast<const W*>(words_) + offset;
+  DB_CHECK_MSG(slots[0].count > 0, "layer has no parameters bound");
+  const auto at = [&](const Slot& slot) -> const W* {
+    if (slot.count == 0) return nullptr;
+    if (elem_bytes_ == static_cast<int>(sizeof(W)))
+      return reinterpret_cast<const W*>(bytes_) + slot.index;
+    // 1- and 3-byte elements have no native word: widen them from the
+    // image on every run, so a flipped bit reaches the next Run() here
+    // too.
+    W* wide = arena_.Alloc<W>(static_cast<std::size_t>(slot.count));
+    const std::uint8_t* src = bytes_ + slot.index * elem_bytes_;
+    for (std::int64_t i = 0; i < slot.count; ++i)
+      wide[i] = static_cast<W>(LoadElem(src + i * elem_bytes_, elem_bytes_));
+    return wide;
   };
-  return {at(weights), at(bias), at(recurrent)};
+  return {at(slots[0]), at(slots[1]), at(slots[2])};
 }
 
 const ApproxLut& FunctionalSimulator::LutFor(LutFunction fn) const {
@@ -222,78 +203,89 @@ void FunctionalSimulator::RunConv(const Math& math, const Params<W>& params,
                                   const IrLayer& layer, const RawTensor& in0,
                                   RawTensor& out) const {
   using Acc = typename Math::Acc;
+  constexpr std::int64_t kC = sim::kConvTileChannels;
+  constexpr std::int64_t kP = sim::kConvTilePixels;
   const ConvolutionParams& p = *layer.def.conv;
   const int f = fmt_.frac_bits();
+  const std::int64_t s = p.stride;
+  const std::int64_t k = p.kernel_size;
+  const std::int64_t in_c = in0.shape.channels;
   const std::int64_t in_h = in0.shape.height;
   const std::int64_t in_w = in0.shape.width;
   const std::int64_t out_h = out.shape.height;
   const std::int64_t out_w = out.shape.width;
-  const std::int64_t k = p.kernel_size;
-  const std::int64_t group_in = in0.shape.channels / p.group;
+  const std::int64_t group_in = in_c / p.group;
   const std::int64_t group_out = out.shape.channels / p.group;
-  Acc* acc_row = arena_.Alloc<Acc>(static_cast<std::size_t>(out_w));
-  for (std::int64_t oc = 0; oc < out.shape.channels; ++oc) {
-    const std::int64_t ic_base = (oc / group_out) * group_in;
-    const Acc bias = params.template Bias<Acc>(oc, f);
-    const W* w_oc = params.weights + oc * group_in * k * k;
-    for (std::int64_t y = 0; y < out_h; ++y) {
-      for (std::int64_t x = 0; x < out_w; ++x) acc_row[x] = bias;
-      if (p.stride == 1) {
-        // Stride-1: broadcast each weight tap across the whole output
-        // row (one mac_row per (g, ky, kx)).
-        for (std::int64_t g = 0; g < group_in; ++g) {
-          const std::int64_t ic = ic_base + g;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = y + ky - p.pad;
-            if (iy < 0 || iy >= in_h) continue;
-            const std::int32_t* in_row =
-                in0.raw + (ic * in_h + iy) * in_w;
-            const W* w_row = w_oc + (g * k + ky) * k;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t x_lo =
-                  std::max<std::int64_t>(0, p.pad - kx);
-              const std::int64_t x_hi =
-                  std::min<std::int64_t>(out_w, in_w - kx + p.pad);
-              if (x_hi <= x_lo) continue;
-              math.MacRow(acc_row + x_lo, in_row + (x_lo + kx - p.pad),
-                          w_row[kx],
-                          static_cast<std::size_t>(x_hi - x_lo));
-            }
-          }
-        }
-      } else {
-        // Strided: per output pixel, one fused dot over the clipped
-        // (ky, kx) tap block of each input channel.
-        const std::int64_t iy0 = y * p.stride - p.pad;
-        const std::int64_t ky_lo = std::max<std::int64_t>(0, -iy0);
-        const std::int64_t ky_hi = std::min<std::int64_t>(k, in_h - iy0);
-        if (ky_hi <= ky_lo) {
-          math.Writeback(out.raw + (oc * out_h + y) * out_w, acc_row,
-                         static_cast<std::size_t>(out_w), fmt_);
-          continue;
-        }
-        const std::size_t tap_rows =
-            static_cast<std::size_t>(ky_hi - ky_lo);
-        for (std::int64_t x = 0; x < out_w; ++x) {
-          const std::int64_t ix0 = x * p.stride - p.pad;
-          const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
-          const std::int64_t kx_hi =
-              std::min<std::int64_t>(k, in_w - ix0);
-          if (kx_hi <= kx_lo) continue;
-          Acc acc = 0;
-          for (std::int64_t g = 0; g < group_in; ++g) {
-            const std::int64_t ic = ic_base + g;
-            acc += math.DotRows(
-                w_oc + (g * k + ky_lo) * k + kx_lo, k,
-                in0.raw + (ic * in_h + iy0 + ky_lo) * in_w + ix0 + kx_lo,
-                in_w, tap_rows,
-                static_cast<std::size_t>(kx_hi - kx_lo));
-          }
-          acc_row[x] += acc;
-        }
+
+  // Layout: the zero-padded input split into s column phases,
+  //   phased[c][r][iy][j] = padded[c][iy][j * s + r],
+  // so tap (ky, kx) of output pixels x0..x0+kP-1 on row y is the
+  // contiguous run phased[c][kx % s][y * s + ky][x0 + kx / s + i].  Rows
+  // hold every column the last tile's full-width loads reach; pixels
+  // past out_w read in-range values or zeros and are discarded.
+  const std::int64_t rows = (out_h - 1) * s + k;
+  const std::int64_t row_w = CeilDiv(out_w, kP) * kP + (k - 1) / s;
+  const std::int64_t plane = s * rows * row_w;  // one channel, all phases
+  std::int32_t* phased = arena_.AllocZeroed<std::int32_t>(
+      static_cast<std::size_t>(in_c * plane));
+  for (std::int64_t c = 0; c < in_c; ++c)
+    for (std::int64_t r = 0; r < s; ++r) {
+      // Phase columns j whose source column j * s + r - pad is inside
+      // the input.
+      const std::int64_t j_lo =
+          CeilDiv(std::max<std::int64_t>(p.pad - r, 0), s);
+      const std::int64_t j_hi = std::min(
+          row_w, CeilDiv(std::max<std::int64_t>(in_w + p.pad - r, 0), s));
+      for (std::int64_t iy = 0; iy < rows; ++iy) {
+        const std::int64_t src_y = iy - p.pad;
+        if (src_y < 0 || src_y >= in_h) continue;
+        const std::int32_t* src = in0.raw + (c * in_h + src_y) * in_w;
+        std::int32_t* dst = phased + ((c * s + r) * rows + iy) * row_w;
+        for (std::int64_t j = j_lo; j < j_hi; ++j)
+          dst[j] = src[j * s + r - p.pad];
       }
-      math.Writeback(out.raw + (oc * out_h + y) * out_w, acc_row,
-                     static_cast<std::size_t>(out_w), fmt_);
+    }
+
+  // Tap t = (g, ky, kx) — the weight order within an output channel —
+  // as an offset from the tile's origin.
+  const std::int64_t taps = group_in * k * k;
+  std::int64_t* off =
+      arena_.Alloc<std::int64_t>(static_cast<std::size_t>(taps));
+  for (std::int64_t g = 0, t = 0; g < group_in; ++g)
+    for (std::int64_t ky = 0; ky < k; ++ky)
+      for (std::int64_t kx = 0; kx < k; ++kx, ++t)
+        off[t] = ((g * s + kx % s) * rows + ky) * row_w + kx / s;
+
+  // Per block of kC output channels of one group: pack the weights as
+  // w[t][kC] (zero past the group's last channel), then sweep the
+  // output in kC x kP register tiles.  The weights are read from the
+  // image here, on every run.
+  std::int32_t* w_pack =
+      arena_.Alloc<std::int32_t>(static_cast<std::size_t>(taps * kC));
+  Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(kC * kP));
+  for (std::int64_t grp = 0; grp < p.group; ++grp) {
+    const std::int32_t* in_g = phased + grp * group_in * plane;
+    const std::int64_t oc_end = (grp + 1) * group_out;
+    for (std::int64_t oc0 = grp * group_out; oc0 < oc_end; oc0 += kC) {
+      const std::int64_t n_oc = std::min(kC, oc_end - oc0);
+      if (n_oc < kC) std::fill(w_pack, w_pack + taps * kC, 0);
+      for (std::int64_t j = 0; j < n_oc; ++j) {
+        const W* w_oc = params.weights + (oc0 + j) * taps;
+        for (std::int64_t t = 0; t < taps; ++t) w_pack[t * kC + j] = w_oc[t];
+      }
+      for (std::int64_t y = 0; y < out_h; ++y)
+        for (std::int64_t x0 = 0; x0 < out_w; x0 += kP) {
+          math.ConvTile(acc, w_pack, in_g + y * s * row_w + x0, off,
+                        static_cast<std::size_t>(taps));
+          const std::int64_t n_x = std::min(kP, out_w - x0);
+          for (std::int64_t j = 0; j < n_oc; ++j) {
+            Acc* row = acc + j * kP;
+            const Acc bias = params.template Bias<Acc>(oc0 + j, f);
+            for (std::int64_t i = 0; i < n_x; ++i) row[i] += bias;
+            math.Writeback(out.raw + ((oc0 + j) * out_h + y) * out_w + x0,
+                           row, static_cast<std::size_t>(n_x), fmt_);
+          }
+        }
     }
   }
 }
@@ -553,8 +545,8 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
     case LayerKind::kRecurrent:
     case LayerKind::kLstm:
     case LayerKind::kAssociative:
-      w16_ ? RunMacLayer<std::int16_t>(layer, in0, out)
-           : RunMacLayer<std::int32_t>(layer, in0, out);
+      elem_bytes_ == 2 ? RunMacLayer<std::int16_t>(layer, in0, out)
+                       : RunMacLayer<std::int32_t>(layer, in0, out);
       break;
     case LayerKind::kPooling:
       RunPooling(layer, in0, out);

@@ -11,10 +11,10 @@
 // Weights: the simulator reads its parameters in place from a DRAM
 // MemoryImage, the way the accelerator reads DDR3 (paper §4.1) — there
 // is no decoded copy.  2-byte formats (every zoo design) read through an
-// int16 view of the image and 4-byte formats through an int32 view, so
-// a bit flipped in a weight region reaches the next Run().  1- and
-// 3-byte formats have no native word; their parameters are widened
-// once, at construction, into an int32 buffer.
+// int16 view of the image and 4-byte formats through an int32 view.  1-
+// and 3-byte formats have no native word; each Run() widens their
+// parameters from the image into its scratch arena.  Either way a bit
+// flipped in a weight region reaches the next Run().
 //
 // Hot-path layout: layer state is structure-of-arrays — int32 raw
 // activations in a per-simulator arena, int64 accumulators — and the
@@ -142,14 +142,19 @@ class FunctionalSimulator {
   const AcceleratorDesign& design_;
   FixedFormat fmt_;
   MemoryImage owned_image_{0};  // built by the WeightStore constructor
-  /// The parameter words — int16 when w16_, else int32 — in the image
-  /// itself or, for 1- and 3-byte formats, in widened_.
-  const void* words_ = nullptr;
-  bool w16_ = false;
-  std::vector<std::int32_t> widened_;
-  /// Per layer id: word offsets of the weight matrix, bias and
-  /// recurrent matrix (-1 when absent).
-  std::vector<std::array<std::int64_t, 3>> slots_;
+  /// The image bytes the parameters are read from, and their element
+  /// width: 2-byte elements are read as int16 words in place, 4-byte ones
+  /// as int32, and 1- and 3-byte ones are widened to int32 on every run.
+  const std::uint8_t* bytes_ = nullptr;
+  int elem_bytes_ = 2;
+  /// A parameter tensor's first element index in the image and its
+  /// element count (0 when absent).
+  struct Slot {
+    std::int64_t index = 0;
+    std::int64_t count = 0;
+  };
+  /// Per layer id: the weight matrix, bias and recurrent matrix.
+  std::vector<std::array<Slot, 3>> slots_;
   std::vector<ApproxLut> luts_;
   /// int64 accumulation provably never overflows for this design
   /// (format width x deepest fan-in) — the kernel fast path.

@@ -15,28 +15,11 @@ namespace db::sim {
 
 namespace {
 
-void ScalarMacRow(std::int64_t* acc, const std::int32_t* in,
-                  std::int32_t w, std::size_t n) {
-  const std::int64_t w64 = w;
-  for (std::size_t i = 0; i < n; ++i) acc[i] += w64 * in[i];
-}
-
 template <typename W>
 std::int64_t ScalarDot(const W* a, const std::int32_t* b, std::size_t n) {
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i)
     sum += static_cast<std::int64_t>(a[i]) * b[i];
-  return sum;
-}
-
-template <typename W>
-std::int64_t ScalarDotRows(const W* a, std::ptrdiff_t a_stride,
-                           const std::int32_t* b, std::ptrdiff_t b_stride,
-                           std::size_t rows, std::size_t n) {
-  std::int64_t sum = 0;
-  for (std::size_t r = 0; r < rows; ++r)
-    sum += ScalarDot(a + static_cast<std::ptrdiff_t>(r) * a_stride,
-                     b + static_cast<std::ptrdiff_t>(r) * b_stride, n);
   return sum;
 }
 
@@ -64,9 +47,12 @@ std::int32_t ScalarMaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",        ScalarMacRow, ScalarDot<std::int32_t>,
-    ScalarDotRows<std::int32_t>, ScalarDot<std::int16_t>,
-    ScalarDotRows<std::int16_t>, ScalarWriteback, ScalarRelu,
+    "scalar",
+    ScalarDot<std::int32_t>,
+    ScalarDot<std::int16_t>,
+    ConvTileReference<std::int64_t>,
+    ScalarWriteback,
+    ScalarRelu,
     ScalarMaxValue,
 };
 

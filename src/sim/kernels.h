@@ -4,7 +4,11 @@
 // activation sweeps over structure-of-arrays state: raw activations are
 // int32 (every FixedFormat raw value fits — total_bits <= 32), weights
 // are int32 or, for 2-byte formats, int16 read in place from the DRAM
-// image, and accumulators are int64.  This header is the contract
+// image, and accumulators are int64.  Convolution runs as register
+// tiles (conv_tile: 4 output channels x 8 output pixels, the tap loop
+// innermost) over an input the simulator has laid out zero-padded and
+// split into stride phases, so one tile serves every stride; FC and
+// recurrent rows run as dot products.  This header is the contract
 // between the simulator and the two interchangeable kernel backends:
 //
 //   * scalar  — portable reference, always available
@@ -58,37 +62,51 @@ inline __int128 RoundShiftHalfAway128(__int128 v, int frac_bits) {
 // Kernel ops table
 // ---------------------------------------------------------------------
 
+/// The conv_tile shape: output channels x output pixels per call.
+inline constexpr std::size_t kConvTileChannels = 4;
+inline constexpr std::size_t kConvTilePixels = 8;
+
+/// conv_tile's arithmetic at any accumulator width: the scalar backend
+/// runs it at int64, the simulator's __int128 path at full width.
+template <typename Acc>
+void ConvTileReference(Acc* acc, const std::int32_t* w,
+                       const std::int32_t* in, const std::int64_t* off,
+                       std::size_t taps) {
+  constexpr std::size_t kC = kConvTileChannels;
+  constexpr std::size_t kP = kConvTilePixels;
+  for (std::size_t i = 0; i < kC * kP; ++i) acc[i] = 0;
+  for (std::size_t t = 0; t < taps; ++t) {
+    const std::int32_t* x = in + off[t];
+    for (std::size_t j = 0; j < kC; ++j) {
+      const std::int64_t wj = w[t * kC + j];
+      for (std::size_t i = 0; i < kP; ++i) acc[j * kP + i] += Acc{wj * x[i]};
+    }
+  }
+}
+
 /// The vectorisable inner loops of the datapath, dispatched once per
 /// process (or overridden per test).  All pointers may be unaligned.
 struct KernelOps {
   const char* name;
 
-  /// acc[i] += int64(w) * in[i] for i in [0, n) — the stride-1
-  /// weight-broadcast MAC row of a convolution.
-  void (*mac_row)(std::int64_t* acc, const std::int32_t* in,
-                  std::int32_t w, std::size_t n);
-
-  /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row
-  /// or a strided convolution tap run.
+  /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row.
   std::int64_t (*dot)(const std::int32_t* a, const std::int32_t* b,
                       std::size_t n);
 
-  /// sum over `rows` strided row pairs of the n-element dot product —
-  /// the fused (ky, kx) tap block of one strided-convolution output
-  /// pixel, saving a dispatch per row.
-  std::int64_t (*dot_rows)(const std::int32_t* a, std::ptrdiff_t a_stride,
-                           const std::int32_t* b, std::ptrdiff_t b_stride,
-                           std::size_t rows, std::size_t n);
-
-  /// dot / dot_rows with int16 weights `w` against int32 activations
-  /// `x` — 2-byte formats, whose weights the simulator views in place.
+  /// dot with int16 weights `w` against int32 activations `x` — 2-byte
+  /// formats, whose weights the simulator views in place.
   std::int64_t (*dot_w16)(const std::int16_t* w, const std::int32_t* x,
                           std::size_t n);
-  std::int64_t (*dot_rows_w16)(const std::int16_t* w,
-                               std::ptrdiff_t w_stride,
-                               const std::int32_t* x,
-                               std::ptrdiff_t x_stride, std::size_t rows,
-                               std::size_t n);
+
+  /// The register tile of a convolution: kConvTileChannels output
+  /// channels x kConvTilePixels consecutive output pixels of one row,
+  ///   acc[j * kConvTilePixels + i] =
+  ///       sum_{t < taps} int64(w[t * kConvTileChannels + j]) * in[off[t] + i]
+  /// Tap t of every pixel is one contiguous load at in + off[t]; the
+  /// caller lays the input out so that no tap needs clipping.
+  void (*conv_tile)(std::int64_t* acc, const std::int32_t* w,
+                    const std::int32_t* in, const std::int64_t* off,
+                    std::size_t taps);
 
   /// out[i] = clamp(RoundShiftHalfAway(acc[i], frac_bits), raw_min,
   /// raw_max) — the accumulator writeback stage of the synergy-neuron

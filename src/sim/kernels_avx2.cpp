@@ -4,7 +4,7 @@
 //
 // Bit-identity with the scalar backend is structural: every op is either
 // elementwise (writeback, relu, max) or an exact int64 accumulation
-// (mac_row, dot, int16-weight dot) whose summation order cannot matter
+// (dot, int16-weight dot, conv tile) whose summation order cannot matter
 // because the simulator guarantees no-overflow before routing work here.
 #include "sim/kernels.h"
 
@@ -14,42 +14,6 @@
 
 namespace db::sim::detail {
 namespace {
-
-void Avx2MacRow(std::int64_t* acc, const std::int32_t* in, std::int32_t w,
-                std::size_t n) {
-  // Low 32 bits of every 64-bit lane hold w; _mm256_mul_epi32
-  // sign-extends exactly those.
-  const __m256i vw =
-      _mm256_set1_epi64x(static_cast<std::uint32_t>(w));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i in64a = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256i in64b = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i + 4)));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i + 4));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        _mm256_add_epi64(a, _mm256_mul_epi32(in64a, vw)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i + 4),
-        _mm256_add_epi64(b, _mm256_mul_epi32(in64b, vw)));
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256i in64 = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(acc + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        _mm256_add_epi64(a, _mm256_mul_epi32(in64, vw)));
-  }
-  const std::int64_t w64 = w;
-  for (; i < n; ++i) acc[i] += w64 * in[i];
-}
 
 /// Eight weights widened to int32 lanes: a plain load for int32, a
 /// sign-extending one for the int16 words of a 2-byte image.
@@ -62,40 +26,71 @@ __m256i Load8(const std::int16_t* p) {
 }
 
 template <typename W>
-std::int64_t Avx2DotRows(const W* a, std::ptrdiff_t a_stride,
-                         const std::int32_t* b, std::ptrdiff_t b_stride,
-                         std::size_t rows, std::size_t n) {
-  // Two independent accumulators break the add dependency chain, and
-  // persist across rows; the int64 sums are exact, so accumulation order
-  // is immaterial.
+std::int64_t Avx2Dot(const W* a, const std::int32_t* b, std::size_t n) {
+  // Two independent accumulators break the add dependency chain; the
+  // int64 sums are exact, so accumulation order is immaterial.
   __m256i sum_even = _mm256_setzero_si256();
   __m256i sum_odd = _mm256_setzero_si256();
-  std::int64_t tail = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const W* pa = a + static_cast<std::ptrdiff_t>(r) * a_stride;
-    const std::int32_t* pb = b + static_cast<std::ptrdiff_t>(r) * b_stride;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i va = Load8(pa + i);
-      const __m256i vb = Load8(pb + i);
-      // Even 32-bit elements live in the low half of each 64-bit lane;
-      // shifting right by 32 exposes the odd elements there.
-      sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
-      sum_odd = _mm256_add_epi64(
-          sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
-                                    _mm256_srli_epi64(vb, 32)));
-    }
-    for (; i < n; ++i) tail += static_cast<std::int64_t>(pa[i]) * pb[i];
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i va = Load8(a + i);
+    const __m256i vb = Load8(b + i);
+    // Even 32-bit elements live in the low half of each 64-bit lane;
+    // shifting right by 32 exposes the odd elements there.
+    sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
+    sum_odd = _mm256_add_epi64(
+        sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
+                                  _mm256_srli_epi64(vb, 32)));
   }
+  std::int64_t tail = 0;
+  for (; i < n; ++i) tail += static_cast<std::int64_t>(a[i]) * b[i];
   alignas(32) std::int64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
                      _mm256_add_epi64(sum_even, sum_odd));
   return lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
 }
 
-template <typename W>
-std::int64_t Avx2Dot(const W* a, const std::int32_t* b, std::size_t n) {
-  return Avx2DotRows(a, 0, b, 0, 1, n);
+void Avx2ConvTile(std::int64_t* acc, const std::int32_t* w,
+                  const std::int32_t* in, const std::int64_t* off,
+                  std::size_t taps) {
+  static_assert(kConvTileChannels == 4 && kConvTilePixels == 8);
+  // The 4x8 int64 tile lives in eight ymm accumulators: a<j><half> holds
+  // output channel j, pixels [4*half, 4*half+4).  Each tap widens the 8
+  // input pixels once and broadcasts each channel's weight into the low
+  // 32 bits of every 64-bit lane, which is all _mm256_mul_epi32 reads.
+  __m256i a00 = _mm256_setzero_si256(), a01 = _mm256_setzero_si256();
+  __m256i a10 = _mm256_setzero_si256(), a11 = _mm256_setzero_si256();
+  __m256i a20 = _mm256_setzero_si256(), a21 = _mm256_setzero_si256();
+  __m256i a30 = _mm256_setzero_si256(), a31 = _mm256_setzero_si256();
+  for (std::size_t t = 0; t < taps; ++t) {
+    const std::int32_t* x = in + off[t];
+    const __m256i lo = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
+    const __m256i hi = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 4)));
+    const std::int32_t* wt = w + t * kConvTileChannels;
+    const __m256i w0 = _mm256_set1_epi32(wt[0]);
+    a00 = _mm256_add_epi64(a00, _mm256_mul_epi32(lo, w0));
+    a01 = _mm256_add_epi64(a01, _mm256_mul_epi32(hi, w0));
+    const __m256i w1 = _mm256_set1_epi32(wt[1]);
+    a10 = _mm256_add_epi64(a10, _mm256_mul_epi32(lo, w1));
+    a11 = _mm256_add_epi64(a11, _mm256_mul_epi32(hi, w1));
+    const __m256i w2 = _mm256_set1_epi32(wt[2]);
+    a20 = _mm256_add_epi64(a20, _mm256_mul_epi32(lo, w2));
+    a21 = _mm256_add_epi64(a21, _mm256_mul_epi32(hi, w2));
+    const __m256i w3 = _mm256_set1_epi32(wt[3]);
+    a30 = _mm256_add_epi64(a30, _mm256_mul_epi32(lo, w3));
+    a31 = _mm256_add_epi64(a31, _mm256_mul_epi32(hi, w3));
+  }
+  __m256i* out = reinterpret_cast<__m256i*>(acc);
+  _mm256_storeu_si256(out + 0, a00);
+  _mm256_storeu_si256(out + 1, a01);
+  _mm256_storeu_si256(out + 2, a10);
+  _mm256_storeu_si256(out + 3, a11);
+  _mm256_storeu_si256(out + 4, a20);
+  _mm256_storeu_si256(out + 5, a21);
+  _mm256_storeu_si256(out + 6, a30);
+  _mm256_storeu_si256(out + 7, a31);
 }
 
 void Avx2Writeback(std::int32_t* out, const std::int64_t* acc,
@@ -171,9 +166,8 @@ std::int32_t Avx2MaxValue(const std::int32_t* in, std::size_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",        Avx2MacRow, Avx2Dot<std::int32_t>,
-    Avx2DotRows<std::int32_t>, Avx2Dot<std::int16_t>,
-    Avx2DotRows<std::int16_t>, Avx2Writeback, Avx2Relu,
+    "avx2",       Avx2Dot<std::int32_t>, Avx2Dot<std::int16_t>,
+    Avx2ConvTile, Avx2Writeback,         Avx2Relu,
     Avx2MaxValue,
 };
 

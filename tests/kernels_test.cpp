@@ -66,49 +66,19 @@ std::vector<std::int32_t> RandomI32(Rng& rng, std::size_t n,
   return v;
 }
 
-TEST(Kernels, MacRowMatchesBruteForceAtAllLengths) {
-  Rng rng(7);
-  // Lengths straddle every vector-width boundary (8/iter + 4/iter + tail).
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 33u}) {
-    const std::vector<std::int32_t> in =
-        RandomI32(rng, n, -(1 << 20), 1 << 20);
-    const std::int32_t w =
-        static_cast<std::int32_t>(rng.UniformInt(1 << 21)) - (1 << 20);
-    std::vector<std::int64_t> want(n, 17);
-    for (std::size_t i = 0; i < n; ++i)
-      want[i] += static_cast<std::int64_t>(w) * in[i];
-    for (const KernelOps* ops : Backends()) {
-      std::vector<std::int64_t> acc(n, 17);
-      ops->mac_row(acc.data(), in.data(), w, n);
-      EXPECT_EQ(acc, want) << ops->name << " n=" << n;
-    }
-  }
-}
-
-TEST(Kernels, DotAndDotRowsMatchBruteForce) {
+TEST(Kernels, DotMatchesBruteForce) {
   Rng rng(8);
   for (const std::size_t n : {0u, 1u, 5u, 8u, 13u, 32u, 67u}) {
     const std::vector<std::int32_t> a =
-        RandomI32(rng, 3 * n + 8, -(1 << 15), 1 << 15);
+        RandomI32(rng, n, -(1 << 15), 1 << 15);
     const std::vector<std::int32_t> b =
-        RandomI32(rng, 3 * n + 8, -(1 << 15), 1 << 15);
+        RandomI32(rng, n, -(1 << 15), 1 << 15);
     std::int64_t want = 0;
     for (std::size_t i = 0; i < n; ++i)
       want += static_cast<std::int64_t>(a[i]) * b[i];
-    std::int64_t want_rows = 0;
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t i = 0; i < n; ++i)
-        want_rows += static_cast<std::int64_t>(a[r * (n + 2) + i]) *
-                     b[r * (n + 1) + i];
-    for (const KernelOps* ops : Backends()) {
+    for (const KernelOps* ops : Backends())
       EXPECT_EQ(ops->dot(a.data(), b.data(), n), want)
           << ops->name << " n=" << n;
-      EXPECT_EQ(ops->dot_rows(a.data(), static_cast<std::ptrdiff_t>(n + 2),
-                              b.data(), static_cast<std::ptrdiff_t>(n + 1),
-                              3, n),
-                want_rows)
-          << ops->name << " n=" << n;
-    }
   }
 }
 
@@ -119,8 +89,7 @@ TEST(Kernels, Int16WeightDotsMatchBruteForceAtVectorBoundaries) {
   // load is what differs from the int32 kernels).
   for (const std::size_t n :
        {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 24u, 25u, 64u, 67u}) {
-    const std::size_t len = 3 * n + 8;
-    std::vector<std::int16_t> w(len);
+    std::vector<std::int16_t> w(n);
     for (auto& x : w)
       x = static_cast<std::int16_t>(rng.UniformInt(1 << 16) - (1 << 15));
     if (n > 0) {
@@ -128,24 +97,49 @@ TEST(Kernels, Int16WeightDotsMatchBruteForceAtVectorBoundaries) {
       w[n - 1] = std::numeric_limits<std::int16_t>::max();
     }
     const std::vector<std::int32_t> x =
-        RandomI32(rng, len, -(1 << 30), (1 << 30) - 1);
+        RandomI32(rng, n, -(1 << 30), (1 << 30) - 1);
     std::int64_t want = 0;
     for (std::size_t i = 0; i < n; ++i)
       want += static_cast<std::int64_t>(w[i]) * x[i];
-    std::int64_t want_rows = 0;
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t i = 0; i < n; ++i)
-        want_rows += static_cast<std::int64_t>(w[r * (n + 2) + i]) *
-                     x[r * (n + 1) + i];
-    for (const KernelOps* ops : Backends()) {
+    for (const KernelOps* ops : Backends())
       EXPECT_EQ(ops->dot_w16(w.data(), x.data(), n), want)
           << ops->name << " n=" << n;
-      EXPECT_EQ(
-          ops->dot_rows_w16(w.data(), static_cast<std::ptrdiff_t>(n + 2),
-                            x.data(), static_cast<std::ptrdiff_t>(n + 1), 3,
-                            n),
-          want_rows)
-          << ops->name << " n=" << n;
+  }
+}
+
+TEST(Kernels, ConvTileMatchesBruteForce) {
+  constexpr std::size_t kC = kConvTileChannels;
+  constexpr std::size_t kP = kConvTilePixels;
+  Rng rng(10);
+  for (const std::size_t taps :
+       {1u, 2u, 3u, 7u, 9u, 25u, 121u, 363u, 1200u, 2304u, 2400u}) {
+    // Random tap offsets into an input buffer sized exactly to the
+    // furthest tile load (so an over-read is a sanitizer error), weights
+    // and activations spanning the int32 range the narrow guard admits
+    // (|product| < 2^62, |sum of 2400| < 2^62 at 2^24 magnitudes).
+    std::vector<std::int64_t> off(taps);
+    std::size_t extent = 0;
+    const std::size_t span = 1 + rng.UniformInt(4 * taps);
+    for (auto& o : off) {
+      o = static_cast<std::int64_t>(rng.UniformInt(span));
+      extent = std::max(extent, static_cast<std::size_t>(o) + kP);
+    }
+    const std::vector<std::int32_t> in =
+        RandomI32(rng, extent, -(1 << 24), 1 << 24);
+    std::vector<std::int32_t> w =
+        RandomI32(rng, taps * kC, -(1 << 24), 1 << 24);
+    w.front() = -(1 << 24);
+    w.back() = 1 << 24;
+    std::vector<std::int64_t> want(kC * kP, 0);
+    for (std::size_t t = 0; t < taps; ++t)
+      for (std::size_t j = 0; j < kC; ++j)
+        for (std::size_t i = 0; i < kP; ++i)
+          want[j * kP + i] += static_cast<std::int64_t>(w[t * kC + j]) *
+                              in[static_cast<std::size_t>(off[t]) + i];
+    for (const KernelOps* ops : Backends()) {
+      std::vector<std::int64_t> acc(kC * kP, 99);
+      ops->conv_tile(acc.data(), w.data(), in.data(), off.data(), taps);
+      EXPECT_EQ(acc, want) << ops->name << " taps=" << taps;
     }
   }
 }

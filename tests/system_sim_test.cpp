@@ -122,6 +122,39 @@ TEST(SystemSim, WeightFlipReachesLiveContextAndScrubRestoresIt) {
   EXPECT_EQ(context.Run(image, input).output.storage(), clean.storage());
 }
 
+// The same contract at every element width: 2- and 4-byte weights are
+// read in place, 1- and 3-byte ones are widened from the image on every
+// run — none may serve a flipped weight from a copy taken earlier.
+TEST(SystemSim, WeightFlipReachesLiveContextForEveryElementWidth) {
+  for (const int bits : {8, 16, 24, 32}) {
+    SCOPED_TRACE("bit_width=" + std::to_string(bits));
+    const Network net = BuildZooModel(ZooModel::kMnist);
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = bits;
+    constraint.frac_bits = bits * 5 / 8;  // Q2.5 at 8 bits keeps softmax live
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    ASSERT_EQ(design.config.ElementBytes(), bits / 8);
+    Rng rng(23);
+    const WeightStore weights = WeightStore::CreateRandom(net, rng);
+    const MemoryImage provisioned = BuildMemoryImage(
+        net, design, weights, {{"data", Tensor(Shape{1, 12, 12})}});
+    MemoryImage image = provisioned;
+    const SystemContext context(net, design, image);
+    Tensor input(Shape{1, 12, 12});
+    input.FillUniform(rng, 0.0f, 1.0f);
+    const Tensor clean = context.Run(image, input).output;
+
+    // The top bit of conv1's first weight: the high byte of its
+    // little-endian element.
+    const MemoryRegion& region = design.memory_map.Weights("conv1");
+    image.FlipBit(region.base + design.config.ElementBytes() - 1, 7);
+    EXPECT_NE(context.Run(image, input).output.storage(), clean.storage());
+
+    fault::ScrubWeights(image, provisioned, design.memory_map);
+    EXPECT_EQ(context.Run(image, input).output.storage(), clean.storage());
+  }
+}
+
 TEST(SystemSim, RunRejectsAnImageOtherThanTheOneItViews) {
   const Fixture fx;
   MemoryImage image = BuildMemoryImage(
