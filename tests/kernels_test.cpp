@@ -114,9 +114,9 @@ TEST(Kernels, ConvTileMatchesBruteForce) {
   for (const std::size_t taps :
        {1u, 2u, 3u, 7u, 9u, 25u, 121u, 363u, 1200u, 2304u, 2400u}) {
     // Random tap offsets into an input buffer sized exactly to the
-    // furthest tile load (so an over-read is a sanitizer error), weights
-    // and activations spanning the int32 range the narrow guard admits
-    // (|product| < 2^62, |sum of 2400| < 2^62 at 2^24 magnitudes).
+    // furthest tile load, so an over-read is a sanitizer error.  Weights
+    // and activations reach 2^24 in magnitude: a 2400-tap sum stays
+    // below 2^60, inside the narrow guard's int64 bound.
     std::vector<std::int64_t> off(taps);
     std::size_t extent = 0;
     const std::size_t span = 1 + rng.UniformInt(4 * taps);
