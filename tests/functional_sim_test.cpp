@@ -259,13 +259,19 @@ std::int64_t RandomRaw(Rng& rng, const FixedFormat& fmt, bool extremes) {
   }
 }
 
-/// Every raw output of one convolution against a naive __int128
-/// seven-loop reference: bias aligned to 2f fractional bits, exact
-/// products, the hardware rounder and saturation.  Covers strided AND
-/// padded kernels (no zoo model has one), grouped channels, output
-/// channel counts off the 4-wide tile, kernels wider than the unpadded
-/// input, and widths on both sides of the int64 accumulation guard.
+/// Every raw output of one convolution, under every kernel backend,
+/// against a naive __int128 seven-loop reference: bias aligned to 2f
+/// fractional bits, exact products, the hardware rounder and
+/// saturation.  Covers strided AND padded kernels (no zoo model has
+/// one), grouped channels, output channel counts off the 4-wide tile,
+/// kernels wider than the unpadded input, and widths on both sides of
+/// the int64 accumulation guard.
 TEST(FunctionalSim, ConvMatchesExactReference) {
+  struct BackendGuard {
+    ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
+  } guard;
+  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
+  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
   Rng rng(1512);
   int cases = 0;
   for (const int bits : {8, 16, 24, 32}) {
@@ -315,13 +321,10 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
             fmt.Quantize(static_cast<double>(input[i]));
       }
 
-      const FunctionalSimulator sim(net, design, image);
-      const Tensor out = sim.Run(input);
       const BlobShape& os = net.OutputLayer().output_shape;
-      ASSERT_EQ(out.size(), os.NumElements());
       const std::int64_t group_in = c.channels / c.group;
       const std::int64_t group_out = c.num_output / c.group;
-      std::int64_t mismatches = 0;
+      std::vector<float> want;
       for (std::int64_t oc = 0; oc < os.channels; ++oc)
         for (std::int64_t y = 0; y < os.height; ++y)
           for (std::int64_t x = 0; x < os.width; ++x) {
@@ -342,14 +345,23 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
             v = std::clamp<__int128>(v, fmt.raw_min(), fmt.raw_max());
             // The simulator's boundary view of a raw value; exact (one
             // float per raw) below 2^24 in magnitude.
-            const float want = static_cast<float>(
-                fmt.Dequantize(static_cast<std::int64_t>(v)));
-            const std::int64_t at = (oc * os.height + y) * os.width + x;
-            if (out[at] != want && ++mismatches <= 5)
-              ADD_FAILURE() << "oc=" << oc << " y=" << y << " x=" << x
-                            << " want " << want << " got " << out[at];
+            want.push_back(static_cast<float>(
+                fmt.Dequantize(static_cast<std::int64_t>(v))));
           }
-      EXPECT_EQ(mismatches, 0);
+
+      for (const sim::KernelBackend backend : backends) {
+        SCOPED_TRACE(sim::KernelBackendName(backend));
+        sim::SetKernelBackend(backend);
+        const Tensor out = FunctionalSimulator(net, design, image).Run(input);
+        const std::vector<float>& got = out.storage();
+        ASSERT_EQ(got.size(), want.size());
+        std::int64_t mismatches = 0;
+        for (std::size_t i = 0; i < got.size(); ++i)
+          if (got[i] != want[i] && ++mismatches <= 5)
+            ADD_FAILURE() << "output " << i << ": want " << want[i]
+                          << " got " << got[i];
+        EXPECT_EQ(mismatches, 0);
+      }
     }
   }
   EXPECT_EQ(cases, 160);
