@@ -23,9 +23,10 @@
 // differential test suite pins this equivalence across the model zoo.
 //
 // The arena allocator below carries the per-run scratch state (layer
-// activations, accumulator rows, gate buffers) so a steady-state serving
-// replica performs no per-invocation heap churn after warm-up — the
-// iob-versat emitter/arena idiom applied to simulation state.
+// activations, conv phase layouts and packed weights, accumulator
+// tiles, gate buffers) so a steady-state serving replica performs no
+// per-invocation heap churn after warm-up — the iob-versat
+// emitter/arena idiom applied to simulation state.
 #pragma once
 
 #include <cstddef>
