@@ -60,11 +60,15 @@ echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # scans, fold partitions) is exactly where signed overflow and bad shifts
 # would hide; pure UBSan runs it at near-native speed, including the
 # seeded mutation sweep and the rtl.decl / per-block RTL checker cases.
+# The CLI contract (cli_exit_codes) runs here too, against a UBSan
+# deepburning binary: signed overflow in flag handling (such as an
+# arrival cycle of requests x gap) aborts the run instead of passing
+# with a wrapped value.
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" \
-  --target analysis_test rtl_test rtl_analysis_test
+  --target analysis_test rtl_test rtl_analysis_test deepburning
 ctest --preset ubsan -j "${JOBS}" \
-  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule'
+  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule|^cli_exit_codes$'
 
 echo "== tier-1: UBSan on the RTL analysis suite (ctest -L rtl) =="
 # The elaborator's bit-range bookkeeping and the width-inference

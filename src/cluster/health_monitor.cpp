@@ -1,6 +1,7 @@
 #include "cluster/health_monitor.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -194,38 +195,16 @@ ReplicaHealth ReplicaHealthMonitor::StateAt(int replica,
 }
 
 BreakerOptions ParseBreakerSpec(const std::string& spec) {
+  using Key = SpecKey<BreakerOptions>;
+  static constexpr Key kKeys[] = {
+      {"failures", &BreakerOptions::failure_threshold, 1,
+       std::numeric_limits<int>::max()},
+      {"cooldown", &BreakerOptions::cooldown_cycles, 1,
+       std::numeric_limits<std::int64_t>::max()},
+  };
   BreakerOptions options;
   options.enabled = true;
-  for (const std::string& field : Split(spec, ',')) {
-    const std::string_view trimmed = Trim(field);
-    if (trimmed.empty()) continue;
-    const auto eq = trimmed.find('=');
-    if (eq == std::string_view::npos)
-      throw Error("breaker spec: expected key=value, got '" +
-                  std::string(trimmed) + "'");
-    const std::string key = std::string(Trim(trimmed.substr(0, eq)));
-    const std::string value = std::string(Trim(trimmed.substr(eq + 1)));
-    long long parsed = 0;
-    try {
-      std::size_t pos = 0;
-      parsed = std::stoll(value, &pos);
-      if (pos != value.size()) throw Error("trailing characters");
-    } catch (const std::exception&) {
-      throw Error("breaker spec: '" + key +
-                  "' must be a positive integer, got '" + value + "'");
-    }
-    if (parsed < 1)
-      throw Error("breaker spec: '" + key +
-                  "' must be a positive integer, got '" + value + "'");
-    if (key == "failures") {
-      options.failure_threshold = static_cast<int>(parsed);
-    } else if (key == "cooldown") {
-      options.cooldown_cycles = parsed;
-    } else {
-      throw Error("breaker spec: unknown key '" + key +
-                  "' (failures, cooldown)");
-    }
-  }
+  ReadSpec(spec, "breaker spec", kKeys, &options);
   return options;
 }
 

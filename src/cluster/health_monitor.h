@@ -187,8 +187,9 @@ struct BreakerOptions {
 };
 
 /// Parse a CLI breaker spec: "failures=N,cooldown=M" (either key may be
-/// omitted; the result is enabled).  Unknown keys or malformed values
-/// throw db::Error.
+/// omitted; the result is enabled).  N lies in [1, INT_MAX], M in
+/// [1, 2^63-1]; unknown keys or malformed or out-of-range values throw
+/// db::Error.
 BreakerOptions ParseBreakerSpec(const std::string& spec);
 
 class CircuitBreaker {

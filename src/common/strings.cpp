@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -86,6 +87,42 @@ std::string ToIdentifier(std::string_view name) {
       std::isdigit(static_cast<unsigned char>(out.front())))
     out.insert(out.begin(), '_');
   return out;
+}
+
+std::int64_t ParseInt(std::string_view text, std::int64_t lo,
+                      std::int64_t hi, std::string_view what) {
+  // from_chars takes a '-' but not a '+'; a '+' must still lead digits.
+  std::string_view digits = text;
+  if (digits.size() > 1 && digits[0] == '+' && digits[1] != '-')
+    digits.remove_prefix(1);
+  std::int64_t value = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+  if (digits.empty() || ptr != end || ec != std::errc() || value < lo ||
+      value > hi)
+    throw Error(StrFormat("%.*s: expected an integer in [%lld, %lld], got "
+                          "'%.*s'",
+                          static_cast<int>(what.size()), what.data(),
+                          static_cast<long long>(lo),
+                          static_cast<long long>(hi),
+                          static_cast<int>(text.size()), text.data()));
+  return value;
+}
+
+std::vector<SpecField> SpecFields(std::string_view spec, char sep,
+                                  std::string_view grammar) {
+  std::vector<SpecField> fields;
+  for (const std::string& piece : Split(spec, sep)) {
+    const std::string_view field = Trim(piece);
+    if (field.empty()) continue;
+    const std::size_t eq = field.find('=');
+    if (eq == std::string_view::npos || Trim(field.substr(0, eq)).empty())
+      throw Error(std::string(grammar) + ": expected key=value, got '" +
+                  std::string(field) + "'");
+    fields.push_back({std::string(Trim(field.substr(0, eq))),
+                      std::string(Trim(field.substr(eq + 1)))});
+  }
+  return fields;
 }
 
 }  // namespace db

@@ -1,9 +1,18 @@
-// Small string utilities shared by the frontend parser and RTL emitters.
+// Small string utilities shared by the frontend parser and RTL emitters,
+// plus the one checked reader for integers and `key=value` specs that
+// come from outside the program (CLI flags, spec grammars, prototxt).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
+
+#include "common/error.h"
 
 namespace db {
 
@@ -30,5 +39,62 @@ std::string StrFormat(const char* fmt, ...)
 
 /// Sanitise an arbitrary name into a legal Verilog identifier.
 std::string ToIdentifier(std::string_view name);
+
+/// Parse all of `text` as a base-10 integer in [lo, hi]: an optional
+/// '-' or '+' and then digits, nothing else.  Empty text, whitespace, a
+/// fraction, an exponent, trailing junk or a value out of range throws
+/// db::Error naming `what`, the text and the range.
+std::int64_t ParseInt(std::string_view text, std::int64_t lo,
+                      std::int64_t hi, std::string_view what);
+
+/// One `key=value` field of a spec grammar, both sides trimmed.
+struct SpecField {
+  std::string key;
+  std::string value;
+};
+
+/// Split `spec` on `sep` into `key=value` fields, skipping empty ones.
+/// A field without '=' or with an empty key throws db::Error prefixed by
+/// `grammar` (e.g. "fault spec").
+std::vector<SpecField> SpecFields(std::string_view spec, char sep,
+                                  std::string_view grammar);
+
+/// One integer key of a `key=value` grammar: the member of `Spec` it
+/// sets and the range its value must lie in (within the member's type).
+template <typename Spec>
+struct SpecKey {
+  const char* key;
+  std::variant<int Spec::*, std::int64_t Spec::*, std::uint64_t Spec::*>
+      field;
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+/// Read the comma-separated fields of `spec` into `*out` through `keys`.
+/// An unknown key or a value outside its key's range throws db::Error.
+template <typename Spec, std::size_t N>
+void ReadSpec(std::string_view spec, std::string_view grammar,
+              const SpecKey<Spec> (&keys)[N], Spec* out) {
+  for (const SpecField& field : SpecFields(spec, ',', grammar)) {
+    const auto* row = std::find_if(
+        std::begin(keys), std::end(keys),
+        [&](const SpecKey<Spec>& k) { return field.key == k.key; });
+    if (row == std::end(keys)) {
+      std::vector<std::string> known;
+      for (const SpecKey<Spec>& k : keys) known.emplace_back(k.key);
+      throw Error(std::string(grammar) + ": unknown key '" + field.key +
+                  "' (" + Join(known, ", ") + ")");
+    }
+    const std::int64_t n =
+        ParseInt(field.value, row->lo, row->hi,
+                 std::string(grammar) + " '" + field.key + "'");
+    std::visit(
+        [&](auto member) {
+          using T = std::remove_reference_t<decltype(out->*member)>;
+          out->*member = static_cast<T>(n);
+        },
+        row->field);
+  }
+}
 
 }  // namespace db

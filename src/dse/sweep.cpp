@@ -1,7 +1,9 @@
 #include "dse/sweep.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <variant>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -10,34 +12,20 @@
 namespace db::dse {
 namespace {
 
-/// Split `text` on `sep`, dropping empty pieces.
-std::vector<std::string> SplitNonEmpty(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == sep) {
-      if (!current.empty()) parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) parts.push_back(current);
-  return parts;
-}
-
-std::int64_t ParseIntValue(const std::string& axis,
-                           const std::string& value) {
-  if (value.empty() || value.find_first_not_of("0123456789") !=
-                           std::string::npos)
-    throw Error("sweep axis '" + axis + "': bad value '" + value +
-                "' (expected a positive integer)");
-  try {
-    return std::stoll(value);
-  } catch (const std::exception&) {
-    throw Error("sweep axis '" + axis + "': bad value '" + value + "'");
-  }
-}
+/// The integer axes: the value list each one fills and its range.
+struct IntAxis {
+  const char* name;
+  std::variant<std::vector<int> SweepSpec::*,
+               std::vector<std::int64_t> SweepSpec::*>
+      field;
+  std::int64_t lo;
+  std::int64_t hi;
+};
+const IntAxis kIntAxes[] = {
+    {"lanes", &SweepSpec::lanes_pct, 1, 1600},
+    {"port", &SweepSpec::port_elems, 2, 256},
+    {"split", &SweepSpec::data_split_pct, 5, 90},
+};
 
 template <typename T>
 void SortUnique(std::vector<T>& values) {
@@ -100,70 +88,46 @@ std::string SweepSpec::ToString() const {
 
 SweepSpec ParseSweepSpec(const std::string& text) {
   SweepSpec spec;
-  if (text.empty()) return spec;
-  bool seen_lanes = false, seen_port = false, seen_split = false,
-       seen_dsp = false;
-  for (const std::string& clause : SplitNonEmpty(text, ';')) {
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= clause.size())
-      throw Error("sweep clause '" + clause +
-                  "' is not of the form axis=v1,v2,...");
-    const std::string axis = clause.substr(0, eq);
-    const std::vector<std::string> values =
-        SplitNonEmpty(clause.substr(eq + 1), ',');
-    if (values.empty())
-      throw Error("sweep axis '" + axis + "' has an empty value list");
-    if (axis == "lanes") {
-      if (seen_lanes) throw Error("duplicate sweep axis 'lanes'");
-      seen_lanes = true;
-      spec.lanes_pct.clear();
-      for (const std::string& v : values) {
-        const std::int64_t pct = ParseIntValue(axis, v);
-        if (pct < 1 || pct > 1600)
-          throw Error("sweep axis 'lanes': " + v +
-                      "% is out of range [1, 1600]");
-        spec.lanes_pct.push_back(static_cast<int>(pct));
-      }
-    } else if (axis == "port") {
-      if (seen_port) throw Error("duplicate sweep axis 'port'");
-      seen_port = true;
-      spec.port_elems.clear();
-      for (const std::string& v : values) {
-        const std::int64_t port = ParseIntValue(axis, v);
-        if (port < 2 || port > 256 || !IsPow2(port))
-          throw Error("sweep axis 'port': " + v +
-                      " is not a power of two in [2, 256]");
-        spec.port_elems.push_back(port);
-      }
-    } else if (axis == "split") {
-      if (seen_split) throw Error("duplicate sweep axis 'split'");
-      seen_split = true;
-      spec.data_split_pct.clear();
-      for (const std::string& v : values) {
-        const std::int64_t pct = ParseIntValue(axis, v);
-        if (pct < 5 || pct > 90)
-          throw Error("sweep axis 'split': " + v +
-                      "% is out of range [5, 90]");
-        spec.data_split_pct.push_back(static_cast<int>(pct));
-      }
-    } else if (axis == "dsp") {
-      if (seen_dsp) throw Error("duplicate sweep axis 'dsp'");
-      seen_dsp = true;
+  std::vector<std::string> seen;
+  for (const SpecField& clause : SpecFields(text, ';', "sweep spec")) {
+    const std::string what = "sweep axis '" + clause.key + "'";
+    if (std::find(seen.begin(), seen.end(), clause.key) != seen.end())
+      throw Error("duplicate " + what);
+    seen.push_back(clause.key);
+    std::vector<std::string> values;
+    for (const std::string& v : Split(clause.value, ','))
+      if (!Trim(v).empty()) values.emplace_back(Trim(v));
+    if (values.empty()) throw Error(what + " has an empty value list");
+    if (clause.key == "dsp") {
       spec.allow_dsp.clear();
       for (const std::string& v : values) {
-        if (v == "on")
-          spec.allow_dsp.push_back(true);
-        else if (v == "off")
-          spec.allow_dsp.push_back(false);
-        else
-          throw Error("sweep axis 'dsp': '" + v +
-                      "' is not 'on' or 'off'");
+        if (v != "on" && v != "off")
+          throw Error(what + ": '" + v + "' is not 'on' or 'off'");
+        spec.allow_dsp.push_back(v == "on");
       }
-    } else {
-      throw Error("unknown sweep axis '" + axis +
-                  "' (expected lanes, port, split or dsp)");
+      continue;
     }
+    const IntAxis* axis = std::find_if(
+        std::begin(kIntAxes), std::end(kIntAxes),
+        [&](const IntAxis& a) { return clause.key == a.name; });
+    if (axis == std::end(kIntAxes))
+      throw Error("unknown " + what +
+                  " (expected lanes, port, split or dsp)");
+    std::visit(
+        [&](auto member) {
+          auto& list = spec.*member;
+          using T = typename std::decay_t<decltype(list)>::value_type;
+          list.clear();
+          for (const std::string& v : values)
+            list.push_back(
+                static_cast<T>(ParseInt(v, axis->lo, axis->hi, what)));
+        },
+        axis->field);
   }
+  for (std::int64_t port : spec.port_elems)
+    if (!IsPow2(port))
+      throw Error(StrFormat("sweep axis 'port': %lld is not a power of two",
+                            static_cast<long long>(port)));
   SortUnique(spec.lanes_pct);
   SortUnique(spec.port_elems);
   SortUnique(spec.data_split_pct);

@@ -1,5 +1,6 @@
 #include "fault/fault_plan.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -41,87 +42,34 @@ std::int64_t TotalBytes(const std::vector<const MemoryRegion*>& regions) {
   return total;
 }
 
-std::int64_t ParseCount(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const long long parsed = std::stoll(value, &pos);
-    if (pos != value.size() || parsed < 0)
-      throw Error("fault spec: '" + key + "' must be a non-negative "
-                  "integer, got '" + value + "'");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error("fault spec: '" + key + "' must be a non-negative "
-                "integer, got '" + value + "'");
-  }
-}
+constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+
+using Key = SpecKey<FaultCampaignSpec>;
+constexpr Key kCampaignKeys[] = {
+    {"seed", &FaultCampaignSpec::seed, 0, kMaxInt64},
+    {"flips", &FaultCampaignSpec::weight_flips, 0, kMaxCount},
+    {"blob-flips", &FaultCampaignSpec::blob_flips, 0, kMaxCount},
+    {"transients", &FaultCampaignSpec::transients, 0, kMaxCount},
+    {"stalls", &FaultCampaignSpec::stalls, 0, kMaxCount},
+    {"stall-cycles", &FaultCampaignSpec::stall_cycles, 1, kMaxInt64},
+    {"crashes", &FaultCampaignSpec::crashes, 0, kMaxCount},
+    {"hangs", &FaultCampaignSpec::hangs, 0, kMaxCount},
+    {"slow-replicas", &FaultCampaignSpec::slow_replicas, 0, kMaxCount},
+    {"route-fails", &FaultCampaignSpec::route_fails, 0, kMaxCount},
+    {"crash-down-cycles", &FaultCampaignSpec::crash_down_cycles, 1,
+     kMaxInt64},
+    {"hang-cycles", &FaultCampaignSpec::hang_cycles, 1, kMaxInt64},
+    {"slow-factor", &FaultCampaignSpec::slow_factor, 2, 1024},
+    {"slow-services", &FaultCampaignSpec::slow_services, 1, kMaxInt64},
+    {"span", &FaultCampaignSpec::invocation_span, 1, kMaxInt64},
+};
 
 }  // namespace
 
 FaultCampaignSpec ParseFaultCampaign(const std::string& spec) {
   FaultCampaignSpec campaign;
-  for (const std::string& field : Split(spec, ',')) {
-    const std::string_view trimmed = Trim(field);
-    if (trimmed.empty()) continue;
-    const auto eq = trimmed.find('=');
-    if (eq == std::string_view::npos)
-      throw Error("fault spec: expected key=value, got '" +
-                  std::string(trimmed) + "'");
-    const std::string key = std::string(Trim(trimmed.substr(0, eq)));
-    const std::string value = std::string(Trim(trimmed.substr(eq + 1)));
-    const std::int64_t n = ParseCount(key, value);
-    if (key == "seed") {
-      campaign.seed = static_cast<std::uint64_t>(n);
-    } else if (key == "flips") {
-      campaign.weight_flips = static_cast<int>(n);
-    } else if (key == "blob-flips") {
-      campaign.blob_flips = static_cast<int>(n);
-    } else if (key == "transients") {
-      campaign.transients = static_cast<int>(n);
-    } else if (key == "stalls") {
-      campaign.stalls = static_cast<int>(n);
-    } else if (key == "stall-cycles") {
-      if (n < 1) throw Error("fault spec: stall-cycles must be >= 1");
-      campaign.stall_cycles = n;
-    } else if (key == "crashes") {
-      campaign.crashes = static_cast<int>(n);
-    } else if (key == "hangs") {
-      campaign.hangs = static_cast<int>(n);
-    } else if (key == "slow-replicas") {
-      campaign.slow_replicas = static_cast<int>(n);
-    } else if (key == "route-fails") {
-      campaign.route_fails = static_cast<int>(n);
-    } else if (key == "crash-down-cycles") {
-      if (n < 1) throw Error("fault spec: crash-down-cycles must be >= 1");
-      campaign.crash_down_cycles = n;
-    } else if (key == "hang-cycles") {
-      if (n < 1) throw Error("fault spec: hang-cycles must be >= 1");
-      campaign.hang_cycles = n;
-    } else if (key == "slow-factor") {
-      if (n < 2 || n > 1024)
-        throw Error("fault spec: slow-factor must be in [2, 1024]");
-      campaign.slow_factor = n;
-    } else if (key == "slow-services") {
-      if (n < 1) throw Error("fault spec: slow-services must be >= 1");
-      campaign.slow_services = n;
-    } else if (key == "span") {
-      if (n < 1) throw Error("fault spec: span must be >= 1");
-      campaign.invocation_span = n;
-    } else if (key == "workers" || key == "replicas") {
-      // "replicas" is the cluster-era spelling; both size the slices the
-      // plan is dealt into (callers usually overwrite this with the
-      // server's actual pool size).
-      if (n < 1) throw Error("fault spec: " + key + " must be >= 1");
-      campaign.workers = static_cast<int>(n);
-    } else {
-      throw Error("fault spec: unknown key '" + key +
-                  "' (seed, flips, blob-flips, transients, stalls, "
-                  "stall-cycles, crashes, hangs, slow-replicas, "
-                  "route-fails, crash-down-cycles, hang-cycles, "
-                  "slow-factor, slow-services, span, workers, replicas)");
-    }
-  }
+  ReadSpec(spec, "fault spec", kCampaignKeys, &campaign);
   return campaign;
 }
 
@@ -150,7 +98,9 @@ FaultPlan FaultPlan::Generate(const FaultCampaignSpec& spec,
   if (spec.blob_flips > 0)
     DB_CHECK_MSG(blob_bytes > 0, "campaign blob flips need blob regions");
 
-  for (int i = 0; i < spec.weight_flips + spec.blob_flips; ++i) {
+  const std::int64_t flips =
+      std::int64_t{spec.weight_flips} + spec.blob_flips;
+  for (std::int64_t i = 0; i < flips; ++i) {
     FaultEvent event;
     event.kind = FaultKind::kBitFlip;
     event.weight_region = i < spec.weight_flips;

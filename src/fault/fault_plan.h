@@ -105,7 +105,9 @@ struct FaultCampaignSpec {
 ///    stall-cycles=512,crashes=1,hangs=2,slow-replicas=1,
 ///    route-fails=3,crash-down-cycles=4096,hang-cycles=2048,
 ///    slow-factor=4,slow-services=8,span=32"
-/// Unknown keys or malformed values throw db::Error.  `workers` is not
+/// Counts lie in [0, INT_MAX], cycle shapes and the span in [1, 2^63-1],
+/// slow-factor in [2, 1024], the seed in [0, 2^63-1].  Unknown keys or
+/// malformed or out-of-range values throw db::Error.  `workers` is not
 /// part of the spec; the caller sets it from the serving options.
 FaultCampaignSpec ParseFaultCampaign(const std::string& spec);
 

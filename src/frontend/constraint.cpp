@@ -52,9 +52,9 @@ DesignConstraint ParseConstraint(const std::string& prototxt_text) {
         throw ParseError(f.line, "unknown budget level '" + level + "'");
       }
     } else if (f.name == "bit_width") {
-      c.bit_width = static_cast<int>(root.GetInt("bit_width", c.bit_width));
+      c.bit_width = static_cast<int>(root.GetInt("bit_width", 0, 4, 32));
     } else if (f.name == "frac_bits") {
-      c.frac_bits = static_cast<int>(root.GetInt("frac_bits", c.frac_bits));
+      c.frac_bits = static_cast<int>(root.GetInt("frac_bits", 0, 0, 31));
     } else if (f.name == "frequency_mhz") {
       c.frequency_mhz = root.GetDouble("frequency_mhz", c.frequency_mhz);
     } else if (f.name == "dram_bandwidth_gbs") {
@@ -73,14 +73,14 @@ DesignConstraint ParseConstraint(const std::string& prototxt_text) {
     } else if (f.name == "ff") {
       c.explicit_budget.ff = root.GetInt("ff", 0);
     } else if (f.name == "bram_kb") {
-      c.explicit_budget.bram_bytes = root.GetInt("bram_kb", 0) * 1024;
+      constexpr std::int64_t kMaxKb = INT64_MAX / 1024;
+      c.explicit_budget.bram_bytes =
+          root.GetInt("bram_kb", 0, -kMaxKb, kMaxKb) * 1024;
     } else {
       throw ParseError(f.line, "unknown constraint field '" + f.name + "'");
     }
   }
-  if (c.bit_width < 4 || c.bit_width > 32)
-    DB_THROW("constraint bit_width must be in [4,32], got " << c.bit_width);
-  if (c.frac_bits < 0 || c.frac_bits >= c.bit_width)
+  if (c.frac_bits >= c.bit_width)
     DB_THROW("constraint frac_bits must be in [0,bit_width)");
   if (c.frequency_mhz <= 0.0) DB_THROW("frequency_mhz must be positive");
   if (c.dram_bandwidth_gbs <= 0.0)

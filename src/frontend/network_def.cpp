@@ -266,7 +266,7 @@ NetworkDef ParseNetworkDef(const std::string& prototxt_text) {
         const PtField* f = input_dims[4 * i + j];
         if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
           throw ParseError(f->line, "input_dim must be a number");
-        return static_cast<std::int64_t>(f->scalar->number);
+        return ParseInt(f->scalar->text, INT64_MIN, INT64_MAX, "input_dim");
       };
       in.channels = dim(1);
       in.height = dim(2);

@@ -253,14 +253,18 @@ const PtField* PtMessage::Find(const std::string& name) const {
   return found;
 }
 
-std::int64_t PtMessage::GetInt(const std::string& name,
-                               std::int64_t def) const {
+std::int64_t PtMessage::GetInt(const std::string& name, std::int64_t def,
+                               std::int64_t lo, std::int64_t hi) const {
   const PtField* f = Find(name);
   if (f == nullptr) return def;
   if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
     DB_THROW("field '" << name << "' is not a number (line " << f->line
              << ")");
-  return static_cast<std::int64_t>(f->scalar->number);
+  try {
+    return ParseInt(f->scalar->text, lo, hi, name);
+  } catch (const Error& e) {
+    DB_THROW(e.what() << " (line " << f->line << ")");
+  }
 }
 
 double PtMessage::GetDouble(const std::string& name, double def) const {

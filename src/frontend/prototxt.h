@@ -61,8 +61,12 @@ class PtMessage {
   const PtField* Find(const std::string& name) const;
 
   /// Typed scalar accessors with defaults.  Each throws db::Error when the
-  /// field exists but has the wrong kind.
-  std::int64_t GetInt(const std::string& name, std::int64_t def) const;
+  /// field exists but has the wrong kind.  GetInt reads the number's
+  /// source text through ParseInt, so a fraction, an exponent or a value
+  /// outside [lo, hi] throws too.
+  std::int64_t GetInt(const std::string& name, std::int64_t def,
+                      std::int64_t lo = INT64_MIN,
+                      std::int64_t hi = INT64_MAX) const;
   double GetDouble(const std::string& name, double def) const;
   std::string GetString(const std::string& name,
                         const std::string& def) const;

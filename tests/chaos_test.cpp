@@ -213,6 +213,7 @@ TEST(Breaker, ParseSpecRoundTripsAndRejectsBogusInput) {
   EXPECT_THROW(ParseBreakerSpec("failures=abc"), Error);
   EXPECT_THROW(ParseBreakerSpec("bogus=1"), Error);
   EXPECT_THROW(ParseBreakerSpec("failures"), Error);
+  EXPECT_THROW(ParseBreakerSpec("failures=2147483648"), Error);  // > int
 }
 
 // ---------------------------------------------------------------------
@@ -258,6 +259,7 @@ TEST(ClusterFaultPlan, ParseGenerateAndSplit) {
   EXPECT_EQ(spec.slow_services, 4);
   EXPECT_THROW(fault::ParseFaultCampaign("crashes=-1"), Error);
   EXPECT_THROW(fault::ParseFaultCampaign("slow-factor=1"), Error);
+  EXPECT_THROW(fault::ParseFaultCampaign("flips=99999999999"), Error);
 
   Fixture f;
   fault::FaultCampaignSpec sized = spec;

@@ -45,6 +45,49 @@ expect_exit(2 --model "${huge_dir}/huge.prototxt" --out "${huge_dir}/out"
   --simulate)
 file(REMOVE_RECURSE "${huge_dir}")
 
+# Every integer the CLI reads goes through one checked parser: a value
+# that is empty, not a whole decimal number, or outside the flag's or
+# key's range exits 2 with a one-line diagnostic, never an internal
+# error (3), a silently changed value (0) or a runaway run.
+function(expect_diagnostic)
+  execute_process(COMMAND ${DEEPBURNING} ${ARGN}
+    RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT result EQUAL 2)
+    message(FATAL_ERROR
+      "deepburning ${ARGN}: expected exit 2, got ${result}\n${err}")
+  endif()
+  if(NOT err MATCHES "^deepburning: [^\n]+\n$")
+    message(FATAL_ERROR
+      "deepburning ${ARGN}: expected a one-line diagnostic, got:\n${err}")
+  endif()
+endfunction()
+
+expect_diagnostic(serve --zoo MNIST --requests abc)
+expect_diagnostic(serve --zoo MNIST --requests=)  # empty value
+expect_diagnostic(serve --zoo MNIST --replicas 3000000000)
+expect_diagnostic(serve --zoo MNIST --replicas 65)
+expect_diagnostic(tune ANN-0 --jobs 99999999999999999999)
+expect_diagnostic(serve --zoo MNIST --breaker failures=2147483648)
+expect_diagnostic(serve --zoo MNIST --arrival-gap 9223372036854775807)
+expect_diagnostic(serve --zoo MNIST --batch 4x)
+expect_diagnostic(serve --zoo MNIST --linger 1.5)
+expect_diagnostic(serve --zoo MNIST --queue-capacity -1)
+expect_diagnostic(serve --zoo MNIST --faults flips=99999999999)
+expect_exit(0 serve --zoo=MNIST --requests=4)
+
+set(probe_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_probe")
+file(MAKE_DIRECTORY "${probe_dir}")
+file(WRITE "${probe_dir}/wide.prototxt" "bit_width: 4294967304\n")
+expect_diagnostic(verify --zoo MNIST
+  --constraint "${probe_dir}/wide.prototxt")
+file(WRITE "${probe_dir}/stride.prototxt"
+  "name: \"stride\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 8\ninput_dim: 8\n"
+  "layers { name: \"conv\" type: CONVOLUTION bottom: \"data\" top: \"conv\" "
+  "convolution_param { num_output: 2 kernel_size: 3 stride: 1.5 } }\n")
+expect_diagnostic(verify --model "${probe_dir}/stride.prototxt")
+file(REMOVE_RECURSE "${probe_dir}")
+
 # The cluster-resilience flags fail fast (before any generation work)
 # with byte-stable error text: two identical invocations emit identical
 # stderr bytes.

@@ -65,6 +65,55 @@ TEST(Strings, ToIdentifierSanitises) {
   EXPECT_EQ(ToIdentifier(""), "_");
 }
 
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+TEST(Strings, ParseIntAcceptsWholeDecimalIntegers) {
+  EXPECT_EQ(ParseInt("42", 0, 100, "n"), 42);
+  EXPECT_EQ(ParseInt("-7", -10, 10, "n"), -7);
+  EXPECT_EQ(ParseInt("+7", -10, 10, "n"), 7);
+  EXPECT_EQ(ParseInt("007", 0, 10, "n"), 7);
+  EXPECT_EQ(ParseInt("9223372036854775807", kMin, kMax, "n"), kMax);
+  EXPECT_EQ(ParseInt("-9223372036854775808", kMin, kMax, "n"), kMin);
+  // Both range edges are inclusive.
+  EXPECT_EQ(ParseInt("1", 1, 64, "n"), 1);
+  EXPECT_EQ(ParseInt("64", 1, 64, "n"), 64);
+}
+
+TEST(Strings, ParseIntRejectsEverythingElse) {
+  for (const char* bad :
+       {"", "-", "+", "+-1", "++1", " 1", "1 ", "\t1", "4x", "x4", "1.5",
+        "1.0", "1e3", "0x10", "9223372036854775808",
+        "-9223372036854775809", "99999999999999999999"})
+    EXPECT_THROW(ParseInt(bad, kMin, kMax, "n"), Error) << "'" << bad << "'";
+  EXPECT_THROW(ParseInt("0", 1, 64, "n"), Error);
+  EXPECT_THROW(ParseInt("65", 1, 64, "n"), Error);
+  EXPECT_THROW(ParseInt("-1", 0, kMax, "n"), Error);
+}
+
+TEST(Strings, ParseIntErrorNamesWhatValueAndRange) {
+  try {
+    ParseInt("3000000000", 1, 64, "--replicas");
+    FAIL() << "expected db::Error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "--replicas: expected an integer in [1, 64], got "
+                 "'3000000000'");
+  }
+}
+
+TEST(Strings, SpecFieldsTrimsSkipsEmptyAndRejectsBareWords) {
+  const auto fields = SpecFields(" a = 1 ,, b=x=y ,", ',', "spec");
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0].key, "a");
+  EXPECT_EQ(fields[0].value, "1");
+  EXPECT_EQ(fields[1].key, "b");
+  EXPECT_EQ(fields[1].value, "x=y");
+  EXPECT_TRUE(SpecFields("", ';', "spec").empty());
+  EXPECT_THROW(SpecFields("a=1,b", ',', "spec"), Error);
+  EXPECT_THROW(SpecFields("=1", ',', "spec"), Error);
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(12345);
   Rng b(12345);

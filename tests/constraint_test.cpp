@@ -54,6 +54,10 @@ TEST(Constraint, InvalidBitWidthRejected) {
   EXPECT_THROW(ParseConstraint("bit_width: 64\n"), Error);
   EXPECT_THROW(ParseConstraint("bit_width: 2\n"), Error);
   EXPECT_THROW(ParseConstraint("bit_width: 8\nfrac_bits: 8\n"), Error);
+  // Range-checked before narrowing or scaling: 2^32 + 8 is not a width
+  // of 8, and kilobytes x 1024 must fit int64.
+  EXPECT_THROW(ParseConstraint("bit_width: 4294967304\n"), Error);
+  EXPECT_THROW(ParseConstraint("bram_kb: 9223372036854775807\n"), Error);
 }
 
 TEST(Constraint, InvalidFrequencyRejected) {

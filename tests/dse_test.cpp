@@ -192,6 +192,7 @@ TEST(Sweep, RejectsMalformedSpecs) {
   EXPECT_THROW(dse::ParseSweepSpec("lanes=abc"), Error);
   EXPECT_THROW(dse::ParseSweepSpec("lanes=0"), Error);
   EXPECT_THROW(dse::ParseSweepSpec("lanes=1601"), Error);
+  EXPECT_THROW(dse::ParseSweepSpec("lanes=99999999999999999999"), Error);
   EXPECT_THROW(dse::ParseSweepSpec("port=24"), Error);     // not pow2
   EXPECT_THROW(dse::ParseSweepSpec("port=512"), Error);    // too wide
   EXPECT_THROW(dse::ParseSweepSpec("split=4"), Error);

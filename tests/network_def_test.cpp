@@ -144,6 +144,17 @@ TEST(NetworkDef, InvalidConvolutionRejected) {
                                "bottom: \"d\" top: \"c\" param { "
                                "num_output: 2 stride: 0 } }\n"),
                ParseError);  // zero stride
+  EXPECT_THROW(ParseNetworkDef(header +
+                               "layers { name: \"c\" type: CONVOLUTION "
+                               "bottom: \"d\" top: \"c\" param { "
+                               "num_output: 2 stride: 1.5 } }\n"),
+               Error);  // not an integer (was truncated to 1)
+  EXPECT_THROW(ParseNetworkDef("input: \"d\"\ninput_dim: 1\ninput_dim: 1\n"
+                               "input_dim: 4.5\ninput_dim: 4\n"
+                               "layers { name: \"c\" type: CONVOLUTION "
+                               "bottom: \"d\" top: \"c\" param { "
+                               "num_output: 2 } }\n"),
+               Error);  // fractional input_dim
 }
 
 TEST(NetworkDef, InvalidDropoutRatioRejected) {

@@ -119,9 +119,15 @@ TEST(Prototxt, ErrorReportsLineNumber) {
 }
 
 TEST(Prototxt, TypeMismatchThrows) {
-  const PtMessage msg = ParsePrototxt("a: \"text\"\nn: 5\n");
+  const PtMessage msg =
+      ParsePrototxt("a: \"text\"\nn: 5\nf: 1.5\ne: 1e30\n");
   EXPECT_THROW(msg.GetInt("a", 0), Error);
   EXPECT_THROW(msg.GetBool("n", false), Error);
+  // GetInt reads the number's text: a fraction or an exponent is not an
+  // integer, and a range bound applies.
+  EXPECT_THROW(msg.GetInt("f", 0), Error);
+  EXPECT_THROW(msg.GetInt("e", 0), Error);
+  EXPECT_THROW(msg.GetInt("n", 0, 6, 10), Error);
 }
 
 TEST(Prototxt, DeeplyNested) {
