@@ -47,13 +47,16 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 # backend's tile on exact-size buffers, so a load past the tile's
 # declared extent is an ASan error, and FunctionalSim's exact-reference
 # conv sweep runs the phase layout over strided, padded and grouped
-# shapes.
+# shapes.  The span LUT evaluation indexes its table with computed
+# positions, so the ApproxLut suite (every 16-bit key of every
+# function) runs here too.
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
-           system_sim_test obs_test kernels_test functional_sim_test
+           system_sim_test obs_test kernels_test functional_sim_test \
+           approx_lut_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.'
 
 echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

@@ -1,5 +1,6 @@
 #include "core/approx_lut.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -70,38 +71,57 @@ ApproxLut ApproxLut::Generate(const ApproxLutSpec& spec) {
   return ApproxLut(spec, std::move(values));
 }
 
-std::int64_t ApproxLut::EvalRaw(std::int64_t raw_key) const {
-  // Map the raw fixed-point key onto the table domain.
-  const double x = spec_.format.Dequantize(raw_key);
+void ApproxLut::EvalRaw(std::span<const std::int32_t> keys,
+                        std::int32_t* out) const {
+  const double in_min = spec_.in_min;
   const double span = spec_.in_max - spec_.in_min;
-  double pos = (x - spec_.in_min) / span *
-               static_cast<double>(spec_.entries);
-  if (pos < 0.0) pos = 0.0;
-  const double max_pos = static_cast<double>(spec_.entries) - 1e-9;
-  if (pos > max_pos) pos = max_pos;
-
-  const std::int64_t index = static_cast<std::int64_t>(pos);
-  const std::int64_t lo = values_[static_cast<std::size_t>(index)];
-  if (!spec_.interpolate) return lo;
-
-  // Super-linear interpolation between the adjacent sampled keys; the
-  // hardware multiplies the value delta by the fractional key bits.
-  const std::int64_t hi = index + 1 < spec_.entries
-                              ? values_[static_cast<std::size_t>(index + 1)]
-                              : lo;
-  const double frac = pos - static_cast<double>(index);
-  // Quantise the fraction to the hardware's fractional-bit resolution so
-  // simulation matches the RTL datapath.
+  const double entries = static_cast<double>(spec_.entries);
+  const double max_pos = entries - 1e-9;
   const int frac_bits = spec_.format.frac_bits();
-  const std::int64_t frac_raw = static_cast<std::int64_t>(
-      frac * std::ldexp(1.0, frac_bits));
-  const std::int64_t delta = hi - lo;
-  return spec_.format.Saturate(
-      lo + ((delta * frac_raw) >> frac_bits));
+  const std::int64_t raw_min = spec_.format.raw_min();
+  const std::int64_t raw_max = spec_.format.raw_max();
+  const std::int64_t* values = values_.data();
+  // Runs of equal keys (saturated activations, an LRN window sum that
+  // rounds to zero) reuse the previous answer.
+  std::int32_t last_key = 0;
+  std::int32_t last = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::int32_t key = keys[i];
+    if (i > 0 && key == last_key) {
+      out[i] = last;
+      continue;
+    }
+    last_key = key;
+    // Map the raw fixed-point key onto the table domain.
+    const double x = static_cast<double>(key) * key_scale_;
+    double pos = (x - in_min) / span * entries;
+    if (pos < 0.0) pos = 0.0;
+    if (pos > max_pos) pos = max_pos;
+
+    const std::int64_t index = static_cast<std::int64_t>(pos);
+    const std::int64_t lo = values[index];
+    if (!spec_.interpolate) {
+      out[i] = last = static_cast<std::int32_t>(lo);
+      continue;
+    }
+
+    // Super-linear interpolation between the adjacent sampled keys; the
+    // hardware multiplies the value delta by the fractional key bits.
+    const std::int64_t hi = index + 1 < spec_.entries ? values[index + 1] : lo;
+    const double frac = pos - static_cast<double>(index);
+    // Quantise the fraction to the hardware's fractional-bit resolution
+    // so simulation matches the RTL datapath.
+    const std::int64_t frac_raw =
+        static_cast<std::int64_t>(frac * frac_scale_);
+    const std::int64_t delta = hi - lo;
+    out[i] = last = static_cast<std::int32_t>(std::clamp(
+        lo + ((delta * frac_raw) >> frac_bits), raw_min, raw_max));
+  }
 }
 
 double ApproxLut::Eval(double x) const {
-  return spec_.format.Dequantize(EvalRaw(spec_.format.Quantize(x)));
+  return spec_.format.Dequantize(
+      EvalRaw(static_cast<std::int32_t>(spec_.format.Quantize(x))));
 }
 
 double ApproxLut::MaxAbsError(int samples) const {

@@ -10,7 +10,9 @@
 // RTL would produce.
 #pragma once
 
+#include <cmath>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,8 +70,16 @@ class ApproxLut {
   /// fixed-point result dequantised.
   double Eval(double x) const;
 
-  /// Raw-in/raw-out evaluation used by the functional simulator.
-  std::int64_t EvalRaw(std::int64_t raw_key) const;
+  /// Raw-in/raw-out evaluation used by the functional simulator:
+  /// out[i] is the table's answer for raw key keys[i] of the format.
+  /// `out` may alias `keys` element for element.  The scalar form below
+  /// is the n = 1 case.
+  void EvalRaw(std::span<const std::int32_t> keys, std::int32_t* out) const;
+  std::int32_t EvalRaw(std::int32_t raw_key) const {
+    std::int32_t out = 0;
+    EvalRaw({&raw_key, 1}, &out);
+    return out;
+  }
 
   /// Maximum absolute error against the reference implementation over
   /// `samples` evenly-spaced points of the domain.
@@ -80,10 +90,18 @@ class ApproxLut {
 
  private:
   ApproxLut(ApproxLutSpec spec, std::vector<std::int64_t> values)
-      : spec_(spec), values_(std::move(values)) {}
+      : spec_(spec),
+        values_(std::move(values)),
+        key_scale_(std::ldexp(1.0, -spec_.format.frac_bits())),
+        frac_scale_(std::ldexp(1.0, spec_.format.frac_bits())) {}
 
   ApproxLutSpec spec_;
   std::vector<std::int64_t> values_;
+  /// 2^-f and 2^f of the format: multiplying by them is Dequantize and
+  /// the fraction quantiser's ldexp, exactly (raw keys and fractions
+  /// stay far from the double's subnormal and overflow ranges).
+  double key_scale_;
+  double frac_scale_;
 };
 
 }  // namespace db

@@ -29,16 +29,27 @@ std::int64_t BusyInWindow(
   return busy;
 }
 
-/// Replay replica `r`'s op list on its own image and context.
+/// Replay replica `r`'s op list on its own image and context.  Each
+/// run of consecutive kRun ops (no flip or integrity check between
+/// them), up to the plan's batch size, goes through one batch-major
+/// RunBatch, which leaves outputs and image bytes as the same requests
+/// run one at a time would.
 void Replay(ServePlan& plan, std::size_t r, SystemReplica& replica,
             std::span<const Tensor> inputs, const MemoryImage& provisioned,
             const MemoryMap& map, std::uint64_t reference) {
-  for (const ReplicaOp& op : plan.replicas[r].ops) {
+  const std::vector<ReplicaOp>& ops = plan.replicas[r].ops;
+  const std::size_t max_batch =
+      static_cast<std::size_t>(std::max<std::int64_t>(plan.max_batch_size, 1));
+  std::vector<const Tensor*> batch;
+  for (std::size_t i = 0; i < ops.size();) {
+    const ReplicaOp& op = ops[i];
     switch (op.kind) {
       case ReplicaOp::Kind::kFlip:
         replica.image.FlipBit(op.arg, op.bit);
+        ++i;
         break;
       case ReplicaOp::Kind::kVerify: {
+        ++i;
         const bool mismatch =
             fault::WeightChecksum(replica.image, map) != reference;
         DB_CHECK_MSG(mismatch == op.scrub,
@@ -50,9 +61,16 @@ void Replay(ServePlan& plan, std::size_t r, SystemReplica& replica,
         break;
       }
       case ReplicaOp::Kind::kRun: {
-        const auto id = static_cast<std::size_t>(op.arg);
-        plan.requests[id].output =
-            replica.context->Run(replica.image, inputs[id], op.warm).output;
+        batch.clear();
+        for (std::size_t j = i; j < ops.size() && batch.size() < max_batch &&
+                                ops[j].kind == ReplicaOp::Kind::kRun;
+             ++j)
+          batch.push_back(&inputs[static_cast<std::size_t>(ops[j].arg)]);
+        std::vector<Tensor> outputs =
+            replica.context->RunBatch(replica.image, batch);
+        for (Tensor& output : outputs)
+          plan.requests[static_cast<std::size_t>(ops[i++].arg)].output =
+              std::move(output);
         break;
       }
     }

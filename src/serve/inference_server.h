@@ -25,8 +25,9 @@
 //     2. ExecutePlan — one thread per replica replays that replica's op
 //        list in order (FlipBit; a weight checksum that scrubs on
 //        mismatch, and must mismatch exactly where the plan predicted a
-//        scrub; SystemContext::Run) and writes the outputs of its own
-//        requests.
+//        scrub; SystemContext::RunBatch over each run of up to
+//        max_batch_size consecutive requests with no flip or checksum
+//        between them) and writes the outputs of its own requests.
 //     3. Spans, metrics and the load time-series are published from the
 //        plan.
 //
@@ -252,6 +253,9 @@ struct ServePlan {
   /// Indexed by request id; every field but `output` is final.
   std::vector<ServedRequest> requests;
   std::vector<ReplicaPlan> replicas;
+  /// The options' batch bound; ExecutePlan runs at most this many of a
+  /// replica's consecutive requests as one batch-major pass.
+  std::int64_t max_batch_size = 1;
   std::vector<ClusterEpisode> cluster_log;
   cluster::ReplicaHealthMonitor monitor;
   cluster::CircuitBreaker breaker;

@@ -24,6 +24,7 @@ std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
 
 ServePlan::ServePlan(int replicas, const ServeOptions& options)
     : replicas(static_cast<std::size_t>(replicas)),
+      max_batch_size(options.max_batch_size),
       monitor(replicas, options.health),
       breaker(replicas, options.breaker) {}
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -67,9 +68,10 @@ struct NarrowMath {
   const sim::KernelOps& ops;
 
   template <typename W>
-  Acc Dot(const W* w, const std::int32_t* x, std::size_t n) const {
-    if constexpr (sizeof(W) == 2) return ops.dot_w16(w, x, n);
-    else return ops.dot(w, x, n);
+  void Dot(Acc* out, const W* w, const std::int32_t* const* x,
+           std::size_t batch, std::size_t n) const {
+    if constexpr (sizeof(W) == 2) ops.dot_w16(out, w, x, batch, n);
+    else ops.dot(out, w, x, batch, n);
   }
   void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
                 const std::int64_t* off, std::size_t taps) const {
@@ -87,11 +89,9 @@ struct WideMath {
   using Acc = __int128;
 
   template <typename W>
-  Acc Dot(const W* a, const std::int32_t* b, std::size_t n) const {
-    Acc sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      sum += Acc{static_cast<std::int64_t>(a[i]) * b[i]};
-    return sum;
+  void Dot(Acc* out, const W* w, const std::int32_t* const* x,
+           std::size_t batch, std::size_t n) const {
+    sim::DotReference(out, w, x, batch, n);
   }
   void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
                 const std::int64_t* off, std::size_t taps) const {
@@ -109,6 +109,42 @@ struct WideMath {
     }
   }
 };
+
+/// One weight row against one activation vector (recurrent and LSTM
+/// rows, which have no batch to share the row with).
+template <typename Math, typename W>
+typename Math::Acc DotOne(const Math& math, const W* w, const std::int32_t* x,
+                          std::size_t n) {
+  typename Math::Acc sum = 0;
+  math.Dot(&sum, w, &x, 1, n);
+  return sum;
+}
+
+/// out[i] = fmt.Mul(a, b) from the products prod[i] = int64(a) * b of
+/// raw values of the format: a format has at most 32 bits, so the
+/// product is exact, and the writeback stage rounds and saturates it
+/// exactly as FixedFormat::Mul does.
+void MulWriteback(const sim::KernelOps& ops, const FixedFormat& fmt,
+                  std::int32_t* out, const std::int64_t* prod,
+                  std::size_t n) {
+  ops.writeback(out, prod, n, fmt.frac_bits(),
+                static_cast<std::int32_t>(fmt.raw_min()),
+                static_cast<std::int32_t>(fmt.raw_max()));
+}
+
+/// The layers whose weights RunMacLayer reads.
+bool IsMacLayer(LayerKind kind) {
+  switch (kind) {
+    case LayerKind::kConvolution:
+    case LayerKind::kInnerProduct:
+    case LayerKind::kRecurrent:
+    case LayerKind::kLstm:
+    case LayerKind::kAssociative:
+      return true;
+    default:
+      return false;
+  }
+}
 
 }  // namespace
 
@@ -153,6 +189,14 @@ void FunctionalSimulator::Bind(const MemoryImage& image) {
   }
   for (const ApproxLutSpec& spec : design_.lut_specs)
     luts_.push_back(ApproxLut::Generate(spec));
+  last_use_.assign(net_.layers().size(), 0);
+  for (const IrLayer& layer : net_.layers()) {
+    last_use_[static_cast<std::size_t>(layer.id)] = layer.id;
+    for (const int in : layer.input_ids)
+      last_use_[static_cast<std::size_t>(in)] = layer.id;
+  }
+  last_use_[static_cast<std::size_t>(net_.OutputLayer().id)] =
+      std::numeric_limits<int>::max();
   // |sum of T products| <= T * 2^(2*(total_bits-1)), so int64
   // accumulation is safe iff 2*(tb-1) + ceil_log2(T) stays within 62
   // bits (one bit of headroom below the sign).
@@ -294,20 +338,33 @@ template <typename Math, typename W>
 void FunctionalSimulator::RunInnerProduct(const Math& math,
                                           const Params<W>& params,
                                           const IrLayer& layer,
-                                          const RawTensor& in0,
-                                          RawTensor& out) const {
+                                          const RawTensor* in0,
+                                          RawTensor* out,
+                                          std::size_t batch) const {
   using Acc = typename Math::Acc;
+  constexpr std::size_t kB = sim::kDotBatch;
   const InnerProductParams& p = *layer.def.fc;
   const int f = fmt_.frac_bits();
-  const std::int64_t in_n = in0.shape.NumElements();
-  Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(p.num_output));
-  for (std::int64_t o = 0; o < p.num_output; ++o) {
-    const Acc bias = params.template Bias<Acc>(o, f);
-    acc[o] = bias + math.Dot(params.weights + o * in_n, in0.raw,
-                             static_cast<std::size_t>(in_n));
+  const std::size_t in_n = in0[0].n;
+  const std::size_t n_out = static_cast<std::size_t>(p.num_output);
+  // acc[b * n_out + o]: every image's sums, so each weight row is read
+  // once per kDotBatch images.
+  Acc* acc = arena_.Alloc<Acc>(batch * n_out);
+  for (std::size_t b0 = 0; b0 < batch; b0 += kB) {
+    const std::size_t nb = std::min(kB, batch - b0);
+    const std::int32_t* x[kB] = {};
+    for (std::size_t b = 0; b < nb; ++b) x[b] = in0[b0 + b].raw;
+    Acc sums[kB] = {};
+    for (std::size_t o = 0; o < n_out; ++o) {
+      math.Dot(sums, params.weights + o * in_n, x, nb, in_n);
+      const Acc bias =
+          params.template Bias<Acc>(static_cast<std::int64_t>(o), f);
+      for (std::size_t b = 0; b < nb; ++b)
+        acc[(b0 + b) * n_out + o] = bias + sums[b];
+    }
   }
-  math.Writeback(out.raw, acc, static_cast<std::size_t>(p.num_output),
-                 fmt_);
+  for (std::size_t b = 0; b < batch; ++b)
+    math.Writeback(out[b].raw, acc + b * n_out, n_out, fmt_);
 }
 
 template <typename Math>
@@ -317,31 +374,55 @@ void FunctionalSimulator::RunLrn(const Math& math, const IrLayer& layer,
   using Acc = typename Math::Acc;
   const LrnParams& p = *layer.def.lrn;
   const ApproxLut& lut = LutFor(LutFunction::kLrnPow);
+  const sim::KernelOps& ops = sim::ActiveKernels();
   const std::int64_t half = p.local_size / 2;
-  const std::int64_t alpha_raw =
-      fmt_.Quantize(p.alpha / static_cast<double>(p.local_size));
+  const std::int32_t alpha_raw = static_cast<std::int32_t>(
+      fmt_.Quantize(p.alpha / static_cast<double>(p.local_size)));
   const std::int64_t one_raw = fmt_.Quantize(1.0);
-  const std::int64_t h = out.shape.height;
-  const std::int64_t w = out.shape.width;
-  const std::int64_t plane = h * w;
-  for (std::int64_t c = 0; c < out.shape.channels; ++c) {
-    const std::int64_t c0 = std::max<std::int64_t>(c - half, 0);
-    const std::int64_t c1 =
-        std::min<std::int64_t>(c + half + 1, out.shape.channels);
-    for (std::int64_t i = 0; i < plane; ++i) {
-      Acc sum_sq = 0;
-      for (std::int64_t cc = c0; cc < c1; ++cc) {
-        const std::int64_t v = in0.raw[cc * plane + i];
-        sum_sq += Acc{v * v};
-      }
-      std::int32_t sum_raw = 0;
-      math.Writeback(&sum_raw, &sum_sq, 1, fmt_);
-      const std::int64_t scale_raw =
-          fmt_.Add(one_raw, fmt_.Mul(alpha_raw, sum_raw));
-      const std::int64_t pow_raw = lut.EvalRaw(scale_raw);
-      out.raw[c * plane + i] = static_cast<std::int32_t>(
-          fmt_.Mul(in0.raw[c * plane + i], pow_raw));
+  const std::int64_t raw_min = fmt_.raw_min();
+  const std::int64_t raw_max = fmt_.raw_max();
+  const std::int64_t channels = out.shape.channels;
+  const std::size_t plane =
+      static_cast<std::size_t>(out.shape.height * out.shape.width);
+  // Channel c's output plane scales its input plane by
+  //   pow(1 + (alpha / n) * sum_{|cc - c| <= half} in[cc]^2, -beta),
+  // each step rounded as the datapath does.  The window sum slides
+  // across the channels as exact Acc sums: leaving channels are taken
+  // out before entering ones are added, so a sum never holds more than
+  // local_size squares (the accumulation guard's bound).
+  Acc* sum_sq = arena_.AllocZeroed<Acc>(plane);
+  std::int64_t* prod = arena_.Alloc<std::int64_t>(plane);
+  std::int32_t* scale = arena_.Alloc<std::int32_t>(plane);
+  const auto slide = [&](std::int64_t cc, bool enter) {
+    const std::int32_t* v = in0.raw + static_cast<std::size_t>(cc) * plane;
+    if (enter) {
+      for (std::size_t i = 0; i < plane; ++i)
+        sum_sq[i] += Acc{std::int64_t{v[i]} * v[i]};
+    } else {
+      for (std::size_t i = 0; i < plane; ++i)
+        sum_sq[i] -= Acc{std::int64_t{v[i]} * v[i]};
     }
+  };
+  for (std::int64_t cc = 0; cc < std::min(half, channels); ++cc)
+    slide(cc, true);
+  for (std::int64_t c = 0; c < channels; ++c) {
+    if (c - half - 1 >= 0) slide(c - half - 1, false);
+    if (c + half < channels) slide(c + half, true);
+    // scale = Add(1, Mul(alpha, Writeback(sum))), then the LUT's
+    // x^-beta, then out = Mul(in, scale).
+    math.Writeback(scale, sum_sq, plane, fmt_);
+    for (std::size_t i = 0; i < plane; ++i)
+      prod[i] = std::int64_t{alpha_raw} * scale[i];
+    MulWriteback(ops, fmt_, scale, prod, plane);
+    for (std::size_t i = 0; i < plane; ++i)
+      scale[i] = static_cast<std::int32_t>(
+          std::clamp(one_raw + scale[i], raw_min, raw_max));
+    lut.EvalRaw({scale, plane}, scale);
+    const std::int32_t* in_c = in0.raw + static_cast<std::size_t>(c) * plane;
+    for (std::size_t i = 0; i < plane; ++i)
+      prod[i] = std::int64_t{in_c[i]} * scale[i];
+    MulWriteback(ops, fmt_, out.raw + static_cast<std::size_t>(c) * plane,
+                 prod, plane);
   }
 }
 
@@ -366,15 +447,12 @@ void FunctionalSimulator::RunRecurrent(const Math& math,
   for (std::int64_t t = 0; t < p.time_steps; ++t) {
     for (std::int64_t o = 0; o < p.num_output; ++o) {
       Acc acc = params.template Bias<Acc>(o, f);
-      acc += math.Dot(params.weights + o * in_n, in0.raw,
-                      static_cast<std::size_t>(in_n));
-      acc += math.Dot(params.recurrent + o * p.num_output, h, n_out);
-      std::int32_t v = 0;
-      math.Writeback(&v, &acc, 1, fmt_);
-      if (act != nullptr)
-        v = static_cast<std::int32_t>(act->EvalRaw(v));
-      next[static_cast<std::size_t>(o)] = v;
+      acc += DotOne(math, params.weights + o * in_n, in0.raw,
+                    static_cast<std::size_t>(in_n));
+      acc += DotOne(math, params.recurrent + o * p.num_output, h, n_out);
+      math.Writeback(&next[static_cast<std::size_t>(o)], &acc, 1, fmt_);
     }
+    if (act != nullptr) act->EvalRaw({next, n_out}, next);
     std::swap(h, next);
   }
   std::memcpy(out.raw, h, n_out * sizeof(std::int32_t));
@@ -398,30 +476,28 @@ void FunctionalSimulator::RunLstm(const Math& math, const Params<W>& params,
   for (std::int64_t t = 0; t < p.time_steps; ++t) {
     for (std::int64_t g = 0; g < 4 * h; ++g) {
       Acc acc = params.template Bias<Acc>(g, f);
-      acc += math.Dot(params.weights + g * in_n, in0.raw,
-                      static_cast<std::size_t>(in_n));
-      acc += math.Dot(params.recurrent + g * h, hidden, n_h);
+      acc += DotOne(math, params.weights + g * in_n, in0.raw,
+                    static_cast<std::size_t>(in_n));
+      acc += DotOne(math, params.recurrent + g * h, hidden, n_h);
       math.Writeback(&gates[static_cast<std::size_t>(g)], &acc, 1, fmt_);
     }
+    // Gates i, f and o through the sigmoid LUT, the candidate through
+    // tanh, in place.
+    std::int32_t* gi = gates;
+    std::int32_t* gf = gates + n_h;
+    std::int32_t* gc = gates + 2 * n_h;
+    std::int32_t* go = gates + 3 * n_h;
+    sig.EvalRaw({gi, 2 * n_h}, gi);
+    tanh_lut.EvalRaw({gc, n_h}, gc);
+    sig.EvalRaw({go, n_h}, go);
     // The elementwise gate combination is a chain of saturating Mul/Add
     // in a fixed order — kept scalar on purpose.
-    for (std::int64_t j = 0; j < h; ++j) {
-      const std::int64_t gi =
-          sig.EvalRaw(gates[static_cast<std::size_t>(j)]);
-      const std::int64_t gf =
-          sig.EvalRaw(gates[static_cast<std::size_t>(h + j)]);
-      const std::int64_t gc =
-          tanh_lut.EvalRaw(gates[static_cast<std::size_t>(2 * h + j)]);
-      const std::int64_t go =
-          sig.EvalRaw(gates[static_cast<std::size_t>(3 * h + j)]);
-      cell[static_cast<std::size_t>(j)] = static_cast<std::int32_t>(
-          fmt_.Add(fmt_.Mul(gf, cell[static_cast<std::size_t>(j)]),
-                   fmt_.Mul(gi, gc)));
-      hidden[static_cast<std::size_t>(j)] =
-          static_cast<std::int32_t>(fmt_.Mul(
-              go,
-              tanh_lut.EvalRaw(cell[static_cast<std::size_t>(j)])));
-    }
+    for (std::size_t j = 0; j < n_h; ++j)
+      cell[j] = static_cast<std::int32_t>(
+          fmt_.Add(fmt_.Mul(gf[j], cell[j]), fmt_.Mul(gi[j], gc[j])));
+    tanh_lut.EvalRaw({cell, n_h}, hidden);
+    for (std::size_t j = 0; j < n_h; ++j)
+      hidden[j] = static_cast<std::int32_t>(fmt_.Mul(go[j], hidden[j]));
   }
   std::memcpy(out.raw, hidden, n_h * sizeof(std::int32_t));
 }
@@ -491,81 +567,103 @@ void FunctionalSimulator::RunPooling(const IrLayer& layer,
 
 template <typename W>
 void FunctionalSimulator::RunMacLayer(const IrLayer& layer,
-                                      const RawTensor& in0,
-                                      RawTensor& out) const {
+                                      const RawTensor* in0, RawTensor* out,
+                                      std::size_t batch) const {
   const Params<W> params = ParamsOf<W>(layer);
   const auto run = [&](const auto& math) {
-    switch (layer.kind()) {
-      case LayerKind::kConvolution:
-        return RunConv(math, params, layer, in0, out);
-      case LayerKind::kInnerProduct:
-        return RunInnerProduct(math, params, layer, in0, out);
-      case LayerKind::kRecurrent:
-        return RunRecurrent(math, params, layer, in0, out);
-      case LayerKind::kLstm:
-        return RunLstm(math, params, layer, in0, out);
-      default:
-        break;
-    }
-    // CMAC: the per-output sum over active cells is a chain of
-    // SATURATING adds in cell order — order-sensitive, kept scalar.
-    DB_CHECK(layer.kind() == LayerKind::kAssociative);
-    const AssociativeParams& p = *layer.def.associative;
-    std::vector<float> x;
-    x.reserve(in0.n);
-    for (std::size_t i = 0; i < in0.n; ++i)
-      x.push_back(static_cast<float>(fmt_.Dequantize(in0.raw[i])));
-    const std::vector<std::int64_t> cells = CmacActiveCells(x, p);
-    for (std::int64_t o = 0; o < p.num_output; ++o) {
-      std::int64_t acc = 0;
-      for (std::int64_t cell : cells)
-        acc = fmt_.Add(acc, params.weights[o * p.num_cells + cell]);
-      out.raw[static_cast<std::size_t>(o)] = static_cast<std::int32_t>(acc);
+    if (layer.kind() == LayerKind::kInnerProduct)
+      return RunInnerProduct(math, params, layer, in0, out, batch);
+    // Each image's scratch is recycled before the next image's.
+    const sim::SimArena::Mark scratch = arena_.mark();
+    for (std::size_t b = 0; b < batch; ++b) {
+      RunMacImage(math, params, layer, in0[b], out[b]);
+      arena_.Rewind(scratch);
     }
   };
   narrow_ ? run(NarrowMath{sim::ActiveKernels()}) : run(WideMath{});
 }
 
-void FunctionalSimulator::RunLayer(const IrLayer& layer,
-                                   const RawTensor* const* ins,
-                                   std::size_t num_ins,
-                                   RawTensor& out) const {
-  out.shape = layer.output_shape;
-  out.n = static_cast<std::size_t>(out.shape.NumElements());
-  out.raw = arena_.Alloc<std::int32_t>(out.n);
+template <typename Math, typename W>
+void FunctionalSimulator::RunMacImage(const Math& math,
+                                      const Params<W>& params,
+                                      const IrLayer& layer,
+                                      const RawTensor& in0,
+                                      RawTensor& out) const {
+  switch (layer.kind()) {
+    case LayerKind::kConvolution:
+      return RunConv(math, params, layer, in0, out);
+    case LayerKind::kRecurrent:
+      return RunRecurrent(math, params, layer, in0, out);
+    case LayerKind::kLstm:
+      return RunLstm(math, params, layer, in0, out);
+    default:
+      break;
+  }
+  // CMAC: the per-output sum over active cells is a chain of
+  // SATURATING adds in cell order — order-sensitive, kept scalar.
+  DB_CHECK(layer.kind() == LayerKind::kAssociative);
+  const AssociativeParams& p = *layer.def.associative;
+  std::vector<float> x;
+  x.reserve(in0.n);
+  for (std::size_t i = 0; i < in0.n; ++i)
+    x.push_back(static_cast<float>(fmt_.Dequantize(in0.raw[i])));
+  const std::vector<std::int64_t> cells = CmacActiveCells(x, p);
+  for (std::int64_t o = 0; o < p.num_output; ++o) {
+    std::int64_t acc = 0;
+    for (std::int64_t cell : cells)
+      acc = fmt_.Add(acc, params.weights[o * p.num_cells + cell]);
+    out.raw[static_cast<std::size_t>(o)] = static_cast<std::int32_t>(acc);
+  }
+}
+
+void FunctionalSimulator::RunLayer(const IrLayer& layer, RawTensor* by_id,
+                                   std::size_t batch) const {
+  const auto at = [&](std::int64_t id, std::size_t b) -> RawTensor& {
+    return by_id[static_cast<std::size_t>(id) * batch + b];
+  };
+  RawTensor* out = &at(layer.id, 0);
+  const std::size_t num_ins = layer.input_ids.size();
   DB_CHECK(num_ins >= 1);
+  const sim::SimArena::Mark scratch = arena_.mark();
+  if (IsMacLayer(layer.kind())) {
+    const RawTensor* in0 = &at(layer.input_ids.front(), 0);
+    elem_bytes_ == 2 ? RunMacLayer<std::int16_t>(layer, in0, out, batch)
+                     : RunMacLayer<std::int32_t>(layer, in0, out, batch);
+  } else {
+    const RawTensor** ins = arena_.Alloc<const RawTensor*>(num_ins);
+    const sim::SimArena::Mark image_scratch = arena_.mark();
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t i = 0; i < num_ins; ++i)
+        ins[i] = &at(layer.input_ids[i], b);
+      RunImageLayer(layer, ins, num_ins, out[b]);
+      arena_.Rewind(image_scratch);
+    }
+  }
+  arena_.Rewind(scratch);
+}
+
+void FunctionalSimulator::RunImageLayer(const IrLayer& layer,
+                                        const RawTensor* const* ins,
+                                        std::size_t num_ins,
+                                        RawTensor& out) const {
   const RawTensor& in0 = *ins[0];
   const sim::KernelOps& ops = sim::ActiveKernels();
   const NarrowMath narrow{ops};
   const WideMath wide;
 
   switch (layer.kind()) {
-    case LayerKind::kConvolution:
-    case LayerKind::kInnerProduct:
-    case LayerKind::kRecurrent:
-    case LayerKind::kLstm:
-    case LayerKind::kAssociative:
-      elem_bytes_ == 2 ? RunMacLayer<std::int16_t>(layer, in0, out)
-                       : RunMacLayer<std::int32_t>(layer, in0, out);
-      break;
     case LayerKind::kPooling:
       RunPooling(layer, in0, out);
       break;
     case LayerKind::kRelu:
       ops.relu(out.raw, in0.raw, in0.n);
       break;
-    case LayerKind::kSigmoid: {
-      const ApproxLut& lut = LutFor(LutFunction::kSigmoid);
-      for (std::size_t i = 0; i < in0.n; ++i)
-        out.raw[i] = static_cast<std::int32_t>(lut.EvalRaw(in0.raw[i]));
+    case LayerKind::kSigmoid:
+      LutFor(LutFunction::kSigmoid).EvalRaw({in0.raw, in0.n}, out.raw);
       break;
-    }
-    case LayerKind::kTanh: {
-      const ApproxLut& lut = LutFor(LutFunction::kTanh);
-      for (std::size_t i = 0; i < in0.n; ++i)
-        out.raw[i] = static_cast<std::int32_t>(lut.EvalRaw(in0.raw[i]));
+    case LayerKind::kTanh:
+      LutFor(LutFunction::kTanh).EvalRaw({in0.raw, in0.n}, out.raw);
       break;
-    }
     case LayerKind::kLrn:
       narrow_ ? RunLrn(narrow, layer, in0, out)
               : RunLrn(wide, layer, in0, out);
@@ -576,14 +674,14 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       const std::int32_t max_raw =
           ops.max_value(in0.raw, in0.n,
                         static_cast<std::int32_t>(fmt_.raw_min()));
-      std::int64_t sum = 0;
-      for (std::size_t i = 0; i < in0.n; ++i) {
+      for (std::size_t i = 0; i < in0.n; ++i)
         out.raw[i] = static_cast<std::int32_t>(
-            exp_lut.EvalRaw(fmt_.Saturate(
-                static_cast<std::int64_t>(in0.raw[i]) - max_raw)));
-        sum += out.raw[i];
-      }
-      const std::int64_t recip = recip_lut.EvalRaw(fmt_.Saturate(sum));
+            fmt_.Saturate(std::int64_t{in0.raw[i]} - max_raw));
+      exp_lut.EvalRaw({out.raw, out.n}, out.raw);
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < out.n; ++i) sum += out.raw[i];
+      const std::int64_t recip = recip_lut.EvalRaw(
+          static_cast<std::int32_t>(fmt_.Saturate(sum)));
       for (std::size_t i = 0; i < out.n; ++i)
         out.raw[i] =
             static_cast<std::int32_t>(fmt_.Mul(out.raw[i], recip));
@@ -626,7 +724,12 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
       break;
     }
     case LayerKind::kInput:
-      DB_THROW("input layer reached RunLayer");
+    case LayerKind::kConvolution:
+    case LayerKind::kInnerProduct:
+    case LayerKind::kRecurrent:
+    case LayerKind::kLstm:
+    case LayerKind::kAssociative:
+      DB_THROW(LayerKindName(layer.kind()) << " layer reached RunImageLayer");
   }
 }
 
@@ -634,18 +737,27 @@ void FunctionalSimulator::RunLayer(const IrLayer& layer,
 // Graph execution
 // ---------------------------------------------------------------------
 
-FunctionalSimulator::RawTensor FunctionalSimulator::QuantizeInput(
-    const Tensor& t, const BlobShape& shape) const {
-  RawTensor rt;
-  rt.shape = shape;
-  rt.n = static_cast<std::size_t>(shape.NumElements());
-  rt.raw = arena_.Alloc<std::int32_t>(rt.n);
+void FunctionalSimulator::QuantizeInput(const Tensor& t,
+                                        RawTensor& out) const {
   const std::vector<float>& v = t.storage();
-  DB_CHECK(v.size() == rt.n);
-  for (std::size_t i = 0; i < rt.n; ++i)
-    rt.raw[i] = static_cast<std::int32_t>(
+  DB_CHECK(v.size() == out.n);
+  for (std::size_t i = 0; i < out.n; ++i)
+    out.raw[i] = static_cast<std::int32_t>(
         fmt_.Quantize(static_cast<double>(v[i])));
-  return rt;
+}
+
+FunctionalSimulator::Buffer FunctionalSimulator::TakeBuffer(
+    std::size_t n) const {
+  std::size_t best = free_.size();
+  for (std::size_t i = 0; i < free_.size(); ++i)
+    if (free_[i].size >= n &&
+        (best == free_.size() || free_[i].size < free_[best].size))
+      best = i;
+  if (best == free_.size()) return {arena_.Alloc<std::int32_t>(n), n};
+  const Buffer taken = free_[best];
+  free_[best] = free_.back();
+  free_.pop_back();
+  return taken;
 }
 
 Tensor FunctionalSimulator::Dequantize(const RawTensor& rt) const {
@@ -657,38 +769,78 @@ Tensor FunctionalSimulator::Dequantize(const RawTensor& rt) const {
 }
 
 const FunctionalSimulator::RawTensor* FunctionalSimulator::RunGraph(
-    const std::map<std::string, const Tensor*>& inputs) const {
+    const std::map<std::string, std::span<const Tensor* const>>& inputs,
+    std::size_t batch, bool keep_all) const {
+  DB_CHECK(batch >= 1);
   arena_.Reset();
+  free_.clear();
   const std::size_t n_layers = net_.layers().size();
-  RawTensor* by_id = arena_.AllocZeroed<RawTensor>(n_layers);
+  RawTensor* by_id = arena_.AllocZeroed<RawTensor>(n_layers * batch);
+  // Each layer's outputs for the whole batch share one buffer, which
+  // goes back to free_ after the layer's last reader has run.
+  Buffer* held = arena_.AllocZeroed<Buffer>(n_layers);
+  const auto release = [&](int id) {
+    Buffer& buffer = held[static_cast<std::size_t>(id)];
+    if (buffer.data != nullptr) free_.push_back(buffer);
+    buffer = {};
+  };
   for (const IrLayer& layer : net_.layers()) {
     const std::size_t id = static_cast<std::size_t>(layer.id);
+    const std::size_t n =
+        static_cast<std::size_t>(layer.output_shape.NumElements());
+    held[id] = TakeBuffer(n * batch);
+    RawTensor* out = by_id + id * batch;
+    for (std::size_t b = 0; b < batch; ++b)
+      out[b] = {layer.output_shape, held[id].data + b * n, n};
     if (layer.kind() == LayerKind::kInput) {
       const auto it = inputs.find(layer.name());
       if (it == inputs.end())
         DB_THROW("missing input '" << layer.name() << "'");
-      by_id[id] = QuantizeInput(*it->second, layer.output_shape);
-      continue;
+      DB_CHECK(it->second.size() == batch);
+      for (std::size_t b = 0; b < batch; ++b)
+        QuantizeInput(*it->second[b], out[b]);
+    } else {
+      RunLayer(layer, by_id, batch);
     }
-    const std::size_t num_ins = layer.input_ids.size();
-    const RawTensor** ins =
-        arena_.Alloc<const RawTensor*>(num_ins == 0 ? 1 : num_ins);
-    for (std::size_t i = 0; i < num_ins; ++i)
-      ins[i] = &by_id[static_cast<std::size_t>(layer.input_ids[i])];
-    RunLayer(layer, ins, num_ins, by_id[id]);
+    if (keep_all) continue;
+    for (const int in : layer.input_ids)
+      if (last_use_[static_cast<std::size_t>(in)] == layer.id) release(in);
+    if (last_use_[id] == layer.id) release(layer.id);
   }
   return by_id;
 }
 
 std::map<std::string, Tensor> FunctionalSimulator::Run(
     const std::map<std::string, Tensor>& inputs) const {
-  std::map<std::string, const Tensor*> in_ptrs;
-  for (const auto& [name, t] : inputs) in_ptrs.emplace(name, &t);
-  const RawTensor* by_id = RunGraph(in_ptrs);
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(inputs.size());
+  std::map<std::string, std::span<const Tensor* const>> in_spans;
+  for (const auto& [name, t] : inputs) {
+    ptrs.push_back(&t);
+    in_spans.emplace(name, std::span<const Tensor* const>(&ptrs.back(), 1));
+  }
+  const RawTensor* by_id = RunGraph(in_spans, 1, false);
   const IrLayer& out_layer = net_.OutputLayer();
   std::map<std::string, Tensor> result;
   result[out_layer.name()] =
       Dequantize(by_id[static_cast<std::size_t>(out_layer.id)]);
+  return result;
+}
+
+std::vector<Tensor> FunctionalSimulator::RunBatch(
+    std::span<const Tensor* const> inputs) const {
+  DB_CHECK_MSG(net_.input_ids().size() == 1,
+               "RunBatch requires a single-input network");
+  if (inputs.empty()) return {};
+  const IrLayer& in_layer = net_.layer(net_.input_ids().front());
+  const RawTensor* by_id =
+      RunGraph({{in_layer.name(), inputs}}, inputs.size(), false);
+  const RawTensor* outs =
+      by_id + static_cast<std::size_t>(net_.OutputLayer().id) * inputs.size();
+  std::vector<Tensor> result;
+  result.reserve(inputs.size());
+  for (std::size_t b = 0; b < inputs.size(); ++b)
+    result.push_back(Dequantize(outs[b]));
   return result;
 }
 
@@ -697,8 +849,8 @@ std::map<std::string, Tensor> FunctionalSimulator::RunAll(
   DB_CHECK_MSG(net_.input_ids().size() == 1,
                "RunAll requires a single-input network");
   const IrLayer& in_layer = net_.layer(net_.input_ids().front());
-  const RawTensor* by_id =
-      RunGraph({{in_layer.name(), &input}});
+  const Tensor* const in = &input;
+  const RawTensor* by_id = RunGraph({{in_layer.name(), {&in, 1}}}, 1, true);
   std::map<std::string, Tensor> acts;
   for (const IrLayer& layer : net_.layers())
     acts[layer.name()] =
@@ -707,11 +859,8 @@ std::map<std::string, Tensor> FunctionalSimulator::RunAll(
 }
 
 Tensor FunctionalSimulator::Run(const Tensor& input) const {
-  DB_CHECK_MSG(net_.input_ids().size() == 1,
-               "single-input Run requires a single-input network");
-  const IrLayer& in_layer = net_.layer(net_.input_ids().front());
-  auto outs = Run(std::map<std::string, Tensor>{{in_layer.name(), input}});
-  return outs.at(net_.OutputLayer().name());
+  const Tensor* const in = &input;
+  return std::move(RunBatch({&in, 1}).front());
 }
 
 }  // namespace db

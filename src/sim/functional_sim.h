@@ -12,26 +12,44 @@
 // MemoryImage, the way the accelerator reads DDR3 (paper §4.1) — there
 // is no decoded copy.  2-byte formats (every zoo design) read through an
 // int16 view of the image and 4-byte formats through an int32 view.  1-
-// and 3-byte formats have no native word; each Run() widens their
+// and 3-byte formats have no native word; each pass widens their
 // parameters from the image into its scratch arena.  Either way a bit
-// flipped in a weight region reaches the next Run().
+// flipped in a weight region reaches the next pass.
+//
+// Batch-major execution: a pass runs a batch of B images, and each
+// layer runs over all B images before the next layer starts.  Fully
+// connected layers share each weight row among up to sim::kDotBatch
+// images, so a batch reads fc weights once per kDotBatch images rather
+// than once per image; every other layer runs image by image.  Each
+// image's outputs are bit-identical to a pass of that image alone.
+// Run() is the B = 1 pass.
 //
 // Hot-path layout: layer state is structure-of-arrays — int32 raw
 // activations in a per-simulator arena, int64 accumulators — and the
 // dense MAC/activation sweeps run on the sim/kernels.h backend (AVX2
-// when the host has it, bit-identical scalar otherwise).  Formats too
-// wide for provably-overflow-free int64 accumulation fall back to an
+// when the host has it, bit-identical scalar otherwise).  LRN works on
+// whole channel planes: a sliding window of exact sums of squares, one
+// writeback and one span LUT evaluation per plane.  Formats too wide
+// for provably-overflow-free int64 accumulation fall back to an
 // __int128 scalar path with identical rounding.
 //
+// Memory: a pass allocates from one scratch arena.  Each layer's
+// activations for the whole batch take one buffer, recycled once the
+// layer's last reader has run (RunAll keeps them all), and each image's
+// layer scratch is recycled before the next image's.  So the arena
+// grows with the batch — B times the live activations — up to the
+// largest batch run so far, and is then reused pass after pass.
+//
 // Threading contract: a FunctionalSimulator owns one scratch arena, so
-// concurrent Run() calls on the SAME instance are not supported.  Every
-// serving replica owns a private SystemContext (and therefore a private
-// simulator) driven by one executor thread, which satisfies this by
-// construction.
+// concurrent Run()/RunBatch() calls on the SAME instance are not
+// supported.  Every serving replica owns a private SystemContext (and
+// therefore a private simulator) driven by one executor thread, which
+// satisfies this by construction.
 #pragma once
 
 #include <array>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +79,10 @@ class FunctionalSimulator {
   /// the network boundary (the host's view), everything in between is
   /// fixed-point.
   Tensor Run(const Tensor& input) const;
+
+  /// One batch-major pass over `inputs` (a single-input network): output
+  /// b is bit-identical to Run(*inputs[b]).
+  std::vector<Tensor> RunBatch(std::span<const Tensor* const> inputs) const;
 
   /// Multi-input variant keyed by input-layer name.
   std::map<std::string, Tensor> Run(
@@ -103,17 +125,40 @@ class FunctionalSimulator {
   template <typename W>
   Params<W> ParamsOf(const IrLayer& layer) const;
 
-  void RunLayer(const IrLayer& layer, const RawTensor* const* ins,
-                std::size_t num_ins, RawTensor& out) const;
-  /// The parameterised layers, on weight words of type W.
+  /// Run `layer` over every image of the pass, into its outputs in
+  /// `by_id` (see RunGraph).
+  void RunLayer(const IrLayer& layer, RawTensor* by_id,
+                std::size_t batch) const;
+  /// One image through a layer without parameters.
+  void RunImageLayer(const IrLayer& layer, const RawTensor* const* ins,
+                     std::size_t num_ins, RawTensor& out) const;
+  /// The parameterised layers, on weight words of type W: `in0` and
+  /// `out` each hold `batch` images.
   template <typename W>
-  void RunMacLayer(const IrLayer& layer, const RawTensor& in0,
+  void RunMacLayer(const IrLayer& layer, const RawTensor* in0,
+                   RawTensor* out, std::size_t batch) const;
+  /// One image through a parameterised layer other than FC.
+  template <typename Math, typename W>
+  void RunMacImage(const Math& math, const Params<W>& params,
+                   const IrLayer& layer, const RawTensor& in0,
                    RawTensor& out) const;
-  /// Execute all layers; returns the arena-backed per-layer tensors,
-  /// indexed by layer id.  `inputs` keys input-layer names.
+  /// Execute all layers over `batch` images; returns the arena-backed
+  /// per-layer tensors, image b of layer id at [id * batch + b].
+  /// `inputs` keys input-layer names, each with `batch` tensors.  Unless
+  /// `keep_all`, a layer's activations are recycled once its last reader
+  /// has run, and only the output layer's stay valid.
   const RawTensor* RunGraph(
-      const std::map<std::string, const Tensor*>& inputs) const;
-  RawTensor QuantizeInput(const Tensor& t, const BlobShape& shape) const;
+      const std::map<std::string, std::span<const Tensor* const>>& inputs,
+      std::size_t batch, bool keep_all) const;
+  void QuantizeInput(const Tensor& t, RawTensor& out) const;
+  /// An activation buffer of one layer's whole batch.
+  struct Buffer {
+    std::int32_t* data = nullptr;
+    std::size_t size = 0;
+  };
+  /// `n` int32s: the smallest recycled buffer that holds them, else new
+  /// arena memory.
+  Buffer TakeBuffer(std::size_t n) const;
   Tensor Dequantize(const RawTensor& t) const;
 
   template <typename Math, typename W>
@@ -122,8 +167,8 @@ class FunctionalSimulator {
                RawTensor& out) const;
   template <typename Math, typename W>
   void RunInnerProduct(const Math& math, const Params<W>& params,
-                       const IrLayer& layer, const RawTensor& in0,
-                       RawTensor& out) const;
+                       const IrLayer& layer, const RawTensor* in0,
+                       RawTensor* out, std::size_t batch) const;
   template <typename Math>
   void RunLrn(const Math& math, const IrLayer& layer, const RawTensor& in0,
               RawTensor& out) const;
@@ -159,9 +204,14 @@ class FunctionalSimulator {
   /// int64 accumulation provably never overflows for this design
   /// (format width x deepest fan-in) — the kernel fast path.
   bool narrow_ = true;
+  /// Per layer id: the id of the last layer that reads its output (its
+  /// own id when none does; INT_MAX for the network output).
+  std::vector<int> last_use_;
   /// Per-run scratch, recycled across invocations (see class comment
-  /// for the single-thread contract).
+  /// for the single-thread contract), and the activation buffers of the
+  /// current pass that are free for reuse.
   mutable sim::SimArena arena_;
+  mutable std::vector<Buffer> free_;
 };
 
 }  // namespace db

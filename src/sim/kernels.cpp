@@ -15,14 +15,6 @@ namespace db::sim {
 
 namespace {
 
-template <typename W>
-std::int64_t ScalarDot(const W* a, const std::int32_t* b, std::size_t n) {
-  std::int64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    sum += static_cast<std::int64_t>(a[i]) * b[i];
-  return sum;
-}
-
 void ScalarWriteback(std::int32_t* out, const std::int64_t* acc,
                      std::size_t n, int frac_bits, std::int32_t raw_min,
                      std::int32_t raw_max) {
@@ -48,8 +40,8 @@ std::int32_t ScalarMaxValue(const std::int32_t* in, std::size_t n,
 
 constexpr KernelOps kScalarOps = {
     "scalar",
-    ScalarDot<std::int32_t>,
-    ScalarDot<std::int16_t>,
+    DotReference<std::int64_t, std::int32_t>,
+    DotReference<std::int64_t, std::int16_t>,
     ConvTileReference<std::int64_t>,
     ScalarWriteback,
     ScalarRelu,
@@ -196,6 +188,13 @@ void* SimArena::AllocBytes(std::size_t bytes) {
   current_ = blocks_.size() - 1;
   used_ += need;
   return b.data;
+}
+
+void SimArena::Rewind(const Mark& m) {
+  for (std::size_t i = m.block; i < blocks_.size(); ++i)
+    blocks_[i].used = i == m.block ? m.block_used : 0;
+  current_ = m.block;
+  used_ = m.used;
 }
 
 void SimArena::Reset() {

@@ -8,8 +8,10 @@
 // tiles (conv_tile: 4 output channels x 8 output pixels, the tap loop
 // innermost) over an input the simulator has laid out zero-padded and
 // split into stride phases, so one tile serves every stride; FC and
-// recurrent rows run as dot products.  This header is the contract
-// between the simulator and the two interchangeable kernel backends:
+// recurrent rows run as batched dot products, one weight row against up
+// to kDotBatch images' activations, so a batch reads each weight once.
+// This header is the contract between the simulator and the two
+// interchangeable kernel backends:
 //
 //   * scalar  — portable reference, always available
 //   * avx2    — 4/8-lane vectorised variants, compiled into the build on
@@ -67,6 +69,23 @@ inline __int128 RoundShiftHalfAway128(__int128 v, int frac_bits) {
 inline constexpr std::size_t kConvTileChannels = 4;
 inline constexpr std::size_t kConvTilePixels = 8;
 
+/// The most activation vectors one batched dot call reads.
+inline constexpr std::size_t kDotBatch = 4;
+
+/// dot's arithmetic at any accumulator width: the scalar backend runs it
+/// at int64, the simulator's __int128 path at full width.  The weight
+/// loop is outermost, so each weight is read once for the whole batch.
+template <typename Acc, typename W>
+void DotReference(Acc* out, const W* w, const std::int32_t* const* x,
+                  std::size_t batch, std::size_t n) {
+  Acc acc[kDotBatch] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t wi = w[i];
+    for (std::size_t b = 0; b < batch; ++b) acc[b] += Acc{wi * x[b][i]};
+  }
+  for (std::size_t b = 0; b < batch; ++b) out[b] = acc[b];
+}
+
 /// conv_tile's arithmetic at any accumulator width: the scalar backend
 /// runs it at int64, the simulator's __int128 path at full width.
 template <typename Acc>
@@ -90,14 +109,19 @@ void ConvTileReference(Acc* acc, const std::int32_t* w,
 struct KernelOps {
   const char* name;
 
-  /// sum_i int64(a[i]) * b[i] — the dot product of an FC/recurrent row.
-  std::int64_t (*dot)(const std::int32_t* a, const std::int32_t* b,
-                      std::size_t n);
+  /// One FC/recurrent weight row against `batch` activation vectors
+  /// (1 <= batch <= kDotBatch), each of length n:
+  ///   out[b] = sum_{i < n} int64(w[i]) * x[b][i]
+  /// Each weight is loaded once and feeds every vector.
+  void (*dot)(std::int64_t* out, const std::int32_t* w,
+              const std::int32_t* const* x, std::size_t batch,
+              std::size_t n);
 
-  /// dot with int16 weights `w` against int32 activations `x` — 2-byte
-  /// formats, whose weights the simulator views in place.
-  std::int64_t (*dot_w16)(const std::int16_t* w, const std::int32_t* x,
-                          std::size_t n);
+  /// dot with int16 weights — 2-byte formats, whose weights the
+  /// simulator views in place.
+  void (*dot_w16)(std::int64_t* out, const std::int16_t* w,
+                  const std::int32_t* const* x, std::size_t batch,
+                  std::size_t n);
 
   /// The register tile of a convolution: kConvTileChannels output
   /// channels x kConvTilePixels consecutive output pixels of one row,
@@ -192,6 +216,20 @@ class SimArena {
   /// Recycle all allocations; capacity is retained (and defragmented
   /// into one block if the previous run overflowed).
   void Reset();
+
+  /// The allocation point, for a later Rewind().
+  struct Mark {
+    std::size_t block = 0;
+    std::size_t block_used = 0;
+    std::size_t used = 0;
+  };
+  Mark mark() const {
+    return {current_, blocks_.empty() ? 0 : blocks_[current_].used, used_};
+  }
+
+  /// Recycle every allocation made since `m` (scratch whose lifetime
+  /// ends before the allocations that follow it).
+  void Rewind(const Mark& m);
 
   /// Total bytes of backing capacity (diagnostics / tests).
   std::size_t capacity_bytes() const;

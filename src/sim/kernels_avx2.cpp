@@ -4,7 +4,7 @@
 //
 // Bit-identity with the scalar backend is structural: every op is either
 // elementwise (writeback, relu, max) or an exact int64 accumulation
-// (dot, int16-weight dot, conv tile) whose summation order cannot matter
+// (batched dot, int16-weight dot, conv tile) whose summation order cannot matter
 // because the simulator guarantees no-overflow before routing work here.
 #include "sim/kernels.h"
 
@@ -25,29 +25,63 @@ __m256i Load8(const std::int16_t* p) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-template <typename W>
-std::int64_t Avx2Dot(const W* a, const std::int32_t* b, std::size_t n) {
-  // Two independent accumulators break the add dependency chain; the
-  // int64 sums are exact, so accumulation order is immaterial.
-  __m256i sum_even = _mm256_setzero_si256();
-  __m256i sum_odd = _mm256_setzero_si256();
+/// The dot of one weight row against B activation vectors.  Each
+/// iteration widens eight weights once and multiplies them into every
+/// vector; per vector, two accumulators (even and odd elements) hold
+/// exact int64 sums, so accumulation order is immaterial.  The vectors
+/// are unrolled by hand so every accumulator stays in a register.
+template <std::size_t B, typename W>
+void Avx2DotBatch(std::int64_t* out, const W* w, const std::int32_t* const* x,
+                  std::size_t n) {
+  static_assert(B >= 1 && B <= 4);
+  const std::int32_t* x0 = x[0];
+  const std::int32_t* x1 = B > 1 ? x[1] : x0;
+  const std::int32_t* x2 = B > 2 ? x[2] : x0;
+  const std::int32_t* x3 = B > 3 ? x[3] : x0;
+  __m256i e0 = _mm256_setzero_si256(), o0 = _mm256_setzero_si256();
+  __m256i e1 = _mm256_setzero_si256(), o1 = _mm256_setzero_si256();
+  __m256i e2 = _mm256_setzero_si256(), o2 = _mm256_setzero_si256();
+  __m256i e3 = _mm256_setzero_si256(), o3 = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i va = Load8(a + i);
-    const __m256i vb = Load8(b + i);
+    const __m256i vw = Load8(w + i);
     // Even 32-bit elements live in the low half of each 64-bit lane;
     // shifting right by 32 exposes the odd elements there.
-    sum_even = _mm256_add_epi64(sum_even, _mm256_mul_epi32(va, vb));
-    sum_odd = _mm256_add_epi64(
-        sum_odd, _mm256_mul_epi32(_mm256_srli_epi64(va, 32),
-                                  _mm256_srli_epi64(vb, 32)));
+    const __m256i vw_odd = _mm256_srli_epi64(vw, 32);
+    const auto mac = [&](const std::int32_t* xb, __m256i& even,
+                         __m256i& odd) {
+      const __m256i vx = Load8(xb + i);
+      even = _mm256_add_epi64(even, _mm256_mul_epi32(vw, vx));
+      odd = _mm256_add_epi64(
+          odd, _mm256_mul_epi32(vw_odd, _mm256_srli_epi64(vx, 32)));
+    };
+    mac(x0, e0, o0);
+    if constexpr (B > 1) mac(x1, e1, o1);
+    if constexpr (B > 2) mac(x2, e2, o2);
+    if constexpr (B > 3) mac(x3, e3, o3);
   }
-  std::int64_t tail = 0;
-  for (; i < n; ++i) tail += static_cast<std::int64_t>(a[i]) * b[i];
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                     _mm256_add_epi64(sum_even, sum_odd));
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
+  const __m256i sums[4] = {_mm256_add_epi64(e0, o0), _mm256_add_epi64(e1, o1),
+                           _mm256_add_epi64(e2, o2), _mm256_add_epi64(e3, o3)};
+  for (std::size_t b = 0; b < B; ++b) {
+    std::int64_t tail = 0;
+    for (std::size_t j = i; j < n; ++j)
+      tail += static_cast<std::int64_t>(w[j]) * x[b][j];
+    alignas(32) std::int64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), sums[b]);
+    out[b] = lanes[0] + lanes[1] + lanes[2] + lanes[3] + tail;
+  }
+}
+
+template <typename W>
+void Avx2Dot(std::int64_t* out, const W* w, const std::int32_t* const* x,
+             std::size_t batch, std::size_t n) {
+  static_assert(kDotBatch == 4);
+  switch (batch) {
+    case 1: return Avx2DotBatch<1>(out, w, x, n);
+    case 2: return Avx2DotBatch<2>(out, w, x, n);
+    case 3: return Avx2DotBatch<3>(out, w, x, n);
+    default: return Avx2DotBatch<4>(out, w, x, n);
+  }
 }
 
 void Avx2ConvTile(std::int64_t* acc, const std::int32_t* w,

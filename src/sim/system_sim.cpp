@@ -46,22 +46,25 @@ SystemContext::SystemContext(const Network& net,
 
 SystemRunResult SystemContext::Run(MemoryImage& image, const Tensor& input,
                                    bool warm) const {
+  const Tensor* const in = &input;
+  return {std::move(RunBatch(image, {&in, 1}).front()), perf(warm)};
+}
+
+std::vector<Tensor> SystemContext::RunBatch(
+    MemoryImage& image, std::span<const Tensor* const> inputs) const {
   DB_CHECK_MSG(image.data() == image_bytes_,
                "SystemContext::Run was handed an image other than the "
                "one whose weights it reads");
-  // Host writes the input blob into DRAM in the compiler's tile order.
-  StoreBlob(image, design_, *in_region_, in_order_, input);
-
-  SystemRunResult result;
-  const Tensor raw_out = sim_.Run(input);
-
-  // Accelerator writes the output blob; host reads it back.
-  StoreBlob(image, design_, *out_region_, out_order_, raw_out);
-  result.output = ExtractBlob(image, design_, *out_region_, out_order_,
-                              net_.OutputLayer().output_shape);
-  result.perf = perf(warm);
-  result.status = StatusCode::kOk;
-  return result;
+  std::vector<Tensor> outputs = sim_.RunBatch(inputs);
+  for (std::size_t b = 0; b < inputs.size(); ++b) {
+    // Host writes the input blob into DRAM in the compiler's tile order;
+    // the accelerator writes the output blob; the host reads it back.
+    StoreBlob(image, design_, *in_region_, in_order_, *inputs[b]);
+    StoreBlob(image, design_, *out_region_, out_order_, outputs[b]);
+    outputs[b] = ExtractBlob(image, design_, *out_region_, out_order_,
+                             net_.OutputLayer().output_shape);
+  }
+  return outputs;
 }
 
 std::vector<SystemReplica> ReplicateSystem(const Network& net,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -22,10 +23,6 @@ namespace db {
 struct SystemRunResult {
   Tensor output;          // host-visible result, read back from the image
   PerfResult perf;        // accelerator timing for the invocation
-  /// Per-invocation disposition, propagated to the server's
-  /// ServedRequest records so failures cross thread boundaries as
-  /// values, never as exceptions (see common/error.h).
-  StatusCode status = StatusCode::kOk;
 };
 
 /// Decode a float WeightStore from the image's weight regions (the
@@ -36,14 +33,16 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 
 /// The steady-state half of RunSystem: the weight views into `image` and
 /// the I/O blob tile orders are set up once at construction, so each
-/// Run() is just the simulation plus two cached-order blob copies.
+/// Run() or RunBatch() is just the simulation plus two cached-order blob
+/// copies per image.
 ///
 /// Cycle costs depend only on (net, design) and on whether the weights
 /// are already resident, never on input values, so the context simulates
 /// the cold and the warm invocation timing once, at construction, and
 /// every Run() returns one of the two cached results.
 ///
-/// Threading: Run() is marked const but is NOT safe to call concurrently
+/// Threading: Run() and RunBatch() are marked const but are NOT safe to
+/// call concurrently
 /// on the same instance — the wrapped FunctionalSimulator owns a mutable
 /// scratch arena (see functional_sim.h).  The serving stack honours this
 /// by giving every replica its own SystemContext driven by a single
@@ -65,8 +64,19 @@ class SystemContext {
   /// the output blob back, and read it out as the host would.  `image`
   /// must be the image this context was built on.  `warm` selects the
   /// steady-state timing (weights resident from an earlier image).
+  /// This is RunBatch over one input.
   SystemRunResult Run(MemoryImage& image, const Tensor& input,
                       bool warm = false) const;
+
+  /// Consecutive invocations with no image change between them, run as
+  /// one batch-major pass (see functional_sim.h): the weights are read
+  /// once for the batch, as the accelerator's buffers hold them across
+  /// a batch.  Then, for each input in order, the input blob is stored,
+  /// the output blob is stored and read back, so `image` ends byte for
+  /// byte as after the same Run() calls in order, and output b equals
+  /// Run(image, *inputs[b]).output.  Outputs only: the timing is perf().
+  std::vector<Tensor> RunBatch(MemoryImage& image,
+                               std::span<const Tensor* const> inputs) const;
 
   /// The cached timing of a cold or a warm invocation.
   const PerfResult& perf(bool warm) const {

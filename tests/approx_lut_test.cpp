@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -84,6 +86,73 @@ TEST(ApproxLut, RawEvalMatchesFloatEval) {
     const std::int64_t raw = fmt.Quantize(x);
     EXPECT_EQ(lut.EvalRaw(raw), fmt.Quantize(lut.Eval(x)))
         << "x=" << x;
+  }
+}
+
+/// The scalar evaluation as first written: Dequantize and ldexp calls
+/// per key, the reference the span form must reproduce bit for bit.
+std::int64_t ReferenceEvalRaw(const ApproxLut& lut, std::int64_t raw_key) {
+  const ApproxLutSpec& spec = lut.spec();
+  const double x = spec.format.Dequantize(raw_key);
+  const double span = spec.in_max - spec.in_min;
+  double pos = (x - spec.in_min) / span * static_cast<double>(spec.entries);
+  if (pos < 0.0) pos = 0.0;
+  const double max_pos = static_cast<double>(spec.entries) - 1e-9;
+  if (pos > max_pos) pos = max_pos;
+  const std::int64_t index = static_cast<std::int64_t>(pos);
+  const std::int64_t lo = lut.table()[static_cast<std::size_t>(index)];
+  if (!spec.interpolate) return lo;
+  const std::int64_t hi =
+      index + 1 < spec.entries
+          ? lut.table()[static_cast<std::size_t>(index + 1)]
+          : lo;
+  const double frac = pos - static_cast<double>(index);
+  const int frac_bits = spec.format.frac_bits();
+  const std::int64_t frac_raw =
+      static_cast<std::int64_t>(frac * std::ldexp(1.0, frac_bits));
+  return spec.format.Saturate(lo + (((hi - lo) * frac_raw) >> frac_bits));
+}
+
+// Every key of a 16-bit format, through one span call (in place, the
+// way the simulator's activation layers use it) and through the scalar
+// form, for every function with interpolation on and off, on the
+// domains the generator gives each function.
+TEST(ApproxLut, SpanEvalMatchesScalarForEveryKey) {
+  const FixedFormat fmt(16, 8);
+  std::vector<std::int32_t> keys;
+  for (std::int64_t k = fmt.raw_min(); k <= fmt.raw_max(); ++k)
+    keys.push_back(static_cast<std::int32_t>(k));
+  for (const LutFunction fn :
+       {LutFunction::kSigmoid, LutFunction::kTanh, LutFunction::kExp,
+        LutFunction::kRecip, LutFunction::kLrnPow}) {
+    for (const bool interpolate : {true, false}) {
+      SCOPED_TRACE(LutFunctionName(fn) +
+                   (interpolate ? " interpolated" : " nearest"));
+      ApproxLutSpec spec;
+      spec.function = fn;
+      spec.interpolate = interpolate;
+      spec.format = fmt;
+      if (fn == LutFunction::kExp) {
+        spec.in_min = -16.0;
+        spec.in_max = 0.0;
+      } else if (fn == LutFunction::kRecip || fn == LutFunction::kLrnPow) {
+        spec.in_min = 1.0 / 128.0;
+        spec.in_max = fmt.value_max();
+      }
+      const ApproxLut lut = ApproxLut::Generate(spec);
+      std::vector<std::int32_t> out = keys;
+      lut.EvalRaw(out, out.data());
+      std::int64_t mismatches = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::int64_t want = ReferenceEvalRaw(lut, keys[i]);
+        if ((out[i] != want || lut.EvalRaw(keys[i]) != want) &&
+            ++mismatches <= 5)
+          ADD_FAILURE() << "key " << keys[i] << ": want " << want
+                        << " span " << out[i] << " scalar "
+                        << lut.EvalRaw(keys[i]);
+      }
+      EXPECT_EQ(mismatches, 0);
+    }
   }
 }
 

@@ -367,5 +367,117 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   EXPECT_EQ(cases, 160);
 }
 
+// ------------------------------------------- LRN vs exact reference
+
+/// Every raw output of one LRN layer, under every kernel backend,
+/// against the per-element loop the simulator ran before it moved to
+/// whole planes: an __int128 sum of squares over the clipped channel
+/// window, the hardware rounder, then Add(1, Mul(alpha / n, sum)), the
+/// x^-beta LUT and Mul(in, pow), one element at a time.  Covers every
+/// local size on channel counts equal to and above it, alpha 0 and > 0,
+/// and widths on both sides of the int64 accumulation guard (32 bits
+/// runs the __int128 path).
+TEST(FunctionalSim, LrnMatchesExactReference) {
+  struct BackendGuard {
+    ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
+  } guard;
+  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
+  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  Rng rng(2016);
+  int cases = 0;
+  for (const int bits : {8, 16, 24, 32}) {
+    for (const std::int64_t local_size : {1, 3, 5, 7}) {
+      for (int trial = 0; trial < 3; ++trial, ++cases) {
+        const int frac = bits / 4 + static_cast<int>(rng.UniformInt(
+                                        static_cast<std::uint64_t>(bits / 2)));
+        // Channel counts at the window (the frontend rejects fewer) and
+        // above it.
+        const std::int64_t channels =
+            trial == 0 ? local_size
+                       : local_size + 1 +
+                             static_cast<std::int64_t>(rng.UniformInt(6));
+        const std::int64_t height =
+            1 + static_cast<std::int64_t>(rng.UniformInt(7));
+        const std::int64_t width =
+            1 + static_cast<std::int64_t>(rng.UniformInt(13));
+        const double alpha = trial == 1 ? 0.0 : 0.5 * (1 + trial);
+        const bool extremes = rng.Bernoulli(0.3);
+        std::string script = "input: \"data\"\ninput_dim: 1\n";
+        for (const std::int64_t d : {channels, height, width})
+          script += "input_dim: " + std::to_string(d) + "\n";
+        script +=
+            "layers { name: \"norm\" type: LRN bottom: \"data\" "
+            "top: \"norm\" lrn_param { local_size: ";
+        script += std::to_string(local_size) + " alpha: " +
+                  StrFormat("%g", alpha) + " beta: 0.75 } }\n";
+        SCOPED_TRACE(StrFormat("bits=%d frac=%d extremes=%d\n", bits, frac,
+                               extremes ? 1 : 0) +
+                     script);
+        const Network net = Network::Build(ParseNetworkDef(script));
+        DesignConstraint constraint = DbConstraint();
+        constraint.bit_width = bits;
+        constraint.frac_bits = frac;
+        const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+        const FixedFormat& fmt = design.config.format;
+        const WeightStore weights = WeightStore::CreateFor(net);
+        const FunctionalSimulator probe(net, design, weights);
+        const ApproxLut& lut = probe.LutFor(LutFunction::kLrnPow);
+
+        Tensor input(Shape{channels, height, width});
+        std::vector<std::int64_t> in_raw(
+            static_cast<std::size_t>(input.size()));
+        for (std::int64_t i = 0; i < input.size(); ++i) {
+          input[i] = static_cast<float>(
+              fmt.Dequantize(RandomRaw(rng, fmt, extremes)));
+          in_raw[static_cast<std::size_t>(i)] =
+              fmt.Quantize(static_cast<double>(input[i]));
+        }
+
+        const std::int64_t plane = height * width;
+        const std::int64_t half = local_size / 2;
+        const std::int64_t alpha_raw =
+            fmt.Quantize(alpha / static_cast<double>(local_size));
+        const std::int64_t one_raw = fmt.Quantize(1.0);
+        std::vector<float> want;
+        for (std::int64_t c = 0; c < channels; ++c)
+          for (std::int64_t i = 0; i < plane; ++i) {
+            __int128 sum_sq = 0;
+            for (std::int64_t cc = std::max<std::int64_t>(c - half, 0);
+                 cc < std::min(c + half + 1, channels); ++cc) {
+              const std::int64_t v =
+                  in_raw[static_cast<std::size_t>(cc * plane + i)];
+              sum_sq += v * v;
+            }
+            const std::int64_t sum_raw = static_cast<std::int64_t>(
+                std::clamp<__int128>(
+                    sim::RoundShiftHalfAway128(sum_sq, fmt.frac_bits()),
+                    fmt.raw_min(), fmt.raw_max()));
+            const std::int64_t scale_raw =
+                fmt.Add(one_raw, fmt.Mul(alpha_raw, sum_raw));
+            const std::int64_t pow_raw =
+                lut.EvalRaw(static_cast<std::int32_t>(scale_raw));
+            want.push_back(static_cast<float>(fmt.Dequantize(fmt.Mul(
+                in_raw[static_cast<std::size_t>(c * plane + i)], pow_raw))));
+          }
+
+        for (const sim::KernelBackend backend : backends) {
+          SCOPED_TRACE(sim::KernelBackendName(backend));
+          sim::SetKernelBackend(backend);
+          const std::vector<float> got =
+              FunctionalSimulator(net, design, weights).Run(input).storage();
+          ASSERT_EQ(got.size(), want.size());
+          std::int64_t mismatches = 0;
+          for (std::size_t i = 0; i < got.size(); ++i)
+            if (got[i] != want[i] && ++mismatches <= 5)
+              ADD_FAILURE() << "output " << i << ": want " << want[i]
+                            << " got " << got[i];
+          EXPECT_EQ(mismatches, 0);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 48);
+}
+
 }  // namespace
 }  // namespace db

@@ -66,6 +66,17 @@ std::vector<std::int32_t> RandomI32(Rng& rng, std::size_t n,
   return v;
 }
 
+/// A batched dot kernel over one activation vector.
+template <typename W>
+std::int64_t DotOne(void (*dot)(std::int64_t*, const W*,
+                                const std::int32_t* const*, std::size_t,
+                                std::size_t),
+                    const W* w, const std::int32_t* x, std::size_t n) {
+  std::int64_t out = 0;
+  dot(&out, w, &x, 1, n);
+  return out;
+}
+
 TEST(Kernels, DotMatchesBruteForce) {
   Rng rng(8);
   for (const std::size_t n : {0u, 1u, 5u, 8u, 13u, 32u, 67u}) {
@@ -77,7 +88,7 @@ TEST(Kernels, DotMatchesBruteForce) {
     for (std::size_t i = 0; i < n; ++i)
       want += static_cast<std::int64_t>(a[i]) * b[i];
     for (const KernelOps* ops : Backends())
-      EXPECT_EQ(ops->dot(a.data(), b.data(), n), want)
+      EXPECT_EQ(DotOne(ops->dot, a.data(), b.data(), n), want)
           << ops->name << " n=" << n;
   }
 }
@@ -102,8 +113,64 @@ TEST(Kernels, Int16WeightDotsMatchBruteForceAtVectorBoundaries) {
     for (std::size_t i = 0; i < n; ++i)
       want += static_cast<std::int64_t>(w[i]) * x[i];
     for (const KernelOps* ops : Backends())
-      EXPECT_EQ(ops->dot_w16(w.data(), x.data(), n), want)
+      EXPECT_EQ(DotOne(ops->dot_w16, w.data(), x.data(), n), want)
           << ops->name << " n=" << n;
+  }
+}
+
+/// Every batch size against every tail length, int32 and int16 weights,
+/// with magnitudes at the narrow-guard limit.  The simulator routes a
+/// layer here only when 2 * (tb - 1) + bit_width(T) <= 62 for a
+/// tb-bit format and T summed terms; for T <= 40 that admits tb = 29,
+/// so int32 weights and activations take the 29-bit extremes +-2^28.
+/// int16 weights take their whole range against the int32 extremes.
+/// Vectors are exact-size heap buffers, so a load past n is an ASan
+/// error.
+TEST(Kernels, BatchedDotMatchesBruteForce) {
+  Rng rng(17);
+  const auto check = [&](const auto& w, const auto dot_of,
+                         std::int32_t x_min, std::int32_t x_max,
+                         std::size_t n) {
+    std::vector<std::vector<std::int32_t>> xs;
+    for (std::size_t b = 0; b < kDotBatch; ++b) {
+      xs.push_back(RandomI32(rng, n, x_min / 2, x_max / 2));
+      for (std::size_t i = b; i < n; i += 3)
+        xs.back()[i] = i % 2 == 0 ? x_min : x_max;
+    }
+    const std::int32_t* x[kDotBatch];
+    for (std::size_t b = 0; b < kDotBatch; ++b) x[b] = xs[b].data();
+    for (std::size_t batch = 1; batch <= kDotBatch; ++batch) {
+      std::int64_t want[kDotBatch];
+      for (std::size_t b = 0; b < batch; ++b) {
+        want[b] = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          want[b] += static_cast<std::int64_t>(w[i]) * x[b][i];
+      }
+      for (const KernelOps* ops : Backends()) {
+        std::int64_t got[kDotBatch] = {};
+        dot_of(*ops)(got, w.data(), x, batch, n);
+        for (std::size_t b = 0; b < batch; ++b)
+          EXPECT_EQ(got[b], want[b]) << ops->name << " batch=" << batch
+                                     << " b=" << b << " n=" << n;
+      }
+    }
+  };
+  constexpr std::int32_t kLim = 1 << 28;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<std::int32_t> w32 = RandomI32(rng, n, -kLim, kLim - 1);
+    for (std::size_t i = 0; i < n; i += 2)
+      w32[i] = i % 4 == 0 ? -kLim : kLim - 1;
+    check(w32, [](const KernelOps& ops) { return ops.dot; }, -kLim,
+          kLim - 1, n);
+    std::vector<std::int16_t> w16(n);
+    for (auto& v : w16)
+      v = static_cast<std::int16_t>(rng.UniformInt(1 << 16) - (1 << 15));
+    for (std::size_t i = 0; i < n; i += 2)
+      w16[i] = i % 4 == 0 ? std::numeric_limits<std::int16_t>::min()
+                          : std::numeric_limits<std::int16_t>::max();
+    check(w16, [](const KernelOps& ops) { return ops.dot_w16; },
+          std::numeric_limits<std::int32_t>::min(),
+          std::numeric_limits<std::int32_t>::max(), n);
   }
 }
 
@@ -247,6 +314,18 @@ TEST(SimArena, ReusesCapacityAndCoalescesAfterGrowth) {
         arena.Alloc<std::byte>(static_cast<std::size_t>(3 + i)));
     EXPECT_EQ(addr % 64, 0u);
   }
+
+  // Rewind hands out everything allocated after a mark again, also when
+  // it had spilled into a new block.
+  SimArena scratch;
+  (void)scratch.Alloc<std::byte>(100);
+  const SimArena::Mark mark = scratch.mark();
+  std::byte* first = scratch.Alloc<std::byte>(100);
+  (void)scratch.Alloc<std::byte>(std::size_t{1} << 20);  // a second block
+  EXPECT_EQ(scratch.block_count(), 2u);
+  scratch.Rewind(mark);
+  EXPECT_EQ(scratch.used_bytes(), 128u);  // 100 bytes, 64-byte aligned
+  EXPECT_EQ(scratch.Alloc<std::byte>(100), first);
 }
 
 }  // namespace

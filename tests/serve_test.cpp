@@ -154,6 +154,56 @@ TEST(InferenceServer, MatchesSequentialSystemContextBitExactly) {
   }
 }
 
+// Replay runs a replica's consecutive requests as one batch-major pass,
+// but a bit flip planned between two requests of one batch splits the
+// group there: the requests before it read the clean weights and the
+// ones after it the flipped weights, each output equal to replaying the
+// requests one at a time.
+TEST(InferenceServer, FlipInsideABatchSplitsTheReplayGroup) {
+  Fixture fx(ZooModel::kMnist);
+  const auto inputs = fx.Inputs(4);
+  std::int64_t weight_addr = -1;
+  for (const MemoryRegion& r : fx.design.memory_map.regions())
+    if (weight_addr < 0 && StartsWith(r.name, "weights:"))
+      weight_addr = r.base + 1;  // the first weight's high byte
+  ASSERT_GE(weight_addr, 0);
+  constexpr int kBit = 6;
+  constexpr std::int64_t kFlipAt = 2;  // before the third request
+
+  // Not marked as a weight-region flip, so the replica plans no
+  // integrity check and the flip stays in the weights to the end.
+  ServeOptions options;
+  options.replicas = 1;
+  options.max_batch_size = 4;
+  options.faults.events.push_back(fault::FaultEvent{
+      fault::FaultKind::kBitFlip, 0, kFlipAt, weight_addr, kBit, false});
+  InferenceServer server(fx.net, fx.design, fx.weights, options);
+  for (const Tensor& input : inputs) server.Submit(input, 0);
+  const auto& served = server.Drain();
+  EXPECT_EQ(server.Stats().batches, 1);
+
+  MemoryImage image = BuildHostImage(fx.net, fx.design, fx.weights);
+  const MemoryImage clean = image;
+  const SystemContext context(fx.net, fx.design, image);
+  std::vector<Tensor> want;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (i == kFlipAt) image.FlipBit(weight_addr, kBit);
+    want.push_back(context.Run(image, inputs[i]).output);
+  }
+  MemoryImage unflipped = clean;
+  EXPECT_NE(RunSystem(fx.net, fx.design, unflipped, inputs[kFlipAt])
+                .output.storage(),
+            want[kFlipAt].storage())
+      << "the flip must reach the requests after it";
+
+  ASSERT_EQ(served.size(), inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(served[i].status, StatusCode::kOk) << "request " << i;
+    EXPECT_EQ(served[i].output.storage(), want[i].storage())
+        << "request " << i;
+  }
+}
+
 TEST(InferenceServer, DeterministicScheduleAcrossRuns) {
   Fixture fx(ZooModel::kAnn1Jpeg);
   const auto inputs = fx.Inputs(9);

@@ -2,7 +2,12 @@
 // SystemContext invocation API, and the execution trace / VCD export.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string_view>
+#include <vector>
+
 #include "common/error.h"
+#include "common/hash.h"
 #include "core/generator.h"
 #include "fault/fault_injector.h"
 #include "hwlib/device.h"
@@ -247,6 +252,64 @@ TEST(SystemContext, BatchOutputsMatchSingleInference) {
     EXPECT_EQ(batch.Run(batch_image, input, /*warm=*/i > 0).output.storage(),
               single.Run(single_image, input).output.storage())
         << "input " << i;
+  }
+}
+
+std::uint64_t ImageDigest(const MemoryImage& image) {
+  return Fnv1a64(std::string_view(reinterpret_cast<const char*>(image.data()),
+                                  static_cast<std::size_t>(image.size())));
+}
+
+// A batch-major pass equals the same requests run one at a time, on
+// every zoo model under every kernel backend: outputs, and the image
+// bytes after the pass against the image after the single runs.  The
+// batches of 1, 2, 3 and 5 give the FC kernel every group size from 1
+// to 4 and a batch that splits into two groups (4 + 1).
+TEST(SystemContext, RunBatchEqualsRuns) {
+  struct BackendGuard {
+    ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
+  } guard;
+  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
+  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  constexpr std::size_t kMaxBatch = 5;
+  for (const ZooModel model : AllZooModels()) {
+    SCOPED_TRACE(ZooModelName(model));
+    const Fixture fx(model);
+    const MemoryImage provisioned =
+        BuildHostImage(fx.net, fx.design, fx.weights);
+    std::vector<Tensor> inputs;
+    std::vector<const Tensor*> ptrs;
+    for (std::size_t i = 0; i < kMaxBatch; ++i)
+      inputs.push_back(fx.RandomInput(900 + i));
+    for (const Tensor& input : inputs) ptrs.push_back(&input);
+
+    // The single runs, and the image digest after each of them.
+    MemoryImage single_image = provisioned;
+    const SystemContext single(fx.net, fx.design, single_image);
+    std::vector<Tensor> want;
+    std::vector<std::uint64_t> digest_after;
+    for (const Tensor& input : inputs) {
+      want.push_back(single.Run(single_image, input).output);
+      digest_after.push_back(ImageDigest(single_image));
+    }
+
+    for (const sim::KernelBackend backend : backends) {
+      SCOPED_TRACE(sim::KernelBackendName(backend));
+      sim::SetKernelBackend(backend);
+      MemoryImage batch_image = provisioned;
+      const SystemContext batch(fx.net, fx.design, batch_image);
+      for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+        batch_image = provisioned;
+        const std::vector<Tensor> got = batch.RunBatch(
+            batch_image, std::span<const Tensor* const>(ptrs.data(), n));
+        ASSERT_EQ(got.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(got[i].storage(), want[i].storage())
+              << "batch " << n << " image " << i;
+        EXPECT_EQ(ImageDigest(batch_image), digest_after[n - 1])
+            << "image bytes after a batch of " << n;
+      }
+    }
   }
 }
 
