@@ -42,7 +42,9 @@ std::int64_t TotalBytes(const std::vector<const MemoryRegion*>& regions) {
   return total;
 }
 
-constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
+// Every event is held in memory (in the plan and in its replica's
+// slice), so each count is bounded: at most 2^20 events per kind.
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 20;
 constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 
 using Key = SpecKey<FaultCampaignSpec>;

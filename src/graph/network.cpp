@@ -47,15 +47,15 @@ BlobShape InferOutputShape(const LayerDef& def,
       const BlobShape& in = require_one_input();
       const PoolingParams& p = *def.pool;
       // Caffe-style ceil semantics: a partially-covered window at the edge
-      // still yields an output pixel.
-      const std::int64_t oh =
-          CeilDiv(in.height + 2 * p.pad - p.kernel_size, p.stride) + 1;
-      const std::int64_t ow =
-          CeilDiv(in.width + 2 * p.pad - p.kernel_size, p.stride) + 1;
-      if (oh <= 0 || ow <= 0)
-        DB_THROW("pooling '" << def.name << "': kernel does not fit input "
-                 << in.ToString());
-      return {in.channels, oh, ow};
+      // still yields an output pixel, but a kernel larger than the padded
+      // input has no window at all.
+      const std::int64_t span_h = in.height + 2 * p.pad - p.kernel_size;
+      const std::int64_t span_w = in.width + 2 * p.pad - p.kernel_size;
+      if (span_h < 0 || span_w < 0)
+        DB_THROW("pooling '" << def.name << "': kernel " << p.kernel_size
+                 << " does not fit input " << in.ToString());
+      return {in.channels, CeilDiv(span_h, p.stride) + 1,
+              CeilDiv(span_w, p.stride) + 1};
     }
     case LayerKind::kInnerProduct: {
       const BlobShape& in = require_one_input();

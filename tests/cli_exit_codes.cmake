@@ -86,7 +86,34 @@ file(WRITE "${probe_dir}/stride.prototxt"
   "layers { name: \"conv\" type: CONVOLUTION bottom: \"data\" top: \"conv\" "
   "convolution_param { num_output: 2 kernel_size: 3 stride: 1.5 } }\n")
 expect_diagnostic(verify --model "${probe_dir}/stride.prototxt")
+# A pooling kernel larger than its padded input: directly (4x4 input,
+# 5x5 kernel), and after a conv stride so large that the conv output is
+# 1x1 and the next pool no longer fits.
+file(WRITE "${probe_dir}/pool.prototxt"
+  "name: \"pool\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 4\ninput_dim: 4\n"
+  "layers { name: \"pool\" type: POOLING bottom: \"data\" top: \"pool\" "
+  "pooling_param { pool: MAX kernel_size: 5 } }\n")
+expect_diagnostic(verify --model "${probe_dir}/pool.prototxt")
+foreach(stride 64 2147483648)
+  file(WRITE "${probe_dir}/conv_pool.prototxt"
+    "name: \"conv_pool\"\ninput: \"data\"\n"
+    "input_dim: 1\ninput_dim: 1\ninput_dim: 28\ninput_dim: 28\n"
+    "layers { name: \"conv1\" type: CONVOLUTION bottom: \"data\" "
+    "top: \"conv1\" convolution_param { num_output: 20 kernel_size: 5 "
+    "stride: ${stride} } }\n"
+    "layers { name: \"pool1\" type: POOLING bottom: \"conv1\" "
+    "top: \"pool1\" pooling_param { pool: MAX kernel_size: 2 stride: 2 } }\n")
+  expect_diagnostic(verify --model "${probe_dir}/conv_pool.prototxt")
+endforeach()
 file(REMOVE_RECURSE "${probe_dir}")
+
+# Fault counts are bounded (2^20 events per kind), so a huge count is a
+# diagnostic, not an allocation failure.
+foreach(key stalls crashes transients)
+  expect_diagnostic(serve --zoo MNIST --requests 8 --faults ${key}=2147483647)
+endforeach()
+expect_diagnostic(serve --zoo MNIST --requests 8 --faults stalls=1048577)
 
 # The cluster-resilience flags fail fast (before any generation work)
 # with byte-stable error text: two identical invocations emit identical

@@ -98,6 +98,28 @@ TEST(ShapeInference, PoolingCeilSemantics) {
   EXPECT_EQ(InferOutputShape(def, {{1, 7, 7}}).height, 3);
 }
 
+TEST(ShapeInference, PoolingKernelLargerThanPaddedInputThrows) {
+  // The kernel must fit the padded input before the output size is
+  // divided out: a 5x5 kernel on 4x4 (and on a 1x1 left by a huge conv
+  // stride) is a user-facing error, not an internal check.
+  LayerDef def;
+  def.name = "pool";
+  def.kind = LayerKind::kPooling;
+  def.pool = PoolingParams{.method = PoolMethod::kMax, .kernel_size = 5,
+                           .stride = 1, .pad = 0};
+  EXPECT_THROW(InferOutputShape(def, {{1, 4, 4}}), Error);
+  EXPECT_THROW(InferOutputShape(def, {{8, 1, 1}}), Error);
+  EXPECT_THROW(InferOutputShape(def, {{1, 8, 4}}), Error);  // width only
+  // Padding can make it fit: 4 + 2*1 - 5 = 1 -> 2x2.
+  def.pool->pad = 1;
+  EXPECT_EQ(InferOutputShape(def, {{1, 4, 4}}).height, 2);
+  // Exactly the padded size still yields one window.
+  def.pool->pad = 0;
+  def.pool->kernel_size = 4;
+  def.pool->stride = 2147483648;
+  EXPECT_EQ(InferOutputShape(def, {{1, 4, 4}}).width, 1);
+}
+
 TEST(ShapeInference, InnerProductFlattens) {
   LayerDef def;
   def.kind = LayerKind::kInnerProduct;

@@ -182,7 +182,7 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  (keys: seed, flips, blob-flips, transients, stalls,
                  stall-cycles, span, crashes, crash-down-cycles,
                  hangs, hang-cycles, slow-replicas, slow-factor,
-                 slow-services, route-fails; counts in [0, 2^31-1],
+                 slow-services, route-fails; counts in [0, 2^20],
                  cycles, slow-services and span in [1, 2^63-1],
                  slow-factor in [2, 1024], seed in [0, 2^63-1];
                  see DESIGN.md)
