@@ -434,7 +434,7 @@ int main() {
         "\n=== Planning alone: PlanServe over %d MNIST arrivals, 2 "
         "replicas, batch <= 4 (host wall time) ===\n"
         "  %lld batches planned in %.3f s: %.0f planned requests/s\n",
-        kPlanRequests, static_cast<long long>(plan.batches), seconds,
+        kPlanRequests, static_cast<long long>(plan.stats.batches), seconds,
         kPlanRequests / seconds);
   }
   return 0;

@@ -24,13 +24,13 @@ JOBS="${1:-$(nproc)}"
 # emitted.  This catches accidental renames (which would silently break
 # BENCH comparisons, dashboards and the serve_determinism gate) and
 # stale allowlist entries alike.  Extraction: the first string literal
-# handed to AddCounter/SetGauge/Observe/Append, with printf-style
-# replica indices normalised to <n> and dynamic-suffix sites (a literal
-# prefix ending in ".") normalised to <dynamic>.
+# handed to AddCounter/SetGauge/Observe/MergeHistogram/Append, with
+# printf-style replica indices normalised to <n> and dynamic-suffix
+# sites (a literal prefix ending in ".") normalised to <dynamic>.
 ALLOWLIST="scripts/metric_allowlist.txt"
 emitted="$(
   grep -rhoE \
-    '(AddCounter|SetGauge|Observe|Append)\((StrFormat\(|std::string\()?"[^"]+"' \
+    '(AddCounter|SetGauge|Observe|MergeHistogram|Append)\((StrFormat\(|std::string\()?"[^"]+"' \
     src |
     sed -E 's/^[A-Za-z_]+\((StrFormat\(|std::string\()?"//; s/"$//' |
     sed -E 's/%d/<n>/g; s/\.$/.<dynamic>/' |

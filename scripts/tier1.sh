@@ -49,14 +49,15 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 # conv sweep runs the phase layout over strided, padded and grouped
 # shapes.  The span LUT evaluation indexes its table with computed
 # positions, so the ApproxLut suite (every 16-bit key of every
-# function) runs here too.
+# function) runs here too, and the serving golden scenarios drive the
+# plan summary (SummarizePlan) through every fault and cluster path.
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
            system_sim_test obs_test kernels_test functional_sim_test \
-           approx_lut_test
+           approx_lut_test serve_golden_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.|ServeGolden'
 
 echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

@@ -30,13 +30,6 @@ ReplicaHealthMonitor::ReplicaHealthMonitor(int replicas,
   states_.resize(static_cast<std::size_t>(replicas));
 }
 
-void ReplicaHealthMonitor::set_readmit_scrub_cycles(std::int64_t cycles) {
-  DB_CHECK_MSG(cycles >= 0, "readmit scrub charge must be >= 0 cycles");
-  DB_CHECK_MSG(transitions_.empty(),
-               "set the scrub charge before the first report");
-  options_.readmit_scrub_cycles = cycles;
-}
-
 void ReplicaHealthMonitor::Transition(int replica, std::int64_t cycle,
                                       ReplicaHealth to, const char* cause) {
   State& state = states_[static_cast<std::size_t>(replica)];

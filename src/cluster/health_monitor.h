@@ -67,8 +67,8 @@ struct HealthOptions {
   /// down; a crash carries its own down window on the event.
   std::int64_t failure_down_cycles = 4096;
   /// Simulated cost of the scrub-and-readmit pass a replica pays
-  /// between kRecovering and kHealthy (the server sets this to its
-  /// weight-scrub charge).
+  /// between kRecovering and kHealthy (the serving planner passes its
+  /// weight-scrub charge; the other fields keep their defaults there).
   std::int64_t readmit_scrub_cycles = 1;
 };
 
@@ -84,10 +84,6 @@ struct HealthTransition {
 class ReplicaHealthMonitor {
  public:
   explicit ReplicaHealthMonitor(int replicas, HealthOptions options = {});
-
-  /// Set after construction, before the first report (the server
-  /// computes its scrub charge after the monitor is built).
-  void set_readmit_scrub_cycles(std::int64_t cycles);
 
   /// Apply every scheduled transition at or before `cycle`.  Clamped
   /// monotone: a caller re-dispatching at an earlier ready cycle is a

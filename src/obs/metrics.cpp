@@ -43,7 +43,8 @@ double HistogramStats::BucketLowerBound(std::int32_t index) {
       octave);
 }
 
-void HistogramStats::Observe(double value) {
+void HistogramStats::Observe(double value, std::int64_t n) {
+  DB_CHECK_MSG(n >= 1, "a histogram observes at least one sample");
   if (count == 0) {
     min = value;
     max = value;
@@ -51,9 +52,9 @@ void HistogramStats::Observe(double value) {
     min = std::min(min, value);
     max = std::max(max, value);
   }
-  ++count;
-  sum += value;
-  ++buckets[BucketIndex(value)];
+  count += n;
+  sum += value * static_cast<double>(n);
+  buckets[BucketIndex(value)] += n;
 }
 
 void HistogramStats::Merge(const HistogramStats& other) {
@@ -106,9 +107,17 @@ void MetricsRegistry::SetGauge(std::string_view name, double value) {
     it->second = value;
 }
 
-void MetricsRegistry::Observe(std::string_view name, double value) {
+void MetricsRegistry::Observe(std::string_view name, double value,
+                              std::int64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  histograms_[std::string(name)].Observe(value);
+  histograms_[std::string(name)].Observe(value, n);
+}
+
+void MetricsRegistry::MergeHistogram(std::string_view name,
+                                     const HistogramStats& h) {
+  if (h.count == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  histograms_[std::string(name)].Merge(h);
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {

@@ -59,8 +59,10 @@ struct HistogramStats {
   /// Inclusive lower boundary of bucket `index` (0.0 for bucket 0).
   static double BucketLowerBound(std::int32_t index);
 
-  /// Feed one sample (commutative with any other Observe/Merge order).
-  void Observe(double value);
+  /// Feed `n` samples of `value` (commutative with any other
+  /// Observe/Merge order; exact for the integer cycle counts the
+  /// simulators publish).
+  void Observe(double value, std::int64_t n = 1);
 
   /// Merge another histogram in (commutative and associative: bucket
   /// counts and sums add, min/max combine).
@@ -93,8 +95,12 @@ class MetricsRegistry {
   /// Set the named gauge (single-writer; see header comment).
   void SetGauge(std::string_view name, double value);
 
-  /// Feed one sample into the named histogram.
-  void Observe(std::string_view name, double value);
+  /// Feed `n` samples of `value` into the named histogram.
+  void Observe(std::string_view name, double value, std::int64_t n = 1);
+
+  /// Merge a whole histogram into the named one; an empty histogram
+  /// publishes nothing, like a sample that was never observed.
+  void MergeHistogram(std::string_view name, const HistogramStats& h);
 
   /// Merge the commutative kinds of `other` into this registry:
   /// counters add, histograms merge bucket-wise, gauges last-write-win

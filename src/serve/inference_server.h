@@ -28,8 +28,10 @@
 //        scrub; SystemContext::RunBatch over each run of up to
 //        max_batch_size consecutive requests with no flip or checksum
 //        between them) and writes the outputs of its own requests.
-//     3. Spans, metrics and the load time-series are published from the
-//        plan.
+//     3. SummarizePlan — one pass over the plan's records and fault
+//        records fills its ServerStats and load events; Stats(), the
+//        metrics and the load time-series are read from that summary,
+//        and the spans from the plan.
 //
 // Determinism: cycle costs never depend on input values, so the plan —
 // every batch, route, admission, fault, retry, hedge and crash split,
@@ -100,6 +102,13 @@ constexpr const char* AdmissionPolicyName(AdmissionPolicy policy) {
 std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
                                 std::int64_t cap);
 
+/// The planner's retry backoff: attempt k of a transient failure is
+/// charged RetryBackoffCycles(kRetryBackoffCycles, k,
+/// kMaxRetryBackoffCycles) on top of the invocation cost, so huge
+/// retry counts can never overflow int64 cycle math.
+constexpr std::int64_t kRetryBackoffCycles = 64;
+constexpr std::int64_t kMaxRetryBackoffCycles = std::int64_t{1} << 32;
+
 struct ServeOptions {
   /// Number of simulated accelerator replicas, each with a private DRAM
   /// image.
@@ -126,16 +135,10 @@ struct ServeOptions {
   /// Seeded deterministic fault campaign (empty = fault-free serving).
   fault::FaultPlan faults;
   /// Transient-failure retry policy: at most `max_retries` attempts are
-  /// retried per request, each charging the invocation cost plus
-  /// `retry_backoff_cycles << attempt` simulated cycles; exhaustion
+  /// retried per request, each charging the invocation cost plus the
+  /// saturating backoff (kRetryBackoffCycles << attempt); exhaustion
   /// completes the request as StatusCode::kFaulted.
   int max_retries = 3;
-  std::int64_t retry_backoff_cycles = 64;
-  /// Saturation cap for the exponential backoff: the charge for attempt
-  /// k is min(retry_backoff_cycles << k, max_retry_backoff_cycles),
-  /// computed shift-safely (RetryBackoffCycles), so huge deadlines or
-  /// retry counts can never overflow int64 cycle math.
-  std::int64_t max_retry_backoff_cycles = std::int64_t{1} << 32;
   /// Opt-in request hedging: when a batch's planned completion exceeds
   /// its ready cycle by more than this many cycles, the planner places
   /// a duplicate on the best other healthy replica starting at ready +
@@ -146,10 +149,6 @@ struct ServeOptions {
   /// Per-replica circuit breaker (closed/open/half-open with a
   /// cycle-based cooldown); disabled unless `breaker.enabled`.
   cluster::BreakerOptions breaker;
-  /// Replica health-monitor knobs (heartbeat grid, miss/failure
-  /// thresholds); the readmit scrub charge is overwritten with the
-  /// server's weight-scrub cost.
-  cluster::HealthOptions health;
   std::string device_name = "zynq-7045";
   /// Optional observability sinks, all published once, inside the first
   /// Drain(), from the plan: request lifecycle spans — queue residency
@@ -157,7 +156,7 @@ struct ServeOptions {
   /// on "serve/worker N" — fault, recovery and cluster spans, and the
   /// "serve.*" / "fault.*" / "cluster.health.*" metrics.  `sim_metrics`
   /// receives the "sim.*" metrics of every served invocation
-  /// (PublishPerfMetrics).
+  /// (PublishPerfMetrics, once per cold and once per warm PerfResult).
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   obs::MetricsRegistry* sim_metrics = nullptr;
@@ -167,12 +166,10 @@ struct ServeOptions {
   /// datapath window), "load.sheds" (cumulative shed + rejected +
   /// expired + faulted dispositions), "load.replica<r>.busy" (busy
   /// fraction of the *preceding* sample window, in [0, 1]) and
-  /// "load.replica<r>.health".
+  /// "load.replica<r>.health".  The sample interval is the smallest
+  /// power of two giving at most 64 sample boundaries over the run, so
+  /// the export stays compact for any workload length.
   obs::TimeSeriesRecorder* timeseries = nullptr;
-  /// Sample interval in simulated cycles; 0 picks the smallest power of
-  /// two giving at most 64 sample boundaries over the makespan, so the
-  /// export stays compact for any workload length.
-  std::int64_t timeseries_interval_cycles = 0;
 };
 
 /// One submitted request as the planner sees it.
@@ -229,10 +226,6 @@ struct ReplicaPlan {
   /// runs plus charged recovery (retry attempts, stalls, scrubs, hedge
   /// occupancy) — in timeline order, so sorted and disjoint.
   std::vector<std::pair<std::int64_t, std::int64_t>> busy_intervals;
-  std::int64_t busy_cycles = 0;  // service cycles of its kOk requests
-  std::int64_t batches = 0;
-  std::int64_t requests = 0;  // kOk requests served here
-  std::int64_t scrubs = 0;
 };
 
 /// A resilience episode (crash, hang, slow window, route failure, hedge)
@@ -245,10 +238,27 @@ struct ClusterEpisode {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
+/// Load changes on the simulated timeline, each list sorted by cycle.
+/// A ±1 pair brackets each request's stay: in the queue from arrival
+/// until service starts (or until its disposition when shed, expired or
+/// faulted; a rejected request never enters it), and in flight over its
+/// datapath window.  A departure sorts before a same-cycle arrival.
+struct LoadEvents {
+  std::vector<std::pair<std::int64_t, int>> depth;
+  std::vector<std::pair<std::int64_t, int>> in_flight;
+  /// Disposition cycles of every request that did not complete kOk.
+  std::vector<std::int64_t> sheds;
+  /// The last arrival or finish cycle of any request.
+  std::int64_t horizon = 0;
+};
+
 /// What PlanServe decided: the records, each replica's replay and
-/// timeline, and the cluster-level accounting.
+/// timeline, and the accounting.
 struct ServePlan {
-  ServePlan(int replicas, const ServeOptions& options);
+  /// `scrub_cycles` is the readmit scrub the health monitor charges
+  /// between kRecovering and kHealthy.
+  ServePlan(int replicas, const ServeOptions& options,
+            std::int64_t scrub_cycles);
 
   /// Indexed by request id; every field but `output` is final.
   std::vector<ServedRequest> requests;
@@ -259,15 +269,10 @@ struct ServePlan {
   std::vector<ClusterEpisode> cluster_log;
   cluster::ReplicaHealthMonitor monitor;
   cluster::CircuitBreaker breaker;
-  std::int64_t batches = 0;  // dispatches committed to a replica
-  std::int64_t crashes = 0;
-  std::int64_t hangs = 0;
-  std::int64_t slow_faults = 0;
-  std::int64_t route_failures = 0;
-  std::int64_t redispatched = 0;
-  std::int64_t readmissions = 0;
-  std::int64_t hedges = 0;
-  std::int64_t hedge_wins = 0;
+  /// PlanServe counts batches, cluster events and runs here;
+  /// SummarizePlan completes it.
+  ServerStats stats;
+  LoadEvents load;  // filled by SummarizePlan
 };
 
 /// Plan serving `requests` (arrival cycles non-decreasing; request i has
@@ -283,6 +288,14 @@ ServePlan PlanServe(std::span<const RequestArrival> requests,
 void ExecutePlan(ServePlan& plan, std::span<SystemReplica> replicas,
                  std::span<const Tensor> inputs,
                  const MemoryImage& provisioned, const MemoryMap& map);
+
+/// Complete `plan.stats` and fill `plan.load` in one pass over the
+/// records and fault records: status counts, retries and recovery,
+/// the latency / queue-wait / service / batch-size histograms,
+/// per-replica requests, batches and busy cycles, makespan, traffic,
+/// injections by kind, scrubs and the sorted load events.  Seconds are
+/// converted at `frequency_mhz`.  Run once, on a finished plan.
+void SummarizePlan(ServePlan& plan, double frequency_mhz);
 
 class InferenceServer {
  public:
@@ -307,7 +320,7 @@ class InferenceServer {
   /// the records ordered by request id.  Idempotent.
   const std::vector<ServedRequest>& Drain();
 
-  /// Aggregate metrics; valid after Drain().
+  /// Aggregate metrics, as summarised by the first Drain().
   ServerStats Stats() const;
 
   /// Lifecycle observer (see ServerState).
@@ -319,11 +332,11 @@ class InferenceServer {
   std::int64_t steady_cycles() const { return costs_.steady.cycles; }
 
  private:
-  /// Emit spans + metrics from the plan; runs once, from the first
-  /// Drain().
-  void PublishObservability() const;
-  /// Sample the load time-series from the plan.
-  void PublishTimeSeries() const;
+  /// Publish to the option sinks; each runs once, from the first
+  /// Drain(), after SummarizePlan.
+  void PublishTrace(obs::Tracer& tracer) const;
+  void PublishMetrics(obs::MetricsRegistry& m) const;
+  void PublishTimeSeries(obs::TimeSeriesRecorder& ts) const;
 
   const AcceleratorDesign& design_;
   ServeOptions options_;

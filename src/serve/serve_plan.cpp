@@ -22,11 +22,16 @@ std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
   return std::min(cap, base << attempt);
 }
 
-ServePlan::ServePlan(int replicas, const ServeOptions& options)
+ServePlan::ServePlan(int replicas, const ServeOptions& options,
+                     std::int64_t scrub_cycles)
     : replicas(static_cast<std::size_t>(replicas)),
       max_batch_size(options.max_batch_size),
-      monitor(replicas, options.health),
-      breaker(replicas, options.breaker) {}
+      monitor(replicas,
+              cluster::HealthOptions{.readmit_scrub_cycles = scrub_cycles}),
+      breaker(replicas, options.breaker) {
+  stats.workers = replicas;
+  stats.replica_dispatches.assign(static_cast<std::size_t>(replicas), 0);
+}
 
 namespace {
 
@@ -38,22 +43,14 @@ class Planner {
         count_(options.replicas),
         injector_(options.faults, count_),
         router_(options.router, count_, options.affinity_hash),
-        plan_(count_, options),
+        plan_(count_, options, costs.scrub_cycles),
         free_cycle_(static_cast<std::size_t>(count_), 0),
         state_(static_cast<std::size_t>(count_)) {
     DB_CHECK_MSG(options.max_retries >= 0, "max_retries must be >= 0");
-    DB_CHECK_MSG(options.retry_backoff_cycles >= 1,
-                 "retry_backoff_cycles must be >= 1");
-    DB_CHECK_MSG(
-        options.max_retry_backoff_cycles >= options.retry_backoff_cycles,
-        "max_retry_backoff_cycles must be >= retry_backoff_cycles");
     DB_CHECK_MSG(options.hedge_after_cycles >= 0,
                  "hedge_after_cycles must be >= 0");
     DB_CHECK_MSG(options.deadline_cycles >= 0,
                  "deadline_cycles must be >= 0");
-    // A readmitted replica turns kHealthy exactly when its scrub pass
-    // finishes in simulated time.
-    plan_.monitor.set_readmit_scrub_cycles(costs.scrub_cycles);
   }
 
   ServePlan Plan(std::span<const RequestArrival> requests);
@@ -241,7 +238,7 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
       case fault::FaultKind::kRouteFail:
         // This dispatch attempt never reaches the replica; the caller
         // re-routes to another one.
-        ++plan_.route_failures;
+        ++plan_.stats.route_failures;
         plan_.monitor.ReportFailure(r, ready);
         plan_.breaker.RecordFailure(r, ready);
         Log("route_fail", r, ready, ready);
@@ -253,7 +250,7 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
         const std::int64_t begin = std::max(ready, free);
         free = begin + event.stall_cycles;
         plan_.monitor.ReportUnresponsive(r, begin, free);
-        ++plan_.hangs;
+        ++plan_.stats.hangs;
         Log("hang", r, begin, free,
             {{"cycles", std::to_string(event.stall_cycles)}});
         break;
@@ -263,7 +260,7 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
         // `slow_factor` times their planned charge.
         rep.slow_factor = event.slow_factor;
         rep.slow_services = event.slow_services;
-        ++plan_.slow_faults;
+        ++plan_.stats.slow_faults;
         Log("slow", r, ready, ready,
             {{"factor", std::to_string(event.slow_factor)},
              {"services", std::to_string(event.slow_services)}});
@@ -341,7 +338,7 @@ void Planner::Dispatch(Batch batch) {
       crash_cycle = window.finish;
       Commit(r, served, window);
     }
-    ++plan_.crashes;
+    ++plan_.stats.crashes;
     plan_.monitor.ReportCrash(r, crash_cycle, crash.down_cycles);
     plan_.breaker.RecordFailure(r, crash_cycle);
     const std::int64_t readmit = crash_cycle + crash.down_cycles;
@@ -355,8 +352,9 @@ void Planner::Dispatch(Batch batch) {
         {{"down", std::to_string(crash.down_cycles)},
          {"redispatched", std::to_string(rest.requests.size())}});
     Readmit(r, readmit);
-    ++plan_.readmissions;
-    plan_.redispatched += static_cast<std::int64_t>(rest.requests.size());
+    ++plan_.stats.readmissions;
+    plan_.stats.redispatched +=
+        static_cast<std::int64_t>(rest.requests.size());
     rest.ready_cycle = std::max(ready, crash_cycle);
     Dispatch(std::move(rest));
     return;
@@ -382,9 +380,9 @@ void Planner::Dispatch(Batch batch) {
       }
     }
     if (best >= 0) {
-      ++plan_.hedges;
+      ++plan_.stats.hedges;
       if (alternate.finish < primary.finish) {
-        ++plan_.hedge_wins;
+        ++plan_.stats.hedge_wins;
         // The primary is cancelled at the winner's completion.
         if (primary.start < alternate.finish) {
           free_cycle_[static_cast<std::size_t>(r)] = alternate.finish;
@@ -415,7 +413,8 @@ void Planner::Commit(int r, const Batch& batch, const BatchWindow& window) {
   rep.scheduled_warm = true;
   rep.scheduled += size;
   rep.slow_services = std::max<std::int64_t>(0, rep.slow_services - size);
-  ++plan_.batches;
+  ++plan_.stats.batches;
+  ++plan_.stats.replica_dispatches[static_cast<std::size_t>(r)];
   // A committed dispatch is the monitor/breaker success signal: the
   // replica accepted work at the planned start.
   plan_.breaker.RecordSuccess(r, window.start);
@@ -435,7 +434,6 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
   // service never begins before its datapath frees.
   std::int64_t cycle = std::max(window.start, rep.cycle);
   const std::int64_t batch_start = cycle;
-  ++out.batches;
   for (std::size_t slot = 0; slot < batch.requests.size(); ++slot) {
     const std::int64_t id = batch.requests[slot];
     ServedRequest& record = Record(id);
@@ -501,7 +499,6 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
       out.ops.push_back({.kind = ReplicaOp::Kind::kVerify, .scrub = scrub});
       if (scrub) {
         rep.toggled.clear();
-        ++out.scrubs;
         cycle = Recover(r, fault::FaultKind::kBitFlip, rep.invocations - 1,
                         id, cycle, costs_.scrub_cycles, costs_.scrub_cycles);
         recovery += costs_.scrub_cycles;
@@ -514,8 +511,8 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
     int retries = 0;
     while (failures > 0 && retries < options_.max_retries) {
       const std::int64_t backoff =
-          RetryBackoffCycles(options_.retry_backoff_cycles, retries,
-                             options_.max_retry_backoff_cycles);
+          RetryBackoffCycles(kRetryBackoffCycles, retries,
+                             kMaxRetryBackoffCycles);
       cycle = Recover(r, fault::FaultKind::kTransient, rep.invocations - 1,
                       id, cycle, cost.cycles + backoff, backoff);
       recovery += cost.cycles + backoff;
@@ -533,6 +530,7 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
 
     out.ops.push_back(
         {.kind = ReplicaOp::Kind::kRun, .warm = rep.warm, .arg = id});
+    ++(rep.warm ? plan_.stats.warm_runs : plan_.stats.cold_runs);
     const std::int64_t service = cost.cycles + window.penalties[slot];
     record.start_cycle = batch_start;
     record.finish_cycle = cycle + service;
@@ -540,9 +538,7 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
     record.dram_bytes = cost.dram_bytes;
     record.joules = cost.joules;
     rep.warm = true;
-    out.busy_cycles += service;
     out.busy_intervals.emplace_back(cycle, record.finish_cycle);
-    ++out.requests;
     cycle = record.finish_cycle;
   }
   rep.cycle = cycle;
@@ -557,7 +553,6 @@ void Planner::Readmit(int r, std::int64_t readmit_cycle) {
   out.ops.push_back(
       {.kind = ReplicaOp::Kind::kVerify, .scrub = !rep.toggled.empty()});
   rep.toggled.clear();
-  ++out.scrubs;
   rep.cycle = Recover(r, fault::FaultKind::kCrash, rep.invocations, -1,
                       std::max(rep.cycle, readmit_cycle),
                       costs_.scrub_cycles, costs_.scrub_cycles);

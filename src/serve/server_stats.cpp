@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
+#include <map>
 #include <sstream>
-#include <utility>
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "serve/inference_server.h"
 
 namespace db::serve {
 
@@ -76,73 +76,124 @@ std::string ServerStats::ToString() const {
   return os.str();
 }
 
-ServerStats ComputeServerStats(
-    std::span<const ServedRequest> requests, std::int64_t batches,
-    double frequency_mhz, std::vector<std::int64_t> worker_busy_cycles) {
+void SummarizePlan(ServePlan& plan, double frequency_mhz) {
   DB_CHECK_MSG(frequency_mhz > 0, "frequency must be positive");
-  ServerStats stats;
-  stats.requests = static_cast<std::int64_t>(requests.size());
-  stats.batches = batches;
-  stats.workers = static_cast<int>(worker_busy_cycles.size());
+  ServerStats& stats = plan.stats;
+  LoadEvents& load = plan.load;
+  const std::size_t replicas = plan.replicas.size();
+  stats.requests = static_cast<std::int64_t>(plan.requests.size());
   stats.frequency_mhz = frequency_mhz;
-  stats.worker_busy_cycles = std::move(worker_busy_cycles);
-  stats.replica_requests.assign(stats.worker_busy_cycles.size(), 0);
-  stats.replica_batches.assign(stats.worker_busy_cycles.size(), 0);
-  if (requests.empty()) return stats;
+  stats.worker_busy_cycles.assign(replicas, 0);
+  stats.replica_requests.assign(replicas, 0);
+  stats.replica_batches.assign(replicas, 0);
 
-  // Distinct batches per replica (a batch runs on exactly one replica).
-  std::vector<std::set<std::int64_t>> replica_batch_ids(
-      stats.worker_busy_cycles.size());
-
-  const double cycles_to_s = 1.0 / (frequency_mhz * 1e6);
+  // kOk members of each batch, and the replica that ran it.
+  struct BatchTally {
+    int replica = 0;
+    std::int64_t members = 0;
+  };
+  std::map<std::int64_t, BatchTally> batches;
   std::int64_t first_arrival = std::numeric_limits<std::int64_t>::max();
-  for (const ServedRequest& r : requests) {
+  for (const ServedRequest& r : plan.requests) {
     stats.retries += r.retries;
     stats.recovery_cycles += r.recovery_cycles;
+    load.horizon =
+        std::max({load.horizon, r.arrival_cycle, r.finish_cycle});
     switch (r.status) {
-      case StatusCode::kShed: ++stats.shed; continue;
-      case StatusCode::kRejected: ++stats.rejected; continue;
-      case StatusCode::kDeadlineExceeded:
-        ++stats.deadline_exceeded;
-        continue;
-      case StatusCode::kFaulted: ++stats.faulted; continue;
+      case StatusCode::kShed: ++stats.shed; break;
+      case StatusCode::kRejected: ++stats.rejected; break;
+      case StatusCode::kDeadlineExceeded: ++stats.deadline_exceeded; break;
+      case StatusCode::kFaulted: ++stats.faulted; break;
       case StatusCode::kOk: ++stats.completed; break;
     }
-    if (r.worker >= 0 &&
-        r.worker < static_cast<int>(stats.replica_requests.size())) {
-      const auto w = static_cast<std::size_t>(r.worker);
-      ++stats.replica_requests[w];
-      replica_batch_ids[w].insert(r.batch_id);
+    if (r.status != StatusCode::kOk) {
+      // Queued until its disposition; a rejected request never was.
+      if (r.status != StatusCode::kRejected) {
+        load.depth.emplace_back(r.arrival_cycle, +1);
+        load.depth.emplace_back(r.finish_cycle, -1);
+      }
+      load.sheds.push_back(r.finish_cycle);
+      continue;
     }
     DB_CHECK_MSG(r.finish_cycle >= r.arrival_cycle,
                  "request finishes before it arrives");
+    DB_CHECK(r.worker >= 0 && static_cast<std::size_t>(r.worker) < replicas);
+    const auto w = static_cast<std::size_t>(r.worker);
+    const std::int64_t service_start = r.finish_cycle - r.service_cycles;
+    stats.worker_busy_cycles[w] += r.service_cycles;
+    ++stats.replica_requests[w];
+    BatchTally& batch = batches[r.batch_id];
+    DB_CHECK_MSG(batch.members == 0 || batch.replica == r.worker,
+                 "a batch ran on two replicas");
+    batch.replica = r.worker;
+    ++batch.members;
     stats.makespan_cycles = std::max(stats.makespan_cycles, r.finish_cycle);
     first_arrival = std::min(first_arrival, r.arrival_cycle);
     stats.latency_cycles.Observe(
         static_cast<double>(r.finish_cycle - r.arrival_cycle));
+    stats.queue_wait_cycles.Observe(
+        static_cast<double>(service_start - r.arrival_cycle));
+    stats.service_cycles.Observe(static_cast<double>(r.service_cycles));
     stats.total_dram_bytes += r.dram_bytes;
     stats.total_joules += r.joules;
+    load.depth.emplace_back(r.arrival_cycle, +1);
+    load.depth.emplace_back(service_start, -1);
+    load.in_flight.emplace_back(service_start, +1);
+    load.in_flight.emplace_back(r.finish_cycle, -1);
   }
-  for (std::size_t w = 0; w < replica_batch_ids.size(); ++w)
-    stats.replica_batches[w] =
-        static_cast<std::int64_t>(replica_batch_ids[w].size());
+  for (const auto& [id, batch] : batches) {
+    ++stats.replica_batches[static_cast<std::size_t>(batch.replica)];
+    stats.batch_size.Observe(static_cast<double>(batch.members));
+  }
+  std::sort(load.depth.begin(), load.depth.end());
+  std::sort(load.in_flight.begin(), load.in_flight.end());
+  std::sort(load.sheds.begin(), load.sheds.end());
+  std::int64_t depth = 0;
+  for (const auto& [cycle, delta] : load.depth)
+    stats.queue_depth_peak = std::max(stats.queue_depth_peak, depth += delta);
+
+  for (const ReplicaPlan& replica : plan.replicas) {
+    for (const fault::FaultRecord& record : replica.fault_records) {
+      if (record.recovery) {
+        // Scrubs answer a weight mismatch or readmit a crashed replica;
+        // the other recovery windows are retries.
+        if (record.kind == fault::FaultKind::kBitFlip ||
+            record.kind == fault::FaultKind::kCrash)
+          ++stats.scrubs;
+        continue;
+      }
+      switch (record.kind) {
+        case fault::FaultKind::kBitFlip: ++stats.bit_flips; break;
+        case fault::FaultKind::kTransient: ++stats.transients; break;
+        case fault::FaultKind::kStall: ++stats.stalls; break;
+        default:
+          // Cluster faults fire at dispatch; a replica's record only
+          // holds them as recovery windows.
+          DB_CHECK_MSG(false, "cluster fault in a replica fault record");
+      }
+    }
+  }
+  stats.faults_injected = stats.bit_flips + stats.transients + stats.stalls +
+                          stats.crashes + stats.hangs + stats.slow_faults +
+                          stats.route_failures;
+  stats.breaker_opens = plan.breaker.opens();
+  stats.health_transitions =
+      static_cast<std::int64_t>(plan.monitor.transitions().size());
+
+  const double cycles_to_s = 1.0 / (frequency_mhz * 1e6);
   stats.makespan_seconds =
       static_cast<double>(stats.makespan_cycles) * cycles_to_s;
-  if (stats.latency_cycles.count == 0)
-    return stats;  // nothing reached the datapath
-
+  if (stats.completed == 0) return;  // nothing reached the datapath
   const double span_s =
       static_cast<double>(stats.makespan_cycles - first_arrival) *
       cycles_to_s;
   if (span_s > 0)
     stats.throughput_rps = static_cast<double>(stats.completed) / span_s;
-
   stats.latency_p50_s = stats.latency_cycles.P50() * cycles_to_s;
   stats.latency_p90_s = stats.latency_cycles.P90() * cycles_to_s;
   stats.latency_p99_s = stats.latency_cycles.P99() * cycles_to_s;
   stats.latency_max_s = stats.latency_cycles.max * cycles_to_s;
   stats.latency_mean_s = stats.latency_cycles.Mean() * cycles_to_s;
-  return stats;
 }
 
 }  // namespace db::serve

@@ -11,13 +11,12 @@
 // (obs::HistogramStats): latencies are observed *in cycles* into
 // `latency_cycles` and every reported percentile is that histogram's
 // deterministic nearest-rank bucket quantile converted to seconds.
-// Benches and the server's metrics registry use the same histogram
-// type over the same samples, so BENCH_serve.json and the
-// `serve.latency_cycles` metric can never disagree.
+// The server's `serve.latency_cycles` metric is a copy of that same
+// histogram, so BENCH_serve.json, Stats() and the registry can never
+// disagree.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,12 +50,17 @@ struct ServedRequest {
   Tensor output;
 };
 
-/// Aggregate metrics over one completed run.  Latency, throughput and
-/// traffic aggregates cover the `completed` (status kOk) requests;
-/// the robustness counters account for everything else.
+/// Aggregate metrics over one completed run: the single summary every
+/// serving report — Stats(), the metrics registry, the load time-series
+/// and the CLI report — is read from.  The planner counts batches,
+/// cluster events and datapath runs into it as it goes; SummarizePlan
+/// fills the rest in one pass over the records and fault records.
+/// Latency, throughput and traffic aggregates cover the `completed`
+/// (status kOk) requests; the robustness counters account for
+/// everything else.
 struct ServerStats {
   std::int64_t requests = 0;
-  std::int64_t batches = 0;
+  std::int64_t batches = 0;  // dispatches committed to a replica
   int workers = 0;
   double frequency_mhz = 0.0;
 
@@ -70,9 +74,16 @@ struct ServerStats {
   std::int64_t faults_injected = 0;     // events the injector fired
   std::int64_t recovery_cycles = 0;     // stall + scrub + backoff cycles
 
-  /// Cluster-resilience accounting, filled by InferenceServer::Stats()
-  /// from the plan (ComputeServerStats leaves them zero — the records
-  /// alone cannot see cluster events).
+  /// Datapath fault injections by kind, and the weight scrubs (integrity
+  /// mismatches plus readmit passes) they and crashes caused.
+  std::int64_t bit_flips = 0;
+  std::int64_t transients = 0;
+  std::int64_t stalls = 0;
+  std::int64_t scrubs = 0;
+
+  /// Cluster-resilience accounting.  The planner counts these as the
+  /// events fire; breaker opens and health transitions are read from
+  /// the breaker and the monitor.
   std::int64_t crashes = 0;             // replica crash events fired
   std::int64_t hangs = 0;               // replica hang windows fired
   std::int64_t slow_faults = 0;         // slow-replica windows fired
@@ -84,18 +95,26 @@ struct ServerStats {
   std::int64_t hedge_wins = 0;          // hedges that beat the primary
   std::int64_t health_transitions = 0;  // monitor state changes
 
-  /// Simulated makespan: the largest finish cycle over all requests.
+  /// Datapath runs in the plan, by weight residency: the "sim.*"
+  /// metrics are published once per kind with these counts.
+  std::int64_t cold_runs = 0;
+  std::int64_t warm_runs = 0;
+
+  /// Simulated makespan: the largest finish cycle over the kOk requests.
   std::int64_t makespan_cycles = 0;
   double makespan_seconds = 0.0;
 
-  /// requests / (last finish − first arrival), in simulated seconds.
+  /// completed / (makespan − first kOk arrival), in simulated seconds.
   double throughput_rps = 0.0;
 
-  /// Latency distribution of the kOk requests in simulated cycles —
-  /// the shared quantile histogram the percentiles below are read from
-  /// (identical, bucket for bucket, to the server's
-  /// `serve.latency_cycles` registry metric).
+  /// Distributions over the kOk requests in simulated cycles — the
+  /// shared quantile histograms the registry's `serve.latency_cycles`,
+  /// `serve.queue_wait_cycles` and `serve.service_cycles` are copied
+  /// from — and `batch_size`, the kOk members of each batch.
   obs::HistogramStats latency_cycles;
+  obs::HistogramStats queue_wait_cycles;
+  obs::HistogramStats service_cycles;
+  obs::HistogramStats batch_size;
 
   /// Bucket quantiles of `latency_cycles`, simulated seconds.
   double latency_p50_s = 0.0;
@@ -104,29 +123,23 @@ struct ServerStats {
   double latency_max_s = 0.0;
   double latency_mean_s = 0.0;
 
+  /// Most requests waiting at once (admitted, service not started).
+  std::int64_t queue_depth_peak = 0;
+
   std::int64_t total_dram_bytes = 0;
   double total_joules = 0.0;
 
-  /// Busy cycles per worker; utilisation = busy / makespan.
+  /// Per replica (indexed by the record's worker index): service cycles
+  /// of its kOk requests (utilisation = busy / makespan), the kOk
+  /// requests it served, the distinct batches that served at least one
+  /// of them, and every batch dispatched to it.
   std::vector<std::int64_t> worker_busy_cycles;
-
-  /// Per-replica service aggregation, derived from the records (the
-  /// record's worker index is the replica index): kOk requests served
-  /// and distinct batches executed on each replica.  Sized like
-  /// worker_busy_cycles; a replica the router never picked reads zero.
   std::vector<std::int64_t> replica_requests;
   std::vector<std::int64_t> replica_batches;
+  std::vector<std::int64_t> replica_dispatches;
 
   double WorkerUtilization(int worker) const;
   std::string ToString() const;
 };
-
-/// Aggregate the per-request records (order-independent).
-/// `worker_busy_cycles[w]` must hold worker w's total service cycles.
-/// Status counts, retries and recovery cycles are derived from the
-/// records; `faults_injected` is the caller's (it knows the plan).
-ServerStats ComputeServerStats(std::span<const ServedRequest> requests,
-                               std::int64_t batches, double frequency_mhz,
-                               std::vector<std::int64_t> worker_busy_cycles);
 
 }  // namespace db::serve

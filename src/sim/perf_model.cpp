@@ -104,24 +104,27 @@ std::string PerfResult::ToString() const {
 }
 
 void PublishPerfMetrics(const PerfResult& result,
-                        obs::MetricsRegistry& metrics) {
+                        obs::MetricsRegistry& metrics,
+                        std::int64_t invocations) {
   // Commutative kinds only (counters + histograms), so the totals do not
   // depend on the order invocations are published in.
-  metrics.AddCounter("sim.invocations");
-  metrics.AddCounter("sim.total_cycles", result.total_cycles);
-  metrics.AddCounter("sim.dram_bytes", result.total_dram_bytes);
+  const std::int64_t n = invocations;
+  metrics.AddCounter("sim.invocations", n);
+  metrics.AddCounter("sim.total_cycles", result.total_cycles * n);
+  metrics.AddCounter("sim.dram_bytes", result.total_dram_bytes * n);
   for (const LayerTiming& lt : result.layers) {
-    metrics.AddCounter("sim.datapath_cycles", lt.compute_cycles);
-    metrics.AddCounter("sim.memory_cycles", lt.memory_cycles);
-    metrics.AddCounter("sim.fold_segments", lt.segments);
-    metrics.AddCounter("sim.refetch_passes", lt.refetch_passes);
+    metrics.AddCounter("sim.datapath_cycles", lt.compute_cycles * n);
+    metrics.AddCounter("sim.memory_cycles", lt.memory_cycles * n);
+    metrics.AddCounter("sim.fold_segments", lt.segments * n);
+    metrics.AddCounter("sim.refetch_passes", lt.refetch_passes * n);
     metrics.AddCounter("sim.dram_transfer_cycles",
-                       lt.dram_transfer_cycles);
-    metrics.AddCounter("sim.datapath_mac_cycles", lt.datapath_mac_cycles);
+                       lt.dram_transfer_cycles * n);
+    metrics.AddCounter("sim.datapath_mac_cycles",
+                       lt.datapath_mac_cycles * n);
     metrics.AddCounter("sim.control_stall_cycles",
-                       lt.control_stall_cycles);
+                       lt.control_stall_cycles * n);
     metrics.Observe("sim.layer_cycles",
-                    static_cast<double>(lt.total_cycles));
+                    static_cast<double>(lt.total_cycles), n);
   }
 }
 

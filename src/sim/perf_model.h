@@ -85,12 +85,15 @@ struct PerfResult {
   std::string ToString() const;
 };
 
-/// Publish one invocation's "sim.*" counters and histograms (DRAM
-/// bytes, busy cycles, refetch passes, fold segments, per-layer cycles)
-/// into `metrics`.  SimulatePerformance calls it when options.metrics is
-/// set; the inference server calls it once per served invocation.
+/// Publish the "sim.*" counters and histograms (DRAM bytes, busy
+/// cycles, refetch passes, fold segments, per-layer cycles) of
+/// `invocations` runs with this result into `metrics`.
+/// SimulatePerformance calls it for its one run when options.metrics is
+/// set; the inference server calls it once per cold and once per warm
+/// result with the number of runs of each.
 void PublishPerfMetrics(const PerfResult& result,
-                        obs::MetricsRegistry& metrics);
+                        obs::MetricsRegistry& metrics,
+                        std::int64_t invocations = 1);
 
 /// Simulate one forward propagation of `net` on `design`.
 PerfResult SimulatePerformance(const Network& net,

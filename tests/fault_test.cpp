@@ -218,7 +218,8 @@ TEST(ScrubPlan, DoubleFlipAndBlobFlipPlanNoScrub) {
     if (op.kind == serve::ReplicaOp::Kind::kVerify)
       predicted.push_back(op.scrub);
   EXPECT_EQ(predicted, (std::vector<bool>{false, false, true}));
-  EXPECT_EQ(plan.replicas[0].scrubs, 1);
+  serve::SummarizePlan(plan, fx.design.config.frequency_mhz);
+  EXPECT_EQ(plan.stats.scrubs, 1);
 
   // The executor's checksum agrees at every check (a disagreement
   // throws), and every output matches the unfaulted image.

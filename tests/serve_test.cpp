@@ -9,6 +9,7 @@
 
 #include "common/strings.h"
 #include "core/generator.h"
+#include "fault/fault_plan.h"
 #include "models/zoo.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -102,9 +103,9 @@ TEST(PlanServe, PlansWithoutAReplicaOrADatapath) {
   options.replicas = 2;
   options.max_batch_size = 2;
   const std::vector<serve::RequestArrival> arrivals(6);
-  const serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+  serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
 
-  EXPECT_EQ(plan.batches, 3);
+  EXPECT_EQ(plan.stats.batches, 3);
   ASSERT_EQ(plan.requests.size(), 6u);
   const std::vector<int> worker{0, 0, 1, 1, 0, 0};
   const std::vector<std::int64_t> finish{100, 160, 100, 160, 220, 280};
@@ -126,8 +127,9 @@ TEST(PlanServe, PlansWithoutAReplicaOrADatapath) {
     EXPECT_EQ(op.arg, ids[i]);
     EXPECT_EQ(op.warm, i > 0);
   }
-  EXPECT_EQ(plan.replicas[0].busy_cycles, 100 + 3 * 60);
-  EXPECT_EQ(plan.replicas[1].busy_cycles, 100 + 60);
+  serve::SummarizePlan(plan, 100.0);
+  EXPECT_EQ(plan.stats.worker_busy_cycles[0], 100 + 3 * 60);
+  EXPECT_EQ(plan.stats.worker_busy_cycles[1], 100 + 60);
 }
 
 TEST(InferenceServer, MatchesSequentialSystemContextBitExactly) {
@@ -566,6 +568,64 @@ TEST(InferenceServer, LatencyPercentilesMatchTheRegistryHistogram) {
   EXPECT_DOUBLE_EQ(stats.latency_max_s, published.max * cycles_to_s);
 }
 
+TEST(InferenceServer, TwoServersShareOneRegistry) {
+  // Draining adds to what a registry already holds: two servers
+  // publishing serve.*, fault.*, cluster.* and sim.* into one registry
+  // export exactly what merging their separate registries does.
+  Fixture fx(ZooModel::kMnist);
+  const auto serve = [&](int variant, obs::MetricsRegistry& metrics) {
+    ServeOptions options;
+    options.metrics = &metrics;
+    options.sim_metrics = &metrics;
+    if (variant == 0) {
+      options.replicas = 2;
+      options.max_batch_size = 4;
+      options.max_retries = 1;
+      fault::FaultCampaignSpec spec;
+      spec.seed = 7;
+      spec.weight_flips = 20;
+      spec.transients = 6;
+      spec.stalls = 2;
+      spec.crashes = 1;
+      spec.invocation_span = 8;
+      spec.workers = 2;
+      options.faults = fault::FaultPlan::Generate(spec, fx.design.memory_map);
+    } else {
+      options.replicas = 3;
+      options.max_batch_size = 2;
+      options.linger_cycles = 1000;
+      options.queue_capacity = 1;
+      options.admission = AdmissionPolicy::kShedOldest;
+    }
+    InferenceServer server(fx.net, fx.design, fx.weights, options);
+    std::int64_t arrival = 0;
+    for (const Tensor& input : fx.Inputs(16)) {
+      server.Submit(input, arrival);
+      arrival += 300;
+    }
+    server.Drain();
+  };
+
+  obs::MetricsRegistry shared;
+  serve(0, shared);
+  serve(1, shared);
+  obs::MetricsRegistry first, second, merged;
+  serve(0, first);
+  serve(1, second);
+  merged.MergeFrom(first);
+  merged.MergeFrom(second);
+  EXPECT_EQ(shared.ToJson(), merged.ToJson());
+  EXPECT_EQ(shared.CounterValue("serve.requests"), 32);
+  EXPECT_EQ(shared.CounterValue("sim.invocations"),
+            first.CounterValue("sim.invocations") +
+                second.CounterValue("sim.invocations"));
+  EXPECT_EQ(shared.HistogramOf("serve.latency_cycles").count,
+            first.CounterValue("serve.completed") +
+                second.CounterValue("serve.completed"));
+  EXPECT_GT(first.CounterValue("fault.injected.transient"), 0);
+  EXPECT_GT(second.CounterValue("serve.shed"), 0);
+}
+
 TEST(InferenceServer, LoadTimeSeriesIsDeterministicAndWellFormed) {
   Fixture fx(ZooModel::kMnist);
   const auto inputs = fx.Inputs(12);
@@ -628,23 +688,6 @@ TEST(InferenceServer, LoadTimeSeriesIsDeterministicAndWellFormed) {
   obs::TimeSeriesRecorder b;
   run(b);
   EXPECT_EQ(a.ToJson(), b.ToJson());
-}
-
-TEST(InferenceServer, TimeSeriesHonoursExplicitSampleInterval) {
-  Fixture fx(ZooModel::kMnist);
-  obs::TimeSeriesRecorder ts;
-  ServeOptions options;
-  options.replicas = 1;
-  options.max_batch_size = 4;
-  options.timeseries = &ts;
-  options.timeseries_interval_cycles = 1000;
-  InferenceServer server(fx.net, fx.design, fx.weights, options);
-  for (const Tensor& input : fx.Inputs(4)) server.Submit(input, 0);
-  server.Drain();
-  EXPECT_EQ(ts.sample_interval(), 1000);
-  const auto depth = ts.SeriesOf("load.queue_depth");
-  ASSERT_GE(depth.size(), 2u);
-  EXPECT_EQ(depth[1].cycle - depth[0].cycle, 1000);
 }
 
 TEST(RetryBackoff, PinsTheSaturatingShiftArithmetic) {
