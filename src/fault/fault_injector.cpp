@@ -7,15 +7,15 @@
 
 namespace db::fault {
 
-FaultInjector::FaultInjector(const FaultPlan& plan, int workers) {
-  DB_CHECK_MSG(workers >= 1, "injector needs at least one worker");
-  per_worker_.resize(static_cast<std::size_t>(workers));
-  per_replica_cluster_.resize(static_cast<std::size_t>(workers));
-  has_weight_flips_.assign(static_cast<std::size_t>(workers), false);
+FaultInjector::FaultInjector(const FaultPlan& plan, int replicas) {
+  DB_CHECK_MSG(replicas >= 1, "injector needs at least one replica");
+  per_replica_.resize(static_cast<std::size_t>(replicas));
+  per_replica_cluster_.resize(static_cast<std::size_t>(replicas));
+  has_weight_flips_.assign(static_cast<std::size_t>(replicas), false);
   for (const FaultEvent& event : plan.events) {
-    if (event.worker < 0 || event.worker >= workers)
-      DB_THROW("fault plan targets worker " << event.worker
-               << " but the server has " << workers);
+    if (event.replica < 0 || event.replica >= replicas)
+      DB_THROW("fault plan targets replica " << event.replica
+               << " but the server has " << replicas);
     if (event.kind == FaultKind::kBitFlip)
       DB_CHECK_MSG(event.bit >= 0 && event.bit < 8,
                    "bit flip index out of range");
@@ -29,12 +29,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int workers) {
     if (event.kind == FaultKind::kSlow)
       DB_CHECK_MSG(event.slow_factor >= 2 && event.slow_services > 0,
                    "slow events need factor >= 2 and services >= 1");
-    const auto slot = static_cast<std::size_t>(event.worker);
+    const auto slot = static_cast<std::size_t>(event.replica);
     if (IsClusterFault(event.kind)) {
       per_replica_cluster_[slot].push_back(event);
       ++cluster_events_;
     } else {
-      per_worker_[slot].push_back(event);
+      per_replica_[slot].push_back(event);
       if (event.kind == FaultKind::kBitFlip && event.weight_region)
         has_weight_flips_[slot] = true;
     }
@@ -43,16 +43,16 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int workers) {
   const auto by_invocation = [](const FaultEvent& a, const FaultEvent& b) {
     return a.invocation < b.invocation;
   };
-  for (auto& events : per_worker_)
+  for (auto& events : per_replica_)
     std::stable_sort(events.begin(), events.end(), by_invocation);
   for (auto& events : per_replica_cluster_)
     std::stable_sort(events.begin(), events.end(), by_invocation);
 }
 
-const std::vector<FaultEvent>& FaultInjector::ForWorker(int worker) const {
-  DB_CHECK(worker >= 0 &&
-           worker < static_cast<int>(per_worker_.size()));
-  return per_worker_[static_cast<std::size_t>(worker)];
+const std::vector<FaultEvent>& FaultInjector::ForReplica(int replica) const {
+  DB_CHECK(replica >= 0 &&
+           replica < static_cast<int>(per_replica_.size()));
+  return per_replica_[static_cast<std::size_t>(replica)];
 }
 
 const std::vector<FaultEvent>& FaultInjector::ClusterForReplica(
@@ -62,10 +62,10 @@ const std::vector<FaultEvent>& FaultInjector::ClusterForReplica(
   return per_replica_cluster_[static_cast<std::size_t>(replica)];
 }
 
-bool FaultInjector::HasWeightFlips(int worker) const {
-  DB_CHECK(worker >= 0 &&
-           worker < static_cast<int>(has_weight_flips_.size()));
-  return has_weight_flips_[static_cast<std::size_t>(worker)];
+bool FaultInjector::HasWeightFlips(int replica) const {
+  DB_CHECK(replica >= 0 &&
+           replica < static_cast<int>(has_weight_flips_.size()));
+  return has_weight_flips_[static_cast<std::size_t>(replica)];
 }
 
 std::uint64_t WeightChecksum(const MemoryImage& image,

@@ -17,13 +17,13 @@
 
 namespace db::fault {
 
-/// What one worker did about one fault (injection or recovery), with
+/// What one replica did about one fault (injection or recovery), with
 /// the simulated-cycle window it charged.  The server publishes these
 /// as "fault"-category spans and fault.* metrics at drain time.
 struct FaultRecord {
   FaultKind kind = FaultKind::kBitFlip;
   bool recovery = false;  // true for scrub/retry windows, false at injection
-  int worker = 0;
+  int replica = 0;
   std::int64_t invocation = 0;
   std::int64_t request_id = -1;
   std::int64_t start_cycle = 0;
@@ -33,14 +33,14 @@ struct FaultRecord {
 
 class FaultInjector {
  public:
-  /// Partition `plan` across `workers` worker slices, each sorted by
+  /// Partition `plan` across `replicas` replica slices, each sorted by
   /// invocation (stable, so equal coordinates keep plan order).
-  /// Events naming a worker outside [0, workers) throw db::Error.
-  FaultInjector(const FaultPlan& plan, int workers);
+  /// Events naming a replica outside [0, replicas) throw db::Error.
+  FaultInjector(const FaultPlan& plan, int replicas);
 
-  /// Worker `w`'s datapath events (kBitFlip / kTransient / kStall),
+  /// Replica `r`'s datapath events (kBitFlip / kTransient / kStall),
   /// sorted by invocation.  Cluster-level kinds never appear here.
-  const std::vector<FaultEvent>& ForWorker(int worker) const;
+  const std::vector<FaultEvent>& ForReplica(int replica) const;
 
   /// Replica `r`'s cluster-level events (kCrash / kHang / kSlow /
   /// kRouteFail), sorted by invocation.  The `invocation` coordinate of
@@ -49,15 +49,15 @@ class FaultInjector {
   /// each event at the dispatch whose invocation window reaches it.
   const std::vector<FaultEvent>& ClusterForReplica(int replica) const;
 
-  /// True if `worker`'s slice contains any weight-region bit flip — the
+  /// True if `replica`'s slice contains any weight-region bit flip — the
   /// only fault kind that requires per-invocation integrity checks.
-  bool HasWeightFlips(int worker) const;
+  bool HasWeightFlips(int replica) const;
 
   std::size_t total_events() const { return total_events_; }
   std::size_t cluster_events() const { return cluster_events_; }
 
  private:
-  std::vector<std::vector<FaultEvent>> per_worker_;
+  std::vector<std::vector<FaultEvent>> per_replica_;
   std::vector<std::vector<FaultEvent>> per_replica_cluster_;
   std::vector<bool> has_weight_flips_;
   std::size_t total_events_ = 0;

@@ -77,7 +77,7 @@ FaultCampaignSpec ParseFaultCampaign(const std::string& spec) {
 
 FaultPlan FaultPlan::Generate(const FaultCampaignSpec& spec,
                               const MemoryMap& map) {
-  DB_CHECK_MSG(spec.workers >= 1, "campaign needs at least one worker");
+  DB_CHECK_MSG(spec.workers >= 1, "campaign needs at least one replica");
   DB_CHECK_MSG(spec.invocation_span >= 1,
                "campaign needs a positive invocation span");
   FaultPlan plan;
@@ -85,7 +85,7 @@ FaultPlan FaultPlan::Generate(const FaultCampaignSpec& spec,
   Rng rng(spec.seed);
 
   auto coordinate = [&](FaultEvent& event) {
-    event.worker = static_cast<int>(
+    event.replica = static_cast<int>(
         rng.UniformInt(static_cast<std::uint64_t>(spec.workers)));
     event.invocation = static_cast<std::int64_t>(rng.UniformInt(
         static_cast<std::uint64_t>(spec.invocation_span)));
@@ -162,7 +162,7 @@ std::string FaultPlan::ToString() const {
   os << "fault plan (seed " << seed << ", " << events.size()
      << " events)\n";
   for (const FaultEvent& event : events) {
-    os << StrFormat("  w%d inv%lld %-9s", event.worker,
+    os << StrFormat("  w%d inv%lld %-9s", event.replica,
                     static_cast<long long>(event.invocation),
                     FaultKindName(event.kind));
     switch (event.kind) {

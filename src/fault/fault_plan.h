@@ -1,13 +1,13 @@
 // Deterministic fault planning: a FaultPlan is a fully materialised,
 // seeded list of faults to inject into a serving run — DRAM bit flips
-// in the weight/activation regions of a worker's MemoryImage, transient
-// worker invocation failures, and injected worker stalls measured in
+// in the weight/activation regions of a replica's MemoryImage, transient
+// replica invocation failures, and injected replica stalls measured in
 // simulated cycles.
 //
 // Determinism contract: a plan is a pure function of its campaign spec
 // (seed + counts) and the design's memory map.  Every fault is bound to
-// a (worker, invocation) coordinate — the injector fires it right
-// before that worker's invocation-th request service — so the same plan
+// a (replica, invocation) coordinate — the injector fires it right
+// before that replica's invocation-th request service — so the same plan
 // against the same request stream always perturbs the same state at the
 // same simulated point, regardless of thread timing.  That is what lets
 // a fault campaign assert bit-identical outputs and byte-stable metrics
@@ -23,9 +23,9 @@
 namespace db::fault {
 
 enum class FaultKind {
-  kBitFlip,    // flip one DRAM bit of the worker's private image
+  kBitFlip,    // flip one DRAM bit of the replica's private image
   kTransient,  // one invocation attempt fails and must be retried
-  kStall,      // the worker stalls for `stall_cycles` simulated cycles
+  kStall,      // the replica stalls for `stall_cycles` simulated cycles
   // Cluster-level kinds (see IsClusterFault): consumed by the serving
   // planner at dispatch, never by a replica's datapath.
   kCrash,      // the replica dies; in-flight work re-dispatches, the
@@ -50,7 +50,7 @@ constexpr const char* FaultKindName(FaultKind kind) {
 }
 
 /// Cluster faults perturb replica availability (crash / hang / slow /
-/// route failure) instead of a worker's datapath state; the injector
+/// route failure) instead of a replica's datapath state; the injector
 /// deals them into per-replica cluster slices the planner consumes at
 /// dispatch.
 constexpr bool IsClusterFault(FaultKind kind) {
@@ -58,13 +58,13 @@ constexpr bool IsClusterFault(FaultKind kind) {
          kind == FaultKind::kSlow || kind == FaultKind::kRouteFail;
 }
 
-/// One scheduled fault.  `invocation` is a worker-local request-service
+/// One scheduled fault.  `invocation` is a replica-local request-service
 /// index (0-based, counting scheduled services, not retry attempts);
 /// the injector fires every event with a matching coordinate before
 /// that service begins.
 struct FaultEvent {
   FaultKind kind = FaultKind::kBitFlip;
-  int worker = 0;
+  int replica = 0;
   std::int64_t invocation = 0;
   std::int64_t addr = 0;          // kBitFlip: absolute image byte address
   int bit = 0;                    // kBitFlip: bit index in [0, 8)
@@ -81,7 +81,7 @@ struct FaultCampaignSpec {
   int weight_flips = 0;   // bit flips across the weight regions
   int blob_flips = 0;     // bit flips across activation/blob regions
   int transients = 0;     // transient invocation failures
-  int stalls = 0;         // injected worker stalls
+  int stalls = 0;         // injected replica stalls
   std::int64_t stall_cycles = 256;  // duration of each stall
   // Cluster-level event counts (replica crash / hang / slow-replica /
   // transient route failure) and their shapes.
@@ -93,11 +93,11 @@ struct FaultCampaignSpec {
   std::int64_t hang_cycles = 2048;        // unresponsive window per hang
   std::int64_t slow_factor = 4;           // service-cycle multiplier
   std::int64_t slow_services = 8;         // invocations the factor covers
-  /// Events spread uniformly over worker-local invocations
-  /// [0, invocation_span); keep at or below requests/workers so every
+  /// Events spread uniformly over replica-local invocations
+  /// [0, invocation_span); keep at or below requests/replicas so every
   /// event actually fires.
   std::int64_t invocation_span = 16;
-  int workers = 1;
+  int workers = 1;  // the replica count the events are spread over
 };
 
 /// Parse a CLI campaign spec:
@@ -120,7 +120,7 @@ struct FaultPlan {
   std::string ToString() const;
 
   /// Materialise a campaign into concrete events: flip addresses drawn
-  /// uniformly over the map's weight (or blob) region bytes, workers
+  /// uniformly over the map's weight (or blob) region bytes, replicas
   /// and invocations drawn uniformly over their ranges — all from one
   /// db::Rng(seed), so equal (spec, map) pairs yield equal plans.
   static FaultPlan Generate(const FaultCampaignSpec& spec,

@@ -6,11 +6,11 @@
 // of the simulated workload, not of thread timing):
 //
 //   * Counters and histograms are *commutative* — concurrent publishers
-//     (server workers) may interleave arbitrarily and the final value is
+//     (replica threads) may interleave arbitrarily and the final value is
 //     still identical run to run.
 //   * Gauges are last-write-wins and must therefore only be set from
 //     deterministic single-threaded code (e.g. InferenceServer::Drain
-//     after the workers joined).
+//     after the replica threads joined).
 //   * Iteration and JSON export walk the metric names in sorted order,
 //     so two runs that published the same values emit byte-identical
 //     JSON regardless of publication order.

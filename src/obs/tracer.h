@@ -12,7 +12,7 @@
 //   "toolchain"        generator phases (parse → … → rtl emit), ticks
 //   "sim/dram"         per-layer DRAM-channel busy intervals, cycles
 //   "sim/datapath"     per-layer datapath busy intervals, cycles
-//   "serve/worker N"   batch + per-request service spans, cycles
+//   "serve/replica N"  batch + per-request service spans, cycles
 //   "serve/queue"      per-request queue residency (async spans), cycles
 #pragma once
 

@@ -219,8 +219,8 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
       continue;
     }
     const std::int64_t service_start = r.finish_cycle - r.service_cycles;
-    const std::string worker_track =
-        StrFormat("serve/worker %d", r.worker);
+    const std::string replica_track =
+        StrFormat("serve/replica %d", r.replica);
 
     // Queue residency overlaps across requests: async span, one row
     // per request id in Perfetto.
@@ -234,11 +234,11 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
     queued.id = r.id;
     queued.args.emplace_back(
         "batch", std::to_string(r.batch_id));
-    queued.args.emplace_back("worker", std::to_string(r.worker));
+    queued.args.emplace_back("replica", std::to_string(r.replica));
     tracer.Record(std::move(queued));
 
     obs::Span service;
-    service.track = worker_track;
+    service.track = replica_track;
     service.name = StrFormat("req %lld", static_cast<long long>(r.id));
     service.category = "serve";
     service.start = service_start;
@@ -252,7 +252,7 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
   }
   for (const auto& [batch_id, members] : batches) {
     obs::Span span;
-    span.track = StrFormat("serve/worker %d", members.front()->worker);
+    span.track = StrFormat("serve/replica %d", members.front()->replica);
     span.name = StrFormat("batch %lld", static_cast<long long>(batch_id));
     span.category = "serve";
     span.start = members.front()->start_cycle;
@@ -265,11 +265,11 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
 
   // Fault injections and recovery windows, per replica in index order
   // (each replica's log is in its own timeline order).
-  for (int w = 0; w < options_.replicas; ++w) {
+  for (int r = 0; r < options_.replicas; ++r) {
     for (const fault::FaultRecord& record :
-         plan.replicas[static_cast<std::size_t>(w)].fault_records) {
+         plan.replicas[static_cast<std::size_t>(r)].fault_records) {
       obs::Span span;
-      span.track = StrFormat("serve/worker %d", w);
+      span.track = StrFormat("serve/replica %d", r);
       span.category = "fault";
       if (record.recovery) {
         span.name = record.kind == fault::FaultKind::kBitFlip ? "scrub"
@@ -349,15 +349,15 @@ void InferenceServer::PublishMetrics(obs::MetricsRegistry& m) const {
   m.SetGauge("serve.replicas", static_cast<double>(options_.replicas));
   m.SetGauge("serve.router",
              static_cast<double>(static_cast<int>(options_.router)));
-  for (int w = 0; w < s.workers; ++w) {
-    const auto i = static_cast<std::size_t>(w);
-    m.SetGauge(StrFormat("serve.worker%d.busy_cycles", w),
-               static_cast<double>(s.worker_busy_cycles[i]));
-    m.SetGauge(StrFormat("serve.worker%d.utilization", w),
-               s.WorkerUtilization(w));
-    m.SetGauge(StrFormat("serve.worker%d.requests", w),
+  for (int r = 0; r < s.replicas; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    m.SetGauge(StrFormat("serve.replica%d.busy_cycles", r),
+               static_cast<double>(s.replica_busy_cycles[i]));
+    m.SetGauge(StrFormat("serve.replica%d.utilization", r),
+               s.WorkerUtilization(r));
+    m.SetGauge(StrFormat("serve.replica%d.requests", r),
                static_cast<double>(s.replica_requests[i]));
-    m.SetGauge(StrFormat("serve.worker%d.batches", w),
+    m.SetGauge(StrFormat("serve.replica%d.batches", r),
                static_cast<double>(s.replica_dispatches[i]));
   }
 

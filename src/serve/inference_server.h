@@ -153,7 +153,7 @@ struct ServeOptions {
   /// Optional observability sinks, all published once, inside the first
   /// Drain(), from the plan: request lifecycle spans — queue residency
   /// on "serve/queue" (async) plus batch and per-request service spans
-  /// on "serve/worker N" — fault, recovery and cluster spans, and the
+  /// on "serve/replica N" — fault, recovery and cluster spans, and the
   /// "serve.*" / "fault.*" / "cluster.health.*" metrics.  `sim_metrics`
   /// receives the "sim.*" metrics of every served invocation
   /// (PublishPerfMetrics, once per cold and once per warm PerfResult).

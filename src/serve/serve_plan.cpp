@@ -29,7 +29,7 @@ ServePlan::ServePlan(int replicas, const ServeOptions& options,
       monitor(replicas,
               cluster::HealthOptions{.readmit_scrub_cycles = scrub_cycles}),
       breaker(replicas, options.breaker) {
-  stats.workers = replicas;
+  stats.replicas = replicas;
   stats.replica_dispatches.assign(static_cast<std::size_t>(replicas), 0);
 }
 
@@ -425,7 +425,7 @@ void Planner::Commit(int r, const Batch& batch, const BatchWindow& window) {
 void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
   Replica& rep = At(r);
   ReplicaPlan& out = Out(r);
-  const std::vector<fault::FaultEvent>& events = injector_.ForWorker(r);
+  const std::vector<fault::FaultEvent>& events = injector_.ForReplica(r);
   // Weight-region integrity checks only run on replicas whose fault
   // slice can corrupt weights.
   const bool integrity_checks = injector_.HasWeightFlips(r);
@@ -441,7 +441,7 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
     // passes without touching the replica.
     if (record.status != StatusCode::kOk) continue;
     record.batch_id = batch.id;
-    record.worker = r;
+    record.replica = r;
 
     // 1. Fire every datapath fault bound to this invocation.
     std::int64_t stall = 0;

@@ -11,21 +11,21 @@
 
 namespace db::serve {
 
-double ServerStats::WorkerUtilization(int worker) const {
-  DB_CHECK(worker >= 0 &&
-           worker < static_cast<int>(worker_busy_cycles.size()));
+double ServerStats::WorkerUtilization(int replica) const {
+  DB_CHECK(replica >= 0 &&
+           replica < static_cast<int>(replica_busy_cycles.size()));
   if (makespan_cycles <= 0) return 0.0;
   return static_cast<double>(
-             worker_busy_cycles[static_cast<std::size_t>(worker)]) /
+             replica_busy_cycles[static_cast<std::size_t>(replica)]) /
          static_cast<double>(makespan_cycles);
 }
 
 std::string ServerStats::ToString() const {
   std::ostringstream os;
   os << StrFormat(
-      "  %lld requests in %lld batches on %d workers @ %.0f MHz\n",
+      "  %lld requests in %lld batches on %d replicas @ %.0f MHz\n",
       static_cast<long long>(requests), static_cast<long long>(batches),
-      workers, frequency_mhz);
+      replicas, frequency_mhz);
   os << StrFormat("  makespan  %.4f ms   throughput %.1f req/s\n",
                   makespan_seconds * 1e3, throughput_rps);
   os << StrFormat(
@@ -61,12 +61,12 @@ std::string ServerStats::ToString() const {
         static_cast<long long>(breaker_opens),
         static_cast<long long>(hedge_wins),
         static_cast<long long>(hedges));
-  for (int w = 0; w < static_cast<int>(worker_busy_cycles.size()); ++w) {
-    const auto idx = static_cast<std::size_t>(w);
-    os << StrFormat("  worker %d  busy %lld cycles  (%.1f%% utilised)",
-                    w,
-                    static_cast<long long>(worker_busy_cycles[idx]),
-                    WorkerUtilization(w) * 100.0);
+  for (int r = 0; r < static_cast<int>(replica_busy_cycles.size()); ++r) {
+    const auto idx = static_cast<std::size_t>(r);
+    os << StrFormat("  replica %d  busy %lld cycles  (%.1f%% utilised)",
+                    r,
+                    static_cast<long long>(replica_busy_cycles[idx]),
+                    WorkerUtilization(r) * 100.0);
     if (idx < replica_requests.size())
       os << StrFormat("  served %lld req in %lld batches",
                       static_cast<long long>(replica_requests[idx]),
@@ -83,7 +83,7 @@ void SummarizePlan(ServePlan& plan, double frequency_mhz) {
   const std::size_t replicas = plan.replicas.size();
   stats.requests = static_cast<std::int64_t>(plan.requests.size());
   stats.frequency_mhz = frequency_mhz;
-  stats.worker_busy_cycles.assign(replicas, 0);
+  stats.replica_busy_cycles.assign(replicas, 0);
   stats.replica_requests.assign(replicas, 0);
   stats.replica_batches.assign(replicas, 0);
 
@@ -117,15 +117,16 @@ void SummarizePlan(ServePlan& plan, double frequency_mhz) {
     }
     DB_CHECK_MSG(r.finish_cycle >= r.arrival_cycle,
                  "request finishes before it arrives");
-    DB_CHECK(r.worker >= 0 && static_cast<std::size_t>(r.worker) < replicas);
-    const auto w = static_cast<std::size_t>(r.worker);
+    DB_CHECK(r.replica >= 0 &&
+             static_cast<std::size_t>(r.replica) < replicas);
+    const auto i = static_cast<std::size_t>(r.replica);
     const std::int64_t service_start = r.finish_cycle - r.service_cycles;
-    stats.worker_busy_cycles[w] += r.service_cycles;
-    ++stats.replica_requests[w];
+    stats.replica_busy_cycles[i] += r.service_cycles;
+    ++stats.replica_requests[i];
     BatchTally& batch = batches[r.batch_id];
-    DB_CHECK_MSG(batch.members == 0 || batch.replica == r.worker,
+    DB_CHECK_MSG(batch.members == 0 || batch.replica == r.replica,
                  "a batch ran on two replicas");
-    batch.replica = r.worker;
+    batch.replica = r.replica;
     ++batch.members;
     stats.makespan_cycles = std::max(stats.makespan_cycles, r.finish_cycle);
     first_arrival = std::min(first_arrival, r.arrival_cycle);

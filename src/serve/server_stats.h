@@ -2,8 +2,8 @@
 //
 // All times are *simulated*: cycles of the generated accelerator's clock
 // converted through the design's frequency.  A request's latency is
-// queueing (waiting for its batch to close and a worker to free up) plus
-// service (its position inside the batch on the worker's datapath):
+// queueing (waiting for its batch to close and a replica to free up) plus
+// service (its position inside the batch on the replica's datapath):
 //
 //   latency = finish_cycle − arrival_cycle
 //
@@ -34,7 +34,7 @@ namespace db::serve {
 struct ServedRequest {
   std::int64_t id = 0;
   std::int64_t batch_id = 0;
-  int worker = -1;
+  int replica = -1;
   std::int64_t arrival_cycle = 0;
   std::int64_t deadline_cycle = 0;  // 0 = none; service must start by it
   std::int64_t start_cycle = 0;   // its batch began service
@@ -61,7 +61,7 @@ struct ServedRequest {
 struct ServerStats {
   std::int64_t requests = 0;
   std::int64_t batches = 0;  // dispatches committed to a replica
-  int workers = 0;
+  int replicas = 0;
   double frequency_mhz = 0.0;
 
   /// Robustness accounting (see StatusCode).
@@ -129,16 +129,17 @@ struct ServerStats {
   std::int64_t total_dram_bytes = 0;
   double total_joules = 0.0;
 
-  /// Per replica (indexed by the record's worker index): service cycles
+  /// Per replica (indexed by the record's replica index): service cycles
   /// of its kOk requests (utilisation = busy / makespan), the kOk
   /// requests it served, the distinct batches that served at least one
   /// of them, and every batch dispatched to it.
-  std::vector<std::int64_t> worker_busy_cycles;
+  std::vector<std::int64_t> replica_busy_cycles;
   std::vector<std::int64_t> replica_requests;
   std::vector<std::int64_t> replica_batches;
   std::vector<std::int64_t> replica_dispatches;
 
-  double WorkerUtilization(int worker) const;
+  /// replica_busy_cycles[replica] / makespan (0 for an empty run).
+  double WorkerUtilization(int replica) const;
   std::string ToString() const;
 };
 

@@ -286,7 +286,7 @@ TEST(ClusterFaultPlan, ParseGenerateAndSplit) {
                 injector.ClusterForReplica(1).size(),
             7u);
   for (int w = 0; w < 2; ++w)
-    for (const fault::FaultEvent& event : injector.ForWorker(w))
+    for (const fault::FaultEvent& event : injector.ForReplica(w))
       EXPECT_FALSE(fault::IsClusterFault(event.kind));
 }
 
@@ -313,7 +313,7 @@ TEST(ChaosServer, CrashSplitsBatchAndRedispatchesToSurvivor) {
   plan.seed = 1;
   fault::FaultEvent crash;
   crash.kind = fault::FaultKind::kCrash;
-  crash.worker = 0;
+  crash.replica = 0;
   crash.invocation = 2;  // replica 0 dies before its third service
   crash.down_cycles = 4096;
   plan.events.push_back(crash);
@@ -343,7 +343,7 @@ TEST(ChaosServer, HedgingBoundsSlowReplicaTailLatency) {
   plan.seed = 2;
   fault::FaultEvent slow;
   slow.kind = fault::FaultKind::kSlow;
-  slow.worker = 1;
+  slow.replica = 1;
   slow.invocation = 0;
   slow.slow_factor = 8;
   slow.slow_services = 4;
@@ -407,7 +407,7 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
   for (int i = 0; i < 3; ++i) {
     fault::FaultEvent event;
     event.kind = fault::FaultKind::kRouteFail;
-    event.worker = 0;
+    event.replica = 0;
     event.invocation = 0;
     plan.events.push_back(event);
   }

@@ -84,8 +84,8 @@ TEST(FaultPlan, GeneratedFlipsLandInTheirRegions) {
     ASSERT_EQ(e.kind, FaultKind::kBitFlip);
     EXPECT_GE(e.bit, 0);
     EXPECT_LT(e.bit, 8);
-    EXPECT_GE(e.worker, 0);
-    EXPECT_LT(e.worker, 2);
+    EXPECT_GE(e.replica, 0);
+    EXPECT_LT(e.replica, 2);
     const MemoryRegion* region = nullptr;
     for (const MemoryRegion& r : fx.design.memory_map.regions())
       if (e.addr >= r.base && e.addr < r.base + r.bytes) region = &r;
@@ -124,10 +124,10 @@ TEST(FaultInjector, PartitionsPerWorkerSortedByInvocation) {
       FaultEvent{FaultKind::kBitFlip, 1, 2, 64, 1, true, 0});
   const FaultInjector injector(plan, 2);
   EXPECT_EQ(injector.total_events(), 3u);
-  ASSERT_EQ(injector.ForWorker(0).size(), 1u);
-  ASSERT_EQ(injector.ForWorker(1).size(), 2u);
-  EXPECT_EQ(injector.ForWorker(1)[0].invocation, 2);
-  EXPECT_EQ(injector.ForWorker(1)[1].invocation, 5);
+  ASSERT_EQ(injector.ForReplica(0).size(), 1u);
+  ASSERT_EQ(injector.ForReplica(1).size(), 2u);
+  EXPECT_EQ(injector.ForReplica(1)[0].invocation, 2);
+  EXPECT_EQ(injector.ForReplica(1)[1].invocation, 5);
   EXPECT_FALSE(injector.HasWeightFlips(0));
   EXPECT_TRUE(injector.HasWeightFlips(1));
 

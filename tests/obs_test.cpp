@@ -578,11 +578,11 @@ TEST(ChromeTrace, ByteStableAcrossRecordOrder) {
   auto build = [](bool reversed) {
     auto tracer = std::make_unique<Tracer>();
     std::vector<Span> spans(3);
-    spans[0].track = "serve/worker 0";  spans[0].name = "batch 0";
+    spans[0].track = "serve/replica 0";  spans[0].name = "batch 0";
     spans[0].start = 0;  spans[0].end = 500;
-    spans[1].track = "serve/worker 0";  spans[1].name = "req 0";
+    spans[1].track = "serve/replica 0";  spans[1].name = "req 0";
     spans[1].start = 0;  spans[1].end = 250;
-    spans[2].track = "serve/worker 1";  spans[2].name = "req 1";
+    spans[2].track = "serve/replica 1";  spans[2].name = "req 1";
     spans[2].start = 100;  spans[2].end = 400;
     if (reversed) std::reverse(spans.begin(), spans.end());
     for (Span& s : spans) tracer->Record(std::move(s));

@@ -99,7 +99,7 @@ std::uint64_t DigestRecords(const std::vector<ServedRequest>& records) {
   for (const ServedRequest& r : records) {
     h = MixValue(h, r.id);
     h = MixValue(h, r.batch_id);
-    h = MixValue(h, r.worker);
+    h = MixValue(h, r.replica);
     h = MixValue(h, r.arrival_cycle);
     h = MixValue(h, r.deadline_cycle);
     h = MixValue(h, r.start_cycle);
@@ -178,10 +178,10 @@ const Scenario kScenarios[] = {
            o.linger_cycles = 5000;
          },
      .records = "644b327352b2faa8",
-     .metrics = "5047445c0d41f265",
-     .trace = "3483c1bb858dc565",
+     .metrics = "79845aa7e410ee51",
+     .trace = "685ad42ad1b035ab",
      .timeseries = "d87629bc74bb49e9",
-     .stats = "3518c92eb143a808"},
+     .stats = "5520b679569e78f6"},
     {.name = "LingerThreeReplicas",
      .requests = 24,
      .input_seed = 100,
@@ -193,10 +193,10 @@ const Scenario kScenarios[] = {
            o.linger_cycles = 5000;
          },
      .records = "6329e25a5d880d14",
-     .metrics = "ffd61d1cd059b84c",
-     .trace = "33e0650e520c62d3",
+     .metrics = "4bdb13b703226d68",
+     .trace = "cc71c1567e4bbc37",
      .timeseries = "4c08a070d60c67a8",
-     .stats = "e56727e599cc4ea5"},
+     .stats = "0b46bbdb4270dacf"},
     {.name = "RejectAtCapacityTwo",
      .requests = 16,
      .input_seed = 300,
@@ -210,10 +210,10 @@ const Scenario kScenarios[] = {
            o.admission = AdmissionPolicy::kReject;
          },
      .records = "5679721dfbd62433",
-     .metrics = "386df53c3cd36494",
-     .trace = "0aa64e5e7c1fe167",
+     .metrics = "4a4701348a23dc68",
+     .trace = "8bac40642203ed91",
      .timeseries = "75a8c18deab9119f",
-     .stats = "0a4c2032b0cd477c"},
+     .stats = "d33160a1fd53369a"},
     {.name = "ShedOldestAtCapacityTwo",
      .requests = 24,
      .input_seed = 300,
@@ -235,10 +235,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "4e313514bdf4d135",
-     .metrics = "a31a186ceed302af",
-     .trace = "8b5bcfc56b0095f9",
+     .metrics = "7af0cf4491a01c57",
+     .trace = "497c0d624835f15b",
      .timeseries = "ce320da818909530",
-     .stats = "60a9a2742128b3ec"},
+     .stats = "cf73fdaa9b32f566"},
     {.name = "ExplicitDeadlines",
      .requests = 12,
      .input_seed = 400,
@@ -250,10 +250,10 @@ const Scenario kScenarios[] = {
            o.max_batch_size = 2;
          },
      .records = "db8b267c3fd3bd96",
-     .metrics = "b26fdb0d8d1dc1e7",
-     .trace = "fcd22c7e2808ffae",
+     .metrics = "eff74f4b4d3acd17",
+     .trace = "15e63bb552676420",
      .timeseries = "2a1d92551c0cfb50",
-     .stats = "25046df2a0e779a7"},
+     .stats = "c5843917b6b0e757"},
     {.name = "DefaultDeadlineUnderStalls",
      .requests = 24,
      .input_seed = 400,
@@ -273,10 +273,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "4f71e02583ecccfe",
-     .metrics = "0d579262a3723ae2",
-     .trace = "7a79335465941787",
+     .metrics = "4462bf943cb1840a",
+     .trace = "eaa66b6d77f672ff",
      .timeseries = "912684e54b36bdd9",
-     .stats = "04956cfb956439b5"},
+     .stats = "64a1c3d706b83f8f"},
     {.name = "RoundRobinRouter",
      .requests = 18,
      .input_seed = 500,
@@ -288,10 +288,10 @@ const Scenario kScenarios[] = {
            o.router = cluster::RouterPolicy::kRoundRobin;
          },
      .records = "755c0b261db64c61",
-     .metrics = "69365f1e7659c960",
-     .trace = "65957b77f6cd8e9d",
+     .metrics = "5ef9fd58067253fe",
+     .trace = "08fa342470fde6fb",
      .timeseries = "d3881d498a57d315",
-     .stats = "760c6a0e2bab403f"},
+     .stats = "af2c9016aea54959"},
     {.name = "HashAffinityRouter",
      .requests = 18,
      .input_seed = 500,
@@ -304,10 +304,10 @@ const Scenario kScenarios[] = {
            o.affinity_hash = 0x5eedf00dull;
          },
      .records = "4753129f85b04861",
-     .metrics = "0b607dfab244cf76",
-     .trace = "0201562a594778fe",
+     .metrics = "63f4c4fa0aaf73f4",
+     .trace = "a14b19a444407a56",
      .timeseries = "3feacab2230c47ef",
-     .stats = "86a3a35a7a44dfc4"},
+     .stats = "5789c4c3ec4d2486"},
     // The FaultCampaign.SurvivesBitFlipsTransientsAndStalls campaign.
     {.name = "FaultCampaign",
      .requests = 32,
@@ -327,10 +327,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "ebf617ff639bc711",
-     .metrics = "f9410c20c494b848",
-     .trace = "1faee834f063d558",
+     .metrics = "c73c1f4069e44108",
+     .trace = "f3c39d3fda051ce4",
      .timeseries = "56a1c72fee23b720",
-     .stats = "407f4df982362bd1"},
+     .stats = "f47ffb7a88820019"},
     // The ChaosServer.SeededCampaignIsLosslessAndByteStable campaign:
     // crash, hang, slow, route failures, hedging and the breaker.
     {.name = "ChaosAcceptance",
@@ -356,10 +356,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "809db051f75691bf",
-     .metrics = "f76dbcc6e97b8675",
-     .trace = "65180bfbc062d8fa",
+     .metrics = "ad10d582cf607ef7",
+     .trace = "9e60ef4388590f40",
      .timeseries = "a3cf8d513c3de7d0",
-     .stats = "d65e70043bb82111"},
+     .stats = "52eeeb02cbaffa39"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
     // replica under round-robin routing, hedged after three steady
     // inferences.
@@ -375,7 +375,7 @@ const Scenario kScenarios[] = {
            o.hedge_after_cycles = 3 * 1965;
            fault::FaultEvent slow;
            slow.kind = fault::FaultKind::kSlow;
-           slow.worker = 1;
+           slow.replica = 1;
            slow.invocation = 0;
            slow.slow_factor = 8;
            slow.slow_services = 4;
@@ -383,10 +383,10 @@ const Scenario kScenarios[] = {
            o.faults.events.push_back(slow);
          },
      .records = "611bf59f395c8315",
-     .metrics = "e217f7c6efbaf28c",
-     .trace = "69ad82842ad41914",
+     .metrics = "163b46d182a37788",
+     .trace = "80b4573a874e93da",
      .timeseries = "77b0b7a12167ebd3",
-     .stats = "1d33df12809d5bb8"},
+     .stats = "6166b40f4acef38e"},
     // The ChaosServer.BreakerOpensUnderRepeatedRouteFailures run: three
     // route failures on the sole replica open its breaker.
     {.name = "BreakerOpens",
@@ -404,16 +404,16 @@ const Scenario kScenarios[] = {
            for (int i = 0; i < 3; ++i) {
              fault::FaultEvent event;
              event.kind = fault::FaultKind::kRouteFail;
-             event.worker = 0;
+             event.replica = 0;
              event.invocation = 0;
              o.faults.events.push_back(event);
            }
          },
      .records = "f478a03104612428",
-     .metrics = "3c4e32a342ebe9ca",
-     .trace = "999df8037c66487e",
+     .metrics = "7b603c1657e57f52",
+     .trace = "a08ee05a7ee9e846",
      .timeseries = "5688ede43710cd6c",
-     .stats = "8a281107b877c53e"},
+     .stats = "5ce5d60b9f37968a"},
     // The CLI's wiring: serve.* and the per-invocation sim.* metrics in
     // one registry, under a datapath campaign with blob flips and a
     // retry budget small enough to fault requests.
@@ -438,10 +438,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "93d22f1d4378fb56",
-     .metrics = "250422246ff5c1b4",
-     .trace = "4ad7336db87f87ba",
+     .metrics = "562e6104a826c752",
+     .trace = "641aa2e573de75a4",
      .timeseries = "2dc5161475fe62ec",
-     .stats = "38d4454bce30a61f"},
+     .stats = "0da76e7c8b1711b5"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

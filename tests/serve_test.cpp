@@ -107,12 +107,12 @@ TEST(PlanServe, PlansWithoutAReplicaOrADatapath) {
 
   EXPECT_EQ(plan.stats.batches, 3);
   ASSERT_EQ(plan.requests.size(), 6u);
-  const std::vector<int> worker{0, 0, 1, 1, 0, 0};
+  const std::vector<int> replica{0, 0, 1, 1, 0, 0};
   const std::vector<std::int64_t> finish{100, 160, 100, 160, 220, 280};
   for (std::size_t i = 0; i < 6; ++i) {
     const ServedRequest& r = plan.requests[i];
     EXPECT_EQ(r.status, StatusCode::kOk) << i;
-    EXPECT_EQ(r.worker, worker[i]) << i;
+    EXPECT_EQ(r.replica, replica[i]) << i;
     EXPECT_EQ(r.finish_cycle, finish[i]) << i;
     EXPECT_EQ(r.output.size(), 0) << i;  // the executor's job
   }
@@ -128,8 +128,8 @@ TEST(PlanServe, PlansWithoutAReplicaOrADatapath) {
     EXPECT_EQ(op.warm, i > 0);
   }
   serve::SummarizePlan(plan, 100.0);
-  EXPECT_EQ(plan.stats.worker_busy_cycles[0], 100 + 3 * 60);
-  EXPECT_EQ(plan.stats.worker_busy_cycles[1], 100 + 60);
+  EXPECT_EQ(plan.stats.replica_busy_cycles[0], 100 + 3 * 60);
+  EXPECT_EQ(plan.stats.replica_busy_cycles[1], 100 + 60);
 }
 
 TEST(InferenceServer, MatchesSequentialSystemContextBitExactly) {
@@ -227,7 +227,7 @@ TEST(InferenceServer, DeterministicScheduleAcrossRuns) {
   const auto [b, stats_b] = run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].worker, b[i].worker) << i;
+    EXPECT_EQ(a[i].replica, b[i].replica) << i;
     EXPECT_EQ(a[i].batch_id, b[i].batch_id) << i;
     EXPECT_EQ(a[i].start_cycle, b[i].start_cycle) << i;
     EXPECT_EQ(a[i].finish_cycle, b[i].finish_cycle) << i;
@@ -271,8 +271,8 @@ TEST(InferenceServer, ScheduleMatchesColdSteadyCycleMath) {
   // Two batches of two, all arriving at cycle 0: each worker takes one
   // batch (cold + steady cycles), starting at cycle 0.
   ASSERT_EQ(served.size(), 4u);
-  EXPECT_EQ(served[0].worker, 0);
-  EXPECT_EQ(served[2].worker, 1);
+  EXPECT_EQ(served[0].replica, 0);
+  EXPECT_EQ(served[2].replica, 1);
   for (const ServedRequest& r : served) {
     EXPECT_EQ(r.start_cycle, 0);
     EXPECT_EQ(r.service_cycles,
@@ -307,19 +307,19 @@ TEST(InferenceServer, StatsAggregateAndPercentilesOrdered) {
   EXPECT_LE(stats.latency_p50_s, stats.latency_p90_s);
   EXPECT_LE(stats.latency_p90_s, stats.latency_p99_s);
   EXPECT_LE(stats.latency_p99_s, stats.latency_max_s);
-  for (int w = 0; w < stats.workers; ++w) {
+  for (int w = 0; w < stats.replicas; ++w) {
     EXPECT_GE(stats.WorkerUtilization(w), 0.0);
     EXPECT_LE(stats.WorkerUtilization(w), 1.0);
   }
   const std::string text = stats.ToString();
   EXPECT_NE(text.find("requests"), std::string::npos);
-  EXPECT_NE(text.find("worker 1"), std::string::npos);
+  EXPECT_NE(text.find("replica 1"), std::string::npos);
 }
 
 TEST(InferenceServer, ObservabilitySpansTileLatency) {
   // Each request's queue-residency span plus its service span must
   // exactly tile its reported latency, and the summed service spans
-  // must equal the workers' busy-cycle accounting in Stats().
+  // must equal the replicas' busy-cycle accounting in Stats().
   Fixture fx(ZooModel::kMnist);
   const auto inputs = fx.Inputs(6);
   auto run = [&](obs::Tracer& tracer, obs::MetricsRegistry& metrics) {
@@ -354,7 +354,7 @@ TEST(InferenceServer, ObservabilitySpansTileLatency) {
     for (const obs::Span& s : spans) {
       if (s.name != req_name) continue;
       if (s.track == "serve/queue" && s.async && s.id == r.id) queued = &s;
-      if (s.track == StrFormat("serve/worker %d", r.worker)) service = &s;
+      if (s.track == StrFormat("serve/replica %d", r.replica)) service = &s;
     }
     ASSERT_NE(queued, nullptr) << req_name;
     ASSERT_NE(service, nullptr) << req_name;
@@ -367,11 +367,11 @@ TEST(InferenceServer, ObservabilitySpansTileLatency) {
               r.finish_cycle - r.arrival_cycle)
         << req_name;
     EXPECT_EQ(service->end - service->start, r.service_cycles) << req_name;
-    span_busy[static_cast<std::size_t>(r.worker)] += r.service_cycles;
+    span_busy[static_cast<std::size_t>(r.replica)] += r.service_cycles;
   }
-  ASSERT_EQ(stats.worker_busy_cycles.size(), 2u);
-  EXPECT_EQ(span_busy[0], stats.worker_busy_cycles[0]);
-  EXPECT_EQ(span_busy[1], stats.worker_busy_cycles[1]);
+  ASSERT_EQ(stats.replica_busy_cycles.size(), 2u);
+  EXPECT_EQ(span_busy[0], stats.replica_busy_cycles[0]);
+  EXPECT_EQ(span_busy[1], stats.replica_busy_cycles[1]);
 
   // The published metrics agree with the aggregate stats.
   EXPECT_EQ(metrics.CounterValue("serve.requests"), stats.requests);
@@ -387,8 +387,8 @@ TEST(InferenceServer, ObservabilitySpansTileLatency) {
                    static_cast<double>(span_busy[0] + span_busy[1]));
   for (int w = 0; w < 2; ++w)
     EXPECT_DOUBLE_EQ(
-        metrics.GaugeValue(StrFormat("serve.worker%d.busy_cycles", w)),
-        static_cast<double>(stats.worker_busy_cycles[
+        metrics.GaugeValue(StrFormat("serve.replica%d.busy_cycles", w)),
+        static_cast<double>(stats.replica_busy_cycles[
             static_cast<std::size_t>(w)]));
 
   // A second identical run emits byte-identical trace and metrics files.
@@ -419,7 +419,7 @@ TEST(InferenceServer, SubmitAfterDrainThrowsShutdownError) {
 }
 
 TEST(InferenceServer, DeadlineExpiredRequestSkipsDatapath) {
-  // workers=1, batch=1: request 1 cannot start before request 0's cold
+  // replicas=1, batch=1: request 1 cannot start before request 0's cold
   // invocation finishes, so an absolute deadline of 1 cycle expires it.
   Fixture fx(ZooModel::kAnn0Fft);
   ServeOptions options;
@@ -440,12 +440,12 @@ TEST(InferenceServer, DeadlineExpiredRequestSkipsDatapath) {
   EXPECT_EQ(served[1].output.size(), 0);  // never produced
   EXPECT_EQ(served[1].finish_cycle, cold);  // expired at service point
   // The expired request occupied no datapath slot: request 2 runs at
-  // its scheduled start and the worker's busy cycles exclude request 1.
+  // its scheduled start and the replica's busy cycles exclude request 1.
   EXPECT_EQ(served[2].finish_cycle, cold + 2 * steady);
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.deadline_exceeded, 1);
   EXPECT_EQ(stats.completed, 2);
-  EXPECT_EQ(stats.worker_busy_cycles[0], cold + steady);
+  EXPECT_EQ(stats.replica_busy_cycles[0], cold + steady);
 }
 
 TEST(InferenceServer, DefaultRelativeDeadlineApplies) {
