@@ -67,12 +67,15 @@ echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The CLI contract (cli_exit_codes) runs here too, against a UBSan
 # deepburning binary: signed overflow in flag handling (such as an
 # arrival cycle of requests x gap) aborts the run instead of passing
-# with a wrapped value.
+# with a wrapped value.  Shape inference and the prototxt frontend run
+# here as well, so a conv or pooling extent that overflows int64 aborts
+# instead of passing as a wrapped shape.
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" \
-  --target analysis_test rtl_test rtl_analysis_test deepburning
+  --target analysis_test rtl_test rtl_analysis_test deepburning \
+           network_test network_def_test
 ctest --preset ubsan -j "${JOBS}" \
-  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule|^cli_exit_codes$'
+  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule|^cli_exit_codes$|ShapeInference|NetworkDef'
 
 echo "== tier-1: UBSan on the RTL analysis suite (ctest -L rtl) =="
 # The elaborator's bit-range bookkeeping and the width-inference

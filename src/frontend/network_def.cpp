@@ -1,5 +1,6 @@
 #include "frontend/network_def.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -45,24 +46,26 @@ const PtMessage* FindParamBlock(const PtMessage& layer,
   return nullptr;
 }
 
+/// The largest kernel, stride, pad or input extent.  With every term
+/// below 2^31, shape inference's padded extents (in + 2 * pad - kernel)
+/// stay far inside int64.
+constexpr std::int64_t kMaxExtent = std::numeric_limits<std::int32_t>::max();
+
 void ParseLayerParams(const PtMessage& msg, LayerDef& layer) {
   switch (layer.kind) {
     case LayerKind::kConvolution: {
       ConvolutionParams p;
       if (const PtMessage* block = FindParamBlock(msg, "convolution_param")) {
         p.num_output = block->GetInt("num_output", 0);
-        p.kernel_size = block->GetInt("kernel_size", 1);
-        p.stride = block->GetInt("stride", 1);
-        p.pad = block->GetInt("pad", 0);
+        p.kernel_size = block->GetInt("kernel_size", 1, 1, kMaxExtent);
+        p.stride = block->GetInt("stride", 1, 1, kMaxExtent);
+        p.pad = block->GetInt("pad", 0, 0, kMaxExtent);
         p.group = block->GetInt("group", 1);
         p.bias = block->GetBool("bias_term", true);
       }
       if (p.num_output <= 0)
         throw ParseError(layer.line, "convolution layer '" + layer.name +
                                          "' needs num_output > 0");
-      if (p.kernel_size <= 0 || p.stride <= 0 || p.pad < 0)
-        throw ParseError(layer.line, "convolution layer '" + layer.name +
-                                         "' has invalid geometry");
       if (p.group <= 0 || p.num_output % p.group != 0)
         throw ParseError(layer.line, "convolution layer '" + layer.name +
                                          "' has invalid group count");
@@ -81,13 +84,10 @@ void ParseLayerParams(const PtMessage& msg, LayerDef& layer) {
           throw ParseError(layer.line, "unknown pool method '" + method +
                                            "'");
         }
-        p.kernel_size = block->GetInt("kernel_size", 2);
-        p.stride = block->GetInt("stride", p.kernel_size);
-        p.pad = block->GetInt("pad", 0);
+        p.kernel_size = block->GetInt("kernel_size", 2, 1, kMaxExtent);
+        p.stride = block->GetInt("stride", p.kernel_size, 1, kMaxExtent);
+        p.pad = block->GetInt("pad", 0, 0, kMaxExtent);
       }
-      if (p.kernel_size <= 0 || p.stride <= 0 || p.pad < 0)
-        throw ParseError(layer.line, "pooling layer '" + layer.name +
-                                         "' has invalid geometry");
       layer.pool = p;
       break;
     }
@@ -266,13 +266,15 @@ NetworkDef ParseNetworkDef(const std::string& prototxt_text) {
         const PtField* f = input_dims[4 * i + j];
         if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
           throw ParseError(f->line, "input_dim must be a number");
-        return ParseInt(f->scalar->text, INT64_MIN, INT64_MAX, "input_dim");
+        try {
+          return ParseInt(f->scalar->text, 1, kMaxExtent, "input_dim");
+        } catch (const Error& e) {
+          throw ParseError(f->line, e.what());
+        }
       };
       in.channels = dim(1);
       in.height = dim(2);
       in.width = dim(3);
-      if (in.channels <= 0 || in.height <= 0 || in.width <= 0)
-        DB_THROW("input '" << in.name << "' has non-positive dimensions");
       net.inputs.push_back(in);
     }
   }

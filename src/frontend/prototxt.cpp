@@ -263,7 +263,7 @@ std::int64_t PtMessage::GetInt(const std::string& name, std::int64_t def,
   try {
     return ParseInt(f->scalar->text, lo, hi, name);
   } catch (const Error& e) {
-    DB_THROW(e.what() << " (line " << f->line << ")");
+    throw ParseError(f->line, e.what());
   }
 }
 

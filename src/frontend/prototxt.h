@@ -63,7 +63,8 @@ class PtMessage {
   /// Typed scalar accessors with defaults.  Each throws db::Error when the
   /// field exists but has the wrong kind.  GetInt reads the number's
   /// source text through ParseInt, so a fraction, an exponent or a value
-  /// outside [lo, hi] throws too.
+  /// outside [lo, hi] throws too (a db::ParseError with the field's
+  /// line).
   std::int64_t GetInt(const std::string& name, std::int64_t def,
                       std::int64_t lo = INT64_MIN,
                       std::int64_t hi = INT64_MAX) const;

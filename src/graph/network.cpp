@@ -112,7 +112,69 @@ BlobShape InferOutputShape(const LayerDef& def,
   DB_THROW("unhandled layer kind in shape inference");
 }
 
+ParamShapes ParamShapesFor(const IrLayer& layer) {
+  ParamShapes s;
+  switch (layer.kind()) {
+    case LayerKind::kConvolution: {
+      const ConvolutionParams& p = *layer.def.conv;
+      const BlobShape& in = layer.input_shapes.front();
+      s.weights = Shape{p.num_output, in.channels / p.group,
+                        p.kernel_size, p.kernel_size};
+      if (p.bias) s.bias = Shape{p.num_output};
+      break;
+    }
+    case LayerKind::kInnerProduct: {
+      const InnerProductParams& p = *layer.def.fc;
+      const std::int64_t in_n = layer.input_shapes.front().NumElements();
+      s.weights = Shape{p.num_output, in_n};
+      if (p.bias) s.bias = Shape{p.num_output};
+      break;
+    }
+    case LayerKind::kRecurrent: {
+      const RecurrentParams& p = *layer.def.recurrent;
+      const std::int64_t in_n = layer.input_shapes.front().NumElements();
+      s.weights = Shape{p.num_output, in_n};
+      s.recurrent = Shape{p.num_output, p.num_output};
+      s.bias = Shape{p.num_output};
+      break;
+    }
+    case LayerKind::kLstm: {
+      const LstmParams& p = *layer.def.lstm;
+      const std::int64_t in_n = layer.input_shapes.front().NumElements();
+      // Gate order along the first axis: input, forget, cell, output.
+      s.weights = Shape{4 * p.num_output, in_n};
+      s.recurrent = Shape{4 * p.num_output, p.num_output};
+      s.bias = Shape{4 * p.num_output};
+      break;
+    }
+    case LayerKind::kAssociative: {
+      const AssociativeParams& p = *layer.def.associative;
+      s.weights = Shape{p.num_output, p.num_cells};
+      break;
+    }
+    default:
+      break;
+  }
+  return s;
+}
+
 namespace {
+
+/// The most elements one blob or parameter tensor may hold: the largest
+/// device DRAM (2 GB) at one byte per element.
+constexpr std::int64_t kMaxTensorElements = std::int64_t{1} << 31;
+
+/// Rejects a blob or parameter tensor of more than kMaxTensorElements
+/// elements (a saturating count), before anything sizes memory by it.
+void CheckTensorSize(const std::string& layer, const char* what,
+                     const std::vector<std::int64_t>& extents) {
+  std::int64_t elements = 1;
+  for (const std::int64_t e : extents) elements = SatMul(elements, e);
+  if (elements > kMaxTensorElements)
+    DB_THROW("layer '" << layer << "': " << what << " " << Shape(extents)
+             << " has more than " << kMaxTensorElements
+             << " elements (the largest device DRAM, at one byte each)");
+}
 
 bool IsInPlaceKind(LayerKind kind) {
   switch (kind) {
@@ -146,6 +208,8 @@ Network Network::Build(const NetworkDef& def) {
     layer.def.kind = LayerKind::kInput;
     layer.def.tops = {in.name};
     layer.output_shape = {in.channels, in.height, in.width};
+    CheckTensorSize(in.name, "input blob",
+                    {in.channels, in.height, in.width});
     if (!blob_producer.emplace(in.name, layer.id).second)
       DB_THROW("duplicate input blob '" << in.name << "'");
     layer_names.insert(in.name);
@@ -172,6 +236,14 @@ Network Network::Build(const NetworkDef& def) {
           net.layers_[static_cast<std::size_t>(it->second)].output_shape);
     }
     layer.output_shape = InferOutputShape(ldef, layer.input_shapes);
+    const BlobShape& out = layer.output_shape;
+    CheckTensorSize(ldef.name, "output blob",
+                    {out.channels, out.height, out.width});
+    // The output blob bounds num_output, so the parameter extents below
+    // cannot overflow.
+    const ParamShapes params = ParamShapesFor(layer);
+    for (const Shape* tensor : {&params.weights, &params.recurrent})
+      CheckTensorSize(ldef.name, "parameter tensor", tensor->dims());
     layer.in_place = IsInPlaceKind(ldef.kind) && ldef.tops == ldef.bottoms;
 
     if (ldef.tops.empty())

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "frontend/network_def.h"
+#include "tensor/tensor.h"
 
 namespace db {
 
@@ -41,12 +42,23 @@ struct IrLayer {
   LayerKind kind() const { return def.kind; }
 };
 
+/// Shapes of one layer's parameter tensors, in the layouts documented on
+/// LayerParams (nn/weights.h); a rank-0 shape means the layer has no
+/// such tensor.
+struct ParamShapes {
+  Shape weights;
+  Shape bias;
+  Shape recurrent;
+};
+ParamShapes ParamShapesFor(const IrLayer& layer);
+
 /// Validated, shape-inferred network.
 class Network {
  public:
   /// Build from a parsed definition.  Throws db::Error on dangling blobs,
   /// duplicate layer names, cycles (other than declared recurrent
-  /// connects), or shape mismatches.
+  /// connects), shape mismatches, or a blob or parameter tensor of more
+  /// than 2^31 elements (the largest device DRAM at one byte each).
   static Network Build(const NetworkDef& def);
 
   const std::string& name() const { return name_; }

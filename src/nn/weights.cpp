@@ -7,66 +7,6 @@
 namespace db {
 namespace {
 
-/// Shapes of the parameter tensors for one layer; empty shapes mean the
-/// tensor is absent for this kind.
-struct ParamShapes {
-  Shape weights;
-  Shape bias;
-  Shape recurrent;
-  bool any = false;
-};
-
-ParamShapes ShapesFor(const IrLayer& layer) {
-  ParamShapes s;
-  switch (layer.kind()) {
-    case LayerKind::kConvolution: {
-      const ConvolutionParams& p = *layer.def.conv;
-      const BlobShape& in = layer.input_shapes.front();
-      s.weights = Shape{p.num_output, in.channels / p.group,
-                        p.kernel_size, p.kernel_size};
-      if (p.bias) s.bias = Shape{p.num_output};
-      s.any = true;
-      break;
-    }
-    case LayerKind::kInnerProduct: {
-      const InnerProductParams& p = *layer.def.fc;
-      const std::int64_t in_n = layer.input_shapes.front().NumElements();
-      s.weights = Shape{p.num_output, in_n};
-      if (p.bias) s.bias = Shape{p.num_output};
-      s.any = true;
-      break;
-    }
-    case LayerKind::kRecurrent: {
-      const RecurrentParams& p = *layer.def.recurrent;
-      const std::int64_t in_n = layer.input_shapes.front().NumElements();
-      s.weights = Shape{p.num_output, in_n};
-      s.recurrent = Shape{p.num_output, p.num_output};
-      s.bias = Shape{p.num_output};
-      s.any = true;
-      break;
-    }
-    case LayerKind::kLstm: {
-      const LstmParams& p = *layer.def.lstm;
-      const std::int64_t in_n = layer.input_shapes.front().NumElements();
-      // Gate order along the first axis: input, forget, cell, output.
-      s.weights = Shape{4 * p.num_output, in_n};
-      s.recurrent = Shape{4 * p.num_output, p.num_output};
-      s.bias = Shape{4 * p.num_output};
-      s.any = true;
-      break;
-    }
-    case LayerKind::kAssociative: {
-      const AssociativeParams& p = *layer.def.associative;
-      s.weights = Shape{p.num_output, p.num_cells};
-      s.any = true;
-      break;
-    }
-    default:
-      break;
-  }
-  return s;
-}
-
 double FanSum(const IrLayer& layer) {
   const double fan_in =
       static_cast<double>(layer.input_shapes.front().NumElements());
@@ -78,7 +18,7 @@ double FanSum(const IrLayer& layer) {
 }  // namespace
 
 ParamCounts ParamCountsFor(const IrLayer& layer) {
-  const ParamShapes shapes = ShapesFor(layer);
+  const ParamShapes shapes = ParamShapesFor(layer);
   const auto count = [](const Shape& s) {
     return s.rank() > 0 ? s.NumElements() : 0;
   };
@@ -89,8 +29,8 @@ ParamCounts ParamCountsFor(const IrLayer& layer) {
 WeightStore WeightStore::CreateFor(const Network& net) {
   WeightStore store;
   for (const IrLayer* layer : net.ComputeLayers()) {
-    const ParamShapes shapes = ShapesFor(*layer);
-    if (!shapes.any) continue;
+    const ParamShapes shapes = ParamShapesFor(*layer);
+    if (shapes.weights.rank() == 0) continue;
     LayerParams params;
     params.weights = Tensor(shapes.weights);
     if (shapes.bias.NumElements() > 0 && shapes.bias.rank() > 0)

@@ -32,8 +32,8 @@ expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
 # A memory map larger than the board DRAM is a user-facing error: a
 # 3x4Mx4M input into one INNER_PRODUCT needs ~1 PB against the Zynq's
-# 2 GB, and the generator's mem.capacity check rejects it (exit 2)
-# before the image or the perf model ever sees it.
+# 2 GB, and Network::Build rejects its 2^31-plus-element input blob
+# (exit 2) before the generator, the image or the perf model sees it.
 set(huge_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_huge")
 file(MAKE_DIRECTORY "${huge_dir}")
 file(WRITE "${huge_dir}/huge.prototxt"
@@ -106,6 +106,49 @@ foreach(stride 64 2147483648)
     "top: \"pool1\" pooling_param { pool: MAX kernel_size: 2 stride: 2 } }\n")
   expect_diagnostic(verify --model "${probe_dir}/conv_pool.prototxt")
 endforeach()
+# Conv and pool geometry is read in [1, 2^31-1] (pad from 0), so a pad
+# near 2^62 or a kernel of 2^63-1 cannot overflow shape inference's
+# padded extent.
+set(geometry_8x8
+  "name: \"geometry\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 8\ninput_dim: 8\n")
+foreach(param
+    "convolution_param { num_output: 2 kernel_size: 3 pad: 4611686018427387904 }"
+    "convolution_param { num_output: 2 kernel_size: 9223372036854775807 pad: 4611686018427387904 }")
+  file(WRITE "${probe_dir}/geometry.prototxt" ${geometry_8x8}
+    "layers { name: \"conv\" type: CONVOLUTION bottom: \"data\" "
+    "top: \"conv\" ${param} }\n")
+  expect_diagnostic(verify --model "${probe_dir}/geometry.prototxt")
+endforeach()
+file(WRITE "${probe_dir}/geometry.prototxt" ${geometry_8x8}
+  "layers { name: \"pool\" type: POOLING bottom: \"data\" top: \"pool\" "
+  "pooling_param { pool: MAX kernel_size: 2 pad: 4611686018427387904 } }\n")
+expect_diagnostic(verify --model "${probe_dir}/geometry.prototxt")
+# No blob or weight tensor may pass 2^31 elements: a conv pad of 2^20
+# on the 8x8 input (a 2x2Mx2M output blob, once std::bad_alloc) and
+# ANN-0 with fc3 widened to 2^31-1 outputs (an 8 x (2^31-1) weight
+# matrix, once ~27 s and 8 GB before exit 2) stop at Network::Build.
+file(WRITE "${probe_dir}/geometry.prototxt" ${geometry_8x8}
+  "layers { name: \"conv\" type: CONVOLUTION bottom: \"data\" "
+  "top: \"conv\" convolution_param { num_output: 2 kernel_size: 3 "
+  "pad: 1048576 } }\n")
+expect_diagnostic(verify --model "${probe_dir}/geometry.prototxt")
+expect_diagnostic(--model "${probe_dir}/geometry.prototxt"
+  --out "${probe_dir}/out" --simulate)
+file(WRITE "${probe_dir}/ann0_wide.prototxt"
+  "name: \"ann0_fft\"\ninput: \"data\"\n"
+  "input_dim: 1\ninput_dim: 1\ninput_dim: 1\ninput_dim: 1\n"
+  "layers { name: \"fc1\" type: INNER_PRODUCT bottom: \"data\" "
+  "top: \"fc1\" inner_product_param { num_output: 8 } }\n"
+  "layers { name: \"act1\" type: TANH bottom: \"fc1\" top: \"act1\" }\n"
+  "layers { name: \"fc2\" type: INNER_PRODUCT bottom: \"act1\" "
+  "top: \"fc2\" inner_product_param { num_output: 8 } }\n"
+  "layers { name: \"act2\" type: TANH bottom: \"fc2\" top: \"act2\" }\n"
+  "layers { name: \"fc3\" type: INNER_PRODUCT bottom: \"act2\" "
+  "top: \"fc3\" inner_product_param { num_output: 2147483647 } }\n")
+expect_diagnostic(verify --model "${probe_dir}/ann0_wide.prototxt")
+expect_diagnostic(--model "${probe_dir}/ann0_wide.prototxt"
+  --out "${probe_dir}/out" --simulate)
 file(REMOVE_RECURSE "${probe_dir}")
 
 # Fault counts are bounded (2^20 events per kind), so a huge count is a

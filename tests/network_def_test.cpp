@@ -1,6 +1,8 @@
 // Tests for the typed NetworkDef frontend (Fig. 4 dialect).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "frontend/network_def.h"
 
@@ -155,6 +157,41 @@ TEST(NetworkDef, InvalidConvolutionRejected) {
                                "bottom: \"d\" top: \"c\" param { "
                                "num_output: 2 } }\n"),
                Error);  // fractional input_dim
+}
+
+TEST(NetworkDef, GeometryIsReadBelowTwoToThe31) {
+  // Kernel, stride and input extents lie in [1, 2^31-1] and pad in
+  // [0, 2^31-1], so shape inference's in + 2 * pad - kernel cannot
+  // overflow.
+  const auto parse = [](const std::string& dims, const std::string& layer) {
+    return ParseNetworkDef("input: \"d\"\ninput_dim: 1\n" + dims + layer);
+  };
+  const std::string dims = "input_dim: 1\ninput_dim: 8\ninput_dim: 8\n";
+  const auto conv = [](const std::string& geometry) {
+    return "layers { name: \"c\" type: CONVOLUTION bottom: \"d\" "
+           "top: \"c\" param { num_output: 2 " + geometry + " } }\n";
+  };
+  const auto pool = [](const std::string& geometry) {
+    return "layers { name: \"p\" type: POOLING bottom: \"d\" "
+           "top: \"p\" param { " + geometry + " } }\n";
+  };
+  EXPECT_NO_THROW(parse(dims, conv("kernel_size: 2147483647 "
+                                   "stride: 2147483647 pad: 2147483647")));
+  EXPECT_NO_THROW(parse(dims, pool("kernel_size: 2147483647 "
+                                   "stride: 2147483647 pad: 2147483647")));
+  for (const char* geometry :
+       {"pad: 4611686018427387904", "pad: 2147483648", "pad: -1",
+        "kernel_size: 9223372036854775807", "kernel_size: 2147483648",
+        "kernel_size: 0", "stride: 2147483648", "stride: 0"}) {
+    EXPECT_THROW(parse(dims, conv(geometry)), ParseError) << geometry;
+    EXPECT_THROW(parse(dims, pool(geometry)), ParseError) << geometry;
+  }
+  for (const char* bad_dims :
+       {"input_dim: 1\ninput_dim: 8\ninput_dim: 2147483648\n",
+        "input_dim: 0\ninput_dim: 8\ninput_dim: 8\n",
+        "input_dim: 1\ninput_dim: -8\ninput_dim: 8\n"})
+    EXPECT_THROW(parse(bad_dims, conv("kernel_size: 1")), ParseError)
+        << bad_dims;
 }
 
 TEST(NetworkDef, InvalidDropoutRatioRejected) {

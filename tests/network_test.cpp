@@ -1,6 +1,9 @@
 // Tests for the graph IR: construction, shape inference, validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/error.h"
 #include "graph/network.h"
 #include "models/zoo.h"
@@ -118,6 +121,34 @@ TEST(ShapeInference, PoolingKernelLargerThanPaddedInputThrows) {
   def.pool->kernel_size = 4;
   def.pool->stride = 2147483648;
   EXPECT_EQ(InferOutputShape(def, {{1, 4, 4}}).width, 1);
+}
+
+TEST(ShapeInference, TensorsPastTwoToThe31ElementsRejected) {
+  // No blob or weight tensor may exceed 2^31 elements (2 GB of device
+  // DRAM at one byte each).  The largest admitted pad, 2^31-1, makes a
+  // 4 x 4G x 4G output whose count saturates instead of wrapping.
+  const auto conv = [](const std::string& geometry) {
+    return Network::Build(ParseNetworkDef(
+        Header(1, 8, 8) +
+        "layers { name: \"c\" type: CONVOLUTION bottom: \"data\" "
+        "top: \"c\" param { num_output: 4 " + geometry + " } }\n"));
+  };
+  EXPECT_THROW(conv("kernel_size: 3 pad: 1048576"), Error);
+  EXPECT_THROW(conv("kernel_size: 3 pad: 2147483647"), Error);
+  // 4 x 1 x 23170^2 weights stay under the limit, one more does not.
+  EXPECT_NO_THROW(conv("kernel_size: 23170 pad: 11581"));
+  EXPECT_THROW(conv("kernel_size: 23171 pad: 11582"), Error);
+  const auto fc = [](int c, int h, int w, std::int64_t num_output) {
+    return Network::Build(ParseNetworkDef(
+        Header(c, h, w) +
+        "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
+        "top: \"fc\" param { num_output: " + std::to_string(num_output) +
+        " } }\n"));
+  };
+  EXPECT_NO_THROW(fc(2, 32768, 32768, 1));  // exactly 2^31 weights
+  EXPECT_THROW(fc(2, 32768, 32768, 2), Error);
+  EXPECT_THROW(fc(8, 1, 1, 2147483647), Error);
+  EXPECT_THROW(fc(3, 2147483647, 2147483647, 1), Error);  // input blob
 }
 
 TEST(ShapeInference, InnerProductFlattens) {

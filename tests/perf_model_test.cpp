@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "common/error.h"
 #include "core/generator.h"
 #include "frontend/network_def.h"
 #include "graph/layer_stats.h"
@@ -165,17 +167,27 @@ TEST(PerfModel, UnfoldedOverBufferLayerPaysRefetchTraffic) {
   EXPECT_TRUE(unfolded_layer_grew);
 }
 
-// A 3x4Mx4M input into one INNER_PRODUCT needs a petabyte-scale memory
-// map.  The verifier rejects it (mem.capacity); compiled without the
-// verifier, the perf model must saturate instead of wrapping its cycle
-// sums into garbage (a wrapped fetch once produced trace spans ending
-// before they start).
+// A 3x4Mx4M input into one INNER_PRODUCT would need a petabyte-scale
+// memory map; Network::Build now rejects any tensor past 2^31 elements.
+// The largest network it admits, a 2x32Kx32K input into one output,
+// still needs 8 GB of memory map.  The verifier rejects it
+// (mem.capacity); compiled without the verifier, the perf model must
+// saturate instead of wrapping its cycle sums into garbage (a wrapped
+// fetch once produced trace spans ending before they start).
 TEST(PerfModel, OversizedDesignKeepsCycleCountsOrdered) {
-  const Network net = Network::Build(ParseNetworkDef(
-      "name: \"huge\"\ninput: \"data\"\ninput_dim: 1\ninput_dim: 3\n"
-      "input_dim: 4000000\ninput_dim: 4000000\n"
-      "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
-      "top: \"fc\" inner_product_param { num_output: 10 } }\n"));
+  const auto fc_net = [](const std::string& dims, int num_output) {
+    return ParseNetworkDef(
+        "name: \"huge\"\ninput: \"data\"\ninput_dim: 1\n" + dims +
+        "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
+        "top: \"fc\" inner_product_param { num_output: " +
+        std::to_string(num_output) + " } }\n");
+  };
+  EXPECT_THROW(Network::Build(fc_net(
+                   "input_dim: 3\ninput_dim: 4000000\ninput_dim: 4000000\n",
+                   10)),
+               Error);
+  const Network net = Network::Build(
+      fc_net("input_dim: 2\ninput_dim: 32768\ninput_dim: 32768\n", 1));
   const AcceleratorDesign design =
       CompileForConfig(net, SizeDatapath(net, DbConstraint()));
   PerfTrace trace;
