@@ -1,7 +1,6 @@
 #include "sim/functional_sim.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,16 +12,20 @@
 namespace db {
 namespace {
 
-/// Deepest accumulation fan-in (number of summed terms, bias included)
-/// across the network — the bound that decides whether int64
-/// accumulation can ever overflow for this design's format.
-std::int64_t MaxAccTerms(const Network& net) {
-  std::int64_t worst = 1;
+/// The widest exact sum (sim::SumBits) any layer accumulates, bias
+/// included — the bound that decides whether int64 accumulation can ever
+/// overflow for this design.  Weight-fed MACs multiply a weight word by
+/// an activation of the format, and the word counts at its stored width
+/// `word_bits`: a flipped bit can set any bit of it.  LRN squares
+/// activations, which the format bounds.
+int MaxAccBits(const Network& net, int word_bits, int format_bits) {
+  int worst = 0;
   for (const IrLayer& layer : net.layers()) {
     if (layer.input_ids.empty()) continue;
     const BlobShape& in_shape =
         net.layer(layer.input_ids.front()).output_shape;
-    std::int64_t terms = 1;
+    std::int64_t terms = 0;
+    int operand_bits = word_bits;
     switch (layer.kind()) {
       case LayerKind::kConvolution: {
         const ConvolutionParams& p = *layer.def.conv;
@@ -35,6 +38,7 @@ std::int64_t MaxAccTerms(const Network& net) {
         break;
       case LayerKind::kLrn:
         terms = layer.def.lrn->local_size;
+        operand_bits = format_bits;
         break;
       case LayerKind::kRecurrent:
         terms = in_shape.NumElements() +
@@ -44,9 +48,9 @@ std::int64_t MaxAccTerms(const Network& net) {
         terms = in_shape.NumElements() + layer.def.lstm->num_output + 1;
         break;
       default:
-        break;
+        continue;
     }
-    worst = std::max(worst, terms);
+    worst = std::max(worst, sim::SumBits(operand_bits, format_bits, terms));
   }
   return worst;
 }
@@ -55,12 +59,12 @@ std::int64_t MaxAccTerms(const Network& net) {
 // Accumulation math policies
 //
 // NarrowMath drives the SoA kernel backend with exact int64 sums; it is
-// selected only when MaxAccTerms x format width proves 63-bit
-// accumulation cannot overflow, which is what makes the vector lane
-// order immaterial (bit-identical to scalar).  WideMath is the __int128
-// fallback for formats where that proof fails; it shares the
-// round-half-away writeback so both paths implement the same hardware
-// rounder.
+// selected only when MaxAccBits proves 63-bit accumulation cannot
+// overflow, which is what makes the vector lane order immaterial
+// (bit-identical to scalar).  WideMath is the __int128 fallback for
+// formats where that proof fails; it shares the round-half-away
+// writeback so both paths implement the same hardware rounder.
+// (Convolution picks its tile per layer; see RunConv.)
 // ---------------------------------------------------------------------
 
 struct NarrowMath {
@@ -72,10 +76,6 @@ struct NarrowMath {
            std::size_t batch, std::size_t n) const {
     if constexpr (sizeof(W) == 2) ops.dot_w16(out, w, x, batch, n);
     else ops.dot(out, w, x, batch, n);
-  }
-  void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
-                const std::int64_t* off, std::size_t taps) const {
-    ops.conv_tile(acc, w, in, off, taps);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -92,10 +92,6 @@ struct WideMath {
   void Dot(Acc* out, const W* w, const std::int32_t* const* x,
            std::size_t batch, std::size_t n) const {
     sim::DotReference(out, w, x, batch, n);
-  }
-  void ConvTile(Acc* acc, const std::int32_t* w, const std::int32_t* in,
-                const std::int64_t* off, std::size_t taps) const {
-    sim::ConvTileReference(acc, w, in, off, taps);
   }
   void Writeback(std::int32_t* out, const Acc* acc, std::size_t n,
                  const FixedFormat& fmt) const {
@@ -197,13 +193,9 @@ void FunctionalSimulator::Bind(const MemoryImage& image) {
   }
   last_use_[static_cast<std::size_t>(net_.OutputLayer().id)] =
       std::numeric_limits<int>::max();
-  // |sum of T products| <= T * 2^(2*(total_bits-1)), so int64
-  // accumulation is safe iff 2*(tb-1) + ceil_log2(T) stays within 62
-  // bits (one bit of headroom below the sign).
-  const std::int64_t max_terms = MaxAccTerms(net_);
-  const int term_bits = std::bit_width(
-      static_cast<std::uint64_t>(max_terms));
-  narrow_ = 2 * (fmt_.total_bits() - 1) + term_bits <= 62;
+  // int64 accumulation is safe while every sum stays within 62 bits
+  // (one bit of headroom below the sign).
+  narrow_ = MaxAccBits(net_, 8 * elem_bytes_, fmt_.total_bits()) <= 62;
   // Resolve the kernel backend now, on the constructing thread: a bad
   // DB_SIM_KERNEL value must surface as db::Error where the CLI can
   // report it, not escape a replica lane thread and terminate.
@@ -260,78 +252,94 @@ void FunctionalSimulator::RunConv(const Math& math, const Params<W>& params,
   const std::int64_t out_w = out.shape.width;
   const std::int64_t group_in = in_c / p.group;
   const std::int64_t group_out = out.shape.channels / p.group;
-
-  // Layout: the zero-padded input split into s column phases,
-  //   phased[c][r][iy][j] = padded[c][iy][j * s + r],
-  // so tap (ky, kx) of output pixels x0..x0+kP-1 on row y is the
-  // contiguous run phased[c][kx % s][y * s + ky][x0 + kx / s + i].  Rows
-  // hold every column the last tile's full-width loads reach; pixels
-  // past out_w read in-range values or zeros and are discarded.
-  const std::int64_t rows = (out_h - 1) * s + k;
-  const std::int64_t row_w = CeilDiv(out_w, kP) * kP + (k - 1) / s;
-  const std::int64_t plane = s * rows * row_w;  // one channel, all phases
-  std::int32_t* phased = arena_.AllocZeroed<std::int32_t>(
-      static_cast<std::size_t>(in_c * plane));
-  for (std::int64_t c = 0; c < in_c; ++c)
-    for (std::int64_t r = 0; r < s; ++r) {
-      // Phase columns j whose source column j * s + r - pad is inside
-      // the input.
-      const std::int64_t j_lo =
-          CeilDiv(std::max<std::int64_t>(p.pad - r, 0), s);
-      const std::int64_t j_hi = std::min(
-          row_w, CeilDiv(std::max<std::int64_t>(in_w + p.pad - r, 0), s));
-      for (std::int64_t iy = 0; iy < rows; ++iy) {
-        const std::int64_t src_y = iy - p.pad;
-        if (src_y < 0 || src_y >= in_h) continue;
-        const std::int32_t* src = in0.raw + (c * in_h + src_y) * in_w;
-        std::int32_t* dst = phased + ((c * s + r) * rows + iy) * row_w;
-        for (std::int64_t j = j_lo; j < j_hi; ++j)
-          dst[j] = src[j * s + r - p.pad];
-      }
-    }
-
-  // Tap t = (g, ky, kx) — the weight order within an output channel —
-  // as an offset from the tile's origin.
   const std::int64_t taps = group_in * k * k;
-  std::int64_t* off =
-      arena_.Alloc<std::int64_t>(static_cast<std::size_t>(taps));
-  for (std::int64_t g = 0, t = 0; g < group_in; ++g)
-    for (std::int64_t ky = 0; ky < k; ++ky)
-      for (std::int64_t kx = 0; kx < k; ++kx, ++t)
-        off[t] = ((g * s + kx % s) * rows + ky) * row_w + kx / s;
 
-  // Per block of kC output channels of one group: pack the weights as
-  // w[t][kC] (zero past the group's last channel), then sweep the
-  // output in kC x kP register tiles.  The weights are read from the
-  // image here, on every run.
-  std::int32_t* w_pack =
-      arena_.Alloc<std::int32_t>(static_cast<std::size_t>(taps * kC));
-  Acc* acc = arena_.Alloc<Acc>(static_cast<std::size_t>(kC * kP));
-  for (std::int64_t grp = 0; grp < p.group; ++grp) {
-    const std::int32_t* in_g = phased + grp * group_in * plane;
-    const std::int64_t oc_end = (grp + 1) * group_out;
-    for (std::int64_t oc0 = grp * group_out; oc0 < oc_end; oc0 += kC) {
-      const std::int64_t n_oc = std::min(kC, oc_end - oc0);
-      if (n_oc < kC) std::fill(w_pack, w_pack + taps * kC, 0);
-      for (std::int64_t j = 0; j < n_oc; ++j) {
-        const W* w_oc = params.weights + (oc0 + j) * taps;
-        for (std::int64_t t = 0; t < taps; ++t) w_pack[t * kC + j] = w_oc[t];
-      }
-      for (std::int64_t y = 0; y < out_h; ++y)
-        for (std::int64_t x0 = 0; x0 < out_w; x0 += kP) {
-          math.ConvTile(acc, w_pack, in_g + y * s * row_w + x0, off,
-                        static_cast<std::size_t>(taps));
-          const std::int64_t n_x = std::min(kP, out_w - x0);
-          for (std::int64_t j = 0; j < n_oc; ++j) {
-            Acc* row = acc + j * kP;
-            const Acc bias = params.template Bias<Acc>(oc0 + j, f);
-            for (std::int64_t i = 0; i < n_x; ++i) row[i] += bias;
-            math.Writeback(out.raw + ((oc0 + j) * out_h + y) * out_w + x0,
-                           row, static_cast<std::size_t>(n_x), fmt_);
-          }
+  // The sweep over operands of type T, with a tile that sums them into
+  // TileAcc.
+  const auto sweep = [&]<typename TileAcc, typename T>(
+                         void (*tile)(TileAcc*, const T*, const T*,
+                                      const std::int64_t*, std::size_t)) {
+    // Layout: the zero-padded input split into s column phases,
+    //   phased[c][r][iy][j] = padded[c][iy][j * s + r],
+    // so tap (ky, kx) of output pixels x0..x0+kP-1 on row y is the
+    // contiguous run phased[c][kx % s][y * s + ky][x0 + kx / s + i].
+    // Rows hold every column the last tile's full-width loads reach;
+    // pixels past out_w read in-range values or zeros and are discarded.
+    const std::int64_t rows = (out_h - 1) * s + k;
+    const std::int64_t row_w = CeilDiv(out_w, kP) * kP + (k - 1) / s;
+    const std::int64_t plane = s * rows * row_w;  // one channel, all phases
+    T* phased = arena_.AllocZeroed<T>(static_cast<std::size_t>(in_c * plane));
+    for (std::int64_t c = 0; c < in_c; ++c)
+      for (std::int64_t r = 0; r < s; ++r) {
+        // Phase columns j whose source column j * s + r - pad is inside
+        // the input.
+        const std::int64_t j_lo =
+            CeilDiv(std::max<std::int64_t>(p.pad - r, 0), s);
+        const std::int64_t j_hi = std::min(
+            row_w, CeilDiv(std::max<std::int64_t>(in_w + p.pad - r, 0), s));
+        for (std::int64_t iy = 0; iy < rows; ++iy) {
+          const std::int64_t src_y = iy - p.pad;
+          if (src_y < 0 || src_y >= in_h) continue;
+          const std::int32_t* src = in0.raw + (c * in_h + src_y) * in_w;
+          T* dst = phased + ((c * s + r) * rows + iy) * row_w;
+          for (std::int64_t j = j_lo; j < j_hi; ++j)
+            dst[j] = static_cast<T>(src[j * s + r - p.pad]);
         }
+      }
+
+    // Tap t = (g, ky, kx) — the weight order within an output channel —
+    // as an offset from the tile's origin.
+    std::int64_t* off =
+        arena_.Alloc<std::int64_t>(static_cast<std::size_t>(taps));
+    for (std::int64_t g = 0, t = 0; g < group_in; ++g)
+      for (std::int64_t ky = 0; ky < k; ++ky)
+        for (std::int64_t kx = 0; kx < k; ++kx, ++t)
+          off[t] = ((g * s + kx % s) * rows + ky) * row_w + kx / s;
+
+    // Per block of kC output channels of one group: pack the weights as
+    // w[t][kC] (zero past the group's last channel), then sweep the
+    // output in kC x kP register tiles.  The weights are read from the
+    // image here, on every run.
+    T* w_pack = arena_.Alloc<T>(static_cast<std::size_t>(taps * kC));
+    TileAcc* sums = arena_.Alloc<TileAcc>(static_cast<std::size_t>(kC * kP));
+    Acc row[kP];
+    for (std::int64_t grp = 0; grp < p.group; ++grp) {
+      const T* in_g = phased + grp * group_in * plane;
+      const std::int64_t oc_end = (grp + 1) * group_out;
+      for (std::int64_t oc0 = grp * group_out; oc0 < oc_end; oc0 += kC) {
+        const std::int64_t n_oc = std::min(kC, oc_end - oc0);
+        if (n_oc < kC) std::fill(w_pack, w_pack + taps * kC, T{0});
+        for (std::int64_t j = 0; j < n_oc; ++j) {
+          const W* w_oc = params.weights + (oc0 + j) * taps;
+          for (std::int64_t t = 0; t < taps; ++t)
+            w_pack[t * kC + j] = static_cast<T>(w_oc[t]);
+        }
+        for (std::int64_t y = 0; y < out_h; ++y)
+          for (std::int64_t x0 = 0; x0 < out_w; x0 += kP) {
+            tile(sums, w_pack, in_g + y * s * row_w + x0, off,
+                 static_cast<std::size_t>(taps));
+            const std::int64_t n_x = std::min(kP, out_w - x0);
+            for (std::int64_t j = 0; j < n_oc; ++j) {
+              const Acc bias = params.template Bias<Acc>(oc0 + j, f);
+              for (std::int64_t i = 0; i < n_x; ++i)
+                row[i] = static_cast<Acc>(sums[j * kP + i]) + bias;
+              math.Writeback(out.raw + ((oc0 + j) * out_h + y) * out_w + x0,
+                             row, static_cast<std::size_t>(n_x), fmt_);
+            }
+          }
+      }
     }
-  }
+  };
+
+  // The kernel backend's double tile wherever its sums are provably
+  // exact (a weight word, counted at its stored width as in MaxAccBits,
+  // by an activation of the format, over `taps` terms; the bias joins
+  // after); else the integer reference tile at the policy's width.
+  if (sim::SumBits(8 * elem_bytes_, fmt_.total_bits(), taps) <=
+      sim::kConvTileExactBits)
+    sweep(sim::ActiveKernels().conv_tile);
+  else
+    sweep(&sim::ConvTileReference<Acc, std::int32_t>);
 }
 
 template <typename Math, typename W>

@@ -42,7 +42,7 @@ constexpr KernelOps kScalarOps = {
     "scalar",
     DotReference<std::int64_t, std::int32_t>,
     DotReference<std::int64_t, std::int16_t>,
-    ConvTileReference<std::int64_t>,
+    ConvTileReference<double, double>,
     ScalarWriteback,
     ScalarRelu,
     ScalarMaxValue,
@@ -58,14 +58,15 @@ const KernelOps& ScalarKernels() { return kScalarOps; }
 
 #if defined(DB_HAVE_AVX2_KERNELS)
 namespace detail {
-// Defined in kernels_avx2.cpp (compiled with -mavx2).
+// Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma).
 const KernelOps& Avx2KernelsImpl();
 }  // namespace detail
 #endif
 
 bool Avx2Available() {
 #if defined(DB_HAVE_AVX2_KERNELS) && defined(__x86_64__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif

@@ -7,21 +7,25 @@
 // image, and accumulators are int64.  Convolution runs as register
 // tiles (conv_tile: 4 output channels x 8 output pixels, the tap loop
 // innermost) over an input the simulator has laid out zero-padded and
-// split into stride phases, so one tile serves every stride; FC and
-// recurrent rows run as batched dot products, one weight row against up
-// to kDotBatch images' activations, so a batch reads each weight once.
+// split into stride phases, so one tile serves every stride.  The tile
+// computes in double: its operands are integers, and the simulator
+// routes a layer to it only when every partial sum stays an integer
+// below 2^53 in magnitude, where each fused multiply-add is exact.  FC
+// and recurrent rows run as batched dot products, one weight row
+// against up to kDotBatch images' activations, so a batch reads each
+// weight once.
 // This header is the contract between the simulator and the two
 // interchangeable kernel backends:
 //
 //   * scalar  — portable reference, always available
-//   * avx2    — 4/8-lane vectorised variants, compiled into the build on
-//               x86-64 and selected at runtime only when the CPU reports
-//               AVX2
+//   * avx2    — 4/8-lane vectorised variants (the conv tile on FMA),
+//               compiled into the build on x86-64 and selected at
+//               runtime only when the CPU reports AVX2 and FMA
 //
 // Both backends are BIT-IDENTICAL by construction: every kernel either
-// is elementwise or accumulates exact int64 sums (the simulator only
-// routes a layer through these kernels when the accumulation provably
-// cannot overflow 63 bits, so summation order is immaterial).  The
+// is elementwise or accumulates exact integer sums — int64 sums the
+// simulator has proven cannot overflow 63 bits, or double sums it has
+// proven stay below 2^53 — so summation order is immaterial.  The
 // differential test suite pins this equivalence across the model zoo.
 //
 // The arena allocator below carries the per-run scratch state (layer
@@ -31,9 +35,11 @@
 // emitter/arena idiom applied to simulation state.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace db::sim {
@@ -62,6 +68,23 @@ inline __int128 RoundShiftHalfAway128(__int128 v, int frac_bits) {
 }
 
 // ---------------------------------------------------------------------
+// Exact-sum bounds
+// ---------------------------------------------------------------------
+
+/// A bound on a sum of `terms` products of an a-bit by a b-bit two's-
+/// complement integer: |sum| <= terms * 2^(a-1) * 2^(b-1) < 2^SumBits,
+/// and so is every partial sum.
+constexpr int SumBits(int a_bits, int b_bits, std::int64_t terms) {
+  return (a_bits - 1) + (b_bits - 1) +
+         std::bit_width(static_cast<std::uint64_t>(terms));
+}
+
+/// conv_tile sums in double, which holds every integer up to 2^53: its
+/// sums are exact while SumBits(weight, activation, taps) stays within
+/// this bound.
+inline constexpr int kConvTileExactBits = 53;
+
+// ---------------------------------------------------------------------
 // Kernel ops table
 // ---------------------------------------------------------------------
 
@@ -86,19 +109,21 @@ void DotReference(Acc* out, const W* w, const std::int32_t* const* x,
   for (std::size_t b = 0; b < batch; ++b) out[b] = acc[b];
 }
 
-/// conv_tile's arithmetic at any accumulator width: the scalar backend
-/// runs it at int64, the simulator's __int128 path at full width.
-template <typename Acc>
-void ConvTileReference(Acc* acc, const std::int32_t* w,
-                       const std::int32_t* in, const std::int64_t* off,
-                       std::size_t taps) {
+/// conv_tile's arithmetic over operands of type T into Acc: the scalar
+/// backend runs it on doubles, the simulator's integer paths on int32
+/// operands at int64 or __int128.  Each product is formed in T's
+/// promotion with int64 (double for doubles, exact int64 for int32s).
+template <typename Acc, typename T>
+void ConvTileReference(Acc* acc, const T* w, const T* in,
+                       const std::int64_t* off, std::size_t taps) {
+  using Product = std::common_type_t<T, std::int64_t>;
   constexpr std::size_t kC = kConvTileChannels;
   constexpr std::size_t kP = kConvTilePixels;
   for (std::size_t i = 0; i < kC * kP; ++i) acc[i] = 0;
   for (std::size_t t = 0; t < taps; ++t) {
-    const std::int32_t* x = in + off[t];
+    const T* x = in + off[t];
     for (std::size_t j = 0; j < kC; ++j) {
-      const std::int64_t wj = w[t * kC + j];
+      const Product wj = w[t * kC + j];
       for (std::size_t i = 0; i < kP; ++i) acc[j * kP + i] += Acc{wj * x[i]};
     }
   }
@@ -126,12 +151,14 @@ struct KernelOps {
   /// The register tile of a convolution: kConvTileChannels output
   /// channels x kConvTilePixels consecutive output pixels of one row,
   ///   acc[j * kConvTilePixels + i] =
-  ///       sum_{t < taps} int64(w[t * kConvTileChannels + j]) * in[off[t] + i]
+  ///       sum_{t < taps} w[t * kConvTileChannels + j] * in[off[t] + i]
   /// Tap t of every pixel is one contiguous load at in + off[t]; the
-  /// caller lays the input out so that no tap needs clipping.
-  void (*conv_tile)(std::int64_t* acc, const std::int32_t* w,
-                    const std::int32_t* in, const std::int64_t* off,
-                    std::size_t taps);
+  /// caller lays the input out so that no tap needs clipping.  Operands
+  /// are integer-valued doubles whose SumBits over `taps` is at most
+  /// kConvTileExactBits, so each multiply-add is exact and the result
+  /// does not depend on the order of the sum.
+  void (*conv_tile)(double* acc, const double* w, const double* in,
+                    const std::int64_t* off, std::size_t taps);
 
   /// out[i] = clamp(RoundShiftHalfAway(acc[i], frac_bits), raw_min,
   /// raw_max) — the accumulator writeback stage of the synergy-neuron
@@ -162,7 +189,7 @@ enum class KernelBackend {
 std::string KernelBackendName(KernelBackend backend);
 
 /// True when the AVX2 kernels are compiled into this binary AND the
-/// running CPU advertises AVX2.
+/// running CPU advertises AVX2 and FMA.
 bool Avx2Available();
 
 /// Override the backend (tests, benches, DB_SIM_KERNEL env).  Throws

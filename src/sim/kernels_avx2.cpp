@@ -1,11 +1,13 @@
 // AVX2 kernel backend.  This translation unit is compiled with -mavx2
-// (see src/sim/CMakeLists.txt) and is only entered after
-// Avx2Available() confirmed the CPU supports it.
+// -mfma (see src/sim/CMakeLists.txt) and is only entered after
+// Avx2Available() confirmed the CPU supports both.
 //
 // Bit-identity with the scalar backend is structural: every op is either
-// elementwise (writeback, relu, max) or an exact int64 accumulation
-// (batched dot, int16-weight dot, conv tile) whose summation order cannot matter
-// because the simulator guarantees no-overflow before routing work here.
+// elementwise (writeback, relu, max) or an exact accumulation — int64
+// for the batched and int16-weight dots, integer-valued double for the
+// conv tile — whose summation order cannot matter because the simulator
+// proves the sums fit (63 bits, or 53 for doubles) before routing work
+// here.
 #include "sim/kernels.h"
 
 #if defined(DB_HAVE_AVX2_KERNELS)
@@ -84,47 +86,44 @@ void Avx2Dot(std::int64_t* out, const W* w, const std::int32_t* const* x,
   }
 }
 
-void Avx2ConvTile(std::int64_t* acc, const std::int32_t* w,
-                  const std::int32_t* in, const std::int64_t* off,
-                  std::size_t taps) {
+void Avx2ConvTile(double* acc, const double* w, const double* in,
+                  const std::int64_t* off, std::size_t taps) {
   static_assert(kConvTileChannels == 4 && kConvTilePixels == 8);
-  // The 4x8 int64 tile lives in eight ymm accumulators: a<j><half> holds
-  // output channel j, pixels [4*half, 4*half+4).  Each tap widens the 8
-  // input pixels once and broadcasts each channel's weight into the low
-  // 32 bits of every 64-bit lane, which is all _mm256_mul_epi32 reads.
-  __m256i a00 = _mm256_setzero_si256(), a01 = _mm256_setzero_si256();
-  __m256i a10 = _mm256_setzero_si256(), a11 = _mm256_setzero_si256();
-  __m256i a20 = _mm256_setzero_si256(), a21 = _mm256_setzero_si256();
-  __m256i a30 = _mm256_setzero_si256(), a31 = _mm256_setzero_si256();
+  // The 4x8 tile lives in eight ymm accumulators: a<j><half> holds
+  // output channel j, pixels [4*half, 4*half+4).  Each tap loads the 8
+  // input pixels once and broadcasts each channel's weight into one
+  // fused multiply-add per half; every sum is an integer below 2^53, so
+  // each FMA is exact.
+  __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+  __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+  __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+  __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
   for (std::size_t t = 0; t < taps; ++t) {
-    const std::int32_t* x = in + off[t];
-    const __m256i lo = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
-    const __m256i hi = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 4)));
-    const std::int32_t* wt = w + t * kConvTileChannels;
-    const __m256i w0 = _mm256_set1_epi32(wt[0]);
-    a00 = _mm256_add_epi64(a00, _mm256_mul_epi32(lo, w0));
-    a01 = _mm256_add_epi64(a01, _mm256_mul_epi32(hi, w0));
-    const __m256i w1 = _mm256_set1_epi32(wt[1]);
-    a10 = _mm256_add_epi64(a10, _mm256_mul_epi32(lo, w1));
-    a11 = _mm256_add_epi64(a11, _mm256_mul_epi32(hi, w1));
-    const __m256i w2 = _mm256_set1_epi32(wt[2]);
-    a20 = _mm256_add_epi64(a20, _mm256_mul_epi32(lo, w2));
-    a21 = _mm256_add_epi64(a21, _mm256_mul_epi32(hi, w2));
-    const __m256i w3 = _mm256_set1_epi32(wt[3]);
-    a30 = _mm256_add_epi64(a30, _mm256_mul_epi32(lo, w3));
-    a31 = _mm256_add_epi64(a31, _mm256_mul_epi32(hi, w3));
+    const double* x = in + off[t];
+    const __m256d lo = _mm256_loadu_pd(x);
+    const __m256d hi = _mm256_loadu_pd(x + 4);
+    const double* wt = w + t * kConvTileChannels;
+    const __m256d w0 = _mm256_broadcast_sd(wt + 0);
+    a00 = _mm256_fmadd_pd(lo, w0, a00);
+    a01 = _mm256_fmadd_pd(hi, w0, a01);
+    const __m256d w1 = _mm256_broadcast_sd(wt + 1);
+    a10 = _mm256_fmadd_pd(lo, w1, a10);
+    a11 = _mm256_fmadd_pd(hi, w1, a11);
+    const __m256d w2 = _mm256_broadcast_sd(wt + 2);
+    a20 = _mm256_fmadd_pd(lo, w2, a20);
+    a21 = _mm256_fmadd_pd(hi, w2, a21);
+    const __m256d w3 = _mm256_broadcast_sd(wt + 3);
+    a30 = _mm256_fmadd_pd(lo, w3, a30);
+    a31 = _mm256_fmadd_pd(hi, w3, a31);
   }
-  __m256i* out = reinterpret_cast<__m256i*>(acc);
-  _mm256_storeu_si256(out + 0, a00);
-  _mm256_storeu_si256(out + 1, a01);
-  _mm256_storeu_si256(out + 2, a10);
-  _mm256_storeu_si256(out + 3, a11);
-  _mm256_storeu_si256(out + 4, a20);
-  _mm256_storeu_si256(out + 5, a21);
-  _mm256_storeu_si256(out + 6, a30);
-  _mm256_storeu_si256(out + 7, a31);
+  _mm256_storeu_pd(acc + 0, a00);
+  _mm256_storeu_pd(acc + 4, a01);
+  _mm256_storeu_pd(acc + 8, a10);
+  _mm256_storeu_pd(acc + 12, a11);
+  _mm256_storeu_pd(acc + 16, a20);
+  _mm256_storeu_pd(acc + 20, a21);
+  _mm256_storeu_pd(acc + 24, a30);
+  _mm256_storeu_pd(acc + 28, a31);
 }
 
 void Avx2Writeback(std::int32_t* out, const std::int64_t* acc,

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -204,7 +207,8 @@ struct ConvCase {
   bool extremes;  // raws drawn from the format's edges, not its middle
 };
 
-ConvCase RandomConvCase(Rng& rng, int bits) {
+/// `max_group_in` caps the input channels per group.
+ConvCase RandomConvCase(Rng& rng, int bits, std::uint64_t max_group_in) {
   ConvCase c{};
   c.bits = bits;
   c.frac = bits / 4 + static_cast<int>(rng.UniformInt(
@@ -214,7 +218,8 @@ ConvCase RandomConvCase(Rng& rng, int bits) {
   c.pad = static_cast<std::int64_t>(
       rng.UniformInt(static_cast<std::uint64_t>(c.k)));
   c.group = 1 + static_cast<std::int64_t>(rng.UniformInt(3));
-  c.channels = c.group * (1 + static_cast<std::int64_t>(rng.UniformInt(3)));
+  c.channels = c.group * (1 + static_cast<std::int64_t>(
+                                  rng.UniformInt(max_group_in)));
   c.num_output = c.group * (1 + static_cast<std::int64_t>(rng.UniformInt(6)));
   // The unpadded input may be smaller than the kernel; only the padded
   // extent has to cover it.
@@ -264,8 +269,9 @@ std::int64_t RandomRaw(Rng& rng, const FixedFormat& fmt, bool extremes) {
 /// fractional bits, exact products, the hardware rounder and
 /// saturation.  Covers strided AND padded kernels (no zoo model has
 /// one), grouped channels, output channel counts off the 4-wide tile,
-/// kernels wider than the unpadded input, and widths on both sides of
-/// the int64 accumulation guard.
+/// kernels wider than the unpadded input, widths on both sides of the
+/// int64 accumulation guard, and layers on both sides of the double
+/// tile's exactness bound.
 TEST(FunctionalSim, ConvMatchesExactReference) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
@@ -274,9 +280,19 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
   Rng rng(1512);
   int cases = 0;
-  for (const int bits : {8, 16, 24, 32}) {
+  // Per width, the cases whose layer runs the double tile ([0]) and
+  // the integer one ([1]).
+  std::map<int, std::array<int, 2>> sides;
+  // 24 bits leaves the double tile at 128 taps, 20-22 bits between 512
+  // and 2048 taps: those three draw deeper inputs to reach both sides.
+  const struct {
+    int bits;
+    std::uint64_t max_group_in;
+  } widths[] = {{8, 3},   {16, 3},  {24, 3}, {32, 3},
+                {20, 24}, {21, 24}, {22, 24}};
+  for (const auto [bits, max_group_in] : widths) {
     for (int trial = 0; trial < 40; ++trial, ++cases) {
-      const ConvCase c = RandomConvCase(rng, bits);
+      const ConvCase c = RandomConvCase(rng, bits, max_group_in);
       const std::string script = ConvScript(c);
       SCOPED_TRACE(StrFormat("bits=%d frac=%d extremes=%d\n", c.bits,
                              c.frac, c.extremes ? 1 : 0) +
@@ -288,6 +304,11 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
       const AcceleratorDesign design = GenerateAccelerator(net, constraint);
       const FixedFormat& fmt = design.config.format;
       const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+      const std::int64_t taps = c.channels / c.group * c.k * c.k;
+      ++sides[bits][sim::SumBits(8 * elem_bytes, bits, taps) <=
+                            sim::kConvTileExactBits
+                        ? 0
+                        : 1];
 
       // Weights: raw draws, stored through the float store the way the
       // host provisions them; the reference reads back what the image
@@ -364,7 +385,89 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
       }
     }
   }
-  EXPECT_EQ(cases, 160);
+  EXPECT_EQ(cases, 280);
+  for (const int bits : {20, 21, 22, 24})
+    EXPECT_TRUE(sides[bits][0] > 0 && sides[bits][1] > 0) << bits << " bits";
+}
+
+/// One k x k convolution without bias over a 1 x k x k input (one output
+/// pixel): its weight words are set to w(t) straight in the image, as
+/// flipped bits may set them, and its input raws to x(t), for tap t in
+/// (ky, kx) order.  Returns the output raw under every kernel backend.
+template <typename WordOf, typename RawOf>
+std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
+                                          WordOf w, RawOf x) {
+  struct BackendGuard {
+    ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
+  } guard;
+  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
+  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::string side = std::to_string(k);
+  const Network net = Network::Build(ParseNetworkDef(
+      "input: \"data\"\ninput_dim: 1\ninput_dim: 1\ninput_dim: " + side +
+      "\ninput_dim: " + side +
+      "\nlayers { name: \"conv\" type: CONVOLUTION bottom: \"data\" "
+      "top: \"conv\" convolution_param { num_output: 1 kernel_size: " +
+      side + " bias_term: false } }\n"));
+  DesignConstraint constraint = DbConstraint();
+  constraint.bit_width = bits;
+  constraint.frac_bits = frac;
+  const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+  const FixedFormat& fmt = design.config.format;
+  const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+  MemoryImage image(design.memory_map.total_bytes());
+  WriteWeights(image, net, design, WeightStore::CreateFor(net));
+  const WeightRegionLayout layout =
+      LayoutWeightRegion(net.layer(net.OutputLayer().id), design);
+  EXPECT_EQ(layout.counts.weights, k * k);
+  Tensor input(Shape{1, k, k});
+  for (std::int64_t t = 0; t < k * k; ++t) {
+    image.WriteElem(layout.weights_addr + t * elem_bytes, w(t), elem_bytes);
+    input[t] = static_cast<float>(fmt.Dequantize(x(t)));
+  }
+  std::vector<std::int64_t> out;
+  for (const sim::KernelBackend backend : backends) {
+    sim::SetKernelBackend(backend);
+    const Tensor y = FunctionalSimulator(net, design, image).Run(input);
+    EXPECT_EQ(y.size(), 1);
+    out.push_back(fmt.Quantize(static_cast<double>(y[0])));
+  }
+  return out;
+}
+
+/// A flipped bit can set any bit of a weight's stored word, not just the
+/// format's, so both accumulation bounds count the word's width.
+TEST(FunctionalSim, WordWideWeightsStayExact) {
+  // int64: a 28-bit format keeps its weights in 32-bit words, and 36
+  // INT32_MIN words against the most negative activation sum to
+  // 36 * 2^58, past int64.  The layer runs at __int128 and saturates to
+  // +raw_max (a wrapped int64 sum came out as -raw_max).
+  const std::int64_t raw_max_28 = (std::int64_t{1} << 27) - 1;
+  for (const std::int64_t raw : RunWordWideConv(
+           28, 8, 6,
+           [](std::int64_t) { return std::numeric_limits<std::int32_t>::min(); },
+           [](std::int64_t) { return -(std::int64_t{1} << 27); }))
+    EXPECT_EQ(raw, raw_max_28);
+  // double: a 20-bit format keeps its weights in 3-byte words.  Over a
+  // 65x65 kernel the format's bits would admit the double tile
+  // (19 + 19 + 13 = 51 bits) but the words' do not (23 + 19 + 13 = 55).
+  // 2049 taps of (-2^23) x (-2^19) lift the sum past 2^53, where tap 2049
+  // adds 1, which a double cannot hold there; 2049 taps of
+  // (-2^23) x (2^19 - 1) and one of (-2^23) x 2049 take it back down.
+  // The exact sum is 1; the double tile would return 0.
+  constexpr std::int64_t kUp = 2049;
+  const auto w = [](std::int64_t t) -> std::int64_t {
+    if (t == kUp) return 1;
+    return t <= 2 * kUp + 1 ? -(std::int64_t{1} << 23) : 0;
+  };
+  const auto x = [](std::int64_t t) -> std::int64_t {
+    if (t < kUp) return -(std::int64_t{1} << 19);
+    if (t == kUp) return 1;
+    if (t <= 2 * kUp) return (std::int64_t{1} << 19) - 1;
+    return t == 2 * kUp + 1 ? kUp : 0;
+  };
+  for (const std::int64_t raw : RunWordWideConv(20, 0, 65, w, x))
+    EXPECT_EQ(raw, 1);
 }
 
 // ------------------------------------------- LRN vs exact reference

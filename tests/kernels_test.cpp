@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -174,16 +175,57 @@ TEST(Kernels, BatchedDotMatchesBruteForce) {
   }
 }
 
+/// `n` integers drawn uniformly from the `bits`-bit two's-complement
+/// range, as the doubles the conv tile takes.
+std::vector<double> RandomIntegers(Rng& rng, std::size_t n, int bits) {
+  const std::int64_t half = std::int64_t{1} << (bits - 1);
+  std::vector<double> v(n);
+  for (auto& x : v)
+    x = static_cast<double>(
+        static_cast<std::int64_t>(rng.UniformInt(std::uint64_t{1} << bits)) -
+        half);
+  return v;
+}
+
+/// One conv tile call under every backend against the exact int64 sums.
+void CheckConvTile(const std::vector<double>& w, const std::vector<double>& in,
+                   const std::vector<std::int64_t>& off) {
+  constexpr std::size_t kC = kConvTileChannels;
+  constexpr std::size_t kP = kConvTilePixels;
+  const std::size_t taps = off.size();
+  std::vector<std::int64_t> want(kC * kP, 0);
+  for (std::size_t t = 0; t < taps; ++t)
+    for (std::size_t j = 0; j < kC; ++j)
+      for (std::size_t i = 0; i < kP; ++i)
+        want[j * kP + i] +=
+            static_cast<std::int64_t>(w[t * kC + j]) *
+            static_cast<std::int64_t>(in[static_cast<std::size_t>(off[t]) + i]);
+  for (const KernelOps* ops : Backends()) {
+    std::vector<double> acc(kC * kP, 99);
+    ops->conv_tile(acc.data(), w.data(), in.data(), off.data(), taps);
+    std::vector<std::int64_t> got(kC * kP);
+    for (std::size_t i = 0; i < acc.size(); ++i)
+      got[i] = static_cast<std::int64_t>(acc[i]);
+    EXPECT_EQ(got, want) << ops->name << " taps=" << taps;
+  }
+}
+
+/// The double conv tile against its exact int64 oracle, inside the
+/// bound the simulator routes by: 16-bit weights (the int16 words of a
+/// 2-byte image) against activations as wide as SumBits allows for the
+/// tap count, capped at 32 bits.  Tap offsets are random into an input
+/// sized exactly to the furthest tile load, so an over-read is a
+/// sanitizer error.
 TEST(Kernels, ConvTileMatchesBruteForce) {
   constexpr std::size_t kC = kConvTileChannels;
   constexpr std::size_t kP = kConvTilePixels;
   Rng rng(10);
   for (const std::size_t taps :
        {1u, 2u, 3u, 7u, 9u, 25u, 121u, 363u, 1200u, 2304u, 2400u}) {
-    // Random tap offsets into an input buffer sized exactly to the
-    // furthest tile load, so an over-read is a sanitizer error.  Weights
-    // and activations reach 2^24 in magnitude: a 2400-tap sum stays
-    // below 2^60, inside the narrow guard's int64 bound.
+    const auto n_taps = static_cast<std::int64_t>(taps);
+    const int x_bits =
+        std::min(32, kConvTileExactBits - SumBits(16, 1, n_taps) + 1);
+    ASSERT_EQ(SumBits(16, x_bits, n_taps) <= kConvTileExactBits, true);
     std::vector<std::int64_t> off(taps);
     std::size_t extent = 0;
     const std::size_t span = 1 + rng.UniformInt(4 * taps);
@@ -191,24 +233,45 @@ TEST(Kernels, ConvTileMatchesBruteForce) {
       o = static_cast<std::int64_t>(rng.UniformInt(span));
       extent = std::max(extent, static_cast<std::size_t>(o) + kP);
     }
-    const std::vector<std::int32_t> in =
-        RandomI32(rng, extent, -(1 << 24), 1 << 24);
-    std::vector<std::int32_t> w =
-        RandomI32(rng, taps * kC, -(1 << 24), 1 << 24);
-    w.front() = -(1 << 24);
-    w.back() = 1 << 24;
-    std::vector<std::int64_t> want(kC * kP, 0);
-    for (std::size_t t = 0; t < taps; ++t)
-      for (std::size_t j = 0; j < kC; ++j)
-        for (std::size_t i = 0; i < kP; ++i)
-          want[j * kP + i] += static_cast<std::int64_t>(w[t * kC + j]) *
-                              in[static_cast<std::size_t>(off[t]) + i];
-    for (const KernelOps* ops : Backends()) {
-      std::vector<std::int64_t> acc(kC * kP, 99);
-      ops->conv_tile(acc.data(), w.data(), in.data(), off.data(), taps);
-      EXPECT_EQ(acc, want) << ops->name << " taps=" << taps;
-    }
+    std::vector<double> in = RandomIntegers(rng, extent, x_bits);
+    std::vector<double> w = RandomIntegers(rng, taps * kC, 16);
+    in.front() = -std::ldexp(1.0, x_bits - 1);
+    w.front() = -32768;
+    w.back() = 32767;
+    CheckConvTile(w, in, off);
   }
+}
+
+/// Sums exactly at the bound, every one odd: 255 taps of 16-bit weights
+/// against the widest activations SumBits admits (31 bits).  Tap 0 adds
+/// an odd product; the other 254 add about +-2^45, the extremes of the
+/// two operands, so the sums end within 2^46 of 2^53, where a double
+/// still holds every integer.  One bit more of activation would carry
+/// them past 2^53, where an odd sum cannot be represented.
+TEST(Kernels, ConvTileIsExactAtItsBound) {
+  constexpr std::size_t kC = kConvTileChannels;
+  constexpr std::size_t kP = kConvTilePixels;
+  constexpr std::int64_t kTaps = 255;
+  const int x_bits = kConvTileExactBits - SumBits(16, 1, kTaps) + 1;
+  ASSERT_EQ(SumBits(16, x_bits, kTaps), kConvTileExactBits);
+  // in[0, kP): odd pixels 1, 3, ..., read by tap 0; in[kP, 2kP): the
+  // most negative activation, read by every other tap.
+  std::vector<double> in(2 * kP);
+  for (std::size_t i = 0; i < kP; ++i) {
+    in[i] = static_cast<double>(2 * i + 1);
+    in[kP + i] = -std::ldexp(1.0, x_bits - 1);
+  }
+  std::vector<std::int64_t> off(kTaps, static_cast<std::int64_t>(kP));
+  off[0] = 0;
+  // Even channels multiply by the most negative weight (positive sums),
+  // odd channels by the most positive (negative sums); tap 0's weights
+  // are small odd numbers.
+  std::vector<double> w(kTaps * kC);
+  for (std::size_t t = 0; t < static_cast<std::size_t>(kTaps); ++t)
+    for (std::size_t j = 0; j < kC; ++j)
+      w[t * kC + j] = t == 0 ? static_cast<double>(2 * j + 1)
+                             : (j % 2 == 0 ? -32768.0 : 32767.0);
+  CheckConvTile(w, in, off);
 }
 
 TEST(Kernels, WritebackSaturatesAndRoundsTiesAwayFromZero) {
