@@ -263,14 +263,7 @@ NetworkDef ParseNetworkDef(const std::string& prototxt_text) {
       InputDef in;
       in.name = input_names[i]->scalar ? input_names[i]->scalar->text : "";
       auto dim = [&](std::size_t j) {
-        const PtField* f = input_dims[4 * i + j];
-        if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
-          throw ParseError(f->line, "input_dim must be a number");
-        try {
-          return ParseInt(f->scalar->text, 1, kMaxExtent, "input_dim");
-        } catch (const Error& e) {
-          throw ParseError(f->line, e.what());
-        }
+        return ParseIntAt(*input_dims[4 * i + j], 1, kMaxExtent);
       };
       in.channels = dim(1);
       in.height = dim(2);

@@ -256,14 +256,18 @@ const PtField* PtMessage::Find(const std::string& name) const {
 std::int64_t PtMessage::GetInt(const std::string& name, std::int64_t def,
                                std::int64_t lo, std::int64_t hi) const {
   const PtField* f = Find(name);
-  if (f == nullptr) return def;
-  if (!f->scalar || f->scalar->kind != PtScalar::Kind::kNumber)
-    DB_THROW("field '" << name << "' is not a number (line " << f->line
-             << ")");
+  return f == nullptr ? def : ParseIntAt(*f, lo, hi);
+}
+
+std::int64_t ParseIntAt(const PtField& field, std::int64_t lo,
+                        std::int64_t hi) {
+  if (!field.scalar || field.scalar->kind != PtScalar::Kind::kNumber)
+    throw ParseError(field.line, "field '" + field.name +
+                                     "' is not a number");
   try {
-    return ParseInt(f->scalar->text, lo, hi, name);
+    return ParseInt(field.scalar->text, lo, hi, field.name);
   } catch (const Error& e) {
-    throw ParseError(f->line, e.what());
+    throw ParseError(field.line, e.what());
   }
 }
 

@@ -61,10 +61,8 @@ class PtMessage {
   const PtField* Find(const std::string& name) const;
 
   /// Typed scalar accessors with defaults.  Each throws db::Error when the
-  /// field exists but has the wrong kind.  GetInt reads the number's
-  /// source text through ParseInt, so a fraction, an exponent or a value
-  /// outside [lo, hi] throws too (a db::ParseError with the field's
-  /// line).
+  /// field exists but has the wrong kind.  GetInt reads the field through
+  /// ParseIntAt.
   std::int64_t GetInt(const std::string& name, std::int64_t def,
                       std::int64_t lo = INT64_MIN,
                       std::int64_t hi = INT64_MAX) const;
@@ -80,6 +78,13 @@ class PtMessage {
  private:
   std::vector<PtField> fields_;
 };
+
+/// A number field's source text read through ParseInt, so a fraction,
+/// an exponent or a value outside [lo, hi] throws.  Every failure,
+/// including a field that is not a number, is a db::ParseError with the
+/// field's line.
+std::int64_t ParseIntAt(const PtField& field, std::int64_t lo,
+                        std::int64_t hi);
 
 /// Parse prototxt text into a message tree.  Throws db::ParseError with a
 /// line number on malformed input.  Supports `#` line comments, optional

@@ -30,19 +30,36 @@ expect_exit(2 serve --zoo MNIST --breaker=failures=0)    # db::Error
 expect_exit(2 serve --zoo MNIST --hedge-after-cycles -1) # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 
-# A memory map larger than the board DRAM is a user-facing error: a
+# A memory map larger than the board DRAM is a user-facing error.  A
 # 3x4Mx4M input into one INNER_PRODUCT needs ~1 PB against the Zynq's
 # 2 GB, and Network::Build rejects its 2^31-plus-element input blob
 # (exit 2) before the generator, the image or the perf model sees it.
+# A 2x32Kx32K input into one output passes Network::Build (exactly 2^31
+# input elements and 2^31 weights) but needs an 8 GB map, so the
+# generator's mem.capacity check rejects it (exit 2) before the image
+# or the perf model ever sees it.
 set(huge_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_huge")
 file(MAKE_DIRECTORY "${huge_dir}")
-file(WRITE "${huge_dir}/huge.prototxt"
-  "name: \"huge\"\ninput: \"data\"\n"
-  "input_dim: 1\ninput_dim: 3\ninput_dim: 4000000\ninput_dim: 4000000\n"
-  "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" top: \"fc\" "
-  "inner_product_param { num_output: 10 } }\n")
-expect_exit(2 --model "${huge_dir}/huge.prototxt" --out "${huge_dir}/out"
-  --simulate)
+foreach(dims "3;4000000;4000000" "2;32768;32768")
+  list(GET dims 0 huge_c)
+  list(GET dims 1 huge_h)
+  list(GET dims 2 huge_w)
+  file(WRITE "${huge_dir}/huge.prototxt"
+    "name: \"huge\"\ninput: \"data\"\ninput_dim: 1\n"
+    "input_dim: ${huge_c}\ninput_dim: ${huge_h}\ninput_dim: ${huge_w}\n"
+    "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
+    "top: \"fc\" inner_product_param { num_output: 1 } }\n")
+  execute_process(COMMAND ${DEEPBURNING} --model "${huge_dir}/huge.prototxt"
+    --out "${huge_dir}/out" --simulate
+    RESULT_VARIABLE huge_result OUTPUT_QUIET ERROR_VARIABLE huge_err)
+  if(NOT huge_result EQUAL 2)
+    message(FATAL_ERROR "huge ${dims}: expected exit 2, got ${huge_result}")
+  endif()
+  if(huge_c EQUAL 2 AND NOT huge_err MATCHES "error\\[mem\\.capacity\\]")
+    message(FATAL_ERROR
+      "huge ${dims}: expected the mem.capacity check, got:\n${huge_err}")
+  endif()
+endforeach()
 file(REMOVE_RECURSE "${huge_dir}")
 
 # Every integer the CLI reads goes through one checked parser: a value

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/error.h"
@@ -170,40 +171,50 @@ TEST(PerfModel, UnfoldedOverBufferLayerPaysRefetchTraffic) {
 // A 3x4Mx4M input into one INNER_PRODUCT would need a petabyte-scale
 // memory map; Network::Build now rejects any tensor past 2^31 elements.
 // The largest network it admits, a 2x32Kx32K input into one output,
-// still needs 8 GB of memory map.  The verifier rejects it
-// (mem.capacity); compiled without the verifier, the perf model must
-// saturate instead of wrapping its cycle sums into garbage (a wrapped
-// fetch once produced trace spans ending before they start).
+// still needs 4 GB of input.  The verifier rejects it (mem.capacity);
+// compiled without the verifier and given a one-byte data buffer, its
+// input re-streams 2^32 times, so the fetch alone passes 2^63 bytes.
+// The perf model must saturate instead of wrapping its cycle sums into
+// garbage (a wrapped fetch once produced trace spans ending before they
+// start), and so must a batch of 2^62 such images.
 TEST(PerfModel, OversizedDesignKeepsCycleCountsOrdered) {
-  const auto fc_net = [](const std::string& dims, int num_output) {
+  const auto fc_net = [](const std::string& dims) {
     return ParseNetworkDef(
         "name: \"huge\"\ninput: \"data\"\ninput_dim: 1\n" + dims +
         "layers { name: \"fc\" type: INNER_PRODUCT bottom: \"data\" "
-        "top: \"fc\" inner_product_param { num_output: " +
-        std::to_string(num_output) + " } }\n");
+        "top: \"fc\" inner_product_param { num_output: 1 } }\n");
   };
   EXPECT_THROW(Network::Build(fc_net(
-                   "input_dim: 3\ninput_dim: 4000000\ninput_dim: 4000000\n",
-                   10)),
+                   "input_dim: 3\ninput_dim: 4000000\ninput_dim: 4000000\n")),
                Error);
   const Network net = Network::Build(
-      fc_net("input_dim: 2\ninput_dim: 32768\ninput_dim: 32768\n", 1));
-  const AcceleratorDesign design =
+      fc_net("input_dim: 2\ninput_dim: 32768\ninput_dim: 32768\n"));
+  AcceleratorDesign design =
       CompileForConfig(net, SizeDatapath(net, DbConstraint()));
+  design.config.data_buffer_bytes = 1;
   PerfTrace trace;
   PerfOptions options;
   options.trace = &trace;
   const PerfResult perf = SimulatePerformance(net, design, options);
-  EXPECT_GT(perf.total_cycles, 0);
-  for (const LayerTiming& lt : perf.layers) {
-    EXPECT_GT(lt.total_cycles, 0) << lt.name;
-    EXPECT_GE(lt.memory_cycles, 0) << lt.name;
-  }
+  ASSERT_EQ(perf.layers.size(), 1u);
+  const LayerTiming& fc = perf.layers[0];
+  EXPECT_EQ(fc.dram_bytes, INT64_MAX) << "the fetch must saturate";
+  EXPECT_EQ(perf.total_dram_bytes, INT64_MAX);
+  EXPECT_GT(fc.memory_cycles, std::int64_t{1} << 56)
+      << "a saturated fetch must still take saturated-scale time";
+  EXPECT_GT(fc.compute_cycles, 0);
+  EXPECT_GE(fc.total_cycles, fc.memory_cycles);
+  EXPECT_GE(fc.total_cycles, fc.compute_cycles);
+  EXPECT_GE(perf.total_cycles, fc.total_cycles);
   ASSERT_FALSE(trace.events.empty());
   for (const TraceEvent& e : trace.events) {
+    EXPECT_GE(e.start, 0);
     EXPECT_GE(e.end, e.start);
     EXPECT_LE(e.end, perf.total_cycles);
   }
+  const BatchResult batch = SimulateBatch(net, design, std::int64_t{1} << 62);
+  EXPECT_EQ(batch.total_cycles, INT64_MAX);
+  EXPECT_GE(batch.total_cycles, batch.first_image_cycles);
 }
 
 TEST(PerfModel, DeterministicAcrossRuns) {
