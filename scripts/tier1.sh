@@ -51,13 +51,16 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 # positions, so the ApproxLut suite (every 16-bit key of every
 # function) runs here too, and the serving golden scenarios drive the
 # plan summary (SummarizePlan) through every fault and cluster path.
+# The design cache's disk loader parses bytes from outside the program
+# (checksum, canonical text, the sized-config record), so its suites
+# (DesignCache, DesignCacheVerify) run here too.
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
            system_sim_test obs_test kernels_test functional_sim_test \
-           approx_lut_test serve_golden_test
+           approx_lut_test serve_golden_test cluster_test analysis_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.|ServeGolden'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.|ServeGolden|DesignCache'
 
 echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap
@@ -120,6 +123,14 @@ cmp "${PROFILE_TMP}/tune_a.txt" "${PROFILE_TMP}/tune_b.txt"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_a.json"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_b.json"
 cmp "${PROFILE_TMP}/tune_a.json" "${PROFILE_TMP}/tune_b.json"
+# A cold run fills the design cache; the warm run rebuilds the winner
+# from the cached sizing and must write the same report byte for byte.
+build/tools/deepburning tune MNIST --design-cache "${PROFILE_TMP}/dc" \
+  --out "${PROFILE_TMP}/tune_cold.txt" > /dev/null
+build/tools/deepburning tune MNIST --design-cache "${PROFILE_TMP}/dc" \
+  --out "${PROFILE_TMP}/tune_warm.txt" > "${PROFILE_TMP}/tune_warm.log"
+grep -q '^tune cache: reused' "${PROFILE_TMP}/tune_warm.log"
+cmp "${PROFILE_TMP}/tune_cold.txt" "${PROFILE_TMP}/tune_warm.txt"
 
 echo "== tier-1: bench smoke (perf-trajectory harness + diff tool) =="
 # Minimal-run trajectory into a temp dir, then bench_diff.py over the

@@ -29,10 +29,9 @@ namespace db::analysis {
 ///                                  cycle and never read (warning only)
 std::vector<std::string> BreakableRtlMutations();
 
-/// Minimally corrupt `design` per the given mutation class.  The
-/// corruption stays within the serde value domain (it survives an
-/// encode/decode round trip untouched).  Throws db::Error for an unknown
-/// class or RTL without the construct the class needs.
+/// Minimally corrupt `design` per the given mutation class.  Throws
+/// db::Error for an unknown class or RTL without the construct the
+/// class needs.
 void BreakRtlRule(VDesign& design, const std::string& mutation);
 
 }  // namespace db::analysis

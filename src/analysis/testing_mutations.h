@@ -14,9 +14,7 @@ namespace db::analysis {
 std::vector<std::string> BreakableRules();
 
 /// Minimally corrupt `design` so that VerifyDesign reports the given rule
-/// with error severity.  The corruption stays within the serde value
-/// domain (it survives an encode/decode round trip untouched).  Throws
-/// db::Error for an unknown rule id or a design without the artifact the
+/// with error severity.  Throws db::Error for an unknown rule id or a design without the artifact the
 /// rule needs.
 void BreakRule(AcceleratorDesign& design, const std::string& rule);
 

@@ -13,7 +13,7 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "core/design_serde.h"
+#include "core/rtl_builder.h"
 
 namespace db::cluster {
 
@@ -24,26 +24,66 @@ namespace {
 // bytes as a different (network, constraint) split.
 constexpr std::string_view kKeySeparator = "\n%constraint%\n";
 
+// An entry file is the key's canonical text, kConfigSeparator, the
+// config record and a newline, then the FNV-1a64 of everything before
+// it as 16 lowercase hex digits and a newline.
+constexpr std::string_view kConfigSeparator = "\n%config%\n";
+constexpr std::size_t kChecksumBytes = 17;
+
 std::filesystem::path EntryPath(const std::string& directory,
                                 const DesignKey& key) {
   return std::filesystem::path(directory) / (DesignKeyHex(key) + ".design");
 }
 
-std::uint64_t ReadU64Le(std::string_view bytes) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i)
-    value |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(bytes[static_cast<std::size_t>(i)]))
-             << (8 * i);
-  return value;
+std::string Hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return std::string(buf);
 }
 
-void AppendU64Le(std::string& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+/// The nine sized fields as `key=value` pairs in kSizedConfigKeys order.
+std::string ConfigRecord(const AcceleratorConfig& config) {
+  std::string record;
+  for (const SpecKey<AcceleratorConfig>& row : kSizedConfigKeys) {
+    if (!record.empty()) record += ',';
+    record += row.key;
+    record += '=';
+    record += std::visit(
+        [&](auto member) { return std::to_string(config.*member); },
+        row.field);
+  }
+  return record;
 }
+
+// Ranges cover every design the generator and the default tune sweep
+// size: at most 448 lanes scaled by up to 200 %, ports of 2..256
+// elements with secondary pools of min(port, 16) and connection boxes
+// of clamp(port, 2, 32), and buffers below 2^31 bytes.  Lanes stop at
+// 2048 because the emitted adder tree is a chain one node per lane
+// deep, and the RTL checker walks it recursively (4096 overflows the
+// stack of an ASan build); an entry past a range is a miss and is
+// regenerated.
+constexpr std::int64_t kMaxLanes = std::int64_t{1} << 11;
+constexpr std::int64_t kMaxBufferBytes = (std::int64_t{1} << 31) - 1;
 
 }  // namespace
+
+const SpecKey<AcceleratorConfig> kSizedConfigKeys[9] = {
+    {"dsp_lanes", &AcceleratorConfig::dsp_lanes, 0, kMaxLanes},
+    {"lut_lanes", &AcceleratorConfig::lut_lanes, 0, kMaxLanes},
+    {"pooling_lanes", &AcceleratorConfig::pooling_lanes, 0, 16},
+    {"activation_lanes", &AcceleratorConfig::activation_lanes, 0, 16},
+    {"accumulator_lanes", &AcceleratorConfig::accumulator_lanes, 0,
+     kMaxLanes},
+    {"connection_box_ports", &AcceleratorConfig::connection_box_ports, 0,
+     32},
+    {"data_buffer_bytes", &AcceleratorConfig::data_buffer_bytes, 1,
+     kMaxBufferBytes},
+    {"weight_buffer_bytes", &AcceleratorConfig::weight_buffer_bytes, 1,
+     kMaxBufferBytes},
+    {"memory_port_elems", &AcceleratorConfig::memory_port_elems, 2, 256},
+};
 
 DesignKey MakeDesignKey(const NetworkDef& net,
                         const DesignConstraint& constraint) {
@@ -55,12 +95,7 @@ DesignKey MakeDesignKey(const NetworkDef& net,
   return key;
 }
 
-std::string DesignKeyHex(const DesignKey& key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(key.hash));
-  return std::string(buf);
-}
+std::string DesignKeyHex(const DesignKey& key) { return Hex64(key.hash); }
 
 DesignCache::DesignCache() : DesignCache(Options{}) {}
 
@@ -152,51 +187,55 @@ std::shared_ptr<const AcceleratorDesign> DesignCache::LoadFromDisk(
   if (!in) return nullptr;
   const std::string bytes{std::istreambuf_iterator<char>(in),
                           std::istreambuf_iterator<char>()};
-  // Layout: canonical length (u64 LE) | canonical text | serde payload.
-  if (bytes.size() < 8) return nullptr;
-  const std::uint64_t canonical_size = ReadU64Le(bytes);
-  if (canonical_size > bytes.size() - 8) return nullptr;
-  const std::string_view view(bytes);
+  // Any flipped, missing or extra byte fails the checksum before a
+  // single field is parsed.
+  if (bytes.size() < kChecksumBytes || bytes.back() != '\n') return nullptr;
+  const std::string_view body =
+      std::string_view(bytes).substr(0, bytes.size() - kChecksumBytes);
+  if (bytes.compare(body.size(), 16, Hex64(Fnv1a64(body))) != 0)
+    return nullptr;
   // A digest collision or a stale file for a changed canonicalisation
   // scheme is a miss, never a wrong design.
-  if (view.substr(8, static_cast<std::size_t>(canonical_size)) !=
-      key.canonical)
-    return nullptr;
+  const std::string prefix = key.canonical + std::string(kConfigSeparator);
+  if (!StartsWith(body, prefix) || !EndsWith(body, "\n")) return nullptr;
+  const std::string_view record =
+      body.substr(prefix.size(), body.size() - prefix.size() - 1);
+  const std::size_t sep = key.canonical.find(kKeySeparator);
+  if (sep == std::string::npos) return nullptr;
   try {
-    auto design = std::make_shared<const AcceleratorDesign>(DeserializeDesign(
-        view.substr(8 + static_cast<std::size_t>(canonical_size))));
-    // The serde layer bounds-checks its framing but carries no content
-    // checksum, so a flipped field inside a record decodes fine.  Re-run
-    // the static verifier against the network this entry claims to
-    // implement: a corrupted-but-decodable design is rejected here with
-    // a diagnostic instead of entering the accelerator pool.
-    const std::size_t sep = key.canonical.find(kKeySeparator);
-    const Network net = Network::Build(ParseNetworkDef(
-        sep == std::string::npos ? key.canonical
-                                 : key.canonical.substr(0, sep)));
-    const analysis::AnalysisReport report =
-        analysis::VerifyDesign(net, *design);
-    if (!report.ok()) {
+    const std::string_view canonical(key.canonical);
+    const std::string_view constraint_text =
+        canonical.substr(sep + kKeySeparator.size());
+    const Network net =
+        Network::Build(ParseNetworkDef(std::string(canonical.substr(0, sep))));
+    AcceleratorConfig config = SizeDatapath(
+        net, ParseConstraint(std::string(
+                 constraint_text.substr(0, constraint_text.find(
+                                               kTuneSeparator)))));
+    ReadSpec(record, "design cache entry", kSizedConfigKeys, &config);
+    // Only the record StoreToDisk writes is an entry: all nine fields,
+    // in order, each once, in canonical spelling.
+    if (ConfigRecord(config) != record) return nullptr;
+    auto design =
+        std::make_shared<AcceleratorDesign>(CompileForConfig(net, config));
+    design->rtl = BuildRtl(design->config, design->blocks);
+    // The checksum proves the record is what was written, not that it
+    // still builds a legal design here: gate the rebuild like every
+    // other compile exit, and reject with a diagnostic instead of
+    // letting it enter the accelerator pool.
+    for (const analysis::AnalysisReport& report :
+         {analysis::VerifyRtl(design->rtl),
+          analysis::VerifyDesign(net, *design)}) {
+      if (report.ok()) continue;
       if (options_.metrics)
         options_.metrics->AddCounter("cluster.cache.verify_reject");
-      DB_LOG(kWarn) << "design cache: rejecting illegal on-disk entry "
+      DB_LOG(kWarn) << "design cache: rejecting on-disk entry "
                     << DesignKeyHex(key) << "\n" << report.ToText();
       return nullptr;  // served like a miss; the generator rebuilds it
     }
-    // Same defence for the hardware itself: a bit-flip inside the RTL
-    // records decodes fine but must not enter the accelerator pool.
-    const analysis::AnalysisReport rtl_report =
-        analysis::VerifyRtl(design->rtl);
-    if (!rtl_report.ok()) {
-      if (options_.metrics)
-        options_.metrics->AddCounter("cluster.cache.verify_reject");
-      DB_LOG(kWarn) << "design cache: rejecting entry with illegal RTL "
-                    << DesignKeyHex(key) << "\n" << rtl_report.ToText();
-      return nullptr;
-    }
     return design;
   } catch (const Error&) {
-    return nullptr;  // corrupt payload == miss; the generator rebuilds it
+    return nullptr;  // unreadable or unbuildable record == miss
   }
 }
 
@@ -204,10 +243,12 @@ void DesignCache::StoreToDisk(const DesignKey& key,
                               const AcceleratorDesign& design) {
   try {
     std::filesystem::create_directories(options_.directory);
-    std::string bytes;
-    AppendU64Le(bytes, key.canonical.size());
-    bytes += key.canonical;
-    bytes += SerializeDesign(design);
+    std::string bytes = key.canonical;
+    bytes += kConfigSeparator;
+    bytes += ConfigRecord(design.config);
+    bytes += '\n';
+    bytes += Hex64(Fnv1a64(bytes));
+    bytes += '\n';
     std::ofstream out(EntryPath(options_.directory, key),
                       std::ios::binary | std::ios::trunc);
     if (!out) return;  // persistence is best-effort

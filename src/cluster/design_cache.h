@@ -4,9 +4,10 @@
 // same script, same constraint, same AcceleratorDesign, byte for byte.
 // The cache exploits that: the key is the FNV-1a digest of the pair's
 // *canonical* prototxt serialisation (fixed field order, so a reordered
-// but semantically identical script hashes the same), and a hit returns
-// the previously generated design — schedule, buffer plan, AGU programs,
-// memory-image layout, RTL — without running a single generator phase.
+// but semantically identical script hashes the same), and a memory hit
+// returns the previously generated design — schedule, buffer plan, AGU
+// programs, memory-image layout, RTL — without running a single
+// generator phase.
 //
 // A 64-bit digest can collide, so the digest only selects a bucket; the
 // full canonical string is compared before a hit is declared.  Distinct
@@ -19,16 +20,20 @@
 // capacity.
 //
 // With Options::directory set, the cache also persists entries to disk
-// (one file per digest, canonical text + the design_serde payload) and
-// warm-starts from it, so a *new process* serving the same model skips
-// NN-Gen entirely — the acceptance criterion's "warm serve shows zero
-// toolchain spans".  Disk loads re-verify the canonical text, and a
-// corrupt or truncated file is treated as a miss, never an error.
-// Because the serde payload has no content checksum, every decoded
-// design is additionally re-verified with the static design verifier
-// (analysis/verifier.h); an entry that decodes but fails verification
-// is rejected with a diagnostic (cluster.cache.verify_reject counter,
-// warning log) and regenerated rather than served.
+// and warm-starts from it, so a *new process* serving the same model
+// skips the generator's sizing and refit search and records zero
+// toolchain spans.  An entry is not a copy of the design: it is the
+// canonical text, one `key=value` record of the nine AcceleratorConfig
+// fields that sizing, refit and tuning choose (kSizedConfigKeys), and an
+// FNV-1a64 checksum over both.  A disk hit checks the checksum and the
+// canonical text, re-parses the (network, constraint) pair from the
+// key, starts from SizeDatapath, overrides the nine fields (each read
+// in its range) and rebuilds the design from them: CompileForConfig,
+// BuildRtl, then the RTL and static design verifiers as gates.  A
+// corrupt, truncated or out-of-range entry is a miss, never an error;
+// one that rebuilds but fails a gate is also counted
+// (cluster.cache.verify_reject, warning log).  Either way the generator
+// runs again and overwrites the entry.
 //
 // Observability: every Lookup/GetOrGenerate outcome is one ordinal-tick
 // span on the "cluster" track and a cluster.cache.* counter, so traces
@@ -40,8 +45,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/generator.h"
 #include "frontend/constraint.h"
 #include "frontend/network_def.h"
@@ -73,6 +80,16 @@ DesignKey MakeDesignKey(const NetworkDef& net,
 
 /// The digest as 16 lowercase hex digits (disk file names, span args).
 std::string DesignKeyHex(const DesignKey& key);
+
+/// Separates a tuned key's sweep and objective from the (network,
+/// constraint) text it extends (dse::MakeTuneKey); a disk hit strips
+/// it before parsing the constraint.
+inline constexpr std::string_view kTuneSeparator = "\n%tune%\n";
+
+/// The nine AcceleratorConfig fields a disk entry records, in record
+/// order, each with the range a loaded value must lie in.  Every other
+/// field of a generated or tuned design equals SizeDatapath's.
+extern const SpecKey<AcceleratorConfig> kSizedConfigKeys[9];
 
 struct DesignCacheStats {
   std::int64_t hits = 0;        // served from memory
@@ -107,8 +124,9 @@ class DesignCache {
   std::shared_ptr<const AcceleratorDesign> Insert(const DesignKey& key,
                                                   AcceleratorDesign design);
 
-  /// The memoized generator: a hit returns the cached design without
-  /// touching NN-Gen (no toolchain spans); a miss runs
+  /// The memoized generator: a hit returns the cached design (a disk hit
+  /// rebuilds it from the recorded sizing) without recording toolchain
+  /// spans; a miss runs
   /// GenerateAccelerator(net, constraint, toolchain_tracer) and caches
   /// the result.
   std::shared_ptr<const AcceleratorDesign> GetOrGenerate(

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace db {
 
@@ -72,6 +73,14 @@ std::string StrFormat(const char* fmt, ...) {
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+std::string FormatExactDouble(double value) {
+  for (int digits = 6; digits < 17; ++digits) {
+    std::string text = StrFormat("%.*g", digits, value);
+    if (std::strtod(text.c_str(), nullptr) == value) return text;
+  }
+  return StrFormat("%.17g", value);
 }
 
 std::string ToIdentifier(std::string_view name) {

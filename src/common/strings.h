@@ -37,6 +37,10 @@ std::string Join(const std::vector<std::string>& items,
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// `value` in the fewest %g digits (at least 6, the iostream default)
+/// that read back as exactly `value`, so canonical texts keep every bit.
+std::string FormatExactDouble(double value);
+
 /// Sanitise an arbitrary name into a legal Verilog identifier.
 std::string ToIdentifier(std::string_view name);
 

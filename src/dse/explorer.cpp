@@ -365,13 +365,10 @@ cluster::DesignKey MakeTuneKey(const NetworkDef& def,
                                const DesignConstraint& constraint,
                                const SweepSpec& sweep,
                                Objective objective) {
-  // Append the tune parameters AFTER the (network, constraint) canonical
-  // text: DesignCache::LoadFromDisk re-parses the network from the
-  // prefix before the first separator, which this suffix leaves intact.
   cluster::DesignKey key = cluster::MakeDesignKey(def, constraint);
-  key.canonical += "\n%tune%\nsweep: " + sweep.ToString() +
-                   "\nobjective: " + std::string(ObjectiveName(objective)) +
-                   "\n";
+  key.canonical += cluster::kTuneSeparator;
+  key.canonical += "sweep: " + sweep.ToString() + "\nobjective: " +
+                   std::string(ObjectiveName(objective)) + "\n";
   key.hash = Fnv1a64(key.canonical);
   return key;
 }

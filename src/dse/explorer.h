@@ -135,12 +135,13 @@ AcceleratorDesign CompileWinner(const Network& net,
                                 const CandidateSpec& spec);
 
 /// Design-cache key for a tune outcome: the ordinary design key's
-/// canonical (network, constraint) text plus a tune suffix appended
-/// AFTER the constraint section, so DesignCache::LoadFromDisk still
-/// re-verifies the decoded design against the network parsed from the
-/// canonical prefix.  Two sweeps that enumerate the same candidates in
-/// the same order (SweepSpec::ToString is canonical) under the same
-/// objective share a key.
+/// canonical (network, constraint) text, then cluster::kTuneSeparator
+/// and the sweep and objective.  A disk hit strips that suffix, parses
+/// the pair, and rebuilds the winner from its recorded sizing (the
+/// winner differs from SizeDatapath only in the nine recorded fields).
+/// Two sweeps that enumerate the same candidates in the same order
+/// (SweepSpec::ToString is canonical) under the same objective share a
+/// key.
 cluster::DesignKey MakeTuneKey(const NetworkDef& def,
                                const DesignConstraint& constraint,
                                const SweepSpec& sweep, Objective objective);

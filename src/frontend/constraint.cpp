@@ -96,8 +96,9 @@ std::string ConstraintToPrototxt(const DesignConstraint& c) {
   os << "budget: " << BudgetLevelName(c.budget) << "\n";
   os << "bit_width: " << c.bit_width << "\n";
   os << "frac_bits: " << c.frac_bits << "\n";
-  os << "frequency_mhz: " << c.frequency_mhz << "\n";
-  os << "dram_bandwidth_gbs: " << c.dram_bandwidth_gbs << "\n";
+  os << "frequency_mhz: " << FormatExactDouble(c.frequency_mhz) << "\n";
+  os << "dram_bandwidth_gbs: " << FormatExactDouble(c.dram_bandwidth_gbs)
+     << "\n";
   os << "approx_lut_entries: " << c.approx_lut_entries << "\n";
   os << "approx_lut_interpolate: "
      << (c.approx_lut_interpolate ? "true" : "false") << "\n";

@@ -376,13 +376,14 @@ std::string NetworkDefToPrototxt(const NetworkDef& net) {
     if (layer.lrn) {
       os << "  lrn_param {\n";
       os << "    local_size: " << layer.lrn->local_size << "\n";
-      os << "    alpha: " << layer.lrn->alpha << "\n";
-      os << "    beta: " << layer.lrn->beta << "\n";
+      os << "    alpha: " << FormatExactDouble(layer.lrn->alpha) << "\n";
+      os << "    beta: " << FormatExactDouble(layer.lrn->beta) << "\n";
       os << "  }\n";
     }
     if (layer.dropout) {
       os << "  dropout_param {\n";
-      os << "    dropout_ratio: " << layer.dropout->ratio << "\n";
+      os << "    dropout_ratio: " << FormatExactDouble(layer.dropout->ratio)
+         << "\n";
       os << "  }\n";
     }
     if (layer.recurrent) {

@@ -39,7 +39,7 @@ enum class VExprKind {
 };
 
 /// One expression node.  Field use depends on `kind`; unused fields keep
-/// their defaults (the serde layer round-trips every field).
+/// their defaults.
 struct VExpr {
   VExprKind kind = VExprKind::kId;
   std::string text;        // kId: identifier; kUnary/kBinary: operator

@@ -90,6 +90,11 @@ expect_diagnostic(serve --zoo MNIST --batch 4x)
 expect_diagnostic(serve --zoo MNIST --linger 1.5)
 expect_diagnostic(serve --zoo MNIST --queue-capacity -1)
 expect_diagnostic(serve --zoo MNIST --faults flips=99999999999)
+# serve holds every request's input plus 1 KiB of state until the
+# drain, so a request count past the 1 GiB cap exits 2 before the first
+# input is built.  Alexnet's 3x227x227 input admits 1733 requests.
+expect_diagnostic(serve --zoo MNIST --requests 2147483647)
+expect_diagnostic(serve --zoo Alexnet --requests 1734)
 expect_exit(0 serve --zoo=MNIST --requests=4)
 
 set(probe_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_probe")

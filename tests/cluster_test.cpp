@@ -1,11 +1,14 @@
 // Tests for src/cluster and replication: the ShardRouter policies,
-// ReplicateSystem's private replica images, the content-addressed
-// DesignCache and the binary design codec it persists through
-// (core/design_serde).
+// ReplicateSystem's private replica images, and the content-addressed
+// DesignCache with its on-disk entries (canonical text, the nine sized
+// config fields, a checksum) and the disk-hit rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -16,8 +19,8 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "core/design_json.h"
-#include "core/design_serde.h"
 #include "core/generator.h"
+#include "dse/explorer.h"
 #include "frontend/network_def.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
@@ -314,86 +317,219 @@ TEST(DesignCache, DiskPersistenceSurvivesANewCacheInstance) {
   std::filesystem::remove_all(dir);
 }
 
-// Regression: the load path's RTL check accepted a zero or negative
-// port width, so such an entry was served.  It is now rejected and the
-// generator builds the design again.
-TEST(DesignCache, NonPositiveRtlWidthEntryIsRejectedOnLoad) {
-  GeneratedFixture& fx = Fixture();
+// ------------------------------------------------- disk entries
+
+std::string ReadBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `entry` with `field`'s value in the config record replaced by `value`
+/// and the trailing checksum (16 hex digits + newline) recomputed, so
+/// only the loader's range and rebuild checks can refuse it.
+std::string ResealedWith(const std::string& entry, const std::string& field,
+                         std::int64_t value) {
+  std::string body = entry.substr(0, entry.size() - 17);
+  const std::size_t start = body.find(field + "=", body.find("%config%"));
+  EXPECT_NE(start, std::string::npos) << field;
+  const std::size_t end = body.find_first_of(",\n", start);
+  body.replace(start, end - start, field + "=" + std::to_string(value));
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  return body + hex + "\n";
+}
+
+/// Persist `key`'s design through one cache, then look it up in a fresh
+/// cache over the same directory (a new process, as far as the cache
+/// can tell).
+std::shared_ptr<const AcceleratorDesign> DiskHit(
+    const std::filesystem::path& dir, const DesignKey& key,
+    const AcceleratorDesign& design) {
+  std::filesystem::remove_all(dir);
+  DesignCache::Options options;
+  options.directory = dir.string();
+  DesignCache(options).Insert(key, design);
+  DesignCache cold(options);
+  auto hit = cold.Lookup(key);
+  EXPECT_EQ(cold.stats().disk_hits, 1);
+  return hit;
+}
+
+// The invariant the cache rests on: a disk hit rebuilds exactly the
+// design the generator (or the tuner) produced, from nine numbers.
+TEST(DesignCache, DiskHitRebuildsTheGeneratedDesign) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "db_design_cache_width_test";
-  const DesignKey key = MakeDesignKey(fx.def, fx.constraint);
-  for (int width : {0, -5}) {
-    std::filesystem::remove_all(dir);
-    obs::MetricsRegistry metrics;
-    DesignCache::Options options;
-    options.directory = dir.string();
-    options.metrics = &metrics;
-
-    AcceleratorDesign broken = fx.design;
-    int edited = 0;
-    for (VModule& m : broken.rtl.modules)
-      for (VPort& p : m.ports)
-        if (m.name == broken.rtl.top && p.name == "axi_araddr") {
-          p.width = width;
-          ++edited;
-        }
-    ASSERT_EQ(edited, 1);
-    DesignCache(options).Insert(key, broken);
-
-    obs::Tracer tracer;
-    DesignCache cold(options);
-    const auto design =
-        cold.GetOrGenerate(key, fx.net, fx.constraint, &tracer);
-    EXPECT_EQ(metrics.CounterValue("cluster.cache.verify_reject"), 1)
-        << "width " << width;
-    EXPECT_EQ(cold.stats().disk_hits, 0);
-    EXPECT_GT(tracer.TrackEnd("toolchain"), 0);  // the generator ran
-    ASSERT_NE(design, nullptr);
-    EXPECT_TRUE(analysis::VerifyRtl(design->rtl).ok());
+      std::filesystem::temp_directory_path() / "db_design_cache_rebuild";
+  for (ZooModel model : AllZooModels()) {
+    const NetworkDef def = ParseNetworkDef(ZooModelPrototxt(model));
+    const Network net = Network::Build(def);
+    for (const DesignConstraint& constraint :
+         {DbSConstraint(), DbConstraint(), DbLConstraint()}) {
+      SCOPED_TRACE(ZooModelName(model) + " at " +
+                   BudgetLevelName(constraint.budget));
+      const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+      const auto hit =
+          DiskHit(dir, MakeDesignKey(def, constraint), design);
+      ASSERT_NE(hit, nullptr);
+      EXPECT_EQ(DesignToJson(*hit), DesignToJson(design));
+      EXPECT_EQ(EmitVerilog(hit->rtl), EmitVerilog(design.rtl));
+    }
   }
+
+  // The default-sweep tune winner is sized by dse::CandidateConfig, not
+  // by the generator's refit loop, and is keyed with a %tune% suffix.
+  const NetworkDef def = ParseNetworkDef(ZooModelPrototxt(ZooModel::kMnist));
+  const Network net = Network::Build(def);
+  const DesignConstraint constraint = DbConstraint();
+  const dse::TuneOptions tune;
+  const dse::TuneResult result = dse::Explore(net, constraint, tune);
+  const AcceleratorDesign winner = dse::CompileWinner(
+      net, constraint, SizeDatapath(net, constraint),
+      result.candidates[result.winner].spec);
+  const auto hit = DiskHit(
+      dir, dse::MakeTuneKey(def, constraint, tune.sweep, tune.objective),
+      winner);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(DesignToJson(*hit), DesignToJson(winner));
+  EXPECT_EQ(EmitVerilog(hit->rtl), EmitVerilog(winner.rtl));
   std::filesystem::remove_all(dir);
 }
 
-// --------------------------------------------------------- design serde
-
-TEST(DesignSerde, RoundTripPreservesTheWholeDesign) {
+TEST(DesignCache, DiskHitDesignSimulatesBitIdentically) {
   GeneratedFixture& fx = Fixture();
-  const std::string bytes = SerializeDesign(fx.design);
-  const AcceleratorDesign copy = DeserializeDesign(bytes);
-  // The JSON export and the emitted RTL cover every field the design
-  // bundle publishes; byte equality on both is the round-trip contract.
-  EXPECT_EQ(DesignToJson(copy), DesignToJson(fx.design));
-  EXPECT_EQ(EmitVerilog(copy.rtl), EmitVerilog(fx.design.rtl));
-  EXPECT_EQ(copy.schedule.ToString(), fx.design.schedule.ToString());
-  EXPECT_EQ(copy.memory_map.ToString(), fx.design.memory_map.ToString());
-  EXPECT_EQ(copy.agu_program.ToString(), fx.design.agu_program.ToString());
-}
-
-TEST(DesignSerde, RoundTrippedDesignSimulatesBitIdentically) {
-  GeneratedFixture& fx = Fixture();
-  const AcceleratorDesign copy =
-      DeserializeDesign(SerializeDesign(fx.design));
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_sim";
+  const auto hit =
+      DiskHit(dir, MakeDesignKey(fx.def, fx.constraint), fx.design);
+  ASSERT_NE(hit, nullptr);
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
   MemoryImage image_a = BuildHostImage(fx.net, fx.design, weights);
-  MemoryImage image_b = BuildHostImage(fx.net, copy, weights);
+  MemoryImage image_b = BuildHostImage(fx.net, *hit, weights);
   const Tensor input = FixtureInput(fx.net, 7);
   const Tensor out_a =
       RunSystem(fx.net, fx.design, image_a, input).output;
-  const Tensor out_b = RunSystem(fx.net, copy, image_b, input).output;
+  const Tensor out_b = RunSystem(fx.net, *hit, image_b, input).output;
   EXPECT_EQ(out_a.storage(), out_b.storage());
+  std::filesystem::remove_all(dir);
 }
 
-TEST(DesignSerde, RejectsCorruptPayloads) {
+TEST(DesignCache, KeyKeepsEveryDigitOfAFractionalField) {
+  // Six significant digits used to alias these two clocks onto one key,
+  // and a disk hit would rebuild the design at the rounded clock.
   GeneratedFixture& fx = Fixture();
-  const std::string bytes = SerializeDesign(fx.design);
-  EXPECT_THROW(DeserializeDesign(bytes.substr(0, bytes.size() / 2)),
-               Error);                                   // truncated
-  EXPECT_THROW(DeserializeDesign(bytes + "x"), Error);   // trailing bytes
-  std::string wrong_magic = bytes;
-  wrong_magic[0] = 'X';
-  EXPECT_THROW(DeserializeDesign(wrong_magic), Error);   // bad magic
-  EXPECT_THROW(DeserializeDesign(std::string()), Error); // empty
+  DesignConstraint a = fx.constraint;
+  DesignConstraint b = fx.constraint;
+  a.frequency_mhz = 123.4567891;
+  b.frequency_mhz = 123.4567892;
+  EXPECT_NE(MakeDesignKey(fx.def, a).canonical,
+            MakeDesignKey(fx.def, b).canonical);
+  EXPECT_EQ(ParseConstraint(ConstraintToPrototxt(a)).frequency_mhz,
+            a.frequency_mhz);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_digits";
+  const AcceleratorDesign design = GenerateAccelerator(fx.net, a);
+  const auto hit = DiskHit(dir, MakeDesignKey(fx.def, a), design);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(DesignToJson(*hit), DesignToJson(design));
+  std::filesystem::remove_all(dir);
+}
+
+// Exhaustive corruption of a persisted MNIST entry: every single-bit
+// flip and every truncation is a miss, caught by the checksum before a
+// field is parsed (so nothing is counted as a verify reject).
+TEST(DesignCache, EveryBitFlipAndTruncationIsAMiss) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_flips";
+  std::filesystem::remove_all(dir);
+  const NetworkDef def = ParseNetworkDef(ZooModelPrototxt(ZooModel::kMnist));
+  const Network net = Network::Build(def);
+  const DesignConstraint constraint = DbConstraint();
+  const DesignKey key = MakeDesignKey(def, constraint);
+  obs::MetricsRegistry metrics;
+  DesignCache::Options options;
+  options.directory = dir.string();
+  options.metrics = &metrics;
+  DesignCache(options).GetOrGenerate(key, net, constraint);
+  const std::filesystem::path entry = dir / (cluster::DesignKeyHex(key) +
+                                             ".design");
+  const std::string bytes = ReadBytes(entry);
+  ASSERT_GT(bytes.size(), key.canonical.size());
+
+  auto served = [&](const std::string& corrupt) {
+    WriteBytes(entry, corrupt);
+    return DesignCache(options).Lookup(key) != nullptr;
+  };
+  int served_flips = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = bytes;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
+      if (served(corrupt)) {
+        ++served_flips;
+        ADD_FAILURE() << "flip of byte " << i << " bit " << bit << " served";
+      }
+    }
+  EXPECT_EQ(served_flips, 0);
+  for (std::size_t size = 0; size < bytes.size(); ++size)
+    EXPECT_FALSE(served(bytes.substr(0, size))) << "truncated to " << size;
+  EXPECT_EQ(metrics.CounterValue("cluster.cache.verify_reject"), 0);
+
+  // The generator rewrites the entry, and a fresh cache disk-hits it.
+  DesignCache rebuild(options);
+  rebuild.GetOrGenerate(key, net, constraint);
+  EXPECT_EQ(rebuild.stats().misses, 1);
+  EXPECT_EQ(rebuild.stats().disk_writes, 1);
+  EXPECT_EQ(ReadBytes(entry), bytes);
+  DesignCache warm(options);
+  EXPECT_NE(warm.Lookup(key), nullptr);
+  EXPECT_EQ(warm.stats().disk_hits, 1);
+  std::filesystem::remove_all(dir);
+}
+
+// A record with a valid checksum but a field outside its range is a
+// miss, never an exception; at the range ends it may build or miss,
+// but nothing escapes Lookup.
+TEST(DesignCache, OutOfRangeSizedFieldIsAMiss) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_ranges";
+  std::filesystem::remove_all(dir);
+  const NetworkDef def = ParseNetworkDef(ZooModelPrototxt(ZooModel::kMnist));
+  const Network net = Network::Build(def);
+  const DesignConstraint constraint = DbConstraint();
+  const DesignKey key = MakeDesignKey(def, constraint);
+  DesignCache::Options options;
+  options.directory = dir.string();
+  DesignCache(options).GetOrGenerate(key, net, constraint);
+  const std::filesystem::path entry = dir / (cluster::DesignKeyHex(key) +
+                                             ".design");
+  const std::string bytes = ReadBytes(entry);
+
+  for (const SpecKey<AcceleratorConfig>& row : cluster::kSizedConfigKeys) {
+    for (std::int64_t value : {row.lo - 1, row.hi + 1}) {
+      WriteBytes(entry, ResealedWith(bytes, row.key, value));
+      DesignCache cache(options);
+      EXPECT_EQ(cache.Lookup(key), nullptr) << row.key << "=" << value;
+      EXPECT_EQ(cache.stats().misses, 1);
+    }
+    for (std::int64_t value : {row.lo, row.hi}) {
+      WriteBytes(entry, ResealedWith(bytes, row.key, value));
+      EXPECT_NO_THROW(DesignCache(options).Lookup(key))
+          << row.key << "=" << value;
+    }
+  }
+  // The untouched entry still loads: the resealing itself is sound.
+  WriteBytes(entry, bytes);
+  EXPECT_NE(DesignCache(options).Lookup(key), nullptr);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Fnv1a, MatchesKnownVectors) {

@@ -1,6 +1,8 @@
 // Tests for the common substrate: strings, RNG, math utilities, errors.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include <limits>
 #include <set>
 
@@ -56,6 +58,17 @@ TEST(Strings, JoinWithSeparator) {
 TEST(Strings, StrFormatBasic) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
+}
+
+TEST(Strings, FormatExactDoubleKeepsEveryBitInTheFewestDigits) {
+  // Values six %g digits already carry print as iostream would ...
+  EXPECT_EQ(FormatExactDouble(100.0), "100");
+  EXPECT_EQ(FormatExactDouble(0.75), "0.75");
+  EXPECT_EQ(FormatExactDouble(1e-4), "0.0001");
+  // ... and the rest get the digits they need to read back exactly.
+  EXPECT_EQ(FormatExactDouble(123.4567891), "123.4567891");
+  for (double v : {1.0 / 3.0, 0.1 + 0.2, 6.02214076e23, -2.5e-300})
+    EXPECT_EQ(std::strtod(FormatExactDouble(v).c_str(), nullptr), v);
 }
 
 TEST(Strings, ToIdentifierSanitises) {

@@ -5,13 +5,13 @@
 //   * nn::Executor          float reference ("golden")
 //   * FunctionalSimulator   bit-accurate fixed-point datapath
 //   * RunSystem             full DRAM-image round trip
-//   * design_serde          the cache's serialized design, re-decoded
-//   * DesignCache           the memoized generator handle
+//   * DesignCache           the memoized generator handle, and the
+//                           design a fresh cache rebuilds on a disk hit
 //   * InferenceServer       1-replica and 4-replica pools
 //
 // The contracts, in decreasing strictness:
 //   1. All fixed-point paths that share the image pipeline (RunSystem
-//      with the original / serde-round-tripped / cache-returned design,
+//      with the original / disk-hit-rebuilt / cache-returned design,
 //      and every server replica configuration) are BIT-exact.
 //   2. FunctionalSimulator vs RunSystem differ by at most the output
 //      blob's one extra quantise (2 LSBs, the system_sim contract).
@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/design_serde.h"
 #include "core/generator.h"
 #include "dse/explorer.h"
 #include "fault/fault_plan.h"
@@ -111,14 +111,24 @@ TEST(Differential, RandomNetworksAgreeAcrossAllPaths) {
     const Network net = Network::Build(def);
     const DesignConstraint constraint = DbConstraint();
 
-    // The cache path IS the generator path: the first call generates.
-    cluster::DesignCache cache;
+    // The cache path IS the generator path: the first call generates
+    // and persists; a fresh cache over the same directory rebuilds the
+    // design from the entry's recorded sizing.
+    cluster::DesignCache::Options options;
+    options.directory = (std::filesystem::path(::testing::TempDir()) /
+                         ("db_differential_" + std::to_string(seed)))
+                            .string();
+    std::filesystem::remove_all(options.directory);
     const cluster::DesignKey key = cluster::MakeDesignKey(def, constraint);
     const std::shared_ptr<const AcceleratorDesign> design =
-        cache.GetOrGenerate(key, net, constraint);
+        cluster::DesignCache(options).GetOrGenerate(key, net, constraint);
     ASSERT_NE(design, nullptr);
-    const AcceleratorDesign decoded =
-        DeserializeDesign(SerializeDesign(*design));
+    cluster::DesignCache cold(options);
+    const std::shared_ptr<const AcceleratorDesign> rebuilt =
+        cold.Lookup(key);
+    std::filesystem::remove_all(options.directory);
+    ASSERT_NE(rebuilt, nullptr);
+    ASSERT_EQ(cold.stats().disk_hits, 1);
 
     Rng rng(seed * 1000 + 1);
     const WeightStore weights = WeightStore::CreateRandom(net, rng);
@@ -129,19 +139,19 @@ TEST(Differential, RandomNetworksAgreeAcrossAllPaths) {
     const Tensor golden = exec.ForwardOutput(input);
 
     // Path 2: bit-accurate functional simulation — original design and
-    // the serde-round-tripped design must agree BIT for bit.
+    // the disk-hit design must agree BIT for bit.
     FunctionalSimulator sim(net, *design, weights);
     const Tensor functional = sim.Run(input);
-    FunctionalSimulator sim_decoded(net, decoded, weights);
-    EXPECT_EQ(functional.storage(), sim_decoded.Run(input).storage());
+    FunctionalSimulator sim_rebuilt(net, *rebuilt, weights);
+    EXPECT_EQ(functional.storage(), sim_rebuilt.Run(input).storage());
 
     // Path 3: the full DRAM-image round trip, again for both designs.
     MemoryImage image_a = BuildHostImage(net, *design, weights);
-    MemoryImage image_b = BuildHostImage(net, decoded, weights);
+    MemoryImage image_b = BuildHostImage(net, *rebuilt, weights);
     const Tensor system = RunSystem(net, *design, image_a, input).output;
-    const Tensor system_decoded =
-        RunSystem(net, decoded, image_b, input).output;
-    EXPECT_EQ(system.storage(), system_decoded.storage());
+    const Tensor system_rebuilt =
+        RunSystem(net, *rebuilt, image_b, input).output;
+    EXPECT_EQ(system.storage(), system_rebuilt.storage());
 
     // Contract 2: image round trip within one extra output quantise.
     const float resolution = design->config.format.resolution();

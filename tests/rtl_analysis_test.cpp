@@ -10,7 +10,6 @@
 #include "analysis/rtl_mutations.h"
 #include "analysis/rtl_verifier.h"
 #include "common/error.h"
-#include "core/design_serde.h"
 #include "core/generator.h"
 #include "models/zoo.h"
 #include "rtl/netlist.h"
@@ -348,7 +347,7 @@ TEST(RtlMutations, CatalogueIsStableAndUnknownClassThrows) {
 }
 
 // ---------------------------------------------------------------------
-// Determinism and serde
+// Determinism
 // ---------------------------------------------------------------------
 
 TEST(RtlVerify, ReportsAreByteStableAcrossRuns) {
@@ -358,17 +357,6 @@ TEST(RtlVerify, ReportsAreByteStableAcrossRuns) {
   const AnalysisReport second = VerifyRtl(broken);
   EXPECT_EQ(first.ToText(), second.ToText());
   EXPECT_EQ(first.ToJson(), second.ToJson());
-}
-
-TEST(RtlVerify, MutationsSurviveSerdeRoundTrip) {
-  AcceleratorDesign design = MnistDesign();
-  BreakRtlRule(design.rtl, "comb.cycle");
-  const AcceleratorDesign decoded =
-      DeserializeDesign(SerializeDesign(design));
-  EXPECT_EQ(EmitVerilog(decoded.rtl), EmitVerilog(design.rtl));
-  EXPECT_EQ(VerifyRtl(decoded.rtl).ToText(),
-            VerifyRtl(design.rtl).ToText());
-  EXPECT_TRUE(VerifyRtl(decoded.rtl).HasRule(analysis::kRuleRtlCombLoop));
 }
 
 }  // namespace

@@ -46,8 +46,9 @@
 //
 // --design-cache points the commands at a content-addressed on-disk
 // cache of generator output: a warm entry for the same canonical
-// (network, constraint) pair skips NN-Gen entirely (zero toolchain
-// spans in --trace-out; cluster.cache.* counters record the reuse).
+// (network, constraint) pair is rebuilt from its cached sizing instead
+// of generated (zero toolchain spans in --trace-out; cluster.cache.*
+// counters record the reuse).
 // `tune` keys its winner (and a sidecar copy of the report) on the
 // (network, constraint, sweep, objective) digest, so a warm tune run
 // replays the report without re-exploring.
@@ -101,6 +102,10 @@ namespace {
 using db::Error;
 
 constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+/// Bytes `serve` may hold for its requests at once (1 GiB), charging
+/// each request its input tensor plus 1 KiB of queue and record state.
+constexpr std::int64_t kMaxServeRequestBytes = std::int64_t{1} << 30;
+constexpr std::int64_t kServeRequestOverheadBytes = 1024;
 constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 /// One executor thread runs per serving replica and per tune job.
 constexpr std::int64_t kMaxThreads = 64;
@@ -132,7 +137,7 @@ Every value flag takes `--flag value` or `--flag=value`.
   --metrics-out write the metrics registry as JSON
   --profile-out write the per-layer bottleneck-attribution report as JSON
   --design-cache  content-addressed cache directory for generator
-                output; a warm entry skips NN-Gen entirely
+                output; a warm entry is rebuilt from its cached sizing
   --help        this message
 )";
 
@@ -155,13 +160,14 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  CMAC, MNIST, Alexnet, NiN, Cifar)
   --model        Caffe-compatible network script instead of --zoo
   --constraint   designer resource constraint script
-  --requests     number of requests to submit, in [1, 2^31-1] (default 64)
+  --requests     number of requests to submit, in [1, 2^31-1] with
+                 requests x (input bytes + 1 KiB) <= 1 GiB (default 64)
   --replicas     accelerator replicas, each with a private DRAM image and
                  one executor thread, in [1, 64] (default 2)
   --router       batch routing policy: least-loaded (default),
                  round-robin, hash-affinity
   --design-cache content-addressed cache directory for generator
-                 output; a warm entry skips NN-Gen entirely
+                 output; a warm entry is rebuilt from its cached sizing
   --batch        max requests per batch, in [1, 2^63-1] (default 4)
   --linger       cycles a partial batch waits to fill, in [0, 2^63-1]
                  (default 0)
@@ -537,10 +543,24 @@ int RunServe(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   const LoadedModel m = LoadModel(args);
   const Network& net = m.net;
+  // Every request's input tensor and record are held until the drain,
+  // so all of them must fit kMaxServeRequestBytes before the first
+  // input is built.
+  const BlobShape& in_shape =
+      net.layer(net.input_ids().front()).output_shape;
+  const std::int64_t request_bytes =
+      in_shape.NumElements() * static_cast<std::int64_t>(sizeof(float)) +
+      kServeRequestOverheadBytes;
+  if (requests > kMaxServeRequestBytes / request_bytes)
+    throw Error(StrFormat("--requests: %lld requests of %lld bytes each "
+                          "(input + 1 KiB) exceed the 1 GiB cap",
+                          static_cast<long long>(requests),
+                          static_cast<long long>(request_bytes)));
 
   // Content-addressed memoization of NN-Gen: a warm --design-cache
-  // entry (same canonical network + constraint) skips generation — no
-  // toolchain spans in the trace, a cluster.cache hit in the metrics.
+  // entry (same canonical network + constraint) is served without
+  // generation — no toolchain spans in the trace, a cluster.cache hit
+  // in the metrics.
   cluster::DesignCache::Options cache_opts;
   cache_opts.directory = design_cache;
   cache_opts.tracer = &tracer;
@@ -582,8 +602,6 @@ int RunServe(int argc, char** argv) {
     std::printf("fault campaign: %s\n",
                 server_opts.faults.ToString().c_str());
 
-  const BlobShape& in_shape =
-      net.layer(net.input_ids().front()).output_shape;
   for (std::int64_t i = 0; i < requests; ++i) {
     Tensor input(
         Shape{in_shape.channels, in_shape.height, in_shape.width});
@@ -753,7 +771,8 @@ int RunGenerate(int argc, char** argv) {
   const LoadedModel m = LoadModel(args, &tracer);
   const Network& net = m.net;
   // With --design-cache, generation is memoized on the canonical
-  // (network, constraint) content hash; a warm entry skips NN-Gen.
+  // (network, constraint) content hash; a warm entry is rebuilt from
+  // its cached sizing.
   cluster::DesignCache::Options cache_opts;
   cache_opts.directory = design_cache;
   cache_opts.tracer = &tracer;
