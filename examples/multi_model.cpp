@@ -52,7 +52,7 @@ int main() {
         MaxAbsDiff(exec.ForwardOutput(input), sim.Run(input));
 
     std::printf("%-8s %10lld %12.2f %13.4f\n", net.name().c_str(),
-                static_cast<long long>(design.schedule.TotalSteps()),
+                static_cast<long long>(design.fold_plan.TotalSegments()),
                 perf.TotalSeconds() * 1e6, diff);
   }
   std::printf("\n(The 'fidelity' column is the max |float - fixed| output "

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   WriteFile(out_dir / "accelerator.v", EmitVerilog(design.rtl));
   WriteFile(out_dir / "tb_accelerator.v", EmitTestbench(design.rtl));
   WriteFile(out_dir / "design_report.txt", design.Report());
-  WriteFile(out_dir / "schedule.txt", design.schedule.ToString());
+  WriteFile(out_dir / "schedule.txt",
+            design.schedule.ToString(design.fold_plan));
   WriteFile(out_dir / "memory_map.txt", design.memory_map.ToString());
   WriteFile(out_dir / "agu_program.txt", design.agu_program.ToString());
   std::printf("done. Top module: %s\n", design.rtl.top.c_str());

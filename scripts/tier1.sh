@@ -114,7 +114,8 @@ echo "== tier-1: ASan DSE campaign (ctest -L dse) + tune byte-stability =="
 # cross-check (parallel pruned search == brute-force frontier on every
 # zoo model), the Pareto property suite and the sweep grammar must be
 # memory-clean.  Then the CLI smoke: the tune report must be
-# byte-identical across reruns and across --jobs values.
+# byte-identical across reruns and across --jobs values, for MNIST and
+# for NiN, the zoo model with the most fold segments per layer.
 cmake --build --preset asan -j "${JOBS}" --target dse_test
 ctest --preset asan -j "${JOBS}" -L dse
 build/tools/deepburning tune MNIST --jobs 1 > "${PROFILE_TMP}/tune_a.txt"
@@ -123,6 +124,12 @@ cmp "${PROFILE_TMP}/tune_a.txt" "${PROFILE_TMP}/tune_b.txt"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_a.json"
 build/tools/deepburning tune MNIST --jobs 8 --json > "${PROFILE_TMP}/tune_b.json"
 cmp "${PROFILE_TMP}/tune_a.json" "${PROFILE_TMP}/tune_b.json"
+build/tools/deepburning tune NiN --jobs 1 > "${PROFILE_TMP}/nin_a.txt"
+build/tools/deepburning tune NiN --jobs 8 > "${PROFILE_TMP}/nin_b.txt"
+cmp "${PROFILE_TMP}/nin_a.txt" "${PROFILE_TMP}/nin_b.txt"
+build/tools/deepburning tune NiN --jobs 1 --json > "${PROFILE_TMP}/nin_a.json"
+build/tools/deepburning tune NiN --jobs 8 --json > "${PROFILE_TMP}/nin_b.json"
+cmp "${PROFILE_TMP}/nin_a.json" "${PROFILE_TMP}/nin_b.json"
 # A cold run fills the design cache; the warm run rebuilds the winner
 # from the cached sizing and must write the same report byte for byte.
 build/tools/deepburning tune MNIST --design-cache "${PROFILE_TMP}/dc" \

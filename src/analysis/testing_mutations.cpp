@@ -43,17 +43,13 @@ void BreakRule(AcceleratorDesign& design, const std::string& rule) {
     return;
   }
   if (rule == kRuleSchedHazard) {
-    DB_CHECK_MSG(design.schedule.steps.size() >= 2,
-                 "need a multi-step schedule to replay an event");
-    // Replay the first step's fold event on the last step: duplicate
-    // event, and (for multi-layer nets) a read of a blob that is not
-    // written yet when the FSM loops back.  The crossbar microcode is
-    // edited in lock-step so only the schedule itself is inconsistent.
-    design.schedule.steps.back().event =
-        design.schedule.steps.front().event;
-    if (!design.connection_plan.settings.empty())
-      design.connection_plan.settings.back().event =
-          design.schedule.steps.back().event;
+    DB_CHECK_MSG(!design.schedule.entries.empty(), "empty schedule");
+    // Replay the first layer's FSM state right after itself: the layer
+    // executes twice, re-arms its patterns, and breaks the producer
+    // chain.
+    auto& entries = design.schedule.entries;
+    const ScheduleEntry first = entries.front();
+    entries.insert(entries.begin() + 1, first);
     return;
   }
   if (rule == kRuleFoldCoverage) {
@@ -76,13 +72,10 @@ void BreakRule(AcceleratorDesign& design, const std::string& rule) {
     return;
   }
   if (rule == kRuleConnPorts) {
-    DB_CHECK_MSG(!design.connection_plan.settings.empty(), "empty plan");
-    // Re-route the first step's consumer to the classifier port; either
-    // no classifier block exists, or the schedule block disagrees.
-    CrossbarSetting& s = design.connection_plan.settings.front();
-    s.consumer = s.consumer == DatapathPort::kClassifier
-                     ? DatapathPort::kPoolingUnit
-                     : DatapathPort::kClassifier;
+    DB_CHECK_MSG(!design.schedule.entries.empty(), "empty schedule");
+    // A shift as wide as the datapath empties every word.
+    design.schedule.entries.front().shift =
+        design.config.format.total_bits();
     return;
   }
   if (rule == kRuleLutDomain) {

@@ -12,7 +12,6 @@
 #include "common/math_util.h"
 #include "common/strings.h"
 #include "core/approx_lut.h"
-#include "core/connection_plan.h"
 #include "graph/layer_stats.h"
 #include "hwlib/resource_model.h"
 
@@ -288,96 +287,84 @@ void CheckSchedHazards(const Network& net, const AcceleratorDesign& design,
   const auto err = [&](const std::string& loc, const std::string& msg) {
     report.Add(Severity::kError, kRuleSchedHazard, loc, msg);
   };
-  const auto& steps = design.schedule.steps;
-  if (steps.empty()) {
+  const auto& entries = design.schedule.entries;
+  if (entries.empty()) {
     err("schedule", "empty schedule");
     return;
   }
+  std::map<int, const IrLayer*> compute;
+  for (const IrLayer* layer : net.ComputeLayers()) compute[layer->id] = layer;
+  std::map<int, const AguPattern*> patterns;
+  for (const AguPattern& p : design.agu_program.patterns) patterns[p.id] = &p;
 
-  std::set<std::string> events;
-  std::map<int, int> first_step;  // layer_id -> first step index
-  std::map<int, int> last_step;   // layer_id -> last step index
-  std::map<int, int> armed;       // pattern id -> arming step count
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ScheduleStep& s = steps[i];
-    const std::string loc = "schedule/step:" + std::to_string(i);
-    if (s.index != static_cast<int>(i))
-      err(loc, "step index " + std::to_string(s.index) +
-               " breaks the dense 0..n-1 FSM state numbering");
-    const std::string expected_event =
-        "layer" + std::to_string(s.layer_id) + "_fold" + I64(s.segment);
-    if (s.event != expected_event)
-      err(loc, "event '" + s.event + "' does not match layer/segment ('" +
-               expected_event + "' expected)");
-    if (!events.insert(s.event).second)
-      err(loc, "duplicate fold event '" + s.event + "'");
-    if (first_step.find(s.layer_id) == first_step.end())
-      first_step[s.layer_id] = static_cast<int>(i);
-    last_step[s.layer_id] = static_cast<int>(i);
-    for (int pattern_id : s.pattern_ids) {
-      const AguPattern* pattern = nullptr;
-      for (const AguPattern& p : design.agu_program.patterns)
-        if (p.id == pattern_id) pattern = &p;
-      if (pattern == nullptr) {
+  std::map<int, std::size_t> first_entry;  // layer_id -> first state
+  std::map<int, std::size_t> last_entry;   // layer_id -> last state
+  std::map<int, int> armed;                // pattern id -> arming count
+  // Producer chaining: each layer consumes the previous layer's consumer
+  // (the data buffer ahead of the first layer).
+  DatapathPort previous_consumer = DatapathPort::kDataBuffer;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const ScheduleEntry& e = entries[i];
+    const std::string loc = "schedule/state:" + std::to_string(i);
+    const std::string name = LayerNameOrId(net, e.layer_id);
+    if (compute.find(e.layer_id) == compute.end())
+      err(loc, "executes '" + name + "', which is not a compute layer");
+    if (!first_entry.emplace(e.layer_id, i).second)
+      err(loc, "layer '" + name + "' executes again (first at state " +
+               std::to_string(first_entry[e.layer_id]) +
+               "): its folds replay (double-compute)");
+    last_entry[e.layer_id] = i;
+    if (e.producer != previous_consumer)
+      err(loc, "producer '" + DatapathPortName(e.producer) +
+               "' breaks the dataflow chain (previous consumer is '" +
+               DatapathPortName(previous_consumer) + "')");
+    previous_consumer = e.consumer;
+    for (int pattern_id : e.pattern_ids) {
+      const auto pattern = patterns.find(pattern_id);
+      if (pattern == patterns.end()) {
         err(loc, "triggers unknown AGU pattern id " +
                  std::to_string(pattern_id));
         continue;
       }
-      if (pattern->layer_id != s.layer_id)
+      if (pattern->second->layer_id != e.layer_id)
         err(loc, "triggers pattern " + std::to_string(pattern_id) +
-                 " of layer '" + LayerNameOrId(net, pattern->layer_id) +
-                 "' from layer '" + LayerNameOrId(net, s.layer_id) + "'");
+                 " of layer '" +
+                 LayerNameOrId(net, pattern->second->layer_id) +
+                 "' from layer '" + name + "'");
       ++armed[pattern_id];
     }
   }
 
-  // Read-after-write: every producer layer's steps must complete before
-  // the consumer's first step fires (temporal folding legality).
-  for (const IrLayer* layer : net.ComputeLayers()) {
-    auto mine = first_step.find(layer->id);
-    if (mine == first_step.end()) {
+  // Every compute layer executes, and only after its producers' final
+  // writes (temporal folding legality).
+  for (const auto& [id, layer] : compute) {
+    const auto mine = first_entry.find(id);
+    if (mine == first_entry.end()) {
       err("schedule", "layer '" + layer->name() +
-                      "' never executes (no schedule step)");
+                      "' never executes (no schedule entry)");
       continue;
     }
     for (int producer_id : layer->input_ids) {
-      auto produced = last_step.find(producer_id);
-      if (produced == last_step.end()) continue;  // network input blob
+      const auto produced = last_entry.find(producer_id);
+      if (produced == last_entry.end()) continue;  // network input blob
       if (produced->second >= mine->second)
-        err("schedule/step:" + std::to_string(mine->second),
+        err("schedule/state:" + std::to_string(mine->second),
             "layer '" + layer->name() + "' reads the blob of '" +
-                LayerNameOrId(net, producer_id) + "' at step " +
+                LayerNameOrId(net, producer_id) + "' at state " +
                 std::to_string(mine->second) +
-                " before its final write at step " +
+                " before its final write at state " +
                 std::to_string(produced->second));
     }
   }
 
   // Every AGU pattern must arm exactly once: never firing leaves a
   // transfer dead; firing twice replays a completed sweep.
-  for (const AguPattern& p : design.agu_program.patterns) {
-    const int count = armed.count(p.id) ? armed[p.id] : 0;
+  for (const auto& [id, pattern] : patterns) {
+    const int count = armed.count(id) ? armed[id] : 0;
     if (count != 1)
-      err("agu/pattern:" + std::to_string(p.id),
+      err("agu/pattern:" + std::to_string(id),
           "pattern arms " + std::to_string(count) +
               " time(s) across the schedule (must be exactly 1)");
-  }
-
-  // Producer chaining: each layer's steps inherit the previous layer's
-  // consumer ("data_buffer" ahead of the first layer), and all segments
-  // of one layer share it.
-  std::string previous_consumer = "data_buffer";
-  int previous_layer = steps.front().layer_id;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ScheduleStep& s = steps[i];
-    if (i > 0 && s.layer_id != previous_layer) {
-      previous_consumer = steps[i - 1].consumer_block;
-      previous_layer = s.layer_id;
-    }
-    if (s.producer_block != previous_consumer)
-      err("schedule/step:" + std::to_string(i),
-          "producer '" + s.producer_block + "' breaks the dataflow chain "
-          "(previous consumer is '" + previous_consumer + "')");
   }
 }
 
@@ -390,10 +377,10 @@ void CheckFoldCoverage(const Network& net, const AcceleratorDesign& design,
     report.Add(Severity::kError, kRuleFoldCoverage, loc, msg);
   };
   const AcceleratorConfig& config = design.config;
-  std::set<int> planned;
+  std::map<int, const LayerFold*> planned;
   for (const LayerFold& fold : design.fold_plan.folds) {
     const std::string loc = "fold/" + fold.layer_name;
-    if (!planned.insert(fold.layer_id).second)
+    if (!planned.emplace(fold.layer_id, &fold).second)
       err(loc, "layer folded twice");
     if (fold.segments < 1 || fold.lanes_used < 1 ||
         fold.parallel_units < 1) {
@@ -448,23 +435,19 @@ void CheckFoldCoverage(const Network& net, const AcceleratorDesign& design,
                  "unit_work = " + I64(fold.parallel_units * fold.unit_work) +
                  ", serialisation factor " + I64(serial) + ")");
     }
-
-    // The schedule must realise exactly this layer's segment set.
-    std::set<std::int64_t> seen;
-    std::int64_t step_count = 0;
-    for (const ScheduleStep& s : design.schedule.steps) {
-      if (s.layer_id != fold.layer_id) continue;
-      ++step_count;
-      if (!seen.insert(s.segment).second)
-        err(loc, "segment " + I64(s.segment) +
-                 " appears twice in the schedule (double-compute)");
-      if (s.segment < 0 || s.segment >= fold.segments)
-        err(loc, "schedule names segment " + I64(s.segment) +
-                 " outside [0, " + I64(fold.segments) + ")");
-    }
-    if (step_count != fold.segments)
-      err(loc, "schedule executes " + I64(step_count) + " of " +
-               I64(fold.segments) + " segments");
+  }
+  // The schedule runs each layer on the block whose lanes it was
+  // granted.  Entries without a fold are reported below or by
+  // sched.hazard.
+  for (const ScheduleEntry& e : design.schedule.entries) {
+    const auto fold = planned.find(e.layer_id);
+    if (fold == planned.end()) continue;
+    const DatapathPort want = ConsumerPortFor(*fold->second);
+    if (e.consumer != want)
+      err("fold/" + fold->second->layer_name,
+          "folded onto '" + DatapathPortName(want) +
+              "' but the schedule executes it on '" +
+              DatapathPortName(e.consumer) + "'");
   }
   for (const IrLayer* layer : net.ComputeLayers())
     if (planned.find(layer->id) == planned.end())
@@ -533,14 +516,6 @@ void CheckConnectionPorts(const AcceleratorDesign& design,
   const auto err = [&](const std::string& loc, const std::string& msg) {
     report.Add(Severity::kError, kRuleConnPorts, loc, msg);
   };
-  const auto& settings = design.connection_plan.settings;
-  const auto& steps = design.schedule.steps;
-  if (settings.size() != steps.size())
-    err("connection_plan", std::to_string(settings.size()) +
-                               " crossbar settings for " +
-                               std::to_string(steps.size()) +
-                               " schedule steps");
-
   // Which port endpoints actually have instantiated blocks behind them.
   std::set<DatapathPort> instantiated{DatapathPort::kDataBuffer};
   for (const BlockInstance& block : design.blocks) {
@@ -568,45 +543,20 @@ void CheckConnectionPorts(const AcceleratorDesign& design,
     }
   }
 
-  const std::size_t n = std::min(settings.size(), steps.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const CrossbarSetting& setting = settings[i];
-    const ScheduleStep& step = steps[i];
-    const std::string loc = "connection/step:" + std::to_string(i);
-    if (setting.step_index != step.index || setting.event != step.event)
-      err(loc, "setting (step " + std::to_string(setting.step_index) +
-               ", event '" + setting.event +
-               "') does not mirror schedule step " +
-               std::to_string(step.index) + " ('" + step.event + "')");
-    try {
-      const DatapathPort want_producer = PortForBlock(step.producer_block);
-      if (setting.producer != want_producer)
-        err(loc, "producer port '" + DatapathPortName(setting.producer) +
-                 "' does not match schedule block '" +
-                 step.producer_block + "'");
-    } catch (const Error& e) {
-      err(loc, e.what());
-    }
-    try {
-      const DatapathPort want_consumer = PortForBlock(step.consumer_block);
-      if (setting.consumer != want_consumer)
-        err(loc, "consumer port '" + DatapathPortName(setting.consumer) +
-                 "' does not match schedule block '" +
-                 step.consumer_block + "'");
-    } catch (const Error& e) {
-      err(loc, e.what());
-    }
-    for (DatapathPort port : {setting.producer, setting.consumer})
+  const auto& entries = design.schedule.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const ScheduleEntry& e = entries[i];
+    const std::string loc = "connection/state:" + std::to_string(i);
+    for (DatapathPort port : {e.producer, e.consumer})
       if (instantiated.find(port) == instantiated.end())
         err(loc, "drives port '" + DatapathPortName(port) +
                  "' but the design instantiates no such block");
-    if (setting.shift < 0 ||
-        setting.shift >= design.config.format.total_bits())
-      err(loc, "shift " + std::to_string(setting.shift) +
+    if (e.shift < 0 || e.shift >= design.config.format.total_bits())
+      err(loc, "shift " + std::to_string(e.shift) +
                " outside the " +
                std::to_string(design.config.format.total_bits()) +
                "-bit datapath");
-    if (setting.consumer == DatapathPort::kConnectionBox &&
+    if (e.consumer == DatapathPort::kConnectionBox &&
         (!design.config.has_connection_box ||
          design.config.connection_box_ports < 2))
       err(loc, "routes through the connection box but the configuration "

@@ -19,17 +19,20 @@
 //                    non-overlapping, uniquely named, and consistent
 //                    with the recorded total size
 //   mem.capacity     the whole memory map fits the board DRAM
-//   sched.hazard     no step reads a producer blob before the steps
-//                    that write it completed; no block is producer and
-//                    consumer of the same slot; pattern triggers arm
-//                    exactly once and belong to the firing layer
+//   sched.hazard     every compute layer executes exactly once, after
+//                    the layers whose blobs it reads; each layer's
+//                    producer is the previous layer's consumer; pattern
+//                    triggers arm exactly once and belong to the firing
+//                    layer
 //   fold.coverage    spatial segments partition each folded layer
-//                    exactly (no gap, no double-compute) and lane
-//                    grants fit the configured pools
+//                    exactly (no gap, no double-compute), lane grants
+//                    fit the configured pools, and the schedule runs
+//                    each layer on the block its lanes come from
 //   buffer.capacity  ping/pong/staging slots sit inside the data
 //                    buffer, never overlap, and hold the planned tiles
-//   conn.ports       the crossbar microcode mirrors the schedule and
-//                    only drives ports whose blocks are instantiated
+//   conn.ports       the schedule's crossbar settings only drive ports
+//                    whose blocks are instantiated, with a shift inside
+//                    the datapath width
 //   lut.domain       every required Approx LUT exists, covers a
 //                    non-empty domain in the datapath format, and its
 //                    generated table is key-monotone

@@ -141,12 +141,14 @@ std::string DesignToJson(const AcceleratorDesign& design) {
   w.EndArray();
 
   w.BeginArray("schedule");
-  for (const ScheduleStep& s : design.schedule.steps) {
+  for (const ScheduleEntry& e : design.schedule.entries) {
+    const LayerFold& fold = design.fold_plan.ForLayer(e.layer_id);
     w.BeginObject();
-    w.Field("index", s.index);
-    w.Field("event", s.event);
-    w.Field("producer", s.producer_block);
-    w.Field("consumer", s.consumer_block);
+    w.Field("layer", fold.layer_name);
+    w.Field("producer", DatapathPortName(e.producer));
+    w.Field("consumer", DatapathPortName(e.consumer));
+    w.Field("shift", e.shift);
+    w.Field("segments", fold.segments);
     w.EndObject();
   }
   w.EndArray();

@@ -53,7 +53,8 @@ struct FoldPlan {
   std::int64_t TemporalFolds() const {
     return static_cast<std::int64_t>(folds.size());
   }
-  /// Total fold steps (sum of segments) — the coordinator's event count.
+  /// Total spatial fold segments over all layers (the AGU y-loop
+  /// iterations; the coordinator steps layers, not segments).
   std::int64_t TotalSegments() const;
   const LayerFold& ForLayer(int layer_id) const;
   std::string ToString() const;

@@ -397,14 +397,12 @@ std::vector<BlockInstance> PickBlocks(const AcceleratorConfig& config,
   return blocks;
 }
 
-/// One full run of the compiler passes for the design's CURRENT config:
-/// folding through block picking + resource tally.  `phase` wraps each
-/// pass — tracer spans in GenerateAccelerator, a no-op for the DSE
-/// explorer's fixed-config candidates.
+/// The software passes for the design's CURRENT config: folding through
+/// the buffer plan.  `phase` wraps each pass — tracer spans in
+/// GenerateAccelerator, a no-op elsewhere.
 template <typename Phase>
-void CompilePasses(const Network& net, AcceleratorDesign& design,
-                   Phase&& phase) {
-  design.lut_specs.clear();
+void CompileSoftware(const Network& net, AcceleratorDesign& design,
+                     Phase&& phase) {
   phase("folding",
         [&] { design.fold_plan = PlanFolding(net, design.config); });
   phase("data layout", [&] {
@@ -426,15 +424,24 @@ void CompilePasses(const Network& net, AcceleratorDesign& design,
     design.buffer_plan = PlanBuffers(net, design.config, design.fold_plan,
                                      design.layout);
   });
-  phase("connection plan", [&] {
-    design.connection_plan = PlanConnections(net, design.schedule);
-  });
+}
+
+/// One full run of the compiler passes: the software passes, then block
+/// picking + resource tally.
+template <typename Phase>
+void CompilePasses(const Network& net, AcceleratorDesign& design,
+                   Phase&& phase) {
+  CompileSoftware(net, design, phase);
   phase("pick blocks", [&] {
+    design.lut_specs.clear();
     design.blocks = PickBlocks(design.config, net, design.agu_program,
                                design.fold_plan, design.lut_specs);
     design.resources = TallyResources(design.blocks);
   });
 }
+
+/// Runs a pass untraced.
+const auto kNoPhase = [](const char*, auto&& body) { body(); };
 
 }  // namespace
 
@@ -442,8 +449,7 @@ AcceleratorDesign CompileForConfig(const Network& net,
                                    const AcceleratorConfig& config) {
   AcceleratorDesign design;
   design.config = config;
-  CompilePasses(net, design,
-                [](const char*, auto&& body) { body(); });
+  CompilePasses(net, design, kNoPhase);
   return design;
 }
 
@@ -523,7 +529,8 @@ AcceleratorDesign GenerateAccelerator(const Network& net,
 
   DB_LOG(kInfo) << "generated accelerator for '" << net.name() << "': "
                 << design.config.TotalLanes() << " lanes, "
-                << design.schedule.TotalSteps() << " schedule steps, "
+                << design.fold_plan.TotalSegments() << " fold segments over "
+                << design.schedule.entries.size() << " layers, "
                 << design.resources.total.ToString();
   return design;
 }
@@ -593,17 +600,7 @@ SharedAccelerator GenerateSharedAccelerator(
   for (const Network* net : nets) {
     AcceleratorDesign design;
     design.config = shared.config;
-    design.fold_plan = PlanFolding(*net, design.config);
-    design.layout = PlanDataLayout(*net, design.config.memory_port_elems);
-    design.memory_map = MemoryMap::Build(*net, design.config);
-    design.agu_program =
-        BuildAguProgram(*net, design.config, design.fold_plan,
-                        design.layout, design.memory_map);
-    design.schedule =
-        BuildSchedule(*net, design.fold_plan, design.agu_program);
-    design.buffer_plan = PlanBuffers(*net, design.config,
-                                     design.fold_plan, design.layout);
-    design.connection_plan = PlanConnections(*net, design.schedule);
+    CompileSoftware(*net, design, kNoPhase);
     shared.designs.push_back(std::move(design));
   }
 

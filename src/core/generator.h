@@ -16,7 +16,6 @@
 #include "core/agu_program.h"
 #include "core/approx_lut.h"
 #include "core/buffer_plan.h"
-#include "core/connection_plan.h"
 #include "core/data_layout.h"
 #include "core/folding.h"
 #include "core/memory_map.h"
@@ -38,7 +37,6 @@ struct AcceleratorDesign {
   AguProgram agu_program;
   Schedule schedule;
   BufferPlan buffer_plan;
-  ConnectionPlan connection_plan;
   std::vector<ApproxLutSpec> lut_specs;  // one per approximated function
   std::vector<BlockInstance> blocks;
   ResourceReport resources;
@@ -54,7 +52,7 @@ struct AcceleratorDesign {
 ///
 /// With a tracer, every compilation phase (sizing → folding → data
 /// layout → memory map → agu program → schedule → buffer plan →
-/// connections → blocks → rtl emit → rtl verify → verify) is recorded as
+/// blocks → rtl emit → rtl verify → verify) is recorded as
 /// one span on the "toolchain" track, one ordinal tick per phase (the
 /// toolchain has no simulated clock); refit attempts annotate their
 /// spans.  The timeline continues from the track's prior end, so a
@@ -85,7 +83,7 @@ AcceleratorConfig SizeDatapath(const Network& net,
                                const DesignConstraint& constraint);
 
 /// Compile the full software bundle (folding, data layout, memory map,
-/// AGU programs, schedule, buffer plan, connections) plus the block
+/// AGU programs, schedule, buffer plan) plus the block
 /// inventory and resource tally for a FIXED configuration — no sizing,
 /// no refit loop, no RTL emission, no verification gate.  Throws
 /// db::Error when the configuration cannot run the network at all

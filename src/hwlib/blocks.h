@@ -50,7 +50,7 @@ struct BlockConfig {
   std::int64_t depth = 0;      // buffer bytes or Approx LUT entries
   int patterns = 1;     // AGU: distinct access patterns supported
   AguRole agu_role = AguRole::kData;
-  int fold_events = 1;  // coordinator: schedule steps it sequences
+  int fold_events = 1;  // coordinator: FSM states, one per layer
   bool interpolate = true;  // Approx LUT: super-linear interpolation stage
 };
 

@@ -448,9 +448,9 @@ VModule EmitAgu(const BlockConfig& c) {
 }
 
 VModule EmitCoordinator(const BlockConfig& c) {
-  // Central FSM: walks the fold schedule, raising the pattern-trigger
-  // event of each step when the previous step's AGUs report done
-  // (data-driven producer/consumer reconnection, paper §3.3).
+  // Central FSM: one state per layer of the schedule, raising the
+  // layer's pattern-trigger event when the previous layer's AGUs report
+  // done (data-driven producer/consumer reconnection, paper §3.3).
   VModule m;
   m.name = BlockModuleName(c);
   m.comment = "Scheduling coordinator: " + DescribeBlock(c);

@@ -1,10 +1,10 @@
 // Transaction-level performance simulation of a generated accelerator.
 //
-// The simulator walks the coordinator schedule at fold-segment
-// granularity.  Each segment is a (fetch, compute, store) transaction
-// triple; with double buffering (the data-driven default) segment i+1's
-// fetch overlaps segment i's compute, exactly the producer/consumer
-// behaviour the AGUs implement.  Memory transaction durations come from
+// The simulator walks each layer's fold (FoldPlan) at segment
+// granularity, the steps the AGUs' y-counters take.  Each segment is a
+// (fetch, compute, store) transaction triple; with double buffering
+// (the data-driven default) segment i+1's fetch overlaps segment i's
+// compute, exactly the producer/consumer behaviour the AGUs implement.  Memory transaction durations come from
 // the DRAM channel model scaled by the data layout's bandwidth
 // utilisation and re-fetch factors — this is where Method-1 tiling pays
 // off and where the tiling ablation measures its effect.

@@ -91,7 +91,7 @@ TEST(Diagnostics, JsonEscapesControlAndQuoteCharacters) {
 
 // One generated design shared by the verifier tests.  Cifar exercises
 // every artifact the rules inspect: conv/pool/softmax layers, all three
-// AGU roles, a multi-step schedule and Approx LUT specs (exp + recip).
+// AGU roles, a multi-layer schedule and Approx LUT specs (exp + recip).
 struct VerifierFixture {
   VerifierFixture()
       : net(BuildZooModel(ZooModel::kCifar)),
@@ -221,6 +221,33 @@ TEST(Verifier, NeverThrowsOnStructurallyEmptyDesign) {
   EXPECT_FALSE(report.ok());
 }
 
+TEST(Verifier, ScheduleFaultsTripTheirRules) {
+  VerifierFixture& fx = Fixture();
+  const auto verify = [&](AcceleratorDesign broken) {
+    return analysis::VerifyDesign(fx.net, broken);
+  };
+  ASSERT_GE(fx.design.schedule.entries.size(), 2u);
+  // A layer that runs before its producer reads an unwritten blob.
+  AcceleratorDesign swapped = fx.design;
+  std::swap(swapped.schedule.entries[0], swapped.schedule.entries[1]);
+  AnalysisReport report = verify(swapped);
+  EXPECT_NE(report.ToText().find("before its final write"),
+            std::string::npos)
+      << report.ToText();
+  // A layer without an entry never executes.
+  AcceleratorDesign dropped = fx.design;
+  dropped.schedule.entries.pop_back();
+  report = verify(dropped);
+  EXPECT_NE(report.ToText().find("never executes"), std::string::npos)
+      << report.ToText();
+  // A layer routed away from the block its lanes come from.
+  AcceleratorDesign rerouted = fx.design;
+  rerouted.schedule.entries.front().consumer = DatapathPort::kPoolingUnit;
+  report = verify(rerouted);
+  EXPECT_TRUE(report.HasRule(analysis::kRuleFoldCoverage))
+      << report.ToText();
+}
+
 // ----------------------------------------------- seeded mutation sweep
 
 // One single-field corruption site; `corrupt` draws the wild value from
@@ -280,10 +307,11 @@ std::vector<MutationSite> BuildMutationSites(const AcceleratorDesign& design) {
                          1 + static_cast<std::int64_t>(rng.UniformInt(64));
                      d.memory_map = MemoryMap::FromRegions(std::move(regions));
                    }});
-  sites.push_back({"schedule.event", [](AcceleratorDesign& d, Rng& rng) {
-                     auto& steps = d.schedule.steps;
-                     const std::size_t from = rng.UniformInt(steps.size());
-                     steps.back().event = steps[from].event + "_x";
+  sites.push_back({"schedule.entry", [](AcceleratorDesign& d, Rng& rng) {
+                     auto& entries = d.schedule.entries;
+                     const ScheduleEntry replay =
+                         entries[rng.UniformInt(entries.size())];
+                     entries.push_back(replay);
                    }});
   sites.push_back({"fold.parallel_units", [](AcceleratorDesign& d, Rng& rng) {
                      LayerFold& fold = d.fold_plan.folds.front();

@@ -57,6 +57,12 @@ TEST(DesignJson, ValuesMatchDesign) {
     pos += 1;
   }
   EXPECT_EQ(count, design.fold_plan.folds.size());
+  // One schedule row per compute layer.
+  count = 0;
+  for (pos = 0; (pos = json.find("\"shift\"", pos)) != std::string::npos;
+       ++pos)
+    ++count;
+  EXPECT_EQ(count, design.schedule.entries.size());
 }
 
 TEST(DesignJson, Deterministic) {

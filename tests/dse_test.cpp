@@ -4,7 +4,8 @@
 // the multi-threaded pruned search (Explore, jobs=8) is compared point
 // for point against a brute-force single-threaded sweep evaluated here
 // with an independent naive frontier implementation — same candidates,
-// same statuses, bit-identical objective scores, identical frontier.
+// same statuses, bit-identical objective scores, identical frontier —
+// and the rendered tune report is pinned to a digest.
 //
 // Around it, property tests pin the frontier contract on seeded random
 // objective vectors (mutual non-domination, completeness, permutation
@@ -21,6 +22,7 @@
 #include "analysis/verifier.h"
 #include "cluster/design_cache.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/generator.h"
 #include "dse/explorer.h"
@@ -233,6 +235,22 @@ SweepSpec SweepFor(ZooModel model) {
   return SweepSpec{};
 }
 
+/// FNV-1a64 of each model's tune report over SweepFor(model).
+std::uint64_t PinnedTuneDigest(ZooModel model) {
+  switch (model) {
+    case ZooModel::kAnn0Fft: return 0xeed785f9f5007411ull;
+    case ZooModel::kAnn1Jpeg: return 0x7771b83ca1e00bd5ull;
+    case ZooModel::kAnn2Kmeans: return 0x4c2d9217ef6c3e32ull;
+    case ZooModel::kHopfield: return 0x8627fef7118e9389ull;
+    case ZooModel::kCmac: return 0x1f28553eb2f30645ull;
+    case ZooModel::kMnist: return 0x992345836fe25840ull;
+    case ZooModel::kAlexnet: return 0xfb72e5e6262d1ac4ull;
+    case ZooModel::kNin: return 0xd62675d46aa81f26ull;
+    case ZooModel::kCifar: return 0xf7e8f2b8b03d6830ull;
+  }
+  return 0;
+}
+
 TEST(Explore, ExhaustiveCrossCheckEveryZooModel) {
   for (const ZooModel model : AllZooModels()) {
     SCOPED_TRACE(ZooModelName(model));
@@ -264,6 +282,11 @@ TEST(Explore, ExhaustiveCrossCheckEveryZooModel) {
     options.sweep = sweep;
     options.jobs = 8;
     const TuneResult result = dse::Explore(net, constraint, options);
+    // The rendered report (text, then JSON) is pinned byte for byte: the
+    // schedule and verifier passes every candidate runs through must
+    // not move a status, a score or the winner.
+    EXPECT_EQ(Fnv1a64(result.ToText() + result.ToJson()),
+              PinnedTuneDigest(model));
     ASSERT_EQ(result.candidates.size(), brute.size());
     for (std::size_t i = 0; i < brute.size(); ++i) {
       SCOPED_TRACE("candidate " + std::to_string(i) + " " +

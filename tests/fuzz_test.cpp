@@ -110,8 +110,7 @@ TEST_P(RandomNetworkSweep, FullPipelineInvariants) {
   EXPECT_TRUE(analysis::VerifyRtl(design.rtl).ok());
 
   // 3. Fold/schedule invariants.
-  EXPECT_EQ(design.schedule.TotalSteps(),
-            design.fold_plan.TotalSegments());
+  EXPECT_EQ(design.schedule.entries.size(), design.fold_plan.folds.size());
   for (const LayerFold& fold : design.fold_plan.folds) {
     EXPECT_GE(fold.lanes_used, 1) << fold.layer_name;
     if (fold.pool == LanePool::kMac) {

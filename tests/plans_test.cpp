@@ -1,5 +1,5 @@
-// Tests for the on-chip buffer plan, the connection (crossbar) plan, and
-// the shared multi-network accelerator.
+// Tests for the on-chip buffer plan, the schedule's crossbar settings,
+// and the shared multi-network accelerator.
 #include <gtest/gtest.h>
 
 #include "analysis/rtl_verifier.h"
@@ -76,29 +76,15 @@ TEST(BufferPlan, ReportIncludesPlan) {
   EXPECT_NE(design.Report().find("buffer plan"), std::string::npos);
 }
 
-// -------------------------------------------------------- connection plan
-
-TEST(ConnectionPlan, OneSettingPerScheduleStep) {
-  const Network net = BuildZooModel(ZooModel::kMnist);
-  const AcceleratorDesign design =
-      GenerateAccelerator(net, DbConstraint());
-  EXPECT_EQ(design.connection_plan.settings.size(),
-            design.schedule.steps.size());
-  for (std::size_t i = 0; i < design.schedule.steps.size(); ++i) {
-    EXPECT_EQ(design.connection_plan.settings[i].event,
-              design.schedule.steps[i].event);
-    EXPECT_EQ(design.connection_plan.settings[i].step_index,
-              design.schedule.steps[i].index);
-  }
-}
+// ------------------------------------------ crossbar settings per layer
 
 TEST(ConnectionPlan, FirstStepConsumesFromDataBuffer) {
   const AcceleratorDesign design = GenerateAccelerator(
       BuildZooModel(ZooModel::kMnist), DbConstraint());
-  ASSERT_FALSE(design.connection_plan.settings.empty());
-  EXPECT_EQ(design.connection_plan.settings.front().producer,
+  ASSERT_FALSE(design.schedule.entries.empty());
+  EXPECT_EQ(design.schedule.entries.front().producer,
             DatapathPort::kDataBuffer);
-  EXPECT_EQ(design.connection_plan.settings.front().consumer,
+  EXPECT_EQ(design.schedule.entries.front().consumer,
             DatapathPort::kSynergyArray);
 }
 
@@ -108,36 +94,16 @@ TEST(ConnectionPlan, AveragePoolingGetsShift) {
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
   bool found = false;
-  for (const CrossbarSetting& s : design.connection_plan.settings) {
-    const IrLayer& layer =
-        net.layer(design.schedule.steps[static_cast<std::size_t>(
-                                            s.step_index)]
-                      .layer_id);
+  for (const ScheduleEntry& e : design.schedule.entries) {
+    const IrLayer& layer = net.layer(e.layer_id);
     if (layer.name() == "pool2") {
-      EXPECT_EQ(s.shift, 2);
+      EXPECT_EQ(e.shift, 2);
       found = true;
     } else {
-      EXPECT_EQ(s.shift, 0) << layer.name();
+      EXPECT_EQ(e.shift, 0) << layer.name();
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(ConnectionPlan, PortResolution) {
-  EXPECT_EQ(PortForBlock("synergy_array"), DatapathPort::kSynergyArray);
-  EXPECT_EQ(PortForBlock("pooling_unit0"), DatapathPort::kPoolingUnit);
-  EXPECT_EQ(PortForBlock("data_buffer"), DatapathPort::kDataBuffer);
-  EXPECT_THROW(PortForBlock("mystery_block"), Error);
-}
-
-TEST(ConnectionPlan, DistinctPortsBounded) {
-  const AcceleratorDesign design = GenerateAccelerator(
-      BuildZooModel(ZooModel::kAlexnet), DbConstraint());
-  const int ports = design.connection_plan.DistinctPorts();
-  EXPECT_GE(ports, 2);
-  EXPECT_LE(ports, 7);
-  EXPECT_NE(design.connection_plan.ToString().find("synergy_array"),
-            std::string::npos);
 }
 
 // ----------------------------------------------------- shared accelerator

@@ -799,7 +799,8 @@ int RunGenerate(int argc, char** argv) {
   WriteFile(out / "accelerator.v", EmitVerilog(design.rtl));
   WriteFile(out / "tb_accelerator.v", EmitTestbench(design.rtl));
   WriteFile(out / "design_report.txt", design.Report());
-  WriteFile(out / "schedule.txt", design.schedule.ToString());
+  WriteFile(out / "schedule.txt",
+            design.schedule.ToString(design.fold_plan));
   WriteFile(out / "memory_map.txt", design.memory_map.ToString());
   WriteFile(out / "agu_program.txt", design.agu_program.ToString());
   WriteFile(out / "design.json", DesignToJson(design));
