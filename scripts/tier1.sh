@@ -53,14 +53,18 @@ echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 # plan summary (SummarizePlan) through every fault and cluster path.
 # The design cache's disk loader parses bytes from outside the program
 # (checksum, canonical text, the sized-config record), so its suites
-# (DesignCache, DesignCacheVerify) run here too.
+# (DesignCache, DesignCacheVerify) run here too.  The DRAM image is a
+# mapped file that replicas map copy-on-write once it is sealed, so the
+# seal, remap and copy paths (MemoryImage, ReplicateSystem) run here as
+# well.
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}" \
   --target serve_test trace_test common_test perf_model_test \
            system_sim_test obs_test kernels_test functional_sim_test \
-           approx_lut_test serve_golden_test cluster_test analysis_test
+           approx_lut_test serve_golden_test cluster_test analysis_test \
+           memory_image_test
 ctest --preset asan -j "${JOBS}" \
-  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.|ServeGolden|DesignCache'
+  -R 'Batcher|PlanServe|InferenceServer|PerfTrace|MathUtil|SystemContext|SystemSim|PerfModel|Metrics|Tracer|ScopedSpan|ChromeTrace|ExportPerfTrace|Kernels\.|FunctionalSim|ApproxLut\.|ServeGolden|DesignCache|ReplicateSystem|MemoryImage'
 
 echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # The verifier's interval arithmetic (AGU footprints, memory-map overlap

@@ -10,7 +10,6 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/strings.h"
 #include "core/approx_lut.h"
 #include "graph/layer_stats.h"
 #include "hwlib/resource_model.h"
@@ -97,14 +96,6 @@ void CheckAguBounds(const Network& net, const AcceleratorDesign& design,
                I64(p.beat_bytes) + ") — every field must be >= 1");
       continue;
     }
-    // The trigger event must name the pattern's own layer; a mismatch
-    // means the coordinator would fire this transfer for another layer.
-    const std::string event_prefix =
-        "layer" + std::to_string(p.layer_id) + "_fold";
-    if (!StartsWith(p.event, event_prefix))
-      err(loc, "trigger event '" + p.event + "' does not belong to layer " +
-               LayerNameOrId(net, p.layer_id));
-
     const AddrInterval iv = PatternInterval(p);
     if (iv.wraps) {
       err(loc, "address arithmetic wraps 64-bit space (start " +

@@ -55,6 +55,10 @@ int AguProgram::CountFor(AguRole role) const {
   return n;
 }
 
+std::string AguTriggerEvent(int layer_id) {
+  return "layer" + std::to_string(layer_id) + "_fold0";
+}
+
 std::string AguProgram::ToString() const {
   std::ostringstream os;
   os << StrFormat("  %-4s %-6s %-14s %-16s %10s %6s %6s %8s %8s\n", "id",
@@ -64,7 +68,8 @@ std::string AguProgram::ToString() const {
     os << StrFormat("  %-4d %-6s %-14s %-16s %10lld %6lld %6lld %8lld "
                     "%8lld\n",
                     p.id, AguRoleName(p.role).c_str(),
-                    TransferKindName(p.kind).c_str(), p.event.c_str(),
+                    TransferKindName(p.kind).c_str(),
+                    AguTriggerEvent(p.layer_id).c_str(),
                     static_cast<long long>(p.start_addr),
                     static_cast<long long>(p.x_length),
                     static_cast<long long>(p.y_length),
@@ -111,8 +116,6 @@ AguProgram BuildAguProgram(const Network& net,
   for (const IrLayer* layer : net.ComputeLayers()) {
     const LayerFold& fold = folds.ForLayer(layer->id);
     const DataLayoutPlan::Entry& lay = layout.ForLayer(layer->id);
-    const std::string event = "layer" + std::to_string(layer->id) +
-                              "_fold0";
     // --- main AGU: input tiles from every producer blob's region
     //     (inception/concat layers consume several bottoms) ---
     for (int producer_id : layer->input_ids) {
@@ -124,7 +127,6 @@ AguProgram BuildAguProgram(const Network& net,
       p.role = AguRole::kMain;
       p.kind = TransferKind::kLoadInput;
       p.layer_id = layer->id;
-      p.event = event;
       push(std::move(p));
     }
     // --- main AGU: weights, streamed once per layer ---
@@ -134,7 +136,6 @@ AguProgram BuildAguProgram(const Network& net,
       p.role = AguRole::kMain;
       p.kind = TransferKind::kLoadWeights;
       p.layer_id = layer->id;
-      p.event = event;
       push(std::move(p));
     }
     // --- main AGU: outputs back to this layer's blob region ---
@@ -144,7 +145,6 @@ AguProgram BuildAguProgram(const Network& net,
       p.role = AguRole::kMain;
       p.kind = TransferKind::kStoreOutput;
       p.layer_id = layer->id;
-      p.event = event;
       push(std::move(p));
     }
     // --- data AGU: stream operand rows from the on-chip data buffer ---
@@ -153,7 +153,6 @@ AguProgram BuildAguProgram(const Network& net,
       p.role = AguRole::kData;
       p.kind = TransferKind::kStreamData;
       p.layer_id = layer->id;
-      p.event = event;
       p.beat_bytes = beat;
       p.start_addr = 0;  // buffer-relative
       // One inner beat per port row of a segment's working set; outer
@@ -173,7 +172,6 @@ AguProgram BuildAguProgram(const Network& net,
       p.role = AguRole::kWeight;
       p.kind = TransferKind::kStreamWeights;
       p.layer_id = layer->id;
-      p.event = event;
       p.beat_bytes = beat;
       p.start_addr = 0;
       const LayerStats stats = ComputeLayerStats(*layer);

@@ -33,8 +33,7 @@ struct AguPattern {
   int id = 0;
   AguRole role = AguRole::kMain;
   TransferKind kind = TransferKind::kLoadInput;
-  int layer_id = 0;
-  std::string event;  // pattern-trigger event, e.g. "layer3_fold0"
+  int layer_id = 0;  // its trigger event is AguTriggerEvent(layer_id)
 
   std::int64_t start_addr = 0;
   std::int64_t x_length = 1;   // inner-loop beats
@@ -48,6 +47,10 @@ struct AguPattern {
     return x_length * y_length * beat_bytes;
   }
 };
+
+/// The event that triggers a layer's patterns, "layer<id>_fold0": the
+/// coordinator raises it on entering the layer's schedule state.
+std::string AguTriggerEvent(int layer_id);
 
 /// Expand a pattern into its address stream exactly as the RTL AGU's
 /// nested x/y counters would — used by tests and the functional memory

@@ -129,7 +129,7 @@ std::string DesignToJson(const AcceleratorDesign& design) {
     w.Field("id", p.id);
     w.Field("role", AguRoleName(p.role));
     w.Field("kind", TransferKindName(p.kind));
-    w.Field("event", p.event);
+    w.Field("event", AguTriggerEvent(p.layer_id));
     w.Field("start", p.start_addr);
     w.Field("x_length", p.x_length);
     w.Field("y_length", p.y_length);

@@ -1,9 +1,14 @@
 #include "core/memory_image.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <new>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -12,80 +17,131 @@
 namespace db {
 namespace {
 
-std::uint8_t* AllocateBytes(std::int64_t bytes, bool zeroed) {
-  DB_CHECK_MSG(bytes >= 0, "negative image size");
-  // calloc/malloc(0) may return null; a 1-byte block keeps data() valid.
-  const auto n = static_cast<std::size_t>(std::max<std::int64_t>(bytes, 1));
-  void* p = zeroed ? std::calloc(n, 1) : std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return static_cast<std::uint8_t*>(p);
+/// A fresh zero-filled in-memory file of `bytes` (> 0) bytes, and a
+/// writable shared mapping of it.
+std::pair<int, std::uint8_t*> NewFile(std::int64_t bytes) {
+  const int fd = memfd_create("db-dram-image", MFD_CLOEXEC | MFD_ALLOW_SEALING);
+  if (fd < 0) throw std::bad_alloc();
+  void* p = MAP_FAILED;
+  if (ftruncate(fd, bytes) == 0)
+    p = mmap(nullptr, static_cast<std::size_t>(bytes), PROT_READ | PROT_WRITE,
+             MAP_SHARED, fd, 0);
+  if (p == MAP_FAILED) {
+    close(fd);
+    throw std::bad_alloc();
+  }
+  return {fd, static_cast<std::uint8_t*>(p)};
 }
 
 /// Quantise `n` values into consecutive little-endian elements of
-/// kBytes each (the low bytes of the raw int64).
+/// kBytes each.  This is FixedFormat::Quantize with the format's fields
+/// hoisted out of the loop and an int32 conversion: total_bits <= 32
+/// bounds every clamped value, so the conversion is exact, and the low
+/// kBytes of the int32 are the low kBytes of Quantize's int64.
 template <int kBytes>
 void PackRaw(std::uint8_t* dst, const float* values, std::size_t n,
              const FixedFormat& fmt) {
+  const double scale =
+      static_cast<double>(std::int64_t{1} << fmt.frac_bits());
+  const double lo = static_cast<double>(fmt.raw_min());
+  const double hi = static_cast<double>(fmt.raw_max());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t raw = fmt.Quantize(values[i]);
+    const double s = static_cast<double>(values[i]) * scale;
+    const double r = std::min(std::max(s + std::copysign(0.5, s), lo), hi);
+    const auto raw = static_cast<std::int32_t>(std::isnan(s) ? 0.0 : r);
     std::memcpy(dst + i * kBytes, &raw, kBytes);
   }
 }
 
 }  // namespace
 
-void MemoryImage::Free::operator()(std::uint8_t* p) const { std::free(p); }
+MemoryImage::MemoryImage(std::int64_t bytes) : size_(bytes) {
+  DB_CHECK_MSG(bytes >= 0, "negative image size");
+  if (bytes > 0) std::tie(fd_, bytes_) = NewFile(bytes);
+}
 
-MemoryImage::MemoryImage(std::int64_t bytes)
-    : bytes_(AllocateBytes(bytes, /*zeroed=*/true)), size_(bytes) {}
-
-MemoryImage::MemoryImage(const MemoryImage& other)
-    : bytes_(AllocateBytes(other.size_, /*zeroed=*/false)),
-      size_(other.size_) {
-  std::memcpy(data(), other.data(), static_cast<std::size_t>(size_));
+MemoryImage::MemoryImage(const MemoryImage& other) : size_(other.size_) {
+  if (size_ == 0) return;
+  if (other.sealed_) {
+    // A replica: the sealed file mapped copy-on-write, pages faulted in
+    // on first touch.
+    void* p = mmap(nullptr, static_cast<std::size_t>(size_),
+                   PROT_READ | PROT_WRITE, MAP_PRIVATE, other.fd_, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    bytes_ = static_cast<std::uint8_t*>(p);
+    return;
+  }
+  std::tie(fd_, bytes_) = NewFile(size_);
+  std::memcpy(bytes_, other.bytes_, static_cast<std::size_t>(size_));
 }
 
 MemoryImage& MemoryImage::operator=(const MemoryImage& other) {
   if (this == &other) return *this;
-  if (size_ != other.size_) {
-    bytes_.reset(AllocateBytes(other.size_, /*zeroed=*/false));
-    size_ = other.size_;
-  }
-  std::memcpy(data(), other.data(), static_cast<std::size_t>(size_));
+  if (size_ != other.size_ || sealed_) return *this = MemoryImage(other);
+  if (size_ > 0)
+    std::memcpy(bytes_, other.bytes_, static_cast<std::size_t>(size_));
   return *this;
 }
 
 MemoryImage::MemoryImage(MemoryImage&& other) noexcept
-    : bytes_(std::move(other.bytes_)),
-      size_(std::exchange(other.size_, 0)) {}
+    : bytes_(std::exchange(other.bytes_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      fd_(std::exchange(other.fd_, -1)),
+      sealed_(std::exchange(other.sealed_, false)) {}
 
 MemoryImage& MemoryImage::operator=(MemoryImage&& other) noexcept {
-  bytes_ = std::move(other.bytes_);
+  if (this == &other) return *this;
+  Release();
+  bytes_ = std::exchange(other.bytes_, nullptr);
   size_ = std::exchange(other.size_, 0);
+  fd_ = std::exchange(other.fd_, -1);
+  sealed_ = std::exchange(other.sealed_, false);
   return *this;
+}
+
+MemoryImage::~MemoryImage() { Release(); }
+
+void MemoryImage::Release() noexcept {
+  if (bytes_ != nullptr) munmap(bytes_, static_cast<std::size_t>(size_));
+  if (fd_ >= 0) close(fd_);
+}
+
+void MemoryImage::Seal() {
+  if (sealed_) return;
+  DB_CHECK_MSG(fd_ >= 0, "only an image that owns its file can be sealed "
+                         "(not a replica, not an empty image)");
+  // The writable shared view would block F_SEAL_WRITE; replace it, at
+  // the same address, by a private read-only one.  Its pages fault in
+  // again only when read.
+  if (mmap(bytes_, static_cast<std::size_t>(size_), PROT_READ,
+           MAP_PRIVATE | MAP_FIXED, fd_, 0) == MAP_FAILED)
+    throw std::bad_alloc();
+  DB_CHECK_MSG(fcntl(fd_, F_ADD_SEALS,
+                     F_SEAL_WRITE | F_SEAL_GROW | F_SEAL_SHRINK) == 0,
+               "sealing the DRAM image file failed");
+  sealed_ = true;
 }
 
 void MemoryImage::WriteElem(std::int64_t addr, std::int64_t raw,
                             int elem_bytes) {
   DB_CHECK_MSG(addr >= 0 && addr + elem_bytes <= size(),
                "image write out of bounds");
+  std::uint8_t* bytes = data();
   for (int b = 0; b < elem_bytes; ++b)
-    bytes_[static_cast<std::size_t>(addr + b)] =
-        static_cast<std::uint8_t>((raw >> (8 * b)) & 0xFF);
+    bytes[addr + b] = static_cast<std::uint8_t>((raw >> (8 * b)) & 0xFF);
 }
 
 std::int64_t MemoryImage::ReadElem(std::int64_t addr,
                                    int elem_bytes) const {
   DB_CHECK_MSG(addr >= 0 && addr + elem_bytes <= size(),
                "image read out of bounds");
-  return LoadElem(bytes_.get() + addr, elem_bytes);
+  return LoadElem(bytes_ + addr, elem_bytes);
 }
 
 void MemoryImage::FlipBit(std::int64_t addr, int bit) {
   DB_CHECK_MSG(addr >= 0 && addr < size(), "bit flip out of bounds");
   DB_CHECK_MSG(bit >= 0 && bit < 8, "bit index must be in [0, 8)");
-  bytes_[static_cast<std::size_t>(addr)] ^=
-      static_cast<std::uint8_t>(1u << bit);
+  data()[addr] ^= static_cast<std::uint8_t>(1u << bit);
 }
 
 void MemoryImage::CopyRange(const MemoryImage& src, std::int64_t base,
@@ -94,8 +150,10 @@ void MemoryImage::CopyRange(const MemoryImage& src, std::int64_t base,
   DB_CHECK_MSG(base >= 0 && base + bytes <= size() &&
                    base + bytes <= src.size(),
                "copy range out of bounds");
-  std::memcpy(data() + base, src.data() + base,
-              static_cast<std::size_t>(bytes));
+  std::uint8_t* dst = data();
+  if (bytes > 0)
+    std::memcpy(dst + base, src.data() + base,
+                static_cast<std::size_t>(bytes));
 }
 
 std::vector<std::int64_t> BlobTileOrder(const Network& net,
@@ -146,6 +204,19 @@ WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
   return layout;
 }
 
+void PackElems(std::uint8_t* dst, std::span<const float> values,
+               const FixedFormat& fmt, int elem_bytes) {
+  const float* src = values.data();
+  const std::size_t n = values.size();
+  switch (elem_bytes) {
+    case 1: PackRaw<1>(dst, src, n, fmt); break;
+    case 2: PackRaw<2>(dst, src, n, fmt); break;
+    case 3: PackRaw<3>(dst, src, n, fmt); break;
+    case 4: PackRaw<4>(dst, src, n, fmt); break;
+    default: DB_CHECK_MSG(false, "packed elements are 1 to 4 bytes");
+  }
+}
+
 void WriteWeights(MemoryImage& image, const Network& net,
                   const AcceleratorDesign& design,
                   const WeightStore& weights) {
@@ -162,15 +233,8 @@ void WriteWeights(MemoryImage& image, const Network& net,
     std::uint8_t* dst = image.data() + region.base;
     for (const Tensor* t : {&params.weights, &params.bias,
                             &params.recurrent}) {
-      const float* src = t->storage().data();
-      const std::size_t n = static_cast<std::size_t>(t->size());
-      switch (elem_bytes) {
-        case 1: PackRaw<1>(dst, src, n, fmt); break;
-        case 2: PackRaw<2>(dst, src, n, fmt); break;
-        case 3: PackRaw<3>(dst, src, n, fmt); break;
-        default: PackRaw<4>(dst, src, n, fmt); break;
-      }
-      dst += n * static_cast<std::size_t>(elem_bytes);
+      PackElems(dst, t->storage(), fmt, static_cast<int>(elem_bytes));
+      dst += t->size() * elem_bytes;
     }
   }
 }

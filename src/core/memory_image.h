@@ -18,10 +18,11 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/generator.h"
 #include "nn/weights.h"
 
@@ -44,22 +45,42 @@ inline std::int64_t LoadElem(const std::uint8_t* p, int elem_bytes) {
 
 /// A byte-addressable DRAM image.
 ///
-/// The bytes live in one malloc'd block, which implicitly creates the
-/// int16/int32 objects the simulator's typed weight views read (C++20
-/// implicit object creation), so those loads are well-defined.  Moving
-/// an image moves the block: views into it stay valid.  Copy-assigning
-/// an image of the same size copies into the existing block, so views
-/// survive that too.
+/// The bytes live in a kernel mapping of an anonymous in-memory file
+/// (`memfd_create`), built in place through a writable shared view.
+/// Typed weight views read int16/int32 objects straight out of that
+/// mapping.  The standard lists malloc and operator new, not mmap, among
+/// the operations that implicitly create objects (C++20 [intro.object]);
+/// like every C++ program that reads mapped memory, this one assumes mmap
+/// creates them too, so those loads are well-defined.  Moving an image
+/// moves the mapping: views into it stay valid.  Copy-assigning an
+/// unsealed image of the same size copies into the existing mapping, so
+/// views survive that too.
+///
+/// Seal() makes an image read-only for good.  Copying a sealed image maps
+/// the same file copy-on-write: O(1), the copies share every clean page,
+/// and a write copies only the page it touches.  Such a copy (a replica)
+/// holds no file of its own and cannot be sealed; copying an unsealed
+/// image or a replica makes a full copy in a new file.  The build is
+/// Linux-only for this reason.
 class MemoryImage {
  public:
-  /// A zero-filled image of `bytes` bytes.
+  /// A zero-filled image of `bytes` bytes.  Throws std::bad_alloc when
+  /// the file or its mapping cannot be made.
   explicit MemoryImage(std::int64_t bytes);
   MemoryImage(const MemoryImage& other);
   MemoryImage& operator=(const MemoryImage& other);
   MemoryImage(MemoryImage&& other) noexcept;
   MemoryImage& operator=(MemoryImage&& other) noexcept;
+  ~MemoryImage();
 
   std::int64_t size() const { return size_; }
+
+  /// Make the image read-only for good: its own pages are remapped
+  /// private and read-only at the same address (typed views survive),
+  /// and the file is sealed against writes and resizing.  Every mutator
+  /// below then fails a DB_CHECK.  Idempotent; a replica or an empty
+  /// image cannot be sealed.
+  void Seal();
 
   /// Write / read one little-endian fixed-point element of `elem_bytes`
   /// at a byte address.  Bounds-checked.
@@ -75,15 +96,21 @@ class MemoryImage {
   void CopyRange(const MemoryImage& src, std::int64_t base,
                  std::int64_t bytes);
 
-  const std::uint8_t* data() const { return bytes_.get(); }
-  std::uint8_t* data() { return bytes_.get(); }
+  /// The bytes; null for an empty image.  The writable overload fails a
+  /// DB_CHECK on a sealed image.
+  const std::uint8_t* data() const { return bytes_; }
+  std::uint8_t* data() {
+    DB_CHECK_MSG(!sealed_, "a sealed DRAM image is read-only");
+    return bytes_;
+  }
 
  private:
-  struct Free {
-    void operator()(std::uint8_t* p) const;
-  };
-  std::unique_ptr<std::uint8_t[], Free> bytes_;
+  void Release() noexcept;
+
+  std::uint8_t* bytes_ = nullptr;  // mapping of size_ bytes
   std::int64_t size_ = 0;
+  int fd_ = -1;  // the backing file; -1 for a replica or an empty image
+  bool sealed_ = false;
 };
 
 /// Where one layer's parameters sit in the image: the byte addresses of
@@ -102,6 +129,12 @@ struct WeightRegionLayout {
 /// image whose tail would otherwise be silently ignored).
 WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
                                       const AcceleratorDesign& design);
+
+/// Quantise `values` into consecutive little-endian elements of
+/// `elem_bytes` (1 to 4) at `dst`: element i holds the low bytes of
+/// fmt.Quantize(values[i]).  The bulk path of WriteWeights.
+void PackElems(std::uint8_t* dst, std::span<const float> values,
+               const FixedFormat& fmt, int elem_bytes);
 
 /// Quantise every weight tensor into its layer's weight region (weight
 /// matrix, then bias, then recurrent, row-major).  Each region is

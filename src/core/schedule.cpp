@@ -43,7 +43,7 @@ std::string Schedule::ToString(const FoldPlan& folds) const {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const ScheduleEntry& e = entries[i];
     const LayerFold& fold = folds.ForLayer(e.layer_id);
-    std::string events = "layer" + std::to_string(e.layer_id) + "_fold0";
+    std::string events = AguTriggerEvent(e.layer_id);
     if (fold.segments > 1) events += ".." + std::to_string(fold.segments - 1);
     std::string pats;
     for (std::size_t p = 0; p < e.pattern_ids.size(); ++p) {

@@ -110,8 +110,8 @@ constexpr std::int64_t kRetryBackoffCycles = 64;
 constexpr std::int64_t kMaxRetryBackoffCycles = std::int64_t{1} << 32;
 
 struct ServeOptions {
-  /// Number of simulated accelerator replicas, each with a private DRAM
-  /// image.
+  /// Number of simulated accelerator replicas, each with its own DRAM
+  /// image (a copy-on-write mapping of the provisioned one).
   int replicas = 2;
   /// How closed batches are spread across the replicas.  All three
   /// policies are deterministic; kLeastLoaded reproduces the historical
@@ -299,8 +299,8 @@ void SummarizePlan(ServePlan& plan, double frequency_mhz);
 
 class InferenceServer {
  public:
-  /// Serialises the weights into a DRAM image once and starts
-  /// `options.replicas` replicas, each with a private copy of it.
+  /// Serialises the weights into a DRAM image once, seals it, and starts
+  /// `options.replicas` replicas, each a copy-on-write mapping of it.
   InferenceServer(const Network& net, const AcceleratorDesign& design,
                   const WeightStore& weights, ServeOptions options = {});
 
@@ -340,7 +340,7 @@ class InferenceServer {
 
   const AcceleratorDesign& design_;
   ServeOptions options_;
-  MemoryImage provisioned_;  // built once; every replica copies its bytes
+  MemoryImage provisioned_;  // built once, sealed; every replica maps it
   std::vector<SystemReplica> replicas_;
   PlanCosts costs_;
 

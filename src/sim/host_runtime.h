@@ -12,7 +12,8 @@ namespace db {
 
 /// Build the board's start-up DRAM image: all weights serialised, the
 /// input region zeroed.  Callers hold a SystemContext on it; the
-/// inference server's replicas each start from a copy of it.
+/// inference server seals it and maps each replica copy-on-write from
+/// it (see ReplicateSystem).
 MemoryImage BuildHostImage(const Network& net,
                            const AcceleratorDesign& design,
                            const WeightStore& weights);

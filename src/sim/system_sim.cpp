@@ -69,16 +69,17 @@ std::vector<Tensor> SystemContext::RunBatch(
 
 std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const AcceleratorDesign& design,
-                                           const MemoryImage& provisioned,
+                                           MemoryImage& provisioned,
                                            int count) {
   DB_CHECK_MSG(count >= 1, "a system needs at least one replica");
+  provisioned.Seal();
   std::vector<SystemReplica> replicas;
   replicas.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     SystemReplica replica{provisioned, nullptr};
-    // Each context reads its replica's own bytes, never a sibling's.
-    // Moving the replica moves the image's byte buffer with it, so the
-    // context's views stay valid.
+    // Each context reads its replica's own mapping, never a sibling's.
+    // Moving the replica moves the mapping with it, so the context's
+    // views stay valid.
     replica.context =
         std::make_unique<SystemContext>(net, design, replica.image);
     replicas.push_back(std::move(replica));

@@ -50,10 +50,10 @@ WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
 /// context per thread (ReplicateSystem stamps these out).
 ///
 /// The context views the weight regions of `image` in place: it must be
-/// handed that same image (same byte buffer) on every Run(), and a
+/// handed that same image (same mapping) on every Run(), and a
 /// mutation of the weight regions (fault injection, scrubbing) shows in
-/// the next Run().  The image may be moved, or copy-assigned from an
-/// image of the same size, without invalidating the context.
+/// the next Run().  The image may be moved, or (unsealed) copy-assigned
+/// from an image of the same size, without invalidating the context.
 class SystemContext {
  public:
   SystemContext(const Network& net, const AcceleratorDesign& design,
@@ -86,7 +86,7 @@ class SystemContext {
  private:
   const Network& net_;
   const AcceleratorDesign& design_;
-  const std::uint8_t* image_bytes_;  // the buffer sim_ reads weights from
+  const std::uint8_t* image_bytes_;  // the mapping sim_ reads weights from
   FunctionalSimulator sim_;
   PerfResult cold_perf_;
   PerfResult warm_perf_;
@@ -98,23 +98,28 @@ class SystemContext {
   std::vector<std::int64_t> out_order_;
 };
 
-/// One replicated accelerator instance: a private copy of the
-/// provisioned DRAM image plus the SystemContext that reads it.  The
-/// inference server holds one of these per replica, so one replica's
-/// image corruption (fault injection) can never perturb a sibling —
-/// each context reads only its own bytes.  The context's views follow
-/// the image's buffer, which moves with the struct.
+/// One replicated accelerator instance: its own DRAM image, a
+/// copy-on-write mapping of the sealed provisioned image, plus the
+/// SystemContext that reads it.  The inference server holds one of these
+/// per replica.  Replicas share every page none of them has written; a
+/// write (a bit flip, a scrub, an I/O blob store) gives the writer its
+/// own copy of that page, so one replica's image corruption (fault
+/// injection) can never perturb a sibling or the provisioned image.  The
+/// context's views follow the image's mapping, which moves with the
+/// struct.
 struct SystemReplica {
   MemoryImage image;
   std::unique_ptr<SystemContext> context;
 };
 
 /// Stamp out `count` independent replicas of a provisioned system.
-/// Every replica starts byte-identical to `provisioned`, so a request
-/// served by any replica produces bit-identical output.
+/// Seals `provisioned` first (see MemoryImage::Seal): from here on its
+/// bytes are the scrub source and never change.  Every replica starts
+/// byte-identical to it, so a request served by any replica produces
+/// bit-identical output.
 std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const AcceleratorDesign& design,
-                                           const MemoryImage& provisioned,
+                                           MemoryImage& provisioned,
                                            int count);
 
 /// One-shot invocation against the image: build a SystemContext on it,

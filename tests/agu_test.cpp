@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "common/strings.h"
 #include "core/agu_program.h"
 #include "core/generator.h"
 #include "models/zoo.h"
@@ -129,9 +130,23 @@ TEST(AguProgram, EventsNamedAfterLayers) {
   const Network net = BuildZooModel(ZooModel::kAnn0Fft);
   const AcceleratorDesign design =
       GenerateAccelerator(net, DbConstraint());
-  for (const AguPattern& p : design.agu_program.patterns) {
-    EXPECT_TRUE(p.event.starts_with("layer")) << p.event;
-    EXPECT_NE(p.event.find("_fold"), std::string::npos) << p.event;
+  EXPECT_EQ(AguTriggerEvent(3), "layer3_fold0");
+  // Listing line 1 + i is pattern i; its event column names the
+  // pattern's own compute layer.
+  std::set<int> compute;
+  for (const IrLayer* layer : net.ComputeLayers()) compute.insert(layer->id);
+  const std::vector<std::string> lines =
+      Split(design.agu_program.ToString(), '\n');
+  ASSERT_GE(lines.size(), design.agu_program.patterns.size() + 1);
+  for (std::size_t i = 0; i < design.agu_program.patterns.size(); ++i) {
+    const AguPattern& p = design.agu_program.patterns[i];
+    EXPECT_TRUE(compute.count(p.layer_id)) << p.layer_id;
+    // Built with +=: GCC 12 at -O3 reports a false -Wrestrict on
+    // "lit" + std::string&&.
+    std::string column = " ";
+    column += AguTriggerEvent(p.layer_id);
+    column += ' ';
+    EXPECT_NE(lines[i + 1].find(column), std::string::npos) << lines[i + 1];
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for src/cluster and replication: the ShardRouter policies,
-// ReplicateSystem's private replica images, and the content-addressed
+// ReplicateSystem's copy-on-write replica images, and the content-addressed
 // DesignCache with its on-disk entries (canonical text, the nine sized
 // config fields, a checksum) and the disk-hit rebuild.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "core/design_json.h"
 #include "core/generator.h"
 #include "dse/explorer.h"
+#include "fault/fault_injector.h"
 #include "frontend/network_def.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
@@ -108,7 +109,7 @@ TEST(ReplicateSystem, ReplicasProduceBitIdenticalOutputs) {
   GeneratedFixture& fx = Fixture();
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
-  const MemoryImage provisioned =
+  MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, weights);
   std::vector<SystemReplica> replicas =
       ReplicateSystem(fx.net, fx.design, provisioned, 3);
@@ -127,19 +128,47 @@ TEST(ReplicateSystem, FaultOnOneReplicaDoesNotPerturbSiblings) {
   GeneratedFixture& fx = Fixture();
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
-  const MemoryImage provisioned =
+  MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, weights);
+  const MemoryImage before = provisioned;  // an unsealed full copy
   std::vector<SystemReplica> replicas =
       ReplicateSystem(fx.net, fx.design, provisioned, 2);
-  // Corrupt replica 0's private image; replica 1's bytes must be
-  // untouched (private copies, never shared).
-  replicas[0].image.FlipBit(0, 3);
   const auto same_bytes = [](const MemoryImage& a, const MemoryImage& b) {
     return a.size() == b.size() &&
            std::equal(a.data(), a.data() + a.size(), b.data());
   };
+  // Corrupt replica 0's image in a weight region; replica 1 and the
+  // provisioned image share its clean pages but must not see the write.
+  std::int64_t weight_addr = -1;
+  for (const MemoryRegion& r : fx.design.memory_map.regions())
+    if (weight_addr < 0 && r.name.starts_with("weights:"))
+      weight_addr = r.base + r.bytes / 2;
+  ASSERT_GE(weight_addr, 0);
+  replicas[0].image.FlipBit(weight_addr, 5);
   EXPECT_FALSE(same_bytes(replicas[0].image, replicas[1].image));
   EXPECT_TRUE(same_bytes(replicas[1].image, provisioned));
+  EXPECT_TRUE(same_bytes(provisioned, before));
+
+  // A copy of the flipped replica is a full private copy: it keeps the
+  // flip, and later writes to either side stay apart.
+  MemoryImage copy = replicas[0].image;
+  EXPECT_TRUE(same_bytes(copy, replicas[0].image));
+  copy.FlipBit(weight_addr, 5);
+  EXPECT_EQ(copy.data()[weight_addr] ^ replicas[0].image.data()[weight_addr],
+            1 << 5);
+
+  // The scrub restores replica 0 from the sealed image byte for byte.
+  EXPECT_GT(fault::ScrubWeights(replicas[0].image, provisioned,
+                                fx.design.memory_map),
+            0);
+  EXPECT_TRUE(same_bytes(replicas[0].image, provisioned));
+
+  // The sealed image refuses every mutator.
+  EXPECT_THROW(provisioned.data(), std::logic_error);
+  EXPECT_THROW(provisioned.WriteElem(0, 1, 2), std::logic_error);
+  EXPECT_THROW(provisioned.FlipBit(0, 0), std::logic_error);
+  EXPECT_THROW(provisioned.CopyRange(before, 0, 1), std::logic_error);
+  EXPECT_TRUE(same_bytes(provisioned, before));
 }
 
 // ----------------------------------------------------------- design key

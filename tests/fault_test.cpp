@@ -179,7 +179,7 @@ TEST(FaultInjector, BlobFlipsDoNotAffectWeightChecksum) {
 // single weight flip does.
 TEST(ScrubPlan, DoubleFlipAndBlobFlipPlanNoScrub) {
   const Fixture fx(ZooModel::kMnist);
-  const MemoryImage provisioned =
+  MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, fx.weights);
   std::int64_t weight_addr = -1, blob_addr = -1;
   for (const MemoryRegion& r : fx.design.memory_map.regions()) {
@@ -239,7 +239,7 @@ TEST(ScrubPlan, DoubleFlipAndBlobFlipPlanNoScrub) {
 
 TEST(ScrubPlan, ExecutorRejectsAMispredictedScrub) {
   const Fixture fx(ZooModel::kMnist);
-  const MemoryImage provisioned =
+  MemoryImage provisioned =
       BuildHostImage(fx.net, fx.design, fx.weights);
   FaultPlan faults;
   faults.events.push_back(

@@ -2,7 +2,11 @@
 // input blobs, and closure against the main AGU's load patterns.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/agu_rtl_model.h"
 #include "core/memory_image.h"
@@ -48,6 +52,59 @@ TEST(MemoryImageRaw, BoundsChecked) {
   MemoryImage image(4);
   EXPECT_THROW(image.WriteElem(3, 0, 2), std::logic_error);
   EXPECT_THROW(image.ReadElem(-1, 2), std::logic_error);
+}
+
+// The bulk weight pack must store exactly the low bytes of per-element
+// Quantize, including every edge: NaN, infinities, signed zero, +-0.5-LSB
+// ties, saturation at both ends and the Q31 bounds.
+TEST(MemoryImageRaw, PackEqualsPerElementQuantize) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (int elem_bytes = 1; elem_bytes <= 4; ++elem_bytes) {
+    for (int total : {8 * elem_bytes - 3, 8 * elem_bytes}) {
+      for (int frac : {0, total / 2, total - 1}) {
+        const FixedFormat fmt(total, frac);
+        std::vector<float> values = {
+            std::numeric_limits<float>::quiet_NaN(), kInf, -kInf, 0.0f,
+            -0.0f, std::numeric_limits<float>::max(),
+            std::numeric_limits<float>::lowest(),
+            std::numeric_limits<float>::denorm_min()};
+        const double lsb = fmt.resolution();
+        for (std::int64_t raw : {std::int64_t{0}, std::int64_t{1},
+                                 std::int64_t{-1}, fmt.raw_max(),
+                                 fmt.raw_max() - 1, fmt.raw_min(),
+                                 fmt.raw_min() + 1}) {
+          const double centre = fmt.Dequantize(raw);
+          for (double v : {centre, centre + lsb / 2, centre - lsb / 2}) {
+            const float f = static_cast<float>(v);
+            values.insert(values.end(), {f, std::nextafter(f, kInf),
+                                         std::nextafter(f, -kInf)});
+          }
+        }
+        for (double bound : {fmt.value_max(), fmt.value_min(),
+                             2 * fmt.value_max(), 2 * fmt.value_min()})
+          values.push_back(static_cast<float>(bound));
+        Rng rng(static_cast<std::uint64_t>(100 * total + frac));
+        for (int i = 0; i < 500; ++i)
+          values.push_back(static_cast<float>(
+              rng.Uniform(2 * fmt.value_min(), 2 * fmt.value_max())));
+
+        std::vector<std::uint8_t> packed(values.size() * elem_bytes);
+        PackElems(packed.data(), values, fmt, elem_bytes);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          const std::int64_t want = fmt.Quantize(values[i]);
+          std::uint8_t want_bytes[8];
+          std::memcpy(want_bytes, &want, sizeof want);
+          ASSERT_EQ(std::memcmp(packed.data() + i * elem_bytes, want_bytes,
+                                static_cast<std::size_t>(elem_bytes)),
+                    0)
+              << fmt.ToString() << " value " << values[i];
+          ASSERT_EQ(LoadElem(packed.data() + i * elem_bytes, elem_bytes),
+                    want)
+              << fmt.ToString() << " value " << values[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(MemoryImage, BlobStoreExtractRoundTrip) {
