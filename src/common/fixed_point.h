@@ -38,8 +38,7 @@ class FixedFormat {
   /// Convert a real number to the nearest representable raw value,
   /// saturating at the format bounds (the hardware saturates, not wraps).
   /// Round-half-away-from-zero; NaN maps to 0.  Branch-free and inline:
-  /// blob stores run it once per element (the weight pack, PackElems in
-  /// core/memory_image.h, inlines the same steps).  Scaling by 2^f is
+  /// image provisioning runs it once per weight.  Scaling by 2^f is
   /// exact (as ldexp), and truncating s + copysign(0.5, s) equals
   /// floor(s + 0.5) / ceil(s - 0.5) on each side of zero.
   std::int64_t Quantize(double value) const {

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <new>
 #include <tuple>
@@ -33,22 +32,14 @@ std::pair<int, std::uint8_t*> NewFile(std::int64_t bytes) {
   return {fd, static_cast<std::uint8_t*>(p)};
 }
 
-/// Quantise `n` values into consecutive little-endian elements of
-/// kBytes each.  This is FixedFormat::Quantize with the format's fields
-/// hoisted out of the loop and an int32 conversion: total_bits <= 32
-/// bounds every clamped value, so the conversion is exact, and the low
-/// kBytes of the int32 are the low kBytes of Quantize's int64.
 template <int kBytes>
 void PackRaw(std::uint8_t* dst, const float* values, std::size_t n,
              const FixedFormat& fmt) {
-  const double scale =
-      static_cast<double>(std::int64_t{1} << fmt.frac_bits());
-  const double lo = static_cast<double>(fmt.raw_min());
-  const double hi = static_cast<double>(fmt.raw_max());
+  // A local copy: the uint8_t stores below may alias a reference's
+  // fields, but not a local's, so the format stays in registers.
+  const FixedFormat f = fmt;
   for (std::size_t i = 0; i < n; ++i) {
-    const double s = static_cast<double>(values[i]) * scale;
-    const double r = std::min(std::max(s + std::copysign(0.5, s), lo), hi);
-    const auto raw = static_cast<std::int32_t>(std::isnan(s) ? 0.0 : r);
+    const std::int64_t raw = f.Quantize(values[i]);
     std::memcpy(dst + i * kBytes, &raw, kBytes);
   }
 }
@@ -204,19 +195,6 @@ WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
   return layout;
 }
 
-void PackElems(std::uint8_t* dst, std::span<const float> values,
-               const FixedFormat& fmt, int elem_bytes) {
-  const float* src = values.data();
-  const std::size_t n = values.size();
-  switch (elem_bytes) {
-    case 1: PackRaw<1>(dst, src, n, fmt); break;
-    case 2: PackRaw<2>(dst, src, n, fmt); break;
-    case 3: PackRaw<3>(dst, src, n, fmt); break;
-    case 4: PackRaw<4>(dst, src, n, fmt); break;
-    default: DB_CHECK_MSG(false, "packed elements are 1 to 4 bytes");
-  }
-}
-
 void WriteWeights(MemoryImage& image, const Network& net,
                   const AcceleratorDesign& design,
                   const WeightStore& weights) {
@@ -233,8 +211,15 @@ void WriteWeights(MemoryImage& image, const Network& net,
     std::uint8_t* dst = image.data() + region.base;
     for (const Tensor* t : {&params.weights, &params.bias,
                             &params.recurrent}) {
-      PackElems(dst, t->storage(), fmt, static_cast<int>(elem_bytes));
-      dst += t->size() * elem_bytes;
+      const float* src = t->storage().data();
+      const std::size_t n = static_cast<std::size_t>(t->size());
+      switch (elem_bytes) {
+        case 1: PackRaw<1>(dst, src, n, fmt); break;
+        case 2: PackRaw<2>(dst, src, n, fmt); break;
+        case 3: PackRaw<3>(dst, src, n, fmt); break;
+        default: PackRaw<4>(dst, src, n, fmt); break;
+      }
+      dst += n * static_cast<std::size_t>(elem_bytes);
     }
   }
 }

@@ -18,7 +18,6 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -129,12 +128,6 @@ struct WeightRegionLayout {
 /// image whose tail would otherwise be silently ignored).
 WeightRegionLayout LayoutWeightRegion(const IrLayer& layer,
                                       const AcceleratorDesign& design);
-
-/// Quantise `values` into consecutive little-endian elements of
-/// `elem_bytes` (1 to 4) at `dst`: element i holds the low bytes of
-/// fmt.Quantize(values[i]).  The bulk path of WriteWeights.
-void PackElems(std::uint8_t* dst, std::span<const float> values,
-               const FixedFormat& fmt, int elem_bytes);
 
 /// Quantise every weight tensor into its layer's weight region (weight
 /// matrix, then bias, then recurrent, row-major).  Each region is

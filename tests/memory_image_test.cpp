@@ -54,15 +54,24 @@ TEST(MemoryImageRaw, BoundsChecked) {
   EXPECT_THROW(image.ReadElem(-1, 2), std::logic_error);
 }
 
-// The bulk weight pack must store exactly the low bytes of per-element
-// Quantize, including every edge: NaN, infinities, signed zero, +-0.5-LSB
-// ties, saturation at both ends and the Q31 bounds.
-TEST(MemoryImageRaw, PackEqualsPerElementQuantize) {
+// WriteWeights must store exactly the low bytes of per-element Quantize
+// in every 1- to 4-byte format, including every edge: NaN, infinities,
+// signed zero, +-0.5-LSB ties, saturation at both ends and the Q31
+// bounds.
+TEST(MemoryImage, WriteWeightsEqualsPerElementQuantize) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
+  const Network net = BuildZooModel(ZooModel::kAnn0Fft);
   for (int elem_bytes = 1; elem_bytes <= 4; ++elem_bytes) {
     for (int total : {8 * elem_bytes - 3, 8 * elem_bytes}) {
       for (int frac : {0, total / 2, total - 1}) {
-        const FixedFormat fmt(total, frac);
+        DesignConstraint constraint = DbConstraint();
+        constraint.bit_width = total;
+        constraint.frac_bits = frac;
+        const AcceleratorDesign design =
+            GenerateAccelerator(net, constraint);
+        const FixedFormat& fmt = design.config.format;
+        ASSERT_EQ(design.config.ElementBytes(), elem_bytes);
+
         std::vector<float> values = {
             std::numeric_limits<float>::quiet_NaN(), kInf, -kInf, 0.0f,
             -0.0f, std::numeric_limits<float>::max(),
@@ -83,24 +92,46 @@ TEST(MemoryImageRaw, PackEqualsPerElementQuantize) {
         for (double bound : {fmt.value_max(), fmt.value_min(),
                              2 * fmt.value_max(), 2 * fmt.value_min()})
           values.push_back(static_cast<float>(bound));
-        Rng rng(static_cast<std::uint64_t>(100 * total + frac));
-        for (int i = 0; i < 500; ++i)
-          values.push_back(static_cast<float>(
-              rng.Uniform(2 * fmt.value_min(), 2 * fmt.value_max())));
 
-        std::vector<std::uint8_t> packed(values.size() * elem_bytes);
-        PackElems(packed.data(), values, fmt, elem_bytes);
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          const std::int64_t want = fmt.Quantize(values[i]);
-          std::uint8_t want_bytes[8];
-          std::memcpy(want_bytes, &want, sizeof want);
-          ASSERT_EQ(std::memcmp(packed.data() + i * elem_bytes, want_bytes,
-                                static_cast<std::size_t>(elem_bytes)),
-                    0)
-              << fmt.ToString() << " value " << values[i];
-          ASSERT_EQ(LoadElem(packed.data() + i * elem_bytes, elem_bytes),
-                    want)
-              << fmt.ToString() << " value " << values[i];
+        // Every parameter, in pack order, takes the next value; edges
+        // first, then seeded random values in and beyond range.
+        WeightStore weights = WeightStore::CreateFor(net);
+        Rng rng(static_cast<std::uint64_t>(100 * total + frac));
+        std::size_t next = 0;
+        for (const IrLayer* layer : net.ComputeLayers()) {
+          if (!design.memory_map.HasWeights(layer->name())) continue;
+          LayerParams& params = weights.at(layer->name());
+          for (Tensor* t : {&params.weights, &params.bias,
+                            &params.recurrent})
+            for (float& w : t->storage())
+              w = next < values.size()
+                      ? values[next++]
+                      : static_cast<float>(rng.Uniform(
+                            2 * fmt.value_min(), 2 * fmt.value_max()));
+        }
+        ASSERT_EQ(next, values.size()) << "too few parameters for the edges";
+
+        MemoryImage image(design.memory_map.total_bytes());
+        WriteWeights(image, net, design, weights);
+        for (const IrLayer* layer : net.ComputeLayers()) {
+          if (!design.memory_map.HasWeights(layer->name())) continue;
+          const LayerParams& params = weights.at(layer->name());
+          std::int64_t addr = design.memory_map.Weights(layer->name()).base;
+          for (const Tensor* t : {&params.weights, &params.bias,
+                                  &params.recurrent}) {
+            for (float w : t->storage()) {
+              const std::int64_t want = fmt.Quantize(w);
+              std::uint8_t want_bytes[8];
+              std::memcpy(want_bytes, &want, sizeof want);
+              ASSERT_EQ(std::memcmp(image.data() + addr, want_bytes,
+                                    static_cast<std::size_t>(elem_bytes)),
+                        0)
+                  << fmt.ToString() << " value " << w;
+              ASSERT_EQ(image.ReadElem(addr, elem_bytes), want)
+                  << fmt.ToString() << " value " << w;
+              addr += elem_bytes;
+            }
+          }
         }
       }
     }
