@@ -74,6 +74,52 @@ void BM_FunctionalSimMnist(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalSimMnist);
 
+/// Host time of one Alexnet convolution (conv2..conv5, the range
+/// argument) as a one-layer network on its own input geometry, through a
+/// batch-of-4 RunBatch as serving runs it.  items_per_second counts
+/// images, so ms per image is 1000 / items_per_second.
+void BM_AlexnetConvLayer(benchmark::State& state) {
+  struct Geometry {
+    int channels, side, num_output, kernel, pad, group;
+  };
+  constexpr Geometry kConvs[] = {{96, 27, 256, 5, 2, 2},
+                                 {256, 13, 384, 3, 1, 1},
+                                 {384, 13, 384, 3, 1, 2},
+                                 {384, 13, 256, 3, 1, 2}};
+  const Geometry& g = kConvs[state.range(0) - 2];
+  const auto dim = [](int d) { return "input_dim: " + std::to_string(d) + "\n"; };
+  std::string script = "input: \"data\"\n";
+  script += dim(1);
+  script += dim(g.channels);
+  script += dim(g.side);
+  script += dim(g.side);
+  script += "layers { name: \"conv\" type: CONVOLUTION bottom: \"data\" "
+            "top: \"conv\" convolution_param { num_output: ";
+  script += std::to_string(g.num_output) + " kernel_size: ";
+  script += std::to_string(g.kernel) + " pad: ";
+  script += std::to_string(g.pad) + " group: ";
+  script += std::to_string(g.group) + " } }\n";
+  const Network net = Network::Build(ParseNetworkDef(script));
+  Rng rng(1);
+  const WeightStore weights = WeightStore::CreateRandom(net, rng);
+  const AcceleratorDesign design = GenerateAccelerator(net, DbConstraint());
+  const FunctionalSimulator sim(net, design, weights);
+  constexpr int kBatch = 4;
+  std::vector<Tensor> inputs;
+  std::vector<const Tensor*> ptrs;
+  for (int b = 0; b < kBatch; ++b) {
+    inputs.emplace_back(Shape{g.channels, g.side, g.side});
+    inputs.back().FillUniform(rng, 0.0f, 1.0f);
+  }
+  for (const Tensor& t : inputs) ptrs.push_back(&t);
+  for (auto _ : state) benchmark::DoNotOptimize(sim.RunBatch(ptrs));
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_AlexnetConvLayer)
+    ->ArgName("conv")
+    ->DenseRange(2, 5)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FloatExecutorMnist(benchmark::State& state) {
   const Network net = BuildZooModel(ZooModel::kMnist);
   Rng rng(1);

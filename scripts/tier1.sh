@@ -76,13 +76,15 @@ echo "== tier-1: UBSan on the static verifier and RTL checker =="
 # arrival cycle of requests x gap) aborts the run instead of passing
 # with a wrapped value.  Shape inference and the prototxt frontend run
 # here as well, so a conv or pooling extent that overflows int64 aborts
-# instead of passing as a wrapped shape.
+# instead of passing as a wrapped shape.  So do the simulator's exact-
+# reference suites and kernels: a signed overflow in the Winograd route's
+# integer input and weight transforms aborts here.
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" \
   --target analysis_test rtl_test rtl_analysis_test deepburning \
-           network_test network_def_test
+           network_test network_def_test functional_sim_test kernels_test
 ctest --preset ubsan -j "${JOBS}" \
-  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule|^cli_exit_codes$|ShapeInference|NetworkDef'
+  -R 'Diagnostics|Verifier|MutationSweep|DesignCacheVerify|BrokenRuleSweep|Lint\.|LintDesign\.|RtlDecl|EmitsLintCleanModule|^cli_exit_codes$|ShapeInference|NetworkDef|FunctionalSim\.|Kernels\.'
 
 echo "== tier-1: UBSan on the RTL analysis suite (ctest -L rtl) =="
 # The elaborator's bit-range bookkeeping and the width-inference

@@ -64,7 +64,8 @@ int MaxAccBits(const Network& net, int word_bits, int format_bits) {
 // (bit-identical to scalar).  WideMath is the __int128 fallback for
 // formats where that proof fails; it shares the round-half-away
 // writeback so both paths implement the same hardware rounder.
-// (Convolution picks its tile per layer; see RunConv.)
+// (Convolution picks its route and tile per layer; see RunMacLayer and
+// RunConv.)
 // ---------------------------------------------------------------------
 
 struct NarrowMath {
@@ -342,6 +343,197 @@ void FunctionalSimulator::RunConv(const Math& math, const Params<W>& params,
     sweep(&sim::ConvTileReference<Acc, std::int32_t>);
 }
 
+// Winograd F(2x2, 3x3) (Lavin & Gray) with G scaled by 2, so that every
+// transform is integer.  Its 1-D transforms, applied to the columns of a
+// tile and then to its rows:
+//   input   B^T x = (x0 - x2, x1 + x2, x2 - x1, x1 - x3)
+//   weight  G' g  = (2 g0, g0 + g1 + g2, g0 - g1 + g2, 2 g2)
+//   output  A^T m = (m0 + m1 + m2, m1 - m2 - m3)
+// A^T [(G' g G'^T) . (B^T d B)] A is then exactly 4x the 2x2 outputs.
+template <typename Math, typename W>
+void FunctionalSimulator::RunWinograd(const Math& math,
+                                      const Params<W>& params,
+                                      const IrLayer& layer,
+                                      const RawTensor* in0, RawTensor* out,
+                                      std::size_t batch) const {
+  using Acc = typename Math::Acc;
+  constexpr std::int64_t kC = sim::kConvTileChannels;
+  constexpr std::int64_t kP = sim::kConvTilePixels;
+  constexpr std::int64_t kPos = 16;  // the 4x4 transform domain
+  // Output-channel blocks per pass over the transformed input: each
+  // position's slice of it is then read from cache kBlocks times.
+  constexpr std::int64_t kBlocks = 8;
+  const ConvolutionParams& p = *layer.def.conv;
+  const int f = fmt_.frac_bits();
+  const std::int64_t in_h = in0[0].shape.height;
+  const std::int64_t in_w = in0[0].shape.width;
+  const std::int64_t out_h = out[0].shape.height;
+  const std::int64_t out_w = out[0].shape.width;
+  const std::int64_t group_in = in0[0].shape.channels / p.group;
+  const std::int64_t group_out = out[0].shape.channels / p.group;
+  // The GEMM's pixel axis: every image's 2x2 output tiles, image by
+  // image, in panels of kP (the lanes past the last tile are zero).
+  const std::int64_t tiles_x = CeilDiv(out_w, 2);
+  const std::int64_t tiles_y = CeilDiv(out_h, 2);
+  const std::int64_t per_image = tiles_y * tiles_x;
+  const std::int64_t tiles = static_cast<std::int64_t>(batch) * per_image;
+  const std::int64_t panels = CeilDiv(tiles, kP);
+  // Where tile t sits in a panel-major array of `rows` x kP panels.
+  const auto lane_of = [&](std::int64_t t, std::int64_t rows) {
+    return (t / kP * rows) * kP + t % kP;
+  };
+  const auto alloc = [&](std::int64_t n) {
+    return arena_.Alloc<double>(static_cast<std::size_t>(n));
+  };
+
+  // The transform-domain arrays hold their 16 positions kP doubles (one
+  // cache line) apart past their size, so that the 16 values of one tile
+  // do not all map to one L1 set.
+  // One group's transformed inputs, v[pos][panel][c][kP]: tap c of a
+  // panel is one contiguous load at offset c * kP.
+  const std::int64_t v_pos = panels * group_in * kP + kP;
+  double* v = alloc(kPos * v_pos);
+  for (std::int64_t pos = 0; pos < kPos; ++pos)
+    for (std::int64_t c = 0; c < group_in; ++c)
+      for (std::int64_t t = tiles; t < panels * kP; ++t)
+        v[pos * v_pos + lane_of(t, group_in) + c * kP] = 0;
+  std::int64_t* off =
+      arena_.Alloc<std::int64_t>(static_cast<std::size_t>(group_in));
+  for (std::int64_t c = 0; c < group_in; ++c) off[c] = c * kP;
+  // One input channel of one image, zero-padded to whole 4x4 tiles; the
+  // border is never written.
+  const std::int64_t plane_w = 2 * tiles_x + 2;
+  std::int32_t* plane = arena_.AllocZeroed<std::int32_t>(
+      static_cast<std::size_t>((2 * tiles_y + 2) * plane_w));
+  // Per block of kC output channels of a pass: transformed weights
+  // u[pos][c][kC] and GEMM sums m[pos][panel][kC][kP].
+  const std::int64_t u_pos = group_in * kC + kP;
+  const std::int64_t m_pos = panels * kC * kP + kP;
+  double* u = alloc(kBlocks * kPos * u_pos);
+  double* m = alloc(kBlocks * kPos * m_pos);
+  Acc* rows = arena_.Alloc<Acc>(static_cast<std::size_t>(4 * tiles_x));
+  const sim::KernelOps& ops = sim::ActiveKernels();
+
+  for (std::int64_t grp = 0; grp < p.group; ++grp) {
+    // Input transform, B^T d B, of every tile of every image.
+    for (std::size_t b = 0; b < batch; ++b)
+      for (std::int64_t c = 0; c < group_in; ++c) {
+        const std::int32_t* src =
+            in0[b].raw + (grp * group_in + c) * in_h * in_w;
+        for (std::int64_t y = 0; y < in_h; ++y)
+          std::memcpy(plane + (y + p.pad) * plane_w + p.pad, src + y * in_w,
+                      static_cast<std::size_t>(in_w) * sizeof(std::int32_t));
+        for (std::int64_t ty = 0; ty < tiles_y; ++ty)
+          for (std::int64_t tx = 0; tx < tiles_x; ++tx) {
+            const std::int32_t* d = plane + 2 * ty * plane_w + 2 * tx;
+            std::int64_t col[4][4];  // B^T d
+            for (std::int64_t j = 0; j < 4; ++j) {
+              const std::int64_t x0 = d[j], x1 = d[plane_w + j],
+                                 x2 = d[2 * plane_w + j],
+                                 x3 = d[3 * plane_w + j];
+              col[0][j] = x0 - x2;
+              col[1][j] = x1 + x2;
+              col[2][j] = x2 - x1;
+              col[3][j] = x1 - x3;
+            }
+            double* dst = v + lane_of(
+                static_cast<std::int64_t>(b) * per_image + ty * tiles_x + tx,
+                group_in) + c * kP;
+            for (std::int64_t i = 0; i < 4; ++i) {
+              const std::int64_t* r = col[i];
+              dst[(4 * i + 0) * v_pos] = static_cast<double>(r[0] - r[2]);
+              dst[(4 * i + 1) * v_pos] = static_cast<double>(r[1] + r[2]);
+              dst[(4 * i + 2) * v_pos] = static_cast<double>(r[2] - r[1]);
+              dst[(4 * i + 3) * v_pos] = static_cast<double>(r[1] - r[3]);
+            }
+          }
+      }
+
+    const std::int64_t oc_end = (grp + 1) * group_out;
+    for (std::int64_t oc0 = grp * group_out; oc0 < oc_end;
+         oc0 += kBlocks * kC) {
+      const std::int64_t n_oc = std::min(kBlocks * kC, oc_end - oc0);
+      const std::int64_t blocks = CeilDiv(n_oc, kC);
+      // Weight transform, G' g G'^T, from the image words on every run
+      // (zero past the group's last channel).
+      if (n_oc % kC != 0) {
+        double* last = u + (blocks - 1) * kPos * u_pos;
+        std::fill(last, last + kPos * u_pos, 0.0);
+      }
+      for (std::int64_t j = 0; j < n_oc; ++j)
+        for (std::int64_t c = 0; c < group_in; ++c) {
+          const W* g = params.weights + ((oc0 + j) * group_in + c) * 9;
+          std::int64_t col[4][3];  // G' g
+          for (std::int64_t kx = 0; kx < 3; ++kx) {
+            const std::int64_t g0 = g[kx], g1 = g[3 + kx], g2 = g[6 + kx];
+            col[0][kx] = 2 * g0;
+            col[1][kx] = g0 + g1 + g2;
+            col[2][kx] = g0 - g1 + g2;
+            col[3][kx] = 2 * g2;
+          }
+          double* dst = u + j / kC * kPos * u_pos + c * kC + j % kC;
+          for (std::int64_t i = 0; i < 4; ++i) {
+            const std::int64_t* r = col[i];
+            dst[(4 * i + 0) * u_pos] = static_cast<double>(2 * r[0]);
+            dst[(4 * i + 1) * u_pos] = static_cast<double>(r[0] + r[1] + r[2]);
+            dst[(4 * i + 2) * u_pos] = static_cast<double>(r[0] - r[1] + r[2]);
+            dst[(4 * i + 3) * u_pos] = static_cast<double>(2 * r[2]);
+          }
+        }
+
+      // The 16 GEMMs, one per transform position, on the conv tile.
+      for (std::int64_t pos = 0; pos < kPos; ++pos)
+        for (std::int64_t blk = 0; blk < blocks; ++blk)
+          for (std::int64_t panel = 0; panel < panels; ++panel)
+            ops.conv_tile(m + (blk * kPos + pos) * m_pos + panel * kC * kP,
+                          u + (blk * kPos + pos) * u_pos,
+                          v + pos * v_pos + panel * group_in * kP, off,
+                          static_cast<std::size_t>(group_in));
+
+      // Output transform, A^T M A = 4x the outputs (exact, and so is the
+      // x0.25), then the bias and the writeback, two output rows per
+      // tile row.
+      for (std::int64_t j = 0; j < n_oc; ++j) {
+        const Acc bias = params.template Bias<Acc>(oc0 + j, f);
+        const double* m_j = m + j / kC * kPos * m_pos + j % kC * kP;
+        for (std::size_t b = 0; b < batch; ++b)
+          for (std::int64_t ty = 0; ty < tiles_y; ++ty) {
+            Acc* row0 = rows;
+            Acc* row1 = rows + 2 * tiles_x;
+            for (std::int64_t tx = 0; tx < tiles_x; ++tx) {
+              const double* mt =
+                  m_j + lane_of(static_cast<std::int64_t>(b) * per_image +
+                                    ty * tiles_x + tx,
+                                kC);
+              double col[2][4];  // A^T M
+              for (std::int64_t x = 0; x < 4; ++x) {
+                const double m0 = mt[x * m_pos], m1 = mt[(4 + x) * m_pos],
+                             m2 = mt[(8 + x) * m_pos],
+                             m3 = mt[(12 + x) * m_pos];
+                col[0][x] = m0 + m1 + m2;
+                col[1][x] = m1 - m2 - m3;
+              }
+              Acc* dst[2] = {row0 + 2 * tx, row1 + 2 * tx};
+              for (std::int64_t i = 0; i < 2; ++i) {
+                const double* r = col[i];
+                dst[i][0] =
+                    static_cast<Acc>((r[0] + r[1] + r[2]) * 0.25) + bias;
+                dst[i][1] =
+                    static_cast<Acc>((r[1] - r[2] - r[3]) * 0.25) + bias;
+              }
+            }
+            std::int32_t* y0 =
+                out[b].raw + ((oc0 + j) * out_h + 2 * ty) * out_w;
+            math.Writeback(y0, row0, static_cast<std::size_t>(out_w), fmt_);
+            if (2 * ty + 1 < out_h)
+              math.Writeback(y0 + out_w, row1,
+                             static_cast<std::size_t>(out_w), fmt_);
+          }
+      }
+    }
+  }
+}
+
 template <typename Math, typename W>
 void FunctionalSimulator::RunInnerProduct(const Math& math,
                                           const Params<W>& params,
@@ -578,9 +770,15 @@ void FunctionalSimulator::RunMacLayer(const IrLayer& layer,
                                       const RawTensor* in0, RawTensor* out,
                                       std::size_t batch) const {
   const Params<W> params = ParamsOf<W>(layer);
+  const bool winograd =
+      layer.kind() == LayerKind::kConvolution &&
+      sim::WinogradRoute(layer.def.conv->kernel_size, layer.def.conv->stride,
+                         in0[0].shape.channels / layer.def.conv->group,
+                         8 * elem_bytes_, fmt_.total_bits());
   const auto run = [&](const auto& math) {
     if (layer.kind() == LayerKind::kInnerProduct)
       return RunInnerProduct(math, params, layer, in0, out, batch);
+    if (winograd) return RunWinograd(math, params, layer, in0, out, batch);
     // Each image's scratch is recycled before the next image's.
     const sim::SimArena::Mark scratch = arena_.mark();
     for (std::size_t b = 0; b < batch; ++b) {

@@ -1,5 +1,7 @@
 #include "sim/kernels.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -146,17 +148,17 @@ std::size_t RoundUpAligned(std::size_t bytes) {
 }
 }  // namespace
 
-std::byte* SimArena::AlignedNew(std::size_t bytes) {
-  return static_cast<std::byte*>(
-      ::operator new(bytes, std::align_val_t{kArenaAlign}));
+std::byte* SimArena::MapBlock(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(p);
 }
 
-void SimArena::AlignedDelete(std::byte* p) {
-  ::operator delete(p, std::align_val_t{kArenaAlign});
-}
+void SimArena::UnmapBlock(const Block& b) { ::munmap(b.data, b.size); }
 
 SimArena::~SimArena() {
-  for (Block& b : blocks_) AlignedDelete(b.data);
+  for (const Block& b : blocks_) UnmapBlock(b);
 }
 
 std::size_t SimArena::capacity_bytes() const {
@@ -182,7 +184,7 @@ void* SimArena::AllocBytes(std::size_t bytes) {
   std::size_t size = std::max(need, kArenaMinBlock);
   size = std::max(size, capacity_bytes());
   Block b;
-  b.data = AlignedNew(size);
+  b.data = MapBlock(size);
   b.size = size;
   b.used = need;
   blocks_.push_back(b);
@@ -204,10 +206,10 @@ void SimArena::Reset() {
     // sized for the whole footprint, so the steady state is a single
     // stable allocation.
     const std::size_t total = capacity_bytes();
-    for (Block& b : blocks_) AlignedDelete(b.data);
+    for (const Block& b : blocks_) UnmapBlock(b);
     blocks_.clear();
     Block b;
-    b.data = AlignedNew(total);
+    b.data = MapBlock(total);
     b.size = total;
     blocks_.push_back(b);
   }

@@ -7,10 +7,14 @@
 // image, and accumulators are int64.  Convolution runs as register
 // tiles (conv_tile: 4 output channels x 8 output pixels, the tap loop
 // innermost) over an input the simulator has laid out zero-padded and
-// split into stride phases, so one tile serves every stride.  The tile
-// computes in double: its operands are integers, and the simulator
-// routes a layer to it only when every partial sum stays an integer
-// below 2^53 in magnitude, where each fused multiply-add is exact.  FC
+// split into stride phases, so one tile serves every stride.  The same
+// tile serves the Winograd F(2x2, 3x3) route for 3x3 stride-1 layers as
+// its GEMM: taps are then input channels and pixels are the batch's 2x2
+// output tiles.  The tile computes in double: its operands are integers,
+// and the simulator routes a layer to it only when every partial sum
+// stays an integer below 2^53 in magnitude, where each fused
+// multiply-add is exact — SumBits bounds a direct layer, WinogradSumBits
+// a Winograd one, whose transformed operands are wider.  FC
 // and recurrent rows run as batched dot products, one weight row
 // against up to kDotBatch images' activations, so a batch reads each
 // weight once.
@@ -84,6 +88,40 @@ constexpr int SumBits(int a_bits, int b_bits, std::int64_t terms) {
 /// this bound.
 inline constexpr int kConvTileExactBits = 53;
 
+/// The bound of a Winograd F(2x2, 3x3) layer, whose 3x3 kernel G is
+/// scaled by 2 so every transform is integer: a transformed weight
+/// G' g G'^T (G' = 2G, rows summing to at most 3 in magnitude) stays
+/// within 9 * 2^(a-1), a transformed input B^T d B within 4 * 2^(b-1),
+/// the GEMM sums `group_in` of their products, and the output transform
+/// A^T M A adds 9 such sums.  Every partial sum of that chain is below
+/// 324 * group_in * 2^(a-1) * 2^(b-1) < 2^WinogradSumBits, the 9 being
+/// ceil(log2(9 * 4 * 9)).
+constexpr int WinogradSumBits(int a_bits, int b_bits, std::int64_t group_in) {
+  return (a_bits - 1) + (b_bits - 1) +
+         std::bit_width(static_cast<std::uint64_t>(group_in)) + 9;
+}
+
+/// The fewest input channels per group the Winograd route takes.  Per
+/// output tile and output channel its GEMM saves 20 multiplies (five
+/// 4-wide FMAs) per input channel, while the scalar transforms cost some
+/// 40 operations plus the input transform's share: by that count (an
+/// estimate, not a measurement) the route breaks even near 16 channels,
+/// so narrower layers such as MNIST's 1- and 8-channel ones stay direct.
+inline constexpr std::int64_t kWinogradMinGroupIn = 16;
+
+/// The route rule, in one place: a convolution runs as exact Winograd
+/// F(2x2, 3x3) on conv_tile when it is 3x3 with stride 1, has at least
+/// kWinogradMinGroupIn input channels per group, and its weight word by
+/// activation bound fits the tile's exact range.  Every other layer runs
+/// the direct tile.
+constexpr bool WinogradRoute(std::int64_t kernel, std::int64_t stride,
+                             std::int64_t group_in, int word_bits,
+                             int format_bits) {
+  return kernel == 3 && stride == 1 && group_in >= kWinogradMinGroupIn &&
+         WinogradSumBits(word_bits, format_bits, group_in) <=
+             kConvTileExactBits;
+}
+
 // ---------------------------------------------------------------------
 // Kernel ops table
 // ---------------------------------------------------------------------
@@ -154,9 +192,11 @@ struct KernelOps {
   ///       sum_{t < taps} w[t * kConvTileChannels + j] * in[off[t] + i]
   /// Tap t of every pixel is one contiguous load at in + off[t]; the
   /// caller lays the input out so that no tap needs clipping.  Operands
-  /// are integer-valued doubles whose SumBits over `taps` is at most
-  /// kConvTileExactBits, so each multiply-add is exact and the result
-  /// does not depend on the order of the sum.
+  /// are integer-valued doubles whose bound over `taps` (SumBits for a
+  /// direct convolution, WinogradSumBits for one position of the
+  /// Winograd GEMM, where taps are input channels and pixels are 2x2
+  /// output tiles) is at most kConvTileExactBits, so each multiply-add
+  /// is exact and the result does not depend on the order of the sum.
   void (*conv_tile)(double* acc, const double* w, const double* in,
                     const std::int64_t* off, std::size_t taps);
 
@@ -273,8 +313,13 @@ class SimArena {
   };
 
   void* AllocBytes(std::size_t bytes);
-  static std::byte* AlignedNew(std::size_t bytes);
-  static void AlignedDelete(std::byte* p);
+  /// Blocks are anonymous mappings, not heap memory: a block released
+  /// when Reset() coalesces returns its pages to the system, where a
+  /// freed heap block can stay resident in the allocator, and a page
+  /// counts towards RSS only once touched.  Page-aligned, so 64-byte
+  /// aligned.
+  static std::byte* MapBlock(std::size_t bytes);
+  static void UnmapBlock(const Block& b);
 
   std::vector<Block> blocks_;
   std::size_t current_ = 0;  // block accepting allocations

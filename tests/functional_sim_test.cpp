@@ -264,14 +264,104 @@ std::int64_t RandomRaw(Rng& rng, const FixedFormat& fmt, bool extremes) {
   }
 }
 
+/// A 3x3 stride-1 case: `group_in` input channels per group, pad `pad`,
+/// up to 40 output channels per group (off the 4-wide tile and past one
+/// 32-channel pass of the Winograd route), and outputs of 1 to 10 rows
+/// and columns, odd and even.
+ConvCase RandomThreeByThreeCase(Rng& rng, int bits, std::int64_t group_in,
+                                std::int64_t pad) {
+  ConvCase c{};
+  c.bits = bits;
+  c.frac = bits / 4 + static_cast<int>(rng.UniformInt(
+                          static_cast<std::uint64_t>(bits / 4 + 1)));
+  c.k = 3;
+  c.stride = 1;
+  c.pad = pad;
+  c.group = 1 + static_cast<std::int64_t>(rng.UniformInt(3));
+  c.channels = c.group * group_in;
+  c.num_output = c.group * (1 + static_cast<std::int64_t>(rng.UniformInt(40)));
+  const std::int64_t min_side = std::max<std::int64_t>(1, 3 - 2 * pad);
+  c.height = min_side + static_cast<std::int64_t>(rng.UniformInt(8));
+  c.width = min_side + static_cast<std::int64_t>(rng.UniformInt(8));
+  c.extremes = rng.Bernoulli(0.3);
+  return c;
+}
+
+/// The raw outputs `net`'s one convolution must produce on the input
+/// raws `in_raw`, dequantised as the simulator's boundary view: a naive
+/// __int128 seven-loop reference over the weight and bias words `image`
+/// holds, with the bias aligned to 2f fractional bits, exact products,
+/// the hardware rounder and saturation.
+std::vector<float> ExactConv(const Network& net,
+                             const AcceleratorDesign& design,
+                             const MemoryImage& image,
+                             const std::vector<__int128>& in_raw) {
+  const IrLayer& layer = net.OutputLayer();
+  const ConvolutionParams& p = *layer.def.conv;
+  const BlobShape& is = net.layer(layer.input_ids.front()).output_shape;
+  const BlobShape& os = layer.output_shape;
+  const FixedFormat& fmt = design.config.format;
+  const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+  const WeightRegionLayout layout = LayoutWeightRegion(layer, design);
+  const auto w_raw = [&](std::int64_t i) -> __int128 {
+    return image.ReadElem(layout.weights_addr + i * elem_bytes, elem_bytes);
+  };
+  const auto b_raw = [&](std::int64_t i) -> __int128 {
+    if (layout.counts.bias == 0) return 0;
+    return image.ReadElem(layout.bias_addr + i * elem_bytes, elem_bytes);
+  };
+  const std::int64_t k = p.kernel_size;
+  const std::int64_t group_in = is.channels / p.group;
+  const std::int64_t group_out = os.channels / p.group;
+  std::vector<float> want;
+  for (std::int64_t oc = 0; oc < os.channels; ++oc)
+    for (std::int64_t y = 0; y < os.height; ++y)
+      for (std::int64_t x = 0; x < os.width; ++x) {
+        __int128 acc = b_raw(oc) << fmt.frac_bits();
+        for (std::int64_t g = 0; g < group_in; ++g)
+          for (std::int64_t ky = 0; ky < k; ++ky)
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              const std::int64_t iy = y * p.stride - p.pad + ky;
+              const std::int64_t ix = x * p.stride - p.pad + kx;
+              if (iy < 0 || iy >= is.height || ix < 0 || ix >= is.width)
+                continue;
+              const std::int64_t ic = (oc / group_out) * group_in + g;
+              acc += w_raw(((oc * group_in + g) * k + ky) * k + kx) *
+                     in_raw[static_cast<std::size_t>(
+                         (ic * is.height + iy) * is.width + ix)];
+            }
+        __int128 v = sim::RoundShiftHalfAway128(acc, fmt.frac_bits());
+        v = std::clamp<__int128>(v, fmt.raw_min(), fmt.raw_max());
+        // Exact (one float per raw) below 2^24 in magnitude.
+        want.push_back(static_cast<float>(
+            fmt.Dequantize(static_cast<std::int64_t>(v))));
+      }
+  return want;
+}
+
+/// Counts the outputs where `got` differs from `want`, reporting the
+/// first five.
+std::int64_t Mismatches(const std::vector<float>& got,
+                        const std::vector<float>& want) {
+  EXPECT_EQ(got.size(), want.size());
+  std::int64_t mismatches = 0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+    if (got[i] != want[i] && ++mismatches <= 5)
+      ADD_FAILURE() << "output " << i << ": want " << want[i] << " got "
+                    << got[i];
+  return mismatches;
+}
+
 /// Every raw output of one convolution, under every kernel backend,
-/// against a naive __int128 seven-loop reference: bias aligned to 2f
-/// fractional bits, exact products, the hardware rounder and
-/// saturation.  Covers strided AND padded kernels (no zoo model has
-/// one), grouped channels, output channel counts off the 4-wide tile,
+/// against ExactConv.  Covers strided AND padded kernels (no zoo model
+/// has one), grouped channels, output channel counts off the 4-wide tile,
 /// kernels wider than the unpadded input, widths on both sides of the
 /// int64 accumulation guard, and layers on both sides of the double
-/// tile's exactness bound.
+/// tile's exactness bound.  Then 3x3 stride-1 layers, on both sides of
+/// the Winograd route: pads 0 to 2, odd output sizes (half-valid edge
+/// tiles), weight words at their edges (a flipped bit may set them)
+/// against extreme activations at the route's bound, and batches of 1,
+/// 4 and 5 through RunBatch as well as Run.
 TEST(FunctionalSim, ConvMatchesExactReference) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
@@ -280,6 +370,82 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
   Rng rng(1512);
   int cases = 0;
+
+  // One case over `batch` images, through Run when `batch` is 0; returns
+  // the design's weight word width.  With `word_edges`, extreme cases
+  // store weight words from the edges of the word's range rather than
+  // the format's.
+  const auto check = [&](const ConvCase& c, std::size_t batch,
+                         bool word_edges) {
+    const std::string script = ConvScript(c);
+    SCOPED_TRACE(StrFormat("bits=%d frac=%d extremes=%d batch=%d\n", c.bits,
+                           c.frac, c.extremes ? 1 : 0,
+                           static_cast<int>(batch)) +
+                 script);
+    const Network net = Network::Build(ParseNetworkDef(script));
+    DesignConstraint constraint = DbConstraint();
+    constraint.bit_width = c.bits;
+    constraint.frac_bits = c.frac;
+    const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+    const FixedFormat& fmt = design.config.format;
+    const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+
+    // Weights: raw draws, stored through the float store the way the
+    // host provisions them; the reference reads back what the image
+    // holds.
+    WeightStore weights = WeightStore::CreateFor(net);
+    LayerParams& params = weights.at("conv");
+    for (Tensor* t : {&params.weights, &params.bias})
+      for (std::int64_t i = 0; i < t->size(); ++i)
+        (*t)[i] = static_cast<float>(
+            fmt.Dequantize(RandomRaw(rng, fmt, c.extremes)));
+    MemoryImage image(design.memory_map.total_bytes());
+    WriteWeights(image, net, design, weights);
+    if (word_edges && c.extremes) {
+      const WeightRegionLayout layout =
+          LayoutWeightRegion(net.layer(net.OutputLayer().id), design);
+      const std::int64_t word_max =
+          (std::int64_t{1} << (8 * elem_bytes - 1)) - 1;
+      for (std::int64_t i = 0; i < layout.counts.weights; ++i)
+        if (rng.Bernoulli(0.5))
+          image.WriteElem(layout.weights_addr + i * elem_bytes,
+                          rng.Bernoulli(0.5) ? word_max : -word_max - 1,
+                          elem_bytes);
+    }
+
+    std::vector<Tensor> inputs;
+    std::vector<std::vector<float>> want;
+    for (std::size_t b = 0; b < std::max<std::size_t>(batch, 1); ++b) {
+      Tensor input(Shape{c.channels, c.height, c.width});
+      std::vector<__int128> in_raw(static_cast<std::size_t>(input.size()));
+      for (std::int64_t i = 0; i < input.size(); ++i) {
+        input[i] = static_cast<float>(
+            fmt.Dequantize(RandomRaw(rng, fmt, c.extremes)));
+        in_raw[static_cast<std::size_t>(i)] =
+            fmt.Quantize(static_cast<double>(input[i]));
+      }
+      inputs.push_back(std::move(input));
+      want.push_back(ExactConv(net, design, image, in_raw));
+    }
+    std::vector<const Tensor*> ptrs;
+    for (const Tensor& t : inputs) ptrs.push_back(&t);
+
+    for (const sim::KernelBackend backend : backends) {
+      SCOPED_TRACE(sim::KernelBackendName(backend));
+      sim::SetKernelBackend(backend);
+      const FunctionalSimulator sim(net, design, image);
+      if (batch == 0) {
+        EXPECT_EQ(Mismatches(sim.Run(inputs[0]).storage(), want[0]), 0);
+        continue;
+      }
+      const std::vector<Tensor> outs = sim.RunBatch(ptrs);
+      EXPECT_EQ(outs.size(), batch);
+      for (std::size_t b = 0; b < std::min(outs.size(), batch); ++b)
+        EXPECT_EQ(Mismatches(outs[b].storage(), want[b]), 0) << "image " << b;
+    }
+    return 8 * elem_bytes;
+  };
+
   // Per width, the cases whose layer runs the double tile ([0]) and
   // the integer one ([1]).
   std::map<int, std::array<int, 2>> sides;
@@ -293,110 +459,69 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   for (const auto [bits, max_group_in] : widths) {
     for (int trial = 0; trial < 40; ++trial, ++cases) {
       const ConvCase c = RandomConvCase(rng, bits, max_group_in);
-      const std::string script = ConvScript(c);
-      SCOPED_TRACE(StrFormat("bits=%d frac=%d extremes=%d\n", c.bits,
-                             c.frac, c.extremes ? 1 : 0) +
-                   script);
-      const Network net = Network::Build(ParseNetworkDef(script));
-      DesignConstraint constraint = DbConstraint();
-      constraint.bit_width = c.bits;
-      constraint.frac_bits = c.frac;
-      const AcceleratorDesign design = GenerateAccelerator(net, constraint);
-      const FixedFormat& fmt = design.config.format;
-      const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+      const int word_bits = check(c, 0, false);
       const std::int64_t taps = c.channels / c.group * c.k * c.k;
-      ++sides[bits][sim::SumBits(8 * elem_bytes, bits, taps) <=
+      ++sides[bits][sim::SumBits(word_bits, bits, taps) <=
                             sim::kConvTileExactBits
                         ? 0
                         : 1];
-
-      // Weights: raw draws, stored through the float store the way the
-      // host provisions them; the reference reads back what the image
-      // holds.
-      WeightStore weights = WeightStore::CreateFor(net);
-      LayerParams& params = weights.at("conv");
-      for (Tensor* t : {&params.weights, &params.bias})
-        for (std::int64_t i = 0; i < t->size(); ++i)
-          (*t)[i] = static_cast<float>(
-              fmt.Dequantize(RandomRaw(rng, fmt, c.extremes)));
-      MemoryImage image(design.memory_map.total_bytes());
-      WriteWeights(image, net, design, weights);
-      const WeightRegionLayout layout =
-          LayoutWeightRegion(net.layer(net.OutputLayer().id), design);
-      const auto w_raw = [&](std::int64_t i) -> __int128 {
-        return image.ReadElem(layout.weights_addr + i * elem_bytes,
-                              elem_bytes);
-      };
-      const auto b_raw = [&](std::int64_t i) -> __int128 {
-        if (layout.counts.bias == 0) return 0;
-        return image.ReadElem(layout.bias_addr + i * elem_bytes,
-                              elem_bytes);
-      };
-
-      Tensor input(Shape{c.channels, c.height, c.width});
-      std::vector<__int128> in_raw(static_cast<std::size_t>(input.size()));
-      for (std::int64_t i = 0; i < input.size(); ++i) {
-        input[i] = static_cast<float>(
-            fmt.Dequantize(RandomRaw(rng, fmt, c.extremes)));
-        in_raw[static_cast<std::size_t>(i)] =
-            fmt.Quantize(static_cast<double>(input[i]));
-      }
-
-      const BlobShape& os = net.OutputLayer().output_shape;
-      const std::int64_t group_in = c.channels / c.group;
-      const std::int64_t group_out = c.num_output / c.group;
-      std::vector<float> want;
-      for (std::int64_t oc = 0; oc < os.channels; ++oc)
-        for (std::int64_t y = 0; y < os.height; ++y)
-          for (std::int64_t x = 0; x < os.width; ++x) {
-            __int128 acc = b_raw(oc) << fmt.frac_bits();
-            for (std::int64_t g = 0; g < group_in; ++g)
-              for (std::int64_t ky = 0; ky < c.k; ++ky)
-                for (std::int64_t kx = 0; kx < c.k; ++kx) {
-                  const std::int64_t iy = y * c.stride - c.pad + ky;
-                  const std::int64_t ix = x * c.stride - c.pad + kx;
-                  if (iy < 0 || iy >= c.height || ix < 0 || ix >= c.width)
-                    continue;
-                  const std::int64_t ic = (oc / group_out) * group_in + g;
-                  acc += w_raw(((oc * group_in + g) * c.k + ky) * c.k + kx) *
-                         in_raw[static_cast<std::size_t>(
-                             (ic * c.height + iy) * c.width + ix)];
-                }
-            __int128 v = sim::RoundShiftHalfAway128(acc, fmt.frac_bits());
-            v = std::clamp<__int128>(v, fmt.raw_min(), fmt.raw_max());
-            // The simulator's boundary view of a raw value; exact (one
-            // float per raw) below 2^24 in magnitude.
-            want.push_back(static_cast<float>(
-                fmt.Dequantize(static_cast<std::int64_t>(v))));
-          }
-
-      for (const sim::KernelBackend backend : backends) {
-        SCOPED_TRACE(sim::KernelBackendName(backend));
-        sim::SetKernelBackend(backend);
-        const Tensor out = FunctionalSimulator(net, design, image).Run(input);
-        const std::vector<float>& got = out.storage();
-        ASSERT_EQ(got.size(), want.size());
-        std::int64_t mismatches = 0;
-        for (std::size_t i = 0; i < got.size(); ++i)
-          if (got[i] != want[i] && ++mismatches <= 5)
-            ADD_FAILURE() << "output " << i << ": want " << want[i]
-                          << " got " << got[i];
-        EXPECT_EQ(mismatches, 0);
-      }
     }
   }
-  EXPECT_EQ(cases, 280);
   for (const int bits : {20, 21, 22, 24})
     EXPECT_TRUE(sides[bits][0] > 0 && sides[bits][1] > 0) << bits << " bits";
+
+  // 3x3 stride-1 layers.  Per row, the cases that take the Winograd
+  // route ([0]) and those left on the direct tile ([1]).  A 17-bit
+  // format keeps its weights in 3-byte words: WinogradSumBits(24, 17,
+  // group_in) reaches the 53-bit bound at 31 input channels per group
+  // (the row that always draws extremes) and passes it from 32.
+  const struct {
+    int bits;
+    std::int64_t min_in, max_in;
+    bool extremes;
+  } rows[] = {{8, 16, 40, false},
+              {16, 16, 40, false},
+              {17, 16, 30, false},
+              {17, 31, 31, true},
+              {17, 32, 48, false}};
+  std::map<int, std::array<int, 2>> routes;
+  std::array<int, 2> out_parity{};  // even, odd output widths
+  constexpr std::size_t kBatches[] = {0, 1, 4, 5};
+  for (std::size_t row = 0; row < std::size(rows); ++row) {
+    const auto& r = rows[row];
+    for (int trial = 0; trial < 12; ++trial, ++cases) {
+      const std::int64_t group_in =
+          r.min_in + static_cast<std::int64_t>(rng.UniformInt(
+                         static_cast<std::uint64_t>(r.max_in - r.min_in + 1)));
+      ConvCase c = RandomThreeByThreeCase(rng, r.bits, group_in, trial % 3);
+      c.extremes = c.extremes || r.extremes;
+      const int word_bits = check(c, kBatches[trial % 4], true);
+      if (r.extremes) {
+        EXPECT_EQ(sim::WinogradSumBits(word_bits, r.bits, group_in),
+                  sim::kConvTileExactBits);
+      }
+      ++routes[static_cast<int>(row)]
+              [sim::WinogradRoute(3, 1, group_in, word_bits, r.bits) ? 0 : 1];
+      ++out_parity[(c.width + 2 * c.pad - 2) % 2];
+    }
+  }
+  // 8 and 16 bits and the 17-bit rows through 31 channels take the
+  // route; the last row does not.
+  for (int row = 0; row < 4; ++row) EXPECT_EQ(routes[row][1], 0) << row;
+  EXPECT_EQ(routes[4][0], 0);
+  EXPECT_TRUE(out_parity[0] > 0 && out_parity[1] > 0);
+  EXPECT_EQ(cases, 340);
 }
 
-/// One k x k convolution without bias over a 1 x k x k input (one output
-/// pixel): its weight words are set to w(t) straight in the image, as
-/// flipped bits may set them, and its input raws to x(t), for tap t in
-/// (ky, kx) order.  Returns the output raw under every kernel backend.
+/// One k x k convolution without bias over a `channels` x k x k input
+/// (one output pixel): its weight words are set to w(t) straight in the
+/// image, as flipped bits may set them, and its input raws to x(t), for
+/// tap t in (channel, ky, kx) order.  Returns the output raw under every
+/// kernel backend.
 template <typename WordOf, typename RawOf>
 std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
-                                          WordOf w, RawOf x) {
+                                          std::int64_t channels, WordOf w,
+                                          RawOf x) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
   } guard;
@@ -404,7 +529,8 @@ std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
   if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
   const std::string side = std::to_string(k);
   const Network net = Network::Build(ParseNetworkDef(
-      "input: \"data\"\ninput_dim: 1\ninput_dim: 1\ninput_dim: " + side +
+      "input: \"data\"\ninput_dim: 1\ninput_dim: " +
+      std::to_string(channels) + "\ninput_dim: " + side +
       "\ninput_dim: " + side +
       "\nlayers { name: \"conv\" type: CONVOLUTION bottom: \"data\" "
       "top: \"conv\" convolution_param { num_output: 1 kernel_size: " +
@@ -419,9 +545,10 @@ std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
   WriteWeights(image, net, design, WeightStore::CreateFor(net));
   const WeightRegionLayout layout =
       LayoutWeightRegion(net.layer(net.OutputLayer().id), design);
-  EXPECT_EQ(layout.counts.weights, k * k);
-  Tensor input(Shape{1, k, k});
-  for (std::int64_t t = 0; t < k * k; ++t) {
+  const std::int64_t taps = channels * k * k;
+  EXPECT_EQ(layout.counts.weights, taps);
+  Tensor input(Shape{channels, k, k});
+  for (std::int64_t t = 0; t < taps; ++t) {
     image.WriteElem(layout.weights_addr + t * elem_bytes, w(t), elem_bytes);
     input[t] = static_cast<float>(fmt.Dequantize(x(t)));
   }
@@ -436,7 +563,7 @@ std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
 }
 
 /// A flipped bit can set any bit of a weight's stored word, not just the
-/// format's, so both accumulation bounds count the word's width.
+/// format's, so every accumulation bound counts the word's width.
 TEST(FunctionalSim, WordWideWeightsStayExact) {
   // int64: a 28-bit format keeps its weights in 32-bit words, and 36
   // INT32_MIN words against the most negative activation sum to
@@ -444,7 +571,7 @@ TEST(FunctionalSim, WordWideWeightsStayExact) {
   // +raw_max (a wrapped int64 sum came out as -raw_max).
   const std::int64_t raw_max_28 = (std::int64_t{1} << 27) - 1;
   for (const std::int64_t raw : RunWordWideConv(
-           28, 8, 6,
+           28, 8, 6, 1,
            [](std::int64_t) { return std::numeric_limits<std::int32_t>::min(); },
            [](std::int64_t) { return -(std::int64_t{1} << 27); }))
     EXPECT_EQ(raw, raw_max_28);
@@ -466,8 +593,130 @@ TEST(FunctionalSim, WordWideWeightsStayExact) {
     if (t <= 2 * kUp) return (std::int64_t{1} << 19) - 1;
     return t == 2 * kUp + 1 ? kUp : 0;
   };
-  for (const std::int64_t raw : RunWordWideConv(20, 0, 65, w, x))
+  for (const std::int64_t raw : RunWordWideConv(20, 0, 65, 1, w, x))
     EXPECT_EQ(raw, 1);
+  // Winograd: a 17-bit format keeps its weights in 3-byte words.  Over
+  // 914 input channels of a 3x3 kernel the format's bits would admit the
+  // Winograd route (16 + 16 + 10 + 9 = 51 bits) but the words' do not
+  // (23 + 16 + 10 + 9 = 58); the direct double tile still holds
+  // (SumBits(24, 17, 8226) = 53).  With every tap of a channel equal,
+  // transform position (1, 1) gains 36 w x per channel: 456 channels of
+  // (-2^23) x (-2^16) lift it past 2^53, where a channel with 1 x 1 at
+  // its centre tap adds 1 that a double cannot hold there; 456 channels
+  // of (-2^23) x (2^16 - 1) and one of (-2^23) x 456 take it back down.
+  // The exact sum is 1; the Winograd route would return 0 (3/4,
+  // truncated).
+  constexpr std::int64_t kLift = 456;
+  constexpr std::int64_t kChannels = 2 * kLift + 2;
+  EXPECT_TRUE(sim::WinogradRoute(3, 1, kChannels, 17, 17));
+  EXPECT_FALSE(sim::WinogradRoute(3, 1, kChannels, 24, 17));
+  const auto w3 = [](std::int64_t t) -> std::int64_t {
+    if (t / 9 == kLift) return t % 9 == 4 ? 1 : 0;
+    return -(std::int64_t{1} << 23);
+  };
+  const auto x3 = [](std::int64_t t) -> std::int64_t {
+    const std::int64_t c = t / 9;
+    if (c < kLift) return -(std::int64_t{1} << 16);
+    if (c == kLift) return t % 9 == 4 ? 1 : 0;
+    return c <= 2 * kLift ? (std::int64_t{1} << 16) - 1 : kLift;
+  };
+  for (const std::int64_t raw : RunWordWideConv(17, 0, 3, kChannels, w3, x3))
+    EXPECT_EQ(raw, 1);
+}
+
+/// The Winograd route transforms the weights from the image on every
+/// batch: a bit flipped in one weight word between two RunBatch calls
+/// moves the second batch's outputs exactly as the direct reference over
+/// the flipped image predicts, and only in that weight's output channel.
+TEST(FunctionalSim, WinogradWeightFlipReachesTheNextBatch) {
+  const ConvCase c{16, 8, 32, 7, 9, 6, 3, 1, 1, 1, false};
+  const Network net = Network::Build(ParseNetworkDef(ConvScript(c)));
+  DesignConstraint constraint = DbConstraint();
+  constraint.bit_width = c.bits;
+  constraint.frac_bits = c.frac;
+  const AcceleratorDesign design = GenerateAccelerator(net, constraint);
+  const FixedFormat& fmt = design.config.format;
+  const int elem_bytes = static_cast<int>(design.config.ElementBytes());
+  ASSERT_TRUE(sim::WinogradRoute(3, 1, c.channels, 8 * elem_bytes,
+                                 fmt.total_bits()));
+  Rng rng(1509);
+  WeightStore weights = WeightStore::CreateFor(net);
+  LayerParams& params = weights.at("conv");
+  for (Tensor* t : {&params.weights, &params.bias})
+    for (std::int64_t i = 0; i < t->size(); ++i)
+      (*t)[i] = static_cast<float>(
+          fmt.Dequantize(RandomRaw(rng, fmt, false) / 64));
+  MemoryImage image(design.memory_map.total_bytes());
+  WriteWeights(image, net, design, weights);
+
+  std::vector<Tensor> inputs;
+  std::vector<std::vector<__int128>> in_raw;
+  for (int b = 0; b < 4; ++b) {
+    inputs.emplace_back(Shape{c.channels, c.height, c.width});
+    in_raw.emplace_back();
+    for (std::int64_t i = 0; i < inputs.back().size(); ++i) {
+      const std::int64_t raw = RandomRaw(rng, fmt, false) / 64;
+      inputs.back()[i] = static_cast<float>(fmt.Dequantize(raw));
+      in_raw.back().push_back(raw);
+    }
+  }
+  std::vector<const Tensor*> ptrs;
+  for (const Tensor& t : inputs) ptrs.push_back(&t);
+
+  const FunctionalSimulator sim(net, design, image);
+  const std::vector<Tensor> before = sim.RunBatch(ptrs);
+  for (std::size_t b = 0; b < before.size(); ++b)
+    EXPECT_EQ(Mismatches(before[b].storage(),
+                         ExactConv(net, design, image, in_raw[b])),
+              0);
+
+  // Bit 12 of output channel 2's weight for input channel 5, tap (1, 1).
+  constexpr std::int64_t kChannel = 2;
+  const WeightRegionLayout layout =
+      LayoutWeightRegion(net.OutputLayer(), design);
+  const std::int64_t index = ((kChannel * c.channels + 5) * 3 + 1) * 3 + 1;
+  image.FlipBit(layout.weights_addr + index * elem_bytes + 1, 4);
+  const std::vector<Tensor> after = sim.RunBatch(ptrs);
+  const std::int64_t plane = c.height * c.width;
+  for (std::size_t b = 0; b < after.size(); ++b) {
+    EXPECT_EQ(Mismatches(after[b].storage(),
+                         ExactConv(net, design, image, in_raw[b])),
+              0);
+    std::int64_t moved = 0;
+    for (std::int64_t i = 0; i < after[b].size(); ++i) {
+      if (after[b][i] == before[b][i]) continue;
+      EXPECT_EQ(i / plane, kChannel) << "output " << i;
+      ++moved;
+    }
+    EXPECT_GT(moved, 0) << "image " << b;
+  }
+}
+
+/// The route rule over the zoo at each model's generated format: the
+/// wide 3x3 stride-1 layers take the Winograd route; MNIST's 1- and
+/// 8-channel 3x3 layers, Cifar's 3-channel conv1 and every other kernel
+/// size or stride stay on the direct tile.
+TEST(FunctionalSim, WinogradRouteTakesTheWideThreeByThreeZooLayers) {
+  std::vector<std::string> routed;
+  for (const ZooModel model : AllZooModels()) {
+    const Network net = BuildZooModel(model);
+    const AcceleratorDesign design = GenerateAccelerator(net, DbConstraint());
+    const int word_bits = 8 * static_cast<int>(design.config.ElementBytes());
+    for (const IrLayer& layer : net.layers()) {
+      if (layer.kind() != LayerKind::kConvolution) continue;
+      const ConvolutionParams& p = *layer.def.conv;
+      const std::int64_t group_in =
+          net.layer(layer.input_ids.front()).output_shape.channels / p.group;
+      if (sim::WinogradRoute(p.kernel_size, p.stride, group_in, word_bits,
+                             design.config.format.total_bits()))
+        routed.push_back(ZooModelName(model) + "/" + layer.name());
+    }
+  }
+  EXPECT_EQ(routed, (std::vector<std::string>{
+                        "Alexnet/conv3", "Alexnet/conv4", "Alexnet/conv5",
+                        "NiN/conv3", "NiN/conv4", "Cifar/conv2"}));
+  // Alexnet's widest, conv3 (256 input channels), at 16-bit words.
+  EXPECT_EQ(sim::WinogradSumBits(16, 16, 256), 48);
 }
 
 // ------------------------------------------- LRN vs exact reference
