@@ -74,19 +74,15 @@ void BM_FunctionalSimMnist(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalSimMnist);
 
-/// Host time of one Alexnet convolution (conv2..conv5, the range
-/// argument) as a one-layer network on its own input geometry, through a
-/// batch-of-4 RunBatch as serving runs it.  items_per_second counts
-/// images, so ms per image is 1000 / items_per_second.
-void BM_AlexnetConvLayer(benchmark::State& state) {
-  struct Geometry {
-    int channels, side, num_output, kernel, pad, group;
-  };
-  constexpr Geometry kConvs[] = {{96, 27, 256, 5, 2, 2},
-                                 {256, 13, 384, 3, 1, 1},
-                                 {384, 13, 384, 3, 1, 2},
-                                 {384, 13, 256, 3, 1, 2}};
-  const Geometry& g = kConvs[state.range(0) - 2];
+struct ConvGeometry {
+  int channels, side, num_output, kernel, pad, group;
+};
+
+/// Host time of one convolution as a one-layer network on its own input
+/// geometry, through a batch-of-4 RunBatch as serving runs it.
+/// items_per_second counts images, so ms per image is
+/// 1000 / items_per_second.
+void RunConvLayer(benchmark::State& state, const ConvGeometry& g) {
   const auto dim = [](int d) { return "input_dim: " + std::to_string(d) + "\n"; };
   std::string script = "input: \"data\"\n";
   script += dim(1);
@@ -115,10 +111,39 @@ void BM_AlexnetConvLayer(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(sim.RunBatch(ptrs));
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
+
+/// Alexnet's conv2..conv5 (the range argument).
+void BM_AlexnetConvLayer(benchmark::State& state) {
+  constexpr ConvGeometry kConvs[] = {{96, 27, 256, 5, 2, 2},
+                                     {256, 13, 384, 3, 1, 1},
+                                     {384, 13, 384, 3, 1, 2},
+                                     {384, 13, 256, 3, 1, 2}};
+  RunConvLayer(state, kConvs[state.range(0) - 2]);
+}
 BENCHMARK(BM_AlexnetConvLayer)
     ->ArgName("conv")
     ->DenseRange(2, 5)
     ->Unit(benchmark::kMillisecond);
+
+/// The narrow 3x3 stride-1 zoo layers at 8 to 64 input channels (the
+/// range argument), where sim::kWinogradMinGroupIn splits the routes:
+/// MNIST's conv2 (5x5 input, pad 0, 3x3 output) and Cifar's conv2 (8x8
+/// input and output, pad 1), each with 16 output channels.
+void BM_MnistConv2Geometry(benchmark::State& state) {
+  RunConvLayer(state, {static_cast<int>(state.range(0)), 5, 16, 3, 0, 1});
+}
+BENCHMARK(BM_MnistConv2Geometry)
+    ->ArgName("in")
+    ->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CifarConv2Geometry(benchmark::State& state) {
+  RunConvLayer(state, {static_cast<int>(state.range(0)), 8, 16, 3, 1, 1});
+}
+BENCHMARK(BM_CifarConv2Geometry)
+    ->ArgName("in")
+    ->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FloatExecutorMnist(benchmark::State& state) {
   const Network net = BuildZooModel(ZooModel::kMnist);

@@ -343,6 +343,11 @@ void FunctionalSimulator::RunConv(const Math& math, const Params<W>& params,
     sweep(&sim::ConvTileReference<Acc, std::int32_t>);
 }
 
+// The most images one RunWinograd call takes.  Four already fill 196 of
+// 200 GEMM lanes on Alexnet's conv3-5, while the transformed input grows
+// with every image (1.6 MB each for conv3).
+constexpr std::size_t kWinogradBatch = 4;
+
 // Winograd F(2x2, 3x3) (Lavin & Gray) with G scaled by 2, so that every
 // transform is integer.  Its 1-D transforms, applied to the columns of a
 // tile and then to its rows:
@@ -778,11 +783,17 @@ void FunctionalSimulator::RunMacLayer(const IrLayer& layer,
   const auto run = [&](const auto& math) {
     if (layer.kind() == LayerKind::kInnerProduct)
       return RunInnerProduct(math, params, layer, in0, out, batch);
-    if (winograd) return RunWinograd(math, params, layer, in0, out, batch);
-    // Each image's scratch is recycled before the next image's.
+    // Scratch is recycled before the next image's, or on the Winograd
+    // route before the next kWinogradBatch images', so it stays bounded
+    // whatever the batch size.
+    const std::size_t step = winograd ? kWinogradBatch : 1;
     const sim::SimArena::Mark scratch = arena_.mark();
-    for (std::size_t b = 0; b < batch; ++b) {
-      RunMacImage(math, params, layer, in0[b], out[b]);
+    for (std::size_t b = 0; b < batch; b += step) {
+      if (winograd)
+        RunWinograd(math, params, layer, in0 + b, out + b,
+                    std::min(step, batch - b));
+      else
+        RunMacImage(math, params, layer, in0[b], out[b]);
       arena_.Rewind(scratch);
     }
   };

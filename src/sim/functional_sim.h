@@ -21,8 +21,9 @@
 // connected layers share each weight row among up to sim::kDotBatch
 // images, so a batch reads fc weights once per kDotBatch images rather
 // than once per image.  Convolutions that sim::WinogradRoute admits (3x3,
-// stride 1, at least 16 input channels per group, provably exact) run
-// batch-wide too, as below; every other layer runs image by image.  Each
+// stride 1, at least 32 input channels per group, provably exact) run
+// up to four images at a time, as below; every other layer runs image
+// by image.  Each
 // image's outputs are bit-identical to a pass of that image alone.
 // Run() is the B = 1 pass.
 //
@@ -30,10 +31,10 @@
 // register tile (sim::KernelOps::conv_tile) over its zero-padded,
 // stride-phased input, image by image (RunConv).  A Winograd layer runs
 // F(2x2, 3x3) with G scaled by 2 (RunWinograd): per group, the integer
-// input transform of every 2x2 output tile of the batch; per pass of up
-// to 32 output channels, the integer weight transform from the image
-// words; the 16 per-position GEMMs on the same conv_tile, with taps =
-// input channels and the batch's tiles as pixels; then the output
+// input transform of every 2x2 output tile of up to four images; per
+// pass of up to 32 output channels, the integer weight transform from
+// the image words; the 16 per-position GEMMs on the same conv_tile, with
+// taps = input channels and those images' tiles as pixels; then the output
 // transform, which yields exactly 4x the direct sum, the bias and the
 // shared writeback.  Outputs equal the direct tile's bit for bit.
 //
@@ -52,9 +53,10 @@
 // layer scratch is recycled before the next image's.  So the arena
 // grows with the batch — B times the live activations — up to the
 // largest batch run so far, and is then reused pass after pass.  A
-// Winograd layer's scratch is batch-wide: 16 doubles per input channel
-// of a group per output tile of the batch (6.5 MB for Alexnet's conv3
-// at B = 4), plus the transformed weights and GEMM sums of one pass.
+// Winograd layer's scratch spans the up to four images it runs at a
+// time: 16 doubles per input channel of a group per output tile (6.5 MB
+// for Alexnet's conv3 at four images), plus the transformed weights and
+// GEMM sums of one pass, whatever the batch size.
 //
 // Threading contract: a FunctionalSimulator owns one scratch arena, so
 // concurrent Run()/RunBatch() calls on the SAME instance are not
@@ -181,8 +183,9 @@ class FunctionalSimulator {
   void RunConv(const Math& math, const Params<W>& params,
                const IrLayer& layer, const RawTensor& in0,
                RawTensor& out) const;
-  /// A convolution sim::WinogradRoute admits, over the whole batch, as
-  /// exact Winograd F(2x2, 3x3) with its GEMM on conv_tile.
+  /// A convolution sim::WinogradRoute admits, over `batch` images (at
+  /// most four), as exact Winograd F(2x2, 3x3) with its GEMM on
+  /// conv_tile.
   template <typename Math, typename W>
   void RunWinograd(const Math& math, const Params<W>& params,
                    const IrLayer& layer, const RawTensor* in0,

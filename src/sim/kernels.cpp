@@ -142,23 +142,37 @@ const KernelOps& ActiveKernels() {
 namespace {
 constexpr std::size_t kArenaAlign = 64;
 constexpr std::size_t kArenaMinBlock = std::size_t{64} * 1024;
+// Blocks from this size up are anonymous mappings: one freed when
+// Reset() coalesces returns its pages to the system, where a freed heap
+// block this large can stay resident in the allocator (some 7 MB per
+// Alexnet replica).  Smaller blocks, such as MNIST's whole arena, stay
+// on the heap, which recycles them without a system call.
+constexpr std::size_t kArenaMapMinBytes = std::size_t{1} << 20;
 
 std::size_t RoundUpAligned(std::size_t bytes) {
   return (bytes + kArenaAlign - 1) & ~(kArenaAlign - 1);
 }
 }  // namespace
 
-std::byte* SimArena::MapBlock(std::size_t bytes) {
+std::byte* SimArena::NewBlock(std::size_t bytes) {
+  if (bytes < kArenaMapMinBytes)
+    return static_cast<std::byte*>(
+        ::operator new(bytes, std::align_val_t{kArenaAlign}));
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
   return static_cast<std::byte*>(p);
 }
 
-void SimArena::UnmapBlock(const Block& b) { ::munmap(b.data, b.size); }
+void SimArena::DeleteBlock(const Block& b) {
+  if (b.size < kArenaMapMinBytes)
+    ::operator delete(b.data, std::align_val_t{kArenaAlign});
+  else
+    ::munmap(b.data, b.size);
+}
 
 SimArena::~SimArena() {
-  for (const Block& b : blocks_) UnmapBlock(b);
+  for (const Block& b : blocks_) DeleteBlock(b);
 }
 
 std::size_t SimArena::capacity_bytes() const {
@@ -184,7 +198,7 @@ void* SimArena::AllocBytes(std::size_t bytes) {
   std::size_t size = std::max(need, kArenaMinBlock);
   size = std::max(size, capacity_bytes());
   Block b;
-  b.data = MapBlock(size);
+  b.data = NewBlock(size);
   b.size = size;
   b.used = need;
   blocks_.push_back(b);
@@ -206,10 +220,10 @@ void SimArena::Reset() {
     // sized for the whole footprint, so the steady state is a single
     // stable allocation.
     const std::size_t total = capacity_bytes();
-    for (const Block& b : blocks_) UnmapBlock(b);
+    for (const Block& b : blocks_) DeleteBlock(b);
     blocks_.clear();
     Block b;
-    b.data = MapBlock(total);
+    b.data = NewBlock(total);
     b.size = total;
     blocks_.push_back(b);
   }

@@ -101,13 +101,20 @@ constexpr int WinogradSumBits(int a_bits, int b_bits, std::int64_t group_in) {
          std::bit_width(static_cast<std::uint64_t>(group_in)) + 9;
 }
 
-/// The fewest input channels per group the Winograd route takes.  Per
-/// output tile and output channel its GEMM saves 20 multiplies (five
-/// 4-wide FMAs) per input channel, while the scalar transforms cost some
-/// 40 operations plus the input transform's share: by that count (an
-/// estimate, not a measurement) the route breaks even near 16 channels,
-/// so narrower layers such as MNIST's 1- and 8-channel ones stay direct.
-inline constexpr std::int64_t kWinogradMinGroupIn = 16;
+/// The fewest input channels per group the Winograd route takes, as
+/// measured by bench/micro_framework's BM_CifarConv2Geometry rows (one
+/// 3x3 stride-1 layer, 8x8 output, 16 output channels, RunBatch of 4)
+/// built with the route forced on and off.  Winograd over direct host
+/// time, the median over 20 alternating pairs (each run the best of 5,
+/// on 4 AVX2 cores), was 1.04 at 8 input channels, 1.03 at 16, 0.97 at
+/// 24, 0.94 at 32 and 0.89 at 64; the route won 6, 9, 13, 15 and 16 of
+/// the pairs.  An earlier run of 16 pairs read 1.10, 1.08, 1.00, 0.99 and
+/// 0.94.  So Cifar's 16-channel conv2 and MNIST's 1- and 8-channel convs
+/// stay direct, and Alexnet's and NiN's, with 192 to 384 channels per
+/// group, route.  (At MNIST conv2's 3x3 output the route measured faster
+/// even at 8 channels, 0.89, as the direct tile fills only 3 of its 8
+/// lanes there.)
+inline constexpr std::int64_t kWinogradMinGroupIn = 32;
 
 /// The route rule, in one place: a convolution runs as exact Winograd
 /// F(2x2, 3x3) on conv_tile when it is 3x3 with stride 1, has at least
@@ -313,13 +320,11 @@ class SimArena {
   };
 
   void* AllocBytes(std::size_t bytes);
-  /// Blocks are anonymous mappings, not heap memory: a block released
-  /// when Reset() coalesces returns its pages to the system, where a
-  /// freed heap block can stay resident in the allocator, and a page
-  /// counts towards RSS only once touched.  Page-aligned, so 64-byte
-  /// aligned.
-  static std::byte* MapBlock(std::size_t bytes);
-  static void UnmapBlock(const Block& b);
+  /// A 64-byte aligned block: heap memory when small, an anonymous
+  /// mapping from a size up (kernels.cpp), so a large block released
+  /// when Reset() coalesces returns its pages to the system.
+  static std::byte* NewBlock(std::size_t bytes);
+  static void DeleteBlock(const Block& b);
 
   std::vector<Block> blocks_;
   std::size_t current_ = 0;  // block accepting allocations

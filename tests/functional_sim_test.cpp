@@ -267,9 +267,11 @@ std::int64_t RandomRaw(Rng& rng, const FixedFormat& fmt, bool extremes) {
 /// A 3x3 stride-1 case: `group_in` input channels per group, pad `pad`,
 /// up to 40 output channels per group (off the 4-wide tile and past one
 /// 32-channel pass of the Winograd route), and outputs of 1 to 10 rows
-/// and columns, odd and even.
+/// and columns, odd and even.  A `deep` case (thousands of channels)
+/// keeps one group, 1 to 4 output channels and inputs of two sizes, so
+/// the exact reference stays quick.
 ConvCase RandomThreeByThreeCase(Rng& rng, int bits, std::int64_t group_in,
-                                std::int64_t pad) {
+                                std::int64_t pad, bool deep) {
   ConvCase c{};
   c.bits = bits;
   c.frac = bits / 4 + static_cast<int>(rng.UniformInt(
@@ -277,12 +279,14 @@ ConvCase RandomThreeByThreeCase(Rng& rng, int bits, std::int64_t group_in,
   c.k = 3;
   c.stride = 1;
   c.pad = pad;
-  c.group = 1 + static_cast<std::int64_t>(rng.UniformInt(3));
+  c.group = deep ? 1 : 1 + static_cast<std::int64_t>(rng.UniformInt(3));
   c.channels = c.group * group_in;
-  c.num_output = c.group * (1 + static_cast<std::int64_t>(rng.UniformInt(40)));
+  c.num_output = c.group * (1 + static_cast<std::int64_t>(
+                                    rng.UniformInt(deep ? 4 : 40)));
   const std::int64_t min_side = std::max<std::int64_t>(1, 3 - 2 * pad);
-  c.height = min_side + static_cast<std::int64_t>(rng.UniformInt(8));
-  c.width = min_side + static_cast<std::int64_t>(rng.UniformInt(8));
+  const std::uint64_t sides = deep ? 2 : 8;
+  c.height = min_side + static_cast<std::int64_t>(rng.UniformInt(sides));
+  c.width = min_side + static_cast<std::int64_t>(rng.UniformInt(sides));
   c.extremes = rng.Bernoulli(0.3);
   return c;
 }
@@ -470,45 +474,44 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   for (const int bits : {20, 21, 22, 24})
     EXPECT_TRUE(sides[bits][0] > 0 && sides[bits][1] > 0) << bits << " bits";
 
-  // 3x3 stride-1 layers.  Per row, the cases that take the Winograd
-  // route ([0]) and those left on the direct tile ([1]).  A 17-bit
-  // format keeps its weights in 3-byte words: WinogradSumBits(24, 17,
-  // group_in) reaches the 53-bit bound at 31 input channels per group
-  // (the row that always draws extremes) and passes it from 32.
+  // 3x3 stride-1 layers, per row on one side of the Winograd route.
+  // Below 32 input channels per group a layer stays direct.  A 17-bit
+  // format keeps its weights in 3-byte words, so WinogradSumBits(24, 17,
+  // 32) = 54 passes the 53-bit bound.  A 16-bit format in 2-byte words
+  // reaches the bound at 8192 to 16383 channels (the deep row that always
+  // draws extremes) and passes it from 16384.
   const struct {
     int bits;
     std::int64_t min_in, max_in;
-    bool extremes;
-  } rows[] = {{8, 16, 40, false},
-              {16, 16, 40, false},
-              {17, 16, 30, false},
-              {17, 31, 31, true},
-              {17, 32, 48, false}};
-  std::map<int, std::array<int, 2>> routes;
+    bool deep, route;
+    int trials;
+  } rows[] = {{8, 32, 48, false, true, 12},
+              {16, 32, 48, false, true, 12},
+              {16, 8, 31, false, false, 12},
+              {17, 32, 48, false, false, 12},
+              {16, 8192, 16383, true, true, 8},
+              {16, 16384, 16400, true, false, 4}};
   std::array<int, 2> out_parity{};  // even, odd output widths
   constexpr std::size_t kBatches[] = {0, 1, 4, 5};
-  for (std::size_t row = 0; row < std::size(rows); ++row) {
-    const auto& r = rows[row];
-    for (int trial = 0; trial < 12; ++trial, ++cases) {
+  for (const auto& r : rows) {
+    for (int trial = 0; trial < r.trials; ++trial, ++cases) {
       const std::int64_t group_in =
           r.min_in + static_cast<std::int64_t>(rng.UniformInt(
                          static_cast<std::uint64_t>(r.max_in - r.min_in + 1)));
-      ConvCase c = RandomThreeByThreeCase(rng, r.bits, group_in, trial % 3);
-      c.extremes = c.extremes || r.extremes;
+      ConvCase c =
+          RandomThreeByThreeCase(rng, r.bits, group_in, trial % 3, r.deep);
+      c.extremes = c.extremes || r.deep;
       const int word_bits = check(c, kBatches[trial % 4], true);
-      if (r.extremes) {
+      EXPECT_EQ(sim::WinogradRoute(3, 1, group_in, word_bits, r.bits),
+                r.route)
+          << r.bits << " bits, " << group_in << " channels";
+      if (r.deep) {
         EXPECT_EQ(sim::WinogradSumBits(word_bits, r.bits, group_in),
-                  sim::kConvTileExactBits);
+                  sim::kConvTileExactBits + (r.route ? 0 : 1));
       }
-      ++routes[static_cast<int>(row)]
-              [sim::WinogradRoute(3, 1, group_in, word_bits, r.bits) ? 0 : 1];
       ++out_parity[(c.width + 2 * c.pad - 2) % 2];
     }
   }
-  // 8 and 16 bits and the 17-bit rows through 31 channels take the
-  // route; the last row does not.
-  for (int row = 0; row < 4; ++row) EXPECT_EQ(routes[row][1], 0) << row;
-  EXPECT_EQ(routes[4][0], 0);
   EXPECT_TRUE(out_parity[0] > 0 && out_parity[1] > 0);
   EXPECT_EQ(cases, 340);
 }
@@ -694,8 +697,8 @@ TEST(FunctionalSim, WinogradWeightFlipReachesTheNextBatch) {
 
 /// The route rule over the zoo at each model's generated format: the
 /// wide 3x3 stride-1 layers take the Winograd route; MNIST's 1- and
-/// 8-channel 3x3 layers, Cifar's 3-channel conv1 and every other kernel
-/// size or stride stay on the direct tile.
+/// 8-channel 3x3 layers, Cifar's 3- and 16-channel ones and every other
+/// kernel size or stride stay on the direct tile.
 TEST(FunctionalSim, WinogradRouteTakesTheWideThreeByThreeZooLayers) {
   std::vector<std::string> routed;
   for (const ZooModel model : AllZooModels()) {
@@ -714,7 +717,7 @@ TEST(FunctionalSim, WinogradRouteTakesTheWideThreeByThreeZooLayers) {
   }
   EXPECT_EQ(routed, (std::vector<std::string>{
                         "Alexnet/conv3", "Alexnet/conv4", "Alexnet/conv5",
-                        "NiN/conv3", "NiN/conv4", "Cifar/conv2"}));
+                        "NiN/conv3", "NiN/conv4"}));
   // Alexnet's widest, conv3 (256 input channels), at 16-bit words.
   EXPECT_EQ(sim::WinogradSumBits(16, 16, 256), 48);
 }
