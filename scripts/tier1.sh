@@ -41,6 +41,12 @@ echo "== tier-1: Release (-O3) build + differential suite =="
 cmake --preset release
 cmake --build --preset release -j "${JOBS}"
 ctest --preset release -j "${JOBS}" -L differential
+# Auto selects the widest kernel backend, so on an AVX-512 host the
+# suite above never serves through the AVX2 conv tile (its two 4-channel
+# passes); run it again with that backend forced.
+if grep -qw avx2 /proc/cpuinfo; then
+  DB_SIM_KERNEL=avx2 ctest --preset release -j "${JOBS}" -L differential
+fi
 
 echo "== tier-1: ASan+UBSan on the concurrent server and its substrate =="
 # Also the conv kernels: Kernels.ConvTileMatchesBruteForce runs every

@@ -365,9 +365,10 @@ void FunctionalSimulator::RunWinograd(const Math& math,
   constexpr std::int64_t kC = sim::kConvTileChannels;
   constexpr std::int64_t kP = sim::kConvTilePixels;
   constexpr std::int64_t kPos = 16;  // the 4x4 transform domain
-  // Output-channel blocks per pass over the transformed input: each
-  // position's slice of it is then read from cache kBlocks times.
-  constexpr std::int64_t kBlocks = 8;
+  // Output-channel blocks per pass over the transformed input, 32
+  // channels in all: each position's slice of it is then read from cache
+  // kBlocks times.
+  constexpr std::int64_t kBlocks = 4;
   const ConvolutionParams& p = *layer.def.conv;
   const int f = fmt_.frac_bits();
   const std::int64_t in_h = in0[0].shape.height;

@@ -21,7 +21,7 @@
 // connected layers share each weight row among up to sim::kDotBatch
 // images, so a batch reads fc weights once per kDotBatch images rather
 // than once per image.  Convolutions that sim::WinogradRoute admits (3x3,
-// stride 1, at least 32 input channels per group, provably exact) run
+// stride 1, at least 56 input channels per group, provably exact) run
 // up to four images at a time, as below; every other layer runs image
 // by image.  Each
 // image's outputs are bit-identical to a pass of that image alone.
@@ -40,8 +40,9 @@
 //
 // Hot-path layout: layer state is structure-of-arrays — int32 raw
 // activations in a per-simulator arena, int64 accumulators — and the
-// dense MAC/activation sweeps run on the sim/kernels.h backend (AVX2
-// when the host has it, bit-identical scalar otherwise).  LRN works on
+// dense MAC/activation sweeps run on the sim/kernels.h backend (the
+// widest of AVX-512 and AVX2 the host has, bit-identical scalar
+// otherwise).  LRN works on
 // whole channel planes: a sliding window of exact sums of squares, one
 // writeback and one span LUT evaluation per plane.  Formats too wide
 // for provably-overflow-free int64 accumulation fall back to an

@@ -52,18 +52,21 @@ constexpr KernelOps kScalarOps = {
 
 }  // namespace
 
-const KernelOps& ScalarKernels() { return kScalarOps; }
-
 // ---------------------------------------------------------------------
 // Backend selection
 // ---------------------------------------------------------------------
 
-#if defined(DB_HAVE_AVX2_KERNELS)
 namespace detail {
+#if defined(DB_HAVE_AVX2_KERNELS)
 // Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma).
 const KernelOps& Avx2KernelsImpl();
-}  // namespace detail
 #endif
+#if defined(DB_HAVE_AVX512_KERNELS)
+// Defined in kernels_avx512.cpp (compiled with -mavx512f -mfma).
+void Avx512ConvTile(double* acc, const double* w, const double* in,
+                    const std::int64_t* off, std::size_t taps);
+#endif
+}  // namespace detail
 
 bool Avx2Available() {
 #if defined(DB_HAVE_AVX2_KERNELS) && defined(__x86_64__)
@@ -74,11 +77,23 @@ bool Avx2Available() {
 #endif
 }
 
-const KernelOps& Avx2Kernels() {
-#if defined(DB_HAVE_AVX2_KERNELS)
-  if (Avx2Available()) return detail::Avx2KernelsImpl();
+bool Avx512Available() {
+#if defined(DB_HAVE_AVX512_KERNELS) && defined(__x86_64__)
+  return Avx2Available() && __builtin_cpu_supports("avx512f") != 0;
+#else
+  return false;
 #endif
-  DB_THROW("AVX2 kernels are not available on this host");
+}
+
+std::vector<KernelBackend> AvailableBackends() {
+  // Each backend needs the one before it (avx512 reuses the avx2 table),
+  // so the available ones are a prefix of this list.
+  constexpr KernelBackend kAll[] = {KernelBackend::kScalar,
+                                    KernelBackend::kAvx2,
+                                    KernelBackend::kAvx512};
+  const std::size_t n = 1 + (Avx2Available() ? 1 : 0) +
+                        (Avx512Available() ? 1 : 0);
+  return {kAll, kAll + n};
 }
 
 std::string KernelBackendName(KernelBackend backend) {
@@ -86,26 +101,42 @@ std::string KernelBackendName(KernelBackend backend) {
     case KernelBackend::kAuto: return "auto";
     case KernelBackend::kScalar: return "scalar";
     case KernelBackend::kAvx2: return "avx2";
+    case KernelBackend::kAvx512: return "avx512";
   }
   return "?";
 }
 
+KernelBackend ParseKernelBackend(const std::string& name) {
+  const std::string n = ToLower(name);
+  for (const KernelBackend backend :
+       {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2,
+        KernelBackend::kAvx512})
+    if (n == KernelBackendName(backend)) return backend;
+  DB_THROW("unknown kernel backend '" << name
+           << "' (want auto, scalar, avx2 or avx512)");
+}
+
 namespace {
 
-KernelBackend ParseBackend(const std::string& name) {
-  const std::string n = ToLower(name);
-  if (n == "auto") return KernelBackend::kAuto;
-  if (n == "scalar") return KernelBackend::kScalar;
-  if (n == "avx2") return KernelBackend::kAvx2;
-  DB_THROW("unknown kernel backend '" << name
-           << "' (want auto, scalar or avx2)");
+/// What kAuto resolves to; the CPU does not change under a process.
+KernelBackend Widest() {
+  static const KernelBackend widest = AvailableBackends().back();
+  return widest;
+}
+
+bool Available(KernelBackend backend) {
+  switch (backend) {
+    case KernelBackend::kAvx2: return Avx2Available();
+    case KernelBackend::kAvx512: return Avx512Available();
+    default: return true;
+  }
 }
 
 /// The initial request: DB_SIM_KERNEL env var, else auto.
 KernelBackend InitialBackend() {
   const char* env = std::getenv("DB_SIM_KERNEL");
   if (env == nullptr || *env == '\0') return KernelBackend::kAuto;
-  return ParseBackend(env);
+  return ParseKernelBackend(env);
 }
 
 std::atomic<KernelBackend>& RequestedBackend() {
@@ -116,24 +147,45 @@ std::atomic<KernelBackend>& RequestedBackend() {
 }  // namespace
 
 void SetKernelBackend(KernelBackend backend) {
-  if (backend == KernelBackend::kAvx2 && !Avx2Available())
-    DB_THROW("cannot select the avx2 kernel backend: "
-             "not available on this host");
+  if (!Available(backend))
+    DB_THROW("cannot select the " << KernelBackendName(backend)
+             << " kernel backend: not available on this host");
   RequestedBackend().store(backend, std::memory_order_relaxed);
 }
 
 KernelBackend ActiveKernelBackend() {
   const KernelBackend requested =
       RequestedBackend().load(std::memory_order_relaxed);
-  if (requested == KernelBackend::kScalar) return KernelBackend::kScalar;
-  if (requested == KernelBackend::kAvx2) return KernelBackend::kAvx2;
-  return Avx2Available() ? KernelBackend::kAvx2 : KernelBackend::kScalar;
+  return requested == KernelBackend::kAuto ? Widest() : requested;
 }
 
-const KernelOps& ActiveKernels() {
-  return ActiveKernelBackend() == KernelBackend::kAvx2 ? Avx2Kernels()
-                                                       : ScalarKernels();
+const KernelOps& KernelsFor(KernelBackend backend) {
+  if (backend == KernelBackend::kAuto) backend = Widest();
+  if (!Available(backend))
+    DB_THROW(KernelBackendName(backend)
+             << " kernels are not available on this host");
+  switch (backend) {
+#if defined(DB_HAVE_AVX2_KERNELS)
+    case KernelBackend::kAvx2: return detail::Avx2KernelsImpl();
+#endif
+#if defined(DB_HAVE_AVX512_KERNELS)
+    case KernelBackend::kAvx512: {
+      // The AVX2 table with the conv tile on zmm registers: the other
+      // kernels are memory-bound or short, so wider lanes buy nothing.
+      static const KernelOps avx512 = [] {
+        KernelOps ops = detail::Avx2KernelsImpl();
+        ops.name = "avx512";
+        ops.conv_tile = detail::Avx512ConvTile;
+        return ops;
+      }();
+      return avx512;
+    }
+#endif
+    default: return kScalarOps;
+  }
 }
+
+const KernelOps& ActiveKernels() { return KernelsFor(ActiveKernelBackend()); }
 
 // ---------------------------------------------------------------------
 // SimArena
@@ -142,10 +194,10 @@ const KernelOps& ActiveKernels() {
 namespace {
 constexpr std::size_t kArenaAlign = 64;
 constexpr std::size_t kArenaMinBlock = std::size_t{64} * 1024;
-// Blocks from this size up are anonymous mappings: one freed when
-// Reset() coalesces returns its pages to the system, where a freed heap
-// block this large can stay resident in the allocator (some 7 MB per
-// Alexnet replica).  Smaller blocks, such as MNIST's whole arena, stay
+// Blocks from this size up are anonymous mappings: one freed with its
+// arena returns its pages to the system, where a freed heap block this
+// large can stay resident in the allocator (some 7 MB per Alexnet
+// replica).  Smaller blocks, such as MNIST's whole arena, stay
 // on the heap, which recycles them without a system call.
 constexpr std::size_t kArenaMapMinBytes = std::size_t{1} << 20;
 
@@ -215,18 +267,9 @@ void SimArena::Rewind(const Mark& m) {
 }
 
 void SimArena::Reset() {
-  if (blocks_.size() > 1) {
-    // The last run overflowed into extra blocks: coalesce into one block
-    // sized for the whole footprint, so the steady state is a single
-    // stable allocation.
-    const std::size_t total = capacity_bytes();
-    for (const Block& b : blocks_) DeleteBlock(b);
-    blocks_.clear();
-    Block b;
-    b.data = NewBlock(total);
-    b.size = total;
-    blocks_.push_back(b);
-  }
+  // Every block stays: a run that overflowed has touched the pages of its
+  // new block already, and a coalesced replacement would fault each of
+  // them in again on the next run.
   for (Block& b : blocks_) b.used = 0;
   current_ = 0;
   used_ = 0;

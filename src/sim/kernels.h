@@ -5,7 +5,7 @@
 // int32 (every FixedFormat raw value fits — total_bits <= 32), weights
 // are int32 or, for 2-byte formats, int16 read in place from the DRAM
 // image, and accumulators are int64.  Convolution runs as register
-// tiles (conv_tile: 4 output channels x 8 output pixels, the tap loop
+// tiles (conv_tile: 8 output channels x 8 output pixels, the tap loop
 // innermost) over an input the simulator has laid out zero-padded and
 // split into stride phases, so one tile serves every stride.  The same
 // tile serves the Winograd F(2x2, 3x3) route for 3x3 stride-1 layers as
@@ -18,15 +18,20 @@
 // and recurrent rows run as batched dot products, one weight row
 // against up to kDotBatch images' activations, so a batch reads each
 // weight once.
-// This header is the contract between the simulator and the two
+// This header is the contract between the simulator and the three
 // interchangeable kernel backends:
 //
 //   * scalar  — portable reference, always available
-//   * avx2    — 4/8-lane vectorised variants (the conv tile on FMA),
-//               compiled into the build on x86-64 and selected at
-//               runtime only when the CPU reports AVX2 and FMA
+//   * avx2    — 4/8-lane vectorised variants (the conv tile on FMA, as
+//               two 4-channel passes), compiled into the build on
+//               x86-64 and selected at runtime only when the CPU
+//               reports AVX2 and FMA
+//   * avx512  — the avx2 table with the conv tile on AVX-512F: one zmm
+//               accumulator per output channel, one 8-pixel load and 8
+//               broadcast FMAs per tap; selected only when the CPU also
+//               reports AVX-512F
 //
-// Both backends are BIT-IDENTICAL by construction: every kernel either
+// All backends are BIT-IDENTICAL by construction: every kernel either
 // is elementwise or accumulates exact integer sums — int64 sums the
 // simulator has proven cannot overflow 63 bits, or double sums it has
 // proven stay below 2^53 — so summation order is immaterial.  The
@@ -104,17 +109,19 @@ constexpr int WinogradSumBits(int a_bits, int b_bits, std::int64_t group_in) {
 /// The fewest input channels per group the Winograd route takes, as
 /// measured by bench/micro_framework's BM_CifarConv2Geometry rows (one
 /// 3x3 stride-1 layer, 8x8 output, 16 output channels, RunBatch of 4)
-/// built with the route forced on and off.  Winograd over direct host
-/// time, the median over 20 alternating pairs (each run the best of 5,
-/// on 4 AVX2 cores), was 1.04 at 8 input channels, 1.03 at 16, 0.97 at
-/// 24, 0.94 at 32 and 0.89 at 64; the route won 6, 9, 13, 15 and 16 of
-/// the pairs.  An earlier run of 16 pairs read 1.10, 1.08, 1.00, 0.99 and
-/// 0.94.  So Cifar's 16-channel conv2 and MNIST's 1- and 8-channel convs
-/// stay direct, and Alexnet's and NiN's, with 192 to 384 channels per
-/// group, route.  (At MNIST conv2's 3x3 output the route measured faster
-/// even at 8 channels, 0.89, as the direct tile fills only 3 of its 8
-/// lanes there.)
-inline constexpr std::int64_t kWinogradMinGroupIn = 32;
+/// built with the route forced on and off, on the 8x8 AVX-512 conv tile
+/// of a 4-vCPU Xeon.  Winograd over direct host time, the median over 20
+/// alternating pairs (each run the best of 5), was 1.14 at 8 input
+/// channels, 1.10 at 16, 1.07 at 24 and 1.09 at 32; a second series of
+/// 20 pairs read 1.05 at 32, 1.05 at 40, 1.03 at 48, 0.97 at 56 and 0.97
+/// at 64, the route winning 2, 1, 4, 15 and 16 of them.  (On the earlier
+/// 4x8 AVX2 tile the route already won from 24 to 32 channels.)  So
+/// Cifar's 16-channel conv2 and MNIST's 1- and 8-channel convs stay
+/// direct, and Alexnet's and NiN's, with 192 to 384 channels per group,
+/// route.  (At MNIST conv2's 3x3 output the route measured faster from 16
+/// channels, 0.90, as the direct tile fills only 3 of its 8 pixel lanes
+/// there.)
+inline constexpr std::int64_t kWinogradMinGroupIn = 56;
 
 /// The route rule, in one place: a convolution runs as exact Winograd
 /// F(2x2, 3x3) on conv_tile when it is 3x3 with stride 1, has at least
@@ -134,7 +141,7 @@ constexpr bool WinogradRoute(std::int64_t kernel, std::int64_t stride,
 // ---------------------------------------------------------------------
 
 /// The conv_tile shape: output channels x output pixels per call.
-inline constexpr std::size_t kConvTileChannels = 4;
+inline constexpr std::size_t kConvTileChannels = 8;
 inline constexpr std::size_t kConvTilePixels = 8;
 
 /// The most activation vectors one batched dot call reads.
@@ -228,33 +235,46 @@ struct KernelOps {
 // ---------------------------------------------------------------------
 
 enum class KernelBackend {
-  kAuto,    // pick AVX2 when compiled in and the CPU supports it
+  kAuto,    // the widest backend compiled in that the CPU supports
   kScalar,  // force the portable reference kernels
   kAvx2,    // force the AVX2 kernels (throws if unavailable)
+  kAvx512,  // force the AVX-512 conv tile (throws if unavailable)
 };
 
 std::string KernelBackendName(KernelBackend backend);
+
+/// The backend a name denotes ("auto" | "scalar" | "avx2" | "avx512",
+/// any case), as DB_SIM_KERNEL spells it.  Throws db::Error otherwise.
+KernelBackend ParseKernelBackend(const std::string& name);
 
 /// True when the AVX2 kernels are compiled into this binary AND the
 /// running CPU advertises AVX2 and FMA.
 bool Avx2Available();
 
+/// True when the AVX-512 conv tile is compiled into this binary AND the
+/// running CPU advertises AVX-512F on top of Avx2Available().
+bool Avx512Available();
+
+/// The concrete backends this host can run, scalar first, narrowest to
+/// widest (backend-parametrised tests and benches iterate these).
+std::vector<KernelBackend> AvailableBackends();
+
 /// Override the backend (tests, benches, DB_SIM_KERNEL env).  Throws
-/// db::Error when forcing kAvx2 on a host without it.
+/// db::Error when forcing a SIMD backend on a host without it.
 void SetKernelBackend(KernelBackend backend);
 
-/// The backend requests resolve to: kScalar or kAvx2, never kAuto.
+/// The backend requests resolve to: a concrete backend, never kAuto.
 /// Honors SetKernelBackend first, then the DB_SIM_KERNEL environment
-/// variable ("scalar" | "avx2" | "auto"), then CPU detection.
+/// variable (see ParseKernelBackend), then CPU detection.
 KernelBackend ActiveKernelBackend();
 
 /// The ops table for ActiveKernelBackend().
 const KernelOps& ActiveKernels();
 
-/// The two backends, directly (differential tests compare them).
-const KernelOps& ScalarKernels();
-/// Returns the AVX2 table; throws db::Error when !Avx2Available().
-const KernelOps& Avx2Kernels();
+/// One backend's table, directly (differential tests compare them).
+/// kAuto resolves as ActiveKernelBackend() would without an override;
+/// throws db::Error for a SIMD backend this host cannot run.
+const KernelOps& KernelsFor(KernelBackend backend);
 
 // ---------------------------------------------------------------------
 // Arena
@@ -262,8 +282,9 @@ const KernelOps& Avx2Kernels();
 
 /// Bump allocator for per-run simulator scratch.  Reset() recycles the
 /// committed memory without releasing it, so a warm simulator reuses one
-/// stable footprint run after run; growth coalesces into a single block
-/// on the next Reset().  Allocations are 64-byte aligned (cache line /
+/// stable footprint run after run; a run that overflows grows the chain
+/// by one block at least as large as the blocks before it, and the
+/// chain is kept, pages already touched included.  Allocations are 64-byte aligned (cache line /
 /// full YMM beat).  Not thread-safe: an arena belongs to exactly one
 /// simulator, which one thread at a time drives.
 class SimArena {
@@ -287,8 +308,8 @@ class SimArena {
     return p;
   }
 
-  /// Recycle all allocations; capacity is retained (and defragmented
-  /// into one block if the previous run overflowed).
+  /// Recycle all allocations; every block, and so every page already
+  /// touched, is retained.
   void Reset();
 
   /// The allocation point, for a later Rewind().
@@ -309,7 +330,8 @@ class SimArena {
   std::size_t capacity_bytes() const;
   /// Bytes handed out since the last Reset().
   std::size_t used_bytes() const { return used_; }
-  /// Number of backing blocks (1 once warm).
+  /// Number of backing blocks: logarithmic in the footprint, as each new
+  /// block at least doubles the capacity, and constant once warm.
   std::size_t block_count() const { return blocks_.size(); }
 
  private:
@@ -322,7 +344,7 @@ class SimArena {
   void* AllocBytes(std::size_t bytes);
   /// A 64-byte aligned block: heap memory when small, an anonymous
   /// mapping from a size up (kernels.cpp), so a large block released
-  /// when Reset() coalesces returns its pages to the system.
+  /// with the arena returns its pages to the system.
   static std::byte* NewBlock(std::size_t bytes);
   static void DeleteBlock(const Block& b);
 

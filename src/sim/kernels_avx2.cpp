@@ -1,6 +1,7 @@
 // AVX2 kernel backend.  This translation unit is compiled with -mavx2
 // -mfma (see src/sim/CMakeLists.txt) and is only entered after
-// Avx2Available() confirmed the CPU supports both.
+// Avx2Available() confirmed the CPU supports both.  The avx512 backend
+// reuses this table for every kernel but the conv tile.
 //
 // Bit-identity with the scalar backend is structural: every op is either
 // elementwise (writeback, relu, max) or an exact accumulation — int64
@@ -13,6 +14,8 @@
 #if defined(DB_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace db::sim::detail {
 namespace {
@@ -86,23 +89,28 @@ void Avx2Dot(std::int64_t* out, const W* w, const std::int32_t* const* x,
   }
 }
 
-void Avx2ConvTile(double* acc, const double* w, const double* in,
-                  const std::int64_t* off, std::size_t taps) {
-  static_assert(kConvTileChannels == 4 && kConvTilePixels == 8);
-  // The 4x8 tile lives in eight ymm accumulators: a<j><half> holds
-  // output channel j, pixels [4*half, 4*half+4).  Each tap loads the 8
-  // input pixels once and broadcasts each channel's weight into one
-  // fused multiply-add per half; every sum is an integer below 2^53, so
-  // each FMA is exact.
-  __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
-  __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
-  __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
-  __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+/// Four output channels of the tile, c0..c0+3, over `taps` taps in
+/// eight ymm accumulators: a<j><half> holds channel c0 + j, pixels
+/// [4*half, 4*half+4), starting from zero when `first`, else from the
+/// sums acc holds.  Each tap loads the 8 input pixels once and
+/// broadcasts each channel's weight into one fused multiply-add per
+/// half; every sum is an integer below 2^53, so each FMA is exact.
+void Avx2ConvTileHalf(double* acc, const double* w, const double* in,
+                      const std::int64_t* off, std::size_t taps,
+                      std::size_t c0, bool first) {
+  double* out = acc + c0 * kConvTilePixels;
+  const auto init = [&](std::size_t i) {
+    return first ? _mm256_setzero_pd() : _mm256_loadu_pd(out + i);
+  };
+  __m256d a00 = init(0), a01 = init(4);
+  __m256d a10 = init(8), a11 = init(12);
+  __m256d a20 = init(16), a21 = init(20);
+  __m256d a30 = init(24), a31 = init(28);
   for (std::size_t t = 0; t < taps; ++t) {
     const double* x = in + off[t];
     const __m256d lo = _mm256_loadu_pd(x);
     const __m256d hi = _mm256_loadu_pd(x + 4);
-    const double* wt = w + t * kConvTileChannels;
+    const double* wt = w + t * kConvTileChannels + c0;
     const __m256d w0 = _mm256_broadcast_sd(wt + 0);
     a00 = _mm256_fmadd_pd(lo, w0, a00);
     a01 = _mm256_fmadd_pd(hi, w0, a01);
@@ -116,14 +124,33 @@ void Avx2ConvTile(double* acc, const double* w, const double* in,
     a30 = _mm256_fmadd_pd(lo, w3, a30);
     a31 = _mm256_fmadd_pd(hi, w3, a31);
   }
-  _mm256_storeu_pd(acc + 0, a00);
-  _mm256_storeu_pd(acc + 4, a01);
-  _mm256_storeu_pd(acc + 8, a10);
-  _mm256_storeu_pd(acc + 12, a11);
-  _mm256_storeu_pd(acc + 16, a20);
-  _mm256_storeu_pd(acc + 20, a21);
-  _mm256_storeu_pd(acc + 24, a30);
-  _mm256_storeu_pd(acc + 28, a31);
+  _mm256_storeu_pd(out + 0, a00);
+  _mm256_storeu_pd(out + 4, a01);
+  _mm256_storeu_pd(out + 8, a10);
+  _mm256_storeu_pd(out + 12, a11);
+  _mm256_storeu_pd(out + 16, a20);
+  _mm256_storeu_pd(out + 20, a21);
+  _mm256_storeu_pd(out + 24, a30);
+  _mm256_storeu_pd(out + 28, a31);
+}
+
+/// The 8x8 tile as two 4-channel passes: sixteen ymm registers hold only
+/// the accumulators of all eight channels, none left for the loads.  The
+/// passes alternate over blocks of kTapBlock taps, so the second finds
+/// the block's weights and input lines still in L1 (a 5x5 layer's
+/// weight pack, 1200 taps of 8 channels, is 75 KB).
+void Avx2ConvTile(double* acc, const double* w, const double* in,
+                  const std::int64_t* off, std::size_t taps) {
+  static_assert(kConvTileChannels == 8 && kConvTilePixels == 8);
+  constexpr std::size_t kTapBlock = 128;
+  std::size_t t0 = 0;
+  do {
+    const std::size_t n = std::min(kTapBlock, taps - t0);
+    const double* wb = w + t0 * kConvTileChannels;
+    Avx2ConvTileHalf(acc, wb, in, off + t0, n, 0, t0 == 0);
+    Avx2ConvTileHalf(acc, wb, in, off + t0, n, 4, t0 == 0);
+    t0 += kTapBlock;
+  } while (t0 < taps);
 }
 
 void Avx2Writeback(std::int32_t* out, const std::int64_t* acc,

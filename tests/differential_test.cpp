@@ -271,15 +271,35 @@ struct BackendGuard {
   ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
 };
 
-/// The kernel layer's headline contract: the AVX2 backend is bit-exact
+/// The SIMD backends this host can run, each compared against scalar.
+std::vector<sim::KernelBackend> SimdBackends() {
+  std::vector<sim::KernelBackend> simd = sim::AvailableBackends();
+  simd.erase(simd.begin());  // scalar comes first
+  return simd;
+}
+
+/// The kernel layer's headline contract: every SIMD backend is bit-exact
 /// against the scalar reference over the entire model zoo (every layer
 /// kind the datapath serves: conv stride 1 and strided, pooling, FC,
 /// LRN, recurrent/LSTM, every activation), and over the seeded random
 /// networks above.
 TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
-  if (!sim::Avx2Available())
-    GTEST_SKIP() << "AVX2 kernels not available on this host";
+  const std::vector<sim::KernelBackend> simd = SimdBackends();
+  if (simd.empty()) GTEST_SKIP() << "no SIMD kernels available on this host";
   BackendGuard guard;
+  const auto check = [&](const Network& net, const AcceleratorDesign& design,
+                         const WeightStore& weights, const Tensor& input) {
+    sim::SetKernelBackend(sim::KernelBackend::kScalar);
+    const Tensor scalar_out =
+        FunctionalSimulator(net, design, weights).Run(input);
+    for (const sim::KernelBackend backend : simd) {
+      SCOPED_TRACE(sim::KernelBackendName(backend));
+      sim::SetKernelBackend(backend);
+      const Tensor simd_out =
+          FunctionalSimulator(net, design, weights).Run(input);
+      EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+    }
+  };
   for (const ZooModel model : AllZooModels()) {
     SCOPED_TRACE(ZooModelName(model));
     const Network net = BuildZooModel(model);
@@ -287,17 +307,7 @@ TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
         GenerateAccelerator(net, DbConstraint());
     Rng rng(2016);
     const WeightStore weights = WeightStore::CreateRandom(net, rng);
-    const Tensor input = RandomInput(net, 4242);
-
-    sim::SetKernelBackend(sim::KernelBackend::kScalar);
-    FunctionalSimulator scalar_sim(net, design, weights);
-    const Tensor scalar_out = scalar_sim.Run(input);
-
-    sim::SetKernelBackend(sim::KernelBackend::kAvx2);
-    FunctionalSimulator simd_sim(net, design, weights);
-    const Tensor simd_out = simd_sim.Run(input);
-
-    EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+    check(net, design, weights, RandomInput(net, 4242));
   }
   for (const std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -307,15 +317,7 @@ TEST(Differential, SimdAndScalarKernelsBitIdenticalAcrossZoo) {
         GenerateAccelerator(net, DbConstraint());
     Rng rng(seed * 1000 + 1);
     const WeightStore weights = WeightStore::CreateRandom(net, rng);
-    const Tensor input = RandomInput(net, seed * 1000 + 2);
-
-    sim::SetKernelBackend(sim::KernelBackend::kScalar);
-    const Tensor scalar_out =
-        FunctionalSimulator(net, design, weights).Run(input);
-    sim::SetKernelBackend(sim::KernelBackend::kAvx2);
-    const Tensor simd_out =
-        FunctionalSimulator(net, design, weights).Run(input);
-    EXPECT_EQ(scalar_out.storage(), simd_out.storage());
+    check(net, design, weights, RandomInput(net, seed * 1000 + 2));
   }
 }
 
@@ -343,8 +345,7 @@ TEST(Differential, ZooOutputsArePinned) {
   };
   ASSERT_EQ(std::size(kPins), AllZooModels().size());
   BackendGuard guard;
-  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
-  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::vector<sim::KernelBackend> backends = sim::AvailableBackends();
   for (const Pin& pin : kPins) {
     SCOPED_TRACE(ZooModelName(pin.model));
     const Network net = BuildZooModel(pin.model);
@@ -377,8 +378,8 @@ TEST(Differential, ZooOutputsArePinned) {
 /// scheduling, and every completed request must still agree between
 /// backends (fault handling is orthogonal to the kernel layer).
 TEST(Differential, SimdAndScalarAgreeUnderFaultCampaign) {
-  if (!sim::Avx2Available())
-    GTEST_SKIP() << "AVX2 kernels not available on this host";
+  const std::vector<sim::KernelBackend> simd = SimdBackends();
+  if (simd.empty()) GTEST_SKIP() << "no SIMD kernels available on this host";
   BackendGuard guard;
   constexpr int kRequests = 24;
   const Network net = BuildZooModel(ZooModel::kMnist);
@@ -411,16 +412,18 @@ TEST(Differential, SimdAndScalarAgreeUnderFaultCampaign) {
 
   sim::SetKernelBackend(sim::KernelBackend::kScalar);
   const std::vector<serve::ServedRequest> scalar_run = serve();
-  sim::SetKernelBackend(sim::KernelBackend::kAvx2);
-  const std::vector<serve::ServedRequest> simd_run = serve();
-
-  ASSERT_EQ(scalar_run.size(), simd_run.size());
-  for (std::size_t i = 0; i < scalar_run.size(); ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    EXPECT_EQ(scalar_run[i].status, simd_run[i].status);
-    if (scalar_run[i].status != StatusCode::kOk) continue;
-    EXPECT_EQ(scalar_run[i].output.storage(),
-              simd_run[i].output.storage());
+  for (const sim::KernelBackend backend : simd) {
+    SCOPED_TRACE(sim::KernelBackendName(backend));
+    sim::SetKernelBackend(backend);
+    const std::vector<serve::ServedRequest> simd_run = serve();
+    ASSERT_EQ(scalar_run.size(), simd_run.size());
+    for (std::size_t i = 0; i < scalar_run.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      EXPECT_EQ(scalar_run[i].status, simd_run[i].status);
+      if (scalar_run[i].status != StatusCode::kOk) continue;
+      EXPECT_EQ(scalar_run[i].output.storage(),
+                simd_run[i].output.storage());
+    }
   }
 }
 

@@ -265,7 +265,7 @@ std::int64_t RandomRaw(Rng& rng, const FixedFormat& fmt, bool extremes) {
 }
 
 /// A 3x3 stride-1 case: `group_in` input channels per group, pad `pad`,
-/// up to 40 output channels per group (off the 4-wide tile and past one
+/// up to 40 output channels per group (off the 8-wide tile and past one
 /// 32-channel pass of the Winograd route), and outputs of 1 to 10 rows
 /// and columns, odd and even.  A `deep` case (thousands of channels)
 /// keeps one group, 1 to 4 output channels and inputs of two sizes, so
@@ -358,7 +358,7 @@ std::int64_t Mismatches(const std::vector<float>& got,
 
 /// Every raw output of one convolution, under every kernel backend,
 /// against ExactConv.  Covers strided AND padded kernels (no zoo model
-/// has one), grouped channels, output channel counts off the 4-wide tile,
+/// has one), grouped channels, output channel counts off the 8-wide tile,
 /// kernels wider than the unpadded input, widths on both sides of the
 /// int64 accumulation guard, and layers on both sides of the double
 /// tile's exactness bound.  Then 3x3 stride-1 layers, on both sides of
@@ -370,8 +370,7 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
   } guard;
-  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
-  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::vector<sim::KernelBackend> backends = sim::AvailableBackends();
   Rng rng(1512);
   int cases = 0;
 
@@ -475,9 +474,9 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
     EXPECT_TRUE(sides[bits][0] > 0 && sides[bits][1] > 0) << bits << " bits";
 
   // 3x3 stride-1 layers, per row on one side of the Winograd route.
-  // Below 32 input channels per group a layer stays direct.  A 17-bit
+  // Below 56 input channels per group a layer stays direct.  A 17-bit
   // format keeps its weights in 3-byte words, so WinogradSumBits(24, 17,
-  // 32) = 54 passes the 53-bit bound.  A 16-bit format in 2-byte words
+  // 56) = 54 passes the 53-bit bound.  A 16-bit format in 2-byte words
   // reaches the bound at 8192 to 16383 channels (the deep row that always
   // draws extremes) and passes it from 16384.
   const struct {
@@ -485,10 +484,10 @@ TEST(FunctionalSim, ConvMatchesExactReference) {
     std::int64_t min_in, max_in;
     bool deep, route;
     int trials;
-  } rows[] = {{8, 32, 48, false, true, 12},
-              {16, 32, 48, false, true, 12},
-              {16, 8, 31, false, false, 12},
-              {17, 32, 48, false, false, 12},
+  } rows[] = {{8, 56, 72, false, true, 12},
+              {16, 56, 72, false, true, 12},
+              {16, 8, 55, false, false, 12},
+              {17, 56, 72, false, false, 12},
               {16, 8192, 16383, true, true, 8},
               {16, 16384, 16400, true, false, 4}};
   std::array<int, 2> out_parity{};  // even, odd output widths
@@ -528,8 +527,7 @@ std::vector<std::int64_t> RunWordWideConv(int bits, int frac, std::int64_t k,
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
   } guard;
-  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
-  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::vector<sim::KernelBackend> backends = sim::AvailableBackends();
   const std::string side = std::to_string(k);
   const Network net = Network::Build(ParseNetworkDef(
       "input: \"data\"\ninput_dim: 1\ninput_dim: " +
@@ -632,7 +630,7 @@ TEST(FunctionalSim, WordWideWeightsStayExact) {
 /// moves the second batch's outputs exactly as the direct reference over
 /// the flipped image predicts, and only in that weight's output channel.
 TEST(FunctionalSim, WinogradWeightFlipReachesTheNextBatch) {
-  const ConvCase c{16, 8, 32, 7, 9, 6, 3, 1, 1, 1, false};
+  const ConvCase c{16, 8, 64, 7, 9, 6, 3, 1, 1, 1, false};
   const Network net = Network::Build(ParseNetworkDef(ConvScript(c)));
   DesignConstraint constraint = DbConstraint();
   constraint.bit_width = c.bits;
@@ -736,8 +734,7 @@ TEST(FunctionalSim, LrnMatchesExactReference) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
   } guard;
-  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
-  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::vector<sim::KernelBackend> backends = sim::AvailableBackends();
   Rng rng(2016);
   int cases = 0;
   for (const int bits : {8, 16, 24, 32}) {

@@ -1,5 +1,5 @@
 // Unit tests for the SoA kernel layer (sim/kernels.h): the rounding
-// helpers, both kernel backends (bit-for-bit against each other and
+// helpers, every kernel backend (bit-for-bit against each other and
 // against brute-force references, across saturation and tie edges), the
 // runtime backend dispatch, and the scratch arena's reuse contract.
 #include "sim/kernels.h"
@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -51,10 +53,11 @@ TEST(RoundShiftHalfAway, WideVariantMatchesNarrowOnInt64Range) {
 
 // ------------------------------------------------- backends, bit for bit
 
-/// Both tables when AVX2 is live on this host, else just the scalar one.
+/// The table of every backend this host can run, scalar first.
 std::vector<const KernelOps*> Backends() {
-  std::vector<const KernelOps*> ops{&ScalarKernels()};
-  if (Avx2Available()) ops.push_back(&Avx2Kernels());
+  std::vector<const KernelOps*> ops;
+  for (const KernelBackend backend : AvailableBackends())
+    ops.push_back(&KernelsFor(backend));
   return ops;
 }
 
@@ -274,6 +277,55 @@ TEST(Kernels, ConvTileIsExactAtItsBound) {
   CheckConvTile(w, in, off);
 }
 
+/// The 8x8 tile at tap counts on both sides of every power of two up to
+/// 257 (the AVX2 tile's two 4-channel passes and their 128-tap blocks,
+/// the AVX-512 tile's one 8-lane load per tap), for the weight words of
+/// 1-, 2- and 4-byte images at their edges, against activations as wide
+/// as SumBits admits (capped at 32 bits): wherever the cap does not
+/// bind, the sums sit at the 53-bit bound.  Channels 0-3 take word-edge
+/// weights on every tap (the most negative word on even channels, the
+/// most positive on odd ones) and even pixels the most negative
+/// activation, so their sums come within a factor of two of the bound;
+/// the last tap's weights and activations are odd, so an FMA that
+/// rounded would drop a set low bit.  Channels 4-7 and odd pixels draw
+/// at random.  Each tap reads its own kP pixels of an input sized
+/// exactly to the last load.
+TEST(Kernels, ConvTileIsExactAtTapAndWordEdges) {
+  constexpr std::size_t kC = kConvTileChannels;
+  constexpr std::size_t kP = kConvTilePixels;
+  static_assert(kC == 8 && kP == 8);
+  Rng rng(25);
+  int at_bound = 0;
+  for (const int w_bits : {8, 16, 32}) {
+    for (const std::size_t taps :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u,
+          63u, 64u, 65u, 127u, 128u, 129u, 255u, 256u, 257u}) {
+      const auto n_taps = static_cast<std::int64_t>(taps);
+      const int x_bits =
+          std::min(32, kConvTileExactBits - SumBits(w_bits, 1, n_taps) + 1);
+      ASSERT_LE(SumBits(w_bits, x_bits, n_taps), kConvTileExactBits);
+      if (SumBits(w_bits, x_bits, n_taps) == kConvTileExactBits) ++at_bound;
+      const double w_min = -std::ldexp(1.0, w_bits - 1);
+      const double x_min = -std::ldexp(1.0, x_bits - 1);
+      std::vector<double> w = RandomIntegers(rng, taps * kC, w_bits);
+      std::vector<double> in = RandomIntegers(rng, taps * kP, x_bits);
+      std::vector<std::int64_t> off(taps);
+      for (std::size_t t = 0; t < taps; ++t) {
+        off[t] = static_cast<std::int64_t>(t * kP);
+        const bool last = t + 1 == taps;
+        for (std::size_t j = 0; j < 4; ++j)
+          w[t * kC + j] = j % 2 == 0 ? w_min + (last ? 1 : 0) : -w_min - 1;
+        for (std::size_t i = 0; i < kP; i += 2)
+          in[t * kP + i] = last ? -x_min - 1 : x_min;
+      }
+      SCOPED_TRACE("w_bits=" + std::to_string(w_bits));
+      CheckConvTile(w, in, off);
+    }
+  }
+  // Every 4-byte-word row and the 2-byte rows from 64 taps up.
+  EXPECT_EQ(at_bound, 23 + 8);
+}
+
 TEST(Kernels, WritebackSaturatesAndRoundsTiesAwayFromZero) {
   // A 16-bit format with 8 fractional bits: raw range [-32768, 32767].
   constexpr int kFrac = 8;
@@ -332,43 +384,77 @@ TEST(Kernels, BackendDispatchHonorsOverride) {
   SetKernelBackend(KernelBackend::kScalar);
   EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
   EXPECT_STREQ(ActiveKernels().name, "scalar");
-  if (Avx2Available()) {
-    SetKernelBackend(KernelBackend::kAvx2);
-    EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kAvx2);
-    EXPECT_STREQ(ActiveKernels().name, "avx2");
-  } else {
-    EXPECT_THROW(SetKernelBackend(KernelBackend::kAvx2), Error);
+  const std::vector<KernelBackend> available = AvailableBackends();
+  ASSERT_EQ(available.front(), KernelBackend::kScalar);
+  for (const KernelBackend backend :
+       {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    const bool live = backend == KernelBackend::kAvx2 ? Avx2Available()
+                                                      : Avx512Available();
+    EXPECT_EQ(std::count(available.begin(), available.end(), backend),
+              live ? 1 : 0);
+    if (live) {
+      SetKernelBackend(backend);
+      EXPECT_EQ(ActiveKernelBackend(), backend);
+      EXPECT_EQ(ActiveKernels().name, KernelBackendName(backend));
+    } else {
+      EXPECT_THROW(SetKernelBackend(backend), Error);
+      EXPECT_THROW((void)KernelsFor(backend), Error);
+    }
   }
+  // AVX-512 rides on the AVX2 table, so it never comes without it.
+  EXPECT_TRUE(!Avx512Available() || Avx2Available());
   SetKernelBackend(KernelBackend::kAuto);
-  // kAuto always resolves to a concrete backend.
-  EXPECT_NE(ActiveKernelBackend(), KernelBackend::kAuto);
+  // kAuto always resolves to a concrete backend: the widest available.
+  EXPECT_EQ(ActiveKernelBackend(), available.back());
+  EXPECT_EQ(&ActiveKernels(), &KernelsFor(available.back()));
+}
+
+/// Every backend's DB_SIM_KERNEL spelling parses back to it, in any
+/// case, and anything else is a clean db::Error.
+TEST(Kernels, BackendNamesRoundTrip) {
+  for (const KernelBackend backend :
+       {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2,
+        KernelBackend::kAvx512}) {
+    const std::string name = KernelBackendName(backend);
+    EXPECT_EQ(ParseKernelBackend(name), backend) << name;
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(ParseKernelBackend(upper), backend) << upper;
+  }
+  EXPECT_EQ(ParseKernelBackend("avx512"), KernelBackend::kAvx512);
+  EXPECT_THROW(ParseKernelBackend("avx"), Error);
+  EXPECT_THROW(ParseKernelBackend("avx5122"), Error);
+  EXPECT_THROW(ParseKernelBackend(""), Error);
 }
 
 // ---------------------------------------------------------------- arena
 
-TEST(SimArena, ReusesCapacityAndCoalescesAfterGrowth) {
+TEST(SimArena, ReusesCapacityAndKeepsItsBlocksAfterGrowth) {
   SimArena arena;
   EXPECT_EQ(arena.capacity_bytes(), 0u);
 
   // First run: several allocations, forcing at least one growth.
   std::int32_t* a = arena.AllocZeroed<std::int32_t>(1000);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a[i], 0);
-  (void)arena.Alloc<std::int64_t>(100 * 1024);  // ~800 KiB: must grow
+  std::int64_t* b = arena.Alloc<std::int64_t>(100 * 1024);  // ~800 KiB
   const std::size_t grown = arena.capacity_bytes();
+  const std::size_t blocks = arena.block_count();
   EXPECT_GE(grown, 1000 * sizeof(std::int32_t) +
                        100 * 1024 * sizeof(std::int64_t));
+  EXPECT_EQ(blocks, 2u);
 
-  // Reset keeps the footprint and coalesces into one block.
+  // Reset keeps every block, and so the pages the run touched.
   arena.Reset();
   EXPECT_EQ(arena.used_bytes(), 0u);
-  EXPECT_GE(arena.capacity_bytes(), grown);
-  EXPECT_EQ(arena.block_count(), 1u);
+  EXPECT_EQ(arena.capacity_bytes(), grown);
+  EXPECT_EQ(arena.block_count(), blocks);
 
-  // Warm run of the same shape: no further growth.
-  (void)arena.Alloc<std::int32_t>(1000);
-  (void)arena.Alloc<std::int64_t>(100 * 1024);
-  EXPECT_EQ(arena.capacity_bytes(), arena.capacity_bytes());
-  EXPECT_EQ(arena.block_count(), 1u);
+  // Warm run of the same shape: the same addresses, no further growth.
+  EXPECT_EQ(arena.Alloc<std::int32_t>(1000), a);
+  EXPECT_EQ(arena.Alloc<std::int64_t>(100 * 1024), b);
+  EXPECT_EQ(arena.capacity_bytes(), grown);
+  EXPECT_EQ(arena.block_count(), blocks);
 
   // Alignment contract: every allocation is 64-byte aligned.
   arena.Reset();

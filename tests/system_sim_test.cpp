@@ -269,8 +269,7 @@ TEST(SystemContext, RunBatchEqualsRuns) {
   struct BackendGuard {
     ~BackendGuard() { sim::SetKernelBackend(sim::KernelBackend::kAuto); }
   } guard;
-  std::vector<sim::KernelBackend> backends{sim::KernelBackend::kScalar};
-  if (sim::Avx2Available()) backends.push_back(sim::KernelBackend::kAvx2);
+  const std::vector<sim::KernelBackend> backends = sim::AvailableBackends();
   constexpr std::size_t kMaxBatch = 5;
   for (const ZooModel model : AllZooModels()) {
     SCOPED_TRACE(ZooModelName(model));
