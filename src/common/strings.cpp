@@ -83,6 +83,35 @@ std::string FormatExactDouble(double value) {
   return StrFormat("%.17g", value);
 }
 
+std::string EscapeJson(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          out += StrFormat("\\u%04x", c);
+        else
+          out += c;
+    }
+  }
+  return out;
+}
+
+std::string FormatJsonDouble(double value) {
+  // The range test comes first: it keeps NaN and huge values away from
+  // the integer conversion.
+  if (value < 1e15 && value > -1e15 &&
+      value == static_cast<double>(static_cast<std::int64_t>(value)))
+    return StrFormat("%lld", static_cast<long long>(value));
+  return StrFormat("%.9g", value);
+}
+
 std::string ToIdentifier(std::string_view name) {
   std::string out;
   out.reserve(name.size());

@@ -1,6 +1,7 @@
-// Small string utilities shared by the frontend parser and RTL emitters,
-// plus the one checked reader for integers and `key=value` specs that
-// come from outside the program (CLI flags, spec grammars, prototxt).
+// Small string utilities shared by the frontend parser, the RTL emitters
+// and the JSON exporters, plus the one checked reader for integers and
+// `key=value` specs that come from outside the program (CLI flags, spec
+// grammars, prototxt).
 #pragma once
 
 #include <algorithm>
@@ -40,6 +41,14 @@ std::string StrFormat(const char* fmt, ...)
 /// `value` in the fewest %g digits (at least 6, the iostream default)
 /// that read back as exactly `value`, so canonical texts keep every bit.
 std::string FormatExactDouble(double value);
+
+/// `text` as the body of a JSON string: quote, backslash and every
+/// control character escaped (bytes >= 0x80 pass through as UTF-8).
+std::string EscapeJson(std::string_view text);
+
+/// `value` as a byte-stable JSON number: integral values of magnitude
+/// below 1e15 without a fraction or exponent, anything else in %.9g.
+std::string FormatJsonDouble(double value);
 
 /// Sanitise an arbitrary name into a legal Verilog identifier.
 std::string ToIdentifier(std::string_view name);

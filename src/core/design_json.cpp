@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/strings.h"
+
 namespace db {
 namespace {
 
@@ -17,7 +19,7 @@ class JsonWriter {
 
   void Field(const std::string& key, const std::string& value) {
     Prefix(key);
-    os_ << '"' << Escape(value) << '"';
+    os_ << '"' << EscapeJson(value) << '"';
   }
   void Field(const std::string& key, std::int64_t value) {
     Prefix(key);
@@ -36,15 +38,6 @@ class JsonWriter {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
   void Prefix(const std::string& key) {
     if (needs_comma_) os_ << ",";
     os_ << "\n" << std::string(2 * depth_, ' ');

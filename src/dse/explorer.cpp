@@ -77,19 +77,6 @@ double Ratio(double value, double reference) {
   return reference > 0.0 ? value / reference : 0.0;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string ObjectivesJson(const Objectives& obj) {
   return StrFormat(
       "{\"latency_cycles\": %lld, \"energy_joules\": %.9e, "
@@ -427,9 +414,9 @@ std::string TuneResult::ToText() const {
 std::string TuneResult::ToJson() const {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"network\": \"" << JsonEscape(network_name) << "\",\n";
+  os << "  \"network\": \"" << EscapeJson(network_name) << "\",\n";
   os << "  \"objective\": \"" << ObjectiveName(objective) << "\",\n";
-  os << "  \"sweep\": \"" << JsonEscape(sweep.ToString()) << "\",\n";
+  os << "  \"sweep\": \"" << EscapeJson(sweep.ToString()) << "\",\n";
   os << StrFormat(
       "  \"counts\": {\"candidates\": %zu, \"scored\": %zu, "
       "\"infeasible\": %zu, \"over_budget\": %zu, "
@@ -445,7 +432,7 @@ std::string TuneResult::ToJson() const {
     const CandidateResult& c = candidates[i];
     os << StrFormat("    {\"index\": %zu, \"spec\": \"%s\", "
                     "\"status\": \"%s\"",
-                    i, JsonEscape(c.spec.ToString()).c_str(),
+                    i, EscapeJson(c.spec.ToString()).c_str(),
                     CandidateStatusName(c.status));
     if (c.status == CandidateResult::Status::kScored)
       os << ", \"objectives\": " << ObjectivesJson(c.obj);
@@ -462,7 +449,7 @@ std::string TuneResult::ToJson() const {
   os << StrFormat(
       "  \"winner\": {\"index\": %zu, \"spec\": \"%s\", "
       "\"objectives\": %s}\n",
-      winner, JsonEscape(w.spec.ToString()).c_str(),
+      winner, EscapeJson(w.spec.ToString()).c_str(),
       ObjectivesJson(w.obj).c_str());
   os << "}\n";
   return os.str();

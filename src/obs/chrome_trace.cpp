@@ -10,26 +10,6 @@
 namespace db::obs {
 namespace {
 
-std::string EscapeJson(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += StrFormat("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
 std::string Microseconds(std::int64_t ticks, double frequency_mhz) {
   return StrFormat("%.3f",
                    static_cast<double>(ticks) / frequency_mhz);

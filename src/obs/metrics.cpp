@@ -8,18 +8,6 @@
 #include "common/strings.h"
 
 namespace db::obs {
-namespace {
-
-/// Shortest %g rendering that still survives a JSON round-trip; integral
-/// values print without an exponent so counters-as-gauges stay readable.
-std::string FormatDouble(double value) {
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      std::abs(value) < 1e15)
-    return StrFormat("%lld", static_cast<long long>(value));
-  return StrFormat("%.9g", value);
-}
-
-}  // namespace
 
 std::int32_t HistogramStats::BucketIndex(double value) {
   if (!(value >= 1.0)) return 0;  // underflow bucket (incl. negatives/NaN)
@@ -173,21 +161,21 @@ std::string MetricsRegistry::ToJson() const {
   first = true;
   for (const auto& [name, value] : gauges_) {
     os << (first ? "" : ",") << "\n    \"" << name
-       << "\": " << FormatDouble(value);
+       << "\": " << FormatJsonDouble(value);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     os << (first ? "" : ",") << "\n    \"" << name << "\": {\"count\": "
-       << h.count << ", \"sum\": " << FormatDouble(h.sum)
-       << ", \"min\": " << FormatDouble(h.min)
-       << ", \"max\": " << FormatDouble(h.max)
-       << ", \"mean\": " << FormatDouble(h.Mean())
-       << ", \"p50\": " << FormatDouble(h.P50())
-       << ", \"p90\": " << FormatDouble(h.P90())
-       << ", \"p99\": " << FormatDouble(h.P99())
-       << ", \"p999\": " << FormatDouble(h.P999()) << "}";
+       << h.count << ", \"sum\": " << FormatJsonDouble(h.sum)
+       << ", \"min\": " << FormatJsonDouble(h.min)
+       << ", \"max\": " << FormatJsonDouble(h.max)
+       << ", \"mean\": " << FormatJsonDouble(h.Mean())
+       << ", \"p50\": " << FormatJsonDouble(h.P50())
+       << ", \"p90\": " << FormatJsonDouble(h.P90())
+       << ", \"p99\": " << FormatJsonDouble(h.P99())
+       << ", \"p999\": " << FormatJsonDouble(h.P999()) << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "}\n}\n";

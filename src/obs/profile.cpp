@@ -8,15 +8,6 @@
 namespace db::obs {
 namespace {
 
-/// Deterministic float rendering for the JSON report (round-trippable,
-/// no trailing-zero jitter, integral values without an exponent).
-std::string JsonDouble(double value) {
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      value < 1e15 && value > -1e15)
-    return StrFormat("%lld", static_cast<long long>(value));
-  return StrFormat("%.9g", value);
-}
-
 double Share(std::int64_t part, std::int64_t whole) {
   return whole > 0
              ? static_cast<double>(part) / static_cast<double>(whole)
@@ -92,8 +83,8 @@ std::string ProfileReport::ToText() const {
 
 std::string ProfileReport::ToJson() const {
   std::ostringstream os;
-  os << "{\n  \"model\": \"" << model << "\",\n"
-     << "  \"frequency_mhz\": " << JsonDouble(frequency_mhz) << ",\n"
+  os << "{\n  \"model\": \"" << EscapeJson(model) << "\",\n"
+     << "  \"frequency_mhz\": " << FormatJsonDouble(frequency_mhz) << ",\n"
      << "  \"lanes\": " << lanes << ",\n"
      << "  \"total_cycles\": " << total_cycles << ",\n"
      << "  \"total_dram_bytes\": " << total_dram_bytes << ",\n"
@@ -104,15 +95,15 @@ std::string ProfileReport::ToJson() const {
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const LayerProfile& l = layers[i];
     os << (i == 0 ? "" : ",") << "\n    {\"layer_id\": " << l.layer_id
-       << ", \"name\": \"" << l.name << "\", \"segments\": " << l.segments
+       << ", \"name\": \"" << EscapeJson(l.name) << "\", \"segments\": " << l.segments
        << ", \"total_cycles\": " << l.total_cycles
        << ", \"dram_cycles\": " << l.dram_cycles
        << ", \"mac_cycles\": " << l.mac_cycles
        << ", \"stall_cycles\": " << l.stall_cycles
        << ", \"dram_bytes\": " << l.dram_bytes
        << ", \"refetch_passes\": " << l.refetch_passes
-       << ", \"pe_utilization\": " << JsonDouble(l.pe_utilization)
-       << ", \"buffer_utilization\": " << JsonDouble(l.buffer_utilization)
+       << ", \"pe_utilization\": " << FormatJsonDouble(l.pe_utilization)
+       << ", \"buffer_utilization\": " << FormatJsonDouble(l.buffer_utilization)
        << ", \"bound\": \"" << l.Bound() << "\"}";
   }
   os << (layers.empty() ? "" : "\n  ") << "]\n}\n";

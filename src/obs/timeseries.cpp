@@ -6,16 +6,6 @@
 #include "common/strings.h"
 
 namespace db::obs {
-namespace {
-
-std::string FormatDouble(double value) {
-  if (value == static_cast<double>(static_cast<std::int64_t>(value)) &&
-      value < 1e15 && value > -1e15)
-    return StrFormat("%lld", static_cast<long long>(value));
-  return StrFormat("%.9g", value);
-}
-
-}  // namespace
 
 void TimeSeriesRecorder::SetSampleInterval(std::int64_t cycles) {
   DB_CHECK_MSG(cycles >= 1, "sample interval must be >= 1 cycle");
@@ -64,7 +54,7 @@ std::string TimeSeriesRecorder::ToJson() const {
     os << (first ? "" : ",") << "\n    \"" << name << "\": [";
     for (std::size_t i = 0; i < points.size(); ++i)
       os << (i == 0 ? "" : ", ") << "[" << points[i].cycle << ", "
-         << FormatDouble(points[i].value) << "]";
+         << FormatJsonDouble(points[i].value) << "]";
     os << "]";
     first = false;
   }

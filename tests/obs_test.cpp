@@ -13,12 +13,19 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/diagnostics.h"
+#include "common/strings.h"
+#include "core/design_json.h"
 #include "core/generator.h"
+#include "dse/explorer.h"
+#include "frontend/network_def.h"
 #include "models/zoo.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/timeseries.h"
 #include "obs/tracer.h"
+#include "sim/perf_model.h"
 #include "sim/trace.h"
 
 namespace db {
@@ -682,6 +689,77 @@ TEST(GeneratorTrace, ToolchainPhasesAreContiguous) {
   GenerateAccelerator(net, DbConstraint(), &again);
   EXPECT_EQ(WriteChromeTrace(tracer, 150.0),
             WriteChromeTrace(again, 150.0));
+}
+
+// Network and layer names come from user scripts: the prototxt lexer
+// takes an escaped quote, a backslash, a tab and any other byte but a
+// newline.  Every JSON export must carry them escaped.
+TEST(JsonExports, EscapeHostileNetworkAndLayerNames) {
+  const std::string net_name = "q\"n\\e\tt\x01";
+  const std::string layer_name = "c\"o\\n\tv\x01";
+  const std::string net_json = "q\\\"n\\\\e\\tt\\u0001";
+  const std::string layer_json = "c\\\"o\\\\n\\tv\\u0001";
+  EXPECT_EQ(EscapeJson(net_name), net_json);
+  EXPECT_EQ(EscapeJson(layer_name), layer_json);
+
+  // The MNIST script with both names spelled the prototxt way.
+  auto quoted = [](const std::string& name) {
+    std::string out = "\"";
+    for (const char c : name) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  };
+  std::string script = ZooModelPrototxt(ZooModel::kMnist);
+  auto replace_all = [&](const std::string& from, const std::string& to) {
+    for (std::size_t pos = 0;
+         (pos = script.find(from, pos)) != std::string::npos;
+         pos += to.size())
+      script.replace(pos, from.size(), to);
+  };
+  replace_all("\"mnist\"", quoted(net_name));
+  replace_all("\"conv1\"", quoted(layer_name));
+  const Network net = Network::Build(ParseNetworkDef(script));
+  ASSERT_EQ(net.name(), net_name);
+  const AcceleratorDesign design = GenerateAccelerator(net, DbConstraint());
+
+  const std::string profile =
+      BuildProfileReport(net, design, SimulatePerformance(net, design))
+          .ToJson();
+  const std::string design_json = DesignToJson(design);
+  dse::TuneOptions tune;
+  tune.sweep.lanes_pct = {100};
+  tune.sweep.port_elems = {16};
+  tune.sweep.data_split_pct = {45};
+  tune.sweep.allow_dsp = {true};
+  const std::string tuned = dse::Explore(net, DbConstraint(), tune).ToJson();
+  analysis::AnalysisReport report;
+  report.Add(analysis::Severity::kNote, "name.check", net_name + "/" + layer_name,
+             layer_name);
+  const std::string diagnostics = report.ToJson();
+  Tracer tracer;
+  tracer.RecordSpan(net_name, layer_name, 0, 1, layer_name);
+  const std::string trace = WriteChromeTrace(tracer, 100.0);
+
+  const std::vector<std::pair<const char*, const std::string*>> exports = {
+      {"profile", &profile},         {"design.json", &design_json},
+      {"tune", &tuned},              {"diagnostics", &diagnostics},
+      {"chrome trace", &trace}};
+  for (const auto& [what, json] : exports) {
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(JsonValidator(*json).Valid());
+    EXPECT_EQ(json->find(net_name), std::string::npos);
+    EXPECT_EQ(json->find(layer_name), std::string::npos);
+  }
+  for (const std::string* json : {&profile, &design_json, &tuned})
+    EXPECT_NE(json->find("\"" + net_json + "\""), std::string::npos);
+  for (const std::string* json : {&profile, &design_json, &diagnostics,
+                                  &trace})
+    EXPECT_NE(json->find("\"" + layer_json + "\""), std::string::npos);
+  EXPECT_NE(diagnostics.find(net_json + "/" + layer_json),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"" + net_json + "\""), std::string::npos);
 }
 
 }  // namespace
