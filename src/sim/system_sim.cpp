@@ -87,11 +87,4 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
   return replicas;
 }
 
-SystemRunResult RunSystem(const Network& net,
-                          const AcceleratorDesign& design,
-                          MemoryImage& image, const Tensor& input) {
-  const SystemContext context(net, design, image);
-  return context.Run(image, input);
-}
-
 }  // namespace db

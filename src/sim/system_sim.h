@@ -31,10 +31,10 @@ struct SystemRunResult {
 WeightStore DecodeWeights(const MemoryImage& image, const Network& net,
                           const AcceleratorDesign& design);
 
-/// The steady-state half of RunSystem: the weight views into `image` and
-/// the I/O blob tile orders are set up once at construction, so each
-/// Run() or RunBatch() is just the simulation plus two cached-order blob
-/// copies per image.
+/// The one invocation API over a DRAM image: the weight views into
+/// `image` and the I/O blob tile orders are set up once at construction,
+/// so each Run() or RunBatch() is just the simulation plus two
+/// cached-order blob copies per image.
 ///
 /// Cycle costs depend only on (net, design) and on whether the weights
 /// are already resident, never on input values, so the context simulates
@@ -121,13 +121,5 @@ std::vector<SystemReplica> ReplicateSystem(const Network& net,
                                            const AcceleratorDesign& design,
                                            MemoryImage& provisioned,
                                            int count);
-
-/// One-shot invocation against the image: build a SystemContext on it,
-/// run once, store the output blob back into the image, and read it out
-/// as the host would.  Steady-state callers (applications, the inference
-/// server) hold a SystemContext instead.
-SystemRunResult RunSystem(const Network& net,
-                          const AcceleratorDesign& design,
-                          MemoryImage& image, const Tensor& input);
 
 }  // namespace db

@@ -444,8 +444,9 @@ TEST(DesignCache, DiskHitDesignSimulatesBitIdentically) {
   MemoryImage image_b = BuildHostImage(fx.net, *hit, weights);
   const Tensor input = FixtureInput(fx.net, 7);
   const Tensor out_a =
-      RunSystem(fx.net, fx.design, image_a, input).output;
-  const Tensor out_b = RunSystem(fx.net, *hit, image_b, input).output;
+      SystemContext(fx.net, fx.design, image_a).Run(image_a, input).output;
+  const Tensor out_b =
+      SystemContext(fx.net, *hit, image_b).Run(image_b, input).output;
   EXPECT_EQ(out_a.storage(), out_b.storage());
   std::filesystem::remove_all(dir);
 }

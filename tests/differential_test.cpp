@@ -4,16 +4,17 @@
 //
 //   * nn::Executor          float reference ("golden")
 //   * FunctionalSimulator   bit-accurate fixed-point datapath
-//   * RunSystem             full DRAM-image round trip
+//   * SystemContext         full DRAM-image round trip
 //   * DesignCache           the memoized generator handle, and the
 //                           design a fresh cache rebuilds on a disk hit
 //   * InferenceServer       1-replica and 4-replica pools
 //
 // The contracts, in decreasing strictness:
-//   1. All fixed-point paths that share the image pipeline (RunSystem
-//      with the original / disk-hit-rebuilt / cache-returned design,
-//      and every server replica configuration) are BIT-exact.
-//   2. FunctionalSimulator vs RunSystem differ by at most the output
+//   1. All fixed-point paths that share the image pipeline
+//      (SystemContext with the original / disk-hit-rebuilt /
+//      cache-returned design, and every server replica configuration)
+//      are BIT-exact.
+//   2. FunctionalSimulator vs SystemContext differ by at most the output
 //      blob's one extra quantise (2 LSBs, the system_sim contract).
 //   3. The fixed-point result tracks the float golden within a
 //      quantization envelope that scales with the accumulation depth.
@@ -148,9 +149,10 @@ TEST(Differential, RandomNetworksAgreeAcrossAllPaths) {
     // Path 3: the full DRAM-image round trip, again for both designs.
     MemoryImage image_a = BuildHostImage(net, *design, weights);
     MemoryImage image_b = BuildHostImage(net, *rebuilt, weights);
-    const Tensor system = RunSystem(net, *design, image_a, input).output;
+    const Tensor system =
+        SystemContext(net, *design, image_a).Run(image_a, input).output;
     const Tensor system_rebuilt =
-        RunSystem(net, *rebuilt, image_b, input).output;
+        SystemContext(net, *rebuilt, image_b).Run(image_b, input).output;
     EXPECT_EQ(system.storage(), system_rebuilt.storage());
 
     // Contract 2: image round trip within one extra output quantise.
@@ -183,12 +185,13 @@ TEST(Differential, ServerReplicasMatchTheStandaloneSystemPath) {
   for (int i = 0; i < kRequests; ++i)
     inputs.push_back(RandomInput(net, 300 + static_cast<std::uint64_t>(i)));
 
-  // Standalone reference: one RunSystem per request, fresh image each
+  // Standalone reference: one context per request, fresh image each
   // time (a request must not observe a sibling's blob writes).
   std::vector<Tensor> reference;
   for (const Tensor& input : inputs) {
     MemoryImage image = BuildHostImage(net, design, weights);
-    reference.push_back(RunSystem(net, design, image, input).output);
+    reference.push_back(
+        SystemContext(net, design, image).Run(image, input).output);
   }
 
   auto serve = [&](int replicas) {

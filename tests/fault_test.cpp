@@ -229,10 +229,10 @@ TEST(ScrubPlan, DoubleFlipAndBlobFlipPlanNoScrub) {
   serve::ExecutePlan(plan, replicas, inputs, provisioned,
                      fx.design.memory_map);
   MemoryImage clean = provisioned;
+  const SystemContext context(fx.net, fx.design, clean);
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(plan.requests[static_cast<std::size_t>(i)].output.storage(),
-              RunSystem(fx.net, fx.design, clean,
-                        inputs[static_cast<std::size_t>(i)])
+              context.Run(clean, inputs[static_cast<std::size_t>(i)])
                   .output.storage())
         << "request " << i;
 }

@@ -193,7 +193,8 @@ TEST(InferenceServer, FlipInsideABatchSplitsTheReplayGroup) {
     want.push_back(context.Run(image, inputs[i]).output);
   }
   MemoryImage unflipped = clean;
-  EXPECT_NE(RunSystem(fx.net, fx.design, unflipped, inputs[kFlipAt])
+  EXPECT_NE(SystemContext(fx.net, fx.design, unflipped)
+                .Run(unflipped, inputs[kFlipAt])
                 .output.storage(),
             want[kFlipAt].storage())
       << "the flip must reach the requests after it";

@@ -69,7 +69,7 @@ TEST(SystemSim, MatchesDirectFunctionalSimulation) {
   input.FillUniform(rng, 0.0f, 1.0f);
 
   const SystemRunResult system =
-      RunSystem(fx.net, fx.design, image, input);
+      SystemContext(fx.net, fx.design, image).Run(image, input);
   FunctionalSimulator direct(fx.net, fx.design, fx.weights);
   const Tensor expected = direct.Run(input);
   // Weights round-trip through the image (one extra quantise, which is
@@ -87,7 +87,8 @@ TEST(SystemSim, CorruptedWeightRegionChangesOutput) {
   Rng rng(6);
   Tensor input(Shape{1, 12, 12});
   input.FillUniform(rng, 0.0f, 1.0f);
-  const Tensor clean = RunSystem(fx.net, fx.design, image, input).output;
+  const Tensor clean =
+      SystemContext(fx.net, fx.design, image).Run(image, input).output;
 
   // Smash the first conv layer's weight region.
   const MemoryRegion& region = fx.design.memory_map.Weights("conv1");
@@ -95,7 +96,7 @@ TEST(SystemSim, CorruptedWeightRegionChangesOutput) {
        addr += 2)
     image.WriteElem(addr, 0x7FFF, 2);
   const Tensor corrupted =
-      RunSystem(fx.net, fx.design, image, input).output;
+      SystemContext(fx.net, fx.design, image).Run(image, input).output;
   EXPECT_GT(MaxAbsDiff(clean, corrupted), 0.01);
 }
 
