@@ -9,23 +9,10 @@
 namespace db::cluster {
 
 ReplicaHealthMonitor::ReplicaHealthMonitor(int replicas,
-                                           HealthOptions options)
-    : options_(options) {
+                                           std::int64_t readmit_scrub_cycles)
+    : readmit_scrub_cycles_(readmit_scrub_cycles) {
   DB_CHECK_MSG(replicas >= 1, "health monitor needs at least one replica");
-  DB_CHECK_MSG(options_.heartbeat_interval_cycles >= 1,
-               "heartbeat interval must be >= 1 cycle");
-  DB_CHECK_MSG(options_.suspect_after_misses >= 1 &&
-                   options_.down_after_misses >=
-                       options_.suspect_after_misses,
-               "heartbeat-miss thresholds must satisfy "
-               "1 <= suspect <= down");
-  DB_CHECK_MSG(options_.failures_to_suspect >= 1 &&
-                   options_.failures_to_down >=
-                       options_.failures_to_suspect,
-               "failure thresholds must satisfy 1 <= suspect <= down");
-  DB_CHECK_MSG(options_.failure_down_cycles >= 1,
-               "failure down window must be >= 1 cycle");
-  DB_CHECK_MSG(options_.readmit_scrub_cycles >= 0,
+  DB_CHECK_MSG(readmit_scrub_cycles_ >= 0,
                "readmit scrub charge must be >= 0 cycles");
   states_.resize(static_cast<std::size_t>(replicas));
 }
@@ -33,10 +20,6 @@ ReplicaHealthMonitor::ReplicaHealthMonitor(int replicas,
 void ReplicaHealthMonitor::Transition(int replica, std::int64_t cycle,
                                       ReplicaHealth to, const char* cause) {
   State& state = states_[static_cast<std::size_t>(replica)];
-  if (to == ReplicaHealth::kHealthy) {
-    state.readmit_cycle = 0;
-    state.consecutive_failures = 0;
-  }
   if (state.health == to) return;
   transitions_.push_back(
       HealthTransition{replica, cycle, state.health, to, cause});
@@ -59,9 +42,8 @@ void ReplicaHealthMonitor::ScheduleReadmission(State& state,
                                                std::int64_t down_until,
                                                const char* cause) {
   Schedule(state, down_until, ReplicaHealth::kRecovering, cause);
-  Schedule(state, down_until + options_.readmit_scrub_cycles,
+  Schedule(state, down_until + readmit_scrub_cycles_,
            ReplicaHealth::kHealthy, "scrub");
-  state.readmit_cycle = down_until + options_.readmit_scrub_cycles;
 }
 
 void ReplicaHealthMonitor::AdvanceTo(std::int64_t cycle) {
@@ -102,7 +84,6 @@ void ReplicaHealthMonitor::ReportCrash(int replica, std::int64_t cycle,
     Transition(replica, pending.cycle, pending.to, pending.cause);
   }
   state.pending.clear();
-  state.consecutive_failures = 0;
   Transition(replica, cycle, ReplicaHealth::kDown, "crash");
   ScheduleReadmission(state, cycle + down_cycles, "crash");
 }
@@ -113,7 +94,7 @@ void ReplicaHealthMonitor::ReportUnresponsive(int replica,
   DB_CHECK(replica >= 0 && replica < replicas());
   DB_CHECK_MSG(until > from, "unresponsive window must be non-empty");
   State& state = states_[static_cast<std::size_t>(replica)];
-  const std::int64_t hb = options_.heartbeat_interval_cycles;
+  const std::int64_t hb = kHeartbeatIntervalCycles;
   // Heartbeats tick on multiples of the interval; the first one the
   // hang can miss is the first tick strictly after `from`.
   std::int64_t tick = (from / hb + 1) * hb;
@@ -121,9 +102,9 @@ void ReplicaHealthMonitor::ReportUnresponsive(int replica,
   bool went_down = false;
   for (; tick < until; tick += hb) {
     ++misses;
-    if (misses == options_.suspect_after_misses)
+    if (misses == kSuspectAfterMisses)
       Schedule(state, tick, ReplicaHealth::kSuspect, "hang");
-    if (misses == options_.down_after_misses) {
+    if (misses == kDownAfterMisses) {
       Schedule(state, tick, ReplicaHealth::kDown, "hang");
       went_down = true;
       break;
@@ -139,41 +120,9 @@ void ReplicaHealthMonitor::ReportUnresponsive(int replica,
     Schedule(state, recovered, ReplicaHealth::kHealthy, "heartbeat");
 }
 
-void ReplicaHealthMonitor::ReportFailure(int replica, std::int64_t cycle) {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  AdvanceTo(cycle);
-  State& state = states_[static_cast<std::size_t>(replica)];
-  ++state.consecutive_failures;
-  if (state.health == ReplicaHealth::kHealthy &&
-      state.consecutive_failures >= options_.failures_to_suspect)
-    Transition(replica, cycle, ReplicaHealth::kSuspect, "failures");
-  if (state.health == ReplicaHealth::kSuspect &&
-      state.consecutive_failures >= options_.failures_to_down) {
-    state.consecutive_failures = 0;
-    Transition(replica, cycle, ReplicaHealth::kDown, "failures");
-    ScheduleReadmission(state, cycle + options_.failure_down_cycles,
-                        "heartbeat");
-  }
-}
-
-void ReplicaHealthMonitor::ReportSuccess(int replica, std::int64_t cycle) {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  State& state = states_[static_cast<std::size_t>(replica)];
-  state.consecutive_failures = 0;
-  // Only a failure-caused suspicion lifts on success; scheduled windows
-  // (hangs, crash recovery) run their course.
-  if (state.health == ReplicaHealth::kSuspect && state.pending.empty())
-    Transition(replica, cycle, ReplicaHealth::kHealthy, "success");
-}
-
 ReplicaHealth ReplicaHealthMonitor::state(int replica) const {
   DB_CHECK(replica >= 0 && replica < replicas());
   return states_[static_cast<std::size_t>(replica)].health;
-}
-
-std::int64_t ReplicaHealthMonitor::readmit_cycle(int replica) const {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  return states_[static_cast<std::size_t>(replica)].readmit_cycle;
 }
 
 ReplicaHealth ReplicaHealthMonitor::StateAt(int replica,

@@ -6,23 +6,25 @@
 //
 //   kHealthy -> kSuspect -> kDown -> kRecovering -> kHealthy
 //
-// in *simulated time*: crashes and hang windows reported by the
-// planner are converted into transitions quantised onto a simulated
-// heartbeat grid (a hang is observed as missed heartbeats; recovery is
-// observed at the first heartbeat after the window), and consecutive
-// dispatch failures escalate kHealthy -> kSuspect -> kDown like a
-// failure detector would.  Every transition is scheduled eagerly when
-// the cause is reported and applied when the monitor's clock advances
-// past it (AdvanceTo), so the transition log — and everything derived
-// from it (spans, metrics, the health time-series) — is a pure function
-// of the reported event sequence, never of thread timing.
+// in *simulated time*.  It tracks liveness only: crashes and hang
+// windows reported by the planner are converted into transitions
+// quantised onto a simulated heartbeat grid (a hang is observed as
+// missed heartbeats; recovery is observed at the first heartbeat after
+// the window), and a replica that went down pays a scrub-and-readmit
+// pass before it is healthy again.  Every transition is scheduled
+// eagerly when the cause is reported and applied when the monitor's
+// clock advances past it (AdvanceTo), so the transition log — and
+// everything derived from it (spans, metrics, the health time-series) —
+// is a pure function of the reported event sequence, never of thread
+// timing.
 //
 // CircuitBreaker is the per-replica closed -> open -> half-open machine
-// that bounds retry storms against a sick replica: `failure_threshold`
-// consecutive failures open the breaker for `cooldown_cycles`; after
-// the cooldown it is half-open and one trial dispatch decides between
-// closing it and re-opening it.  State is derived from the recorded
-// (failure cycle, cooldown) pairs, so queries are pure.
+// that owns dispatch failures (route failures and crashes):
+// `failure_threshold` consecutive failures open the breaker for
+// `cooldown_cycles`; after the cooldown it is half-open and one trial
+// dispatch decides between closing it and re-opening it.  State is
+// derived from the recorded (failure cycle, cooldown) pairs, so queries
+// are pure.
 //
 // Threading contract: both classes are single-writer (the serving
 // planner, which runs on one thread).
@@ -52,25 +54,15 @@ constexpr int ReplicaHealthCode(ReplicaHealth health) {
   return static_cast<int>(health);
 }
 
-struct HealthOptions {
-  /// Simulated heartbeat grid: hang detection and hang recovery are
-  /// observed on multiples of this interval.
-  std::int64_t heartbeat_interval_cycles = 512;
-  /// Missed heartbeats inside an unresponsive window before kSuspect /
-  /// kDown.
-  int suspect_after_misses = 1;
-  int down_after_misses = 4;
-  /// Consecutive dispatch failures before kSuspect / kDown.
-  int failures_to_suspect = 1;
-  int failures_to_down = 3;
-  /// Down window when consecutive failures (not a crash) take a replica
-  /// down; a crash carries its own down window on the event.
-  std::int64_t failure_down_cycles = 4096;
-  /// Simulated cost of the scrub-and-readmit pass a replica pays
-  /// between kRecovering and kHealthy (the serving planner passes its
-  /// weight-scrub charge; the other fields keep their defaults there).
-  std::int64_t readmit_scrub_cycles = 1;
-};
+/// The simulated heartbeat grid: hang detection and hang recovery are
+/// observed on multiples of this interval.
+constexpr std::int64_t kHeartbeatIntervalCycles = 512;
+/// Missed heartbeats inside an unresponsive window before kSuspect /
+/// kDown.
+constexpr int kSuspectAfterMisses = 1;
+constexpr int kDownAfterMisses = 4;
+static_assert(1 <= kSuspectAfterMisses &&
+              kSuspectAfterMisses <= kDownAfterMisses);
 
 /// One recorded state change, in the order it took simulated effect.
 struct HealthTransition {
@@ -78,12 +70,15 @@ struct HealthTransition {
   std::int64_t cycle = 0;
   ReplicaHealth from = ReplicaHealth::kHealthy;
   ReplicaHealth to = ReplicaHealth::kHealthy;
-  std::string cause;  // "crash", "hang", "failures", "heartbeat", "scrub"
+  std::string cause;  // "crash", "hang", "heartbeat", "scrub"
 };
 
 class ReplicaHealthMonitor {
  public:
-  explicit ReplicaHealthMonitor(int replicas, HealthOptions options = {});
+  /// `readmit_scrub_cycles` is the simulated cost of the
+  /// scrub-and-readmit pass a replica pays between kRecovering and
+  /// kHealthy (the serving planner passes its weight-scrub charge).
+  ReplicaHealthMonitor(int replicas, std::int64_t readmit_scrub_cycles);
 
   /// Apply every scheduled transition at or before `cycle`.  Clamped
   /// monotone: a caller re-dispatching at an earlier ready cycle is a
@@ -107,26 +102,12 @@ class ReplicaHealthMonitor {
   void ReportUnresponsive(int replica, std::int64_t from,
                           std::int64_t until);
 
-  /// One dispatch-level failure (e.g. a transient route failure);
-  /// consecutive failures escalate per HealthOptions.
-  void ReportFailure(int replica, std::int64_t cycle);
-
-  /// One successful dispatch: clears the consecutive-failure count and
-  /// lifts a failure-caused kSuspect (scheduled windows — hangs,
-  /// crash recovery — are not cut short).
-  void ReportSuccess(int replica, std::int64_t cycle);
-
   ReplicaHealth state(int replica) const;
   /// Only kHealthy replicas take new traffic.
   bool Routable(int replica) const {
     return state(replica) == ReplicaHealth::kHealthy;
   }
-  /// The cycle a non-routable replica is scheduled back to kHealthy
-  /// (0 when routable or when no readmission is scheduled).
-  std::int64_t readmit_cycle(int replica) const;
-
   int replicas() const { return static_cast<int>(states_.size()); }
-  const HealthOptions& options() const { return options_; }
   const std::vector<HealthTransition>& transitions() const {
     return transitions_;
   }
@@ -143,21 +124,19 @@ class ReplicaHealthMonitor {
   };
   struct State {
     ReplicaHealth health = ReplicaHealth::kHealthy;
-    int consecutive_failures = 0;
     std::vector<Pending> pending;  // sorted by cycle
-    std::int64_t readmit_cycle = 0;
   };
 
   void Transition(int replica, std::int64_t cycle, ReplicaHealth to,
                   const char* cause);
   void Schedule(State& state, std::int64_t cycle, ReplicaHealth to,
                 const char* cause);
-  /// Schedule the kDown -> kRecovering -> kHealthy chain starting at
-  /// `down_until` and remember the readmit cycle.
+  /// Schedule the kRecovering -> kHealthy chain starting at
+  /// `down_until`.
   void ScheduleReadmission(State& state, std::int64_t down_until,
                            const char* cause);
 
-  HealthOptions options_;
+  std::int64_t readmit_scrub_cycles_;
   std::vector<State> states_;
   std::vector<HealthTransition> transitions_;
   std::int64_t clock_ = 0;  // high-water mark of AdvanceTo

@@ -141,13 +141,17 @@ struct ServeOptions {
   int max_retries = 3;
   /// Opt-in request hedging: when a batch's planned completion exceeds
   /// its ready cycle by more than this many cycles, the planner places
-  /// a duplicate on the best other healthy replica starting at ready +
-  /// hedge_after_cycles and keeps whichever copy finishes first; the
-  /// loser is cancelled (it occupies its replica until the winner
-  /// completes but never runs the datapath).  0 = disabled.
+  /// a duplicate, starting at ready + hedge_after_cycles, on the other
+  /// healthy replica that finishes it first — only if that copy
+  /// finishes before the primary.  The primary is then cancelled: it
+  /// occupies its replica until the copy completes but never runs the
+  /// datapath, and its batch still counts against the replica's slow
+  /// window.  A copy that would lose is never placed.  0 = disabled.
   std::int64_t hedge_after_cycles = 0;
   /// Per-replica circuit breaker (closed/open/half-open with a
-  /// cycle-based cooldown); disabled unless `breaker.enabled`.
+  /// cycle-based cooldown), the one owner of dispatch failures (route
+  /// failures, crashes); disabled unless `breaker.enabled`.  Without
+  /// it a route failure only re-routes its batch.
   cluster::BreakerOptions breaker;
   std::string device_name = "zynq-7045";
   /// Optional observability sinks, all published once, inside the first

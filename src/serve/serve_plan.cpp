@@ -26,8 +26,7 @@ ServePlan::ServePlan(int replicas, const ServeOptions& options,
                      std::int64_t scrub_cycles)
     : replicas(static_cast<std::size_t>(replicas)),
       max_batch_size(options.max_batch_size),
-      monitor(replicas,
-              cluster::HealthOptions{.readmit_scrub_cycles = scrub_cycles}),
+      monitor(replicas, scrub_cycles),
       breaker(replicas, options.breaker) {
   stats.replicas = replicas;
   stats.replica_dispatches.assign(static_cast<std::size_t>(replicas), 0);
@@ -237,9 +236,9 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
     switch (event.kind) {
       case fault::FaultKind::kRouteFail:
         // This dispatch attempt never reaches the replica; the caller
-        // re-routes to another one.
+        // re-routes to another one.  The failure is the breaker's alone:
+        // the replica itself is alive.
         ++plan_.stats.route_failures;
-        plan_.monitor.ReportFailure(r, ready);
         plan_.breaker.RecordFailure(r, ready);
         Log("route_fail", r, ready, ready);
         return false;
@@ -363,44 +362,39 @@ void Planner::Dispatch(Batch batch) {
   const BatchWindow primary = Window(r, batch, ready);
   if (options_.hedge_after_cycles > 0 &&
       primary.finish - ready > options_.hedge_after_cycles) {
-    // Hedge: a duplicate on the best other healthy replica, issued once
-    // the latency threshold elapses; whichever copy finishes first wins
-    // and the loser only occupies its replica until then.
+    // Hedge: a duplicate on the other healthy replica that finishes
+    // first, issued once the latency threshold elapses.  The windows are
+    // known here, so a copy goes out only where it beats the primary; a
+    // losing copy would only occupy its replica.
     const std::int64_t issue = ready + options_.hedge_after_cycles;
     int best = -1;
-    BatchWindow alternate;
+    BatchWindow alternate = primary;  // the finish a copy must beat
     for (int i = 0; i < count_; ++i) {
       if (i == r || !plan_.monitor.Routable(i) ||
           !plan_.breaker.Allows(i, issue))
         continue;
       BatchWindow candidate = Window(i, batch, issue);
-      if (best < 0 || candidate.finish < alternate.finish) {
+      if (candidate.finish < alternate.finish) {
         best = i;
         alternate = std::move(candidate);
       }
     }
     if (best >= 0) {
       ++plan_.stats.hedges;
-      if (alternate.finish < primary.finish) {
-        ++plan_.stats.hedge_wins;
-        // The primary is cancelled at the winner's completion.
-        if (primary.start < alternate.finish) {
-          free_cycle_[static_cast<std::size_t>(r)] = alternate.finish;
-          CancelHedge(r, primary.start, alternate.finish);
-        }
-        Log("hedge", best, issue, alternate.finish,
-            {{"primary", std::to_string(r)}, {"won", "1"}});
-        Commit(best, batch, alternate);
-        return;
+      ++plan_.stats.hedge_wins;
+      // The primary is cancelled at the winner's completion.  Its batch
+      // still counts against a slow window, as a committed one does, so
+      // a slow replica whose batches are all hedged away recovers.
+      Replica& rep = At(r);
+      rep.slow_services = std::max<std::int64_t>(0, rep.slow_services - size);
+      if (primary.start < alternate.finish) {
+        free_cycle_[static_cast<std::size_t>(r)] = alternate.finish;
+        CancelHedge(r, primary.start, alternate.finish);
       }
-      // The primary still wins: the hedge copy occupies the alternate
-      // until the primary completes, then cancels.
-      if (alternate.start < primary.finish) {
-        free_cycle_[static_cast<std::size_t>(best)] = primary.finish;
-        CancelHedge(best, alternate.start, primary.finish);
-      }
-      Log("hedge", best, issue, primary.finish,
-          {{"primary", std::to_string(r)}, {"won", "0"}});
+      Log("hedge", best, issue, alternate.finish,
+          {{"primary", std::to_string(r)}});
+      Commit(best, batch, alternate);
+      return;
     }
   }
   Commit(r, batch, primary);
@@ -415,10 +409,9 @@ void Planner::Commit(int r, const Batch& batch, const BatchWindow& window) {
   rep.slow_services = std::max<std::int64_t>(0, rep.slow_services - size);
   ++plan_.stats.batches;
   ++plan_.stats.replica_dispatches[static_cast<std::size_t>(r)];
-  // A committed dispatch is the monitor/breaker success signal: the
-  // replica accepted work at the planned start.
+  // A committed dispatch is the breaker's success signal: the replica
+  // accepted work at the planned start.
   plan_.breaker.RecordSuccess(r, window.start);
-  plan_.monitor.ReportSuccess(r, window.start);
   Serve(r, batch, window);
 }
 

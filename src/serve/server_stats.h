@@ -83,7 +83,10 @@ struct ServerStats {
 
   /// Cluster-resilience accounting.  The planner counts these as the
   /// events fire; breaker opens and health transitions are read from
-  /// the breaker and the monitor.
+  /// the breaker (which owns route failures and crashes) and the
+  /// monitor (which owns liveness: crashes and hangs).  A hedge is
+  /// placed only where it beats the primary, so `hedge_wins` always
+  /// equals `hedges`; both stay in the exports.
   std::int64_t crashes = 0;             // replica crash events fired
   std::int64_t hangs = 0;               // replica hang windows fired
   std::int64_t slow_faults = 0;         // slow-replica windows fired

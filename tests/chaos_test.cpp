@@ -19,6 +19,7 @@
 #include "obs/timeseries.h"
 #include "obs/tracer.h"
 #include "serve/inference_server.h"
+#include "sim/host_runtime.h"
 
 namespace db {
 namespace {
@@ -26,7 +27,6 @@ namespace {
 using cluster::BreakerOptions;
 using cluster::BreakerState;
 using cluster::CircuitBreaker;
-using cluster::HealthOptions;
 using cluster::ParseBreakerSpec;
 using cluster::ReplicaHealth;
 using cluster::ReplicaHealthMonitor;
@@ -63,29 +63,55 @@ struct Fixture {
       inputs.push_back(RandomInput(700 + static_cast<std::uint64_t>(i)));
     return inputs;
   }
+
+  /// What the server's planner knows about this design.
+  serve::PlanCosts Costs() const {
+    const MemoryImage image = BuildHostImage(net, design, weights);
+    const SystemContext context(net, design, image);
+    return serve::MakePlanCosts(design, context, "zynq-7045");
+  }
 };
+
+/// Plan and summarise `requests` arrivals `gap` cycles apart, with the
+/// fault campaign `campaign` generated for `options.replicas` replicas
+/// the way `deepburning serve --faults` does.
+serve::ServePlan PlanCampaign(const Fixture& f, ServeOptions options,
+                              const std::string& campaign, int requests,
+                              std::int64_t gap) {
+  fault::FaultCampaignSpec spec = fault::ParseFaultCampaign(campaign);
+  spec.workers = options.replicas;
+  options.faults = fault::FaultPlan::Generate(spec, f.design.memory_map);
+  std::vector<serve::RequestArrival> arrivals(
+      static_cast<std::size_t>(requests));
+  for (int i = 0; i < requests; ++i)
+    arrivals[static_cast<std::size_t>(i)].arrival_cycle = i * gap;
+  serve::ServePlan plan = serve::PlanServe(arrivals, options, f.Costs());
+  serve::SummarizePlan(plan, f.design.config.frequency_mhz);
+  return plan;
+}
 
 // ---------------------------------------------------------------------
 // ReplicaHealthMonitor
 
 TEST(HealthMonitor, CrashWalksDownRecoveringHealthy) {
-  HealthOptions options;
-  options.readmit_scrub_cycles = 10;
-  ReplicaHealthMonitor monitor(2, options);
+  ReplicaHealthMonitor monitor(2, /*readmit_scrub_cycles=*/10);
   EXPECT_TRUE(monitor.Routable(0));
 
   monitor.ReportCrash(0, 1000, 4000);
   EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
   EXPECT_FALSE(monitor.Routable(0));
-  EXPECT_EQ(monitor.readmit_cycle(0), 5010);
   EXPECT_EQ(monitor.state(1), ReplicaHealth::kHealthy);
 
+  monitor.AdvanceTo(4999);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
   monitor.AdvanceTo(5000);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
+  EXPECT_FALSE(monitor.Routable(0));
+  monitor.AdvanceTo(5009);
   EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
   monitor.AdvanceTo(5010);
   EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
   EXPECT_TRUE(monitor.Routable(0));
-  EXPECT_EQ(monitor.readmit_cycle(0), 0);
 
   ASSERT_EQ(monitor.transitions().size(), 3u);
   EXPECT_EQ(monitor.transitions()[0].to, ReplicaHealth::kDown);
@@ -96,66 +122,63 @@ TEST(HealthMonitor, CrashWalksDownRecoveringHealthy) {
 }
 
 TEST(HealthMonitor, HangMissesHeartbeatsOnTheGrid) {
-  HealthOptions options;
-  options.heartbeat_interval_cycles = 100;
-  options.suspect_after_misses = 1;
-  options.down_after_misses = 3;
-  options.readmit_scrub_cycles = 5;
-  ReplicaHealthMonitor monitor(1, options);
+  constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
+  constexpr std::int64_t kSuspectTick = cluster::kSuspectAfterMisses * kBeat;
+  constexpr std::int64_t kDownTick = cluster::kDownAfterMisses * kBeat;
+  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
 
-  // Misses at ticks 100 (suspect), 200, 300 (down); recovery observed
-  // at the first heartbeat at/after 450, i.e. 500.
-  monitor.ReportUnresponsive(0, 50, 450);
-  monitor.AdvanceTo(100);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  monitor.AdvanceTo(299);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  monitor.AdvanceTo(300);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  monitor.AdvanceTo(500);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
-  monitor.Flush();
+  // Heartbeats on multiples of kBeat after cycle 50 go missing until
+  // the window ends half a beat past the down tick; recovery is
+  // observed at the next heartbeat and readmission pays the scrub.
+  monitor.ReportUnresponsive(0, 50, kDownTick + kBeat / 2);
+  monitor.AdvanceTo(kSuspectTick - 1);
   EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
+  monitor.AdvanceTo(kSuspectTick);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
+  EXPECT_FALSE(monitor.Routable(0));
+  monitor.AdvanceTo(kDownTick - 1);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
+  monitor.AdvanceTo(kDownTick);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
+  monitor.AdvanceTo(kDownTick + kBeat - 1);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
+  monitor.AdvanceTo(kDownTick + kBeat);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
+  monitor.AdvanceTo(kDownTick + kBeat + 5);
+  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
+  EXPECT_EQ(monitor.transitions().back().cause, "scrub");
+}
+
+TEST(HealthMonitor, HangBelowTheDownThresholdRecoversAtTheNextBeat) {
+  constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
+  static_assert(cluster::kDownAfterMisses > cluster::kSuspectAfterMisses);
+  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
+  // One heartbeat short of kDown: suspect, then healthy at the first
+  // heartbeat after the window, with no readmit scrub.
+  const std::int64_t until = (cluster::kDownAfterMisses - 1) * kBeat + 1;
+  monitor.ReportUnresponsive(0, 0, until);
+  monitor.Flush();
+  ASSERT_EQ(monitor.transitions().size(), 2u);
+  EXPECT_EQ(monitor.transitions()[0].to, ReplicaHealth::kSuspect);
+  EXPECT_EQ(monitor.transitions()[0].cycle,
+            cluster::kSuspectAfterMisses * kBeat);
+  EXPECT_EQ(monitor.transitions()[1].to, ReplicaHealth::kHealthy);
+  EXPECT_EQ(monitor.transitions()[1].cycle,
+            cluster::kDownAfterMisses * kBeat);
+  EXPECT_EQ(monitor.transitions()[1].cause, "heartbeat");
 }
 
 TEST(HealthMonitor, HangShorterThanOneHeartbeatIsUnobserved) {
-  HealthOptions options;
-  options.heartbeat_interval_cycles = 100;
-  ReplicaHealthMonitor monitor(1, options);
-  monitor.ReportUnresponsive(0, 10, 60);  // no tick inside [10, 60)
+  constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
+  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
+  monitor.ReportUnresponsive(0, kBeat + 10, 2 * kBeat);  // no tick inside
   monitor.Flush();
   EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
   EXPECT_TRUE(monitor.transitions().empty());
 }
 
-TEST(HealthMonitor, ConsecutiveFailuresEscalateAndSuccessLifts) {
-  HealthOptions options;
-  options.failures_to_suspect = 1;
-  options.failures_to_down = 3;
-  options.failure_down_cycles = 1000;
-  options.readmit_scrub_cycles = 10;
-  ReplicaHealthMonitor monitor(1, options);
-
-  monitor.ReportFailure(0, 100);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  monitor.ReportSuccess(0, 150);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-
-  monitor.ReportFailure(0, 200);
-  monitor.ReportFailure(0, 210);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  monitor.ReportFailure(0, 220);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  monitor.AdvanceTo(1220);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
-  monitor.AdvanceTo(1230);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-}
-
 TEST(HealthMonitor, StateAtReplaysTheTransitionLog) {
-  HealthOptions options;
-  options.readmit_scrub_cycles = 10;
-  ReplicaHealthMonitor monitor(2, options);
+  ReplicaHealthMonitor monitor(2, /*readmit_scrub_cycles=*/10);
   monitor.ReportCrash(1, 500, 1000);
   monitor.Flush();
   EXPECT_EQ(monitor.StateAt(1, 0), ReplicaHealth::kHealthy);
@@ -399,9 +422,7 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
   // Three transient route failures stacked on the sole replica's first
   // committed service: a single-replica pool forces the liveness
   // fallback to keep re-attempting it, so the breaker sees the
-  // consecutive failures (with more replicas the health monitor parks
-  // the replica at kSuspect after one failure and traffic just routes
-  // around it).
+  // consecutive failures.
   fault::FaultPlan plan;
   plan.seed = 3;
   for (int i = 0; i < 3; ++i) {
@@ -428,7 +449,106 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
     EXPECT_EQ(r.status, StatusCode::kOk);
   EXPECT_EQ(stats.route_failures, 3);
   EXPECT_EQ(stats.breaker_opens, 1);
-  EXPECT_GE(stats.health_transitions, 2);  // suspect, then down
+}
+
+// A route failure never reaches the replica, so it is the breaker's
+// signal alone: without a breaker the replica stays in rotation.  (It
+// used to be parked at kSuspect, which only a dispatch it could no
+// longer get would lift.)
+TEST(ChaosPlan, RouteFailureLeavesTheReplicaInRotation) {
+  const Fixture f;
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 4;
+  const serve::ServePlan plan = PlanCampaign(
+      f, options, "seed=3,route-fails=1,span=20", 400, 1100);
+  EXPECT_EQ(plan.stats.route_failures, 1);
+  EXPECT_TRUE(plan.monitor.transitions().empty());
+  EXPECT_EQ(plan.stats.replica_requests[0], 200);
+  EXPECT_EQ(plan.stats.replica_requests[1], 200);
+}
+
+// The faulted MNIST stream at 0.9 of two-replica capacity with the
+// breaker and hedging on (`deepburning serve --zoo MNIST --requests
+// 2000 --replicas 2 --batch 4 --arrival-gap 1113 --faults <below>
+// --breaker failures=3 --hedge-after-cycles 6009`): three route
+// failures, a crash and a slow replica leave the load balanced, every
+// campaign event fires, and every hedge placed is a hedge that won.
+TEST(ChaosPlan, FaultedStreamStaysBalancedAndEveryHedgeWins) {
+  const Fixture f;
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 4;
+  options.breaker = ParseBreakerSpec("failures=3");
+  options.hedge_after_cycles = 6009;
+  const int kRequests = 2000;
+  const serve::ServePlan plan = PlanCampaign(
+      f, options,
+      "seed=13,flips=40,transients=8,stalls=4,crashes=1,slow-replicas=1,"
+      "route-fails=3,span=1000",
+      kRequests, 1113);
+  const ServerStats& stats = plan.stats;
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.route_failures, 3);
+  EXPECT_EQ(stats.crashes, 1);
+  EXPECT_EQ(stats.slow_faults, 1);
+  EXPECT_EQ(stats.faults_injected, 40 + 8 + 4 + 1 + 1 + 3);  // all fire
+  for (int r = 0; r < 2; ++r) {
+    const std::int64_t served =
+        stats.replica_requests[static_cast<std::size_t>(r)];
+    EXPECT_GE(served * 100, 45 * kRequests) << "replica " << r;
+    EXPECT_LE(served * 100, 55 * kRequests) << "replica " << r;
+  }
+  EXPECT_GE(stats.hedges, 1);
+  EXPECT_EQ(stats.hedge_wins, stats.hedges);
+}
+
+// A slow replica whose every batch is hedged away still works off its
+// slow window: each cancelled primary counts against it, so after
+// `slow_services` cancellations the replica serves at normal cost.
+TEST(ChaosPlan, HedgedAwayBatchesWearOffASlowWindow) {
+  serve::PlanCosts costs;
+  costs.cold = {.cycles = 100, .dram_bytes = 10, .joules = 1.0};
+  costs.steady = {.cycles = 60, .dram_bytes = 5, .joules = 0.5};
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 1;
+  options.hedge_after_cycles = 2 * costs.steady.cycles;
+  fault::FaultEvent slow;
+  slow.kind = fault::FaultKind::kSlow;
+  slow.replica = 0;
+  slow.invocation = 0;
+  slow.slow_factor = 8;
+  slow.slow_services = 4;
+  options.faults.events.push_back(slow);
+  // Arrivals far enough apart that both replicas are idle at each one:
+  // least-loaded routing breaks the tie to replica 0 every time.
+  std::vector<serve::RequestArrival> arrivals(8);
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    arrivals[i].arrival_cycle = static_cast<std::int64_t>(i) * 1000;
+  const serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+
+  EXPECT_EQ(plan.stats.hedges, slow.slow_services);
+  EXPECT_EQ(plan.stats.hedge_wins, slow.slow_services);
+  bool warm = false;  // replica 0 has run a request
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const ServedRequest& r = plan.requests[i];
+    EXPECT_EQ(r.status, StatusCode::kOk) << i;
+    if (static_cast<std::int64_t>(i) < slow.slow_services) {
+      EXPECT_EQ(r.replica, 1) << i;  // hedged away from the slow replica
+      continue;
+    }
+    // The first request after the window goes back to replica 0.
+    if (static_cast<std::int64_t>(i) == slow.slow_services) {
+      EXPECT_EQ(r.replica, 0);
+    }
+    if (r.replica != 0) continue;
+    EXPECT_EQ(r.service_cycles,
+              warm ? costs.steady.cycles : costs.cold.cycles)
+        << i;
+    warm = true;
+  }
+  EXPECT_TRUE(warm);
 }
 
 // The acceptance campaign: >= 4 replicas, mixed cluster + datapath

@@ -355,11 +355,11 @@ const Scenario kScenarios[] = {
            spec.workers = 4;
            o.faults = Campaign(spec, design);
          },
-     .records = "809db051f75691bf",
-     .metrics = "ad10d582cf607ef7",
-     .trace = "9e60ef4388590f40",
-     .timeseries = "a3cf8d513c3de7d0",
-     .stats = "52eeeb02cbaffa39"},
+     .records = "3b18fb46c21e49ef",
+     .metrics = "050c49d8ae5fa2f7",
+     .trace = "eb911a42d1fdd905",
+     .timeseries = "8a2c98a93958c596",
+     .stats = "2f35d04d9abd9c86"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
     // replica under round-robin routing, hedged after three steady
     // inferences.
@@ -382,11 +382,11 @@ const Scenario kScenarios[] = {
            o.faults.seed = 2;
            o.faults.events.push_back(slow);
          },
-     .records = "611bf59f395c8315",
-     .metrics = "163b46d182a37788",
-     .trace = "80b4573a874e93da",
-     .timeseries = "77b0b7a12167ebd3",
-     .stats = "6166b40f4acef38e"},
+     .records = "7dc0b8e5fde0924e",
+     .metrics = "3760d3be85bb886d",
+     .trace = "537bb0352b7a0050",
+     .timeseries = "4a4bd5184a6e05b4",
+     .stats = "35b6307aa05d97d9"},
     // The ChaosServer.BreakerOpensUnderRepeatedRouteFailures run: three
     // route failures on the sole replica open its breaker.
     {.name = "BreakerOpens",
@@ -410,9 +410,9 @@ const Scenario kScenarios[] = {
            }
          },
      .records = "f478a03104612428",
-     .metrics = "7b603c1657e57f52",
-     .trace = "a08ee05a7ee9e846",
-     .timeseries = "5688ede43710cd6c",
+     .metrics = "9c5906acfdea5976",
+     .trace = "cc4ae612dfb5848b",
+     .timeseries = "4a07069947da2bcd",
      .stats = "5ce5d60b9f37968a"},
     // The CLI's wiring: serve.* and the per-invocation sim.* metrics in
     // one registry, under a datapath campaign with blob flips and a

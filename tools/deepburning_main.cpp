@@ -192,15 +192,17 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  cycles, slow-services and span in [1, 2^63-1],
                  slow-factor in [2, 1024], seed in [0, 2^63-1];
                  see DESIGN.md)
-  --hedge-after-cycles  hedge a batch onto a second healthy replica
-                 when its planned completion exceeds the ready cycle
-                 by this many cycles, in [0, 2^63-1]; the first
-                 completion wins and the loser is cancelled
-                 (default 0: disabled)
+  --hedge-after-cycles  when a batch's planned completion exceeds its
+                 ready cycle by this many cycles, in [0, 2^63-1], hedge
+                 it onto the healthy replica that finishes it first,
+                 if that copy beats the primary; the primary is
+                 cancelled (default 0: disabled)
   --breaker      per-replica circuit breaker spec, e.g.
-                 'failures=3,cooldown=16384' (consecutive dispatch
-                 failures that open it, in [1, 2^31-1]; cycles before
-                 the half-open trial, in [1, 2^63-1])
+                 'failures=3,cooldown=16384': that many consecutive
+                 dispatch failures (route failures or crashes; in
+                 [1, 2^31-1]) open it for that many cycles (in
+                 [1, 2^63-1]) before one half-open trial; without it
+                 a route failure only re-routes its batch
   --trace-out    write the toolchain + per-request serving spans as
                  Chrome-trace JSON (open in Perfetto)
   --metrics-out  write the serve.*/sim.* metrics registry as JSON
