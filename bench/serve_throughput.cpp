@@ -15,12 +15,14 @@
 // bit-identical to the fault-free run, with only cycles lost to
 // recovery.
 // The replica-scaling section drives the same request stream through
-// pools of 1/2/4 replicas under each ShardRouter policy and
-// checks the cluster determinism contract: every kOk output is
-// bit-identical regardless of replica count or routing, because every
-// replica starts from the same provisioned DRAM bytes.  The design
-// itself comes from a content-addressed DesignCache, so all
-// configurations reuse one NN-Gen invocation.
+// pools of 1/2/4 replicas (least-loaded routing) and checks the cluster
+// determinism contract: every kOk output is bit-identical regardless of
+// replica count, because every replica starts from the same provisioned
+// DRAM bytes.  The design is generated once for all three pools.
+// The cluster-chaos section serves a crash / hang / slow / route-fail
+// campaign with hedging and a breaker that opens on the first failure,
+// and checks that both fire, that no request is lost and that hedging
+// bounds the tail latency of a slow-replica campaign.
 // The last line is the planner alone: PlanServe over a million MNIST
 // arrivals with no datapath, in planned requests per wall second.
 #include <chrono>
@@ -28,10 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cluster/design_cache.h"
-#include "cluster/shard_router.h"
 #include "fault/fault_plan.h"
-#include "frontend/network_def.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "serve/inference_server.h"
@@ -178,39 +177,24 @@ int main() {
     if (identical != ok) return 1;
   }
 
-  // --- Replica scaling: replica count x ShardRouter policy ---
+  // --- Replica scaling: replica count under least-loaded routing ---
   {
     constexpr int kScaleRequests = 32;
-    const NetworkDef def =
-        ParseNetworkDef(ZooModelPrototxt(ZooModel::kMnist));
-    const Network net = Network::Build(def);
-    const DesignConstraint constraint = DbConstraint();
-
-    // One NN-Gen invocation feeds every configuration below: the cache
-    // key is the content hash of the canonical (network, constraint).
-    obs::MetricsRegistry cache_metrics;
-    cluster::DesignCache::Options cache_opts;
-    cache_opts.metrics = &cache_metrics;
-    cluster::DesignCache cache(cache_opts);
-    const cluster::DesignKey key =
-        cluster::MakeDesignKey(def, constraint);
-
+    const Network net = BuildZooModel(ZooModel::kMnist);
+    const AcceleratorDesign design =
+        GenerateAccelerator(net, DbConstraint());
     Rng rng(2016);
     const WeightStore weights = WeightStore::CreateRandom(net, rng);
     std::vector<Tensor> inputs;
     for (int i = 0; i < kScaleRequests; ++i)
       inputs.push_back(MakeInput(net, 900 + static_cast<std::uint64_t>(i)));
 
-    auto serve_run = [&](int replicas, cluster::RouterPolicy router) {
-      const std::shared_ptr<const AcceleratorDesign> design =
-          cache.GetOrGenerate(key, net, constraint);
+    auto serve_run = [&](int replicas) {
       serve::ServeOptions options;
       options.replicas = replicas;
-      options.router = router;
-      options.affinity_hash = key.hash;
       options.max_batch_size = 2;
       options.linger_cycles = 0;
-      serve::InferenceServer server(net, *design, weights, options);
+      serve::InferenceServer server(net, design, weights, options);
       std::int64_t arrival = 0;
       for (const Tensor& input : inputs) {
         server.Submit(input, arrival);
@@ -222,48 +206,35 @@ int main() {
 
     std::printf(
         "\n=== Replica scaling: MNIST, %d requests, batch <= 2, arrivals "
-        "every 40 cycles (design generated once, cached) ===\n",
+        "every 40 cycles (design generated once) ===\n",
         kScaleRequests);
-    std::printf("%-14s %9s %9s %12s %12s %10s\n", "router", "replicas",
-                "batches", "req/s", "makespan_ms", "speedup");
-    PrintRule(72);
+    std::printf("%9s %9s %12s %12s %10s\n", "replicas", "batches", "req/s",
+                "makespan_ms", "speedup");
+    PrintRule(57);
 
-    const auto [baseline_records, baseline_stats] =
-        serve_run(1, cluster::RouterPolicy::kLeastLoaded);
+    const auto [baseline_records, baseline_stats] = serve_run(1);
     bool identical = true;
-    for (const cluster::RouterPolicy router :
-         {cluster::RouterPolicy::kLeastLoaded,
-          cluster::RouterPolicy::kRoundRobin,
-          cluster::RouterPolicy::kHashAffinity}) {
-      for (const int replicas : {1, 2, 4}) {
-        const auto [records, stats] = serve_run(replicas, router);
-        for (std::size_t i = 0; i < records.size(); ++i) {
-          if (records[i].status != StatusCode::kOk) identical = false;
-          if (records[i].output.storage() !=
-              baseline_records[i].output.storage())
-            identical = false;
-        }
-        std::printf("%-14s %9d %9lld %12.1f %12.4f %9.2fx\n",
-                    cluster::RouterPolicyName(router).c_str(), replicas,
-                    static_cast<long long>(stats.batches),
-                    stats.throughput_rps, stats.makespan_seconds * 1e3,
-                    baseline_stats.makespan_seconds /
-                        stats.makespan_seconds);
+    for (const int replicas : {1, 2, 4}) {
+      const auto [records, stats] = serve_run(replicas);
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        if (records[i].status != StatusCode::kOk) identical = false;
+        if (records[i].output.storage() !=
+            baseline_records[i].output.storage())
+          identical = false;
       }
+      std::printf("%9d %9lld %12.1f %12.4f %9.2fx\n", replicas,
+                  static_cast<long long>(stats.batches),
+                  stats.throughput_rps, stats.makespan_seconds * 1e3,
+                  baseline_stats.makespan_seconds / stats.makespan_seconds);
     }
-    PrintRule(72);
+    PrintRule(57);
     std::printf(
         "  cluster determinism: every output bit-identical to the "
-        "1-replica run%s\n"
-        "  design cache: %lld miss, %lld hits over %d configurations\n",
-        identical ? "" : "  ** MISMATCH **",
-        static_cast<long long>(cache.stats().misses),
-        static_cast<long long>(cache.stats().hits), 10);
+        "1-replica run%s\n",
+        identical ? "" : "  ** MISMATCH **");
     std::printf(
-        "\nshape: least-loaded and round-robin spread batches and scale "
-        "the makespan down with the pool; hash-affinity pins this "
-        "single-model stream to one shard by design, so it must NOT "
-        "scale (that is the policy's point for multi-model pools).\n");
+        "\nshape: least-loaded routing spreads batches and scales the "
+        "makespan down with the pool.\n");
     if (!identical) return 1;
   }
 
@@ -283,15 +254,15 @@ int main() {
           MakeInput(net, 1300 + static_cast<std::uint64_t>(i)));
 
     auto serve_chaos = [&](const fault::FaultPlan& plan,
-                           std::int64_t hedge_after, std::int64_t gap,
-                           cluster::RouterPolicy router) {
+                           std::int64_t hedge_after, std::int64_t gap) {
       serve::ServeOptions options;
       options.replicas = kChaosReplicas;
-      options.router = router;
       options.max_batch_size = 2;
       options.faults = plan;
       options.hedge_after_cycles = hedge_after;
       options.breaker.enabled = true;
+      options.breaker.failure_threshold = 1;
+      options.breaker.cooldown_cycles = 2048;
       serve::InferenceServer server(net, design, weights, options);
       std::int64_t arrival = 0;
       for (const Tensor& input : inputs) {
@@ -301,6 +272,14 @@ int main() {
       std::vector<serve::ServedRequest> records = server.Drain();
       return std::make_pair(std::move(records), server.Stats());
     };
+
+    // Hedge once a batch's planned completion exceeds three steady
+    // invocations past ready: normal batches stay under it, an
+    // 8x-degraded batch trips it immediately.
+    serve::InferenceServer probe(net, design, weights, {});
+    const std::int64_t steady = probe.steady_cycles();
+    probe.Drain();
+    const std::int64_t hedge_after = 3 * steady;
 
     fault::FaultCampaignSpec spec;
     spec.seed = 11;
@@ -315,10 +294,10 @@ int main() {
     const fault::FaultPlan plan =
         fault::FaultPlan::Generate(spec, design.memory_map);
 
-    const auto [clean_records, clean_stats] = serve_chaos(
-        fault::FaultPlan{}, 0, 50, cluster::RouterPolicy::kLeastLoaded);
+    const auto [clean_records, clean_stats] =
+        serve_chaos(fault::FaultPlan{}, hedge_after, 50);
     const auto [chaos_records, chaos_stats] =
-        serve_chaos(plan, 0, 50, cluster::RouterPolicy::kLeastLoaded);
+        serve_chaos(plan, hedge_after, 50);
 
     // Zero lost requests: every submitted request has a completed
     // record, and every kOk output is bit-identical to fault-free.
@@ -332,29 +311,32 @@ int main() {
           clean_records[i].output.storage())
         ++identical;
     }
+    const bool fired = chaos_stats.hedges > 0 && chaos_stats.breaker_opens > 0;
     std::printf(
         "\n=== Cluster chaos: MNIST, %d requests, %d replicas, plan "
-        "seed=%llu (%zu events) ===\n",
+        "seed=%llu (%zu events), hedge after %lld cycles, breaker "
+        "failures=1,cooldown=2048 ===\n",
         kChaosRequests, kChaosReplicas,
-        static_cast<unsigned long long>(plan.seed), plan.events.size());
+        static_cast<unsigned long long>(plan.seed), plan.events.size(),
+        static_cast<long long>(hedge_after));
     std::printf("%s", chaos_stats.ToString().c_str());
     std::printf(
         "  resilience: %lld/%lld records complete, %lld/%lld kOk outputs "
-        "bit-identical to fault-free%s\n",
+        "bit-identical to fault-free, %lld hedges, %lld breaker opens%s%s\n",
         static_cast<long long>(chaos_records.size()),
         static_cast<long long>(kChaosRequests),
         static_cast<long long>(identical), static_cast<long long>(ok),
-        (zero_lost && identical == ok) ? "" : "  ** MISMATCH **");
-    if (!zero_lost || identical != ok) return 1;
+        static_cast<long long>(chaos_stats.hedges),
+        static_cast<long long>(chaos_stats.breaker_opens),
+        (zero_lost && identical == ok) ? "" : "  ** MISMATCH **",
+        fired ? "" : "  ** HEDGING OR BREAKER NEVER FIRED **");
+    if (!zero_lost || identical != ok || !fired) return 1;
 
     // Hedging contract: under a slow-replica-only campaign, hedged p99
     // must stay within the documented bound of the fault-free p99
     // (DESIGN.md: 5x — hedge_after of three steady invocations plus the
-    // hedge's own service, against a one-invocation fault-free p99).
-    // Regime: unsaturated arrivals (one steady invocation apart) under
-    // round-robin, so the slow replica keeps receiving its traffic
-    // share — the case hedging exists for; least-loaded would route
-    // around the backlog on its own.
+    // hedge's own service, against a one-invocation fault-free p99), at
+    // unsaturated arrivals one steady invocation apart.
     fault::FaultCampaignSpec slow_spec;
     slow_spec.seed = 13;
     slow_spec.slow_replicas = 2;
@@ -365,31 +347,20 @@ int main() {
     const fault::FaultPlan slow_plan =
         fault::FaultPlan::Generate(slow_spec, design.memory_map);
 
-    // Hedge once a batch's planned completion exceeds three steady
-    // invocations past ready: normal batches stay under it, an
-    // 8x-degraded batch trips it immediately.
-    serve::InferenceServer probe(net, design, weights, {});
-    const std::int64_t steady = probe.steady_cycles();
-    probe.Drain();
-    const std::int64_t hedge_after = 3 * steady;
-
-    const auto [clean_rr_records, clean_rr_stats] = serve_chaos(
-        fault::FaultPlan{}, 0, steady, cluster::RouterPolicy::kRoundRobin);
-    const auto [slow_records, slow_stats] = serve_chaos(
-        slow_plan, 0, steady, cluster::RouterPolicy::kRoundRobin);
+    const auto [steady_records, steady_stats] =
+        serve_chaos(fault::FaultPlan{}, 0, steady);
+    const auto [slow_records, slow_stats] = serve_chaos(slow_plan, 0, steady);
     const auto [hedged_records, hedged_stats] =
-        serve_chaos(slow_plan, hedge_after, steady,
-                    cluster::RouterPolicy::kRoundRobin);
+        serve_chaos(slow_plan, hedge_after, steady);
     bool hedged_identical = true;
     for (std::size_t i = 0; i < hedged_records.size(); ++i)
       if (hedged_records[i].status != StatusCode::kOk ||
           hedged_records[i].output.storage() !=
-              clean_rr_records[i].output.storage())
+              steady_records[i].output.storage())
         hedged_identical = false;
     const double bound = 5.0;
     const bool within =
-        hedged_stats.latency_p99_s <=
-            bound * clean_rr_stats.latency_p99_s &&
+        hedged_stats.latency_p99_s <= bound * steady_stats.latency_p99_s &&
         hedged_stats.latency_p99_s < slow_stats.latency_p99_s;
     std::printf(
         "  hedging (slow-replica campaign, %lld hedges, %lld won): p99 "
@@ -397,9 +368,9 @@ int main() {
         "(%.2fx fault-free, bound %.1fx)%s%s\n",
         static_cast<long long>(hedged_stats.hedges),
         static_cast<long long>(hedged_stats.hedge_wins),
-        clean_rr_stats.latency_p99_s * 1e3,
-        slow_stats.latency_p99_s * 1e3, hedged_stats.latency_p99_s * 1e3,
-        hedged_stats.latency_p99_s / clean_rr_stats.latency_p99_s, bound,
+        steady_stats.latency_p99_s * 1e3, slow_stats.latency_p99_s * 1e3,
+        hedged_stats.latency_p99_s * 1e3,
+        hedged_stats.latency_p99_s / steady_stats.latency_p99_s, bound,
         within ? "" : "  ** BOUND EXCEEDED **",
         hedged_identical ? "" : "  ** OUTPUT MISMATCH **");
     if (!within || !hedged_identical) return 1;

@@ -1,6 +1,5 @@
 #include "cluster/design_cache.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -97,48 +96,36 @@ DesignKey MakeDesignKey(const NetworkDef& net,
 
 std::string DesignKeyHex(const DesignKey& key) { return Hex64(key.hash); }
 
-DesignCache::DesignCache() : DesignCache(Options{}) {}
+DesignCache::DesignCache(Options options) : options_(std::move(options)) {}
 
-DesignCache::DesignCache(Options options) : options_(std::move(options)) {
-  DB_CHECK_MSG(options_.capacity >= 1, "design cache needs capacity >= 1");
-}
-
-std::shared_ptr<const AcceleratorDesign> DesignCache::Lookup(
-    const DesignKey& key) {
-  auto it = FindResident(key);
-  if (it != lru_.end()) {
-    lru_.splice(lru_.begin(), lru_, it);  // refresh recency
-    ++stats_.hits;
-    Note("hit", key);
-    return it->design;
-  }
+std::optional<AcceleratorDesign> DesignCache::Lookup(const DesignKey& key) {
   if (!options_.directory.empty()) {
-    if (auto design = LoadFromDisk(key)) {
+    if (std::optional<AcceleratorDesign> design = LoadFromDisk(key)) {
       ++stats_.disk_hits;
       Note("disk_hit", key);
-      return InsertResident(key, std::move(design));
+      return design;
     }
   }
   ++stats_.misses;
   Note("miss", key);
-  return nullptr;
+  return std::nullopt;
 }
 
-std::shared_ptr<const AcceleratorDesign> DesignCache::Insert(
-    const DesignKey& key, AcceleratorDesign design) {
-  auto shared = std::make_shared<const AcceleratorDesign>(std::move(design));
-  ++stats_.inserts;
+void DesignCache::Insert(const DesignKey& key,
+                         const AcceleratorDesign& design) {
   Note("insert", key);
-  if (!options_.directory.empty()) StoreToDisk(key, *shared);
-  return InsertResident(key, std::move(shared));
+  if (!options_.directory.empty()) StoreToDisk(key, design);
 }
 
-std::shared_ptr<const AcceleratorDesign> DesignCache::GetOrGenerate(
+AcceleratorDesign DesignCache::GetOrGenerate(
     const DesignKey& key, const Network& net,
     const DesignConstraint& constraint, obs::Tracer* toolchain_tracer) {
-  if (auto hit = Lookup(key)) return hit;
-  return Insert(key, GenerateAccelerator(net, constraint, toolchain_tracer,
-                                         options_.metrics));
+  if (std::optional<AcceleratorDesign> hit = Lookup(key))
+    return *std::move(hit);
+  AcceleratorDesign design = GenerateAccelerator(
+      net, constraint, toolchain_tracer, options_.metrics);
+  Insert(key, design);
+  return design;
 }
 
 std::string DesignCache::SidecarPath(const DesignKey& key,
@@ -149,59 +136,29 @@ std::string DesignCache::SidecarPath(const DesignKey& key,
       .string();
 }
 
-DesignCache::LruList::iterator DesignCache::FindResident(
-    const DesignKey& key) {
-  auto bucket = buckets_.find(key.hash);
-  if (bucket == buckets_.end()) return lru_.end();
-  for (LruList::iterator it : bucket->second)
-    if (it->key.canonical == key.canonical) return it;
-  return lru_.end();
-}
-
-std::shared_ptr<const AcceleratorDesign> DesignCache::InsertResident(
-    const DesignKey& key, std::shared_ptr<const AcceleratorDesign> design) {
-  auto it = FindResident(key);
-  if (it != lru_.end()) {
-    it->design = design;
-    lru_.splice(lru_.begin(), lru_, it);
-    return design;
-  }
-  lru_.push_front(Entry{key, design});
-  buckets_[key.hash].push_back(lru_.begin());
-  while (lru_.size() > options_.capacity) {
-    auto last = std::prev(lru_.end());
-    auto& bucket = buckets_[last->key.hash];
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), last),
-                 bucket.end());
-    if (bucket.empty()) buckets_.erase(last->key.hash);
-    ++stats_.evictions;
-    Note("eviction", last->key);
-    lru_.pop_back();  // the shared_ptr keeps live users safe
-  }
-  return design;
-}
-
-std::shared_ptr<const AcceleratorDesign> DesignCache::LoadFromDisk(
+std::optional<AcceleratorDesign> DesignCache::LoadFromDisk(
     const DesignKey& key) {
   std::ifstream in(EntryPath(options_.directory, key), std::ios::binary);
-  if (!in) return nullptr;
+  if (!in) return std::nullopt;
   const std::string bytes{std::istreambuf_iterator<char>(in),
                           std::istreambuf_iterator<char>()};
   // Any flipped, missing or extra byte fails the checksum before a
   // single field is parsed.
-  if (bytes.size() < kChecksumBytes || bytes.back() != '\n') return nullptr;
+  if (bytes.size() < kChecksumBytes || bytes.back() != '\n')
+    return std::nullopt;
   const std::string_view body =
       std::string_view(bytes).substr(0, bytes.size() - kChecksumBytes);
   if (bytes.compare(body.size(), 16, Hex64(Fnv1a64(body))) != 0)
-    return nullptr;
+    return std::nullopt;
   // A digest collision or a stale file for a changed canonicalisation
   // scheme is a miss, never a wrong design.
   const std::string prefix = key.canonical + std::string(kConfigSeparator);
-  if (!StartsWith(body, prefix) || !EndsWith(body, "\n")) return nullptr;
+  if (!StartsWith(body, prefix) || !EndsWith(body, "\n"))
+    return std::nullopt;
   const std::string_view record =
       body.substr(prefix.size(), body.size() - prefix.size() - 1);
   const std::size_t sep = key.canonical.find(kKeySeparator);
-  if (sep == std::string::npos) return nullptr;
+  if (sep == std::string::npos) return std::nullopt;
   try {
     const std::string_view canonical(key.canonical);
     const std::string_view constraint_text =
@@ -215,27 +172,26 @@ std::shared_ptr<const AcceleratorDesign> DesignCache::LoadFromDisk(
     ReadSpec(record, "design cache entry", kSizedConfigKeys, &config);
     // Only the record StoreToDisk writes is an entry: all nine fields,
     // in order, each once, in canonical spelling.
-    if (ConfigRecord(config) != record) return nullptr;
-    auto design =
-        std::make_shared<AcceleratorDesign>(CompileForConfig(net, config));
-    design->rtl = BuildRtl(design->config, design->blocks);
+    if (ConfigRecord(config) != record) return std::nullopt;
+    AcceleratorDesign design = CompileForConfig(net, config);
+    design.rtl = BuildRtl(design.config, design.blocks);
     // The checksum proves the record is what was written, not that it
     // still builds a legal design here: gate the rebuild like every
     // other compile exit, and reject with a diagnostic instead of
     // letting it enter the accelerator pool.
     for (const analysis::AnalysisReport& report :
-         {analysis::VerifyRtl(design->rtl),
-          analysis::VerifyDesign(net, *design)}) {
+         {analysis::VerifyRtl(design.rtl),
+          analysis::VerifyDesign(net, design)}) {
       if (report.ok()) continue;
       if (options_.metrics)
         options_.metrics->AddCounter("cluster.cache.verify_reject");
       DB_LOG(kWarn) << "design cache: rejecting on-disk entry "
                     << DesignKeyHex(key) << "\n" << report.ToText();
-      return nullptr;  // served like a miss; the generator rebuilds it
+      return std::nullopt;  // a miss: the generator rebuilds it
     }
     return design;
   } catch (const Error&) {
-    return nullptr;  // unreadable or unbuildable record == miss
+    return std::nullopt;  // unreadable or unbuildable record == miss
   }
 }
 
@@ -258,7 +214,7 @@ void DesignCache::StoreToDisk(const DesignKey& key,
       Note("disk_write", key);
     }
   } catch (const std::exception&) {
-    // Unwritable directory degrades to a memory-only cache.
+    // An unwritable directory only loses the warm start.
   }
 }
 
@@ -268,8 +224,8 @@ void DesignCache::Note(const char* outcome, const DesignKey& key) {
   if (!options_.tracer) return;
   const std::string_view what(outcome);
   // Only lookup outcomes become spans; maintenance traffic (inserts,
-  // evictions, disk writes) stays counter-only to keep the track legible.
-  if (what != "hit" && what != "miss" && what != "disk_hit") return;
+  // disk writes) stays counter-only to keep the track legible.
+  if (what != "miss" && what != "disk_hit") return;
   const std::int64_t start = options_.tracer->TrackEnd("cluster");
   obs::Span span;
   span.track = "cluster";

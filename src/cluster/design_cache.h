@@ -1,52 +1,40 @@
-// DesignCache: content-addressed memoization of NN-Gen output.
+// DesignCache: content-addressed memoization of NN-Gen output on disk.
 //
 // The generator is a pure function of (NetworkDef, DesignConstraint) —
 // same script, same constraint, same AcceleratorDesign, byte for byte.
 // The cache exploits that: the key is the FNV-1a digest of the pair's
 // *canonical* prototxt serialisation (fixed field order, so a reordered
-// but semantically identical script hashes the same), and a memory hit
-// returns the previously generated design — schedule, buffer plan, AGU
-// programs, memory-image layout, RTL — without running a single
-// generator phase.
+// but semantically identical script hashes the same), and a hit
+// rebuilds the previously generated design without running the
+// generator's sizing and refit search.
 //
-// A 64-bit digest can collide, so the digest only selects a bucket; the
-// full canonical string is compared before a hit is declared.  Distinct
-// networks that forge the same hash coexist in one bucket and never
-// alias (tested by construction in cluster_test).
-//
-// Entries are shared_ptr<const AcceleratorDesign>: hits hand out the
-// same immutable object to every replica, and eviction cannot free a
-// design a caller still runs on.  Eviction is LRU over a fixed
-// capacity.
-//
-// With Options::directory set, the cache also persists entries to disk
-// and warm-starts from it, so a *new process* serving the same model
-// skips the generator's sizing and refit search and records zero
-// toolchain spans.  An entry is not a copy of the design: it is the
+// A process generates one design (one model per server, as the board
+// holds one accelerator), so there is no in-memory tier: entries live in
+// Options::directory, and a *new process* serving the same model warm-
+// starts from it and records zero toolchain spans.  Without a directory
+// every lookup misses.  An entry is not a copy of the design: it is the
 // canonical text, one `key=value` record of the nine AcceleratorConfig
 // fields that sizing, refit and tuning choose (kSizedConfigKeys), and an
-// FNV-1a64 checksum over both.  A disk hit checks the checksum and the
-// canonical text, re-parses the (network, constraint) pair from the
-// key, starts from SizeDatapath, overrides the nine fields (each read
-// in its range) and rebuilds the design from them: CompileForConfig,
-// BuildRtl, then the RTL and static design verifiers as gates.  A
-// corrupt, truncated or out-of-range entry is a miss, never an error;
-// one that rebuilds but fails a gate is also counted
-// (cluster.cache.verify_reject, warning log).  Either way the generator
-// runs again and overwrites the entry.
+// FNV-1a64 checksum over both.  A hit checks the checksum and the full
+// canonical text — a 64-bit digest can collide, so two keys forged to
+// the same digest share one entry file and never alias — re-parses the
+// (network, constraint) pair from the key, starts from SizeDatapath,
+// overrides the nine fields (each read in its range) and rebuilds the
+// design from them: CompileForConfig, BuildRtl, then the RTL and static
+// design verifiers as gates.  A corrupt, truncated or out-of-range entry
+// is a miss, never an error; one that rebuilds but fails a gate is also
+// counted (cluster.cache.verify_reject, warning log).  Either way the
+// generator runs again and overwrites the entry.
 //
 // Observability: every Lookup/GetOrGenerate outcome is one ordinal-tick
 // span on the "cluster" track and a cluster.cache.* counter, so traces
-// show reuse (cache.hit spans, no toolchain spans) at a glance.
+// show reuse (cache.disk_hit spans, no toolchain spans) at a glance.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/strings.h"
 #include "core/generator.h"
@@ -92,79 +80,53 @@ inline constexpr std::string_view kTuneSeparator = "\n%tune%\n";
 extern const SpecKey<AcceleratorConfig> kSizedConfigKeys[9];
 
 struct DesignCacheStats {
-  std::int64_t hits = 0;        // served from memory
   std::int64_t misses = 0;      // generator had to run
-  std::int64_t inserts = 0;
-  std::int64_t evictions = 0;   // LRU capacity pressure
-  std::int64_t disk_hits = 0;   // served from the persistent directory
+  std::int64_t disk_hits = 0;   // rebuilt from the directory
   std::int64_t disk_writes = 0;
 };
 
 class DesignCache {
  public:
   struct Options {
-    std::size_t capacity = 8;       // max resident designs (>= 1)
-    std::string directory;          // empty => memory-only
+    std::string directory;          // empty => every lookup misses
     obs::Tracer* tracer = nullptr;  // spans on the "cluster" track
     obs::MetricsRegistry* metrics = nullptr;  // cluster.cache.* counters
   };
 
-  DesignCache();  // memory-only, default capacity, no observability
   explicit DesignCache(Options options);
 
-  DesignCache(const DesignCache&) = delete;
-  DesignCache& operator=(const DesignCache&) = delete;
+  /// Rebuild `key`'s design from its entry file; empty on a miss.
+  std::optional<AcceleratorDesign> Lookup(const DesignKey& key);
 
-  /// Memory lookup, then disk (when a directory is configured).
-  /// Returns nullptr on miss.  A hit refreshes LRU recency.
-  std::shared_ptr<const AcceleratorDesign> Lookup(const DesignKey& key);
+  /// Record an insert and, when a directory is configured, write (or
+  /// overwrite) `key`'s entry file.
+  void Insert(const DesignKey& key, const AcceleratorDesign& design);
 
-  /// Insert (or overwrite) the entry for `key`, persist it when a
-  /// directory is configured, and return the shared handle.
-  std::shared_ptr<const AcceleratorDesign> Insert(const DesignKey& key,
-                                                  AcceleratorDesign design);
-
-  /// The memoized generator: a hit returns the cached design (a disk hit
-  /// rebuilds it from the recorded sizing) without recording toolchain
-  /// spans; a miss runs
-  /// GenerateAccelerator(net, constraint, toolchain_tracer) and caches
+  /// The memoized generator: a hit returns the design rebuilt from the
+  /// recorded sizing without recording toolchain spans; a miss runs
+  /// GenerateAccelerator(net, constraint, toolchain_tracer) and inserts
   /// the result.
-  std::shared_ptr<const AcceleratorDesign> GetOrGenerate(
-      const DesignKey& key, const Network& net,
-      const DesignConstraint& constraint,
-      obs::Tracer* toolchain_tracer = nullptr);
+  AcceleratorDesign GetOrGenerate(const DesignKey& key, const Network& net,
+                                  const DesignConstraint& constraint,
+                                  obs::Tracer* toolchain_tracer = nullptr);
 
   /// Path of a sidecar artifact stored next to `key`'s entry file —
   /// e.g. the DSE tuner persists its frontier report as
   /// `<digest>.<suffix>` so a warm tune invocation can replay the
-  /// byte-identical report without re-exploring.  Empty string when the
-  /// cache is memory-only (no directory configured).
+  /// byte-identical report without re-exploring.  Empty string when no
+  /// directory is configured.
   std::string SidecarPath(const DesignKey& key,
                           const std::string& suffix) const;
 
   const DesignCacheStats& stats() const { return stats_; }
-  std::size_t size() const { return lru_.size(); }
 
  private:
-  struct Entry {
-    DesignKey key;
-    std::shared_ptr<const AcceleratorDesign> design;
-  };
-  using LruList = std::list<Entry>;
-
-  LruList::iterator FindResident(const DesignKey& key);
-  std::shared_ptr<const AcceleratorDesign> InsertResident(
-      const DesignKey& key, std::shared_ptr<const AcceleratorDesign> design);
-  std::shared_ptr<const AcceleratorDesign> LoadFromDisk(const DesignKey& key);
+  std::optional<AcceleratorDesign> LoadFromDisk(const DesignKey& key);
   void StoreToDisk(const DesignKey& key, const AcceleratorDesign& design);
   void Note(const char* outcome, const DesignKey& key);
 
   Options options_;
   DesignCacheStats stats_;
-  LruList lru_;  // front = most recently used
-  // digest -> resident entries with that digest (forged collisions make
-  // this a real multimap; full-key compare picks the right one).
-  std::map<std::uint64_t, std::vector<LruList::iterator>> buckets_;
 };
 
 }  // namespace db::cluster

@@ -347,8 +347,6 @@ void InferenceServer::PublishMetrics(obs::MetricsRegistry& m) const {
              static_cast<double>(s.queue_depth_peak));
   m.SetGauge("serve.makespan_cycles", static_cast<double>(s.makespan_cycles));
   m.SetGauge("serve.replicas", static_cast<double>(options_.replicas));
-  m.SetGauge("serve.router",
-             static_cast<double>(static_cast<int>(options_.router)));
   for (int r = 0; r < s.replicas; ++r) {
     const auto i = static_cast<std::size_t>(r);
     m.SetGauge(StrFormat("serve.replica%d.busy_cycles", r),

@@ -12,16 +12,18 @@
 //     1. PlanServe — one single-threaded pass in simulated time over the
 //        whole arrival stream.  It decides admission (kReject /
 //        kShedOldest against queue_capacity), batching (Batcher: max
-//        batch + linger), health-masked routing (cluster::ShardRouter,
-//        ReplicaHealthMonitor, CircuitBreaker), the cluster faults (a
-//        route failure re-routes, a hang or a slow replica delays, a
-//        crash splits the batch and re-dispatches the rest), hedging,
-//        and every replica's timeline: datapath faults fired by
-//        invocation coordinate, stalls, deadline expiry, weight scrubs
-//        predicted from the weight bits the plan has toggled, retries
-//        with backoff, readmit scrubs and hedge-cancel occupancy.  The
-//        plan holds every ServedRequest field except `output`, plus one
-//        op list per replica.
+//        batch + linger), health-masked least-loaded routing (the
+//        earliest-free replica that ReplicaHealthMonitor and
+//        CircuitBreaker allow, ties to the lowest index; one server
+//        holds one model, as the board holds one accelerator), the
+//        cluster faults (a route failure re-routes, a hang or a slow
+//        replica delays, a crash splits the batch and re-dispatches the
+//        rest), hedging, and every replica's timeline: datapath faults
+//        fired by invocation coordinate, stalls, deadline expiry, weight
+//        scrubs predicted from the weight bits the plan has toggled,
+//        retries with backoff, readmit scrubs and hedge-cancel
+//        occupancy.  The plan holds every ServedRequest field except
+//        `output`, plus one op list per replica.
 //     2. ExecutePlan — one thread per replica replays that replica's op
 //        list in order (FlipBit; a weight checksum that scrubs on
 //        mismatch, and must mismatch exactly where the plan predicted a
@@ -56,7 +58,6 @@
 #include <vector>
 
 #include "cluster/health_monitor.h"
-#include "cluster/shard_router.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
@@ -102,10 +103,12 @@ constexpr const char* AdmissionPolicyName(AdmissionPolicy policy) {
 std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
                                 std::int64_t cap);
 
-/// The planner's retry backoff: attempt k of a transient failure is
-/// charged RetryBackoffCycles(kRetryBackoffCycles, k,
-/// kMaxRetryBackoffCycles) on top of the invocation cost, so huge
-/// retry counts can never overflow int64 cycle math.
+/// The planner's retry policy: at most kMaxRetries transient failures
+/// are retried per request; attempt k is charged the invocation cost
+/// plus RetryBackoffCycles(kRetryBackoffCycles, k,
+/// kMaxRetryBackoffCycles), so cycle math can never overflow int64.
+/// Exhaustion completes the request as StatusCode::kFaulted.
+constexpr int kMaxRetries = 3;
 constexpr std::int64_t kRetryBackoffCycles = 64;
 constexpr std::int64_t kMaxRetryBackoffCycles = std::int64_t{1} << 32;
 
@@ -113,14 +116,6 @@ struct ServeOptions {
   /// Number of simulated accelerator replicas, each with its own DRAM
   /// image (a copy-on-write mapping of the provisioned one).
   int replicas = 2;
-  /// How closed batches are spread across the replicas.  All three
-  /// policies are deterministic; kLeastLoaded reproduces the historical
-  /// earliest-free-datapath placement.
-  cluster::RouterPolicy router = cluster::RouterPolicy::kLeastLoaded;
-  /// Content hash pinning this server's model under kHashAffinity
-  /// (typically the DesignKey digest).  A single-model pool then keeps
-  /// one replica hot — the intended shard-per-model behaviour.
-  std::uint64_t affinity_hash = 0;
   std::int64_t max_batch_size = 4;
   std::int64_t linger_cycles = 0;
   /// Waiting requests (members of the still-open batch) at which
@@ -134,11 +129,6 @@ struct ServeOptions {
   std::int64_t deadline_cycles = 0;
   /// Seeded deterministic fault campaign (empty = fault-free serving).
   fault::FaultPlan faults;
-  /// Transient-failure retry policy: at most `max_retries` attempts are
-  /// retried per request, each charging the invocation cost plus the
-  /// saturating backoff (kRetryBackoffCycles << attempt); exhaustion
-  /// completes the request as StatusCode::kFaulted.
-  int max_retries = 3;
   /// Opt-in request hedging: when a batch's planned completion exceeds
   /// its ready cycle by more than this many cycles, the planner places
   /// a duplicate, starting at ready + hedge_after_cycles, on the other

@@ -41,11 +41,9 @@ class Planner {
         costs_(costs),
         count_(options.replicas),
         injector_(options.faults, count_),
-        router_(options.router, count_, options.affinity_hash),
         plan_(count_, options, costs.scrub_cycles),
         free_cycle_(static_cast<std::size_t>(count_), 0),
         state_(static_cast<std::size_t>(count_)) {
-    DB_CHECK_MSG(options.max_retries >= 0, "max_retries must be >= 0");
     DB_CHECK_MSG(options.hedge_after_cycles >= 0,
                  "hedge_after_cycles must be >= 0");
     DB_CHECK_MSG(options.deadline_cycles >= 0,
@@ -124,9 +122,8 @@ class Planner {
   const PlanCosts& costs_;
   const int count_;
   fault::FaultInjector injector_;
-  cluster::ShardRouter router_;
   ServePlan plan_;
-  std::vector<std::int64_t> free_cycle_;  // the router's view, per replica
+  std::vector<std::int64_t> free_cycle_;  // the dispatch-side view
   std::vector<Replica> state_;
   std::int64_t redispatch_batches_ = 0;  // fresh ids for remainders
 };
@@ -284,29 +281,33 @@ void Planner::Dispatch(Batch batch) {
   const auto size = static_cast<std::int64_t>(batch.requests.size());
   const auto count = static_cast<std::size_t>(count_);
 
-  // Health-masked routing with deterministic re-route on transient
-  // failures: every attempt excludes replicas already tried for this
-  // batch.  Liveness over purity — with the whole pool non-routable the
-  // batch still lands somewhere (a readmitting replica's free cycle
-  // already carries its down time).
+  // Health-masked least-loaded routing with deterministic re-route on
+  // transient failures: the earliest-free eligible replica wins (ties to
+  // the lowest index), and every attempt excludes replicas already tried
+  // for this batch.  Liveness over purity — with no healthy untried
+  // replica left, any untried one, then any at all, takes the batch (a
+  // readmitting replica's free cycle already carries its down time).
   std::vector<bool> attempted(count, false);
+  const auto earliest_free = [&](auto eligible) {
+    int best = -1;
+    for (int i = 0; i < count_; ++i)
+      if (eligible(i) &&
+          (best < 0 || free_cycle_[static_cast<std::size_t>(i)] <
+                           free_cycle_[static_cast<std::size_t>(best)]))
+        best = i;
+    return best;
+  };
+  const auto untried = [&](int i) {
+    return !attempted[static_cast<std::size_t>(i)];
+  };
   int r = -1;
   for (;;) {
-    std::vector<bool> routable(count);
-    bool any = false;
-    for (int i = 0; i < count_; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      routable[s] = !attempted[s] && plan_.monitor.Routable(i) &&
-                    plan_.breaker.Allows(i, ready);
-      any = any || routable[s];
-    }
-    if (!any) {
-      for (std::size_t i = 0; i < count; ++i) routable[i] = !attempted[i];
-      any = std::find(routable.begin(), routable.end(), true) !=
-            routable.end();
-    }
-    if (!any) routable.assign(count, true);
-    r = router_.Route(free_cycle_, routable);
+    r = earliest_free([&](int i) {
+      return untried(i) && plan_.monitor.Routable(i) &&
+             plan_.breaker.Allows(i, ready);
+    });
+    if (r < 0) r = earliest_free(untried);
+    if (r < 0) r = earliest_free([](int) { return true; });
     CrashSplit crash;
     if (!FireClusterEvents(r, size, ready, &crash)) {
       attempted[static_cast<std::size_t>(r)] = true;
@@ -502,7 +503,7 @@ void Planner::Serve(int r, const Batch& batch, const BatchWindow& window) {
     // each failed attempt occupied the datapath.
     const InvocationCost& cost = rep.warm ? costs_.steady : costs_.cold;
     int retries = 0;
-    while (failures > 0 && retries < options_.max_retries) {
+    while (failures > 0 && retries < kMaxRetries) {
       const std::int64_t backoff =
           RetryBackoffCycles(kRetryBackoffCycles, retries,
                              kMaxRetryBackoffCycles);

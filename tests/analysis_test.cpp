@@ -469,22 +469,22 @@ TEST(DesignCacheVerify, RejectsCorruptedButDecodableEntry) {
   // A fresh process (new cache, same directory) must treat the entry as
   // a miss — never serve the illegal design into an accelerator pool.
   cluster::DesignCache cold(options);
-  EXPECT_EQ(cold.Lookup(key), nullptr);
+  EXPECT_FALSE(cold.Lookup(key).has_value());
   EXPECT_EQ(metrics.CounterValue("cluster.cache.verify_reject"), 1);
   EXPECT_EQ(cold.stats().misses, 1);
   EXPECT_EQ(cold.stats().disk_hits, 0);
 
   // GetOrGenerate regenerates, and the replacement verifies clean.
-  const auto regenerated = cold.GetOrGenerate(key, net, constraint);
-  ASSERT_NE(regenerated, nullptr);
-  EXPECT_TRUE(analysis::VerifyDesign(net, *regenerated).ok());
+  const AcceleratorDesign regenerated =
+      cold.GetOrGenerate(key, net, constraint);
+  EXPECT_TRUE(analysis::VerifyDesign(net, regenerated).ok());
 
   // The rebuilt entry overwrote the corrupted file: another cold cache
   // now disk-hits without a rejection.
   obs::MetricsRegistry metrics2;
   options.metrics = &metrics2;
   cluster::DesignCache warm(options);
-  EXPECT_NE(warm.Lookup(key), nullptr);
+  EXPECT_TRUE(warm.Lookup(key).has_value());
   EXPECT_EQ(metrics2.CounterValue("cluster.cache.verify_reject"), 0);
   EXPECT_EQ(warm.stats().disk_hits, 1);
 

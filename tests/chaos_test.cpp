@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cluster/health_monitor.h"
-#include "cluster/shard_router.h"
 #include "core/generator.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -30,7 +29,6 @@ using cluster::CircuitBreaker;
 using cluster::ParseBreakerSpec;
 using cluster::ReplicaHealth;
 using cluster::ReplicaHealthMonitor;
-using cluster::ShardRouter;
 using serve::InferenceServer;
 using serve::ServedRequest;
 using serve::ServeOptions;
@@ -240,30 +238,6 @@ TEST(Breaker, ParseSpecRoundTripsAndRejectsBogusInput) {
 }
 
 // ---------------------------------------------------------------------
-// Health-masked routing
-
-TEST(MaskedRouter, LeastLoadedPicksEarliestRoutable) {
-  ShardRouter router(cluster::RouterPolicy::kLeastLoaded, 3);
-  const std::vector<std::int64_t> free = {10, 5, 7};
-  EXPECT_EQ(router.Route(free, {true, false, true}), 2);
-  EXPECT_EQ(router.Route(free, {true, true, true}), 1);
-}
-
-TEST(MaskedRouter, RoundRobinScansForwardFromItsAnchor) {
-  ShardRouter router(cluster::RouterPolicy::kRoundRobin, 3);
-  const std::vector<std::int64_t> free = {0, 0, 0};
-  EXPECT_EQ(router.Route(free, {false, true, true}), 1);  // anchor 0 -> 1
-  EXPECT_EQ(router.Route(free, {true, false, true}), 2);  // anchor 1 -> 2
-  EXPECT_EQ(router.Route(free, {true, false, true}), 2);  // anchor 2
-}
-
-TEST(MaskedRouter, FallsBackToFullPoolWhenNothingRoutable) {
-  ShardRouter router(cluster::RouterPolicy::kLeastLoaded, 3);
-  const std::vector<std::int64_t> free = {10, 5, 7};
-  EXPECT_EQ(router.Route(free, {false, false, false}), 1);
-}
-
-// ---------------------------------------------------------------------
 // Cluster fault planning and the injector split
 
 TEST(ClusterFaultPlan, ParseGenerateAndSplit) {
@@ -376,7 +350,6 @@ TEST(ChaosServer, HedgingBoundsSlowReplicaTailLatency) {
                  std::int64_t hedge_after) {
     ServeOptions options;
     options.replicas = 4;
-    options.router = cluster::RouterPolicy::kRoundRobin;
     options.max_batch_size = 1;
     options.faults = faults;
     options.hedge_after_cycles = hedge_after;
@@ -451,6 +424,93 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
   EXPECT_EQ(stats.breaker_opens, 1);
 }
 
+/// Synthetic invocation costs: a cold invocation costs 100 cycles, a
+/// warm one 60.
+serve::PlanCosts SyntheticCosts() {
+  serve::PlanCosts costs;
+  costs.cold = {.cycles = 100, .dram_bytes = 10, .joules = 1.0};
+  costs.steady = {.cycles = 60, .dram_bytes = 5, .joules = 0.5};
+  return costs;
+}
+
+/// Plan one request per entry of `arrivals` (its arrival cycle) on
+/// SyntheticCosts().
+serve::ServePlan PlanSynthetic(const ServeOptions& options,
+                               const std::vector<std::int64_t>& arrivals) {
+  std::vector<serve::RequestArrival> requests(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    requests[i].arrival_cycle = arrivals[i];
+  return serve::PlanServe(requests, options, SyntheticCosts());
+}
+
+std::vector<int> Replicas(const serve::ServePlan& plan) {
+  std::vector<int> replicas;
+  for (const ServedRequest& r : plan.requests) replicas.push_back(r.replica);
+  return replicas;
+}
+
+// Least-loaded placement: each batch goes to the replica whose datapath
+// frees earliest in simulated time, ties to the lowest index.
+TEST(ChaosPlan, EarliestFreeReplicaWinsTiesToLowestIndex) {
+  ServeOptions options;
+  options.replicas = 3;
+  options.max_batch_size = 1;
+  // Replica free cycles at each arrival (r0, r1, r2):
+  //   0: (0, 0, 0) tie -> 0     50: (100, 0, 0) tie -> 1
+  //  60: (100, 150, 0) -> 2     70: (100, 150, 160) -> 0
+  //  80: (160, 150, 160) -> 1   90: (160, 210, 160) tie -> 0
+  const serve::ServePlan plan =
+      PlanSynthetic(options, {0, 50, 60, 70, 80, 90});
+  EXPECT_EQ(Replicas(plan), (std::vector<int>{0, 1, 2, 0, 1, 0}));
+}
+
+// A route failure re-routes its batch, and never back to a replica that
+// already failed a route for it; the next batch may use it again.
+TEST(ChaosPlan, RouteFailureSkipsTheFailedReplicaForThisBatch) {
+  ServeOptions options;
+  options.replicas = 3;
+  options.max_batch_size = 1;
+  for (int replica : {0, 1}) {
+    fault::FaultEvent event;
+    event.kind = fault::FaultKind::kRouteFail;
+    event.replica = replica;
+    event.invocation = 0;
+    options.faults.events.push_back(event);
+  }
+  const serve::ServePlan plan = PlanSynthetic(options, {0, 1000});
+  EXPECT_EQ(plan.stats.route_failures, 2);
+  // Request 0: replica 0 fails, replica 1 fails, replica 2 serves it.
+  // Request 1: every replica is free again, and the tie goes to 0.
+  EXPECT_EQ(Replicas(plan), (std::vector<int>{2, 0}));
+  for (const ServedRequest& r : plan.requests)
+    EXPECT_EQ(r.status, StatusCode::kOk);
+}
+
+// With every breaker open the pool has nothing routable, and each batch
+// still lands: first on a replica it has not failed on, then anywhere.
+TEST(ChaosPlan, BatchLandsWhenNothingIsRoutable) {
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 1;
+  options.breaker = ParseBreakerSpec("failures=1,cooldown=100000");
+  for (int replica : {0, 1}) {
+    fault::FaultEvent event;
+    event.kind = fault::FaultKind::kRouteFail;
+    event.replica = replica;
+    event.invocation = 0;
+    options.faults.events.push_back(event);
+  }
+  const serve::ServePlan plan = PlanSynthetic(options, {0, 10});
+  EXPECT_EQ(plan.stats.route_failures, 2);
+  EXPECT_EQ(plan.breaker.opens(), 2);
+  // Request 0 failed on both replicas and falls back to the whole pool
+  // (the earliest free, replica 0); request 1 finds both breakers open
+  // and takes the earliest-free replica, 1.
+  EXPECT_EQ(Replicas(plan), (std::vector<int>{0, 1}));
+  for (const ServedRequest& r : plan.requests)
+    EXPECT_EQ(r.status, StatusCode::kOk);
+}
+
 // A route failure never reaches the replica, so it is the breaker's
 // signal alone: without a breaker the replica stays in rotation.  (It
 // used to be parked at kSuspect, which only a dispatch it could no
@@ -507,9 +567,7 @@ TEST(ChaosPlan, FaultedStreamStaysBalancedAndEveryHedgeWins) {
 // slow window: each cancelled primary counts against it, so after
 // `slow_services` cancellations the replica serves at normal cost.
 TEST(ChaosPlan, HedgedAwayBatchesWearOffASlowWindow) {
-  serve::PlanCosts costs;
-  costs.cold = {.cycles = 100, .dram_bytes = 10, .joules = 1.0};
-  costs.steady = {.cycles = 60, .dram_bytes = 5, .joules = 0.5};
+  const serve::PlanCosts costs = SyntheticCosts();
   ServeOptions options;
   options.replicas = 2;
   options.max_batch_size = 1;
@@ -552,9 +610,14 @@ TEST(ChaosPlan, HedgedAwayBatchesWearOffASlowWindow) {
 }
 
 // The acceptance campaign: >= 4 replicas, mixed cluster + datapath
-// faults, hedging and breaker on — zero lost requests, kOk outputs
+// faults, hedging (after three steady invocations, inside the batch
+// window of this saturated stream) and a breaker that opens on the first
+// dispatch failure — both fire, zero lost requests, kOk outputs
 // bit-identical to fault-free, metrics/trace/time-series byte-stable
-// across reruns.
+// across reruns.  The breaker's cooldown is about one steady invocation:
+// the default 16384 cycles would keep three of the four replicas closed
+// to routing for the whole arrival window, with no replica left to hedge
+// onto.
 TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
   Fixture f;
   const int kRequests = 48;
@@ -573,6 +636,7 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
   spec.workers = kReplicas;
   const fault::FaultPlan plan =
       fault::FaultPlan::Generate(spec, f.design.memory_map);
+  const std::int64_t hedge_after = 3 * f.Costs().steady.cycles;
 
   struct Run {
     std::vector<ServedRequest> records;
@@ -589,8 +653,8 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
     options.replicas = kReplicas;
     options.max_batch_size = 2;
     options.faults = faults;
-    options.hedge_after_cycles = 1 << 16;
-    options.breaker.enabled = true;
+    options.hedge_after_cycles = hedge_after;
+    options.breaker = ParseBreakerSpec("failures=1,cooldown=2048");
     options.tracer = &tracer;
     options.metrics = &metrics;
     options.timeseries = &timeseries;
@@ -630,6 +694,8 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
   EXPECT_GE(first.stats.crashes + first.stats.hangs +
                 first.stats.slow_faults + first.stats.route_failures,
             1);
+  EXPECT_GE(first.stats.hedges, 1);
+  EXPECT_GE(first.stats.breaker_opens, 1);
 
   // Byte-stable exports across identical reruns.
   EXPECT_EQ(first.trace, second.trace);

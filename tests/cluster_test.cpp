@@ -1,7 +1,8 @@
-// Tests for src/cluster and replication: the ShardRouter policies,
-// ReplicateSystem's copy-on-write replica images, and the content-addressed
-// DesignCache with its on-disk entries (canonical text, the nine sized
-// config fields, a checksum) and the disk-hit rebuild.
+// Tests for src/cluster and replication: ReplicateSystem's copy-on-write
+// replica images, and the content-addressed DesignCache with its on-disk
+// entries (canonical text, the nine sized config fields, a checksum) and
+// the disk-hit rebuild.  Least-loaded routing is the planner's and is
+// tested through PlanServe in chaos_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "analysis/rtl_verifier.h"
 #include "cluster/design_cache.h"
-#include "cluster/shard_router.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "core/design_json.h"
@@ -35,47 +35,6 @@ namespace {
 using cluster::DesignCache;
 using cluster::DesignKey;
 using cluster::MakeDesignKey;
-using cluster::RouterPolicy;
-using cluster::ShardRouter;
-
-// ---------------------------------------------------------------- router
-
-TEST(ShardRouter, PolicyNamesRoundTrip) {
-  for (RouterPolicy policy :
-       {RouterPolicy::kRoundRobin, RouterPolicy::kLeastLoaded,
-        RouterPolicy::kHashAffinity})
-    EXPECT_EQ(cluster::ParseRouterPolicy(cluster::RouterPolicyName(policy)),
-              policy);
-  EXPECT_THROW(cluster::ParseRouterPolicy("bogus"), Error);
-}
-
-TEST(ShardRouter, RoundRobinCyclesThroughReplicas) {
-  ShardRouter router(RouterPolicy::kRoundRobin, 3);
-  const std::vector<std::int64_t> free_cycle{100, 0, 50};
-  for (int expect : {0, 1, 2, 0, 1, 2, 0})
-    EXPECT_EQ(router.Route(free_cycle), expect);  // load is ignored
-}
-
-TEST(ShardRouter, LeastLoadedPicksEarliestFreeLowestIndex) {
-  ShardRouter router(RouterPolicy::kLeastLoaded, 4);
-  EXPECT_EQ(router.Route(std::vector<std::int64_t>{40, 10, 30, 20}), 1);
-  // Ties break towards the lowest index, so placement is deterministic.
-  EXPECT_EQ(router.Route(std::vector<std::int64_t>{10, 10, 10, 10}), 0);
-  EXPECT_EQ(router.Route(std::vector<std::int64_t>{50, 20, 20, 90}), 1);
-}
-
-TEST(ShardRouter, HashAffinityPinsOneReplica) {
-  ShardRouter router(RouterPolicy::kHashAffinity, 4, /*affinity_hash=*/7);
-  const std::vector<std::int64_t> free_cycle{0, 0, 0, 0};
-  for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(router.Route(free_cycle), 3);  // 7 % 4, regardless of load
-}
-
-TEST(ShardRouter, RejectsMismatchedFreeCycleVector) {
-  ShardRouter router(RouterPolicy::kLeastLoaded, 2);
-  EXPECT_THROW(router.Route(std::vector<std::int64_t>{0, 0, 0}),
-               std::logic_error);
-}
 
 // ------------------------------------------------------------ replicas
 
@@ -237,81 +196,72 @@ TEST(DesignCache, KeySeparatesNetworkAndConstraint) {
 
 TEST(DesignCache, HitSkipsTheGenerator) {
   GeneratedFixture& fx = Fixture();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_hit";
+  std::filesystem::remove_all(dir);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   DesignCache::Options options;
+  options.directory = dir.string();
   options.tracer = &tracer;
   options.metrics = &metrics;
-  DesignCache cache(options);
   const DesignKey key = MakeDesignKey(fx.def, fx.constraint);
 
-  const auto first = cache.GetOrGenerate(key, fx.net, fx.constraint,
+  const AcceleratorDesign first =
+      DesignCache(options).GetOrGenerate(key, fx.net, fx.constraint,
                                          &tracer);
   const std::int64_t toolchain_end = tracer.TrackEnd("toolchain");
   EXPECT_GT(toolchain_end, 0);  // the miss ran the generator phases
   EXPECT_EQ(metrics.CounterValue("cluster.cache.miss"), 1);
 
-  const auto second = cache.GetOrGenerate(key, fx.net, fx.constraint,
-                                          &tracer);
-  // Same immutable object, and not a single new toolchain span: the
-  // generator did not run again.
-  EXPECT_EQ(first.get(), second.get());
+  // A second cache over the warm directory (a new process, as far as
+  // the cache can tell) rebuilds the same design without a single new
+  // toolchain span: the generator did not run again.
+  const AcceleratorDesign second =
+      DesignCache(options).GetOrGenerate(key, fx.net, fx.constraint,
+                                         &tracer);
+  EXPECT_EQ(DesignToJson(first), DesignToJson(second));
   EXPECT_EQ(tracer.TrackEnd("toolchain"), toolchain_end);
-  EXPECT_EQ(metrics.CounterValue("cluster.cache.hit"), 1);
+  EXPECT_EQ(metrics.CounterValue("cluster.cache.disk_hit"), 1);
 
   // The lookup outcomes are spans on the "cluster" track.
   int cluster_spans = 0;
   for (const obs::Span& span : tracer.Sorted())
     if (span.track == "cluster") ++cluster_spans;
-  EXPECT_EQ(cluster_spans, 2);  // one miss + one hit
+  EXPECT_EQ(cluster_spans, 2);  // one miss + one disk hit
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DesignCache, ForgedHashCollisionIsRejectedByFullCompare) {
   GeneratedFixture& fx = Fixture();
-  DesignCache cache;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "db_design_cache_forged";
+  std::filesystem::remove_all(dir);
+  DesignCache::Options options;
+  options.directory = dir.string();
+  DesignCache cache(options);
   const DesignKey real = MakeDesignKey(fx.def, fx.constraint);
   cache.Insert(real, fx.design);
 
-  // Same digest, different canonical content: the bucket matches but
-  // the full-key compare must refuse to alias.
+  // Same digest, different canonical content: both keys name one entry
+  // file, and the full-key compare must refuse to alias.
   DesignKey forged;
   forged.hash = real.hash;
   forged.canonical = real.canonical + "\n# not the same network\n";
-  EXPECT_EQ(cache.Lookup(forged), nullptr);
+  EXPECT_FALSE(cache.Lookup(forged).has_value());
   EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_TRUE(cache.Lookup(real).has_value());
 
-  // Both keys coexist in the bucket without clobbering each other.
+  // Inserting the forged key overwrites the shared file: the real key's
+  // lookup is then a miss, never the forged key's design.
   cache.Insert(forged, fx.design);
-  EXPECT_NE(cache.Lookup(real), nullptr);
-  EXPECT_NE(cache.Lookup(forged), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(DesignCache, LruEvictsTheColdestEntry) {
-  GeneratedFixture& fx = Fixture();
-  DesignCache::Options options;
-  options.capacity = 2;
-  DesignCache cache(options);
-
-  auto forge = [](std::uint64_t hash, const char* canonical) {
-    DesignKey key;
-    key.hash = hash;
-    key.canonical = canonical;
-    return key;
-  };
-  const DesignKey k1 = forge(1, "one");
-  const DesignKey k2 = forge(2, "two");
-  const DesignKey k3 = forge(3, "three");
-  const auto d1 = cache.Insert(k1, fx.design);
-  cache.Insert(k2, fx.design);
-  EXPECT_NE(cache.Lookup(k1), nullptr);  // refresh k1: k2 is now coldest
-  cache.Insert(k3, fx.design);           // evicts k2
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_NE(cache.Lookup(k1), nullptr);
-  EXPECT_EQ(cache.Lookup(k2), nullptr);
-  EXPECT_NE(cache.Lookup(k3), nullptr);
-  // Eviction never invalidates a handle a caller still holds.
-  EXPECT_GT(DesignToJson(*d1).size(), 0u);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  EXPECT_FALSE(cache.Lookup(real).has_value());
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().disk_hits, 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DesignCache, DiskPersistenceSurvivesANewCacheInstance) {
@@ -335,8 +285,8 @@ TEST(DesignCache, DiskPersistenceSurvivesANewCacheInstance) {
   DesignCache::Options options;
   options.directory = dir.string();
   DesignCache cache(options);
-  const auto loaded = cache.Lookup(key);
-  ASSERT_NE(loaded, nullptr);
+  const std::optional<AcceleratorDesign> loaded = cache.Lookup(key);
+  ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(cache.stats().disk_hits, 1);
   EXPECT_EQ(cache.stats().misses, 0);
   EXPECT_EQ(DesignToJson(*loaded), DesignToJson(fx.design));
@@ -378,7 +328,7 @@ std::string ResealedWith(const std::string& entry, const std::string& field,
 /// Persist `key`'s design through one cache, then look it up in a fresh
 /// cache over the same directory (a new process, as far as the cache
 /// can tell).
-std::shared_ptr<const AcceleratorDesign> DiskHit(
+std::optional<AcceleratorDesign> DiskHit(
     const std::filesystem::path& dir, const DesignKey& key,
     const AcceleratorDesign& design) {
   std::filesystem::remove_all(dir);
@@ -386,7 +336,7 @@ std::shared_ptr<const AcceleratorDesign> DiskHit(
   options.directory = dir.string();
   DesignCache(options).Insert(key, design);
   DesignCache cold(options);
-  auto hit = cold.Lookup(key);
+  std::optional<AcceleratorDesign> hit = cold.Lookup(key);
   EXPECT_EQ(cold.stats().disk_hits, 1);
   return hit;
 }
@@ -406,7 +356,7 @@ TEST(DesignCache, DiskHitRebuildsTheGeneratedDesign) {
       const AcceleratorDesign design = GenerateAccelerator(net, constraint);
       const auto hit =
           DiskHit(dir, MakeDesignKey(def, constraint), design);
-      ASSERT_NE(hit, nullptr);
+      ASSERT_TRUE(hit.has_value());
       EXPECT_EQ(DesignToJson(*hit), DesignToJson(design));
       EXPECT_EQ(EmitVerilog(hit->rtl), EmitVerilog(design.rtl));
     }
@@ -425,7 +375,7 @@ TEST(DesignCache, DiskHitRebuildsTheGeneratedDesign) {
   const auto hit = DiskHit(
       dir, dse::MakeTuneKey(def, constraint, tune.sweep, tune.objective),
       winner);
-  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(DesignToJson(*hit), DesignToJson(winner));
   EXPECT_EQ(EmitVerilog(hit->rtl), EmitVerilog(winner.rtl));
   std::filesystem::remove_all(dir);
@@ -437,7 +387,7 @@ TEST(DesignCache, DiskHitDesignSimulatesBitIdentically) {
       std::filesystem::temp_directory_path() / "db_design_cache_sim";
   const auto hit =
       DiskHit(dir, MakeDesignKey(fx.def, fx.constraint), fx.design);
-  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit.has_value());
   Rng rng(2016);
   const WeightStore weights = WeightStore::CreateRandom(fx.net, rng);
   MemoryImage image_a = BuildHostImage(fx.net, fx.design, weights);
@@ -468,7 +418,7 @@ TEST(DesignCache, KeyKeepsEveryDigitOfAFractionalField) {
       std::filesystem::temp_directory_path() / "db_design_cache_digits";
   const AcceleratorDesign design = GenerateAccelerator(fx.net, a);
   const auto hit = DiskHit(dir, MakeDesignKey(fx.def, a), design);
-  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(DesignToJson(*hit), DesignToJson(design));
   std::filesystem::remove_all(dir);
 }
@@ -496,7 +446,7 @@ TEST(DesignCache, EveryBitFlipAndTruncationIsAMiss) {
 
   auto served = [&](const std::string& corrupt) {
     WriteBytes(entry, corrupt);
-    return DesignCache(options).Lookup(key) != nullptr;
+    return DesignCache(options).Lookup(key).has_value();
   };
   int served_flips = 0;
   for (std::size_t i = 0; i < bytes.size(); ++i)
@@ -520,7 +470,7 @@ TEST(DesignCache, EveryBitFlipAndTruncationIsAMiss) {
   EXPECT_EQ(rebuild.stats().disk_writes, 1);
   EXPECT_EQ(ReadBytes(entry), bytes);
   DesignCache warm(options);
-  EXPECT_NE(warm.Lookup(key), nullptr);
+  EXPECT_TRUE(warm.Lookup(key).has_value());
   EXPECT_EQ(warm.stats().disk_hits, 1);
   std::filesystem::remove_all(dir);
 }
@@ -547,7 +497,8 @@ TEST(DesignCache, OutOfRangeSizedFieldIsAMiss) {
     for (std::int64_t value : {row.lo - 1, row.hi + 1}) {
       WriteBytes(entry, ResealedWith(bytes, row.key, value));
       DesignCache cache(options);
-      EXPECT_EQ(cache.Lookup(key), nullptr) << row.key << "=" << value;
+      EXPECT_FALSE(cache.Lookup(key).has_value())
+          << row.key << "=" << value;
       EXPECT_EQ(cache.stats().misses, 1);
     }
     for (std::int64_t value : {row.lo, row.hi}) {
@@ -558,7 +509,7 @@ TEST(DesignCache, OutOfRangeSizedFieldIsAMiss) {
   }
   // The untouched entry still loads: the resealing itself is sound.
   WriteBytes(entry, bytes);
-  EXPECT_NE(DesignCache(options).Lookup(key), nullptr);
+  EXPECT_TRUE(DesignCache(options).Lookup(key).has_value());
   std::filesystem::remove_all(dir);
 }
 

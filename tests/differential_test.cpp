@@ -25,7 +25,7 @@
 
 #include <cmath>
 #include <filesystem>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,14 +121,12 @@ TEST(Differential, RandomNetworksAgreeAcrossAllPaths) {
                             .string();
     std::filesystem::remove_all(options.directory);
     const cluster::DesignKey key = cluster::MakeDesignKey(def, constraint);
-    const std::shared_ptr<const AcceleratorDesign> design =
+    const AcceleratorDesign design =
         cluster::DesignCache(options).GetOrGenerate(key, net, constraint);
-    ASSERT_NE(design, nullptr);
     cluster::DesignCache cold(options);
-    const std::shared_ptr<const AcceleratorDesign> rebuilt =
-        cold.Lookup(key);
+    const std::optional<AcceleratorDesign> rebuilt = cold.Lookup(key);
     std::filesystem::remove_all(options.directory);
-    ASSERT_NE(rebuilt, nullptr);
+    ASSERT_TRUE(rebuilt.has_value());
     ASSERT_EQ(cold.stats().disk_hits, 1);
 
     Rng rng(seed * 1000 + 1);
@@ -141,22 +139,22 @@ TEST(Differential, RandomNetworksAgreeAcrossAllPaths) {
 
     // Path 2: bit-accurate functional simulation — original design and
     // the disk-hit design must agree BIT for bit.
-    FunctionalSimulator sim(net, *design, weights);
+    FunctionalSimulator sim(net, design, weights);
     const Tensor functional = sim.Run(input);
     FunctionalSimulator sim_rebuilt(net, *rebuilt, weights);
     EXPECT_EQ(functional.storage(), sim_rebuilt.Run(input).storage());
 
     // Path 3: the full DRAM-image round trip, again for both designs.
-    MemoryImage image_a = BuildHostImage(net, *design, weights);
+    MemoryImage image_a = BuildHostImage(net, design, weights);
     MemoryImage image_b = BuildHostImage(net, *rebuilt, weights);
     const Tensor system =
-        SystemContext(net, *design, image_a).Run(image_a, input).output;
+        SystemContext(net, design, image_a).Run(image_a, input).output;
     const Tensor system_rebuilt =
         SystemContext(net, *rebuilt, image_b).Run(image_b, input).output;
     EXPECT_EQ(system.storage(), system_rebuilt.storage());
 
     // Contract 2: image round trip within one extra output quantise.
-    const float resolution = design->config.format.resolution();
+    const float resolution = design.config.format.resolution();
     EXPECT_LE(MaxAbsDiff(system, functional), 2 * resolution);
 
     // Contract 3: fixed point tracks the golden within a quantization

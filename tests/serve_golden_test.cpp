@@ -178,7 +178,7 @@ const Scenario kScenarios[] = {
            o.linger_cycles = 5000;
          },
      .records = "644b327352b2faa8",
-     .metrics = "79845aa7e410ee51",
+     .metrics = "21bb7dfaccad5eca",
      .trace = "685ad42ad1b035ab",
      .timeseries = "d87629bc74bb49e9",
      .stats = "5520b679569e78f6"},
@@ -193,7 +193,7 @@ const Scenario kScenarios[] = {
            o.linger_cycles = 5000;
          },
      .records = "6329e25a5d880d14",
-     .metrics = "4bdb13b703226d68",
+     .metrics = "e51890d889e41d83",
      .trace = "cc71c1567e4bbc37",
      .timeseries = "4c08a070d60c67a8",
      .stats = "0b46bbdb4270dacf"},
@@ -210,7 +210,7 @@ const Scenario kScenarios[] = {
            o.admission = AdmissionPolicy::kReject;
          },
      .records = "5679721dfbd62433",
-     .metrics = "4a4701348a23dc68",
+     .metrics = "e0c4d57fff8e0e29",
      .trace = "8bac40642203ed91",
      .timeseries = "75a8c18deab9119f",
      .stats = "d33160a1fd53369a"},
@@ -235,7 +235,7 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "4e313514bdf4d135",
-     .metrics = "7af0cf4491a01c57",
+     .metrics = "1e181862fe5d4814",
      .trace = "497c0d624835f15b",
      .timeseries = "ce320da818909530",
      .stats = "cf73fdaa9b32f566"},
@@ -250,7 +250,7 @@ const Scenario kScenarios[] = {
            o.max_batch_size = 2;
          },
      .records = "db8b267c3fd3bd96",
-     .metrics = "eff74f4b4d3acd17",
+     .metrics = "7642f094c0e77d16",
      .trace = "15e63bb552676420",
      .timeseries = "2a1d92551c0cfb50",
      .stats = "c5843917b6b0e757"},
@@ -273,41 +273,10 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "4f71e02583ecccfe",
-     .metrics = "4462bf943cb1840a",
+     .metrics = "a0cfba77cb426295",
      .trace = "eaa66b6d77f672ff",
      .timeseries = "912684e54b36bdd9",
      .stats = "64a1c3d706b83f8f"},
-    {.name = "RoundRobinRouter",
-     .requests = 18,
-     .input_seed = 500,
-     .arrival_gap = 200,
-     .configure =
-         [](ServeOptions& o, const AcceleratorDesign&) {
-           o.replicas = 3;
-           o.max_batch_size = 2;
-           o.router = cluster::RouterPolicy::kRoundRobin;
-         },
-     .records = "755c0b261db64c61",
-     .metrics = "5ef9fd58067253fe",
-     .trace = "08fa342470fde6fb",
-     .timeseries = "d3881d498a57d315",
-     .stats = "af2c9016aea54959"},
-    {.name = "HashAffinityRouter",
-     .requests = 18,
-     .input_seed = 500,
-     .arrival_gap = 200,
-     .configure =
-         [](ServeOptions& o, const AcceleratorDesign&) {
-           o.replicas = 3;
-           o.max_batch_size = 2;
-           o.router = cluster::RouterPolicy::kHashAffinity;
-           o.affinity_hash = 0x5eedf00dull;
-         },
-     .records = "4753129f85b04861",
-     .metrics = "63f4c4fa0aaf73f4",
-     .trace = "a14b19a444407a56",
-     .timeseries = "3feacab2230c47ef",
-     .stats = "5789c4c3ec4d2486"},
     // The FaultCampaign.SurvivesBitFlipsTransientsAndStalls campaign.
     {.name = "FaultCampaign",
      .requests = 32,
@@ -327,12 +296,14 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "ebf617ff639bc711",
-     .metrics = "c73c1f4069e44108",
+     .metrics = "6eaa587d2dee6ffd",
      .trace = "f3c39d3fda051ce4",
      .timeseries = "56a1c72fee23b720",
      .stats = "f47ffb7a88820019"},
     // The ChaosServer.SeededCampaignIsLosslessAndByteStable campaign:
-    // crash, hang, slow, route failures, hedging and the breaker.
+    // crash, hang, slow, route failures, hedging after three steady
+    // inferences and a breaker that opens on the first failure for a
+    // cooldown of about one steady inference.
     {.name = "ChaosAcceptance",
      .requests = 48,
      .input_seed = 700,
@@ -341,8 +312,10 @@ const Scenario kScenarios[] = {
          [](ServeOptions& o, const AcceleratorDesign& design) {
            o.replicas = 4;
            o.max_batch_size = 2;
-           o.hedge_after_cycles = 1 << 16;
+           o.hedge_after_cycles = 3 * 1965;  // MNIST's steady cycles
            o.breaker.enabled = true;
+           o.breaker.failure_threshold = 1;
+           o.breaker.cooldown_cycles = 2048;
            fault::FaultCampaignSpec spec;
            spec.seed = 11;
            spec.crashes = 2;
@@ -355,14 +328,13 @@ const Scenario kScenarios[] = {
            spec.workers = 4;
            o.faults = Campaign(spec, design);
          },
-     .records = "3b18fb46c21e49ef",
-     .metrics = "050c49d8ae5fa2f7",
-     .trace = "eb911a42d1fdd905",
-     .timeseries = "8a2c98a93958c596",
-     .stats = "2f35d04d9abd9c86"},
+     .records = "ebb976e58e12749b",
+     .metrics = "cc9dfde5063bf4be",
+     .trace = "443bd7b730530316",
+     .timeseries = "d35d795214de1316",
+     .stats = "df6f046b57695d1d"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
-    // replica under round-robin routing, hedged after three steady
-    // inferences.
+    // replica, hedged after three steady inferences.
     {.name = "HedgedSlowReplica",
      .requests = 32,
      .input_seed = 600,
@@ -370,7 +342,6 @@ const Scenario kScenarios[] = {
      .configure =
          [](ServeOptions& o, const AcceleratorDesign&) {
            o.replicas = 4;
-           o.router = cluster::RouterPolicy::kRoundRobin;
            o.max_batch_size = 1;
            o.hedge_after_cycles = 3 * 1965;
            fault::FaultEvent slow;
@@ -382,11 +353,11 @@ const Scenario kScenarios[] = {
            o.faults.seed = 2;
            o.faults.events.push_back(slow);
          },
-     .records = "7dc0b8e5fde0924e",
-     .metrics = "3760d3be85bb886d",
-     .trace = "537bb0352b7a0050",
-     .timeseries = "4a4bd5184a6e05b4",
-     .stats = "35b6307aa05d97d9"},
+     .records = "704759384a43bd1e",
+     .metrics = "e0a8ddacc34906a0",
+     .trace = "de29a58127caf040",
+     .timeseries = "89623932f1d292a3",
+     .stats = "db80b883a56c795a"},
     // The ChaosServer.BreakerOpensUnderRepeatedRouteFailures run: three
     // route failures on the sole replica open its breaker.
     {.name = "BreakerOpens",
@@ -410,13 +381,13 @@ const Scenario kScenarios[] = {
            }
          },
      .records = "f478a03104612428",
-     .metrics = "9c5906acfdea5976",
+     .metrics = "67df9f5e6fbf9d9d",
      .trace = "cc4ae612dfb5848b",
      .timeseries = "4a07069947da2bcd",
      .stats = "5ce5d60b9f37968a"},
     // The CLI's wiring: serve.* and the per-invocation sim.* metrics in
-    // one registry, under a datapath campaign with blob flips and a
-    // retry budget small enough to fault requests.
+    // one registry, under a datapath campaign with blob flips and more
+    // transient failures on one invocation than kMaxRetries retries.
     {.name = "SimMetricsLikeTheCli",
      .requests = 32,
      .input_seed = 900,
@@ -426,7 +397,6 @@ const Scenario kScenarios[] = {
          [](ServeOptions& o, const AcceleratorDesign& design) {
            o.replicas = 2;
            o.max_batch_size = 4;
-           o.max_retries = 1;
            fault::FaultCampaignSpec spec;
            spec.seed = 7;
            spec.weight_flips = 40;
@@ -436,12 +406,19 @@ const Scenario kScenarios[] = {
            spec.invocation_span = 16;
            spec.workers = 2;
            o.faults = Campaign(spec, design);
+           for (int i = 0; i <= serve::kMaxRetries; ++i) {
+             fault::FaultEvent event;
+             event.kind = fault::FaultKind::kTransient;
+             event.replica = 0;
+             event.invocation = 2;
+             o.faults.events.push_back(event);
+           }
          },
-     .records = "93d22f1d4378fb56",
-     .metrics = "562e6104a826c752",
-     .trace = "641aa2e573de75a4",
-     .timeseries = "2dc5161475fe62ec",
-     .stats = "0da76e7c8b1711b5"},
+     .records = "85c3268394c52a63",
+     .metrics = "b7e6b229ff48fc3b",
+     .trace = "14266797e950f29b",
+     .timeseries = "b86788377a56fa37",
+     .stats = "6f399c43cf54d714"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -581,7 +581,6 @@ TEST(InferenceServer, TwoServersShareOneRegistry) {
     if (variant == 0) {
       options.replicas = 2;
       options.max_batch_size = 4;
-      options.max_retries = 1;
       fault::FaultCampaignSpec spec;
       spec.seed = 7;
       spec.weight_flips = 20;
@@ -591,6 +590,15 @@ TEST(InferenceServer, TwoServersShareOneRegistry) {
       spec.invocation_span = 8;
       spec.workers = 2;
       options.faults = fault::FaultPlan::Generate(spec, fx.design.memory_map);
+      // More transient failures on one invocation than kMaxRetries
+      // retries, so a request completes kFaulted.
+      for (int i = 0; i <= serve::kMaxRetries; ++i) {
+        fault::FaultEvent event;
+        event.kind = fault::FaultKind::kTransient;
+        event.replica = 1;
+        event.invocation = 1;
+        options.faults.events.push_back(event);
+      }
     } else {
       options.replicas = 3;
       options.max_batch_size = 2;
@@ -624,6 +632,7 @@ TEST(InferenceServer, TwoServersShareOneRegistry) {
             first.CounterValue("serve.completed") +
                 second.CounterValue("serve.completed"));
   EXPECT_GT(first.CounterValue("fault.injected.transient"), 0);
+  EXPECT_GT(first.CounterValue("serve.faulted"), 0);
   EXPECT_GT(second.CounterValue("serve.shed"), 0);
 }
 

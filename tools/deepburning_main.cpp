@@ -13,7 +13,7 @@
 // report:
 //
 //   deepburning serve --zoo MNIST --requests 64 --replicas 2 --batch 4
-//     [--router POLICY] [--design-cache <dir>] [--linger <cycles>]
+//     [--design-cache <dir>] [--linger <cycles>]
 //     [--arrival-gap <cycles>] [--constraint file]
 //
 // The `verify` subcommand generates the design for a model/constraint
@@ -78,7 +78,6 @@
 #include "analysis/testing_mutations.h"
 #include "analysis/verifier.h"
 #include "cluster/design_cache.h"
-#include "cluster/shard_router.h"
 #include "common/error.h"
 #include "common/strings.h"
 #include "core/generator.h"
@@ -145,7 +144,7 @@ constexpr char kServeUsage[] =
     R"(usage: deepburning serve (--zoo <name> | --model <model.prototxt>)
                          [--constraint <constraint.prototxt>]
                          [--requests N] [--replicas N] [--batch N]
-                         [--router POLICY] [--design-cache <dir>]
+                         [--design-cache <dir>]
                          [--linger CYCLES] [--arrival-gap CYCLES]
                          [--queue-capacity N] [--admission POLICY]
                          [--deadline-cycles CYCLES] [--faults <spec>]
@@ -163,9 +162,8 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
   --requests     number of requests to submit, in [1, 2^31-1] with
                  requests x (input bytes + 1 KiB) <= 1 GiB (default 64)
   --replicas     accelerator replicas, each with a private DRAM image and
-                 one executor thread, in [1, 64] (default 2)
-  --router       batch routing policy: least-loaded (default),
-                 round-robin, hash-affinity
+                 one executor thread, in [1, 64] (default 2); a closed
+                 batch goes to the earliest-free healthy replica
   --design-cache content-addressed cache directory for generator
                  output; a warm entry is rebuilt from its cached sizing
   --batch        max requests per batch, in [1, 2^63-1] (default 4)
@@ -496,7 +494,6 @@ int RunServe(int argc, char** argv) {
   std::int64_t arrival_gap = 0;
   std::string faults;          // fault-campaign spec, e.g. "seed=7,flips=100"
   std::string admission;       // block | reject | shed-oldest
-  std::string router;          // round-robin | least-loaded | hash-affinity
   std::string breaker;         // circuit-breaker spec, "failures=N,cooldown=M"
   std::string design_cache;    // content-addressed generator cache dir
   std::string trace_out;
@@ -516,7 +513,6 @@ int RunServe(int argc, char** argv) {
             kMaxInt64},
            {"--faults", &faults},
            {"--admission", &admission},
-           {"--router", &router},
            {"--breaker", &breaker},
            {"--design-cache", &design_cache},
            {"--trace-out", &trace_out},
@@ -534,7 +530,6 @@ int RunServe(int argc, char** argv) {
   // a typo fails fast.
   if (!admission.empty())
     server_opts.admission = ParseAdmissionPolicy(admission);
-  if (!router.empty()) server_opts.router = cluster::ParseRouterPolicy(router);
   if (!breaker.empty())
     server_opts.breaker = cluster::ParseBreakerSpec(breaker);
   fault::FaultCampaignSpec campaign;
@@ -561,24 +556,22 @@ int RunServe(int argc, char** argv) {
 
   // Content-addressed memoization of NN-Gen: a warm --design-cache
   // entry (same canonical network + constraint) is served without
-  // generation — no toolchain spans in the trace, a cluster.cache hit
-  // in the metrics.
+  // generation — no toolchain spans in the trace, a
+  // cluster.cache.disk_hit in the metrics.
   cluster::DesignCache::Options cache_opts;
   cache_opts.directory = design_cache;
   cache_opts.tracer = &tracer;
   cache_opts.metrics = &metrics;
   cluster::DesignCache cache(cache_opts);
   const cluster::DesignKey key = cluster::MakeDesignKey(m.def, m.constraint);
-  const std::shared_ptr<const AcceleratorDesign> design_ptr =
+  const AcceleratorDesign design =
       cache.GetOrGenerate(key, net, m.constraint, &tracer);
-  const AcceleratorDesign& design = *design_ptr;
 
   Rng rng(2016);
   WeightStore weights = WeightStore::CreateRandom(net, rng);
 
   obs::TimeSeriesRecorder timeseries;
   if (!timeseries_out.empty()) server_opts.timeseries = &timeseries;
-  server_opts.affinity_hash = key.hash;
   server_opts.device_name = m.constraint.device;
   server_opts.tracer = &tracer;
   server_opts.metrics = &metrics;
@@ -589,15 +582,14 @@ int RunServe(int argc, char** argv) {
   serve::InferenceServer server(net, design, weights, server_opts);
 
   std::printf(
-      "serving '%s': %lld requests, %d replicas (%s router), batch <= %lld, "
+      "serving '%s': %lld requests, %d replicas, batch <= %lld, "
       "linger %lld cycles, arrivals every %lld cycles\n",
       net.name().c_str(), static_cast<long long>(requests),
       server_opts.replicas,
-      cluster::RouterPolicyName(server_opts.router).c_str(),
       static_cast<long long>(server_opts.max_batch_size),
       static_cast<long long>(server_opts.linger_cycles),
       static_cast<long long>(arrival_gap));
-  if (cache.stats().hits + cache.stats().disk_hits > 0)
+  if (cache.stats().disk_hits > 0)
     std::printf("design cache: reused %s (no generation)\n",
                 cluster::DesignKeyHex(key).c_str());
   if (!server_opts.faults.empty())
@@ -781,9 +773,8 @@ int RunGenerate(int argc, char** argv) {
   cache_opts.metrics = &metrics;
   cluster::DesignCache cache(cache_opts);
   const cluster::DesignKey key = cluster::MakeDesignKey(m.def, m.constraint);
-  const std::shared_ptr<const AcceleratorDesign> design_ptr =
+  const AcceleratorDesign design =
       cache.GetOrGenerate(key, net, m.constraint, &tracer);
-  const AcceleratorDesign& design = *design_ptr;
   if (cache.stats().disk_hits > 0)
     std::printf("design cache: reused %s (no generation)\n",
                 cluster::DesignKeyHex(key).c_str());
