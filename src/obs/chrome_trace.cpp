@@ -35,14 +35,15 @@ std::string ArgsJson(const Span& span) {
 /// One emitted trace event with its deterministic sort key.  Async
 /// begins rank before ends at equal ts so a zero-length span still
 /// opens before it closes (pairs are matched by id, so order across
-/// different spans at one ts is free).
+/// different spans at one ts is free).  The rendered JSON breaks the
+/// remaining ties, so the bytes depend only on the set of spans, never
+/// on the order they were recorded in.
 struct Event {
   std::int64_t ts_ticks = 0;
   int kind_rank = 0;  // async-begin < complete < async-end at equal ts
   std::int64_t dur_ticks = 0;
   std::string track;
   std::string name;
-  std::int64_t id = 0;
   std::string json;
 };
 
@@ -73,7 +74,6 @@ std::string WriteChromeTrace(const Tracer& tracer, double frequency_mhz) {
       begin.dur_ticks = span.end - span.start;
       begin.track = span.track;
       begin.name = span.name;
-      begin.id = span.id;
       begin.json = StrFormat(
           "{\"ph\":\"b\",\"pid\":1,\"tid\":%d,\"id\":%lld,\"cat\":\"%s\","
           "\"name\":\"%s\",\"ts\":%s%s}",
@@ -97,7 +97,6 @@ std::string WriteChromeTrace(const Tracer& tracer, double frequency_mhz) {
       ev.dur_ticks = span.end - span.start;
       ev.track = span.track;
       ev.name = span.name;
-      ev.id = span.id;
       ev.json = StrFormat(
           "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"cat\":\"%s\","
           "\"name\":\"%s\",\"ts\":%s,\"dur\":%s%s}",
@@ -117,7 +116,7 @@ std::string WriteChromeTrace(const Tracer& tracer, double frequency_mhz) {
                 return a.dur_ticks > b.dur_ticks;  // parents before children
               if (a.track != b.track) return a.track < b.track;
               if (a.name != b.name) return a.name < b.name;
-              return a.id < b.id;
+              return a.json < b.json;
             });
 
   std::ostringstream os;

@@ -598,6 +598,28 @@ TEST(ChromeTrace, ByteStableAcrossRecordOrder) {
   EXPECT_EQ(build(false), build(true));
 }
 
+TEST(ChromeTrace, SpansDifferingOnlyInArgsAreByteStableAcrossRecordOrder) {
+  // Two bit flips on one replica in one cycle: same track, name, start
+  // and end; only the args tell them apart.
+  auto build = [](bool reversed) {
+    Tracer tracer;
+    std::vector<Span> spans(2);
+    for (int i = 0; i < 2; ++i) {
+      Span& s = spans[static_cast<std::size_t>(i)];
+      s.track = "serve/replica 0";
+      s.category = "fault";
+      s.name = "fault:bit_flip";
+      s.start = 300;
+      s.end = 300;
+      s.args.emplace_back("detail", std::to_string(4096 + i));
+    }
+    if (reversed) std::reverse(spans.begin(), spans.end());
+    for (Span& s : spans) tracer.Record(std::move(s));
+    return WriteChromeTrace(tracer, 150.0);
+  };
+  EXPECT_EQ(build(false), build(true));
+}
+
 TEST(ChromeTrace, ZeroLengthAsyncSpanOpensBeforeClosing) {
   // A request served the cycle it arrived has a zero-length queue span;
   // its begin event must still precede its end event.

@@ -236,7 +236,7 @@ const Scenario kScenarios[] = {
          },
      .records = "4e313514bdf4d135",
      .metrics = "1e181862fe5d4814",
-     .trace = "497c0d624835f15b",
+     .trace = "4e5910ab404b1e2b",
      .timeseries = "ce320da818909530",
      .stats = "cf73fdaa9b32f566"},
     {.name = "ExplicitDeadlines",
@@ -297,7 +297,7 @@ const Scenario kScenarios[] = {
          },
      .records = "ebf617ff639bc711",
      .metrics = "6eaa587d2dee6ffd",
-     .trace = "f3c39d3fda051ce4",
+     .trace = "6b27cd1c20ee4daa",
      .timeseries = "56a1c72fee23b720",
      .stats = "f47ffb7a88820019"},
     // The ChaosServer.SeededCampaignIsLosslessAndByteStable campaign:
@@ -330,7 +330,7 @@ const Scenario kScenarios[] = {
          },
      .records = "ebb976e58e12749b",
      .metrics = "cc9dfde5063bf4be",
-     .trace = "443bd7b730530316",
+     .trace = "04f8d4e00d6b5e7c",
      .timeseries = "d35d795214de1316",
      .stats = "df6f046b57695d1d"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
@@ -416,7 +416,7 @@ const Scenario kScenarios[] = {
          },
      .records = "85c3268394c52a63",
      .metrics = "b7e6b229ff48fc3b",
-     .trace = "14266797e950f29b",
+     .trace = "6653d8a7b7bbc9bb",
      .timeseries = "b86788377a56fa37",
      .stats = "6f399c43cf54d714"},
 };
