@@ -8,131 +8,107 @@
 
 namespace db::cluster {
 
-ReplicaHealthMonitor::ReplicaHealthMonitor(int replicas,
-                                           std::int64_t readmit_scrub_cycles)
-    : readmit_scrub_cycles_(readmit_scrub_cycles) {
-  DB_CHECK_MSG(replicas >= 1, "health monitor needs at least one replica");
-  DB_CHECK_MSG(readmit_scrub_cycles_ >= 0,
-               "readmit scrub charge must be >= 0 cycles");
-  states_.resize(static_cast<std::size_t>(replicas));
-}
+namespace {
 
-void ReplicaHealthMonitor::Transition(int replica, std::int64_t cycle,
-                                      ReplicaHealth to, const char* cause) {
-  State& state = states_[static_cast<std::size_t>(replica)];
-  if (state.health == to) return;
-  transitions_.push_back(
-      HealthTransition{replica, cycle, state.health, to, cause});
-  state.health = to;
-}
+/// A transition one outage schedules, before same-state ones drop.
+struct Scheduled {
+  std::int64_t cycle = 0;
+  ReplicaHealth to = ReplicaHealth::kHealthy;
+  const char* cause = "";
+};
 
-void ReplicaHealthMonitor::Schedule(State& state, std::int64_t cycle,
-                                    ReplicaHealth to, const char* cause) {
-  // Insert keeping the pending list sorted by cycle (stable for ties,
-  // so the kDown -> kRecovering -> kHealthy chain applies in order even
-  // with a zero-length window between two links).
-  Pending pending{cycle, to, cause};
+/// Insert keeping `schedule` sorted by cycle, stable for ties, so the
+/// kDown -> kRecovering -> kHealthy chain stays in order even with a
+/// zero-length window between two links.
+void Schedule(std::vector<Scheduled>& schedule, std::int64_t cycle,
+              ReplicaHealth to, const char* cause) {
   auto it = std::upper_bound(
-      state.pending.begin(), state.pending.end(), cycle,
-      [](std::int64_t c, const Pending& p) { return c < p.cycle; });
-  state.pending.insert(it, pending);
+      schedule.begin(), schedule.end(), cycle,
+      [](std::int64_t c, const Scheduled& s) { return c < s.cycle; });
+  schedule.insert(it, Scheduled{cycle, to, cause});
 }
 
-void ReplicaHealthMonitor::ScheduleReadmission(State& state,
-                                               std::int64_t down_until,
-                                               const char* cause) {
-  Schedule(state, down_until, ReplicaHealth::kRecovering, cause);
-  Schedule(state, down_until + readmit_scrub_cycles_,
-           ReplicaHealth::kHealthy, "scrub");
-}
-
-void ReplicaHealthMonitor::AdvanceTo(std::int64_t cycle) {
-  clock_ = std::max(clock_, cycle);
-  for (int r = 0; r < replicas(); ++r) {
-    State& state = states_[static_cast<std::size_t>(r)];
-    while (!state.pending.empty() &&
-           state.pending.front().cycle <= clock_) {
-      const Pending pending = state.pending.front();
-      state.pending.erase(state.pending.begin());
-      Transition(r, pending.cycle, pending.to, pending.cause);
-    }
-  }
-}
-
-void ReplicaHealthMonitor::Flush() {
-  for (int r = 0; r < replicas(); ++r) {
-    State& state = states_[static_cast<std::size_t>(r)];
-    while (!state.pending.empty()) {
-      const Pending pending = state.pending.front();
-      state.pending.erase(state.pending.begin());
-      Transition(r, pending.cycle, pending.to, pending.cause);
-    }
-  }
-}
-
-void ReplicaHealthMonitor::ReportCrash(int replica, std::int64_t cycle,
-                                       std::int64_t down_cycles) {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  DB_CHECK_MSG(down_cycles >= 1, "crash needs a positive down window");
-  State& state = states_[static_cast<std::size_t>(replica)];
-  // Record scheduled transitions that precede the crash, then let the
-  // crash supersede the rest of the plan (a dead replica's hang
-  // recovery never happens).
-  while (!state.pending.empty() && state.pending.front().cycle <= cycle) {
-    const Pending pending = state.pending.front();
-    state.pending.erase(state.pending.begin());
-    Transition(replica, pending.cycle, pending.to, pending.cause);
-  }
-  state.pending.clear();
-  Transition(replica, cycle, ReplicaHealth::kDown, "crash");
-  ScheduleReadmission(state, cycle + down_cycles, "crash");
-}
-
-void ReplicaHealthMonitor::ReportUnresponsive(int replica,
-                                              std::int64_t from,
-                                              std::int64_t until) {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  DB_CHECK_MSG(until > from, "unresponsive window must be non-empty");
-  State& state = states_[static_cast<std::size_t>(replica)];
+/// What one hang over [from, until) schedules: missed heartbeats on the
+/// grid inside the window, recovery at the first heartbeat at or after
+/// its end.
+void ScheduleHang(std::vector<Scheduled>& schedule, std::int64_t from,
+                  std::int64_t until, std::int64_t readmit_scrub_cycles) {
   const std::int64_t hb = kHeartbeatIntervalCycles;
-  // Heartbeats tick on multiples of the interval; the first one the
-  // hang can miss is the first tick strictly after `from`.
-  std::int64_t tick = (from / hb + 1) * hb;
+  // The first tick the hang can miss is the first strictly after `from`.
   int misses = 0;
   bool went_down = false;
-  for (; tick < until; tick += hb) {
+  for (std::int64_t tick = (from / hb + 1) * hb; tick < until; tick += hb) {
     ++misses;
     if (misses == kSuspectAfterMisses)
-      Schedule(state, tick, ReplicaHealth::kSuspect, "hang");
+      Schedule(schedule, tick, ReplicaHealth::kSuspect, "hang");
     if (misses == kDownAfterMisses) {
-      Schedule(state, tick, ReplicaHealth::kDown, "hang");
+      Schedule(schedule, tick, ReplicaHealth::kDown, "hang");
       went_down = true;
       break;
     }
   }
   if (misses == 0) return;  // shorter than one heartbeat: unobserved
-  // Recovery is observed at the first heartbeat at or after the window
-  // ends; a replica that went down pays the scrub-and-readmit pass.
   const std::int64_t recovered = ((until + hb - 1) / hb) * hb;
-  if (went_down)
-    ScheduleReadmission(state, recovered, "heartbeat");
-  else
-    Schedule(state, recovered, ReplicaHealth::kHealthy, "heartbeat");
-}
-
-ReplicaHealth ReplicaHealthMonitor::state(int replica) const {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  return states_[static_cast<std::size_t>(replica)].health;
-}
-
-ReplicaHealth ReplicaHealthMonitor::StateAt(int replica,
-                                            std::int64_t cycle) const {
-  DB_CHECK(replica >= 0 && replica < replicas());
-  ReplicaHealth health = ReplicaHealth::kHealthy;
-  for (const HealthTransition& t : transitions_) {
-    if (t.replica != replica || t.cycle > cycle) continue;
-    health = t.to;
+  if (!went_down) {
+    Schedule(schedule, recovered, ReplicaHealth::kHealthy, "heartbeat");
+    return;
   }
+  Schedule(schedule, recovered, ReplicaHealth::kRecovering, "heartbeat");
+  Schedule(schedule, recovered + readmit_scrub_cycles,
+           ReplicaHealth::kHealthy, "scrub");
+}
+
+}  // namespace
+
+std::vector<HealthTransition> HealthLog(int replicas,
+                                        std::span<const Outage> outages,
+                                        std::int64_t readmit_scrub_cycles) {
+  DB_CHECK_MSG(replicas >= 1, "health log needs at least one replica");
+  DB_CHECK_MSG(readmit_scrub_cycles >= 0,
+               "readmit scrub charge must be >= 0 cycles");
+  std::vector<HealthTransition> log;
+  for (int r = 0; r < replicas; ++r) {
+    std::vector<Scheduled> schedule;
+    std::int64_t last_until = 0;
+    for (const Outage& outage : outages) {
+      DB_CHECK(outage.replica >= 0 && outage.replica < replicas);
+      if (outage.replica != r) continue;
+      DB_CHECK_MSG(outage.from >= last_until && outage.until > outage.from,
+                   "outages must be non-empty and in timeline order");
+      last_until = outage.until;
+      if (!outage.crash) {
+        ScheduleHang(schedule, outage.from, outage.until,
+                     readmit_scrub_cycles);
+        continue;
+      }
+      // A dead replica's pending hang recovery never happens.
+      while (!schedule.empty() && schedule.back().cycle > outage.from)
+        schedule.pop_back();
+      schedule.push_back({outage.from, ReplicaHealth::kDown, "crash"});
+      schedule.push_back(
+          {outage.until, ReplicaHealth::kRecovering, "crash"});
+      schedule.push_back({outage.until + readmit_scrub_cycles,
+                          ReplicaHealth::kHealthy, "scrub"});
+    }
+    ReplicaHealth health = ReplicaHealth::kHealthy;
+    for (const Scheduled& s : schedule) {
+      if (s.to == health) continue;
+      log.push_back(HealthTransition{r, s.cycle, health, s.to, s.cause});
+      health = s.to;
+    }
+  }
+  std::stable_sort(log.begin(), log.end(),
+                   [](const HealthTransition& a, const HealthTransition& b) {
+                     return a.cycle < b.cycle;
+                   });
+  return log;
+}
+
+ReplicaHealth HealthAt(std::span<const HealthTransition> log, int replica,
+                       std::int64_t cycle) {
+  ReplicaHealth health = ReplicaHealth::kHealthy;
+  for (const HealthTransition& t : log)
+    if (t.replica == replica && t.cycle <= cycle) health = t.to;
   return health;
 }
 

@@ -1,22 +1,20 @@
-// Replica health tracking and failure isolation for the replicated
-// accelerators — the cluster-resilience substrate the serving planner
-// drives.
+// Replica health and failure isolation for the replicated accelerators
+// — the cluster-resilience substrate of the serving planner.
 //
-// ReplicaHealthMonitor runs a per-replica state machine
+// Health is an output of the serving plan, never an input to it: the
+// planner routes on its timeline alone (a crashed replica's free cycle
+// already carries its down time and readmit scrub, a hung one's the end
+// of the hang), and once the last batch is placed, HealthLog turns the
+// plan's crash and hang windows into the per-replica transition log
 //
 //   kHealthy -> kSuspect -> kDown -> kRecovering -> kHealthy
 //
-// in *simulated time*.  It tracks liveness only: crashes and hang
-// windows reported by the planner are converted into transitions
-// quantised onto a simulated heartbeat grid (a hang is observed as
-// missed heartbeats; recovery is observed at the first heartbeat after
-// the window), and a replica that went down pays a scrub-and-readmit
-// pass before it is healthy again.  Every transition is scheduled
-// eagerly when the cause is reported and applied when the monitor's
-// clock advances past it (AdvanceTo), so the transition log — and
-// everything derived from it (spans, metrics, the health time-series) —
-// is a pure function of the reported event sequence, never of thread
-// timing.
+// in *simulated time*: a hang is observed as missed heartbeats on a
+// simulated grid and its recovery at the first heartbeat after the
+// window, a crash is kDown at once, and a replica that went down pays a
+// scrub-and-readmit pass before it is healthy again.  The log — and
+// everything read from it (spans, metrics, the health time-series) — is
+// a pure function of the plan.
 //
 // CircuitBreaker is the per-replica closed -> open -> half-open machine
 // that owns dispatch failures (route failures and crashes):
@@ -24,13 +22,14 @@
 // `cooldown_cycles`; after the cooldown it is half-open and one trial
 // dispatch decides between closing it and re-opening it.  State is
 // derived from the recorded (failure cycle, cooldown) pairs, so queries
-// are pure.
+// are pure.  It is the one mask the planner routes on.
 //
-// Threading contract: both classes are single-writer (the serving
-// planner, which runs on one thread).
+// Threading contract: CircuitBreaker is single-writer (the serving
+// planner, which runs on one thread); HealthLog and HealthAt are pure.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,7 @@ constexpr int kDownAfterMisses = 4;
 static_assert(1 <= kSuspectAfterMisses &&
               kSuspectAfterMisses <= kDownAfterMisses);
 
-/// One recorded state change, in the order it took simulated effect.
+/// One state change of one replica.
 struct HealthTransition {
   int replica = 0;
   std::int64_t cycle = 0;
@@ -73,74 +72,32 @@ struct HealthTransition {
   std::string cause;  // "crash", "hang", "heartbeat", "scrub"
 };
 
-class ReplicaHealthMonitor {
- public:
-  /// `readmit_scrub_cycles` is the simulated cost of the
-  /// scrub-and-readmit pass a replica pays between kRecovering and
-  /// kHealthy (the serving planner passes its weight-scrub charge).
-  ReplicaHealthMonitor(int replicas, std::int64_t readmit_scrub_cycles);
-
-  /// Apply every scheduled transition at or before `cycle`.  Clamped
-  /// monotone: a caller re-dispatching at an earlier ready cycle is a
-  /// no-op, never a rewind.
-  void AdvanceTo(std::int64_t cycle);
-
-  /// Apply every scheduled transition regardless of cycle (drain-time
-  /// flush so recovery episodes after the last dispatch still appear in
-  /// the log).
-  void Flush();
-
-  /// The replica died at `cycle`: kDown immediately (the failed
-  /// dispatch is the detection), kRecovering after `down_cycles`,
-  /// kHealthy after the readmit scrub.
-  void ReportCrash(int replica, std::int64_t cycle,
-                   std::int64_t down_cycles);
-
-  /// The replica is unresponsive over [from, until): heartbeats on the
-  /// grid inside the window go missing (kSuspect, then kDown if enough
-  /// miss); the first heartbeat at or after `until` starts recovery.
-  void ReportUnresponsive(int replica, std::int64_t from,
-                          std::int64_t until);
-
-  ReplicaHealth state(int replica) const;
-  /// Only kHealthy replicas take new traffic.
-  bool Routable(int replica) const {
-    return state(replica) == ReplicaHealth::kHealthy;
-  }
-  int replicas() const { return static_cast<int>(states_.size()); }
-  const std::vector<HealthTransition>& transitions() const {
-    return transitions_;
-  }
-
-  /// State at an arbitrary cycle, replayed from the transition log
-  /// (Flush first for full coverage) — the health time-series sampler.
-  ReplicaHealth StateAt(int replica, std::int64_t cycle) const;
-
- private:
-  struct Pending {
-    std::int64_t cycle = 0;
-    ReplicaHealth to = ReplicaHealth::kHealthy;
-    const char* cause = "";
-  };
-  struct State {
-    ReplicaHealth health = ReplicaHealth::kHealthy;
-    std::vector<Pending> pending;  // sorted by cycle
-  };
-
-  void Transition(int replica, std::int64_t cycle, ReplicaHealth to,
-                  const char* cause);
-  void Schedule(State& state, std::int64_t cycle, ReplicaHealth to,
-                const char* cause);
-  /// Schedule the kRecovering -> kHealthy chain starting at
-  /// `down_until`.
-  void ScheduleReadmission(State& state, std::int64_t down_until,
-                           const char* cause);
-
-  std::int64_t readmit_scrub_cycles_;
-  std::vector<State> states_;
-  std::vector<HealthTransition> transitions_;
-  std::int64_t clock_ = 0;  // high-water mark of AdvanceTo
+/// A window in which a replica served nothing, read off the serving
+/// plan's timeline: a crash at `from` with readmission at `until`, or a
+/// hang over [from, until).
+struct Outage {
+  int replica = 0;
+  std::int64_t from = 0;
+  std::int64_t until = 0;
+  bool crash = false;
 };
+
+/// The health transition log of `replicas` replicas given their
+/// outages, each replica's in timeline order.  A hang's heartbeats on
+/// the grid inside the window go missing (kSuspect, then kDown if
+/// enough miss) and the first heartbeat at or after its end starts
+/// recovery; a crash is kDown at once and kRecovering at readmission;
+/// a replica that went down is kHealthy `readmit_scrub_cycles` after
+/// kRecovering.  A crash supersedes every transition the replica still
+/// had scheduled after it.  Sorted by cycle, ties by replica.
+std::vector<HealthTransition> HealthLog(int replicas,
+                                        std::span<const Outage> outages,
+                                        std::int64_t readmit_scrub_cycles);
+
+/// `replica`'s state at `cycle`, replayed from `log` — the health
+/// time-series sampler.
+ReplicaHealth HealthAt(std::span<const HealthTransition> log, int replica,
+                       std::int64_t cycle);
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 

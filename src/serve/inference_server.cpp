@@ -292,8 +292,8 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
   }
 
   // The cluster track: resilience episodes (crashes, hangs, slow
-  // windows, route failures, hedges) in dispatch order, then the health
-  // monitor's transition log.
+  // windows, route failures, hedges) in dispatch order, then the plan's
+  // health transition log.
   for (const ClusterEpisode& episode : plan.cluster_log) {
     obs::Span span;
     span.track = "cluster";
@@ -306,8 +306,7 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
     for (const auto& arg : episode.args) span.args.push_back(arg);
     tracer.Record(std::move(span));
   }
-  for (const cluster::HealthTransition& t :
-       plan.monitor.transitions()) {
+  for (const cluster::HealthTransition& t : plan.health) {
     obs::Span span;
     span.track = "cluster";
     span.category = "health";
@@ -406,12 +405,12 @@ void InferenceServer::PublishTimeSeries(obs::TimeSeriesRecorder& ts) const {
                                  .busy_intervals,
                              t - interval, t)) /
                              static_cast<double>(interval));
-    // Health column per replica: the monitor's replayed state at the
+    // Health column per replica: the health log's replayed state at the
     // sample boundary (healthy=0, suspect=1, down=2, recovering=3).
     for (int w = 0; w < options_.replicas; ++w)
       ts.Append(StrFormat("load.replica%d.health", w), t,
                 static_cast<double>(cluster::ReplicaHealthCode(
-                    plan.monitor.StateAt(w, t))));
+                    cluster::HealthAt(plan.health, w, t))));
     if (t >= last) break;
   }
 }

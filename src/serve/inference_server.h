@@ -12,18 +12,21 @@
 //     1. PlanServe — one single-threaded pass in simulated time over the
 //        whole arrival stream.  It decides admission (kReject /
 //        kShedOldest against queue_capacity), batching (Batcher: max
-//        batch + linger), health-masked least-loaded routing (the
-//        earliest-free replica that ReplicaHealthMonitor and
-//        CircuitBreaker allow, ties to the lowest index; one server
-//        holds one model, as the board holds one accelerator), the
-//        cluster faults (a route failure re-routes, a hang or a slow
-//        replica delays, a crash splits the batch and re-dispatches the
-//        rest), hedging, and every replica's timeline: datapath faults
-//        fired by invocation coordinate, stalls, deadline expiry, weight
-//        scrubs predicted from the weight bits the plan has toggled,
-//        retries with backoff, readmit scrubs and hedge-cancel
-//        occupancy.  The plan holds every ServedRequest field except
-//        `output`, plus one op list per replica.
+//        batch + linger), least-loaded routing (the earliest-free
+//        replica the CircuitBreaker allows, ties to the lowest index; a
+//        crashed or hung replica's free cycle already carries its
+//        outage, so health needs no mask; one server holds one model,
+//        as the board holds one accelerator), the cluster faults (a
+//        route failure re-routes, a hang or a slow replica delays, a
+//        crash splits the batch and re-dispatches the rest), hedging,
+//        and every replica's timeline: datapath faults fired by
+//        invocation coordinate, stalls, deadline expiry, weight scrubs
+//        predicted from the weight bits the plan has toggled, retries
+//        with backoff, readmit scrubs and hedge-cancel occupancy.  After
+//        the last batch, cluster::HealthLog derives the replicas' health
+//        transitions from the plan's crash and hang windows.  The plan
+//        holds every ServedRequest field except `output`, plus one op
+//        list per replica.
 //     2. ExecutePlan — one thread per replica replays that replica's op
 //        list in order (FlipBit; a weight checksum that scrubs on
 //        mismatch, and must mismatch exactly where the plan predicted a
@@ -132,16 +135,18 @@ struct ServeOptions {
   /// Opt-in request hedging: when a batch's planned completion exceeds
   /// its ready cycle by more than this many cycles, the planner places
   /// a duplicate, starting at ready + hedge_after_cycles, on the other
-  /// healthy replica that finishes it first — only if that copy
-  /// finishes before the primary.  The primary is then cancelled: it
-  /// occupies its replica until the copy completes but never runs the
-  /// datapath, and its batch still counts against the replica's slow
-  /// window.  A copy that would lose is never placed.  0 = disabled.
+  /// replica the breaker allows that finishes it first — only if that
+  /// copy finishes before the primary.  The primary is then cancelled:
+  /// it occupies its replica until the copy completes but never runs
+  /// the datapath, and its batch still counts against the replica's
+  /// slow window.  A copy that would lose is never placed.  0 = disabled.
   std::int64_t hedge_after_cycles = 0;
   /// Per-replica circuit breaker (closed/open/half-open with a
   /// cycle-based cooldown), the one owner of dispatch failures (route
-  /// failures, crashes); disabled unless `breaker.enabled`.  Without
-  /// it a route failure only re-routes its batch.
+  /// failures, crashes) and the one mask on routing and hedging;
+  /// disabled unless `breaker.enabled`.  Without it a route failure
+  /// only re-routes its batch, and a crashed replica is kept out only
+  /// by its own timeline.
   cluster::BreakerOptions breaker;
   std::string device_name = "zynq-7045";
   /// Optional observability sinks, all published once, inside the first
@@ -249,10 +254,7 @@ struct LoadEvents {
 /// What PlanServe decided: the records, each replica's replay and
 /// timeline, and the accounting.
 struct ServePlan {
-  /// `scrub_cycles` is the readmit scrub the health monitor charges
-  /// between kRecovering and kHealthy.
-  ServePlan(int replicas, const ServeOptions& options,
-            std::int64_t scrub_cycles);
+  ServePlan(int replicas, const ServeOptions& options);
 
   /// Indexed by request id; every field but `output` is final.
   std::vector<ServedRequest> requests;
@@ -261,7 +263,9 @@ struct ServePlan {
   /// replica's consecutive requests as one batch-major pass.
   std::int64_t max_batch_size = 1;
   std::vector<ClusterEpisode> cluster_log;
-  cluster::ReplicaHealthMonitor monitor;
+  /// Every replica's health transitions, derived from the plan's crash
+  /// and hang windows once the last batch is placed (cluster::HealthLog).
+  std::vector<cluster::HealthTransition> health;
   cluster::CircuitBreaker breaker;
   /// PlanServe counts batches, cluster events and runs here;
   /// SummarizePlan completes it.

@@ -22,11 +22,9 @@ std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
   return std::min(cap, base << attempt);
 }
 
-ServePlan::ServePlan(int replicas, const ServeOptions& options,
-                     std::int64_t scrub_cycles)
+ServePlan::ServePlan(int replicas, const ServeOptions& options)
     : replicas(static_cast<std::size_t>(replicas)),
       max_batch_size(options.max_batch_size),
-      monitor(replicas, scrub_cycles),
       breaker(replicas, options.breaker) {
   stats.replicas = replicas;
   stats.replica_dispatches.assign(static_cast<std::size_t>(replicas), 0);
@@ -41,7 +39,7 @@ class Planner {
         costs_(costs),
         count_(options.replicas),
         injector_(options.faults, count_),
-        plan_(count_, options, costs.scrub_cycles),
+        plan_(count_, options),
         free_cycle_(static_cast<std::size_t>(count_), 0),
         state_(static_cast<std::size_t>(count_)) {
     DB_CHECK_MSG(options.hedge_after_cycles >= 0,
@@ -90,7 +88,7 @@ class Planner {
   };
 
   void Dispose(std::int64_t id, StatusCode status, std::int64_t cycle);
-  /// Place `batch` at its ready cycle: health-masked routing, cluster
+  /// Place `batch` at its ready cycle: least-loaded routing, cluster
   /// faults, optional hedging, then commit to a replica.
   void Dispatch(Batch batch);
   BatchWindow Window(int r, const Batch& batch, std::int64_t ready) const;
@@ -125,6 +123,7 @@ class Planner {
   ServePlan plan_;
   std::vector<std::int64_t> free_cycle_;  // the dispatch-side view
   std::vector<Replica> state_;
+  std::vector<cluster::Outage> outages_;  // crash and hang windows
   std::int64_t redispatch_batches_ = 0;  // fresh ids for remainders
 };
 
@@ -170,9 +169,8 @@ ServePlan Planner::Plan(std::span<const RequestArrival> requests) {
   }
   if (std::optional<Batch> rest = batcher.Flush())
     Dispatch(*std::move(rest));
-  // Apply every health transition still pending past the last dispatch
-  // so the published log covers every scheduled recovery.
-  plan_.monitor.Flush();
+  plan_.health =
+      cluster::HealthLog(count_, outages_, costs_.scrub_cycles);
   return std::move(plan_);
 }
 
@@ -240,12 +238,11 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
         Log("route_fail", r, ready, ready);
         return false;
       case fault::FaultKind::kHang: {
-        // The replica stalls before accepting work; missed heartbeats
-        // drive the kSuspect/kDown escalation.
+        // The replica stalls before accepting work.
         std::int64_t& free = free_cycle_[static_cast<std::size_t>(r)];
         const std::int64_t begin = std::max(ready, free);
         free = begin + event.stall_cycles;
-        plan_.monitor.ReportUnresponsive(r, begin, free);
+        outages_.push_back({.replica = r, .from = begin, .until = free});
         ++plan_.stats.hangs;
         Log("hang", r, begin, free,
             {{"cycles", std::to_string(event.stall_cycles)}});
@@ -277,16 +274,16 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
 
 void Planner::Dispatch(Batch batch) {
   const std::int64_t ready = batch.ready_cycle;
-  plan_.monitor.AdvanceTo(ready);
   const auto size = static_cast<std::int64_t>(batch.requests.size());
   const auto count = static_cast<std::size_t>(count_);
 
-  // Health-masked least-loaded routing with deterministic re-route on
-  // transient failures: the earliest-free eligible replica wins (ties to
-  // the lowest index), and every attempt excludes replicas already tried
-  // for this batch.  Liveness over purity — with no healthy untried
-  // replica left, any untried one, then any at all, takes the batch (a
-  // readmitting replica's free cycle already carries its down time).
+  // Least-loaded routing with deterministic re-route on transient
+  // failures: the earliest-free eligible replica wins (ties to the
+  // lowest index), and every attempt excludes replicas already tried for
+  // this batch.  Health needs no mask: a crashed replica's free cycle
+  // already carries its down time and readmit scrub, a hung one's the
+  // end of the hang.  Liveness over purity — with no untried replica the
+  // breaker allows, any untried one, then any at all, takes the batch.
   std::vector<bool> attempted(count, false);
   const auto earliest_free = [&](auto eligible) {
     int best = -1;
@@ -303,8 +300,7 @@ void Planner::Dispatch(Batch batch) {
   int r = -1;
   for (;;) {
     r = earliest_free([&](int i) {
-      return untried(i) && plan_.monitor.Routable(i) &&
-             plan_.breaker.Allows(i, ready);
+      return untried(i) && plan_.breaker.Allows(i, ready);
     });
     if (r < 0) r = earliest_free(untried);
     if (r < 0) r = earliest_free([](int) { return true; });
@@ -339,9 +335,10 @@ void Planner::Dispatch(Batch batch) {
       Commit(r, served, window);
     }
     ++plan_.stats.crashes;
-    plan_.monitor.ReportCrash(r, crash_cycle, crash.down_cycles);
     plan_.breaker.RecordFailure(r, crash_cycle);
     const std::int64_t readmit = crash_cycle + crash.down_cycles;
+    outages_.push_back(
+        {.replica = r, .from = crash_cycle, .until = readmit, .crash = true});
     // The replica is gone until `readmit`, then pays the scrub pass
     // before its datapath frees; a reboot loses weight residency.
     free_cycle_[static_cast<std::size_t>(r)] = readmit + costs_.scrub_cycles;
@@ -363,17 +360,15 @@ void Planner::Dispatch(Batch batch) {
   const BatchWindow primary = Window(r, batch, ready);
   if (options_.hedge_after_cycles > 0 &&
       primary.finish - ready > options_.hedge_after_cycles) {
-    // Hedge: a duplicate on the other healthy replica that finishes
-    // first, issued once the latency threshold elapses.  The windows are
-    // known here, so a copy goes out only where it beats the primary; a
-    // losing copy would only occupy its replica.
+    // Hedge: a duplicate on the other replica that finishes first,
+    // issued once the latency threshold elapses.  The windows are known
+    // here, so a copy goes out only where it beats the primary; a losing
+    // copy would only occupy its replica.
     const std::int64_t issue = ready + options_.hedge_after_cycles;
     int best = -1;
     BatchWindow alternate = primary;  // the finish a copy must beat
     for (int i = 0; i < count_; ++i) {
-      if (i == r || !plan_.monitor.Routable(i) ||
-          !plan_.breaker.Allows(i, issue))
-        continue;
+      if (i == r || !plan_.breaker.Allows(i, issue)) continue;
       BatchWindow candidate = Window(i, batch, issue);
       if (candidate.finish < alternate.finish) {
         best = i;

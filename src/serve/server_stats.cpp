@@ -178,8 +178,7 @@ void SummarizePlan(ServePlan& plan, double frequency_mhz) {
                           stats.crashes + stats.hangs + stats.slow_faults +
                           stats.route_failures;
   stats.breaker_opens = plan.breaker.opens();
-  stats.health_transitions =
-      static_cast<std::int64_t>(plan.monitor.transitions().size());
+  stats.health_transitions = static_cast<std::int64_t>(plan.health.size());
 
   const double cycles_to_s = 1.0 / (frequency_mhz * 1e6);
   stats.makespan_seconds =

@@ -82,9 +82,9 @@ struct ServerStats {
   std::int64_t scrubs = 0;
 
   /// Cluster-resilience accounting.  The planner counts these as the
-  /// events fire; breaker opens and health transitions are read from
-  /// the breaker (which owns route failures and crashes) and the
-  /// monitor (which owns liveness: crashes and hangs).  A hedge is
+  /// events fire; breaker opens are read from the breaker (which owns
+  /// route failures and crashes), health transitions from the plan's
+  /// health log (derived from its crash and hang windows).  A hedge is
   /// placed only where it beats the primary, so `hedge_wins` always
   /// equals `hedges`; both stay in the exports.
   std::int64_t crashes = 0;             // replica crash events fired
@@ -96,7 +96,7 @@ struct ServerStats {
   std::int64_t breaker_opens = 0;       // circuit-breaker open episodes
   std::int64_t hedges = 0;              // hedged batches issued
   std::int64_t hedge_wins = 0;          // hedges that beat the primary
-  std::int64_t health_transitions = 0;  // monitor state changes
+  std::int64_t health_transitions = 0;  // health log entries
 
   /// Datapath runs in the plan, by weight residency: the "sim.*"
   /// metrics are published once per kind with these counts.

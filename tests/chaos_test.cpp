@@ -1,7 +1,7 @@
-// Cluster-resilience tests: the replica health monitor, circuit
-// breaker, health-masked routing, cluster fault planning, crash
-// re-dispatch, hedging and the seeded whole-cluster chaos campaign
-// (ctest label: chaos).
+// Cluster-resilience tests: the health log derived from a plan, the
+// circuit breaker, least-loaded routing around faults, cluster fault
+// planning, crash re-dispatch, hedging and the seeded whole-cluster chaos
+// campaign (ctest label: chaos).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,8 +27,10 @@ using cluster::BreakerOptions;
 using cluster::BreakerState;
 using cluster::CircuitBreaker;
 using cluster::ParseBreakerSpec;
+using cluster::HealthAt;
+using cluster::HealthLog;
+using cluster::HealthTransition;
 using cluster::ReplicaHealth;
-using cluster::ReplicaHealthMonitor;
 using serve::InferenceServer;
 using serve::ServedRequest;
 using serve::ServeOptions;
@@ -89,102 +91,124 @@ serve::ServePlan PlanCampaign(const Fixture& f, ServeOptions options,
 }
 
 // ---------------------------------------------------------------------
-// ReplicaHealthMonitor
+// The health log derived from a plan's crash and hang windows
+
+cluster::Outage Crash(int replica, std::int64_t cycle,
+                      std::int64_t down_cycles) {
+  return {.replica = replica,
+          .from = cycle,
+          .until = cycle + down_cycles,
+          .crash = true};
+}
+
+cluster::Outage Hang(int replica, std::int64_t from, std::int64_t until) {
+  return {.replica = replica, .from = from, .until = until};
+}
 
 TEST(HealthMonitor, CrashWalksDownRecoveringHealthy) {
-  ReplicaHealthMonitor monitor(2, /*readmit_scrub_cycles=*/10);
-  EXPECT_TRUE(monitor.Routable(0));
+  const std::vector<HealthTransition> log =
+      HealthLog(2, {{Crash(0, 1000, 4000)}}, /*readmit_scrub_cycles=*/10);
+  EXPECT_EQ(HealthAt(log, 0, 999), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 0, 1000), ReplicaHealth::kDown);
+  EXPECT_EQ(HealthAt(log, 1, 1000), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 0, 4999), ReplicaHealth::kDown);
+  EXPECT_EQ(HealthAt(log, 0, 5000), ReplicaHealth::kRecovering);
+  EXPECT_EQ(HealthAt(log, 0, 5009), ReplicaHealth::kRecovering);
+  EXPECT_EQ(HealthAt(log, 0, 5010), ReplicaHealth::kHealthy);
 
-  monitor.ReportCrash(0, 1000, 4000);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  EXPECT_FALSE(monitor.Routable(0));
-  EXPECT_EQ(monitor.state(1), ReplicaHealth::kHealthy);
-
-  monitor.AdvanceTo(4999);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  monitor.AdvanceTo(5000);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
-  EXPECT_FALSE(monitor.Routable(0));
-  monitor.AdvanceTo(5009);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
-  monitor.AdvanceTo(5010);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-  EXPECT_TRUE(monitor.Routable(0));
-
-  ASSERT_EQ(monitor.transitions().size(), 3u);
-  EXPECT_EQ(monitor.transitions()[0].to, ReplicaHealth::kDown);
-  EXPECT_EQ(monitor.transitions()[0].cause, "crash");
-  EXPECT_EQ(monitor.transitions()[1].to, ReplicaHealth::kRecovering);
-  EXPECT_EQ(monitor.transitions()[2].to, ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.transitions()[2].cause, "scrub");
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].to, ReplicaHealth::kDown);
+  EXPECT_EQ(log[0].cause, "crash");
+  EXPECT_EQ(log[1].to, ReplicaHealth::kRecovering);
+  EXPECT_EQ(log[2].to, ReplicaHealth::kHealthy);
+  EXPECT_EQ(log[2].cause, "scrub");
 }
 
 TEST(HealthMonitor, HangMissesHeartbeatsOnTheGrid) {
   constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
   constexpr std::int64_t kSuspectTick = cluster::kSuspectAfterMisses * kBeat;
   constexpr std::int64_t kDownTick = cluster::kDownAfterMisses * kBeat;
-  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
 
   // Heartbeats on multiples of kBeat after cycle 50 go missing until
   // the window ends half a beat past the down tick; recovery is
   // observed at the next heartbeat and readmission pays the scrub.
-  monitor.ReportUnresponsive(0, 50, kDownTick + kBeat / 2);
-  monitor.AdvanceTo(kSuspectTick - 1);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-  monitor.AdvanceTo(kSuspectTick);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  EXPECT_FALSE(monitor.Routable(0));
-  monitor.AdvanceTo(kDownTick - 1);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kSuspect);
-  monitor.AdvanceTo(kDownTick);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  monitor.AdvanceTo(kDownTick + kBeat - 1);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kDown);
-  monitor.AdvanceTo(kDownTick + kBeat);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kRecovering);
-  monitor.AdvanceTo(kDownTick + kBeat + 5);
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.transitions().back().cause, "scrub");
+  const std::vector<HealthTransition> log =
+      HealthLog(1, {{Hang(0, 50, kDownTick + kBeat / 2)}},
+                /*readmit_scrub_cycles=*/5);
+  EXPECT_EQ(HealthAt(log, 0, kSuspectTick - 1), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 0, kSuspectTick), ReplicaHealth::kSuspect);
+  EXPECT_EQ(HealthAt(log, 0, kDownTick - 1), ReplicaHealth::kSuspect);
+  EXPECT_EQ(HealthAt(log, 0, kDownTick), ReplicaHealth::kDown);
+  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat - 1), ReplicaHealth::kDown);
+  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat),
+            ReplicaHealth::kRecovering);
+  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat + 5),
+            ReplicaHealth::kHealthy);
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.back().cause, "scrub");
 }
 
 TEST(HealthMonitor, HangBelowTheDownThresholdRecoversAtTheNextBeat) {
   constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
   static_assert(cluster::kDownAfterMisses > cluster::kSuspectAfterMisses);
-  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
   // One heartbeat short of kDown: suspect, then healthy at the first
   // heartbeat after the window, with no readmit scrub.
   const std::int64_t until = (cluster::kDownAfterMisses - 1) * kBeat + 1;
-  monitor.ReportUnresponsive(0, 0, until);
-  monitor.Flush();
-  ASSERT_EQ(monitor.transitions().size(), 2u);
-  EXPECT_EQ(monitor.transitions()[0].to, ReplicaHealth::kSuspect);
-  EXPECT_EQ(monitor.transitions()[0].cycle,
-            cluster::kSuspectAfterMisses * kBeat);
-  EXPECT_EQ(monitor.transitions()[1].to, ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.transitions()[1].cycle,
-            cluster::kDownAfterMisses * kBeat);
-  EXPECT_EQ(monitor.transitions()[1].cause, "heartbeat");
+  const std::vector<HealthTransition> log =
+      HealthLog(1, {{Hang(0, 0, until)}}, /*readmit_scrub_cycles=*/5);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].to, ReplicaHealth::kSuspect);
+  EXPECT_EQ(log[0].cycle, cluster::kSuspectAfterMisses * kBeat);
+  EXPECT_EQ(log[1].to, ReplicaHealth::kHealthy);
+  EXPECT_EQ(log[1].cycle, cluster::kDownAfterMisses * kBeat);
+  EXPECT_EQ(log[1].cause, "heartbeat");
 }
 
 TEST(HealthMonitor, HangShorterThanOneHeartbeatIsUnobserved) {
   constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
-  ReplicaHealthMonitor monitor(1, /*readmit_scrub_cycles=*/5);
-  monitor.ReportUnresponsive(0, kBeat + 10, 2 * kBeat);  // no tick inside
-  monitor.Flush();
-  EXPECT_EQ(monitor.state(0), ReplicaHealth::kHealthy);
-  EXPECT_TRUE(monitor.transitions().empty());
+  const std::vector<HealthTransition> log =
+      HealthLog(1, {{Hang(0, kBeat + 10, 2 * kBeat)}},  // no tick inside
+                /*readmit_scrub_cycles=*/5);
+  EXPECT_EQ(HealthAt(log, 0, 2 * kBeat), ReplicaHealth::kHealthy);
+  EXPECT_TRUE(log.empty());
 }
 
-TEST(HealthMonitor, StateAtReplaysTheTransitionLog) {
-  ReplicaHealthMonitor monitor(2, /*readmit_scrub_cycles=*/10);
-  monitor.ReportCrash(1, 500, 1000);
-  monitor.Flush();
-  EXPECT_EQ(monitor.StateAt(1, 0), ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.StateAt(1, 499), ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.StateAt(1, 500), ReplicaHealth::kDown);
-  EXPECT_EQ(monitor.StateAt(1, 1500), ReplicaHealth::kRecovering);
-  EXPECT_EQ(monitor.StateAt(1, 1510), ReplicaHealth::kHealthy);
-  EXPECT_EQ(monitor.StateAt(0, 1510), ReplicaHealth::kHealthy);
+TEST(HealthMonitor, HealthAtReplaysTheTransitionLog) {
+  const std::vector<HealthTransition> log =
+      HealthLog(2, {{Crash(1, 500, 1000)}}, /*readmit_scrub_cycles=*/10);
+  EXPECT_EQ(HealthAt(log, 1, 0), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 1, 499), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 1, 500), ReplicaHealth::kDown);
+  EXPECT_EQ(HealthAt(log, 1, 1500), ReplicaHealth::kRecovering);
+  EXPECT_EQ(HealthAt(log, 1, 1510), ReplicaHealth::kHealthy);
+  EXPECT_EQ(HealthAt(log, 0, 1510), ReplicaHealth::kHealthy);
+}
+
+// A crash after a hang's window but before the heartbeat that would
+// observe its recovery: the dead replica's recovery never happens, and
+// the log goes suspect -> down -> recovering -> healthy on the crash's
+// readmission alone.
+TEST(HealthMonitor, CrashSupersedesAPendingHangRecovery) {
+  constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
+  // Suspect at the first beat; the window ends mid-beat, so recovery
+  // would be observed at 2 * kBeat.
+  const std::int64_t until = kBeat + kBeat / 2;
+  const std::vector<HealthTransition> log = HealthLog(
+      1, {{Hang(0, 0, until), Crash(0, until + 1, 1000)}},
+      /*readmit_scrub_cycles=*/10);
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].to, ReplicaHealth::kSuspect);
+  EXPECT_EQ(log[0].cycle, kBeat);
+  EXPECT_EQ(log[1].from, ReplicaHealth::kSuspect);
+  EXPECT_EQ(log[1].to, ReplicaHealth::kDown);
+  EXPECT_EQ(log[1].cycle, until + 1);
+  EXPECT_EQ(log[1].cause, "crash");
+  EXPECT_EQ(log[2].to, ReplicaHealth::kRecovering);
+  EXPECT_EQ(log[2].cycle, until + 1 + 1000);
+  EXPECT_EQ(log[3].to, ReplicaHealth::kHealthy);
+  EXPECT_EQ(log[3].cycle, until + 1 + 1000 + 10);
+  EXPECT_EQ(log[3].cause, "scrub");
+  EXPECT_EQ(HealthAt(log, 0, 2 * kBeat), ReplicaHealth::kDown);
 }
 
 // ---------------------------------------------------------------------
@@ -511,6 +535,45 @@ TEST(ChaosPlan, BatchLandsWhenNothingIsRoutable) {
     EXPECT_EQ(r.status, StatusCode::kOk);
 }
 
+// Routing reads health off the timeline alone: a crashed replica's free
+// cycle is its readmission plus the scrub, so once it frees before every
+// other replica it takes the next batch, though the batch is ready while
+// the replica is still down.
+TEST(ChaosPlan, CrashedReplicaTakesTheNextBatchWhenItFreesFirst) {
+  serve::PlanCosts costs = SyntheticCosts();
+  costs.scrub_cycles = 10;
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 1;
+  fault::FaultEvent crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.replica = 0;
+  crash.invocation = 0;
+  crash.down_cycles = 100;
+  // Replica 1 runs the re-dispatched first request ten times slower:
+  // one cold invocation of 100 cycles becomes 1000.
+  fault::FaultEvent slow;
+  slow.kind = fault::FaultKind::kSlow;
+  slow.replica = 1;
+  slow.invocation = 0;
+  slow.slow_factor = 10;
+  slow.slow_services = 1;
+  options.faults.events = {crash, slow};
+  std::vector<serve::RequestArrival> arrivals(2);
+  arrivals[1].arrival_cycle = 50;
+  const serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+
+  EXPECT_EQ(plan.stats.crashes, 1);
+  EXPECT_EQ(plan.requests[0].replica, 1);
+  EXPECT_EQ(plan.requests[0].finish_cycle, 1000);
+  // Request 1 is ready at 50, with replica 0 down until 100 and
+  // scrubbing until 110: it starts there, not at 1000 on replica 1.
+  EXPECT_EQ(plan.requests[1].replica, 0);
+  EXPECT_EQ(plan.requests[1].start_cycle, 110);
+  for (const ServedRequest& r : plan.requests)
+    EXPECT_EQ(r.status, StatusCode::kOk);
+}
+
 // A route failure never reaches the replica, so it is the breaker's
 // signal alone: without a breaker the replica stays in rotation.  (It
 // used to be parked at kSuspect, which only a dispatch it could no
@@ -523,7 +586,7 @@ TEST(ChaosPlan, RouteFailureLeavesTheReplicaInRotation) {
   const serve::ServePlan plan = PlanCampaign(
       f, options, "seed=3,route-fails=1,span=20", 400, 1100);
   EXPECT_EQ(plan.stats.route_failures, 1);
-  EXPECT_TRUE(plan.monitor.transitions().empty());
+  EXPECT_TRUE(plan.health.empty());
   EXPECT_EQ(plan.stats.replica_requests[0], 200);
   EXPECT_EQ(plan.stats.replica_requests[1], 200);
 }

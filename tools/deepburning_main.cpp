@@ -163,7 +163,7 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  requests x (input bytes + 1 KiB) <= 1 GiB (default 64)
   --replicas     accelerator replicas, each with a private DRAM image and
                  one executor thread, in [1, 64] (default 2); a closed
-                 batch goes to the earliest-free healthy replica
+                 batch goes to the earliest-free replica
   --design-cache content-addressed cache directory for generator
                  output; a warm entry is rebuilt from its cached sizing
   --batch        max requests per batch, in [1, 2^63-1] (default 4)
@@ -192,7 +192,7 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  see DESIGN.md)
   --hedge-after-cycles  when a batch's planned completion exceeds its
                  ready cycle by this many cycles, in [0, 2^63-1], hedge
-                 it onto the healthy replica that finishes it first,
+                 it onto the replica that finishes it first,
                  if that copy beats the primary; the primary is
                  cancelled (default 0: disabled)
   --breaker      per-replica circuit breaker spec, e.g.
