@@ -301,9 +301,9 @@ const Scenario kScenarios[] = {
      .timeseries = "56a1c72fee23b720",
      .stats = "f47ffb7a88820019"},
     // The ChaosServer.SeededCampaignIsLosslessAndByteStable campaign:
-    // crash, hang, slow, route failures, hedging after three steady
-    // inferences and a breaker that opens on the first failure for a
-    // cooldown of about one steady inference.
+    // crashes, hangs, a slow window, route failures (all 30 events fire),
+    // hedging after three steady inferences and a breaker that opens on
+    // the first failure for a cooldown of about one steady inference.
     {.name = "ChaosAcceptance",
      .requests = 48,
      .input_seed = 700,
@@ -317,7 +317,7 @@ const Scenario kScenarios[] = {
            o.breaker.failure_threshold = 1;
            o.breaker.cooldown_cycles = 2048;
            fault::FaultCampaignSpec spec;
-           spec.seed = 11;
+           spec.seed = 30;
            spec.crashes = 2;
            spec.hangs = 2;
            spec.slow_replicas = 1;
@@ -328,11 +328,11 @@ const Scenario kScenarios[] = {
            spec.workers = 4;
            o.faults = Campaign(spec, design);
          },
-     .records = "ebb976e58e12749b",
-     .metrics = "cc9dfde5063bf4be",
-     .trace = "04f8d4e00d6b5e7c",
-     .timeseries = "d35d795214de1316",
-     .stats = "df6f046b57695d1d"},
+     .records = "bf59b8b3e7ff16c8",
+     .metrics = "d90795fdc70ca4c2",
+     .trace = "a8c88914c371e4df",
+     .timeseries = "6700527973d1a85a",
+     .stats = "a5824793f530049c"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
     // replica, hedged after three steady inferences.
     {.name = "HedgedSlowReplica",
