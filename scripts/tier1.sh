@@ -114,10 +114,10 @@ cmake --build --preset asan -j "${JOBS}" --target fault_test
 ctest --preset asan -j "${JOBS}" -L faults
 
 echo "== tier-1: ASan cluster chaos campaign (ctest -L chaos) =="
-# Cluster-level resilience under ASan+UBSan: replica crash re-dispatch,
-# health-monitor readmission, circuit breaking and hedging must keep
-# every request accounted for (and bit-identical where kOk) while the
-# recovery paths stay memory-clean.
+# Cluster-level resilience under ASan+UBSan: replica crash re-dispatch
+# and readmission, the health log derived from the plan, circuit
+# breaking and hedging must keep every request accounted for (and
+# bit-identical where kOk) while the recovery paths stay memory-clean.
 cmake --build --preset asan -j "${JOBS}" --target chaos_test
 ctest --preset asan -j "${JOBS}" -L chaos
 

@@ -6,8 +6,9 @@
 #      reports is a pure function of the arrival stream and the seeds;
 #      thread interleaving must never leak into an artifact.  Checked
 #      under a datapath campaign and under a cluster campaign (route
-#      failures, a slow replica and a crash, with the breaker and
-#      hedging on).
+#      failures, a slow replica, a crash and hangs, with the breaker and
+#      hedging on), whose trace carries the health log the plan derives
+#      from its crash and hang windows.
 #   2. Replica count is a wall-clock knob only: the invariant serving
 #      metrics (requests, completed, batches, dram_bytes) are identical
 #      between a 1-replica and a 4-replica pool.
@@ -51,17 +52,19 @@ expect_identical(first.metrics.json second.metrics.json)
 expect_identical(first.trace.json second.trace.json)
 
 # The cluster campaign must actually route around failures, open the
-# breaker and hedge, or the comparison proves nothing about those paths.
+# breaker, hedge and log health transitions (suspect, down, recovering
+# and healthy), or the comparison proves nothing about those paths.
 set(flags --zoo MNIST --requests 400 --replicas 2 --batch 4
     --arrival-gap 1113
-    --faults seed=13,crashes=1,slow-replicas=1,route-fails=3,span=200
+    --faults seed=13,crashes=1,hangs=2,slow-replicas=1,route-fails=3,span=200
     --breaker failures=1 --hedge-after-cycles 6009)
 run_serve(cluster_first ${flags})
 run_serve(cluster_second ${flags})
 expect_identical(cluster_first.metrics.json cluster_second.metrics.json)
 expect_identical(cluster_first.trace.json cluster_second.trace.json)
 file(READ ${work}/cluster_first.metrics.json cluster_metrics)
-foreach(metric route_failures slow_replicas crashes breaker_opens hedges)
+foreach(metric route_failures slow_replicas crashes hangs breaker_opens
+    hedges transitions)
   string(REGEX MATCH "\"cluster\\.health\\.${metric}\": *[1-9]" fired
     "${cluster_metrics}")
   if(fired STREQUAL "")
