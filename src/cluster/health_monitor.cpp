@@ -28,6 +28,16 @@ void Schedule(std::vector<Scheduled>& schedule, std::int64_t cycle,
   schedule.insert(it, Scheduled{cycle, to, cause});
 }
 
+/// A replica that went down is kRecovering from `down_until` and pays
+/// the scrub-and-readmit pass before it is kHealthy.
+void ScheduleReadmission(std::vector<Scheduled>& schedule,
+                         std::int64_t down_until, const char* cause,
+                         std::int64_t readmit_scrub_cycles) {
+  Schedule(schedule, down_until, ReplicaHealth::kRecovering, cause);
+  Schedule(schedule, down_until + readmit_scrub_cycles,
+           ReplicaHealth::kHealthy, "scrub");
+}
+
 /// What one hang over [from, until) schedules: missed heartbeats on the
 /// grid inside the window, recovery at the first heartbeat at or after
 /// its end.
@@ -49,13 +59,11 @@ void ScheduleHang(std::vector<Scheduled>& schedule, std::int64_t from,
   }
   if (misses == 0) return;  // shorter than one heartbeat: unobserved
   const std::int64_t recovered = ((until + hb - 1) / hb) * hb;
-  if (!went_down) {
+  if (went_down)
+    ScheduleReadmission(schedule, recovered, "heartbeat",
+                        readmit_scrub_cycles);
+  else
     Schedule(schedule, recovered, ReplicaHealth::kHealthy, "heartbeat");
-    return;
-  }
-  Schedule(schedule, recovered, ReplicaHealth::kRecovering, "heartbeat");
-  Schedule(schedule, recovered + readmit_scrub_cycles,
-           ReplicaHealth::kHealthy, "scrub");
 }
 
 }  // namespace
@@ -85,10 +93,8 @@ std::vector<HealthTransition> HealthLog(int replicas,
       while (!schedule.empty() && schedule.back().cycle > outage.from)
         schedule.pop_back();
       schedule.push_back({outage.from, ReplicaHealth::kDown, "crash"});
-      schedule.push_back(
-          {outage.until, ReplicaHealth::kRecovering, "crash"});
-      schedule.push_back({outage.until + readmit_scrub_cycles,
-                          ReplicaHealth::kHealthy, "scrub"});
+      ScheduleReadmission(schedule, outage.until, "crash",
+                          readmit_scrub_cycles);
     }
     ReplicaHealth health = ReplicaHealth::kHealthy;
     for (const Scheduled& s : schedule) {
