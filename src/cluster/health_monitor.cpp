@@ -28,42 +28,27 @@ void Schedule(std::vector<Scheduled>& schedule, std::int64_t cycle,
   schedule.insert(it, Scheduled{cycle, to, cause});
 }
 
-/// A replica that went down is kRecovering from `down_until` and pays
-/// the scrub-and-readmit pass before it is kHealthy.
-void ScheduleReadmission(std::vector<Scheduled>& schedule,
-                         std::int64_t down_until, const char* cause,
-                         std::int64_t readmit_scrub_cycles) {
-  Schedule(schedule, down_until, ReplicaHealth::kRecovering, cause);
-  Schedule(schedule, down_until + readmit_scrub_cycles,
-           ReplicaHealth::kHealthy, "scrub");
-}
-
 /// What one hang over [from, until) schedules: missed heartbeats on the
 /// grid inside the window, recovery at the first heartbeat at or after
-/// its end.
+/// its end.  A hang does not reboot the card, so its DRAM is intact and
+/// recovery pays no scrub, whatever the misses reached.
 void ScheduleHang(std::vector<Scheduled>& schedule, std::int64_t from,
-                  std::int64_t until, std::int64_t readmit_scrub_cycles) {
+                  std::int64_t until) {
   const std::int64_t hb = kHeartbeatIntervalCycles;
   // The first tick the hang can miss is the first strictly after `from`.
   int misses = 0;
-  bool went_down = false;
   for (std::int64_t tick = (from / hb + 1) * hb; tick < until; tick += hb) {
     ++misses;
     if (misses == kSuspectAfterMisses)
       Schedule(schedule, tick, ReplicaHealth::kSuspect, "hang");
     if (misses == kDownAfterMisses) {
       Schedule(schedule, tick, ReplicaHealth::kDown, "hang");
-      went_down = true;
       break;
     }
   }
   if (misses == 0) return;  // shorter than one heartbeat: unobserved
-  const std::int64_t recovered = ((until + hb - 1) / hb) * hb;
-  if (went_down)
-    ScheduleReadmission(schedule, recovered, "heartbeat",
-                        readmit_scrub_cycles);
-  else
-    Schedule(schedule, recovered, ReplicaHealth::kHealthy, "heartbeat");
+  Schedule(schedule, ((until + hb - 1) / hb) * hb, ReplicaHealth::kHealthy,
+           "heartbeat");
 }
 
 }  // namespace
@@ -85,16 +70,17 @@ std::vector<HealthTransition> HealthLog(int replicas,
                    "outages must be non-empty and in timeline order");
       last_until = outage.until;
       if (!outage.crash) {
-        ScheduleHang(schedule, outage.from, outage.until,
-                     readmit_scrub_cycles);
+        ScheduleHang(schedule, outage.from, outage.until);
         continue;
       }
       // A dead replica's pending hang recovery never happens.
       while (!schedule.empty() && schedule.back().cycle > outage.from)
         schedule.pop_back();
+      // The rebooted card pays the scrub-and-readmit pass.
       schedule.push_back({outage.from, ReplicaHealth::kDown, "crash"});
-      ScheduleReadmission(schedule, outage.until, "crash",
-                          readmit_scrub_cycles);
+      Schedule(schedule, outage.until, ReplicaHealth::kRecovering, "crash");
+      Schedule(schedule, outage.until + readmit_scrub_cycles,
+               ReplicaHealth::kHealthy, "scrub");
     }
     ReplicaHealth health = ReplicaHealth::kHealthy;
     for (const Scheduled& s : schedule) {

@@ -11,7 +11,7 @@
 //
 // in *simulated time*: a hang is observed as missed heartbeats on a
 // simulated grid and its recovery at the first heartbeat after the
-// window, a crash is kDown at once, and a replica that went down pays a
+// window; a crash is kDown at once, and the rebooted card pays a
 // scrub-and-readmit pass before it is healthy again.  The log — and
 // everything read from it (spans, metrics, the health time-series) — is
 // a pure function of the plan.
@@ -85,11 +85,11 @@ struct Outage {
 /// The health transition log of `replicas` replicas given their
 /// outages, each replica's in timeline order.  A hang's heartbeats on
 /// the grid inside the window go missing (kSuspect, then kDown if
-/// enough miss) and the first heartbeat at or after its end starts
-/// recovery; a crash is kDown at once and kRecovering at readmission;
-/// a replica that went down is kHealthy `readmit_scrub_cycles` after
-/// kRecovering.  A crash supersedes every transition the replica still
-/// had scheduled after it.  Sorted by cycle, ties by replica.
+/// enough miss) and it is kHealthy again at the first heartbeat at or
+/// after its end; a crash is kDown at once, kRecovering at readmission
+/// and kHealthy `readmit_scrub_cycles` later.  A crash supersedes every
+/// transition the replica still had scheduled after it.  Sorted by
+/// cycle, ties by replica.
 std::vector<HealthTransition> HealthLog(int replicas,
                                         std::span<const Outage> outages,
                                         std::int64_t readmit_scrub_cycles);

@@ -131,7 +131,8 @@ TEST(HealthMonitor, HangMissesHeartbeatsOnTheGrid) {
 
   // Heartbeats on multiples of kBeat after cycle 50 go missing until
   // the window ends half a beat past the down tick; recovery is
-  // observed at the next heartbeat and readmission pays the scrub.
+  // observed at the next heartbeat.  A hang does not reboot the card,
+  // so it is healthy there at once, with no readmit scrub.
   const std::vector<HealthTransition> log =
       HealthLog(1, {{Hang(0, 50, kDownTick + kBeat / 2)}},
                 /*readmit_scrub_cycles=*/5);
@@ -140,12 +141,11 @@ TEST(HealthMonitor, HangMissesHeartbeatsOnTheGrid) {
   EXPECT_EQ(HealthAt(log, 0, kDownTick - 1), ReplicaHealth::kSuspect);
   EXPECT_EQ(HealthAt(log, 0, kDownTick), ReplicaHealth::kDown);
   EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat - 1), ReplicaHealth::kDown);
-  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat),
-            ReplicaHealth::kRecovering);
-  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat + 5),
-            ReplicaHealth::kHealthy);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().cause, "scrub");
+  EXPECT_EQ(HealthAt(log, 0, kDownTick + kBeat), ReplicaHealth::kHealthy);
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.back().from, ReplicaHealth::kDown);
+  EXPECT_EQ(log.back().cycle, kDownTick + kBeat);
+  EXPECT_EQ(log.back().cause, "heartbeat");
 }
 
 TEST(HealthMonitor, HangBelowTheDownThresholdRecoversAtTheNextBeat) {
@@ -572,6 +572,38 @@ TEST(ChaosPlan, CrashedReplicaTakesTheNextBatchWhenItFreesFirst) {
   EXPECT_EQ(plan.requests[1].start_cycle, 110);
   for (const ServedRequest& r : plan.requests)
     EXPECT_EQ(r.status, StatusCode::kOk);
+}
+
+// The health log follows the timeline: a hang long enough to reach
+// kDown frees the replica at its end with no scrub, so the log has the
+// replica healthy at the first heartbeat after the hang, never
+// kRecovering, and the next batch starts at the hang's end.
+TEST(ChaosPlan, HangThatReachesDownRecoversWithoutAScrub) {
+  constexpr std::int64_t kBeat = cluster::kHeartbeatIntervalCycles;
+  serve::PlanCosts costs = SyntheticCosts();
+  costs.scrub_cycles = 100;
+  ServeOptions options;
+  options.replicas = 1;
+  options.max_batch_size = 1;
+  fault::FaultEvent hang;
+  hang.kind = fault::FaultKind::kHang;
+  hang.replica = 0;
+  hang.invocation = 0;
+  hang.stall_cycles = 8 * kBeat + 10;  // ends just past a heartbeat
+  options.faults.events.push_back(hang);
+  const std::vector<serve::RequestArrival> arrivals(1);
+  const serve::ServePlan plan = serve::PlanServe(arrivals, options, costs);
+
+  EXPECT_EQ(plan.stats.hangs, 1);
+  EXPECT_EQ(plan.requests[0].start_cycle, hang.stall_cycles);
+  ASSERT_FALSE(plan.health.empty());
+  for (const HealthTransition& t : plan.health)
+    EXPECT_NE(t.to, ReplicaHealth::kRecovering) << t.cycle;
+  const HealthTransition& last = plan.health.back();
+  EXPECT_EQ(last.from, ReplicaHealth::kDown);
+  EXPECT_EQ(last.to, ReplicaHealth::kHealthy);
+  EXPECT_EQ(last.cycle, 9 * kBeat);
+  EXPECT_EQ(last.cause, "heartbeat");
 }
 
 // A route failure never reaches the replica, so it is the breaker's

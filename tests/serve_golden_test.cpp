@@ -329,9 +329,9 @@ const Scenario kScenarios[] = {
            o.faults = Campaign(spec, design);
          },
      .records = "bf59b8b3e7ff16c8",
-     .metrics = "d90795fdc70ca4c2",
-     .trace = "a8c88914c371e4df",
-     .timeseries = "6700527973d1a85a",
+     .metrics = "e0b087717e60ca18",
+     .trace = "7ec03fef2204d3b4",
+     .timeseries = "ad694e05d9580082",
      .stats = "a5824793f530049c"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
     // replica, hedged after three steady inferences.
