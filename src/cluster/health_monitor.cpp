@@ -130,41 +130,24 @@ CircuitBreaker::CircuitBreaker(int replicas, BreakerOptions options)
   states_.resize(static_cast<std::size_t>(replicas));
 }
 
-BreakerState CircuitBreaker::StateAt(int replica,
-                                     std::int64_t cycle) const {
-  DB_CHECK(replica >= 0 &&
-           replica < static_cast<int>(states_.size()));
-  const State& state = states_[static_cast<std::size_t>(replica)];
-  if (!options_.enabled || !state.opened) return BreakerState::kClosed;
-  return cycle < state.open_until ? BreakerState::kOpen
-                                  : BreakerState::kHalfOpen;
-}
-
-bool CircuitBreaker::Allows(int replica, std::int64_t cycle) const {
-  return StateAt(replica, cycle) != BreakerState::kOpen;
-}
-
-void CircuitBreaker::RecordFailure(int replica, std::int64_t cycle) {
-  if (!options_.enabled) return;
+std::int64_t CircuitBreaker::RecordFailure(int replica,
+                                           std::int64_t cycle) {
+  if (!options_.enabled) return 0;
   DB_CHECK(replica >= 0 &&
            replica < static_cast<int>(states_.size()));
   State& state = states_[static_cast<std::size_t>(replica)];
   if (state.opened) {
-    // A failed half-open trial re-opens with a fresh cooldown; a
-    // failure observed while already open (liveness fallback routed
-    // through anyway) leaves the episode as-is.
-    if (cycle >= state.open_until) {
-      state.open_until = cycle + options_.cooldown_cycles;
-      ++opens_;
-    }
-    return;
+    // A failure inside the cooldown leaves the episode as-is; a failed
+    // half-open trial re-opens with a fresh cooldown.
+    if (cycle < state.open_until) return 0;
+  } else if (++state.consecutive_failures < options_.failure_threshold) {
+    return 0;
   }
-  if (++state.consecutive_failures >= options_.failure_threshold) {
-    state.opened = true;
-    state.open_until = cycle + options_.cooldown_cycles;
-    state.consecutive_failures = 0;
-    ++opens_;
-  }
+  state.opened = true;
+  state.open_until = cycle + options_.cooldown_cycles;
+  state.consecutive_failures = 0;
+  ++opens_;
+  return state.open_until;
 }
 
 void CircuitBreaker::RecordSuccess(int replica, std::int64_t cycle) {

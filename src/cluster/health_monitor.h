@@ -4,7 +4,8 @@
 // Health is an output of the serving plan, never an input to it: the
 // planner routes on its timeline alone (a crashed replica's free cycle
 // already carries its down time and readmit scrub, a hung one's the end
-// of the hang), and once the last batch is placed, HealthLog turns the
+// of the hang, one with an open breaker the end of the cooldown), and
+// once the last batch is placed, HealthLog turns the
 // plan's crash and hang windows into the per-replica transition log
 //
 //   kHealthy -> kSuspect -> kDown -> kRecovering -> kHealthy
@@ -20,9 +21,10 @@
 // that owns dispatch failures (route failures and crashes):
 // `failure_threshold` consecutive failures open the breaker for
 // `cooldown_cycles`; after the cooldown it is half-open and one trial
-// dispatch decides between closing it and re-opening it.  State is
-// derived from the recorded (failure cycle, cooldown) pairs, so queries
-// are pure.  It is the one mask the planner routes on.
+// dispatch decides between closing it and re-opening it.  It is not a
+// mask: RecordFailure returns the cooldown end of each open, and the
+// planner holds the replica's free cycle until then, as it does for a
+// crash or a hang.
 //
 // Threading contract: CircuitBreaker is single-writer (the serving
 // planner, which runs on one thread); HealthLog and HealthAt are pure.
@@ -99,17 +101,6 @@ std::vector<HealthTransition> HealthLog(int replicas,
 ReplicaHealth HealthAt(std::span<const HealthTransition> log, int replica,
                        std::int64_t cycle);
 
-enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
-constexpr const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 struct BreakerOptions {
   bool enabled = false;
   /// Consecutive failures that open the breaker.
@@ -128,17 +119,16 @@ class CircuitBreaker {
  public:
   explicit CircuitBreaker(int replicas, BreakerOptions options = {});
 
-  /// True when a dispatch to `replica` may proceed at `cycle` (closed
-  /// or half-open; in the server's single-threaded planner exactly one
-  /// trial is in flight while half-open).  Always true when disabled.
-  bool Allows(int replica, std::int64_t cycle) const;
-
-  void RecordFailure(int replica, std::int64_t cycle);
+  /// Record a dispatch failure of `replica` at `cycle`.  Returns the
+  /// cooldown end when the failure opens the breaker (the threshold is
+  /// reached) or re-opens it (a failed half-open trial, at or after the
+  /// cooldown end); else 0, and always 0 when disabled.
+  std::int64_t RecordFailure(int replica, std::int64_t cycle);
+  /// A dispatch `replica` accepted at `cycle`: clears the failure count,
+  /// and closes the breaker once its cooldown has ended.
   void RecordSuccess(int replica, std::int64_t cycle);
 
-  BreakerState StateAt(int replica, std::int64_t cycle) const;
   std::int64_t opens() const { return opens_; }
-  const BreakerOptions& options() const { return options_; }
 
  private:
   struct State {

@@ -292,8 +292,8 @@ void InferenceServer::PublishTrace(obs::Tracer& tracer) const {
   }
 
   // The cluster track: resilience episodes (crashes, hangs, slow
-  // windows, route failures, hedges) in dispatch order, then the plan's
-  // health transition log.
+  // windows, route failures, breaker holds, hedges) in dispatch order,
+  // then the plan's health transition log.
   for (const ClusterEpisode& episode : plan.cluster_log) {
     obs::Span span;
     span.track = "cluster";

@@ -13,10 +13,11 @@
 //        whole arrival stream.  It decides admission (kReject /
 //        kShedOldest against queue_capacity), batching (Batcher: max
 //        batch + linger), least-loaded routing (the earliest-free
-//        replica the CircuitBreaker allows, ties to the lowest index; a
-//        crashed or hung replica's free cycle already carries its
-//        outage, so health needs no mask; one server holds one model,
-//        as the board holds one accelerator), the cluster faults (a
+//        replica, ties to the lowest index; a crashed or hung replica's
+//        free cycle already carries its outage, one whose
+//        CircuitBreaker opened carries the cooldown, so nothing is
+//        masked; one server holds one model, as the board holds one
+//        accelerator), the cluster faults (a
 //        route failure re-routes, a hang or a slow replica delays, a
 //        crash splits the batch and re-dispatches the rest), hedging,
 //        and every replica's timeline: datapath faults fired by
@@ -135,18 +136,19 @@ struct ServeOptions {
   /// Opt-in request hedging: when a batch's planned completion exceeds
   /// its ready cycle by more than this many cycles, the planner places
   /// a duplicate, starting at ready + hedge_after_cycles, on the other
-  /// replica the breaker allows that finishes it first — only if that
-  /// copy finishes before the primary.  The primary is then cancelled:
+  /// replica that finishes it first — only if that copy finishes before
+  /// the primary.  The primary is then cancelled:
   /// it occupies its replica until the copy completes but never runs
   /// the datapath, and its batch still counts against the replica's
   /// slow window.  A copy that would lose is never placed.  0 = disabled.
   std::int64_t hedge_after_cycles = 0;
   /// Per-replica circuit breaker (closed/open/half-open with a
   /// cycle-based cooldown), the one owner of dispatch failures (route
-  /// failures, crashes) and the one mask on routing and hedging;
-  /// disabled unless `breaker.enabled`.  Without it a route failure
-  /// only re-routes its batch, and a crashed replica is kept out only
-  /// by its own timeline.
+  /// failures, crashes); disabled unless `breaker.enabled`.  An open
+  /// breaker holds its replica's free cycle until the cooldown ends, so
+  /// routing and hedging pass it over exactly as long as any other
+  /// replica frees first, and a sole replica waits the cooldown out.
+  /// Without it a route failure only re-routes its batch.
   cluster::BreakerOptions breaker;
   std::string device_name = "zynq-7045";
   /// Optional observability sinks, all published once, inside the first
@@ -227,8 +229,8 @@ struct ReplicaPlan {
   std::vector<std::pair<std::int64_t, std::int64_t>> busy_intervals;
 };
 
-/// A resilience episode (crash, hang, slow window, route failure, hedge)
-/// for the "cluster" trace track.
+/// A resilience episode (crash, hang, slow window, route failure,
+/// breaker hold, hedge) for the "cluster" trace track.
 struct ClusterEpisode {
   std::string name;
   int replica = -1;
@@ -266,7 +268,6 @@ struct ServePlan {
   /// Every replica's health transitions, derived from the plan's crash
   /// and hang windows once the last batch is placed (cluster::HealthLog).
   std::vector<cluster::HealthTransition> health;
-  cluster::CircuitBreaker breaker;
   /// PlanServe counts batches, cluster events and runs here;
   /// SummarizePlan completes it.
   ServerStats stats;

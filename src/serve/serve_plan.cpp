@@ -24,8 +24,7 @@ std::int64_t RetryBackoffCycles(std::int64_t base, int attempt,
 
 ServePlan::ServePlan(int replicas, const ServeOptions& options)
     : replicas(static_cast<std::size_t>(replicas)),
-      max_batch_size(options.max_batch_size),
-      breaker(replicas, options.breaker) {
+      max_batch_size(options.max_batch_size) {
   stats.replicas = replicas;
   stats.replica_dispatches.assign(static_cast<std::size_t>(replicas), 0);
 }
@@ -40,6 +39,7 @@ class Planner {
         count_(options.replicas),
         injector_(options.faults, count_),
         plan_(count_, options),
+        breaker_(count_, options.breaker),
         free_cycle_(static_cast<std::size_t>(count_), 0),
         state_(static_cast<std::size_t>(count_)) {
     DB_CHECK_MSG(options.hedge_after_cycles >= 0,
@@ -104,6 +104,9 @@ class Planner {
                        std::int64_t start, std::int64_t cycles,
                        std::int64_t detail);
   void CancelHedge(int r, std::int64_t start, std::int64_t cancel);
+  /// Record a dispatch failure of replica r at `cycle`; a breaker it
+  /// opens holds the replica's free cycle until the cooldown ends.
+  void Fail(int r, std::int64_t cycle);
   bool InWeights(std::int64_t addr) const;
   void Log(const char* name, int replica, std::int64_t start,
            std::int64_t end,
@@ -121,6 +124,7 @@ class Planner {
   const int count_;
   fault::FaultInjector injector_;
   ServePlan plan_;
+  cluster::CircuitBreaker breaker_;
   std::vector<std::int64_t> free_cycle_;  // the dispatch-side view
   std::vector<Replica> state_;
   std::vector<cluster::Outage> outages_;  // crash and hang windows
@@ -171,6 +175,7 @@ ServePlan Planner::Plan(std::span<const RequestArrival> requests) {
     Dispatch(*std::move(rest));
   plan_.health =
       cluster::HealthLog(count_, outages_, costs_.scrub_cycles);
+  plan_.stats.breaker_opens = breaker_.opens();
   return std::move(plan_);
 }
 
@@ -234,8 +239,8 @@ bool Planner::FireClusterEvents(int r, std::int64_t size,
         // re-routes to another one.  The failure is the breaker's alone:
         // the replica itself is alive.
         ++plan_.stats.route_failures;
-        plan_.breaker.RecordFailure(r, ready);
         Log("route_fail", r, ready, ready);
+        Fail(r, ready);
         return false;
       case fault::FaultKind::kHang: {
         // The replica stalls before accepting work.
@@ -278,32 +283,21 @@ void Planner::Dispatch(Batch batch) {
   const auto count = static_cast<std::size_t>(count_);
 
   // Least-loaded routing with deterministic re-route on transient
-  // failures: the earliest-free eligible replica wins (ties to the
-  // lowest index), and every attempt excludes replicas already tried for
-  // this batch.  Health needs no mask: a crashed replica's free cycle
-  // already carries its down time and readmit scrub, a hung one's the
-  // end of the hang.  Liveness over purity — with no untried replica the
-  // breaker allows, any untried one, then any at all, takes the batch.
+  // failures: the earliest-free replica not yet tried for this batch
+  // wins, else the earliest-free one (ties to the lowest index).  No
+  // signal is a mask: a crashed replica's free cycle already carries its
+  // down time and readmit scrub, a hung one's the end of the hang, one
+  // with an open breaker the end of the cooldown.
   std::vector<bool> attempted(count, false);
-  const auto earliest_free = [&](auto eligible) {
-    int best = -1;
-    for (int i = 0; i < count_; ++i)
-      if (eligible(i) &&
-          (best < 0 || free_cycle_[static_cast<std::size_t>(i)] <
-                           free_cycle_[static_cast<std::size_t>(best)]))
-        best = i;
-    return best;
-  };
-  const auto untried = [&](int i) {
-    return !attempted[static_cast<std::size_t>(i)];
+  const auto key = [&](int i) {
+    const auto u = static_cast<std::size_t>(i);
+    return std::pair(attempted[u], free_cycle_[u]);
   };
   int r = -1;
   for (;;) {
-    r = earliest_free([&](int i) {
-      return untried(i) && plan_.breaker.Allows(i, ready);
-    });
-    if (r < 0) r = earliest_free(untried);
-    if (r < 0) r = earliest_free([](int) { return true; });
+    r = 0;
+    for (int i = 1; i < count_; ++i)
+      if (key(i) < key(r)) r = i;
     CrashSplit crash;
     if (!FireClusterEvents(r, size, ready, &crash)) {
       attempted[static_cast<std::size_t>(r)] = true;
@@ -335,13 +329,13 @@ void Planner::Dispatch(Batch batch) {
       Commit(r, served, window);
     }
     ++plan_.stats.crashes;
-    plan_.breaker.RecordFailure(r, crash_cycle);
     const std::int64_t readmit = crash_cycle + crash.down_cycles;
     outages_.push_back(
         {.replica = r, .from = crash_cycle, .until = readmit, .crash = true});
     // The replica is gone until `readmit`, then pays the scrub pass
     // before its datapath frees; a reboot loses weight residency.
     free_cycle_[static_cast<std::size_t>(r)] = readmit + costs_.scrub_cycles;
+    Fail(r, crash_cycle);
     rep.scheduled_warm = false;
     rep.slow_factor = 1;
     rep.slow_services = 0;
@@ -368,7 +362,7 @@ void Planner::Dispatch(Batch batch) {
     int best = -1;
     BatchWindow alternate = primary;  // the finish a copy must beat
     for (int i = 0; i < count_; ++i) {
-      if (i == r || !plan_.breaker.Allows(i, issue)) continue;
+      if (i == r) continue;
       BatchWindow candidate = Window(i, batch, issue);
       if (candidate.finish < alternate.finish) {
         best = i;
@@ -407,7 +401,7 @@ void Planner::Commit(int r, const Batch& batch, const BatchWindow& window) {
   ++plan_.stats.replica_dispatches[static_cast<std::size_t>(r)];
   // A committed dispatch is the breaker's success signal: the replica
   // accepted work at the planned start.
-  plan_.breaker.RecordSuccess(r, window.start);
+  breaker_.RecordSuccess(r, window.start);
   Serve(r, batch, window);
 }
 
@@ -557,6 +551,16 @@ std::int64_t Planner::Recover(int r, fault::FaultKind kind,
       kind, true, r, invocation, request, start, start + cycles, detail});
   out.busy_intervals.emplace_back(start, start + cycles);
   return start + cycles;
+}
+
+void Planner::Fail(int r, std::int64_t cycle) {
+  const std::int64_t until = breaker_.RecordFailure(r, cycle);
+  if (until == 0) return;
+  // The hold: the replica takes no new work before the cooldown ends.
+  std::int64_t& free = free_cycle_[static_cast<std::size_t>(r)];
+  const std::int64_t begin = std::max(cycle, free);
+  free = std::max(free, until);
+  Log("breaker_open", r, begin, free);
 }
 
 void Planner::CancelHedge(int r, std::int64_t start, std::int64_t cancel) {

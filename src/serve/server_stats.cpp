@@ -177,7 +177,6 @@ void SummarizePlan(ServePlan& plan, double frequency_mhz) {
   stats.faults_injected = stats.bit_flips + stats.transients + stats.stalls +
                           stats.crashes + stats.hangs + stats.slow_faults +
                           stats.route_failures;
-  stats.breaker_opens = plan.breaker.opens();
   stats.health_transitions = static_cast<std::int64_t>(plan.health.size());
 
   const double cycles_to_s = 1.0 / (frequency_mhz * 1e6);

@@ -82,11 +82,11 @@ struct ServerStats {
   std::int64_t scrubs = 0;
 
   /// Cluster-resilience accounting.  The planner counts these as the
-  /// events fire; breaker opens are read from the breaker (which owns
-  /// route failures and crashes), health transitions from the plan's
-  /// health log (derived from its crash and hang windows).  A hedge is
-  /// placed only where it beats the primary, so `hedge_wins` always
-  /// equals `hedges`; both stay in the exports.
+  /// events fire, breaker opens included (its breaker owns route
+  /// failures and crashes); health transitions are read from the
+  /// plan's health log (derived from its crash and hang windows).  A
+  /// hedge is placed only where it beats the primary, so `hedge_wins`
+  /// always equals `hedges`; both stay in the exports.
   std::int64_t crashes = 0;             // replica crash events fired
   std::int64_t hangs = 0;               // replica hang windows fired
   std::int64_t slow_faults = 0;         // slow-replica windows fired

@@ -4,6 +4,8 @@
 // campaign (ctest label: chaos).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,7 +26,6 @@ namespace db {
 namespace {
 
 using cluster::BreakerOptions;
-using cluster::BreakerState;
 using cluster::CircuitBreaker;
 using cluster::HealthAt;
 using cluster::HealthLog;
@@ -221,30 +222,43 @@ TEST(Breaker, OpensAfterThresholdAndHalfOpenTrialDecides) {
   options.cooldown_cycles = 100;
   CircuitBreaker breaker(1, options);
 
-  EXPECT_TRUE(breaker.Allows(0, 0));
-  breaker.RecordFailure(0, 10);
-  EXPECT_TRUE(breaker.Allows(0, 11));
-  breaker.RecordFailure(0, 20);
-  EXPECT_EQ(breaker.StateAt(0, 50), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.Allows(0, 50));
-  EXPECT_EQ(breaker.StateAt(0, 120), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.Allows(0, 120));
+  // Below the threshold a failure returns 0; the one that reaches it
+  // opens the breaker and returns the cooldown end.
+  EXPECT_EQ(breaker.RecordFailure(0, 10), 0);
+  EXPECT_EQ(breaker.RecordFailure(0, 20), 120);
+  EXPECT_EQ(breaker.opens(), 1);
+  // A failure or a success inside the cooldown leaves the episode as-is.
+  EXPECT_EQ(breaker.RecordFailure(0, 50), 0);
+  breaker.RecordSuccess(0, 60);
   EXPECT_EQ(breaker.opens(), 1);
 
-  // A failed half-open trial re-opens with a fresh cooldown.
-  breaker.RecordFailure(0, 130);
-  EXPECT_FALSE(breaker.Allows(0, 200));
+  // A failed half-open trial re-opens at once with a fresh cooldown.
+  EXPECT_EQ(breaker.RecordFailure(0, 130), 230);
   EXPECT_EQ(breaker.opens(), 2);
-  // The next trial succeeds and closes the breaker.
+  // The next trial succeeds and closes the breaker: the threshold counts
+  // from zero again.
   breaker.RecordSuccess(0, 240);
-  EXPECT_EQ(breaker.StateAt(0, 240), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.Allows(0, 240));
+  EXPECT_EQ(breaker.RecordFailure(0, 250), 0);
+  EXPECT_EQ(breaker.RecordFailure(0, 260), 360);
+  EXPECT_EQ(breaker.opens(), 3);
 }
 
-TEST(Breaker, DisabledAlwaysAllows) {
+TEST(Breaker, SuccessResetsTheFailureCount) {
+  BreakerOptions options;
+  options.enabled = true;
+  options.failure_threshold = 2;
+  CircuitBreaker breaker(2, options);
+  EXPECT_EQ(breaker.RecordFailure(0, 0), 0);
+  breaker.RecordSuccess(0, 1);
+  EXPECT_EQ(breaker.RecordFailure(0, 2), 0);
+  // Counts are per replica.
+  EXPECT_EQ(breaker.RecordFailure(1, 3), 0);
+  EXPECT_EQ(breaker.opens(), 0);
+}
+
+TEST(Breaker, DisabledNeverOpens) {
   CircuitBreaker breaker(1, BreakerOptions{});
-  for (int i = 0; i < 10; ++i) breaker.RecordFailure(0, i);
-  EXPECT_TRUE(breaker.Allows(0, 100));
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(breaker.RecordFailure(0, i), 0);
   EXPECT_EQ(breaker.opens(), 0);
 }
 
@@ -417,9 +431,9 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
   const std::vector<Tensor> inputs = f.Inputs(kRequests);
 
   // Three transient route failures stacked on the sole replica's first
-  // committed service: a single-replica pool forces the liveness
-  // fallback to keep re-attempting it, so the breaker sees the
-  // consecutive failures.
+  // committed service: with no other replica to try, each re-route
+  // lands on it again.  The second failure opens the breaker; the third
+  // falls inside the cooldown, and the batch waits it out.
   fault::FaultPlan plan;
   plan.seed = 3;
   for (int i = 0; i < 3; ++i) {
@@ -446,6 +460,7 @@ TEST(ChaosServer, BreakerOpensUnderRepeatedRouteFailures) {
     EXPECT_EQ(r.status, StatusCode::kOk);
   EXPECT_EQ(stats.route_failures, 3);
   EXPECT_EQ(stats.breaker_opens, 1);
+  EXPECT_EQ(records.front().start_cycle, options.breaker.cooldown_cycles);
 }
 
 /// Synthetic invocation costs: a cold invocation costs 100 cycles, a
@@ -510,29 +525,86 @@ TEST(ChaosPlan, RouteFailureSkipsTheFailedReplicaForThisBatch) {
     EXPECT_EQ(r.status, StatusCode::kOk);
 }
 
-// With every breaker open the pool has nothing routable, and each batch
-// still lands: first on a replica it has not failed on, then anywhere.
-TEST(ChaosPlan, BatchLandsWhenNothingIsRoutable) {
-  ServeOptions options;
-  options.replicas = 2;
-  options.max_batch_size = 1;
-  options.breaker = ParseBreakerSpec("failures=1,cooldown=100000");
-  for (int replica : {0, 1}) {
+/// `options` with a breaker that opens on the first failure for
+/// `cooldown` cycles, and one route failure on each replica in
+/// `replicas`, on its first dispatch.
+ServeOptions RouteFailuresWithBreaker(ServeOptions options,
+                                      std::int64_t cooldown,
+                                      std::initializer_list<int> replicas) {
+  options.breaker.enabled = true;
+  options.breaker.failure_threshold = 1;
+  options.breaker.cooldown_cycles = cooldown;
+  for (int replica : replicas) {
     fault::FaultEvent event;
     event.kind = fault::FaultKind::kRouteFail;
     event.replica = replica;
     event.invocation = 0;
     options.faults.events.push_back(event);
   }
+  return options;
+}
+
+// With every breaker open the pool has nothing free before a cooldown
+// ends: each batch lands at the earliest cooldown end, the first on a
+// replica it has already failed on.
+TEST(ChaosPlan, BatchLandsWhenNothingIsRoutable) {
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 1;
+  options = RouteFailuresWithBreaker(options, 100000, {0, 1});
   const serve::ServePlan plan = PlanSynthetic(options, {0, 10});
   EXPECT_EQ(plan.stats.route_failures, 2);
-  EXPECT_EQ(plan.breaker.opens(), 2);
-  // Request 0 failed on both replicas and falls back to the whole pool
-  // (the earliest free, replica 0); request 1 finds both breakers open
-  // and takes the earliest-free replica, 1.
+  EXPECT_EQ(plan.stats.breaker_opens, 2);
+  // Request 0 failed on both replicas at cycle 0, so both are held until
+  // 100000 and the tie goes to replica 0; request 1 takes replica 1,
+  // held until the same cycle.
   EXPECT_EQ(Replicas(plan), (std::vector<int>{0, 1}));
-  for (const ServedRequest& r : plan.requests)
+  for (const ServedRequest& r : plan.requests) {
     EXPECT_EQ(r.status, StatusCode::kOk);
+    EXPECT_EQ(r.start_cycle, 100000);
+  }
+}
+
+// An open breaker holds its replica's free cycle, not a mask: once the
+// cooldown ends the replica takes its share again, however deep the
+// other replica's queue.  (With the breaker as a mask, every one of the
+// 20 requests queued on replica 1, the last finishing at 1240.)
+TEST(ChaosPlan, OpenBreakerHoldsTheReplicaOnlyUntilTheCooldownEnds) {
+  ServeOptions options;
+  options.replicas = 2;
+  options.max_batch_size = 1;
+  options = RouteFailuresWithBreaker(options, 1000, {0});
+  const serve::ServePlan plan =
+      PlanSynthetic(options, std::vector<std::int64_t>(20, 0));
+  EXPECT_EQ(plan.stats.breaker_opens, 1);
+  std::int64_t last_finish = 0;
+  int on_replica0 = 0;
+  for (const ServedRequest& r : plan.requests) {
+    EXPECT_EQ(r.status, StatusCode::kOk);
+    last_finish = std::max(last_finish, r.finish_cycle);
+    if (r.replica != 0) continue;
+    ++on_replica0;
+    EXPECT_GE(r.start_cycle, 1000);  // never inside the cooldown
+  }
+  EXPECT_GT(on_replica0, 0);
+  EXPECT_LT(last_finish, 1240);
+}
+
+// A sole replica whose breaker opens waits out the cooldown: the first
+// batch starts at its end.
+TEST(ChaosPlan, SoleReplicaWaitsOutTheCooldown) {
+  ServeOptions options;
+  options.replicas = 1;
+  options.max_batch_size = 1;
+  options = RouteFailuresWithBreaker(options, 1000, {0});
+  const serve::ServePlan plan = PlanSynthetic(options, {0, 0});
+  EXPECT_EQ(plan.stats.breaker_opens, 1);
+  EXPECT_EQ(plan.requests[0].start_cycle, 1000);
+  EXPECT_EQ(plan.requests[1].start_cycle, 1000 + 100);  // after a cold run
+  ASSERT_EQ(plan.cluster_log.size(), 2u);
+  EXPECT_EQ(plan.cluster_log[1].name, "breaker_open");
+  EXPECT_EQ(plan.cluster_log[1].start, 0);
+  EXPECT_EQ(plan.cluster_log[1].end, 1000);
 }
 
 // Routing reads health off the timeline alone: a crashed replica's free
@@ -711,9 +783,9 @@ TEST(ChaosPlan, HedgedAwayBatchesWearOffASlowWindow) {
 // bit-identical to fault-free, metrics/trace/time-series byte-stable
 // across reruns.  Seed 30 places every one of the campaign's 30 events
 // on an invocation the stream reaches, the slow window included.  The
-// breaker's cooldown is about one steady invocation: with the default
-// 16384 cycles the stream piles onto the one replica left closed (97 %
-// busy, one hedge).
+// breaker's cooldown is about one steady invocation; an open breaker
+// holds its replica until the cooldown ends, which no request may start
+// inside.
 TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
   Fixture f;
   const int kRequests = 48;
@@ -740,6 +812,7 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
     std::string trace;
     std::string metrics;
     std::string timeseries;
+    std::vector<obs::Span> holds;  // the breaker_open episodes
   };
   auto run = [&](const fault::FaultPlan& faults) {
     obs::Tracer tracer;
@@ -767,6 +840,8 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
         obs::WriteChromeTrace(tracer, f.design.config.frequency_mhz);
     result.metrics = metrics.ToJson();
     result.timeseries = timeseries.ToJson();
+    for (obs::Span& span : tracer.Sorted())
+      if (span.name == "breaker_open") result.holds.push_back(std::move(span));
     return result;
   };
 
@@ -793,6 +868,19 @@ TEST(ChaosServer, SeededCampaignIsLosslessAndByteStable) {
   EXPECT_GE(first.stats.slow_faults, 1);
   EXPECT_GE(first.stats.hedges, 1);
   EXPECT_GE(first.stats.breaker_opens, 1);
+  // An open breaker holds its replica: no request starts on it inside
+  // one of its breaker_open episodes.
+  EXPECT_EQ(first.holds.size(),
+            static_cast<std::size_t>(first.stats.breaker_opens));
+  for (const obs::Span& hold : first.holds) {
+    const std::string replica = hold.args.front().second;
+    for (const ServedRequest& r : first.records) {
+      if (r.status != StatusCode::kOk || std::to_string(r.replica) != replica)
+        continue;
+      EXPECT_FALSE(r.start_cycle >= hold.start && r.start_cycle < hold.end)
+          << "request " << r.id << " on replica " << replica;
+    }
+  }
 
   // Byte-stable exports across identical reruns.
   EXPECT_EQ(first.trace, second.trace);

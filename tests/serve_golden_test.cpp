@@ -328,11 +328,11 @@ const Scenario kScenarios[] = {
            spec.workers = 4;
            o.faults = Campaign(spec, design);
          },
-     .records = "bf59b8b3e7ff16c8",
-     .metrics = "e0b087717e60ca18",
-     .trace = "7ec03fef2204d3b4",
-     .timeseries = "ad694e05d9580082",
-     .stats = "a5824793f530049c"},
+     .records = "583fc2c474c86656",
+     .metrics = "26302e676c3013aa",
+     .trace = "e13af73168380f9c",
+     .timeseries = "cb22ae02c2c5c4c1",
+     .stats = "6e98f82960820ec7"},
     // The ChaosServer.HedgingBoundsSlowReplicaTailLatency run: one slow
     // replica, hedged after three steady inferences.
     {.name = "HedgedSlowReplica",
@@ -359,7 +359,8 @@ const Scenario kScenarios[] = {
      .timeseries = "89623932f1d292a3",
      .stats = "db80b883a56c795a"},
     // The ChaosServer.BreakerOpensUnderRepeatedRouteFailures run: three
-    // route failures on the sole replica open its breaker.
+    // route failures on the sole replica open its breaker, and the
+    // stream waits out the cooldown.
     {.name = "BreakerOpens",
      .requests = 12,
      .input_seed = 800,
@@ -380,11 +381,11 @@ const Scenario kScenarios[] = {
              o.faults.events.push_back(event);
            }
          },
-     .records = "f478a03104612428",
-     .metrics = "67df9f5e6fbf9d9d",
-     .trace = "cc4ae612dfb5848b",
-     .timeseries = "4a07069947da2bcd",
-     .stats = "5ce5d60b9f37968a"},
+     .records = "acac2e44af7270a8",
+     .metrics = "1941053603da5142",
+     .trace = "1b7dc5ccac01b92d",
+     .timeseries = "84b7760e9c6d49c4",
+     .stats = "ca780e2d48966dbe"},
     // The CLI's wiring: serve.* and the per-invocation sim.* metrics in
     // one registry, under a datapath campaign with blob flips and more
     // transient failures on one invocation than kMaxRetries retries.
