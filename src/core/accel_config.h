@@ -58,9 +58,6 @@ struct AcceleratorConfig {
     return (format.total_bits() + 7) / 8;
   }
 
-  /// Clock period in nanoseconds.
-  double ClockNs() const { return 1000.0 / frequency_mhz; }
-
   /// DRAM bytes deliverable per accelerator clock cycle
   /// (dram_bandwidth_gbs is in gigaBYTES per second).
   double DramBytesPerCycle() const {

@@ -36,8 +36,6 @@ class HopfieldTsp {
   HopfieldTsp(const std::vector<std::vector<double>>& distances,
               HopfieldTspParams params);
 
-  int num_cities() const { return n_; }
-
   /// Reset the neuron potentials to small random perturbations.
   void Reset(Rng& rng);
 

@@ -92,15 +92,6 @@ constexpr const char* ServerStateName(ServerState state) {
 ///                   StatusCode::kShed and the new one is admitted.
 enum class AdmissionPolicy { kBlock, kReject, kShedOldest };
 
-constexpr const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kBlock: return "block";
-    case AdmissionPolicy::kReject: return "reject";
-    case AdmissionPolicy::kShedOldest: return "shed-oldest";
-  }
-  return "unknown";
-}
-
 /// Saturating exponential-backoff charge: base << attempt, computed
 /// without shifting past the int64 width and clamped to `cap`.  Pure;
 /// exposed so tests can pin the arithmetic.
