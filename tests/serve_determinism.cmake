@@ -2,13 +2,14 @@
 #
 #   1. Two invocations with identical flags — same zoo model, same seeded
 #      fault campaign, same replica pool — write byte-identical
-#      --metrics-out and --trace-out files.  Everything the server
+#      --metrics-out, --trace-out and --timeseries-out files.  Everything the server
 #      reports is a pure function of the arrival stream and the seeds;
 #      thread interleaving must never leak into an artifact.  Checked
 #      under a datapath campaign and under a cluster campaign (route
 #      failures, a slow replica, a crash and hangs, with the breaker and
-#      hedging on), whose trace carries the health log the plan derives
-#      from its crash and hang windows.
+#      hedging on), whose trace and load.replica<n>.health time-series
+#      carry the health log the plan derives from its crash and hang
+#      windows.
 #   2. Replica count is a wall-clock knob only: the invariant serving
 #      metrics (requests, completed, batches, dram_bytes) are identical
 #      between a 1-replica and a 4-replica pool.
@@ -27,6 +28,7 @@ function(run_serve prefix)
   execute_process(COMMAND ${DEEPBURNING} serve ${ARGN}
       --metrics-out ${work}/${prefix}.metrics.json
       --trace-out ${work}/${prefix}.trace.json
+      --timeseries-out ${work}/${prefix}.timeseries.json
     RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT result EQUAL 0)
     message(FATAL_ERROR
@@ -50,6 +52,7 @@ run_serve(first ${flags})
 run_serve(second ${flags})
 expect_identical(first.metrics.json second.metrics.json)
 expect_identical(first.trace.json second.trace.json)
+expect_identical(first.timeseries.json second.timeseries.json)
 
 # The cluster campaign must actually route around failures, open the
 # breaker, hedge and log health transitions (suspect, down, recovering
@@ -62,6 +65,8 @@ run_serve(cluster_first ${flags})
 run_serve(cluster_second ${flags})
 expect_identical(cluster_first.metrics.json cluster_second.metrics.json)
 expect_identical(cluster_first.trace.json cluster_second.trace.json)
+expect_identical(cluster_first.timeseries.json
+    cluster_second.timeseries.json)
 file(READ ${work}/cluster_first.metrics.json cluster_metrics)
 foreach(metric route_failures slow_replicas crashes hangs breaker_opens
     hedges transitions)
