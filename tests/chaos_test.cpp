@@ -567,8 +567,8 @@ TEST(ChaosPlan, BatchLandsWhenNothingIsRoutable) {
 
 // An open breaker holds its replica's free cycle, not a mask: once the
 // cooldown ends the replica takes its share again, however deep the
-// other replica's queue.  (With the breaker as a mask, every one of the
-// 20 requests queued on replica 1, the last finishing at 1240.)
+// other replica's queue.  1240 is when replica 1 alone would finish all
+// 20 requests (one cold run, then 19 warm ones).
 TEST(ChaosPlan, OpenBreakerHoldsTheReplicaOnlyUntilTheCooldownEnds) {
   ServeOptions options;
   options.replicas = 2;
