@@ -110,7 +110,7 @@ BreakerOptions ParseBreakerSpec(const std::string& spec) {
       {"failures", &BreakerOptions::failure_threshold, 1,
        std::numeric_limits<int>::max()},
       {"cooldown", &BreakerOptions::cooldown_cycles, 1,
-       std::numeric_limits<std::int64_t>::max()},
+       kMaxCooldownCycles},
   };
   BreakerOptions options;
   options.enabled = true;

@@ -101,6 +101,11 @@ std::vector<HealthTransition> HealthLog(int replicas,
 ReplicaHealth HealthAt(std::span<const HealthTransition> log, int replica,
                        std::int64_t cycle);
 
+/// The largest breaker cooldown.  A cooldown is a term of the replica's
+/// free cycle, so the bound keeps the planner's cycle arithmetic inside
+/// int64 however many times the breaker re-opens.
+constexpr std::int64_t kMaxCooldownCycles = std::int64_t{1} << 40;
+
 struct BreakerOptions {
   bool enabled = false;
   /// Consecutive failures that open the breaker.
@@ -111,8 +116,8 @@ struct BreakerOptions {
 
 /// Parse a CLI breaker spec: "failures=N,cooldown=M" (either key may be
 /// omitted; the result is enabled).  N lies in [1, INT_MAX], M in
-/// [1, 2^63-1]; unknown keys or malformed or out-of-range values throw
-/// db::Error.
+/// [1, kMaxCooldownCycles]; unknown keys or malformed or out-of-range
+/// values throw db::Error.
 BreakerOptions ParseBreakerSpec(const std::string& spec);
 
 class CircuitBreaker {

@@ -273,6 +273,11 @@ TEST(Breaker, ParseSpecRoundTripsAndRejectsBogusInput) {
   EXPECT_THROW(ParseBreakerSpec("bogus=1"), Error);
   EXPECT_THROW(ParseBreakerSpec("failures"), Error);
   EXPECT_THROW(ParseBreakerSpec("failures=2147483648"), Error);  // > int
+  // A cooldown holds the replica's free cycle, so it is bounded well
+  // inside int64.
+  EXPECT_EQ(ParseBreakerSpec("cooldown=1099511627776").cooldown_cycles,
+            cluster::kMaxCooldownCycles);
+  EXPECT_THROW(ParseBreakerSpec("cooldown=1099511627777"), Error);
 }
 
 // ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ expect_exit(2 serve --zoo MNIST --replicas 0)            # db::Error
 expect_exit(2 serve --zoo MNIST --router=bogus)          # db::Error
 expect_exit(2 serve --zoo MNIST --breaker=bogus-key=1)   # db::Error
 expect_exit(2 serve --zoo MNIST --breaker=failures=0)    # db::Error
+expect_exit(2 serve --zoo MNIST --breaker=cooldown=1099511627777) # > 2^40
 expect_exit(2 serve --zoo MNIST --hedge-after-cycles -1) # db::Error
 expect_exit(3 --self-test-internal-error)                # DB_CHECK
 

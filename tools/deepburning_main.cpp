@@ -199,9 +199,9 @@ decimal, and 2^31-1 and 2^63-1 mean 2147483647 and 9223372036854775807.
                  'failures=3,cooldown=16384': that many consecutive
                  dispatch failures (route failures or crashes; in
                  [1, 2^31-1]) open it, and the replica takes no work
-                 for that many cycles (in [1, 2^63-1]), then one
-                 half-open trial; without it a route failure only
-                 re-routes its batch
+                 for that many cycles (in [1, 2^40], 2^40 being
+                 1099511627776), then one half-open trial; without
+                 it a route failure only re-routes its batch
   --trace-out    write the toolchain + per-request serving spans as
                  Chrome-trace JSON (open in Perfetto)
   --metrics-out  write the serve.*/sim.* metrics registry as JSON
