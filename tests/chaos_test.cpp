@@ -256,7 +256,8 @@ TEST(Breaker, SuccessResetsTheFailureCount) {
   EXPECT_EQ(breaker.opens(), 0);
 }
 
-TEST(Breaker, DisabledNeverOpens) {
+// A disabled breaker never opens, so it never holds a replica back.
+TEST(Breaker, DisabledAlwaysAllows) {
   CircuitBreaker breaker(1, BreakerOptions{});
   for (int i = 0; i < 10; ++i) EXPECT_EQ(breaker.RecordFailure(0, i), 0);
   EXPECT_EQ(breaker.opens(), 0);
